@@ -72,10 +72,6 @@ class NetworkDescription:
                     self.consumers[src].append(spec.name)
 
     @property
-    def input_layers(self):
-        return tuple(s for s in self.layers if s.kind in INPUT_KINDS)
-
-    @property
     def output_layer(self):
         return self.layers[-1]
 

@@ -61,6 +61,8 @@ class ClassMap:
             raise ValueError("class_of and membership lengths differ")
         if self.class_of.size == 0:
             raise ValueError("empty class map")
+        if not np.isfinite(self.membership).all():
+            raise ValueError("non-finite membership probability")
         if self.class_of.min() < 0:
             raise ValueError("negative class id")
         self.num_classes = int(num_classes if num_classes is not None else self.class_of.max() + 1)

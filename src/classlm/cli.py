@@ -176,7 +176,7 @@ def cmd_rescore(args):
             by_utterance, references, network, args.s_bo, lambda_grid, snn_grid, policy
         )
         log.info("tuned lambda=%g s_nn=%g (s_bo=%g, %d word errors)",
-                 params.lam, params.s_bo, params.s_nn, errors)
+                 params.lam, params.s_nn, params.s_bo, errors)
     else:
         params = InterpolationParams(args.lam, args.s_bo, args.s_nn)
 

@@ -9,6 +9,16 @@ Leaf nodes are either *inputs* (bound at evaluation time) or *parameters*
 (named arrays, typically trainable).  Stochastic behaviour such as dropout
 enters the graph only through bound mask inputs, so evaluation is a pure
 function of (graph, bindings, parameters).
+
+Every other op is one entry of the table ``_OPS = {op: (forward,
+backward)}``: ``forward(node, *inputs)`` checks shapes and id ranges and
+returns the value, ``backward(dy, value, *inputs)`` returns one gradient per
+input (``None`` for integer ids and targets).  :func:`forward_eval` and
+:func:`backward` are loops over that table.
+
+Finiteness is checked on every computed value, not on leaves: a NaN or
+infinity in a bound input or a parameter is reported by the first op that
+reads it.  Model files are checked for non-finite parameters at load.
 """
 
 from __future__ import annotations
@@ -105,10 +115,6 @@ class Graph:
     def mul(self, a, b, name=None):
         return self._append("mul", name, (a, b))
 
-    def smul(self, x, scalar, name=None):
-        """Multiply every element of `x` by a scalar-shaped node."""
-        return self._append("smul", name, (x, scalar))
-
     def add_bias(self, x, b, name=None):
         """Broadcast-add a bias vector over the rows of a matrix."""
         return self._append("add_bias", name, (x, b))
@@ -184,12 +190,9 @@ class Graph:
 class Workspace:
     """Per-evaluation value storage for one graph."""
 
-    def __init__(self, graph, bindings, params):
+    def __init__(self, graph):
         self.graph = graph
-        self.bindings = bindings
-        self.params = params
         self.values = [None] * len(graph.nodes)
-        self.aux = {}
 
     def value(self, node):
         return self.values[node.idx]
@@ -206,8 +209,18 @@ class Workspace:
         return float(self.values[node.idx])
 
 
-def _shapes(vals):
-    return " vs ".join(str(v.shape) for v in vals)
+# -- the op table -----------------------------------------------------------
+
+
+def _check_shapes(ok, node, *vals):
+    if not ok:
+        raise ShapeError(f"node {node.name!r} ({node.op}): "
+                         + " vs ".join(str(v.shape) for v in vals))
+
+
+def _check_ids(ids, limit, node, what):
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
+        raise GraphError(f"node {node.name!r} ({node.op}): {what} out of range for {limit}")
 
 
 def _sigmoid(x):
@@ -219,92 +232,111 @@ def _sigmoid(x):
     return out
 
 
-def forward_eval(graph, bindings, params=None, check_finite=True):
+def _softmax(x):
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _matmul(node, a, b):
+    _check_shapes(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0], node, a, b)
+    return a @ b
+
+
+def _elementwise(fn):
+    def forward(node, a, b):
+        _check_shapes(a.shape == b.shape, node, a, b)
+        return fn(a, b)
+    return forward
+
+
+def _add_bias(node, x, b):
+    _check_shapes(x.ndim == 2 and b.ndim == 1 and x.shape[1] == b.shape[0], node, x, b)
+    return x + b
+
+
+def _gather(node, table, ids):
+    _check_shapes(table.ndim == 2 and ids.ndim == 1, node, table, ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise GraphError(f"node {node.name!r} (gather): ids must be integers")
+    _check_ids(ids, table.shape[0], node, "row id")
+    return table[ids]
+
+
+def _gather_grad(dy, y, table, ids):
+    g = np.zeros_like(table, dtype=dy.dtype)
+    np.add.at(g, ids, dy)
+    return g, None
+
+
+def _concat(node, *parts):
+    _check_shapes(len({x.shape[:-1] for x in parts}) == 1, node, *parts)
+    return np.concatenate(parts, axis=-1)
+
+
+def _concat_grad(dy, y, *parts):
+    return np.split(dy, np.cumsum([x.shape[-1] for x in parts[:-1]]), axis=-1)
+
+
+def _xent(node, logits, targets):
+    _check_shapes(logits.ndim == 2 and targets.ndim == 1
+                  and logits.shape[0] == targets.shape[0], node, logits, targets)
+    _check_ids(targets, logits.shape[1], node, "target id")
+    m = logits.max(axis=1, keepdims=True)
+    z = np.exp(logits - m).sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(z[:, 0])
+    return lse - logits[np.arange(logits.shape[0]), targets]
+
+
+def _xent_grad(dy, y, logits, targets):
+    g = _softmax(logits)
+    g[np.arange(g.shape[0]), targets] -= 1.0
+    return g * dy[:, None], None
+
+
+# op -> (forward(node, *inputs) -> value, backward(dy, value, *inputs) ->
+# one gradient per input, None where the input is integer ids or targets)
+_OPS = {
+    "matmul": (_matmul, lambda dy, y, a, b: (dy @ b.T, a.T @ dy)),
+    "add": (_elementwise(np.add), lambda dy, y, a, b: (dy, dy)),
+    "mul": (_elementwise(np.multiply), lambda dy, y, a, b: (dy * b, dy * a)),
+    "add_bias": (_add_bias, lambda dy, y, x, b: (dy, dy.sum(axis=0))),
+    "sigmoid": (lambda node, x: _sigmoid(x), lambda dy, y, x: (dy * y * (1.0 - y),)),
+    "tanh": (lambda node, x: np.tanh(x), lambda dy, y, x: (dy * (1.0 - y * y),)),
+    "one_minus": (lambda node, x: 1.0 - x, lambda dy, y, x: (-dy,)),
+    "softmax": (lambda node, x: _softmax(x),
+                lambda dy, y, x: (y * (dy - (dy * y).sum(axis=-1, keepdims=True)),)),
+    "gather": (_gather, _gather_grad),
+    "concat": (_concat, _concat_grad),
+    "xent": (_xent, _xent_grad),
+    "sum": (lambda node, x: np.asarray(x.sum()),
+            lambda dy, y, x: (np.full(x.shape, dy, dtype=x.dtype),)),
+}
+
+
+def forward_eval(graph, bindings, params=None):
     """Evaluate every node and return the populated :class:`Workspace`.
 
     `bindings` must supply every input leaf.  `params`, when given, overrides
     the graph's stored parameter values by name.  Raises :class:`ShapeError`
     naming the offending node on incompatible operands and
-    :class:`NonFiniteError` naming the first node that produces a non-finite
+    :class:`NonFiniteError` naming the first node that computes a non-finite
     value.
     """
-    ws = Workspace(graph, bindings, params)
+    ws = Workspace(graph)
     vals = ws.values
     for node in graph.nodes:
         op = node.op
-        ins = [vals[i.idx] for i in node.inputs]
         if op == "input":
             if node.name not in bindings:
                 raise GraphError(f"no binding for input {node.name!r}")
             v = np.asarray(bindings[node.name])
         elif op == "param":
             v = np.asarray(graph.parameter_value(node.name, params))
-        elif op == "matmul":
-            a, b = ins
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-                raise ShapeError(f"node {node.name!r} (matmul): {_shapes(ins)}")
-            v = a @ b
-        elif op == "add" or op == "mul":
-            a, b = ins
-            if a.shape != b.shape:
-                raise ShapeError(f"node {node.name!r} ({op}): {_shapes(ins)}")
-            v = a + b if op == "add" else a * b
-        elif op == "smul":
-            x, s = ins
-            if s.size != 1:
-                raise ShapeError(f"node {node.name!r} (smul): scalar operand has shape {s.shape}")
-            v = x * s.reshape(())
-        elif op == "add_bias":
-            x, b = ins
-            if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-                raise ShapeError(f"node {node.name!r} (add_bias): {_shapes(ins)}")
-            v = x + b
-        elif op == "sigmoid":
-            v = _sigmoid(ins[0])
-        elif op == "tanh":
-            v = np.tanh(ins[0])
-        elif op == "one_minus":
-            v = 1.0 - ins[0]
-        elif op == "softmax":
-            x = ins[0]
-            m = x.max(axis=-1, keepdims=True)
-            e = np.exp(x - m)
-            v = e / e.sum(axis=-1, keepdims=True)
-        elif op == "gather":
-            table, ids = ins
-            if table.ndim != 2 or ids.ndim != 1:
-                raise ShapeError(f"node {node.name!r} (gather): {_shapes(ins)}")
-            if not np.issubdtype(ids.dtype, np.integer):
-                raise GraphError(f"node {node.name!r} (gather): ids must be integers")
-            if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-                raise GraphError(
-                    f"node {node.name!r} (gather): id out of range for {table.shape[0]} rows"
-                )
-            v = table[ids]
-        elif op == "concat":
-            width = {x.shape[:-1] for x in ins}
-            if len(width) != 1:
-                raise ShapeError(f"node {node.name!r} (concat): {_shapes(ins)}")
-            v = np.concatenate(ins, axis=-1)
-        elif op == "xent":
-            logits, targets = ins
-            if logits.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
-                raise ShapeError(f"node {node.name!r} (xent): {_shapes(ins)}")
-            if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
-                raise GraphError(f"node {node.name!r} (xent): target id out of range")
-            m = logits.max(axis=1, keepdims=True)
-            e = np.exp(logits - m)
-            z = e.sum(axis=1, keepdims=True)
-            probs = e / z
-            lse = m[:, 0] + np.log(z[:, 0])
-            v = lse - logits[np.arange(logits.shape[0]), targets]
-            ws.aux[node.idx] = probs
-        elif op == "sum":
-            v = np.asarray(ins[0].sum())
         else:
-            raise GraphError(f"unknown operation {op!r}")
-        if check_finite and np.issubdtype(v.dtype, np.floating) and not np.isfinite(v).all():
-            raise NonFiniteError(f"node {node.name!r} ({op}) produced a non-finite value")
+            v = _OPS[op][0](node, *[vals[i.idx] for i in node.inputs])
+            if np.issubdtype(v.dtype, np.floating) and not np.isfinite(v).all():
+                raise NonFiniteError(f"node {node.name!r} ({op}) produced a non-finite value")
         vals[node.idx] = v
     return ws
 
@@ -333,74 +365,21 @@ def backward(graph, ws, params=None):
     for name in graph.trainable_parameters:
         grads[name] = np.zeros_like(np.asarray(graph.parameter_value(name, params)))
 
-    def acc(node, g):
-        if adj[node.idx] is None:
-            adj[node.idx] = np.zeros_like(vals[node.idx], dtype=g.dtype)
-        adj[node.idx] += g
-
     for node in reversed(graph.nodes):
         dy = adj[node.idx]
-        if dy is None:
+        if dy is None or node.op == "input":
             continue
-        op = node.op
-        ins = node.inputs
-        if op == "param":
+        if node.op == "param":
             if node.name in grads:
                 grads[node.name] = grads[node.name] + dy
-        elif op == "input":
-            pass
-        elif op == "matmul":
-            a, b = vals[ins[0].idx], vals[ins[1].idx]
-            acc(ins[0], dy @ b.T)
-            acc(ins[1], a.T @ dy)
-        elif op == "add":
-            acc(ins[0], dy)
-            acc(ins[1], dy)
-        elif op == "mul":
-            a, b = vals[ins[0].idx], vals[ins[1].idx]
-            acc(ins[0], dy * b)
-            acc(ins[1], dy * a)
-        elif op == "smul":
-            x, s = vals[ins[0].idx], vals[ins[1].idx]
-            acc(ins[0], dy * s.reshape(()))
-            acc(ins[1], np.asarray((dy * x).sum()).reshape(s.shape))
-        elif op == "add_bias":
-            acc(ins[0], dy)
-            acc(ins[1], dy.sum(axis=0))
-        elif op == "sigmoid":
-            y = vals[node.idx]
-            acc(ins[0], dy * y * (1.0 - y))
-        elif op == "tanh":
-            y = vals[node.idx]
-            acc(ins[0], dy * (1.0 - y * y))
-        elif op == "one_minus":
-            acc(ins[0], -dy)
-        elif op == "softmax":
-            y = vals[node.idx]
-            inner = (dy * y).sum(axis=-1, keepdims=True)
-            acc(ins[0], y * (dy - inner))
-        elif op == "gather":
-            table = vals[ins[0].idx]
-            ids = vals[ins[1].idx]
-            g = np.zeros_like(table, dtype=dy.dtype)
-            np.add.at(g, ids, dy)
-            acc(ins[0], g)
-        elif op == "concat":
-            off = 0
-            for inp in ins:
-                w = vals[inp.idx].shape[-1]
-                acc(inp, dy[..., off:off + w])
-                off += w
-        elif op == "xent":
-            logits = vals[ins[0].idx]
-            targets = vals[ins[1].idx]
-            probs = ws.aux[node.idx]
-            g = probs.copy()
-            g[np.arange(g.shape[0]), targets] -= 1.0
-            acc(ins[0], g * dy[:, None])
-        elif op == "sum":
-            x = vals[ins[0].idx]
-            acc(ins[0], np.full(x.shape, dy, dtype=x.dtype))
+            continue
+        ins = node.inputs
+        for inp, g in zip(ins, _OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins])):
+            if g is None:
+                continue
+            if adj[inp.idx] is None:
+                adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=g.dtype)
+            adj[inp.idx] += g
     return grads
 
 

@@ -41,6 +41,37 @@ class ModelFormatError(Exception):
     """The file is not a readable model of a supported version."""
 
 
+# Required header fields: a type, [allowed item types] or a nested schema.
+_HEADER_SCHEMA = {
+    "format_version": int,
+    "precision": str,
+    "architecture": str,
+    "vocabulary": {"words": [str], "counts": [int]},
+    "classes": {"num_classes": int, "class_of": [int], "membership": [int, float]},
+    "parameters": [dict],
+}
+_PARAMETER_SCHEMA = {"name": str, "shape": [int], "offset": int, "nbytes": int}
+
+
+def _check_schema(path, obj, schema, prefix=""):
+    """Raise :class:`ModelFormatError` naming the first missing or mistyped field."""
+    for key, kind in schema.items():
+        field = prefix + key
+        if key not in obj:
+            raise ModelFormatError(f"{path}: model header has no field {field!r}")
+        value = obj[key]
+        if isinstance(kind, dict):
+            ok = isinstance(value, dict)
+        elif isinstance(kind, list):
+            ok = isinstance(value, list) and set(map(type, value)) <= set(kind)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise ModelFormatError(f"{path}: model header field {field!r} has the wrong type")
+        if isinstance(kind, dict):
+            _check_schema(path, value, kind, field + ".")
+
+
 def _payload_dtype(precision):
     return np.dtype("<f8") if precision == "double" else np.dtype("<f4")
 
@@ -97,8 +128,9 @@ def save_model(path, network, training=None):
 def load_model(path):
     """Read a model file; returns ``(network, training_metadata)``.
 
-    Raises :class:`ModelFormatError` on unknown versions, malformed headers
-    or truncated payloads (naming the first incomplete parameter).
+    Raises :class:`ModelFormatError` on unknown versions, headers with a
+    missing or mistyped field, truncated payloads (naming the first
+    incomplete parameter) and parameters holding NaN or infinity.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -113,12 +145,17 @@ def load_model(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ModelFormatError(f"{path}: unreadable header: {err}")
 
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: model header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported model format version {version!r}"
             f" (this build reads version {FORMAT_VERSION})"
         )
+    _check_schema(path, header, _HEADER_SCHEMA)
+    for i, entry in enumerate(header["parameters"]):
+        _check_schema(path, entry, _PARAMETER_SCHEMA, f"parameters[{i}].")
     precision = header["precision"]
     if precision not in ("double", "single"):
         raise ModelFormatError(f"{path}: unknown precision {precision!r}")
@@ -127,10 +164,12 @@ def load_model(path):
     if tuple(words[: len(RESERVED)]) != RESERVED:
         raise ModelFormatError(f"{path}: vocabulary does not start with the reserved tokens")
     counts = header["vocabulary"]["counts"]
-    vocab = Vocabulary(words[len(RESERVED):], dict(zip(words, counts)))
-
     cls = header["classes"]
-    classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])
+    try:
+        vocab = Vocabulary(words[len(RESERVED):], dict(zip(words, counts)))
+        classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])
+    except ValueError as err:
+        raise ModelFormatError(f"{path}: {err}")
     desc = parse_description(header["architecture"])
 
     expected = parameter_shapes(desc, vocab, classes)
@@ -160,6 +199,8 @@ def load_model(path):
         flat = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)),
                              offset=entry["offset"])
         params[name] = flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+        if not np.isfinite(params[name]).all():
+            raise ModelFormatError(f"{path}: parameter {name!r} has non-finite values")
 
     network = Network(desc, vocab, classes, params, precision)
     return network, header.get("training")

@@ -219,7 +219,7 @@ class Network:
                 masked = g.mul(ce, g.input(f"mask/{t}"))
                 term = g.sum(masked)
                 total = term if total is None else g.add(total, term)
-            loss = g.smul(total, g.input("inv_count"))
+            loss = g.mul(total, g.input("inv_count"))
             g.set_loss(loss)
             g.mark_output(loss, "loss")
             self._train_graphs[length] = g

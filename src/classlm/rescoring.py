@@ -14,6 +14,7 @@ search over (lambda, s_nn) with s_bo fixed to the back-off model's scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scoring import score_sentences
@@ -87,6 +88,8 @@ def read_nbest_file(path):
                 backoff = float(parts[2])
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: scores are not numbers")
+            if not (math.isfinite(acoustic) and math.isfinite(backoff)):
+                raise ValueError(f"{path}: line {line_no}: scores must be finite")
             hyp = NBestHypothesis(parts[0], acoustic, backoff, tuple(parts[3:]))
             by_utterance.setdefault(parts[0], []).append(hyp)
     if not by_utterance:
@@ -172,9 +175,10 @@ def optimize_interpolation(
 ):
     """Grid-search (lambda, s_nn) minimizing total word errors on references.
 
-    The error count is the summed edit distance between each utterance's
-    top-ranked hypothesis and its reference.  Ties prefer the smaller
-    lambda, then the smaller s_nn.
+    The error count is the summed edit distance (computed once per
+    hypothesis) between each utterance's top-ranked hypothesis, the first of
+    equal totals as in :func:`rescore_nbest`, and its reference.  Ties prefer
+    the smaller lambda, then the smaller s_nn.
     """
     lambda_grid = sorted(set(float(x) for x in lambda_grid))
     snn_grid = sorted(set(float(x) for x in snn_grid))
@@ -185,16 +189,18 @@ def optimize_interpolation(
         raise ValueError(f"no reference for utterance(s): {', '.join(sorted(missing))}")
 
     nn_scores = score_hypotheses(by_utterance, network, unk_policy)
+    hyp_errors = {utt: [edit_distance(hyp.tokens, references[utt]) for hyp in hyps]
+                  for utt, hyps in by_utterance.items()}
     best = None
     best_errors = None
     for lam in lambda_grid:
         for s_nn in snn_grid:
             params = InterpolationParams(lam, s_bo, s_nn)
-            reranked = _rerank(by_utterance, nn_scores, params)
-            errors = sum(
-                edit_distance(rows[0].hypothesis.tokens, references[utt])
-                for utt, rows in reranked.items()
-            )
+            errors = 0
+            for utt, hyps in by_utterance.items():
+                totals = [hyp.acoustic + params.combine(hyp.backoff, log_p_nn)
+                          for hyp, log_p_nn in zip(hyps, nn_scores[utt])]
+                errors += hyp_errors[utt][totals.index(max(totals))]
             if best_errors is None or errors < best_errors:
                 best, best_errors = params, errors
     return best, best_errors

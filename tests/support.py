@@ -2,9 +2,13 @@
 and independent oracles (set-partition enumeration, brute-force word
 distributions)."""
 
+import json
+import struct
+
 import numpy as np
 
 import classlm as cl
+from classlm.model_io import MAGIC
 
 SMALL_ARCH = """\
 input type=class name=class_input
@@ -140,3 +144,16 @@ def markov_corpus(rng, vocab_size=50, n_tokens=20000, preferred=5, min_len=6, ma
         sentences.append(sent)
         total += n
     return sentences
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a saved model's JSON header, keeping the payload."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(blob[start : start + header_len])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    prefix = MAGIC + struct.pack("<Q", len(new_header)) + new_header
+    payload_start = start + header_len + ((-(start + header_len)) % 16)
+    path.write_bytes(prefix + b"\0" * ((-len(prefix)) % 16) + blob[payload_start:])

@@ -302,3 +302,62 @@ def test_train_divergence_exits_nonzero(toy_files):
     net, training = cl.load_model(model)
     assert all(np.isfinite(v).all() for v in net.params.values())
     assert training["stopped_reason"] == "diverged"
+
+
+def test_rescore_tune_log_names_s_nn_and_s_bo(toy_files, tmp_path, caplog):
+    model = _train(toy_files)
+    nbest = tmp_path / "nbest.txt"
+    _write_nbest(nbest)
+    refs = tmp_path / "refs.txt"
+    refs.write_text("u1 a b c d\nu2 a b c d\nu3 a b c d\n")
+    with caplog.at_level(logging.INFO):
+        rc = main(["rescore", "--model", str(model), "--nbest", str(nbest), "--tune",
+                   "--refs", str(refs), "--s-bo", "2", "--grid-snn", "0.5",
+                   "--output", str(tmp_path / "out.txt")])
+    assert rc == 0
+    assert any("s_nn=0.5 (s_bo=2," in rec.message for rec in caplog.records)
+
+
+def _one_line_error(caplog, argv):
+    """Run the CLI; assert exit 1 with one single-line error and no traceback."""
+    caplog.clear()
+    with caplog.at_level(logging.ERROR):
+        rc = main(argv)
+    errors = [rec for rec in caplog.records if rec.levelno >= logging.ERROR]
+    assert rc == 1
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "\n" not in errors[0].getMessage()
+    return errors[0].getMessage()
+
+
+def test_malformed_model_header_is_a_one_line_error(tmp_path, rng, caplog):
+    model = tmp_path / "model.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("w1 w2\n")
+    support.rewrite_header(model, lambda h: h.pop("vocabulary"))
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert "'vocabulary'" in message
+
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(model, lambda h: h["parameters"][1].update(offset="0"))
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert "'parameters[1].offset'" in message
+
+
+def test_nonfinite_model_and_nbest_scores_are_one_line_errors(tmp_path, rng, caplog):
+    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
+    good = tmp_path / "good.clm"
+    cl.save_model(good, net)
+    net.params["rec/U_f"][1, 2] = np.nan
+    bad = tmp_path / "bad.clm"
+    cl.save_model(bad, net)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("w1 w2\n")
+    message = _one_line_error(caplog, ["score", "--model", str(bad), "--input", str(sentences)])
+    assert "'rec/U_f'" in message and "non-finite" in message
+
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1 -1 -3 w1 w2\nu1 nan -3 w1 w3\n")
+    message = _one_line_error(caplog, ["rescore", "--model", str(good), "--nbest", str(nbest)])
+    assert "nbest.txt: line 2" in message

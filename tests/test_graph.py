@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from classlm.graph import (
+    _OPS,
     Graph,
     GraphError,
     NonFiniteError,
@@ -139,6 +140,7 @@ def _random_graph(rng):
     gate = g.parameter("gate", rng.normal(size=(n2,)))
     gate_row = g.sigmoid(g.add_bias(g.matmul(e, g.parameter("wg", rng.normal(size=(n1, n2)))), gate))
     h = g.mul(h, gate_row) if rng.random() < 0.5 else g.mul(g.one_minus(gate_row), h)
+    h = g.add(h, gate_row)
 
     both = g.concat([e, h])
     w2 = g.parameter("w2", rng.normal(size=(n1 + n2, 3)) * 0.7)
@@ -149,7 +151,7 @@ def _random_graph(rng):
     else:
         ce = g.cross_entropy(logits, g.input("targets"))
         loss = g.sum(g.mul(ce, g.input("mask")))
-    g.set_loss(g.smul(loss, g.input("scale")))
+    g.set_loss(g.mul(loss, g.input("scale")))
 
     bindings = {
         "ids": rng.integers(0, rows, size=batch),
@@ -167,6 +169,16 @@ def test_random_graphs_match_finite_differences():
         g, bindings = _random_graph(rng)
         for name in g.trainable_parameters:
             assert finite_difference_check(g, bindings, name, 1e-5) < 1e-4
+
+
+def test_random_graphs_use_every_op():
+    # every op of the table gets the finite-difference coverage above
+    rng = np.random.default_rng(7)
+    used = set()
+    for _ in range(100):
+        g, _ = _random_graph(rng)
+        used.update(node.op for node in g.nodes)
+    assert set(_OPS) <= used
 
 
 def test_forward_is_pure(rng):
@@ -216,6 +228,22 @@ def test_nonfinite_reports_first_offending_node():
     g.tanh(y)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="overflow_here"):
         forward_eval(g, {})
+
+
+def test_nonfinite_parameter_is_reported_by_first_reader():
+    g = Graph()
+    w = g.parameter("w", np.array([[1.0, np.nan]]))
+    g.parameter("unread", np.array([np.inf]))
+    y = g.matmul(g.input("x"), w, name="first_reader")
+    g.tanh(y, name="second_reader")
+    with pytest.raises(NonFiniteError, match="first_reader"):
+        forward_eval(g, {"x": np.ones((1, 1))})
+
+    # leaves themselves are not checked: an unread non-finite parameter passes
+    g = Graph()
+    g.parameter("unread", np.array([np.inf]))
+    g.mark_output(g.tanh(g.input("x")), "y")
+    forward_eval(g, {"x": np.zeros(1)})
 
 
 def test_missing_binding_and_loss_errors():

@@ -127,6 +127,14 @@ def test_mismatched_parameter_index_is_rejected(tmp_path, rng):
         cl.load_model(path)
 
 
+def test_nonfinite_class_membership_is_rejected(tmp_path, rng):
+    path = tmp_path / "model.clm"
+    cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(path, lambda h: h["classes"]["membership"].__setitem__(4, float("nan")))
+    with pytest.raises(ModelFormatError, match="non-finite membership"):
+        cl.load_model(path)
+
+
 def test_save_is_atomic_no_temp_left_behind(tmp_path, rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     path = tmp_path / "model.clm"

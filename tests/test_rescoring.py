@@ -130,6 +130,27 @@ def test_tuning_chooses_positive_lambda_when_network_is_right(toy_model):
         assert e >= errors
 
 
+def test_tuning_computes_each_edit_distance_once(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=8, num_classes=3)
+    w = net.vocab.words
+    hyps = {
+        "u1": [_hyp("u1", 0.0, -1.0, f"{w[3]} {w[4]}"), _hyp("u1", 0.0, -5.0, f"{w[5]}")],
+        "u2": [_hyp("u2", -1.0, -2.0, f"{w[6]}"), _hyp("u2", 0.0, -3.0, f"{w[4]} {w[6]}"),
+               _hyp("u2", 0.0, -4.0, f"{w[7]}")],
+    }
+    refs = {"u1": (w[3], w[4]), "u2": (w[6],)}
+    calls = []
+
+    def counting(hyp, ref):
+        calls.append((tuple(hyp), tuple(ref)))
+        return edit_distance(hyp, ref)
+
+    monkeypatch.setattr(cl.rescoring, "edit_distance", counting)
+    cl.optimize_interpolation(hyps, refs, net, 1.0, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+
+
 def test_tuning_requires_references(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     hyps = {"u": [_hyp("u", 0.0, -1.0, "a")]}
@@ -166,6 +187,14 @@ def test_nbest_file_errors_carry_line_numbers(tmp_path):
         cl.read_nbest_file(path)
     path.write_text("u1 -1.0 -2.0\n")
     with pytest.raises(ValueError, match="line 1"):
+        cl.read_nbest_file(path)
+
+
+@pytest.mark.parametrize("scores", ["nan -3", "-3 inf", "-inf -3"])
+def test_nbest_file_rejects_nonfinite_scores(tmp_path, scores):
+    path = tmp_path / "nbest.txt"
+    path.write_text(f"u1 -1.0 -2.0 a b\nu1 {scores} a b\n")
+    with pytest.raises(ValueError, match=r"nbest\.txt: line 2: scores must be finite"):
         cl.read_nbest_file(path)
 
 
