@@ -172,15 +172,16 @@ def cmd_rescore(args):
         references = read_reference_file(args.refs)
         lambda_grid = _parse_grid(args.grid_lambda, "--grid-lambda")
         snn_grid = _parse_grid(args.grid_snn, "--grid-snn")
-        params, errors = optimize_interpolation(
+        params, errors, nn_scores = optimize_interpolation(
             by_utterance, references, network, args.s_bo, lambda_grid, snn_grid, policy
         )
         log.info("tuned lambda=%g s_nn=%g (s_bo=%g, %d word errors)",
                  params.lam, params.s_nn, params.s_bo, errors)
     else:
         params = InterpolationParams(args.lam, args.s_bo, args.s_nn)
+        nn_scores = None
 
-    reranked = rescore_nbest(by_utterance, network, params, policy)
+    reranked = rescore_nbest(by_utterance, network, params, policy, nn_scores)
     out = _open_output(args.output)
     try:
         out.write(f"# lambda={params.lam!r} s_bo={params.s_bo!r} s_nn={params.s_nn!r}\n")

@@ -23,6 +23,8 @@ reads it.  Model files are checked for non-finite parameters at load.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -224,12 +226,10 @@ def _check_ids(ids, limit, node, what):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in one
+    # pass: exp never overflows and -|x| == x exactly where x < 0
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x):
@@ -335,7 +335,9 @@ def forward_eval(graph, bindings, params=None):
             v = np.asarray(graph.parameter_value(node.name, params))
         else:
             v = _OPS[op][0](node, *[vals[i.idx] for i in node.inputs])
-            if np.issubdtype(v.dtype, np.floating) and not np.isfinite(v).all():
+            # a finite sum means finite elements; a sum that overflows from
+            # finite elements is rechecked element by element
+            if not math.isfinite(v.sum()) and not np.isfinite(v).all():
                 raise NonFiniteError(f"node {node.name!r} ({op}) produced a non-finite value")
         vals[node.idx] = v
     return ws
@@ -375,7 +377,8 @@ def backward(graph, ws, params=None):
             continue
         ins = node.inputs
         for inp, g in zip(ins, _OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins])):
-            if g is None:
+            # bound inputs (ids, targets, masks, states) take no gradient
+            if g is None or inp.op == "input":
                 continue
             if adj[inp.idx] is None:
                 adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=g.dtype)

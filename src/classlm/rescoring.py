@@ -9,13 +9,17 @@ The network contributes log P_nn, and the combined language model score is
 The total hypothesis score adds the acoustic term; hypotheses are reranked
 per utterance by total score, descending, with ties keeping the original
 order.  Interpolation weights can be tuned on a reference set by grid
-search over (lambda, s_nn) with s_bo fixed to the back-off model's scale.
+search over (lambda, s_nn) with s_bo fixed to the back-off model's scale;
+the tuning pass returns the network scores it computed, so reranking with
+the tuned weights scores no hypothesis a second time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .scoring import score_sentences
 
@@ -40,8 +44,8 @@ class InterpolationParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.s_bo <= 0 or self.s_nn <= 0:
-            raise ValueError("scale factors must be positive")
+        if not (0 < self.s_bo < math.inf and 0 < self.s_nn < math.inf):
+            raise ValueError("scale factors must be positive and finite")
 
     def combine(self, log_p_bo, log_p_nn):
         return (1.0 - self.lam) * self.s_bo * log_p_bo + self.lam * self.s_nn * log_p_nn
@@ -148,9 +152,15 @@ def _rerank(by_utterance, nn_scores, params):
     return reranked
 
 
-def rescore_nbest(by_utterance, network, params, unk_policy="include"):
-    """Rerank every utterance's hypotheses by acoustic + interpolated LM score."""
-    nn_scores = score_hypotheses(by_utterance, network, unk_policy)
+def rescore_nbest(by_utterance, network, params, unk_policy="include", nn_scores=None):
+    """Rerank every utterance's hypotheses by acoustic + interpolated LM score.
+
+    `nn_scores`, when given, holds log P_nn per hypothesis as returned by
+    :func:`score_hypotheses` or :func:`optimize_interpolation`, and the
+    network is not run.
+    """
+    if nn_scores is None:
+        nn_scores = score_hypotheses(by_utterance, network, unk_policy)
     return _rerank(by_utterance, nn_scores, params)
 
 
@@ -170,6 +180,14 @@ def edit_distance(hyp, ref):
     return previous[len(ref)]
 
 
+def _padded(rows, fill):
+    """Rows of unequal length as one array of `fill`'s type, padded with `fill`."""
+    out = np.full((len(rows), max(len(r) for r in rows)), fill)
+    for u, row in enumerate(rows):
+        out[u, :len(row)] = row
+    return out
+
+
 def optimize_interpolation(
     by_utterance, references, network, s_bo, lambda_grid, snn_grid, unk_policy="include"
 ):
@@ -179,6 +197,13 @@ def optimize_interpolation(
     hypothesis) between each utterance's top-ranked hypothesis, the first of
     equal totals as in :func:`rescore_nbest`, and its reference.  Ties prefer
     the smaller lambda, then the smaller s_nn.
+
+    Every hypothesis is scored once, and all grid points are evaluated at
+    once on (grid point, utterance, hypothesis) arrays whose totals are
+    formed in the operation order of :meth:`InterpolationParams.combine`, so
+    they equal the totals :func:`rescore_nbest` prints.  Returns
+    ``(params, errors, nn_scores)``; pass `nn_scores` on to
+    :func:`rescore_nbest` to rerank without scoring again.
     """
     lambda_grid = sorted(set(float(x) for x in lambda_grid))
     snn_grid = sorted(set(float(x) for x in snn_grid))
@@ -187,20 +212,26 @@ def optimize_interpolation(
     missing = [utt for utt in by_utterance if utt not in references]
     if missing:
         raise ValueError(f"no reference for utterance(s): {', '.join(sorted(missing))}")
-
-    nn_scores = score_hypotheses(by_utterance, network, unk_policy)
-    hyp_errors = {utt: [edit_distance(hyp.tokens, references[utt]) for hyp in hyps]
-                  for utt, hyps in by_utterance.items()}
-    best = None
-    best_errors = None
     for lam in lambda_grid:
         for s_nn in snn_grid:
-            params = InterpolationParams(lam, s_bo, s_nn)
-            errors = 0
-            for utt, hyps in by_utterance.items():
-                totals = [hyp.acoustic + params.combine(hyp.backoff, log_p_nn)
-                          for hyp, log_p_nn in zip(hyps, nn_scores[utt])]
-                errors += hyp_errors[utt][totals.index(max(totals))]
-            if best_errors is None or errors < best_errors:
-                best, best_errors = params, errors
-    return best, best_errors
+            InterpolationParams(lam, s_bo, s_nn)  # rejects an invalid grid point
+
+    nn_scores = score_hypotheses(by_utterance, network, unk_policy)
+    hyps = list(by_utterance.values())
+    # padding: an acoustic score of -inf never ranks first, and zero
+    # back-off and network scores keep its total -inf at every grid point
+    acoustic = _padded([[h.acoustic for h in hs] for hs in hyps], -np.inf)
+    backoff = _padded([[h.backoff for h in hs] for hs in hyps], 0.0)
+    nn = _padded(list(nn_scores.values()), 0.0)
+    hyp_errors = _padded([[edit_distance(h.tokens, references[utt]) for h in hs]
+                          for utt, hs in by_utterance.items()], 0)
+
+    lam = np.array(lambda_grid)[:, None, None, None]
+    s_nn = np.array(snn_grid)[None, :, None, None]
+    # the operation order of InterpolationParams.combine, so ties break alike
+    totals = acoustic + (((1.0 - lam) * s_bo) * backoff + (lam * s_nn) * nn)
+    top = totals.argmax(axis=-1)  # first of equal totals
+    errors = hyp_errors[np.arange(len(hyps)), top].sum(axis=-1)
+    li, si = np.unravel_index(errors.argmin(), errors.shape)  # first of equal counts
+    best = InterpolationParams(lambda_grid[li], s_bo, snn_grid[si])
+    return best, int(errors[li, si]), nn_scores

@@ -318,6 +318,43 @@ def test_rescore_tune_log_names_s_nn_and_s_bo(toy_files, tmp_path, caplog):
     assert any("s_nn=0.5 (s_bo=2," in rec.message for rec in caplog.records)
 
 
+def _tune(toy_files, tmp_path, out):
+    model = _train(toy_files)
+    nbest = tmp_path / "nbest.txt"
+    _write_nbest(nbest)
+    refs = tmp_path / "refs.txt"
+    refs.write_text("u1 a b c d\nu2 a b c d\nu3 d c b a\n")
+    assert main(["rescore", "--model", str(model), "--nbest", str(nbest), "--tune",
+                 "--refs", str(refs), "--grid-lambda", "0,0.3,0.7,1",
+                 "--grid-snn", "0.5,1,2", "--output", str(out)]) == 0
+    return model, nbest
+
+
+def test_rescore_tune_scores_each_hypothesis_once(toy_files, tmp_path, monkeypatch):
+    calls = []
+    score_sentences = cl.rescoring.score_sentences
+
+    def counting(network, sentences, unk_policy="include"):
+        calls.append([" ".join(s) for s in sentences])
+        return score_sentences(network, sentences, unk_policy)
+
+    monkeypatch.setattr(cl.rescoring, "score_sentences", counting)
+    _tune(toy_files, tmp_path, tmp_path / "tuned.txt")
+    hypotheses = [line.split(" ", 3)[3] for line in (tmp_path / "nbest.txt").read_text().splitlines()]
+    assert calls == [hypotheses]
+
+
+def test_rescore_tune_output_equals_fixed_weight_run(toy_files, tmp_path):
+    tuned = tmp_path / "tuned.txt"
+    model, nbest = _tune(toy_files, tmp_path, tuned)
+    params = dict(field.split("=") for field in tuned.read_text().splitlines()[0][2:].split())
+    fixed = tmp_path / "fixed.txt"
+    assert main(["rescore", "--model", str(model), "--nbest", str(nbest),
+                 "--lambda", params["lambda"], "--s-bo", params["s_bo"],
+                 "--s-nn", params["s_nn"], "--output", str(fixed)]) == 0
+    assert fixed.read_bytes() == tuned.read_bytes()
+
+
 def _one_line_error(caplog, argv):
     """Run the CLI; assert exit 1 with one single-line error and no traceback."""
     caplog.clear()
@@ -361,3 +398,16 @@ def test_nonfinite_model_and_nbest_scores_are_one_line_errors(tmp_path, rng, cap
     nbest.write_text("u1 -1 -3 w1 w2\nu1 nan -3 w1 w3\n")
     message = _one_line_error(caplog, ["rescore", "--model", str(good), "--nbest", str(nbest)])
     assert "nbest.txt: line 2" in message
+
+
+def test_nonfinite_scale_or_grid_value_is_a_one_line_error(tmp_path, rng, caplog):
+    model = tmp_path / "model.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1 -1.0 -2.0 w1 w2\n")
+    refs = tmp_path / "refs.txt"
+    refs.write_text("u1 w1 w2\n")
+    rescore = ["rescore", "--model", str(model), "--nbest", str(nbest)]
+    for extra in (["--s-nn", "nan"], ["--s-bo", "inf"],
+                  ["--tune", "--refs", str(refs), "--grid-snn", "1,inf"]):
+        assert "finite" in _one_line_error(caplog, rescore + extra)

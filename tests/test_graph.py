@@ -39,6 +39,31 @@ def test_sigmoid_at_zero():
     assert ws.outputs["y"][0] == 0.5
 
 
+def _two_branch_sigmoid(x):
+    """The boolean-mask form: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_equals_two_branch_form_bitwise(dtype):
+    rng = np.random.default_rng(0)
+    draws = [rng.normal(scale=scale, size=200_000) for scale in (0.1, 1.0, 10.0, 30.0, 300.0)]
+    special = [0.0, np.inf, 710.0, 745.0, 1e-300]
+    x = np.concatenate(draws + [np.array(special), -np.array(special)]).astype(dtype)
+    with np.errstate(over="ignore", under="ignore"):
+        expected = _two_branch_sigmoid(x)
+    g = Graph()
+    g.mark_output(g.sigmoid(g.input("x")), "y")
+    y = forward_eval(g, {"x": x}).outputs["y"]
+    assert y.dtype == x.dtype
+    np.testing.assert_array_equal(y.view(f"u{x.itemsize}"), expected.view(f"u{x.itemsize}"))
+
+
 def test_square_loss_gradient():
     # loss = x^2 at x = 3 -> d loss / dx = 6
     g = Graph()
@@ -228,6 +253,19 @@ def test_nonfinite_reports_first_offending_node():
     g.tanh(y)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="overflow_here"):
         forward_eval(g, {})
+
+
+def test_finite_values_whose_sum_overflows_pass_the_check():
+    g = Graph()
+    g.mark_output(g.mul(g.input("x"), g.input("one")), "y")
+    x = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):
+        y = forward_eval(g, {"x": x, "one": np.ones(2)}).outputs["y"]
+    np.testing.assert_array_equal(y, x)
+    for bad in ([1e308, np.inf], [np.inf, -np.inf], [1.0, np.nan]):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=r"node 'mul_2' \(mul\) produced a non-finite"):
+            forward_eval(g, {"x": np.array(bad), "one": np.ones(2)})
 
 
 def test_nonfinite_parameter_is_reported_by_first_reader():

@@ -74,6 +74,9 @@ def test_interpolation_params_validation():
         InterpolationParams(1.5)
     with pytest.raises(ValueError):
         InterpolationParams(0.5, s_bo=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            InterpolationParams(0.5, s_nn=bad)
 
 
 def test_edit_distance_cases():
@@ -89,7 +92,7 @@ def test_single_point_grid_is_returned(rng):
     w = net.vocab.words
     hyps = {"u": [_hyp("u", 0.0, -1.0, f"{w[3]}")]}
     refs = {"u": (w[3],)}
-    params, errors = cl.optimize_interpolation(hyps, refs, net, 1.0, [0.25], [2.0])
+    params, errors, _ = cl.optimize_interpolation(hyps, refs, net, 1.0, [0.25], [2.0])
     assert params == InterpolationParams(0.25, 1.0, 2.0)
     assert errors == 0
 
@@ -103,7 +106,7 @@ def test_tuning_prefers_smallest_lambda_when_backoff_is_right(rng):
         "u2": [_hyp("u2", 0.0, -2.0, f"{w[6]}"), _hyp("u2", 0.0, -30.0, f"{w[4]}")],
     }
     refs = {"u1": (w[3], w[4]), "u2": (w[6],)}
-    params, errors = cl.optimize_interpolation(
+    params, errors, _ = cl.optimize_interpolation(
         hyps, refs, net, 1.0, [0.0, 0.5, 1.0], [1.0, 2.0]
     )
     assert errors == 0
@@ -121,12 +124,12 @@ def test_tuning_chooses_positive_lambda_when_network_is_right(toy_model):
     }
     refs = {u: ("a", "b", "c", "d") for u in hyps}
     grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    params, errors = cl.optimize_interpolation(hyps, refs, net, 1.0, grid, [1.0])
+    params, errors, _ = cl.optimize_interpolation(hyps, refs, net, 1.0, grid, [1.0])
     assert params.lam > 0.0
     assert errors == 0
     # exhaustive check: the reported grid point really is a minimizer
     for lam in grid:
-        _, e = cl.optimize_interpolation(hyps, refs, net, 1.0, [lam], [1.0])
+        _, e, _ = cl.optimize_interpolation(hyps, refs, net, 1.0, [lam], [1.0])
         assert e >= errors
 
 
@@ -158,6 +161,106 @@ def test_tuning_requires_references(rng):
         cl.optimize_interpolation(hyps, {}, net, 1.0, [0.5], [1.0])
     with pytest.raises(ValueError, match="empty"):
         cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [], [1.0])
+    # every grid point is valid, not only the chosen one
+    with pytest.raises(ValueError, match="lambda"):
+        cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [0.0, 1.5], [1.0])
+    with pytest.raises(ValueError, match="scale"):
+        cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [0.0], [1.0, np.inf])
+
+
+class _FixedScore:
+    def __init__(self, total):
+        self.total = total
+
+
+def _brute_force_tuning(by_utterance, references, nn_scores, s_bo, lambda_grid, snn_grid):
+    """The nested-loop grid search: one combine call per hypothesis and point."""
+    best = best_errors = None
+    for lam in sorted(set(lambda_grid)):
+        for s_nn in sorted(set(snn_grid)):
+            params = InterpolationParams(lam, s_bo, s_nn)
+            errors = 0
+            for utt, hyps in by_utterance.items():
+                totals = [h.acoustic + params.combine(h.backoff, nn)
+                          for h, nn in zip(hyps, nn_scores[utt])]
+                errors += edit_distance(hyps[totals.index(max(totals))].tokens,
+                                        references[utt])
+            if best_errors is None or errors < best_errors:
+                best, best_errors = params, errors
+    return best, best_errors
+
+
+@pytest.mark.parametrize("coarse", [True, False])
+@pytest.mark.parametrize("seed", range(10))
+def test_vectorised_grid_equals_nested_loop(seed, coarse, monkeypatch):
+    rng = np.random.default_rng(seed)
+    words = "a b c d".split()
+    # scores drawn from a few coarse values, and repeated hypotheses, make
+    # ties between hypotheses and between grid points common; fine values
+    # make totals whose rounding depends on the order of operations
+    values = (np.array([-4.0, -2.5, -2.0, -1.0, -0.5]) if coarse
+              else rng.normal(-3.0, 1.0, size=50))
+    by_utterance, references, nn_scores = {}, {}, {}
+    for u in range(int(rng.integers(1, 8))):
+        utt = f"u{u}"
+        hyps = []
+        for _ in range(int(rng.integers(1, 7))):
+            if hyps and rng.random() < 0.25:
+                hyps.append(hyps[int(rng.integers(len(hyps)))])
+                continue
+            tokens = " ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+            hyps.append(_hyp(utt, float(rng.choice(values)), float(rng.choice(values)), tokens))
+        by_utterance[utt] = hyps
+        references[utt] = tuple(rng.choice(words, size=int(rng.integers(1, 5))))
+        nn_scores[utt] = [float(rng.choice(values)) for _ in hyps]
+    flat = iter([nn for scores in nn_scores.values() for nn in scores])
+    monkeypatch.setattr(cl.rescoring, "score_sentences",
+                        lambda net, texts, policy: [_FixedScore(next(flat)) for _ in texts])
+    s_bo = float(rng.choice([0.5, 1.0, 3.0]))
+    lambda_grid = [0.0, 0.25, 0.5, 0.75, 1.0, 0.5]
+    snn_grid = [2.0, 0.5, 1.0, 3.0]
+
+    params, errors, scores = cl.optimize_interpolation(
+        by_utterance, references, None, s_bo, lambda_grid, snn_grid)
+    assert scores == nn_scores
+    assert (params, errors) == _brute_force_tuning(
+        by_utterance, references, nn_scores, s_bo, lambda_grid, snn_grid)
+
+
+def test_grid_ties_follow_the_rounding_of_combine(monkeypatch):
+    # the second hypothesis ties the first exactly under the operation order
+    # of InterpolationParams.combine; any other order breaks some ties
+    rng = np.random.default_rng(0)
+    params = InterpolationParams(0.3, 1.3, 0.7)
+    by_utterance, nn_scores = {}, {}
+    while len(by_utterance) < 100:
+        ac_a, bo_a, nn_a, bo_b, nn_b = (float(v) for v in rng.normal(-20.0, 5.0, size=5))
+        total_a = ac_a + params.combine(bo_a, nn_a)
+        lm_b = params.combine(bo_b, nn_b)
+        ac_b = total_a - lm_b
+        if ac_b + lm_b != total_a:
+            continue
+        utt = f"u{len(by_utterance)}"
+        by_utterance[utt] = [_hyp(utt, ac_a, bo_a, "a x"), _hyp(utt, ac_b, bo_b, "a b")]
+        nn_scores[utt] = [nn_a, nn_b]
+    flat = iter([nn for scores in nn_scores.values() for nn in scores])
+    monkeypatch.setattr(cl.rescoring, "score_sentences",
+                        lambda net, texts, policy: [_FixedScore(next(flat)) for _ in texts])
+    refs = {utt: ("a", "b") for utt in by_utterance}
+    _, errors, _ = cl.optimize_interpolation(by_utterance, refs, None, 1.3, [0.3], [0.7])
+    assert errors == len(by_utterance)  # every tie goes to the first hypothesis
+
+
+def test_rescoring_with_given_scores_runs_no_network(rng):
+    net = support.random_class_network(rng, vocab_size=8, num_classes=3)
+    w = net.vocab.words
+    hyps = {"u1": [_hyp("u1", -1.0, -3.0, f"{w[3]} {w[4]}"), _hyp("u1", -2.0, -1.0, f"{w[5]}")],
+            "u2": [_hyp("u2", -0.5, -2.0, f"{w[6]} {w[7]}")]}
+    refs = {"u1": (w[3],), "u2": (w[6],)}
+    params, _, nn_scores = cl.optimize_interpolation(hyps, refs, net, 1.5, [0.0, 0.5], [1.0])
+    assert nn_scores == cl.rescoring.score_hypotheses(hyps, net)
+    assert (cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)
+            == cl.rescore_nbest(hyps, net, params))
 
 
 def test_empty_hypothesis_list_is_rejected(rng):
