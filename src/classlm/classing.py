@@ -65,18 +65,21 @@ class ClassMap:
             raise ValueError("non-finite membership probability")
         if self.class_of.min() < 0:
             raise ValueError("negative class id")
-        self.num_classes = int(num_classes if num_classes is not None else self.class_of.max() + 1)
-        self.members = [[] for _ in range(self.num_classes)]
-        for w, c in enumerate(self.class_of):
-            if c >= self.num_classes:
-                raise ValueError(f"class id {c} out of range")
-            self.members[c].append(w)
-        for c, ms in enumerate(self.members):
-            if not ms:
+        self.num_classes = k = int(num_classes if num_classes is not None
+                                   else self.class_of.max() + 1)
+        if self.class_of.max() >= k:
+            raise ValueError(f"class id {self.class_of[self.class_of >= k][0]} out of range")
+        sizes = np.bincount(self.class_of, minlength=k)
+        totals = np.bincount(self.class_of, weights=self.membership, minlength=k)
+        bad = (sizes == 0) | (np.abs(totals - 1.0) > 1e-8)
+        if bad.any():
+            c = int(np.argmax(bad))
+            if sizes[c] == 0:
                 raise ValueError(f"class {c} has no members")
-            total = float(self.membership[ms].sum())
-            if abs(total - 1.0) > 1e-8:
-                raise ValueError(f"memberships of class {c} sum to {total!r}, not 1")
+            raise ValueError(f"memberships of class {c} sum to {float(totals[c])!r}, not 1")
+        by_class = np.argsort(self.class_of, kind="stable").tolist()
+        ends = np.cumsum(sizes).tolist()
+        self.members = [by_class[i - n:i] for i, n in zip(ends, sizes.tolist())]
         self._log_membership = None
 
     def __len__(self):
@@ -101,11 +104,9 @@ class ClassMap:
         class_of = np.asarray(class_of, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.float64)
         k = int(num_classes if num_classes is not None else class_of.max() + 1)
-        totals = np.bincount(class_of, weights=counts, minlength=k)
-        sizes = np.bincount(class_of, minlength=k)
-        membership = np.empty_like(counts)
-        for w, c in enumerate(class_of):
-            membership[w] = counts[w] / totals[c] if totals[c] > 0 else 1.0 / sizes[c]
+        totals = np.bincount(class_of, weights=counts, minlength=k)[class_of]
+        sizes = np.bincount(class_of, minlength=k)[class_of]
+        membership = np.divide(counts, totals, out=1.0 / sizes, where=totals > 0)
         return cls(class_of, membership, k)
 
 
@@ -146,35 +147,51 @@ def initialize_classes(vocab, num_classes, scheme="striped", seed=0):
 class BigramStats:
     """Sufficient statistics of the circular token stream for exchange moves.
 
-    Holds word unigram counts, per-word successor/predecessor count maps and
-    the class-level unigram/bigram count tables for the current partition.
-    Class counts are updated incrementally as words move.
+    Holds word unigram counts, per-word successor/predecessor lists in CSR
+    form (self loops apart) and the class-level unigram/bigram count tables
+    for the current partition, the bigram table also transposed so that a
+    block of its columns is a contiguous row gather.  Class counts are
+    updated incrementally as words move.  All counts are integers, so
+    x ln x is a lookup into `xlogx`, the table of n ln n for n = 0..N.
     """
 
     def __init__(self, stream, classmap, movable_classes=None):
         stream = np.asarray(stream, dtype=np.int64)
         if stream.size == 0:
             raise ValueError("empty token stream")
+        if stream.size >= 2**31:
+            raise ValueError("token stream too long for 32-bit count tables")
         n_words = classmap.class_of.size
         if stream.min() < 0 or stream.max() >= n_words:
             raise ValueError("stream id outside the class map")
-        self.word_counts = np.bincount(stream, minlength=n_words).astype(np.float64)
-        self.succ = [dict() for _ in range(n_words)]
-        self.pred = [dict() for _ in range(n_words)]
-        nxt = np.roll(stream, -1)  # circular: last token precedes the first
-        for a, b in zip(stream.tolist(), nxt.tolist()):
-            self.succ[a][b] = self.succ[a].get(b, 0) + 1
-            self.pred[b][a] = self.pred[b].get(a, 0) + 1
+        self.word_counts = np.bincount(stream, minlength=n_words)
+        self.xlogx = _xlogx(np.arange(stream.size + 1))
+
+        # Distinct circular pairs (the last token precedes the first),
+        # sorted by predecessor then successor.
+        nxt = np.roll(stream, -1)
+        pairs, counts = np.unique(stream * n_words + nxt, return_counts=True)
+        src, dst = np.divmod(pairs, n_words)
+        loop = src == dst
+        self.self_loops = np.zeros(n_words, dtype=np.int64)
+        self.self_loops[src[loop]] = counts[loop]
+        src, dst, counts = src[~loop], dst[~loop], counts[~loop]
+        rows = np.arange(n_words + 1)
+        self.succ_ptr = np.searchsorted(src, rows)
+        self.succ_ids, self.succ_counts = dst, counts
+        by_dst = np.lexsort((src, dst))
+        self.pred_ptr = np.searchsorted(dst[by_dst], rows)
+        self.pred_ids, self.pred_counts = src[by_dst], counts[by_dst]
 
         self.class_of = classmap.class_of.copy()
-        self.num_classes = classmap.num_classes
-        self.class_sizes = np.bincount(self.class_of, minlength=self.num_classes)
-        self.class_counts = np.bincount(
-            self.class_of, weights=self.word_counts, minlength=self.num_classes
-        )
-        k = self.num_classes
-        self.class_bigrams = np.zeros((k, k), dtype=np.float64)
-        np.add.at(self.class_bigrams, (self.class_of[stream], self.class_of[nxt]), 1.0)
+        self.num_classes = k = classmap.num_classes
+        self.class_sizes = np.bincount(self.class_of, minlength=k)
+        classes = self.class_of[stream]
+        self.class_counts = np.bincount(classes, minlength=k)
+        cells, cell_counts = np.unique(classes * k + np.roll(classes, -1), return_counts=True)
+        self.class_bigrams = np.zeros((k, k), dtype=np.int32)
+        self.class_bigrams.flat[cells] = cell_counts
+        self.class_bigrams_t = np.ascontiguousarray(self.class_bigrams.T)
         if movable_classes is None:
             movable_classes = np.arange(k)
         self.movable_classes = np.asarray(movable_classes, dtype=np.int64)
@@ -182,81 +199,93 @@ class BigramStats:
         self._movable_mask[self.movable_classes] = True
 
     def check_consistency(self):
-        """Verify the class bigram marginals against the unigram counts."""
+        """Verify the class bigram marginals against the unigram counts and
+        the transposed table against the table."""
         row = self.class_bigrams.sum(axis=1)
         col = self.class_bigrams.sum(axis=0)
-        if not (np.array_equal(row, self.class_counts) and np.array_equal(col, self.class_counts)):
-            raise ValueError("class bigram marginals do not match class counts")
+        if not (np.array_equal(row, self.class_counts) and np.array_equal(col, self.class_counts)
+                and np.array_equal(self.class_bigrams_t, self.class_bigrams.T)):
+            raise ValueError("class bigram tables do not match each other or the class counts")
 
     def _transition_mass(self, w):
         """Per-class successor/predecessor masses of `w`, minus self loops."""
         k = self.num_classes
-        s = np.zeros(k)
-        p = np.zeros(k)
-        for v, cnt in self.succ[w].items():
-            if v != w:
-                s[self.class_of[v]] += cnt
-        for v, cnt in self.pred[w].items():
-            if v != w:
-                p[self.class_of[v]] += cnt
-        return s, p, float(self.succ[w].get(w, 0))
+        lo, hi = self.succ_ptr[w], self.succ_ptr[w + 1]
+        s = np.bincount(self.class_of[self.succ_ids[lo:hi]],
+                        weights=self.succ_counts[lo:hi], minlength=k)
+        lo, hi = self.pred_ptr[w], self.pred_ptr[w + 1]
+        p = np.bincount(self.class_of[self.pred_ids[lo:hi]],
+                        weights=self.pred_counts[lo:hi], minlength=k)
+        return s.astype(np.int64), p.astype(np.int64), int(self.self_loops[w])
 
     def move_deltas(self, w):
         """Objective change for moving `w` into every class (its own = -inf).
 
         Evaluated from the count tables alone, in O(classes x distinct
-        neighbour classes of `w`); no recount of the corpus.
+        neighbour classes of `w`) table lookups; no recount of the corpus.
         """
-        f = _xlogx
+        f = self.xlogx
         a = int(self.class_of[w])
         k = self.num_classes
         s, p, self_count = self._transition_mass(w)
-        nw = self.word_counts[w]
+        nw = int(self.word_counts[w])
         bg = self.class_bigrams
-        row_a = bg[a, :].copy()
-        col_a = bg[:, a].copy()
+        row_a = bg[a, :]
+        col_a = self.class_bigrams_t[a, :]
+        f_row_a = f[row_a]
+        f_col_a = f[col_a]
 
         # Removing w's transitions from class a's row/column, for cells d
         # outside {a, b}; the b cell is excluded per candidate below.
-        rem_s = f(row_a - s) - f(row_a)
-        rem_p = f(col_a - p) - f(col_a)
+        rem_s = f[row_a - s] - f_row_a
+        rem_p = f[col_a - p] - f_col_a
         rem_s[a] = 0.0
         rem_p[a] = 0.0
         rem_total = rem_s.sum() + rem_p.sum()
 
         # Adding w's transitions to candidate b's row/column, cells d with
-        # transition mass, d outside {a, b}.
+        # transition mass, d outside {a, b}.  Summing a C-ordered |d| x K
+        # block over axis 0 adds the d terms of each candidate one after
+        # another; class files depend on that order, because another one
+        # rounds differently and can change which move wins a near tie.
+        # Blocks are widened to int64, by which numpy gathers about three
+        # times faster than by int32.
         ins_s = np.zeros(k)
         ds = np.nonzero(s)[0]
         ds = ds[ds != a]
         if ds.size:
-            block = bg[:, ds]
-            ins_s = (f(block + s[ds]) - f(block)).sum(axis=1)
-            ins_s[ds] -= (f(bg[ds, ds] + s[ds]) - f(bg[ds, ds]))
+            block = self.class_bigrams_t[ds, :].astype(np.int64)
+            ins_s = (f[block + s[ds][:, None]] - f[block]).sum(axis=0)
+            ins_s[ds] -= (f[bg[ds, ds] + s[ds]] - f[bg[ds, ds]])
         ins_p = np.zeros(k)
         dp = np.nonzero(p)[0]
         dp = dp[dp != a]
         if dp.size:
-            block = bg[dp, :]
-            ins_p = (f(block + p[dp][:, None]) - f(block)).sum(axis=0)
-            ins_p[dp] -= (f(bg[dp, dp] + p[dp]) - f(bg[dp, dp]))
+            block = bg[dp, :].astype(np.int64)
+            ins_p = (f[block + p[dp][:, None]] - f[block]).sum(axis=0)
+            ins_p[dp] -= (f[bg[dp, dp] + p[dp]] - f[bg[dp, dp]])
 
         # The four cells coupling a and b change by fixed combinations of
         # the masses; handled exactly here, excluded from the bulk terms.
+        # At b = a the bb and unigram counts below are not counts of any
+        # partition (they may exceed N); that entry is -inf in the end, so
+        # it is looked up at 0.
         diag = np.diagonal(bg)
-        corner_aa = float(f(bg[a, a] - s[a] - p[a] - self_count) - f(bg[a, a]))
-        corner_bb = f(diag + s + p + self_count) - f(diag)
-        corner_ab = f(row_a - s + p[a]) - f(row_a)
-        corner_ba = f(col_a + s[a] - p) - f(col_a)
+        corner_aa = f[bg[a, a] - s[a] - p[a] - self_count] - f[bg[a, a]]
+        bb = diag + s + p + self_count
+        bb[a] = 0
+        corner_bb = f[bb] - f[diag]
+        corner_ab = f[row_a - s + p[a]] - f_row_a
+        corner_ba = f[col_a + s[a] - p] - f_col_a
 
         pair_delta = (
             rem_total - rem_s - rem_p + ins_s + ins_p
             + corner_aa + corner_bb + corner_ab + corner_ba
         )
         cc = self.class_counts
-        uni_delta = -2.0 * (
-            float(f(cc[a] - nw) - f(cc[a])) + f(cc + nw) - f(cc)
-        )
+        grown = cc + nw
+        grown[a] = 0
+        uni_delta = -2.0 * (f[cc[a] - nw] - f[cc[a]] + f[grown] - f[cc])
         deltas = pair_delta + uni_delta
         deltas[a] = -np.inf
         deltas[~self._movable_mask] = -np.inf
@@ -268,13 +297,13 @@ class BigramStats:
         if a == b:
             return
         s, p, self_count = self._transition_mass(w)
-        bg = self.class_bigrams
-        bg[a, :] -= s
-        bg[:, a] -= p
-        bg[b, :] += s
-        bg[:, b] += p
-        bg[a, a] -= self_count
-        bg[b, b] += self_count
+        for bg, row_mass, col_mass in ((self.class_bigrams, s, p), (self.class_bigrams_t, p, s)):
+            bg[a, :] -= row_mass
+            bg[:, a] -= col_mass
+            bg[b, :] += row_mass
+            bg[:, b] += col_mass
+            bg[a, a] -= self_count
+            bg[b, b] += self_count
         nw = self.word_counts[w]
         self.class_counts[a] -= nw
         self.class_counts[b] += nw
@@ -285,10 +314,11 @@ class BigramStats:
 
 def class_bigram_loglik(stats):
     """Closed-form training log-likelihood of the class bigram model."""
+    f = stats.xlogx
     return float(
-        _xlogx(stats.class_bigrams).sum()
-        - 2.0 * _xlogx(stats.class_counts).sum()
-        + _xlogx(stats.word_counts).sum()
+        f[stats.class_bigrams].sum()
+        - 2.0 * f[stats.class_counts].sum()
+        + f[stats.word_counts].sum()
     )
 
 
@@ -321,6 +351,8 @@ def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50
     Returns ``(vocab, classmap, trace)`` where `trace` holds the objective
     after initialization and after each pass; it is non-decreasing.
     """
+    if max_passes < 0:
+        raise ValueError(f"max_passes must be non-negative, got {max_passes}")
     sentences = [list(s) for s in sentences]
     if vocab is None:
         vocab = build_vocabulary(sentences)

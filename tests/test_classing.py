@@ -1,6 +1,8 @@
 """Vocabulary construction, the class-bigram objective and the exchange
 algorithm, each checked against independent brute-force oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,107 @@ def brute_force_loglik(stream_ids, class_of, word_counts):
         total += np.log(n_cc[c1, c2] / n_c[c1])            # P(c2 | c1)
         total += np.log(word_counts[nxt] / n_c[c2])        # P(w | c2)
     return total
+
+
+class DictBigramStats:
+    """Reference exchange statistics: per-word successor/predecessor dicts
+    and float count tables, x ln x evaluated directly.  `move_deltas` of
+    `BigramStats` must equal this one's bitwise."""
+
+    def __init__(self, stream, class_of, num_classes, movable_classes):
+        n_words = class_of.size
+        self.word_counts = np.bincount(stream, minlength=n_words).astype(np.float64)
+        self.succ = [dict() for _ in range(n_words)]
+        self.pred = [dict() for _ in range(n_words)]
+        nxt = np.roll(stream, -1)
+        for a, b in zip(stream.tolist(), nxt.tolist()):
+            self.succ[a][b] = self.succ[a].get(b, 0) + 1
+            self.pred[b][a] = self.pred[b].get(a, 0) + 1
+        self.class_of = class_of.copy()
+        self.num_classes = k = num_classes
+        self.class_counts = np.bincount(class_of, weights=self.word_counts, minlength=k)
+        self.class_bigrams = np.zeros((k, k))
+        np.add.at(self.class_bigrams, (class_of[stream], class_of[nxt]), 1.0)
+        self._movable_mask = np.zeros(k, dtype=bool)
+        self._movable_mask[movable_classes] = True
+
+    @staticmethod
+    def _xlogx(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros_like(x)
+        np.multiply(x, np.log(x, out=np.ones_like(x), where=x > 0), out=out, where=x > 0)
+        return out
+
+    def _transition_mass(self, w):
+        k = self.num_classes
+        s = np.zeros(k)
+        p = np.zeros(k)
+        for v, cnt in self.succ[w].items():
+            if v != w:
+                s[self.class_of[v]] += cnt
+        for v, cnt in self.pred[w].items():
+            if v != w:
+                p[self.class_of[v]] += cnt
+        return s, p, float(self.succ[w].get(w, 0))
+
+    def move_deltas(self, w):
+        f = self._xlogx
+        a = int(self.class_of[w])
+        k = self.num_classes
+        s, p, self_count = self._transition_mass(w)
+        nw = self.word_counts[w]
+        bg = self.class_bigrams
+        row_a = bg[a, :].copy()
+        col_a = bg[:, a].copy()
+        rem_s = f(row_a - s) - f(row_a)
+        rem_p = f(col_a - p) - f(col_a)
+        rem_s[a] = 0.0
+        rem_p[a] = 0.0
+        rem_total = rem_s.sum() + rem_p.sum()
+        ins_s = np.zeros(k)
+        ds = np.nonzero(s)[0]
+        ds = ds[ds != a]
+        if ds.size:
+            block = bg[:, ds]
+            ins_s = (f(block + s[ds]) - f(block)).sum(axis=1)
+            ins_s[ds] -= (f(bg[ds, ds] + s[ds]) - f(bg[ds, ds]))
+        ins_p = np.zeros(k)
+        dp = np.nonzero(p)[0]
+        dp = dp[dp != a]
+        if dp.size:
+            block = bg[dp, :]
+            ins_p = (f(block + p[dp][:, None]) - f(block)).sum(axis=0)
+            ins_p[dp] -= (f(bg[dp, dp] + p[dp]) - f(bg[dp, dp]))
+        diag = np.diagonal(bg)
+        corner_aa = float(f(bg[a, a] - s[a] - p[a] - self_count) - f(bg[a, a]))
+        corner_bb = f(diag + s + p + self_count) - f(diag)
+        corner_ab = f(row_a - s + p[a]) - f(row_a)
+        corner_ba = f(col_a + s[a] - p) - f(col_a)
+        pair_delta = (
+            rem_total - rem_s - rem_p + ins_s + ins_p
+            + corner_aa + corner_bb + corner_ab + corner_ba
+        )
+        cc = self.class_counts
+        uni_delta = -2.0 * (float(f(cc[a] - nw) - f(cc[a])) + f(cc + nw) - f(cc))
+        deltas = pair_delta + uni_delta
+        deltas[a] = -np.inf
+        deltas[~self._movable_mask] = -np.inf
+        return deltas
+
+    def apply_move(self, w, b):
+        a = int(self.class_of[w])
+        s, p, self_count = self._transition_mass(w)
+        bg = self.class_bigrams
+        bg[a, :] -= s
+        bg[:, a] -= p
+        bg[b, :] += s
+        bg[:, b] += p
+        bg[a, a] -= self_count
+        bg[b, b] += self_count
+        nw = self.word_counts[w]
+        self.class_counts[a] -= nw
+        self.class_counts[b] += nw
+        self.class_of[w] = b
 
 
 # -- vocabulary ---------------------------------------------------------------
@@ -185,6 +288,78 @@ def test_accepted_moves_match_recomputation(rng):
             stats.apply_move(w, b)
             after = class_bigram_loglik(stats)
             assert after - before == pytest.approx(deltas[b], abs=1e-8)
+
+
+def _assert_deltas_match_reference(words, num_classes, seed, movable_all=False, passes=3):
+    """Run exchange passes on `BigramStats` and the dict reference side by
+    side; every delta vector must be bitwise equal, move after move."""
+    vocab = cl.build_vocabulary([words])
+    cm = cl.initialize_classes(vocab, num_classes, scheme="random", seed=seed)
+    stream = np.array([vocab.id_of(t) for t in words])
+    movable = np.arange(cm.num_classes if movable_all else num_classes)
+    stats = BigramStats(stream, cm, movable_classes=movable)
+    ref = DictBigramStats(stream, cm.class_of, cm.num_classes, movable)
+    assert class_bigram_loglik(stats) == pytest.approx(
+        brute_force_loglik(stream, cm.class_of, stats.word_counts), abs=1e-8)
+    visits = 0
+    for _ in range(passes):
+        for w in np.argsort(-stats.word_counts, kind="stable"):
+            if stats.word_counts[w] == 0 or stats.class_sizes[stats.class_of[w]] <= 1:
+                continue
+            deltas = stats.move_deltas(w)
+            assert np.array_equal(deltas, ref.move_deltas(w)), f"word {w}"
+            visits += 1
+            b = int(np.argmax(deltas))
+            if deltas[b] > 1e-9:
+                stats.apply_move(w, b)
+                ref.apply_move(w, b)
+        np.testing.assert_array_equal(stats.class_of, ref.class_of)
+    stats.check_consistency()
+    np.testing.assert_array_equal(stats.class_bigrams, ref.class_bigrams)
+    np.testing.assert_array_equal(stats.class_counts, ref.class_counts)
+    return visits
+
+
+def test_move_deltas_equal_dict_reference_bitwise(rng):
+    visits = 0
+    for trial in range(12):
+        n_types = int(rng.integers(3, 150))
+        length = int(rng.integers(2, 2500))
+        words = [f"w{i}" for i in rng.zipf(1.3, size=length) % n_types]
+        n_regular = len(set(words))
+        k = int(rng.integers(1, min(50, n_regular) + 1))
+        visits += _assert_deltas_match_reference(words, k, seed=trial, movable_all=trial % 3 == 0)
+    assert visits > 1000
+
+
+def test_move_deltas_equal_dict_reference_on_edge_cases():
+    # one regular class: its count is the whole stream, N
+    _assert_deltas_match_reference(["a", "b", "a", "c", "b", "a"], 1, seed=0, movable_all=True)
+    # a word repeated many times in a row: heavy self loops
+    words = ["a"] * 50 + ["b", "c"] * 5 + ["a"] * 30 + ["d"] * 20
+    for k in (1, 2, 3):
+        _assert_deltas_match_reference(words, k, seed=k, movable_all=True)
+    # a two-token corpus, including one where both tokens are one word
+    _assert_deltas_match_reference(["a", "b"], 1, seed=0, movable_all=True)
+    _assert_deltas_match_reference(["a", "b"], 2, seed=0, movable_all=True)
+    _assert_deltas_match_reference(["a", "a"], 1, seed=0, movable_all=True)
+
+
+def test_csr_neighbours_equal_circular_pair_counts(rng):
+    for words in (["x", "y"], ["x", "x"], ["x", "y", "x", "x", "z"],
+                  [f"w{i}" for i in rng.integers(0, 30, size=700)]):
+        vocab = cl.build_vocabulary([words])
+        stream = [vocab.id_of(t) for t in words]
+        stats = BigramStats(stream, cl.initialize_classes(vocab, 1))
+        pairs = Counter(zip(stream, stream[1:] + stream[:1]))  # wrap pair last -> first
+        for w in range(len(vocab)):
+            lo, hi = stats.succ_ptr[w], stats.succ_ptr[w + 1]
+            succ = dict(zip(stats.succ_ids[lo:hi].tolist(), stats.succ_counts[lo:hi].tolist()))
+            assert succ == {b: n for (a, b), n in pairs.items() if a == w and b != w}
+            lo, hi = stats.pred_ptr[w], stats.pred_ptr[w + 1]
+            pred = dict(zip(stats.pred_ids[lo:hi].tolist(), stats.pred_counts[lo:hi].tolist()))
+            assert pred == {a: n for (a, b), n in pairs.items() if b == w and a != w}
+            assert stats.self_loops[w] == pairs.get((w, w), 0)
 
 
 def test_exchange_never_empties_a_class(rng):

@@ -411,3 +411,13 @@ def test_nonfinite_scale_or_grid_value_is_a_one_line_error(tmp_path, rng, caplog
     for extra in (["--s-nn", "nan"], ["--s-bo", "inf"],
                   ["--tune", "--refs", str(refs), "--grid-snn", "1,inf"]):
         assert "finite" in _one_line_error(caplog, rescore + extra)
+
+
+def test_negative_max_passes_is_a_one_line_error(tmp_path, caplog):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c a b\n")
+    out = tmp_path / "classes.tsv"
+    message = _one_line_error(caplog, ["classes", "--corpus", str(corpus), "--num-classes", "2",
+                                       "--max-passes", "-1", "--output", str(out)])
+    assert "max_passes" in message and "-1" in message
+    assert not out.exists()
