@@ -20,8 +20,6 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 from .architecture import DescriptionError, parse_description, validate_description
 from .classing import identity_classmap, load_class_file, run_exchange, save_class_file
 from .graph import GraphError
@@ -36,7 +34,7 @@ from .rescoring import (
     rescore_nbest,
 )
 from .sampling import sample_text
-from .scoring import score_sentences
+from .scoring import perplexity, score_sentences
 from .training import TrainingConfig, train
 from .vocabulary import build_vocabulary, read_corpus
 
@@ -134,11 +132,7 @@ def cmd_score(args):
     if not sentences:
         raise ValueError(f"{args.input}: no sentences to score")
     results = score_sentences(network, sentences, policy)
-    total = sum(r.total for r in results)
-    counted = sum(r.counted for r in results)
-    if counted == 0:
-        raise ValueError("no counted tokens; cannot compute perplexity")
-    ppl = float(np.exp(-total / counted))
+    ppl = perplexity(results)
     out = _open_output(args.output)
     try:
         for i, (tokens, res) in enumerate(zip(sentences, results), start=1):
@@ -147,7 +141,8 @@ def cmd_score(args):
     finally:
         if out is not sys.stdout:
             out.close()
-    log.info("scored %d sentences, %d tokens, perplexity %.6f", len(sentences), counted, ppl)
+    log.info("scored %d sentences, %d tokens, perplexity %.6f", len(sentences),
+             sum(r.counted for r in results), ppl)
     return 0
 
 

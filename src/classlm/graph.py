@@ -19,6 +19,14 @@ input (``None`` for integer ids and targets).  :func:`forward_eval` and
 Finiteness is checked on every computed value, not on leaves: a NaN or
 infinity in a bound input or a parameter is reported by the first op that
 reads it.  Model files are checked for non-finite parameters at load.
+
+A matmul whose left operand has a multiple of ``ROW_BLOCK`` rows runs as
+one gemm per block of ``ROW_BLOCK`` rows.  A single gemm call may round a
+row differently depending on the row count and the row's position; fixed
+blocks make each output row a function of that row's inputs alone, which
+is what lets batched scoring equal one-at-a-time scoring bitwise.  Other
+row counts, such as the single row of a sampling step, use one plain
+product.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "ROW_BLOCK",
     "Graph",
     "GraphError",
     "NonFiniteError",
@@ -37,6 +46,9 @@ __all__ = [
     "finite_difference_check",
     "forward_eval",
 ]
+
+
+ROW_BLOCK = 8  # rows per gemm call of a blocked matmul (module docstring)
 
 
 class GraphError(Exception):
@@ -240,7 +252,11 @@ def _softmax(x):
 
 def _matmul(node, a, b):
     _check_shapes(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0], node, a, b)
-    return a @ b
+    m, k = a.shape
+    if m % ROW_BLOCK:
+        return a @ b
+    # one gemm per 8-row block: a row's bits depend on its own inputs only
+    return (a.reshape(-1, ROW_BLOCK, k) @ b).reshape(m, b.shape[1])
 
 
 def _elementwise(fn):

@@ -27,6 +27,7 @@ __all__ = [
     "InterpolationParams",
     "NBestHypothesis",
     "edit_distance",
+    "edit_distances",
     "optimize_interpolation",
     "read_nbest_file",
     "read_reference_file",
@@ -166,18 +167,39 @@ def rescore_nbest(by_utterance, network, params, unk_policy="include", nn_scores
 
 def edit_distance(hyp, ref):
     """Word-level Levenshtein distance (substitutions + insertions + deletions)."""
-    hyp, ref = list(hyp), list(ref)
-    previous = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, start=1):
-        current = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, start=1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (h != r),
-            )
-        previous = current
-    return previous[len(ref)]
+    return int(edit_distances([hyp], [ref])[0])
+
+
+def edit_distances(hyps, refs):
+    """Levenshtein distance of each ``hyps[i]`` to ``refs[i]``, as an int array.
+
+    One dynamic program over all pairs at once: row i of the table holds the
+    distances from the first i words of every hypothesis to each prefix of
+    its (padded) reference, and a hypothesis that has run out keeps its row.
+    Padding sits right of a reference's end, where it cannot reach the
+    distances at or left of the end.
+    """
+    seqs = [*hyps, *refs]
+    words = [w for seq in seqs for w in seq]
+    code = {w: i for i, w in enumerate(dict.fromkeys(words))}
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    ids = np.full((len(seqs), lengths.max(initial=0)), -1)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = [code[w] for w in words]
+    hyp_ids, ref_ids = ids[:len(hyps)], ids[len(hyps):]
+    hyp_len, ref_len = lengths[:len(hyps)], lengths[len(hyps):]
+
+    j = np.arange(ids.shape[1] + 1)
+    row = np.tile(j, (len(hyps), 1))
+    for i in range(hyp_len.max(initial=0)):
+        cur = np.empty_like(row)
+        cur[:, 0] = i + 1
+        # from the row above: a deletion (same column) or a substitution or
+        # match (one column left)
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + (hyp_ids[:, i:i + 1] != ref_ids), out=cur[:, 1:])
+        # insertions: cur[j] = min over k <= j of cur[k] + (j - k)
+        cur = np.minimum.accumulate(cur - j, axis=1) + j
+        row = np.where((i < hyp_len)[:, None], cur, row)
+    return row[np.arange(len(row)), ref_len]
 
 
 def _padded(rows, fill):
@@ -223,8 +245,10 @@ def optimize_interpolation(
     acoustic = _padded([[h.acoustic for h in hs] for hs in hyps], -np.inf)
     backoff = _padded([[h.backoff for h in hs] for hs in hyps], 0.0)
     nn = _padded(list(nn_scores.values()), 0.0)
-    hyp_errors = _padded([[edit_distance(h.tokens, references[utt]) for h in hs]
-                          for utt, hs in by_utterance.items()], 0)
+    flat = edit_distances([h.tokens for hs in hyps for h in hs],
+                          [references[utt] for utt, hs in by_utterance.items() for _ in hs])
+    ends = np.cumsum([len(hs) for hs in hyps])
+    hyp_errors = _padded(np.split(flat, ends[:-1]), 0)
 
     lam = np.array(lambda_grid)[:, None, None, None]
     s_nn = np.array(snn_grid)[None, :, None, None]

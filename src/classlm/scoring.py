@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ScoreResult", "corpus_perplexity", "score_sentence", "score_sentences"]
+from .graph import ROW_BLOCK
+
+__all__ = ["ScoreResult", "corpus_perplexity", "perplexity", "score_sentence", "score_sentences"]
 
 UNK_POLICIES = ("include", "exclude")
+
+# Rows per network step, a multiple of ROW_BLOCK: a trie level wider than
+# this is split, which bounds a step's memory on large inputs and, since
+# rows are computed in independent blocks, changes no score.
+MAX_STEP_ROWS = 128 * ROW_BLOCK
 
 
 @dataclass
@@ -45,8 +52,15 @@ def _check_policy(unk_policy):
 def score_sentences(network, sentences, unk_policy="include"):
     """Score a batch of token sequences; returns one ScoreResult per sentence.
 
-    Sentences of equal length are evaluated together through the single-step
-    graph, which keeps results identical to one-at-a-time scoring.
+    The batch is walked as one prefix trie, level by level: level t holds
+    the distinct prefixes ``<s> w1 ... wt`` of the sentences that still
+    predict a token there, and one network step (more above
+    ``MAX_STEP_ROWS`` rows) advances all of them from their parents'
+    states.  A prefix shared by many sentences runs once, and sentences of
+    every length step together.  Each level's rows are padded to a multiple
+    of ``ROW_BLOCK`` by repeating a real row, so every matmul runs in fixed
+    row blocks and a sentence's scores are bitwise the same whatever it is
+    batched with, alone included.
     """
     _check_policy(unk_policy)
     framed = []
@@ -54,34 +68,49 @@ def score_sentences(network, sentences, unk_policy="include"):
         tokens = list(tokens)
         if not tokens:
             raise ValueError("cannot score an empty sentence")
-        framed.append(np.asarray(network.vocab.frame(tokens), dtype=np.int64))
+        framed.append(network.vocab.frame(tokens))
+    if not framed:
+        return []
 
-    results = [ScoreResult() for _ in framed]
-    groups = {}
-    for idx, ids in enumerate(framed):
-        groups.setdefault(len(ids), []).append(idx)
+    lengths = np.array([len(f) for f in framed])
+    ids = np.zeros((len(framed), lengths.max()), dtype=np.int64)
+    for row, f in zip(ids, framed):
+        row[:len(f)] = f
+    targets = ids[:, 1:]
+    # counted[i, t]: position t of sentence i is predicted and included
+    counted = np.arange(targets.shape[1]) < (lengths - 1)[:, None]
+    if unk_policy == "exclude":
+        counted &= targets != network.vocab.unk_id
 
     class_of = network.classes.class_of
     log_membership = network.classes.log_membership
-    unk_id = network.vocab.unk_id
-    for length, idxs in sorted(groups.items()):
-        ids = np.stack([framed[i] for i in idxs])
-        state = network.initial_state(len(idxs))
-        for t in range(length - 1):
-            probs, state = network.step(state, ids[:, t])
-            targets = ids[:, t + 1]
-            with np.errstate(divide="ignore"):
-                logp = np.log(probs[np.arange(len(idxs)), class_of[targets]])
-            logp = logp + log_membership[targets]
-            for row, idx in enumerate(idxs):
-                if unk_policy == "exclude" and targets[row] == unk_id:
-                    results[idx].per_token.append(None)
-                else:
-                    value = float(logp[row])
-                    results[idx].per_token.append(value)
-                    results[idx].total += value
-                    results[idx].counted += 1
-    return results
+    num_words = len(network.vocab)
+    logp = np.zeros(targets.shape)
+    totals = np.zeros(len(framed))
+    node = np.zeros(len(framed), dtype=np.int64)  # each sentence's node at level t
+    state = network.initial_state(1)
+    for t in range(targets.shape[1]):
+        active = np.flatnonzero(lengths > t + 1)
+        codes, node[active] = np.unique(node[active] * num_words + ids[active, t],
+                                        return_inverse=True)
+        pad = -len(codes) % ROW_BLOCK
+        codes = np.concatenate([codes, np.repeat(codes[-1:], pad)])
+        parents, words = codes // num_words, codes % num_words
+        steps = [network.step({key: value[parents[lo:lo + MAX_STEP_ROWS]]
+                               for key, value in state.items()}, words[lo:lo + MAX_STEP_ROWS])
+                 for lo in range(0, len(codes), MAX_STEP_ROWS)]
+        probs = np.concatenate([p for p, _ in steps])
+        state = {key: np.concatenate([s[key] for _, s in steps]) for key in state}
+        level = targets[active, t]
+        with np.errstate(divide="ignore"):
+            logp[active, t] = np.log(probs[node[active], class_of[level]]) + log_membership[level]
+        # one position per level: the running sum one-at-a-time scoring forms
+        np.add(totals, logp[:, t], out=totals, where=counted[:, t])
+
+    values = logp.astype(object)
+    values[~counted] = None
+    return [ScoreResult(float(total), row[:n - 1].tolist(), int(c))
+            for total, row, n, c in zip(totals, values, lengths, counted.sum(axis=1))]
 
 
 def score_sentence(network, tokens, unk_policy="include"):
@@ -89,16 +118,21 @@ def score_sentence(network, tokens, unk_policy="include"):
     return score_sentences(network, [tokens], unk_policy)[0]
 
 
-def corpus_perplexity(network, sentences, unk_policy="include"):
-    """exp of the average negative log-probability per counted token.
-
-    Counted tokens include the sentence-end token of every sentence, never
-    the start token, and respect `unk_policy`.
-    """
-    results = score_sentences(network, sentences, unk_policy)
+def perplexity(results):
+    """Perplexity of scored sentences: exp of the average negative
+    log-probability per counted token."""
     total = sum(r.total for r in results)
     counted = sum(r.counted for r in results)
     if counted == 0:
         raise ValueError("no counted tokens; cannot compute perplexity")
     with np.errstate(over="ignore"):
         return float(np.exp(-total / counted))
+
+
+def corpus_perplexity(network, sentences, unk_policy="include"):
+    """Perplexity of a corpus; see :func:`perplexity`.
+
+    Counted tokens include the sentence-end token of every sentence, never
+    the start token, and respect `unk_policy`.
+    """
+    return perplexity(score_sentences(network, sentences, unk_policy))

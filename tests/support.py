@@ -46,7 +46,7 @@ def small_network(sentences, num_classes, seed=7, arch=SMALL_ARCH):
     return cl.instantiate_network(desc, vocab, classmap, seed=seed)
 
 
-def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6)):
+def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6), precision="double"):
     """A randomly initialized class-factored model over a synthetic vocab."""
     words = [f"w{i}" for i in range(vocab_size)]
     counts = {w: int(rng.integers(1, 50)) for w in words}
@@ -60,7 +60,8 @@ def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6)):
         "layer type=softmax name=out input=ff\n"
     )
     desc = cl.parse_description(arch)
-    return cl.instantiate_network(desc, vocab, classmap, seed=int(rng.integers(1 << 30)))
+    return cl.instantiate_network(desc, vocab, classmap, seed=int(rng.integers(1 << 30)),
+                                  precision=precision)
 
 
 def word_distribution(network, probs_row):

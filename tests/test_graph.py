@@ -5,6 +5,7 @@ import pytest
 
 from classlm.graph import (
     _OPS,
+    ROW_BLOCK,
     Graph,
     GraphError,
     NonFiniteError,
@@ -62,6 +63,34 @@ def test_sigmoid_equals_two_branch_form_bitwise(dtype):
     y = forward_eval(g, {"x": x}).outputs["y"]
     assert y.dtype == x.dtype
     np.testing.assert_array_equal(y.view(f"u{x.itemsize}"), expected.view(f"u{x.itemsize}"))
+
+
+# (k, n) of every matmul in the benchmark models, full and tiny sizes: the
+# train model (64, 128, 303 classes), the rescore model (300, 96, 48, 403
+# classes) and their tiny versions
+BENCH_MATMUL_WIDTHS = [(64, 128), (128, 128), (128, 303), (300, 96), (96, 96), (96, 48),
+                       (48, 403), (8, 12), (12, 12), (12, 15), (12, 8), (8, 23)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,n", BENCH_MATMUL_WIDTHS)
+def test_matmul_row_bits_independent_of_block_count_and_neighbours(k, n, dtype):
+    # a row of a left operand with a multiple of ROW_BLOCK rows gives the
+    # same bits at any row count, at any position and beside any other rows
+    rng = np.random.default_rng(k * 1000 + n)
+    g = Graph()
+    g.mark_output(g.matmul(g.input("a"), g.parameter("b", rng.normal(size=(k, n)).astype(dtype))),
+                  "y")
+    row = rng.normal(size=k).astype(dtype)
+    expected = forward_eval(g, {"a": np.tile(row, (ROW_BLOCK, 1))}).outputs["y"][0]
+    for blocks in (1, 2, 3, 5, 8, 13, 40):
+        a = rng.normal(size=(blocks * ROW_BLOCK, k)).astype(dtype)
+        for r in rng.choice(len(a), size=min(len(a), 6), replace=False):
+            a[r] = row
+            y = forward_eval(g, {"a": a}).outputs["y"]
+            assert y.dtype == dtype
+            np.testing.assert_array_equal(y[r].view(f"u{y.itemsize}"),
+                                          expected.view(f"u{y.itemsize}"))
 
 
 def test_square_loss_gradient():

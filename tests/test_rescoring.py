@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.rescoring import InterpolationParams, edit_distance
+from classlm.rescoring import InterpolationParams, edit_distance, edit_distances
 
 import support
 
@@ -87,6 +87,31 @@ def test_edit_distance_cases():
     assert edit_distance("kitten", "sitting") == 3
 
 
+def _loop_edit_distance(hyp, ref):
+    """The pure-Python Levenshtein loop, one row per hypothesis word."""
+    previous = list(range(len(ref) + 1))
+    for i, h in enumerate(hyp, start=1):
+        current = [i] + [0] * len(ref)
+        for j, r in enumerate(ref, start=1):
+            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (h != r))
+        previous = current
+    return previous[len(ref)]
+
+
+def test_edit_distances_equal_the_loop(rng):
+    # few word types, so words repeat within and across sides; empty sides
+    # and pairs of very different lengths share one batch
+    pairs = [([], []), ([], ["a"]), (["a", "a"], [])]
+    for _ in range(300):
+        hyp, ref = ([f"w{i}" for i in rng.integers(0, 4, size=rng.integers(0, 12))]
+                    for _ in range(2))
+        pairs.append((hyp, ref))
+    hyps, refs = zip(*pairs)
+    batched = edit_distances(hyps, refs)
+    assert batched.tolist() == [_loop_edit_distance(h, r) for h, r in pairs]
+    assert [edit_distance(h, r) for h, r in pairs] == batched.tolist()
+
+
 def test_single_point_grid_is_returned(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     w = net.vocab.words
@@ -144,11 +169,11 @@ def test_tuning_computes_each_edit_distance_once(rng, monkeypatch):
     refs = {"u1": (w[3], w[4]), "u2": (w[6],)}
     calls = []
 
-    def counting(hyp, ref):
-        calls.append((tuple(hyp), tuple(ref)))
-        return edit_distance(hyp, ref)
+    def counting(hyp_list, ref_list):
+        calls.extend((tuple(h), tuple(r)) for h, r in zip(hyp_list, ref_list))
+        return edit_distances(hyp_list, ref_list)
 
-    monkeypatch.setattr(cl.rescoring, "edit_distance", counting)
+    monkeypatch.setattr(cl.rescoring, "edit_distances", counting)
     cl.optimize_interpolation(hyps, refs, net, 1.0, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
     assert len(calls) == 5
     assert len(set(calls)) == 5

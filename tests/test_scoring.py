@@ -135,3 +135,61 @@ def test_batched_scoring_equals_one_at_a_time(rng):
         single = cl.score_sentence(net, sent)
         assert single.total == res.total
         assert single.per_token == res.per_token
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_scoring_equals_one_at_a_time_any_seed(seed):
+    # the body above holds for every batch, not only its fixture seed
+    test_batched_scoring_equals_one_at_a_time(np.random.default_rng(seed))
+
+
+def _framed_prefixes(net, sentences):
+    return {tuple(ids[:t]) for s in sentences
+            for ids in [net.vocab.frame(s)] for t in range(1, len(ids))}
+
+
+def test_each_prefix_runs_once(rng, monkeypatch):
+    # an n-best-like list: variants of one sentence that differ late
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    w = net.vocab.words
+    base = [w[int(i)] for i in rng.integers(3, len(w), size=9)]
+    sentences = [base, base[:4], base[:6] + [w[3]], base[:6] + [w[4], w[5]], base,
+                 base[:8] + [w[6]] + base[8:], [w[7]] + base[1:]]
+    calls = []
+    step = net.step
+
+    def recording(state, word_ids):
+        rows = np.column_stack([*state.values(), word_ids])
+        calls.append((len(word_ids), len(np.unique(rows, axis=0))))
+        return step(state, word_ids)
+
+    monkeypatch.setattr(net, "step", recording)
+    results = cl.score_sentences(net, sentences)
+    assert len(calls) == max(len(s) for s in sentences) + 1
+    assert all(rows % cl.graph.ROW_BLOCK == 0 and rows - real < cl.graph.ROW_BLOCK
+               for rows, real in calls)
+    assert sum(real for _, real in calls) == len(_framed_prefixes(net, sentences))
+    # a sentence that is a prefix of another shares its scores up to its end
+    assert results[1].per_token[:4] == results[0].per_token[:4]
+    assert results[4].per_token == results[0].per_token
+
+
+def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words[3:]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
+                 for _ in range(60)]
+    whole = cl.score_sentences(net, sentences)
+    rows = []
+    step = net.step
+
+    def recording(state, word_ids):
+        rows.append(len(word_ids))
+        return step(state, word_ids)
+
+    monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", 2 * cl.graph.ROW_BLOCK)
+    monkeypatch.setattr(net, "step", recording)
+    split = cl.score_sentences(net, sentences)
+    assert max(rows) == 2 * cl.graph.ROW_BLOCK and len(rows) > 7
+    for a, b in zip(whole, split):
+        assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
