@@ -262,6 +262,9 @@ def serialize_description(desc):
         if spec.size is not None:
             parts.append(f"size={spec.size}")
         if spec.dropout_rate is not None:
-            parts.append(f"dropout_rate={spec.dropout_rate:g}")
+            rate = f"{spec.dropout_rate:g}"
+            if float(rate) != spec.dropout_rate:
+                rate = repr(spec.dropout_rate)  # the shortest text that parses back exactly
+            parts.append(f"dropout_rate={rate}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -100,7 +100,7 @@ def cmd_train(args):
     opt_config = OptimizerConfig(
         algorithm=args.optimizer,
         learning_rate=args.learning_rate,
-        clip_norm=args.clip_norm if args.clip_norm > 0 else None,
+        clip_norm=None if args.clip_norm == 0 else args.clip_norm,
     )
     config = TrainingConfig(
         optimizer=opt_config,

@@ -359,82 +359,77 @@ def forward_eval(graph, bindings, params=None):
     return ws
 
 
-def backward(graph, ws, params=None):
-    """Reverse-mode gradients of the designated loss.
+def backward(graph, ws, seeds=None, grads=None, wrt=()):
+    """Reverse-mode gradients; returns ``(grads, adjoints)``.
 
-    Requires a workspace populated by :func:`forward_eval`.  Returns a map
-    from every trainable parameter name to its gradient; parameters with no
-    path to the loss get zero tensors of the parameter's shape.
+    Adjoints start from `seeds` ({output name: adjoint}; default: one on the
+    scalar loss).  Parameter gradients are added into `grads` (default: zeros
+    per trainable parameter); `adjoints` maps each input named in `wrt` that a
+    seed reaches to its adjoint.
     """
-    loss = graph.loss
-    if loss is None:
-        raise GraphError("no loss node designated")
     vals = ws.values
-    if vals[loss.idx] is None:
-        raise GraphError("forward values missing; run forward_eval first")
-    if np.asarray(vals[loss.idx]).size != 1:
-        raise GraphError("loss node is not scalar")
-
+    if ws.graph is not graph or any(v is None for v in vals):
+        raise GraphError("forward values missing; run forward_eval on this graph first")
     adj = [None] * len(graph.nodes)
-    adj[loss.idx] = np.ones_like(vals[loss.idx])
-    # sorted order keeps downstream float accumulation (e.g. the global clip
-    # norm) independent of hash randomization across processes
-    grads = {}
-    for name in graph.trainable_parameters:
-        grads[name] = np.zeros_like(np.asarray(graph.parameter_value(name, params)))
+    if seeds is None:
+        loss = graph.loss
+        if loss is None:
+            raise GraphError("no loss node designated")
+        if np.asarray(vals[loss.idx]).size != 1:
+            raise GraphError("loss node is not scalar")
+        adj[loss.idx] = np.ones_like(vals[loss.idx])
+    for name, value in (seeds or {}).items():
+        adj[graph.outputs[name].idx] = np.array(value)
+    if grads is None:
+        # sorted order keeps downstream float accumulation (e.g. the global
+        # clip norm) independent of hash randomization across processes
+        grads = {name: np.zeros_like(vals[graph._param_nodes[name].idx])
+                 for name in graph.trainable_parameters}
 
     for node in reversed(graph.nodes):
         dy = adj[node.idx]
-        if dy is None or node.op == "input":
-            continue
-        if node.op == "param":
-            if node.name in grads:
-                grads[node.name] = grads[node.name] + dy
+        if dy is None or node.op in ("input", "param"):
             continue
         ins = node.inputs
         for inp, g in zip(ins, _OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins])):
-            # bound inputs (ids, targets, masks, states) take no gradient
-            if g is None or inp.op == "input":
+            # bound inputs (ids, targets, masks) take none unless asked for
+            if g is None or (inp.op == "input" and inp.name not in wrt):
+                continue
+            if inp.op == "param":
+                if inp.name in grads:
+                    grads[inp.name] += g
                 continue
             if adj[inp.idx] is None:
                 adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=g.dtype)
             adj[inp.idx] += g
-    return grads
+    return grads, {n.name: adj[n.idx] for n in graph.nodes
+                   if n.op == "input" and adj[n.idx] is not None}
 
 
-def finite_difference_check(graph, bindings, param, step, params=None):
-    """Max relative error between analytic and central-difference gradients.
+def finite_difference_check(loss, value, analytic, step):
+    """Max relative error between an analytic gradient and central differences.
 
-    Perturbs each element of `param` by ±step and compares the loss slope to
-    the analytic gradient.  The relative error uses
+    `loss` maps a value of one parameter to a scalar loss; `analytic` is its
+    gradient at `value`.  Perturbs each element of `value` by ±step and
+    compares the loss slope to `analytic`.  The relative error uses
     |analytic - fd| / max(|analytic|, |fd|, 1e-8).
     """
     if not np.isfinite(step) or step <= 0:
         raise ValueError(f"finite-difference step must be positive, got {step}")
-    if param not in set(graph._param_nodes) or param not in graph._trainable:
-        raise GraphError(f"{param!r} is not a trainable parameter of this graph")
-
-    base = dict(params) if params is not None else {}
-    value = np.array(graph.parameter_value(param, params), dtype=np.float64)
-
-    ws = forward_eval(graph, bindings, params)
-    analytic = backward(graph, ws, params)[param]
-
     worst = 0.0
-    perturbed = value.copy()
+    perturbed = np.array(value, dtype=np.float64)
     flat = perturbed.reshape(-1)
     aflat = np.asarray(analytic).reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        base[param] = perturbed
-        hi = forward_eval(graph, bindings, base).loss_value
+        hi = loss(perturbed)
         flat[i] = orig - step
-        lo = forward_eval(graph, bindings, base).loss_value
+        lo = loss(perturbed)
         flat[i] = orig
         fd = (hi - lo) / (2.0 * step)
         if not np.isfinite(fd):
-            raise NonFiniteError(f"non-finite perturbation result for {param!r}[{i}]")
+            raise NonFiniteError(f"non-finite perturbation result at element {i}")
         err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-8)
         worst = max(worst, err)
     return worst

@@ -4,7 +4,7 @@ Each function appends the forward computation of one layer step to a
 :class:`~classlm.graph.Graph` and returns the output node(s).  Parameters
 are passed as a mapping from short parameter names (``W_i``, ``b_f``, ...)
 to parameter nodes created by the caller, so the same builders serve both
-the unrolled training graph and the single-step scoring graph.
+step graphs of a network: training and evaluation.
 """
 
 from __future__ import annotations

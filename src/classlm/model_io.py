@@ -129,7 +129,8 @@ def load_model(path):
     """Read a model file; returns ``(network, training_metadata)``.
 
     Raises :class:`ModelFormatError` on unknown versions, headers with a
-    missing or mistyped field, truncated payloads (naming the first
+    missing or mistyped field or a vocabulary table whose length differs
+    from the vocabulary, truncated payloads (naming the first
     incomplete parameter) and parameters holding NaN or infinity.
     """
     with open(path, "rb") as f:
@@ -165,6 +166,11 @@ def load_model(path):
         raise ModelFormatError(f"{path}: vocabulary does not start with the reserved tokens")
     counts = header["vocabulary"]["counts"]
     cls = header["classes"]
+    for field, values in (("vocabulary.counts", counts), ("classes.class_of", cls["class_of"]),
+                          ("classes.membership", cls["membership"])):
+        if len(values) != len(words):
+            raise ModelFormatError(f"{path}: model header field {field!r} has {len(values)}"
+                                   f" entries for {len(words)} vocabulary words")
     try:
         vocab = Vocabulary(words[len(RESERVED):], dict(zip(words, counts)))
         classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])

@@ -1,13 +1,12 @@
 """Concrete networks: parameter allocation and graph assembly.
 
 A :class:`Network` owns the parameter store for one validated architecture
-description plus the vocabulary and class map it predicts over.  It builds
-two kinds of graphs on demand:
-
-* a single-step graph (evaluation mode, no dropout) used for scoring and
-  sampling, with the recurrent state passed in and out through bindings;
-* an unrolled training graph per sequence length, whose scalar loss is the
-  masked mean class cross-entropy over the batch.
+description plus the vocabulary and class map it predicts over.  One
+method makes its two graphs, each once, as one time step with the
+recurrent state in and out through ``state/...`` bindings: the evaluation
+step graph (no dropout) outputs the class distribution for scoring and
+sampling; the training step graph binds dropout masks, targets and a
+position mask, and outputs the step's masked cross-entropy sum as "loss".
 
 The softmax layer always has one output unit per word class; with an
 identity class map this degenerates to a full-vocabulary softmax.
@@ -119,21 +118,19 @@ class Network:
         self.widths = _layer_widths(desc, vocab, classes)
         self.input_layers = [s.name for s in desc.layers if s.kind in INPUT_KINDS]
         self.recurrent_layers = [s.name for s in desc.layers if s.kind in RECURRENT_KINDS]
-        self.dropout_layers = [s.name for s in desc.layers if s.kind == "dropout"]
-        self._step_graph = None
-        self._train_graphs = {}
+        self._graphs = {}
 
     # -- input preparation ---------------------------------------------------
 
-    def stream_ids(self, word_ids):
-        """Per input-layer id arrays for a word-id array (any shape)."""
+    def token_bindings(self, word_ids):
+        """``tokens/<input layer>`` id arrays for a word-id array (any shape)."""
         word_ids = np.asarray(word_ids)
         out = {}
         for name in self.input_layers:
             if self.desc.by_name[name].kind == "class_input":
-                out[name] = self.classes.class_of[word_ids]
+                out[f"tokens/{name}"] = self.classes.class_of[word_ids]
             else:
-                out[name] = word_ids
+                out[f"tokens/{name}"] = word_ids
         return out
 
     def initial_state(self, batch_size):
@@ -151,7 +148,7 @@ class Network:
     def _param_nodes(self, g, layer_name, pnames):
         return {p: g.parameter(f"{layer_name}/{p}") for p in pnames}
 
-    def _build_position(self, g, suffix, state_in, train_mode):
+    def _build_position(self, g, state_in, train_mode):
         """Append one time step of the network; returns (logits, state_out)."""
         acts = {}
         state_out = {}
@@ -160,7 +157,7 @@ class Network:
         for spec in self.desc.layers:
             name = spec.name
             if spec.kind in INPUT_KINDS:
-                acts[name] = g.input(f"tokens/{name}{suffix}")
+                acts[name] = g.input(f"tokens/{name}")
                 continue
             if spec.kind == "projection":
                 tables = [g.parameter(f"{name}/E_{src}") for src in spec.inputs]
@@ -183,7 +180,7 @@ class Network:
                 acts[name] = layers.tanh_forward(g, x, self._param_nodes(g, name, layers.TANH_PARAMS))
             elif spec.kind == "dropout":
                 if train_mode and spec.dropout_rate > 0.0:
-                    acts[name] = g.mul(x, g.input(f"dropmask/{name}{suffix}"))
+                    acts[name] = g.mul(x, g.input(f"dropmask/{name}"))
                 else:
                     acts[name] = x
             elif spec.kind == "softmax":
@@ -195,48 +192,39 @@ class Network:
                     acts[name] = g.softmax(out)
         return logits, state_out
 
-    def step_graph(self):
-        """Evaluation-mode single step: state in, class distribution out."""
-        if self._step_graph is None:
+    def _graph(self, train_mode):
+        """The step graph of one mode, built on first use."""
+        if train_mode not in self._graphs:
             g = Graph(params=self.params)
             state_in = {key: g.input(f"state/{key}") for key in self.initial_state(1)}
-            logits, state_out = self._build_position(g, "", state_in, train_mode=False)
-            g.mark_output(g.softmax(logits), "class_probs")
+            logits, state_out = self._build_position(g, state_in, train_mode)
+            if train_mode:
+                ce = g.cross_entropy(logits, g.input("target"))
+                g.mark_output(g.sum(g.mul(ce, g.input("mask"))), "loss")
+            else:
+                g.mark_output(g.softmax(logits), "class_probs")
             for key, node in state_out.items():
                 g.mark_output(node, f"state/{key}")
-            self._step_graph = g
-        return self._step_graph
+            self._graphs[train_mode] = g
+        return self._graphs[train_mode]
 
-    def training_graph(self, length):
-        """Unrolled train-mode graph with masked mean cross-entropy loss."""
-        if length not in self._train_graphs:
-            g = Graph(params=self.params)
-            state = {key: g.input(f"state0/{key}") for key in self.initial_state(1)}
-            total = None
-            for t in range(length):
-                logits, state = self._build_position(g, f"/{t}", state, train_mode=True)
-                ce = g.cross_entropy(logits, g.input(f"target/{t}"))
-                masked = g.mul(ce, g.input(f"mask/{t}"))
-                term = g.sum(masked)
-                total = term if total is None else g.add(total, term)
-            loss = g.mul(total, g.input("inv_count"))
-            g.set_loss(loss)
-            g.mark_output(loss, "loss")
-            self._train_graphs[length] = g
-        return self._train_graphs[length]
+    def step_graph(self):
+        """Evaluation-mode step: state in, class distribution and next state out."""
+        return self._graph(train_mode=False)
+
+    def training_graph(self):
+        """Train-mode step: dropout masks bound, masked cross-entropy sum as loss."""
+        return self._graph(train_mode=True)
 
     # -- evaluation -------------------------------------------------------------
 
     def step(self, state, word_ids):
         """Advance one position; returns (class probabilities, new state)."""
-        word_ids = np.asarray(word_ids, dtype=np.int64)
-        bindings = {f"state/{key}": value for key, value in state.items()}
-        for name, ids in self.stream_ids(word_ids).items():
-            bindings[f"tokens/{name}"] = ids
-        ws = forward_eval(self.step_graph(), bindings)
-        outputs = ws.outputs
-        new_state = {key: outputs[f"state/{key}"] for key in state}
-        return outputs["class_probs"], new_state
+        bindings = self.token_bindings(np.asarray(word_ids, dtype=np.int64))
+        for key, value in state.items():
+            bindings[f"state/{key}"] = value
+        outputs = forward_eval(self.step_graph(), bindings).outputs
+        return outputs["class_probs"], {key: outputs[f"state/{key}"] for key in state}
 
     def copy_params(self):
         return {name: value.copy() for name, value in self.params.items()}

@@ -8,6 +8,7 @@ never annealed by the training loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +56,20 @@ class OptimizerConfig:
         for key, value in _DEFAULTS[self.algorithm].items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.momentum is not None and not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         for name in ("decay", "beta1", "beta2"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive (or None to disable)")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be positive and finite (or None to disable),"
+                             f" got {self.clip_norm}")
 
 
 def clip_gradients(grads, max_norm):

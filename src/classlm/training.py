@@ -2,7 +2,8 @@
 
 Sentences are framed, cut into segments of at most `max_sequence_length`
 positions, bucketed by length and padded within each batch; the loss is the
-mean class cross-entropy over real (unpadded) positions.  At regular
+mean class cross-entropy over real (unpadded) positions, backpropagated
+through time over the network's one training step graph.  At regular
 intervals the development perplexity is measured with the same scorer the
 ``score`` command uses.  The parameters achieving the lowest development
 perplexity are checkpointed and restored at the end, so the returned model
@@ -18,6 +19,7 @@ once the counter exceeds `patience` or `max_epochs` is reached.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,7 @@ from .graph import NonFiniteError, backward, forward_eval
 from .optimizers import OptimizerConfig, clip_gradients, make_optimizer
 from .scoring import corpus_perplexity
 
-__all__ = ["TrainingConfig", "TrainingState", "train"]
+__all__ = ["TrainingConfig", "TrainingState", "batch_gradients", "batch_loss", "train"]
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +52,11 @@ class TrainingConfig:
             raise ValueError("batch_size, max_sequence_length and max_epochs must be positive")
         if self.validation_interval is not None and self.validation_interval < 1:
             raise ValueError("validation_interval must be positive")
-        if self.patience < 0 or self.min_improvement < 0:
-            raise ValueError("patience and min_improvement must be non-negative")
+        if self.patience < 0:
+            raise ValueError("patience must be non-negative")
+        if not 0 <= self.min_improvement < math.inf:
+            raise ValueError(f"min_improvement must be non-negative and finite,"
+                             f" got {self.min_improvement}")
         if not 0.0 < self.annealing_factor < 1.0:
             raise ValueError("annealing_factor must be in (0, 1)")
 
@@ -100,28 +105,45 @@ def _make_batches(segments, batch_size, rng):
     return [batches[i] for i in batch_order]
 
 
-def _batch_bindings(network, inputs, targets, mask, rng):
-    """Bindings for the unrolled training graph of this batch's length."""
-    batch, length = inputs.shape
-    dtype = network.dtype
-    bindings = dict()
-    for key, value in network.initial_state(batch).items():
-        bindings[f"state0/{key}"] = value
-    class_of = network.classes.class_of
-    for t in range(length):
-        for name, ids in network.stream_ids(inputs[:, t]).items():
-            bindings[f"tokens/{name}/{t}"] = ids
-        bindings[f"target/{t}"] = class_of[targets[:, t]]
-        bindings[f"mask/{t}"] = mask[:, t].astype(dtype)
-        for name in network.dropout_layers:
-            rate = network.desc.by_name[name].dropout_rate
-            if rate > 0.0:
-                width = network.widths[name]
-                bindings[f"dropmask/{name}/{t}"] = layers.dropout_mask(
-                    rng, (batch, width), rate, dtype
-                )
-    bindings["inv_count"] = np.asarray(1.0 / mask.sum(), dtype=dtype)
-    return bindings
+def batch_loss(network, inputs, targets, mask, rng, params=None):
+    """(Mean class cross-entropy, workspace of each step) of one batch: the
+    training step graph runs once per position, carrying the state."""
+    graph = network.training_graph()
+    batch, dtype = len(inputs), network.dtype
+    state = {f"state/{key}": value for key, value in network.initial_state(batch).items()}
+    workspaces = []
+    for t in range(inputs.shape[1]):
+        bindings = network.token_bindings(inputs[:, t])
+        bindings["target"] = network.classes.class_of[targets[:, t]]
+        bindings["mask"] = mask[:, t].astype(dtype)
+        for spec in network.desc.layers:
+            if spec.kind == "dropout" and spec.dropout_rate > 0.0:
+                bindings[f"dropmask/{spec.name}"] = layers.dropout_mask(
+                    rng, (batch, network.widths[spec.name]), spec.dropout_rate, dtype)
+        try:
+            ws = forward_eval(graph, {**bindings, **state}, params)
+        except NonFiniteError as err:
+            raise NonFiniteError(f"time step {t}: {err}") from None
+        state = {name: ws.value(graph.outputs[name]) for name in state}
+        workspaces.append(ws)
+    inv_count = np.asarray(1.0 / mask.sum(), dtype=dtype)
+    # per-step losses are >= 0, so sum() adds them exactly as a chain of adds would
+    return float(sum(ws.value(graph.outputs["loss"]) for ws in workspaces) * inv_count), workspaces
+
+
+def batch_gradients(network, inputs, targets, mask, rng, params=None):
+    """(Mean class cross-entropy, gradients) of one batch: backward over the
+    steps of :func:`batch_loss` from the last, seeding each step's loss with
+    1 / (unmasked positions) and its state outputs with the state-input
+    adjoints of the step after it."""
+    loss, workspaces = batch_loss(network, inputs, targets, mask, rng, params)
+    graph = workspaces[0].graph
+    state = [name for name in graph.outputs if name.startswith("state/")]
+    inv_count = np.asarray(1.0 / mask.sum(), dtype=network.dtype)
+    grads, carry = None, {}
+    for ws in reversed(workspaces):
+        grads, carry = backward(graph, ws, {"loss": inv_count, **carry}, grads, state)
+    return loss, grads
 
 
 def train(network, train_sentences, dev_sentences, config):
@@ -177,16 +199,12 @@ def train(network, train_sentences, dev_sentences, config):
         batches = _make_batches(segments, config.batch_size, rng)
         interval = config.validation_interval or len(batches)
         for inputs, targets, mask in batches:
-            graph = network.training_graph(inputs.shape[1])
-            bindings = _batch_bindings(network, inputs, targets, mask, rng)
             try:
-                ws = forward_eval(graph, bindings)
-                state.train_loss = ws.loss_value
-                grads = backward(graph, ws)
+                state.train_loss, grads = batch_gradients(network, inputs, targets, mask, rng)
                 if config.optimizer.clip_norm is not None:
                     grads = clip_gradients(grads, config.optimizer.clip_norm)
             except NonFiniteError as err:
-                log.error("training diverged at batch %d: %s", state.batches + 1, err)
+                log.error("training diverged at batch %d, %s", state.batches + 1, err)
                 state.diverged = True
                 state.stopped_reason = "diverged"
                 stop = True

@@ -64,6 +64,26 @@ def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6), precisio
                                   precision=precision)
 
 
+def graph_fd_error(graph, bindings, name, step):
+    """finite_difference_check of parameter `name` of a graph with a loss."""
+    analytic = cl.backward(graph, cl.forward_eval(graph, bindings))[0][name]
+    return cl.finite_difference_check(
+        lambda value: cl.forward_eval(graph, bindings, {name: value}).loss_value,
+        graph.parameter_value(name), analytic, step)
+
+
+def batch_fd_errors(network, inputs, targets, mask, step):
+    """{parameter: finite_difference_check error} of the mean loss of one
+    multi-step batch, its gradients backpropagated through time."""
+    from classlm.training import batch_gradients, batch_loss
+
+    _, grads = batch_gradients(network, inputs, targets, mask, None)
+    return {name: cl.finite_difference_check(
+        lambda value: batch_loss(network, inputs, targets, mask, None,
+                                 {**network.params, name: value})[0],
+        network.params[name], grads[name], step) for name in network.params}
+
+
 def word_distribution(network, probs_row):
     """Brute-force P(w | history) for every word from one class distribution."""
     class_of = network.classes.class_of

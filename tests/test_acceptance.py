@@ -12,7 +12,7 @@ import pytest
 
 import classlm as cl
 from classlm import layers
-from classlm.graph import Graph, finite_difference_check, forward_eval
+from classlm.graph import Graph
 from classlm.rescoring import InterpolationParams
 from classlm.vocabulary import RESERVED
 
@@ -41,7 +41,7 @@ FD_STEP = 1e-5
 
 def _check_all_params(graph, bindings):
     for name in graph.trainable_parameters:
-        err = finite_difference_check(graph, bindings, name, FD_STEP)
+        err = support.graph_fd_error(graph, bindings, name, FD_STEP)
         assert err < GRAD_TOL, f"{name}: {err}"
 
 
@@ -105,15 +105,18 @@ def _trial_class_softmax(rng):
                           "t": rng.integers(0, n_classes, size=3)})
 
 
+def _check_all_batch_params(net, inputs, targets, step):
+    """Every parameter of a multi-step batch, differentiated through time."""
+    errors = support.batch_fd_errors(net, inputs, targets, np.ones(inputs.shape), step)
+    for name, err in errors.items():
+        assert err < GRAD_TOL, f"{name}: {err}"
+
+
 def _trial_unrolled(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3, sizes=(3, 4, 4))
-    graph = net.training_graph(3)
-    from classlm.training import _batch_bindings
-
     inputs = rng.integers(0, len(net.vocab), size=(2, 3))
     targets = rng.integers(0, len(net.vocab), size=(2, 3))
-    bindings = _batch_bindings(net, inputs, targets, np.ones((2, 3)), rng)
-    _check_all_params(graph, bindings)
+    _check_all_batch_params(net, inputs, targets, FD_STEP)
 
 
 @criterion(1, "gradients match finite differences for every layer kind")
@@ -135,22 +138,16 @@ def test_criterion_1_gradient_correctness():
         _trial_unrolled(rng)
 
     # the small reference architecture (projection 8, lstm 16, tanh 16)
-    # unrolled over a 5-token batch; a few gradient elements sit near 1e-7,
-    # so the step is raised to keep the loss-rounding noise floor
+    # over a 5-token batch; a few gradient elements sit near 1e-7, so the
+    # step is raised to keep the loss-rounding noise floor
     # (~eps*|loss|/step) well below the tolerance
     corpus = [["a", "b", "c", "d"]] * 4
     net = support.small_network(corpus, num_classes=4, seed=1)
-    graph = net.training_graph(5)
-    from classlm.training import _batch_bindings
-
     inputs = np.array([net.vocab.frame(["a", "b", "c", "d"])[:-1],
                        net.vocab.frame(["d", "a", "b", "c"])[:-1]])
     targets = np.array([net.vocab.frame(["a", "b", "c", "d"])[1:],
                         net.vocab.frame(["d", "a", "b", "c"])[1:]])
-    bindings = _batch_bindings(net, inputs, targets, np.ones((2, 5)), rng)
-    for name in graph.trainable_parameters:
-        err = finite_difference_check(graph, bindings, name, 1e-4)
-        assert err < GRAD_TOL, f"{name}: {err}"
+    _check_all_batch_params(net, inputs, targets, 1e-4)
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"

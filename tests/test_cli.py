@@ -421,3 +421,56 @@ def test_negative_max_passes_is_a_one_line_error(tmp_path, caplog):
                                        "--max-passes", "-1", "--output", str(out)])
     assert "max_passes" in message and "-1" in message
     assert not out.exists()
+
+
+def _drop_last_class_entry(header):
+    """Shorten class_of and membership by one word, keeping every class normalised."""
+    cls = header["classes"]
+    c = cls["class_of"].pop()
+    cls["membership"].pop()
+    members = [w for w, k in enumerate(cls["class_of"]) if k == c]
+    total = sum(cls["membership"][w] for w in members)
+    for w in members:
+        cls["membership"][w] /= total
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_drop_last_class_entry, "classes.class_of"),
+    (lambda h: h["vocabulary"]["counts"].pop(), "vocabulary.counts"),
+    (lambda h: h["classes"]["membership"].append(0.0), "classes.membership"),
+])
+def test_header_table_of_wrong_length_is_a_one_line_error(tmp_path, rng, caplog, edit, field):
+    model = tmp_path / "model.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=2))
+    support.rewrite_header(model, edit)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("w1 w5 w2\n")
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert f"{field!r}" in message and "vocabulary words" in message
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--clip-norm", "nan"), ("--clip-norm", "-1"), ("--clip-norm", "inf"),
+    ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+    ("--min-improvement", "nan"), ("--min-improvement", "inf"),
+])
+def test_non_finite_or_negative_hyperparameter_is_a_one_line_error(toy_files, caplog,
+                                                                    flag, value):
+    model = toy_files["dir"] / "model.clm"
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+        "--arch", str(toy_files["arch"]), "--output-model", str(model), flag, value])
+    assert flag[2:].replace("-", "_") in message
+    assert not model.exists()
+
+
+def test_dropout_rate_survives_save_and_load(toy_files):
+    # 0.9999999 printed with %g reads 1, which the parser rejects
+    arch = support.SMALL_ARCH.replace(
+        "layer type=lstm name=hidden_layer_1 input=projection_layer",
+        "layer type=dropout name=drop input=projection_layer dropout_rate=0.9999999\n"
+        "layer type=lstm name=hidden_layer_1 input=drop")
+    toy_files["arch"].write_text(arch)
+    model = _train(toy_files, extra=["--max-epochs", "1"])
+    network, _ = cl.load_model(model)
+    assert network.desc.by_name["drop"].dropout_rate == 0.9999999

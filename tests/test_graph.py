@@ -10,10 +10,13 @@ from classlm.graph import (
     GraphError,
     NonFiniteError,
     ShapeError,
+    Workspace,
     backward,
     finite_difference_check,
     forward_eval,
 )
+
+import support
 
 
 def test_identity_matmul():
@@ -99,7 +102,7 @@ def test_square_loss_gradient():
     x = g.parameter("x", np.array([[3.0]]))
     g.set_loss(g.sum(g.mul(x, x)))
     ws = forward_eval(g, {})
-    grads = backward(g, ws)
+    grads, _ = backward(g, ws)
     np.testing.assert_allclose(grads["x"], [[6.0]], rtol=1e-15)
 
 
@@ -110,7 +113,7 @@ def test_cross_entropy_gradient_vanishes_at_onehot():
     logits = g.parameter("logits", np.array([[1000.0, 0.0, 0.0]]))
     g.set_loss(g.sum(g.cross_entropy(logits, g.input("t"))))
     ws = forward_eval(g, {"t": np.array([0])})
-    grads = backward(g, ws)
+    grads, _ = backward(g, ws)
     np.testing.assert_array_equal(grads["logits"], np.zeros((1, 3)))
 
 
@@ -134,16 +137,14 @@ def test_linear_graph_fd_error_tiny():
     w = g.parameter("w", np.array([[2.0, -1.0], [0.5, 3.0]]))
     x = g.input("x")
     g.set_loss(g.sum(g.matmul(x, w)))
-    err = finite_difference_check(g, {"x": np.array([[1.5, -2.0]])}, "w", 1e-5)
+    err = support.graph_fd_error(g, {"x": np.array([[1.5, -2.0]])}, "w", 1e-5)
     assert err < 1e-9
 
 
 def test_fd_check_rejects_zero_step():
-    g = Graph()
-    w = g.parameter("w", np.ones((1, 1)))
-    g.set_loss(g.sum(w))
     with pytest.raises(ValueError):
-        finite_difference_check(g, {}, "w", 0.0)
+        finite_difference_check(lambda value: float(value.sum()), np.ones((1, 1)),
+                                np.ones((1, 1)), 0.0)
 
 
 def test_one_step_lstm_fd(rng):
@@ -171,7 +172,7 @@ def test_one_step_lstm_fd(rng):
         "c0": rng.normal(size=(2, n)),
     }
     for name in layers.LSTM_PARAMS:
-        assert finite_difference_check(g, bindings, name, 1e-5) < 1e-4
+        assert support.graph_fd_error(g, bindings, name, 1e-5) < 1e-4
 
 
 def _random_graph(rng):
@@ -222,7 +223,7 @@ def test_random_graphs_match_finite_differences():
     for _ in range(100):
         g, bindings = _random_graph(rng)
         for name in g.trainable_parameters:
-            assert finite_difference_check(g, bindings, name, 1e-5) < 1e-4
+            assert support.graph_fd_error(g, bindings, name, 1e-5) < 1e-4
 
 
 def test_random_graphs_use_every_op():
@@ -259,7 +260,7 @@ def test_unreachable_parameter_gets_zero_gradient():
     used = g.parameter("used", np.array([[2.0]]))
     unused = g.parameter("unused", np.ones((3, 2)))
     g.set_loss(g.sum(g.mul(used, used)))
-    grads = backward(g, forward_eval(g, {}))
+    grads, _ = backward(g, forward_eval(g, {}))
     assert grads["unused"].shape == (3, 2)
     np.testing.assert_array_equal(grads["unused"], np.zeros((3, 2)))
     assert np.any(grads["used"] != 0)
@@ -322,6 +323,20 @@ def test_missing_binding_and_loss_errors():
     ws = forward_eval(g, {"x": np.zeros(2)})
     with pytest.raises(GraphError, match="loss"):
         backward(g, ws)
+
+
+def test_backward_needs_this_graphs_forward_values():
+    g = Graph()
+    g.mark_output(g.tanh(g.input("x")), "y")
+    other = Graph()
+    other.mark_output(other.tanh(other.input("x")), "y")
+    for ws in (Workspace(g), forward_eval(other, {"x": np.zeros(2)})):
+        with pytest.raises(GraphError, match="forward values missing"):
+            backward(g, ws, {"y": np.ones(2)}, wrt=("x",))
+    grads, adjoints = backward(g, forward_eval(g, {"x": np.zeros(2)}), {"y": np.ones(2)},
+                               wrt=("x",))
+    assert grads == {}
+    np.testing.assert_array_equal(adjoints["x"], np.ones(2))
 
 
 def test_loss_must_be_scalar():

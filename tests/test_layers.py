@@ -5,7 +5,7 @@ import pytest
 
 import classlm as cl
 from classlm import layers
-from classlm.graph import Graph, backward, finite_difference_check, forward_eval
+from classlm.graph import Graph, forward_eval
 
 import support
 
@@ -96,7 +96,7 @@ def test_lstm_three_step_chain_matches_finite_differences(rng):
     for t in range(3):
         bindings[f"x{t}"] = rng.normal(size=(2, n_in))
     for name in layers.LSTM_PARAMS:
-        assert finite_difference_check(g, bindings, name, 1e-5) < 1e-4
+        assert support.graph_fd_error(g, bindings, name, 1e-5) < 1e-4
 
 
 def _gru_graph(weights):
@@ -145,7 +145,7 @@ def test_gru_three_step_chain_matches_finite_differences(rng):
     for t in range(3):
         bindings[f"x{t}"] = rng.normal(size=(2, n_in))
     for name in layers.GRU_PARAMS:
-        assert finite_difference_check(g, bindings, name, 1e-5) < 1e-4
+        assert support.graph_fd_error(g, bindings, name, 1e-5) < 1e-4
 
 
 def test_tanh_layer_basics_and_gradient(rng):
@@ -165,8 +165,8 @@ def test_tanh_layer_basics_and_gradient(rng):
     }
     g2.set_loss(g2.sum(layers.tanh_forward(g2, g2.input("x"), p2)))
     bindings = {"x": rng.normal(size=(2, 3))}
-    assert finite_difference_check(g2, bindings, "W", 1e-5) < 1e-4
-    assert finite_difference_check(g2, bindings, "b", 1e-5) < 1e-4
+    assert support.graph_fd_error(g2, bindings, "W", 1e-5) < 1e-4
+    assert support.graph_fd_error(g2, bindings, "b", 1e-5) < 1e-4
 
 
 def test_dropout_mask_rate_zero_is_identity(rng):
@@ -230,7 +230,7 @@ def test_dropout_train_mode_gradient_with_fixed_mask(rng):
         "x": rng.normal(size=(2, 3)),
         "mask": layers.dropout_mask(rng, (2, 4), 0.25),
     }
-    assert finite_difference_check(g, bindings, "W", 1e-5) < 1e-4
+    assert support.graph_fd_error(g, bindings, "W", 1e-5) < 1e-4
 
 
 def test_single_class_model_scores_membership_only():
@@ -277,11 +277,11 @@ def test_class_word_distribution_sums_to_one(rng):
 
 
 def test_recurrent_state_is_causal(rng):
-    # Two bindings of the same unrolled graph differing only at position t+1
-    # produce bit-identical cross-entropy values up to and including t.
+    # Two full 4-position batches differing only at position 3: with position 3
+    # masked out, loss and gradients are bit-identical, so no earlier step read
+    # the later input; unmasked, the losses differ.
     net = support.random_class_network(rng, vocab_size=8, num_classes=4)
-    graph = net.training_graph(4)
-    from classlm.training import _batch_bindings
+    from classlm.training import batch_gradients
 
     # two words from different classes, so the perturbation is visible
     w_a = 3
@@ -290,13 +290,12 @@ def test_recurrent_state_is_causal(rng):
     inputs_a = np.array([[0, 3, 4, w_a]])
     inputs_b = np.array([[0, 3, 4, w_b]])  # differs at position 3 only
     targets = np.array([[3, 4, 5, 1]])
-    mask = np.ones((1, 4))
-    ba = _batch_bindings(net, inputs_a, targets, mask, np.random.default_rng(0))
-    bb = _batch_bindings(net, inputs_b, targets, mask, np.random.default_rng(0))
-    ws_a = forward_eval(graph, ba)
-    ws_b = forward_eval(graph, bb)
-    xent_nodes = [n for n in graph.nodes if n.op == "xent"]
-    assert len(xent_nodes) == 4
-    for t in range(3):
-        np.testing.assert_array_equal(ws_a.value(xent_nodes[t]), ws_b.value(xent_nodes[t]))
-    assert not np.array_equal(ws_a.value(xent_nodes[3]), ws_b.value(xent_nodes[3]))
+    early = np.array([[1.0, 1.0, 1.0, 0.0]])
+    loss_a, grads_a = batch_gradients(net, inputs_a, targets, early, None)
+    loss_b, grads_b = batch_gradients(net, inputs_b, targets, early, None)
+    assert loss_a == loss_b
+    for name in grads_a:
+        assert np.array_equal(grads_a[name], grads_b[name]), name
+    full = np.ones((1, 4))
+    assert (batch_gradients(net, inputs_a, targets, full, None)[0]
+            != batch_gradients(net, inputs_b, targets, full, None)[0])

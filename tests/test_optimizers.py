@@ -142,6 +142,13 @@ def test_config_validation():
         OptimizerConfig("sgd", clip_norm=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_values(value):
+    for field in ("learning_rate", "epsilon", "clip_norm"):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig("adam", **{field: value})
+
+
 def test_defaults_are_filled_per_algorithm():
     cfg = OptimizerConfig("adam")
     assert (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon) == (1e-3, 0.9, 0.999, 1e-8)
