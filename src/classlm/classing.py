@@ -345,7 +345,7 @@ def exchange_pass(stats, reserved_ids=()):
     return total > 0.0, total
 
 
-def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50, vocab=None):
+def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50):
     """Cluster a corpus into word classes.
 
     Returns ``(vocab, classmap, trace)`` where `trace` holds the objective
@@ -354,8 +354,7 @@ def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50
     if max_passes < 0:
         raise ValueError(f"max_passes must be non-negative, got {max_passes}")
     sentences = [list(s) for s in sentences]
-    if vocab is None:
-        vocab = build_vocabulary(sentences)
+    vocab = build_vocabulary(sentences)
     init = initialize_classes(vocab, num_classes, scheme=scheme, seed=seed)
     stream = [vocab.id_of(tok) for sent in sentences for tok in sent]
     if not stream:
@@ -420,9 +419,16 @@ def load_class_file(path):
     if not words:
         raise ValueError(f"{path}: no class entries")
 
+    # classes are non-empty: an id beyond the file's word count is refused
+    # before anything is allocated per class
+    num_classes = max(assignments) + 1
+    if num_classes > len(words):
+        line_no = seen[words[assignments.index(num_classes - 1)]]
+        raise ValueError(f"{path}: line {line_no}: class id {num_classes - 1} is out of"
+                         f" range: {len(words)} words leave some of {num_classes} classes"
+                         " with no members")
     order = {w: i for i, w in enumerate(words)}
     vocab = Vocabulary([w for w in words if w not in RESERVED])
-    num_classes = max(assignments) + 1
     class_of = np.zeros(len(vocab), dtype=np.int64)
     membership = np.zeros(len(vocab))
     for word, class_id, prob in zip(words, assignments, probs):

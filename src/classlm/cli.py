@@ -285,6 +285,9 @@ def main(argv=None):
     except (DescriptionError, GraphError, ModelFormatError, ValueError, OSError) as err:
         log.error("%s", err)
         return 1
+    except MemoryError as err:
+        log.error("out of memory: %s", err)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 """Dense-array computation graphs with reverse-mode differentiation.
 
-A :class:`Graph` is an append-only list of nodes; node inputs always refer
-to earlier nodes, so the list itself is a topological order.  Values live in
-a per-evaluation :class:`Workspace`, never in the graph, which makes graphs
-immutable after construction and safe to evaluate concurrently.
+A :class:`Graph` is structure only: an append-only list of nodes; node
+inputs always refer to earlier nodes, so the list itself is a topological
+order.  Values live in a per-evaluation :class:`Workspace`, never in the
+graph, which makes graphs immutable after construction and safe to
+evaluate concurrently.
 
-Leaf nodes are either *inputs* (bound at evaluation time) or *parameters*
-(named arrays, typically trainable).  Stochastic behaviour such as dropout
-enters the graph only through bound mask inputs, so evaluation is a pure
-function of (graph, bindings, parameters).
+Leaf nodes are named *inputs* and *parameters*, whose values are passed at
+evaluation, so evaluation is a pure function of (graph, bindings, params).
+Stochastic behaviour such as dropout enters only through bound mask inputs.
+Every parameter takes a gradient; the loss is the output named ``"loss"``.
 
 Every other op is one entry of the table ``_OPS = {op: (forward,
 backward)}``: ``forward(node, *inputs)`` checks shapes and id ranges and
@@ -79,21 +80,17 @@ class Node:
 
 
 class Graph:
-    """Computation DAG over dense arrays.
+    """Computation DAG over dense arrays: nodes and named outputs, no values.
 
-    Parameters are registered with default values; `forward_eval` may
-    override them with a fresh mapping (the training loop passes the live
-    parameter store).  At most one node may be designated the scalar loss.
+    Input and parameter values are passed to :func:`forward_eval`; the
+    scalar output ``"loss"`` is what :func:`backward` seeds by default.
     """
 
-    def __init__(self, params=None):
+    def __init__(self):
         self.nodes = []
         self.outputs = {}
-        self.loss = None
-        self._param_values = {} if params is None else params
         self._param_nodes = {}
         self._input_names = set()
-        self._trainable = set()
 
     # -- leaves ------------------------------------------------------------
 
@@ -104,19 +101,16 @@ class Graph:
         self._input_names.add(name)
         return self._append("input", name, ())
 
-    def parameter(self, name, value=None, trainable=True):
+    def parameter(self, name):
         """Declare (or re-reference) a named parameter leaf."""
-        if name in self._param_nodes:
-            return self._param_nodes[name]
-        if value is not None:
-            self._param_values[name] = value
-        elif name not in self._param_values:
-            raise GraphError(f"parameter {name!r} has no value")
-        node = self._append("param", name, ())
-        self._param_nodes[name] = node
-        if trainable:
-            self._trainable.add(name)
-        return node
+        if name not in self._param_nodes:
+            self._param_nodes[name] = self._append("param", name, ())
+        return self._param_nodes[name]
+
+    @property
+    def parameters(self):
+        """Sorted names of the parameter leaves, each of which takes a gradient."""
+        return sorted(self._param_nodes)
 
     # -- operations ----------------------------------------------------------
 
@@ -177,21 +171,6 @@ class Graph:
         self.outputs[name] = node
         return node
 
-    def set_loss(self, node):
-        if self.loss is not None:
-            raise GraphError("loss node already designated")
-        self.loss = node
-        return node
-
-    @property
-    def trainable_parameters(self):
-        return sorted(self._trainable)
-
-    def parameter_value(self, name, overrides=None):
-        if overrides is not None and name in overrides:
-            return overrides[name]
-        return self._param_values[name]
-
     def _append(self, op, name, inputs):
         for inp in inputs:
             if not isinstance(inp, Node) or self.nodes[inp.idx] is not inp:
@@ -214,13 +193,6 @@ class Workspace:
     @property
     def outputs(self):
         return {name: self.values[node.idx] for name, node in self.graph.outputs.items()}
-
-    @property
-    def loss_value(self):
-        node = self.graph.loss
-        if node is None:
-            raise GraphError("no loss node designated")
-        return float(self.values[node.idx])
 
 
 # -- the op table -----------------------------------------------------------
@@ -330,14 +302,14 @@ _OPS = {
 }
 
 
-def forward_eval(graph, bindings, params=None):
+def forward_eval(graph, bindings, params):
     """Evaluate every node and return the populated :class:`Workspace`.
 
-    `bindings` must supply every input leaf.  `params`, when given, overrides
-    the graph's stored parameter values by name.  Raises :class:`ShapeError`
-    naming the offending node on incompatible operands and
-    :class:`NonFiniteError` naming the first node that computes a non-finite
-    value.
+    `bindings` must supply every input leaf by name and `params` every
+    parameter leaf; a missing one is a :class:`GraphError` naming it.
+    Raises :class:`ShapeError` naming the offending node on incompatible
+    operands and :class:`NonFiniteError` naming the first node that computes
+    a non-finite value.
     """
     ws = Workspace(graph)
     vals = ws.values
@@ -348,7 +320,9 @@ def forward_eval(graph, bindings, params=None):
                 raise GraphError(f"no binding for input {node.name!r}")
             v = np.asarray(bindings[node.name])
         elif op == "param":
-            v = np.asarray(graph.parameter_value(node.name, params))
+            if node.name not in params:
+                raise GraphError(f"no value for parameter {node.name!r}")
+            v = np.asarray(params[node.name])
         else:
             v = _OPS[op][0](node, *[vals[i.idx] for i in node.inputs])
             # a finite sum means finite elements; a sum that overflows from
@@ -363,28 +337,28 @@ def backward(graph, ws, seeds=None, grads=None, wrt=()):
     """Reverse-mode gradients; returns ``(grads, adjoints)``.
 
     Adjoints start from `seeds` ({output name: adjoint}; default: one on the
-    scalar loss).  Parameter gradients are added into `grads` (default: zeros
-    per trainable parameter); `adjoints` maps each input named in `wrt` that a
-    seed reaches to its adjoint.
+    scalar output ``"loss"``).  Parameter gradients are added into `grads`
+    (default: zeros per parameter); `adjoints` maps each input named in
+    `wrt` that a seed reaches to its adjoint.
     """
     vals = ws.values
     if ws.graph is not graph or any(v is None for v in vals):
         raise GraphError("forward values missing; run forward_eval on this graph first")
-    adj = [None] * len(graph.nodes)
     if seeds is None:
-        loss = graph.loss
-        if loss is None:
-            raise GraphError("no loss node designated")
-        if np.asarray(vals[loss.idx]).size != 1:
-            raise GraphError("loss node is not scalar")
-        adj[loss.idx] = np.ones_like(vals[loss.idx])
-    for name, value in (seeds or {}).items():
+        if "loss" not in graph.outputs:
+            raise GraphError("no loss output")
+        loss = vals[graph.outputs["loss"].idx]
+        if loss.size != 1:
+            raise GraphError("loss output is not scalar")
+        seeds = {"loss": np.ones_like(loss)}
+    adj = [None] * len(graph.nodes)
+    for name, value in seeds.items():
         adj[graph.outputs[name].idx] = np.array(value)
     if grads is None:
         # sorted order keeps downstream float accumulation (e.g. the global
         # clip norm) independent of hash randomization across processes
         grads = {name: np.zeros_like(vals[graph._param_nodes[name].idx])
-                 for name in graph.trainable_parameters}
+                 for name in graph.parameters}
 
     for node in reversed(graph.nodes):
         dy = adj[node.idx]
@@ -396,8 +370,7 @@ def backward(graph, ws, seeds=None, grads=None, wrt=()):
             if g is None or (inp.op == "input" and inp.name not in wrt):
                 continue
             if inp.op == "param":
-                if inp.name in grads:
-                    grads[inp.name] += g
+                grads[inp.name] += g
                 continue
             if adj[inp.idx] is None:
                 adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=g.dtype)

@@ -171,6 +171,9 @@ def load_model(path):
         if len(values) != len(words):
             raise ModelFormatError(f"{path}: model header field {field!r} has {len(values)}"
                                    f" entries for {len(words)} vocabulary words")
+    if cls["num_classes"] > len(words):  # classes are non-empty
+        raise ModelFormatError(f"{path}: model header field 'classes.num_classes' is"
+                               f" {cls['num_classes']}, more than {len(words)} vocabulary words")
     try:
         vocab = Vocabulary(words[len(RESERVED):], dict(zip(words, counts)))
         classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])

@@ -195,7 +195,7 @@ class Network:
     def _graph(self, train_mode):
         """The step graph of one mode, built on first use."""
         if train_mode not in self._graphs:
-            g = Graph(params=self.params)
+            g = Graph()
             state_in = {key: g.input(f"state/{key}") for key in self.initial_state(1)}
             logits, state_out = self._build_position(g, state_in, train_mode)
             if train_mode:
@@ -223,7 +223,7 @@ class Network:
         bindings = self.token_bindings(np.asarray(word_ids, dtype=np.int64))
         for key, value in state.items():
             bindings[f"state/{key}"] = value
-        outputs = forward_eval(self.step_graph(), bindings).outputs
+        outputs = forward_eval(self.step_graph(), bindings, self.params).outputs
         return outputs["class_probs"], {key: outputs[f"state/{key}"] for key in state}
 
     def copy_params(self):

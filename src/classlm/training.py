@@ -44,7 +44,6 @@ class TrainingConfig:
     annealing_factor: float = 0.5
     min_improvement: float = 0.001  # relative dev-perplexity improvement
     max_epochs: int = 10
-    unk_policy: str = "include"
     seed: int = 1
 
     def __post_init__(self):
@@ -106,9 +105,10 @@ def _make_batches(segments, batch_size, rng):
 
 
 def batch_loss(network, inputs, targets, mask, rng, params=None):
-    """(Mean class cross-entropy, workspace of each step) of one batch: the
-    training step graph runs once per position, carrying the state."""
+    """(Mean class cross-entropy, workspace of each step) of one batch under
+    `params` (default: the network's): one training step per position."""
     graph = network.training_graph()
+    params = network.params if params is None else params
     batch, dtype = len(inputs), network.dtype
     state = {f"state/{key}": value for key, value in network.initial_state(batch).items()}
     workspaces = []
@@ -167,7 +167,7 @@ def train(network, train_sentences, dev_sentences, config):
     best = {"params": network.copy_params()}
 
     def validate():
-        ppl = corpus_perplexity(network, dev_sentences, config.unk_policy)
+        ppl = corpus_perplexity(network, dev_sentences)
         if not np.isfinite(ppl):
             log.error("training diverged: development perplexity is %s", ppl)
             state.diverged = True

@@ -64,12 +64,14 @@ def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6), precisio
                                   precision=precision)
 
 
-def graph_fd_error(graph, bindings, name, step):
-    """finite_difference_check of parameter `name` of a graph with a loss."""
-    analytic = cl.backward(graph, cl.forward_eval(graph, bindings))[0][name]
+def graph_fd_error(graph, bindings, params, name, step):
+    """finite_difference_check of parameter `name` of a graph with a scalar
+    "loss" output, the other parameters held at `params`."""
+    analytic = cl.backward(graph, cl.forward_eval(graph, bindings, params))[0][name]
     return cl.finite_difference_check(
-        lambda value: cl.forward_eval(graph, bindings, {name: value}).loss_value,
-        graph.parameter_value(name), analytic, step)
+        lambda value: float(
+            cl.forward_eval(graph, bindings, {**params, name: value}).outputs["loss"]),
+        params[name], analytic, step)
 
 
 def batch_fd_errors(network, inputs, targets, mask, step):

@@ -39,29 +39,31 @@ GRAD_TOL = 1e-4
 FD_STEP = 1e-5
 
 
-def _check_all_params(graph, bindings):
-    for name in graph.trainable_parameters:
-        err = support.graph_fd_error(graph, bindings, name, FD_STEP)
+def _check_all_params(graph, bindings, params):
+    assert graph.parameters == sorted(params)
+    for name in graph.parameters:
+        err = support.graph_fd_error(graph, bindings, params, name, FD_STEP)
         assert err < GRAD_TOL, f"{name}: {err}"
 
 
 def _trial_projection(rng):
     g = Graph()
-    table = g.parameter("E", rng.normal(size=(int(rng.integers(3, 7)), 3)))
-    out = layers.projection_forward(g, [g.input("ids")], [table])
-    g.set_loss(g.sum(g.mul(out, out)))
-    rows = g.parameter_value("E").shape[0]
-    _check_all_params(g, {"ids": rng.integers(0, rows, size=2)})
+    params = {"E": rng.normal(size=(int(rng.integers(3, 7)), 3))}
+    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
+    g.mark_output(g.sum(g.mul(out, out)), "loss")
+    rows = params["E"].shape[0]
+    _check_all_params(g, {"ids": rng.integers(0, rows, size=2)}, params)
 
 
 def _recurrent_trial(rng, kind):
     g = Graph()
     n_in, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
     names = layers.LSTM_PARAMS if kind == "lstm" else layers.GRU_PARAMS
-    p = {}
+    params = {}
     for name in names:
         shape = (n_in, n) if name.startswith("W") else (n, n) if name.startswith("U") else (n,)
-        p[name] = g.parameter(name, rng.normal(size=shape) * 0.7)
+        params[name] = rng.normal(size=shape) * 0.7
+    p = {name: g.parameter(name) for name in names}
     if kind == "lstm":
         h, c = layers.lstm_step(g, g.input("x"), g.input("h0"), g.input("c0"), p)
         out = g.add(h, c)
@@ -70,17 +72,17 @@ def _recurrent_trial(rng, kind):
     else:
         out = layers.gru_step(g, g.input("x"), g.input("h0"), p)
         bindings = {"x": rng.normal(size=(2, n_in)), "h0": rng.normal(size=(2, n))}
-    g.set_loss(g.sum(g.mul(out, out)))
-    _check_all_params(g, bindings)
+    g.mark_output(g.sum(g.mul(out, out)), "loss")
+    _check_all_params(g, bindings, params)
 
 
 def _trial_tanh(rng):
     g = Graph()
     n_in, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    p = {"W": g.parameter("W", rng.normal(size=(n_in, n)) * 0.7),
-         "b": g.parameter("b", rng.normal(size=n))}
-    g.set_loss(g.sum(layers.tanh_forward(g, g.input("x"), p)))
-    _check_all_params(g, {"x": rng.normal(size=(2, n_in))})
+    params = {"W": rng.normal(size=(n_in, n)) * 0.7, "b": rng.normal(size=n)}
+    p = {"W": g.parameter("W"), "b": g.parameter("b")}
+    g.mark_output(g.sum(layers.tanh_forward(g, g.input("x"), p)), "loss")
+    _check_all_params(g, {"x": rng.normal(size=(2, n_in))}, params)
 
 
 def _trial_dropout_eval(rng):
@@ -88,21 +90,21 @@ def _trial_dropout_eval(rng):
     # the all-ones mask unchanged
     g = Graph()
     n_in, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    w = g.parameter("W", rng.normal(size=(n_in, n)) * 0.7)
-    dropped = g.mul(g.matmul(g.input("x"), w), g.input("mask"))
-    g.set_loss(g.sum(g.mul(dropped, dropped)))
-    _check_all_params(g, {"x": rng.normal(size=(2, n_in)), "mask": np.ones((2, n))})
+    params = {"W": rng.normal(size=(n_in, n)) * 0.7}
+    dropped = g.mul(g.matmul(g.input("x"), g.parameter("W")), g.input("mask"))
+    g.mark_output(g.sum(g.mul(dropped, dropped)), "loss")
+    _check_all_params(g, {"x": rng.normal(size=(2, n_in)), "mask": np.ones((2, n))}, params)
 
 
 def _trial_class_softmax(rng):
     g = Graph()
     n, n_classes = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-    p = {"W": g.parameter("W", rng.normal(size=(n, n_classes)) * 0.7),
-         "b": g.parameter("b", rng.normal(size=n_classes))}
+    params = {"W": rng.normal(size=(n, n_classes)) * 0.7, "b": rng.normal(size=n_classes)}
+    p = {"W": g.parameter("W"), "b": g.parameter("b")}
     ce = g.cross_entropy(layers.softmax_logits(g, g.input("h"), p), g.input("t"))
-    g.set_loss(g.sum(ce))
+    g.mark_output(g.sum(ce), "loss")
     _check_all_params(g, {"h": rng.normal(size=(3, n)),
-                          "t": rng.integers(0, n_classes, size=3)})
+                          "t": rng.integers(0, n_classes, size=3)}, params)
 
 
 def _check_all_batch_params(net, inputs, targets, step):

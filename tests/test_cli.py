@@ -474,3 +474,40 @@ def test_dropout_rate_survives_save_and_load(toy_files):
     model = _train(toy_files, extra=["--max-epochs", "1"])
     network, _ = cl.load_model(model)
     assert network.desc.by_name["drop"].dropout_rate == 0.9999999
+
+
+@pytest.mark.parametrize("class_id", [10**15, 10**23])
+def test_class_id_beyond_the_word_count_is_a_one_line_error(toy_files, caplog, class_id):
+    # a class per id up to the largest would need more words than the file has
+    classes = toy_files["dir"] / "classes.tsv"
+    classes.write_text(f"a\t0\t1.0\nb\t1\t0.5\nc\t1\t0.5\nd\t{class_id}\t1.0\n")
+    model = toy_files["dir"] / "model.clm"
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+        "--arch", str(toy_files["arch"]), "--output-model", str(model),
+        "--classes", str(classes)])
+    assert "classes.tsv: line 4" in message and str(class_id) in message
+    assert not model.exists()
+
+
+def test_class_count_beyond_the_vocabulary_in_a_model_is_a_one_line_error(tmp_path, rng,
+                                                                         caplog):
+    model = tmp_path / "model.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(model, lambda h: h["classes"].update(num_classes=10**15))
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("w1 w2\n")
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert "'classes.num_classes'" in message and str(10**15) in message
+
+
+def test_unallocatable_layer_is_a_one_line_error(toy_files, caplog):
+    # 10**15 columns cannot be allocated anywhere, so this fails at once
+    toy_files["arch"].write_text(support.SMALL_ARCH.replace(
+        "input=class_input size=8", f"input=class_input size={10**15}"))
+    model = toy_files["dir"] / "model.clm"
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+        "--arch", str(toy_files["arch"]), "--output-model", str(model)])
+    assert "out of memory" in message
+    assert not model.exists()

@@ -10,9 +10,9 @@ from classlm.graph import Graph, forward_eval
 import support
 
 
-def _lstm_graph(weights):
+def _lstm_graph():
     g = Graph()
-    p = {name: g.parameter(name, weights[name]) for name in layers.LSTM_PARAMS}
+    p = {name: g.parameter(name) for name in layers.LSTM_PARAMS}
     x, h0, c0 = g.input("x"), g.input("h0"), g.input("c0")
     h, c = layers.lstm_step(g, x, h0, c0, p)
     g.mark_output(h, "h")
@@ -31,12 +31,11 @@ def _lstm_weights(n_in, n, rng=None, scale=0.0):
 def test_projection_gathers_rows():
     g = Graph()
     table = np.arange(6.0).reshape(3, 2)
-    e = g.parameter("E", table)
-    out = layers.projection_forward(g, [g.input("ids")], [e])
+    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
     g.mark_output(out, "y")
-    ws = forward_eval(g, {"ids": np.array([2, 0])})
+    ws = forward_eval(g, {"ids": np.array([2, 0])}, {"E": table})
     np.testing.assert_array_equal(ws.outputs["y"], table[[2, 0]])
-    empty = forward_eval(g, {"ids": np.array([], dtype=np.int64)})
+    empty = forward_eval(g, {"ids": np.array([], dtype=np.int64)}, {"E": table})
     assert empty.outputs["y"].shape == (0, 2)
 
 
@@ -44,25 +43,26 @@ def test_projection_at_figure_scale():
     g = Graph()
     rng = np.random.default_rng(0)
     table = rng.normal(size=(2000, 500))
-    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E", table)])
+    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
     g.mark_output(out, "y")
-    ws = forward_eval(g, {"ids": np.array([0, 1999])})
+    ws = forward_eval(g, {"ids": np.array([0, 1999])}, {"E": table})
     assert ws.outputs["y"].shape == (2, 500)
     np.testing.assert_array_equal(ws.outputs["y"][1], table[1999])
 
 
 def test_projection_rejects_out_of_range_id():
     g = Graph()
-    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E", np.ones((3, 2)))])
+    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
     g.mark_output(out, "y")
     with pytest.raises(cl.GraphError, match="out of range"):
-        forward_eval(g, {"ids": np.array([5])})
+        forward_eval(g, {"ids": np.array([5])}, {"E": np.ones((3, 2))})
 
 
 def test_lstm_zero_weights_zero_state_gives_zero_output(rng):
-    g = _lstm_graph(_lstm_weights(3, 4))
     ws = forward_eval(
-        g, {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4)), "c0": np.zeros((2, 4))}
+        _lstm_graph(),
+        {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4)), "c0": np.zeros((2, 4))},
+        _lstm_weights(3, 4),
     )
     np.testing.assert_array_equal(ws.outputs["c"], np.zeros((2, 4)))
     np.testing.assert_array_equal(ws.outputs["h"], np.zeros((2, 4)))
@@ -74,16 +74,17 @@ def test_lstm_saturated_gates_carry_cell_state_unchanged(rng):
     w = _lstm_weights(3, 4)
     w["b_f"] = np.full(4, 40.0)
     w["b_i"] = np.full(4, -40.0)
-    g = _lstm_graph(w)
     c_prev = rng.normal(size=(2, 4))
-    ws = forward_eval(g, {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4)), "c0": c_prev})
+    ws = forward_eval(_lstm_graph(),
+                      {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4)), "c0": c_prev}, w)
     np.testing.assert_allclose(ws.outputs["c"], c_prev, rtol=0, atol=1e-12)
 
 
 def test_lstm_three_step_chain_matches_finite_differences(rng):
     n_in, n = 3, 4
     g = Graph()
-    p = {name: g.parameter(name, v) for name, v in _lstm_weights(n_in, n, rng, 0.6).items()}
+    params = _lstm_weights(n_in, n, rng, 0.6)
+    p = {name: g.parameter(name) for name in params}
     h = g.input("h0")
     c = g.input("c0")
     total = None
@@ -91,17 +92,17 @@ def test_lstm_three_step_chain_matches_finite_differences(rng):
         h, c = layers.lstm_step(g, g.input(f"x{t}"), h, c, p)
         term = g.sum(g.mul(h, h))
         total = term if total is None else g.add(total, term)
-    g.set_loss(total)
+    g.mark_output(total, "loss")
     bindings = {"h0": np.zeros((2, n)), "c0": np.zeros((2, n))}
     for t in range(3):
         bindings[f"x{t}"] = rng.normal(size=(2, n_in))
     for name in layers.LSTM_PARAMS:
-        assert support.graph_fd_error(g, bindings, name, 1e-5) < 1e-4
+        assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
-def _gru_graph(weights):
+def _gru_graph():
     g = Graph()
-    p = {name: g.parameter(name, weights[name]) for name in layers.GRU_PARAMS}
+    p = {name: g.parameter(name) for name in layers.GRU_PARAMS}
     h = layers.gru_step(g, g.input("x"), g.input("h0"), p)
     g.mark_output(h, "h")
     return g
@@ -118,55 +119,53 @@ def _gru_weights(n_in, n, rng=None, scale=0.0):
 def test_gru_zero_update_gate_preserves_state(rng):
     w = _gru_weights(3, 4)
     w["b_z"] = np.full(4, -40.0)  # z ~ 0 -> h' = h
-    g = _gru_graph(w)
     h_prev = rng.normal(size=(2, 4))
-    ws = forward_eval(g, {"x": rng.normal(size=(2, 3)), "h0": h_prev})
+    ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(2, 3)), "h0": h_prev}, w)
     np.testing.assert_allclose(ws.outputs["h"], h_prev, rtol=0, atol=1e-12)
 
 
 def test_gru_zero_weights_zero_state_gives_zero(rng):
-    g = _gru_graph(_gru_weights(3, 4))
-    ws = forward_eval(g, {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4))})
+    ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4))},
+                      _gru_weights(3, 4))
     np.testing.assert_array_equal(ws.outputs["h"], np.zeros((2, 4)))
 
 
 def test_gru_three_step_chain_matches_finite_differences(rng):
     n_in, n = 3, 4
     g = Graph()
-    p = {name: g.parameter(name, v) for name, v in _gru_weights(n_in, n, rng, 0.6).items()}
+    params = _gru_weights(n_in, n, rng, 0.6)
+    p = {name: g.parameter(name) for name in params}
     h = g.input("h0")
     total = None
     for t in range(3):
         h = layers.gru_step(g, g.input(f"x{t}"), h, p)
         term = g.sum(g.mul(h, h))
         total = term if total is None else g.add(total, term)
-    g.set_loss(total)
+    g.mark_output(total, "loss")
     bindings = {"h0": np.zeros((2, n))}
     for t in range(3):
         bindings[f"x{t}"] = rng.normal(size=(2, n_in))
     for name in layers.GRU_PARAMS:
-        assert support.graph_fd_error(g, bindings, name, 1e-5) < 1e-4
+        assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
 def test_tanh_layer_basics_and_gradient(rng):
     g = Graph()
-    p = {"W": g.parameter("W", np.zeros((3, 3))), "b": g.parameter("b", np.zeros(3))}
+    p = {"W": g.parameter("W"), "b": g.parameter("b")}
     g.mark_output(layers.tanh_forward(g, g.input("x"), p), "y")
-    ws = forward_eval(g, {"x": rng.normal(size=(2, 3))})
+    ws = forward_eval(g, {"x": rng.normal(size=(2, 3))}, {"W": np.zeros((3, 3)), "b": np.zeros(3)})
     np.testing.assert_array_equal(ws.outputs["y"], np.zeros((2, 3)))
 
-    ws = forward_eval(g, {"x": np.zeros((2, 3))}, params={"W": np.eye(3), "b": np.zeros(3)})
+    ws = forward_eval(g, {"x": np.zeros((2, 3))}, {"W": np.eye(3), "b": np.zeros(3)})
     np.testing.assert_array_equal(ws.outputs["y"], np.zeros((2, 3)))
 
     g2 = Graph()
-    p2 = {
-        "W": g2.parameter("W", rng.normal(size=(3, 4)) * 0.7),
-        "b": g2.parameter("b", rng.normal(size=4)),
-    }
-    g2.set_loss(g2.sum(layers.tanh_forward(g2, g2.input("x"), p2)))
+    p2 = {"W": g2.parameter("W"), "b": g2.parameter("b")}
+    params = {"W": rng.normal(size=(3, 4)) * 0.7, "b": rng.normal(size=4)}
+    g2.mark_output(g2.sum(layers.tanh_forward(g2, g2.input("x"), p2)), "loss")
     bindings = {"x": rng.normal(size=(2, 3))}
-    assert support.graph_fd_error(g2, bindings, "W", 1e-5) < 1e-4
-    assert support.graph_fd_error(g2, bindings, "b", 1e-5) < 1e-4
+    assert support.graph_fd_error(g2, bindings, params, "W", 1e-5) < 1e-4
+    assert support.graph_fd_error(g2, bindings, params, "b", 1e-5) < 1e-4
 
 
 def test_dropout_mask_rate_zero_is_identity(rng):
@@ -222,15 +221,15 @@ def test_dropout_eval_mode_is_exactly_identity():
 
 def test_dropout_train_mode_gradient_with_fixed_mask(rng):
     g = Graph()
-    w = g.parameter("W", rng.normal(size=(3, 4)) * 0.5)
+    params = {"W": rng.normal(size=(3, 4)) * 0.5}
     x = g.input("x")
-    dropped = g.mul(g.matmul(x, w), g.input("mask"))
-    g.set_loss(g.sum(g.mul(dropped, dropped)))
+    dropped = g.mul(g.matmul(x, g.parameter("W")), g.input("mask"))
+    g.mark_output(g.sum(g.mul(dropped, dropped)), "loss")
     bindings = {
         "x": rng.normal(size=(2, 3)),
         "mask": layers.dropout_mask(rng, (2, 4), 0.25),
     }
-    assert support.graph_fd_error(g, bindings, "W", 1e-5) < 1e-4
+    assert support.graph_fd_error(g, bindings, params, "W", 1e-5) < 1e-4
 
 
 def test_single_class_model_scores_membership_only():
@@ -263,6 +262,19 @@ def test_identity_classes_reduce_to_full_softmax(rng):
     dist = support.word_distribution(identity_net, probs[0])
     np.testing.assert_allclose(dist, probs[0], rtol=0, atol=0)
     np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
+
+
+def test_step_graph_reads_the_networks_current_params(rng):
+    # the step graph is built once and cached; it holds no parameter values,
+    # so a replaced parameter dict is what the next step computes with
+    net = support.random_class_network(rng, vocab_size=10, num_classes=5)
+    state, word = net.initial_state(1), np.array([net.vocab.start_id])
+    before, _ = net.step(state, word)
+    net.params = {name: np.zeros_like(value) for name, value in net.params.items()}
+    probs, _ = net.step(state, word)
+    assert np.any(before != probs)
+    np.testing.assert_array_equal(probs, np.full((1, net.classes.num_classes),
+                                                 1.0 / net.classes.num_classes))
 
 
 def test_class_word_distribution_sums_to_one(rng):

@@ -197,7 +197,7 @@ class _SuffixedGraph(Graph):
 
 
 def _unrolled_graph(net, length):
-    g = _SuffixedGraph(params=net.params)
+    g = _SuffixedGraph()
     state = {key: g.input(f"state0/{key}") for key in net.initial_state(1)}
     total = None
     for t in range(length):
@@ -207,7 +207,7 @@ def _unrolled_graph(net, length):
         term = g.sum(g.mul(ce, g.input("mask")))
         total = term if total is None else g.add(total, term)
     g.suffix = ""
-    g.set_loss(g.mul(total, g.input("inv_count")))
+    g.mark_output(g.mul(total, g.input("inv_count")), "loss")
     return g
 
 
@@ -231,9 +231,9 @@ def _unrolled_backward(graph, ws):
     """One reverse pass of the whole unrolled graph, adjoints summed per node."""
     vals = ws.values
     adj = [None] * len(graph.nodes)
-    adj[graph.loss.idx] = np.ones_like(vals[graph.loss.idx])
-    grads = {name: np.zeros_like(graph.parameter_value(name))
-             for name in graph.trainable_parameters}
+    loss = graph.outputs["loss"]
+    adj[loss.idx] = np.ones_like(vals[loss.idx])
+    grads = {name: np.zeros_like(vals[graph.parameter(name).idx]) for name in graph.parameters}
     for node in reversed(graph.nodes):
         dy = adj[node.idx]
         if dy is None or node.op == "input":
@@ -294,11 +294,11 @@ def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length):
 
     graph = _unrolled_graph(net, length)
     ws = forward_eval(graph, _unrolled_bindings(net, inputs, targets, mask,
-                                                np.random.default_rng(9)))
+                                                np.random.default_rng(9)), net.params)
     ref_grads = _unrolled_backward(graph, ws)
 
     loss, grads = batch_gradients(net, inputs, targets, mask, np.random.default_rng(9))
-    assert loss == ws.loss_value
+    assert loss == float(ws.outputs["loss"])
     assert list(grads) == list(ref_grads)
     for name, ref in ref_grads.items():
         assert grads[name].dtype == ref.dtype == net.dtype, name
