@@ -35,7 +35,7 @@ from .graph import (
 )
 from .model_io import ModelFormatError, load_model, save_model
 from .network import Network, instantiate_network
-from .optimizers import OptimizerConfig, clip_gradients, make_optimizer
+from .optimizers import Optimizer, OptimizerConfig, clip_gradients
 from .rescoring import (
     InterpolationParams,
     NBestHypothesis,

@@ -19,6 +19,8 @@ so F is the actual corpus log-likelihood, comparable across class counts.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .vocabulary import RESERVED, Vocabulary, build_vocabulary
@@ -356,7 +358,8 @@ def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50
     sentences = [list(s) for s in sentences]
     vocab = build_vocabulary(sentences)
     init = initialize_classes(vocab, num_classes, scheme=scheme, seed=seed)
-    stream = [vocab.id_of(tok) for sent in sentences for tok in sent]
+    # the vocabulary holds every token of the sentences it was built from
+    stream = list(map(vocab.ids.__getitem__, itertools.chain.from_iterable(sentences)))
     if not stream:
         raise ValueError("empty corpus")
     reserved_ids = [vocab.ids[tok] for tok in RESERVED]

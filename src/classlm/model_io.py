@@ -25,7 +25,12 @@ import tempfile
 
 import numpy as np
 
-from .architecture import parse_description, serialize_description
+from .architecture import (
+    DescriptionError,
+    parse_description,
+    serialize_description,
+    validate_description,
+)
 from .classing import ClassMap
 from .network import Network, parameter_shapes
 from .vocabulary import RESERVED, Vocabulary
@@ -130,7 +135,8 @@ def load_model(path):
 
     Raises :class:`ModelFormatError` on unknown versions, headers with a
     missing or mistyped field or a vocabulary table whose length differs
-    from the vocabulary, truncated payloads (naming the first
+    from the vocabulary, an architecture that does not parse or validate
+    (naming its first violation), truncated payloads (naming the first
     incomplete parameter) and parameters holding NaN or infinity.
     """
     with open(path, "rb") as f:
@@ -179,7 +185,13 @@ def load_model(path):
         classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])
     except ValueError as err:
         raise ModelFormatError(f"{path}: {err}")
-    desc = parse_description(header["architecture"])
+    try:
+        desc = parse_description(header["architecture"])
+    except DescriptionError as err:
+        raise ModelFormatError(f"{path}: model architecture: {err}")
+    violations = validate_description(desc)
+    if violations:
+        raise ModelFormatError(f"{path}: model architecture: {violations[0]}")
 
     expected = parameter_shapes(desc, vocab, classes)
     index = header["parameters"]

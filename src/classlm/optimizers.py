@@ -1,9 +1,11 @@
 """Gradient-based parameter updates and global gradient-norm clipping.
 
-Six update rules are provided: plain stochastic gradient descent, Nesterov's
-accelerated gradient, Adagrad, Adadelta, Adam and RMSProp.  The adaptive
-methods (everything except sgd/nag) tune their own effective rates and are
-never annealed by the training loop.
+``_RULES`` holds one row per update rule (sgd, Nesterov's accelerated
+gradient, Adagrad, Adadelta, Adam, RMSProp): its default hyperparameters,
+the names of its per-parameter slot arrays and ``update(config, eta, t,
+theta, g, slots)``, which returns the new parameter and updates the slots.
+:class:`Optimizer` steps every rule.  The adaptive methods (all but sgd and
+nag) tune their own effective rates and are never annealed.
 """
 
 from __future__ import annotations
@@ -21,20 +23,66 @@ __all__ = [
     "Optimizer",
     "OptimizerConfig",
     "clip_gradients",
-    "make_optimizer",
 ]
 
-ALGORITHMS = ("sgd", "nag", "adagrad", "adadelta", "adam", "rmsprop")
-ADAPTIVE_ALGORITHMS = ("adagrad", "adadelta", "adam", "rmsprop")
 
-_DEFAULTS = {
-    "sgd": {"learning_rate": 0.1},
-    "nag": {"learning_rate": 0.1, "momentum": 0.9},
-    "adagrad": {"learning_rate": 0.1, "epsilon": 1e-6},
-    "adadelta": {"learning_rate": 1.0, "decay": 0.95, "epsilon": 1e-6},
-    "adam": {"learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},
-    "rmsprop": {"learning_rate": 1e-3, "decay": 0.9, "epsilon": 1e-6},
+def _sgd(c, eta, t, theta, g, s):
+    return theta - eta * g
+
+
+def _nag(c, eta, t, theta, g, s):
+    # Parameter-shift form: the stored parameters are the look-ahead point.
+    # A new velocity array follows the gradient's dtype (clipping returns float64).
+    v = s["velocity"] = c.momentum * s["velocity"] - eta * g
+    return theta + c.momentum * v - eta * g
+
+
+def _adagrad(c, eta, t, theta, g, s):
+    s["sq_sum"] += g * g
+    return theta - eta * g / (np.sqrt(s["sq_sum"]) + c.epsilon)
+
+
+def _adadelta(c, eta, t, theta, g, s):
+    eg, ed = s["sq_grad"], s["sq_update"]
+    eg *= c.decay
+    eg += (1.0 - c.decay) * g * g
+    update = -np.sqrt(ed + c.epsilon) / np.sqrt(eg + c.epsilon) * g
+    ed *= c.decay
+    ed += (1.0 - c.decay) * update * update
+    return theta + eta * update
+
+
+def _adam(c, eta, t, theta, g, s):
+    m, v = s["m"], s["v"]
+    m *= c.beta1
+    m += (1.0 - c.beta1) * g
+    v *= c.beta2
+    v += (1.0 - c.beta2) * g * g
+    m_hat = m / (1.0 - c.beta1 ** t)
+    v_hat = v / (1.0 - c.beta2 ** t)
+    return theta - eta * m_hat / (np.sqrt(v_hat) + c.epsilon)
+
+
+def _rmsprop(c, eta, t, theta, g, s):
+    r = s["sq_avg"]
+    r *= c.decay
+    r += (1.0 - c.decay) * g * g
+    return theta - eta * g / (np.sqrt(r) + c.epsilon)
+
+
+# algorithm: (canonical hyperparameters, slot names, update rule)
+_RULES = {
+    "sgd": ({"learning_rate": 0.1}, (), _sgd),
+    "nag": ({"learning_rate": 0.1, "momentum": 0.9}, ("velocity",), _nag),
+    "adagrad": ({"learning_rate": 0.1, "epsilon": 1e-6}, ("sq_sum",), _adagrad),
+    "adadelta": ({"learning_rate": 1.0, "decay": 0.95, "epsilon": 1e-6},
+                 ("sq_grad", "sq_update"), _adadelta),
+    "adam": ({"learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},
+             ("m", "v"), _adam),
+    "rmsprop": ({"learning_rate": 1e-3, "decay": 0.9, "epsilon": 1e-6}, ("sq_avg",), _rmsprop),
 }
+ALGORITHMS = tuple(_RULES)
+ADAPTIVE_ALGORITHMS = ("adagrad", "adadelta", "adam", "rmsprop")
 
 
 @dataclass
@@ -53,7 +101,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        for key, value in _DEFAULTS[self.algorithm].items():
+        for key, value in _RULES[self.algorithm][0].items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
         for name in ("learning_rate", "epsilon"):
@@ -95,11 +143,9 @@ def clip_gradients(grads, max_norm):
 
 
 class Optimizer:
-    """Base class: owns per-parameter accumulators and the step counter.
-
-    `lr_scale` is an external multiplier on the learning rate; the training
-    loop anneals it for sgd/nag only.
-    """
+    """Steps the rule of ``config.algorithm``.  ``slots[parameter][slot]``
+    arrays are created at their parameter's first step; `lr_scale`
+    multiplies the learning rate (the training loop anneals it for sgd/nag)."""
 
     def __init__(self, config):
         self.config = config
@@ -111,94 +157,14 @@ class Optimizer:
     def anneals(self):
         return self.config.algorithm not in ADAPTIVE_ALGORITHMS
 
-    def _slot(self, name, like, key):
-        store = self.slots.setdefault(name, {})
-        if key not in store:
-            store[key] = np.zeros_like(like)
-        return store[key]
-
     def step(self, params, grads):
         """Apply one update in place; returns the params mapping."""
         self.step_count += 1
-        for name in sorted(grads):
-            params[name] = self._update(name, params[name], grads[name])
-        return params
-
-    def _update(self, name, theta, g):
-        raise NotImplementedError
-
-
-class _SGD(Optimizer):
-    def _update(self, name, theta, g):
-        return theta - self.config.learning_rate * self.lr_scale * g
-
-
-class _NAG(Optimizer):
-    """Nesterov momentum in the parameter-shift form: the stored parameters
-    are the look-ahead point, so gradients are always evaluated there."""
-
-    def _update(self, name, theta, g):
+        _, slot_names, update = _RULES[self.config.algorithm]
         eta = self.config.learning_rate * self.lr_scale
-        mu = self.config.momentum
-        v = self._slot(name, theta, "velocity")
-        v_new = mu * v - eta * g
-        self.slots[name]["velocity"] = v_new
-        return theta + mu * v_new - eta * g
-
-
-class _Adagrad(Optimizer):
-    def _update(self, name, theta, g):
-        r = self._slot(name, theta, "sq_sum")
-        r += g * g
-        return theta - self.config.learning_rate * self.lr_scale * g / (np.sqrt(r) + self.config.epsilon)
-
-
-class _Adadelta(Optimizer):
-    def _update(self, name, theta, g):
-        rho, eps = self.config.decay, self.config.epsilon
-        eg = self._slot(name, theta, "sq_grad")
-        ed = self._slot(name, theta, "sq_update")
-        eg *= rho
-        eg += (1.0 - rho) * g * g
-        update = -np.sqrt(ed + eps) / np.sqrt(eg + eps) * g
-        ed *= rho
-        ed += (1.0 - rho) * update * update
-        return theta + self.config.learning_rate * self.lr_scale * update
-
-
-class _Adam(Optimizer):
-    def _update(self, name, theta, g):
-        b1, b2, eps = self.config.beta1, self.config.beta2, self.config.epsilon
-        m = self._slot(name, theta, "m")
-        v = self._slot(name, theta, "v")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        t = self.step_count
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        return theta - self.config.learning_rate * self.lr_scale * m_hat / (np.sqrt(v_hat) + eps)
-
-
-class _RMSProp(Optimizer):
-    def _update(self, name, theta, g):
-        rho, eps = self.config.decay, self.config.epsilon
-        r = self._slot(name, theta, "sq_avg")
-        r *= rho
-        r += (1.0 - rho) * g * g
-        return theta - self.config.learning_rate * self.lr_scale * g / (np.sqrt(r) + eps)
-
-
-_CLASSES = {
-    "sgd": _SGD,
-    "nag": _NAG,
-    "adagrad": _Adagrad,
-    "adadelta": _Adadelta,
-    "adam": _Adam,
-    "rmsprop": _RMSProp,
-}
-
-
-def make_optimizer(config):
-    return _CLASSES[config.algorithm](config)
+        for name in sorted(grads):
+            if name not in self.slots:
+                self.slots[name] = {slot: np.zeros_like(params[name]) for slot in slot_names}
+            params[name] = update(self.config, eta, self.step_count, params[name], grads[name],
+                                  self.slots[name])
+        return params

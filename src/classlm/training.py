@@ -26,7 +26,7 @@ import numpy as np
 
 from . import layers
 from .graph import NonFiniteError, backward, forward_eval
-from .optimizers import OptimizerConfig, clip_gradients, make_optimizer
+from .optimizers import Optimizer, OptimizerConfig, clip_gradients
 from .scoring import corpus_perplexity
 
 __all__ = ["TrainingConfig", "TrainingState", "batch_gradients", "batch_loss", "train"]
@@ -161,7 +161,7 @@ def train(network, train_sentences, dev_sentences, config):
         raise ValueError("empty training corpus")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = make_optimizer(config.optimizer)
+    optimizer = Optimizer(config.optimizer)
     state = TrainingState()
     segments = _segments(network, train_sentences, config.max_sequence_length)
     best = {"params": network.copy_params()}

@@ -8,6 +8,9 @@ token, and any out-of-vocabulary word maps to ``<unk>``.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 __all__ = ["RESERVED", "SENTENCE_START", "SENTENCE_END", "UNKNOWN", "Vocabulary", "build_vocabulary"]
 
 SENTENCE_START = "<s>"
@@ -78,21 +81,14 @@ def build_vocabulary(sentences, max_size=None):
     go to the reserved tokens) and everything else falls back to ``<unk>``.
     Ties in frequency break by first occurrence in the corpus.
     """
-    counts = {}
-    first_seen = {}
-    n_tokens = 0
-    for tokens in sentences:
-        for tok in tokens:
-            n_tokens += 1
-            counts[tok] = counts.get(tok, 0) + 1
-            if tok not in first_seen:
-                first_seen[tok] = len(first_seen)
-    if n_tokens == 0:
+    counts = Counter(itertools.chain.from_iterable(sentences))
+    if not counts:
         raise ValueError("empty corpus")
     for tok in RESERVED:
         counts.pop(tok, None)
 
-    ranked = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
+    # a Counter keeps first-occurrence order and reverse sorting is stable
+    ranked = sorted(counts, key=counts.__getitem__, reverse=True)
     if max_size is not None:
         if max_size < len(RESERVED) + 1:
             raise ValueError(f"max_size must be at least {len(RESERVED) + 1}")

@@ -1,0 +1,30 @@
+"""The seeded end-to-end run of tools/byte_identity.py is deterministic."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
+
+
+def test_two_runs_print_the_same_digests(tmp_path):
+    # the digests depend on the numpy/BLAS build, so they are compared, not pinned
+    outs = [tmp_path / "a", tmp_path / "b"]
+    runs = [subprocess.Popen([sys.executable, str(TOOL), str(out)], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True) for out in outs]
+    try:
+        results = [run.communicate(timeout=120) + (run.returncode,) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+    for stdout, stderr, rc in results:
+        assert rc == 0, stderr
+    assert results[0][0] == results[1][0]
+    lines = results[0][0].splitlines()
+    names = [line.split("  ", 1)[1] for line in lines]
+    assert len(names) == len(set(names)) >= 40
+    for line, name in zip(lines, names):
+        assert len(line.split("  ", 1)[0]) == 64
+        assert all((out / name).is_file() for out in outs)
+    suffixes = {name.rsplit(".", 1)[-1] for name in names}
+    assert {"clm", "score", "score-unk0", "rescore", "rescore-tuned", "sample"} <= suffixes

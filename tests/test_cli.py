@@ -382,6 +382,26 @@ def test_malformed_model_header_is_a_one_line_error(tmp_path, rng, caplog):
     assert "'parameters[1].offset'" in message
 
 
+@pytest.mark.parametrize("old, new, expected", [
+    ("input=proj", "input=nope", "line 3: layer 'rec' references undeclared name 'nope'"),
+    ("name=ff input=rec", "name=ff input=class_input",
+     "line 4: tanh layer 'ff' reads id stream 'class_input' directly"),
+    ("type=softmax name=out input=ff", "type=tanh name=out input=ff size=3",
+     "line 5: final layer 'out' must be a softmax, got tanh"),
+    ("type=tanh", "type=sigmoid", "line 4: unknown layer type 'sigmoid'"),
+])
+def test_invalid_architecture_in_a_model_is_a_one_line_error(tmp_path, rng, caplog,
+                                                               old, new, expected):
+    model = tmp_path / "model.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(
+        model, lambda h: h.update(architecture=h["architecture"].replace(old, new)))
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("w1 w2\n")
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert message.startswith(f"{model}: model architecture: {expected}")
+
+
 def test_nonfinite_model_and_nbest_scores_are_one_line_errors(tmp_path, rng, caplog):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     good = tmp_path / "good.clm"

@@ -7,14 +7,14 @@ from classlm.graph import NonFiniteError
 from classlm.optimizers import (
     ADAPTIVE_ALGORITHMS,
     ALGORITHMS,
+    Optimizer,
     OptimizerConfig,
     clip_gradients,
-    make_optimizer,
 )
 
 
 def _step_scalar(alg, theta, grad, **overrides):
-    opt = make_optimizer(OptimizerConfig(alg, **overrides))
+    opt = Optimizer(OptimizerConfig(alg, **overrides))
     params = {"p": np.array([theta])}
     opt.step(params, {"p": np.array([grad])})
     return float(params["p"][0]), opt
@@ -56,7 +56,7 @@ def test_nag_first_step_is_shifted_momentum():
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_zero_gradient_zero_state_leaves_parameters_unchanged(alg):
-    opt = make_optimizer(OptimizerConfig(alg))
+    opt = Optimizer(OptimizerConfig(alg))
     params = {"p": np.array([1.5, -2.5])}
     before = params["p"].copy()
     opt.step(params, {"p": np.zeros(2)})
@@ -67,7 +67,7 @@ def test_sgd_is_linear_in_the_gradient():
     g1 = np.array([0.3, -1.2])
     g2 = np.array([-0.8, 0.4])
     theta = np.array([1.0, 1.0])
-    opt = make_optimizer(OptimizerConfig("sgd", learning_rate=0.25))
+    opt = Optimizer(OptimizerConfig("sgd", learning_rate=0.25))
     full = {"p": theta.copy()}
     opt.step(full, {"p": (g1 + g2) / 2.0})
     half_a = theta - 0.25 * g1
@@ -79,7 +79,7 @@ def test_sgd_is_linear_in_the_gradient():
 def test_quadratic_bowl_reaches_small_norm(alg):
     # f(theta) = ||theta||^2 / 2, gradient = theta; every optimizer at its
     # canonical defaults passes within 1e-3 of the optimum in 1e4 steps.
-    opt = make_optimizer(OptimizerConfig(alg))
+    opt = Optimizer(OptimizerConfig(alg))
     params = {"p": np.array([5.0, -3.0])}
     reached = False
     for _ in range(10_000):
@@ -158,13 +158,146 @@ def test_defaults_are_filled_per_algorithm():
 
 def test_annealing_applies_only_to_nonadaptive():
     for alg in ALGORITHMS:
-        assert make_optimizer(OptimizerConfig(alg)).anneals == (alg not in ADAPTIVE_ALGORITHMS)
+        assert Optimizer(OptimizerConfig(alg)).anneals == (alg not in ADAPTIVE_ALGORITHMS)
 
 
 def test_step_counter_increments_once_per_step():
-    opt = make_optimizer(OptimizerConfig("adam"))
+    opt = Optimizer(OptimizerConfig("adam"))
     params = {"a": np.zeros(2), "b": np.zeros(3)}
     grads = {"a": np.ones(2), "b": np.ones(3)}
     opt.step(params, grads)
     opt.step(params, grads)
     assert opt.step_count == 2
+
+
+# Reference: the update rules as one Optimizer subclass each, as they were
+# before the rule table; the table must reproduce them bit for bit.
+class _RefOptimizer:
+    def __init__(self, config):
+        self.config = config
+        self.lr_scale = 1.0
+        self.step_count = 0
+        self.slots = {}
+
+    def _slot(self, name, like, key):
+        store = self.slots.setdefault(name, {})
+        if key not in store:
+            store[key] = np.zeros_like(like)
+        return store[key]
+
+    def step(self, params, grads):
+        self.step_count += 1
+        for name in sorted(grads):
+            params[name] = self._update(name, params[name], grads[name])
+        return params
+
+
+class _RefSGD(_RefOptimizer):
+    def _update(self, name, theta, g):
+        return theta - self.config.learning_rate * self.lr_scale * g
+
+
+class _RefNAG(_RefOptimizer):
+    def _update(self, name, theta, g):
+        eta = self.config.learning_rate * self.lr_scale
+        mu = self.config.momentum
+        v = self._slot(name, theta, "velocity")
+        v_new = mu * v - eta * g
+        self.slots[name]["velocity"] = v_new
+        return theta + mu * v_new - eta * g
+
+
+class _RefAdagrad(_RefOptimizer):
+    def _update(self, name, theta, g):
+        r = self._slot(name, theta, "sq_sum")
+        r += g * g
+        return theta - self.config.learning_rate * self.lr_scale * g / (np.sqrt(r) + self.config.epsilon)
+
+
+class _RefAdadelta(_RefOptimizer):
+    def _update(self, name, theta, g):
+        rho, eps = self.config.decay, self.config.epsilon
+        eg = self._slot(name, theta, "sq_grad")
+        ed = self._slot(name, theta, "sq_update")
+        eg *= rho
+        eg += (1.0 - rho) * g * g
+        update = -np.sqrt(ed + eps) / np.sqrt(eg + eps) * g
+        ed *= rho
+        ed += (1.0 - rho) * update * update
+        return theta + self.config.learning_rate * self.lr_scale * update
+
+
+class _RefAdam(_RefOptimizer):
+    def _update(self, name, theta, g):
+        b1, b2, eps = self.config.beta1, self.config.beta2, self.config.epsilon
+        m = self._slot(name, theta, "m")
+        v = self._slot(name, theta, "v")
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        t = self.step_count
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        return theta - self.config.learning_rate * self.lr_scale * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class _RefRMSProp(_RefOptimizer):
+    def _update(self, name, theta, g):
+        rho, eps = self.config.decay, self.config.epsilon
+        r = self._slot(name, theta, "sq_avg")
+        r *= rho
+        r += (1.0 - rho) * g * g
+        return theta - self.config.learning_rate * self.lr_scale * g / (np.sqrt(r) + eps)
+
+
+_REFERENCE = {"sgd": _RefSGD, "nag": _RefNAG, "adagrad": _RefAdagrad,
+              "adadelta": _RefAdadelta, "adam": _RefAdam, "rmsprop": _RefRMSProp}
+
+
+# (parameter dtype, gradient dtype); clipping rescales float32 gradients by
+# a float64 scalar, so training in single precision can step float32
+# parameters with float64 gradients
+_PRECISIONS = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("lr_scale", [1.0, 0.5])
+@pytest.mark.parametrize("param_dtype, grad_dtype", _PRECISIONS)
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_every_rule_is_bitwise_its_subclass_reference(alg, param_dtype, grad_dtype, lr_scale):
+    rng = np.random.default_rng(ALGORITHMS.index(alg))
+    start = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+    grads = [{name: rng.normal(size=value.shape).astype(grad_dtype)
+              for name, value in start.items()} for _ in range(5)]
+    table = Optimizer(OptimizerConfig(alg))
+    reference = _REFERENCE[alg](OptimizerConfig(alg))
+    table.lr_scale = reference.lr_scale = lr_scale
+    params = {name: value.astype(param_dtype) for name, value in start.items()}
+    expected = {name: value.astype(param_dtype) for name, value in start.items()}
+    for step_grads in grads:
+        table.step(params, step_grads)
+        reference.step(expected, step_grads)
+        for name in start:
+            assert params[name].dtype == expected[name].dtype
+            assert np.array_equal(params[name], expected[name])
+            ref_slots = reference.slots.get(name, {})
+            assert set(table.slots[name]) == set(ref_slots)
+            for slot, value in ref_slots.items():
+                assert table.slots[name][slot].dtype == value.dtype
+                assert np.array_equal(table.slots[name][slot], value), (name, slot)
+    assert table.step_count == reference.step_count == 5
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_slot_arrays_are_created_at_the_first_step_and_kept(alg):
+    opt = Optimizer(OptimizerConfig(alg))
+    params = {"p": np.ones(3)}
+    opt.step(params, {"p": np.full(3, 0.5)})
+    slots = opt.slots["p"]
+    arrays = dict(slots)
+    for g in (0.25, -0.125):
+        opt.step(params, {"p": np.full(3, g)})
+        assert opt.slots["p"] is slots and set(slots) == set(arrays)
+        for slot, array in arrays.items():
+            if slot != "velocity":  # nag replaces its velocity; see optimizers._nag
+                assert slots[slot] is array
