@@ -25,8 +25,8 @@ A matmul whose left operand has a multiple of ``ROW_BLOCK`` rows runs as
 one gemm per block of ``ROW_BLOCK`` rows.  A single gemm call may round a
 row differently depending on the row count and the row's position; fixed
 blocks make each output row a function of that row's inputs alone, which
-is what lets batched scoring equal one-at-a-time scoring bitwise.  Other
-row counts, such as the single row of a sampling step, use one plain
+is what lets batched scoring and sampling equal one-at-a-time runs
+bitwise.  Other row counts, such as a partial training batch, use one plain
 product.
 """
 

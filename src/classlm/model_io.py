@@ -19,6 +19,7 @@ sentence identically to the saved one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -203,7 +204,7 @@ def load_model(path):
         )
 
     payload_start = header_end + ((-header_end) % _ALIGN)
-    payload = raw[payload_start:]
+    payload = memoryview(raw)[payload_start:]
     dtype = _payload_dtype(precision)
     params = {}
     for entry in index:
@@ -219,9 +220,14 @@ def load_model(path):
             raise ModelFormatError(f"{path}: payload truncated; parameter {name!r} incomplete")
         flat = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)),
                              offset=entry["offset"])
-        params[name] = flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
-        if not np.isfinite(params[name]).all():
+        value = flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+        # a finite sum means finite elements; a sum that overflows from
+        # finite elements is rechecked element by element
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(value.sum())
+        if not finite and not np.isfinite(value).all():
             raise ModelFormatError(f"{path}: parameter {name!r} has non-finite values")
+        params[name] = value
 
     network = Network(desc, vocab, classes, params, precision)
     return network, header.get("training")

@@ -32,7 +32,8 @@ def _sgd(c, eta, t, theta, g, s):
 
 def _nag(c, eta, t, theta, g, s):
     # Parameter-shift form: the stored parameters are the look-ahead point.
-    # A new velocity array follows the gradient's dtype (clipping returns float64).
+    # The velocity is a new array each step, in the dtype of the update: the
+    # parameters' dtype, unless a caller passes wider gradients.
     v = s["velocity"] = c.momentum * s["velocity"] - eta * g
     return theta + c.momentum * v - eta * g
 
@@ -139,7 +140,8 @@ def clip_gradients(grads, max_norm):
     if norm <= max_norm:
         return grads
     scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}
+    # in each gradient's own dtype: a float64 scale would promote float32
+    return {name: g * g.dtype.type(scale) for name, g in grads.items()}
 
 
 class Optimizer:

@@ -24,9 +24,10 @@ __all__ = ["ScoreResult", "corpus_perplexity", "perplexity", "score_sentence", "
 
 UNK_POLICIES = ("include", "exclude")
 
-# Rows per network step, a multiple of ROW_BLOCK: a trie level wider than
-# this is split, which bounds a step's memory on large inputs and, since
-# rows are computed in independent blocks, changes no score.
+# Rows per network step, a multiple of ROW_BLOCK: a trie level or a sampling
+# position wider than this is split, which bounds a step's memory on large
+# inputs and, since rows are computed in independent blocks, changes no
+# result.
 MAX_STEP_ROWS = 128 * ROW_BLOCK
 
 
@@ -49,6 +50,26 @@ def _check_policy(unk_policy):
         raise ValueError(f"unk_policy must be one of {UNK_POLICIES}, got {unk_policy!r}")
 
 
+def step_rows(network, state, rows, word_ids):
+    """One network step from each state row in `rows` on the matching word id.
+
+    Returns ``(class probabilities, new state)`` with one row per entry of
+    `rows`.  The rows are padded to a multiple of ``ROW_BLOCK`` by repeating
+    the last one and run at most ``MAX_STEP_ROWS`` per step, so every matmul
+    runs in fixed row blocks and a row's results are bitwise the same
+    whatever other rows it runs with; the padding rows are dropped.
+    """
+    n = len(rows)
+    pad = -n % ROW_BLOCK
+    rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
+    word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
+    steps = [network.step({key: value[rows[lo:lo + MAX_STEP_ROWS]]
+                           for key, value in state.items()}, word_ids[lo:lo + MAX_STEP_ROWS])
+             for lo in range(0, len(rows), MAX_STEP_ROWS)]
+    probs = np.concatenate([p for p, _ in steps])[:n]
+    return probs, {key: np.concatenate([s[key] for _, s in steps])[:n] for key in state}
+
+
 def score_sentences(network, sentences, unk_policy="include"):
     """Score a batch of token sequences; returns one ScoreResult per sentence.
 
@@ -57,10 +78,9 @@ def score_sentences(network, sentences, unk_policy="include"):
     predict a token there, and one network step (more above
     ``MAX_STEP_ROWS`` rows) advances all of them from their parents'
     states.  A prefix shared by many sentences runs once, and sentences of
-    every length step together.  Each level's rows are padded to a multiple
-    of ``ROW_BLOCK`` by repeating a real row, so every matmul runs in fixed
-    row blocks and a sentence's scores are bitwise the same whatever it is
-    batched with, alone included.
+    every length step together.  Levels run through :func:`step_rows`, so a
+    sentence's scores are bitwise the same whatever it is batched with,
+    alone included.
     """
     _check_policy(unk_policy)
     framed = []
@@ -93,14 +113,7 @@ def score_sentences(network, sentences, unk_policy="include"):
         active = np.flatnonzero(lengths > t + 1)
         codes, node[active] = np.unique(node[active] * num_words + ids[active, t],
                                         return_inverse=True)
-        pad = -len(codes) % ROW_BLOCK
-        codes = np.concatenate([codes, np.repeat(codes[-1:], pad)])
-        parents, words = codes // num_words, codes % num_words
-        steps = [network.step({key: value[parents[lo:lo + MAX_STEP_ROWS]]
-                               for key, value in state.items()}, words[lo:lo + MAX_STEP_ROWS])
-                 for lo in range(0, len(codes), MAX_STEP_ROWS)]
-        probs = np.concatenate([p for p, _ in steps])
-        state = {key: np.concatenate([s[key] for _, s in steps]) for key in state}
+        probs, state = step_rows(network, state, codes // num_words, codes % num_words)
         level = targets[active, t]
         with np.errstate(divide="ignore"):
             logp[active, t] = np.log(probs[node[active], class_of[level]]) + log_membership[level]

@@ -135,6 +135,26 @@ def test_nonfinite_class_membership_is_rejected(tmp_path, rng):
         cl.load_model(path)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_parameter_is_rejected_naming_it(tmp_path, rng, bad):
+    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
+    net.params["rec/U_f"][2, 1] = bad
+    path = tmp_path / "model.clm"
+    cl.save_model(path, net)
+    with pytest.raises(ModelFormatError, match="'rec/U_f' has non-finite values"):
+        cl.load_model(path)
+
+
+def test_finite_parameter_whose_sum_overflows_loads(tmp_path, rng):
+    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
+    net.params["out/b"][:2] = 1e308
+    path = tmp_path / "model.clm"
+    cl.save_model(path, net)
+    loaded, _ = cl.load_model(path)
+    for name, value in net.params.items():
+        assert loaded.params[name].tobytes() == value.tobytes()
+
+
 def test_save_is_atomic_no_temp_left_behind(tmp_path, rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     path = tmp_path / "model.clm"

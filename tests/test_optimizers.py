@@ -124,6 +124,22 @@ def test_clip_is_idempotent_and_direction_preserving(rng):
         assert ratio.flat[0] > 0
 
 
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_clipped_single_precision_steps_stay_single(alg, rng):
+    params = {"a": rng.normal(size=(3, 4)).astype(np.float32),
+              "b": rng.normal(size=5).astype(np.float32)}
+    opt = Optimizer(OptimizerConfig(alg, clip_norm=0.5))
+    for _ in range(3):
+        grads = {name: (10 * rng.normal(size=v.shape)).astype(np.float32)
+                 for name, v in params.items()}
+        clipped = clip_gradients(grads, opt.config.clip_norm)
+        assert clipped is not grads
+        assert all(g.dtype == np.float32 for g in clipped.values())
+        opt.step(params, clipped)
+        assert all(v.dtype == np.float32 for v in params.values())
+        assert all(s.dtype == np.float32 for slots in opt.slots.values() for s in slots.values())
+
+
 def test_clip_rejects_nonfinite_gradients():
     with pytest.raises(NonFiniteError, match="bad"):
         clip_gradients({"bad": np.array([np.nan])}, 1.0)
@@ -255,9 +271,8 @@ _REFERENCE = {"sgd": _RefSGD, "nag": _RefNAG, "adagrad": _RefAdagrad,
               "adadelta": _RefAdadelta, "adam": _RefAdam, "rmsprop": _RefRMSProp}
 
 
-# (parameter dtype, gradient dtype); clipping rescales float32 gradients by
-# a float64 scalar, so training in single precision can step float32
-# parameters with float64 gradients
+# (parameter dtype, gradient dtype); a caller may step float32 parameters
+# with float64 gradients
 _PRECISIONS = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)]
 
 

@@ -1,10 +1,39 @@
 """Determinism and distribution of sampled text."""
 
 import numpy as np
+import pytest
 
 import classlm as cl
+from classlm.graph import ROW_BLOCK
 
 import support
+
+
+def _draw(rng, cumulative):
+    r = rng.random() * cumulative[-1]
+    return min(int(np.searchsorted(cumulative, r, side="right")), len(cumulative) - 1)
+
+
+def sample_one_at_a_time(net, seed, max_tokens, count):
+    """Reference sampler: one sentence after another, each from its own
+    stream, every step on ROW_BLOCK copies of the sentence's one row."""
+    vocab, classes = net.vocab, net.classes
+    sentences = []
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        state = net.initial_state(ROW_BLOCK)
+        word, tokens = vocab.start_id, []
+        while len(tokens) < max_tokens:
+            probs, state = net.step(state, np.full(ROW_BLOCK, word))
+            members = classes.members[_draw(rng, np.cumsum(probs[0]))]
+            if len(members) > 1:
+                members = [members[_draw(rng, np.cumsum(classes.membership[members]))]]
+            word = members[0]
+            if word == vocab.end_id:
+                break
+            tokens.append(vocab.word_of(word))
+        sentences.append(tokens)
+    return sentences
 
 
 def test_same_seed_gives_identical_output(rng):
@@ -63,3 +92,35 @@ def test_samples_follow_the_model_distribution():
     assert len(xy) > 700
     ratio = xy.count("x") / len(xy)
     assert abs(ratio - 0.75) < 0.05
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("sizes", [(4, 6, 6), (300, 96, 48)], ids=["small", "bench"])
+def test_batched_sampling_equals_one_at_a_time_bitwise(sizes, precision):
+    vocab_size, num_classes = (15, 5) if sizes[0] < 100 else (120, 40)
+    net = support.random_class_network(np.random.default_rng(7), vocab_size, num_classes,
+                                       sizes=sizes, precision=precision)
+    for seed in (0, 1, 2):
+        batched = cl.sample_text(net, seed=seed, max_tokens=12, count=20)
+        assert batched == sample_one_at_a_time(net, seed, 12, 20)
+        # sentences of every length, so rows leave the batch at many steps
+        assert len({len(tokens) for tokens in batched}) > 3
+
+
+def test_steps_are_padded_and_capped_without_changing_the_text(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    whole = cl.sample_text(net, seed=4, max_tokens=10, count=20)
+    rows = []
+    step = net.step
+
+    def recording(state, word_ids):
+        rows.append(len(word_ids))
+        return step(state, word_ids)
+
+    monkeypatch.setattr(net, "step", recording)
+    assert cl.sample_text(net, seed=4, max_tokens=10, count=1) == whole[:1]
+    assert set(rows) == {ROW_BLOCK}
+    rows.clear()
+    monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", ROW_BLOCK)
+    assert cl.sample_text(net, seed=4, max_tokens=10, count=20) == whole
+    assert set(rows) == {ROW_BLOCK} and len(rows) > 10
