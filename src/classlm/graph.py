@@ -14,20 +14,38 @@ Every parameter takes a gradient; the loss is the output named ``"loss"``.
 Every other op is one entry of the table ``_OPS = {op: (forward,
 backward)}``: ``forward(node, *inputs)`` checks shapes and id ranges and
 returns the value, ``backward(dy, value, *inputs)`` returns one gradient per
-input (``None`` for integer ids and targets).  :func:`forward_eval` and
-:func:`backward` are loops over that table.
+input (``None`` for integer ids, targets and masks).  :func:`forward_eval`
+and :func:`backward` are loops over that table.
+
+Values have a leading time axis: a network binds its ids, targets, masks
+and dropout masks as ``(T, B, ...)`` arrays, so one evaluation covers T
+positions of B rows.  Ops without a recurrence compute all T·B rows at
+once; the recurrent ops ``lstm`` and ``gru`` run the time loop inside one
+node, with the input products of every step hoisted out of it, and do
+backpropagation through time in their backward.  An ``lstm``/``gru`` value
+stacks the per-step quantities its backward needs along a leading axis;
+``item`` nodes pick its parts (the hidden sequence, the cell sequence).
+
+Each op does, step by step, the arithmetic of a graph that ran one node per
+operation and time step, in that graph's order, so results do not depend on
+how many steps one evaluation covers:
+
+* a matmul whose left operand has a multiple of ``ROW_BLOCK`` rows per step
+  runs as one gemm per block of ``ROW_BLOCK`` rows, any other as one gemm
+  per step.  A single gemm call may round a row differently depending on
+  the row count and the row's position; fixed blocks make each output row a
+  function of that row's inputs alone, which is what lets batched scoring
+  and sampling equal one-at-a-time runs bitwise;
+* a parameter's gradient is summed over steps from the last to the first;
+* adjoints are added in reverse node order, one term per consumer: a
+  recurrent op returns the adjoint of its input as a list of per-gate terms
+  and receives the adjoints of its outputs unsummed, so that it adds them
+  where a step-by-step graph did.
 
 Finiteness is checked on every computed value, not on leaves: a NaN or
 infinity in a bound input or a parameter is reported by the first op that
-reads it.  Model files are checked for non-finite parameters at load.
-
-A matmul whose left operand has a multiple of ``ROW_BLOCK`` rows runs as
-one gemm per block of ``ROW_BLOCK`` rows.  A single gemm call may round a
-row differently depending on the row count and the row's position; fixed
-blocks make each output row a function of that row's inputs alone, which
-is what lets batched scoring and sampling equal one-at-a-time runs
-bitwise.  Other row counts, such as a partial training batch, use one plain
-product.
+reads it, naming the first time step at which that op's value is not
+finite.  Model files are checked for non-finite parameters at load.
 """
 
 from __future__ import annotations
@@ -67,13 +85,14 @@ class NonFiniteError(GraphError):
 class Node:
     """One operation in a graph.  Created through Graph methods only."""
 
-    __slots__ = ("idx", "op", "name", "inputs")
+    __slots__ = ("idx", "op", "name", "inputs", "arg")
 
-    def __init__(self, idx, op, name, inputs):
+    def __init__(self, idx, op, name, inputs, arg=None):
         self.idx = idx
         self.op = op
         self.name = name
         self.inputs = inputs
+        self.arg = arg  # the part an "item" node picks
 
     def __repr__(self):
         return f"Node({self.idx}, {self.op!r}, {self.name!r})"
@@ -142,7 +161,7 @@ class Graph:
         return self._append("softmax", name, (x,))
 
     def gather_rows(self, table, ids, name=None):
-        """Select rows of `table` by the integer vector `ids`."""
+        """Select rows of `table` by an integer array of ids (any shape)."""
         return self._append("gather", name, (table, ids))
 
     def concat(self, parts, name=None):
@@ -165,17 +184,62 @@ class Graph:
         """Reduce to a scalar."""
         return self._append("sum", name, (x,))
 
+    def masked_mean(self, x, mask, name=None):
+        """Scalar mean of a (T, B) array over the positions where `mask` is 1.
+
+        The masked sum of each step is formed on its own and the steps are
+        added in time order, then scaled by 1 / mask.sum().
+        """
+        return self._append("masked_mean", name, (x, mask))
+
+    def lstm(self, x, h0, c0, params, name=None):
+        """LSTM over the time axis of x (T, B, in) from the state (h0, c0).
+
+        `params` are the 12 parameter nodes ``W_g, U_g, b_g`` of the gates
+        g = i, f, o, c in that order; for each step
+
+            i  = sigmoid(x W_i + h U_i + b_i)        input gate
+            f  = sigmoid(x W_f + h U_f + b_f)        forget gate
+            o  = sigmoid(x W_o + h U_o + b_o)        output gate
+            c' = f*c + i*tanh(x W_c + h U_c + b_c)
+            h' = o*tanh(c')
+
+        The value stacks (h, c, i, f, o, tanh(x W_c + h U_c + b_c),
+        tanh(c)) of every step, shape (7, T, B, H); ``item(node, 0)`` is
+        the hidden sequence and ``item(node, 1)`` the cell sequence.
+        """
+        return self._append("lstm", name, (x, h0, c0, *params))
+
+    def gru(self, x, h0, params, name=None):
+        """GRU over the time axis of x (T, B, in) from the state h0.
+
+        `params` are the 9 parameter nodes ``W_g, U_g, b_g`` of g = z, r, h;
+        for each step
+
+            z  = sigmoid(x W_z + h U_z + b_z)        update gate
+            r  = sigmoid(x W_r + h U_r + b_r)        reset gate
+            h' = (1-z)*h + z*tanh(x W_h + (r*h) U_h + b_h)
+
+        The value stacks (h, z, r, tanh(...), r*h) of every step, shape
+        (5, T, B, H); ``item(node, 0)`` is the hidden sequence.
+        """
+        return self._append("gru", name, (x, h0, *params))
+
+    def item(self, x, index, name=None):
+        """Part `index` (along the leading axis) of a recurrent op's value."""
+        return self._append("item", name, (x,), index)
+
     # -- designation -----------------------------------------------------------
 
     def mark_output(self, node, name):
         self.outputs[name] = node
         return node
 
-    def _append(self, op, name, inputs):
+    def _append(self, op, name, inputs, arg=None):
         for inp in inputs:
             if not isinstance(inp, Node) or self.nodes[inp.idx] is not inp:
                 raise GraphError(f"input to {op!r} is not a node of this graph")
-        node = Node(len(self.nodes), op, name or f"{op}_{len(self.nodes)}", inputs)
+        node = Node(len(self.nodes), op, name or f"{op}_{len(self.nodes)}", inputs, arg)
         self.nodes.append(node)
         return node
 
@@ -209,6 +273,21 @@ def _check_ids(ids, limit, node, what):
         raise GraphError(f"node {node.name!r} ({node.op}): {what} out of range for {limit}")
 
 
+def _finite(v):
+    # a finite sum means finite elements; a sum that overflows from finite
+    # elements is rechecked element by element
+    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+
+
+def _nonfinite(node, v=None, step=None):
+    """The error for a non-finite value of `node`, naming the first time
+    step (leading axis) at which `v` holds one, or `step`."""
+    if step is None and v is not None and v.ndim >= 2:
+        step = int(np.argmin(np.isfinite(v).reshape(len(v), -1).all(axis=1)))
+    where = "" if step is None else f"time step {step}: "
+    return NonFiniteError(f"{where}node {node.name!r} ({node.op}) produced a non-finite value")
+
+
 def _sigmoid(x):
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in one
     # pass: exp never overflows and -|x| == x exactly where x < 0
@@ -222,13 +301,43 @@ def _softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _rows(a, b):
+    """``a @ b`` under the row rule, for `a` of shape (..., rows, k).
+
+    With a multiple of ``ROW_BLOCK`` rows every block of ``ROW_BLOCK`` rows
+    is one gemm; otherwise each (rows, k) matrix, one per time step, is one.
+    `b` is (k, n) or a stack (G, k, n) of one matrix per gate, in which case
+    the result is (G, ..., rows, n).
+    """
+    *lead, rows, k = a.shape
+    gates = b.shape[:-2]
+    if rows % ROW_BLOCK == 0:
+        a = a.reshape(-1, ROW_BLOCK, k)
+    if gates:
+        b = b.reshape(*gates, *(1,) * (a.ndim - 2), *b.shape[-2:])
+    return np.matmul(a, b).reshape(*gates, *lead, rows, b.shape[-1])
+
+
+def _sum_steps(fn, steps):
+    """fn(t) summed from the last step to the first, the order in which a
+    step-by-step backward adds a parameter's gradient."""
+    total = fn(steps - 1)
+    for t in range(steps - 2, -1, -1):
+        total += fn(t)
+    return total
+
+
+def _over_steps(fn, *arrays):
+    """A parameter gradient from per-step operands: summed over the time
+    axis of 3-D operands by :func:`_sum_steps`, or of one 2-D step."""
+    if arrays[0].ndim < 3:
+        return fn(*arrays)
+    return _sum_steps(lambda t: fn(*(a[t] for a in arrays)), len(arrays[0]))
+
+
 def _matmul(node, a, b):
-    _check_shapes(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0], node, a, b)
-    m, k = a.shape
-    if m % ROW_BLOCK:
-        return a @ b
-    # one gemm per 8-row block: a row's bits depend on its own inputs only
-    return (a.reshape(-1, ROW_BLOCK, k) @ b).reshape(m, b.shape[1])
+    _check_shapes(a.ndim in (2, 3) and b.ndim == 2 and a.shape[-1] == b.shape[0], node, a, b)
+    return _rows(a, b)
 
 
 def _elementwise(fn):
@@ -239,12 +348,12 @@ def _elementwise(fn):
 
 
 def _add_bias(node, x, b):
-    _check_shapes(x.ndim == 2 and b.ndim == 1 and x.shape[1] == b.shape[0], node, x, b)
+    _check_shapes(x.ndim >= 2 and b.ndim == 1 and x.shape[-1] == b.shape[0], node, x, b)
     return x + b
 
 
 def _gather(node, table, ids):
-    _check_shapes(table.ndim == 2 and ids.ndim == 1, node, table, ids)
+    _check_shapes(table.ndim == 2, node, table, ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise GraphError(f"node {node.name!r} (gather): ids must be integers")
     _check_ids(ids, table.shape[0], node, "row id")
@@ -252,8 +361,16 @@ def _gather(node, table, ids):
 
 
 def _gather_grad(dy, y, table, ids):
+    """Step by step from the last, each step's rows added into a block of
+    only the rows it touches, then the block into the gradient."""
     g = np.zeros_like(table, dtype=dy.dtype)
-    np.add.at(g, ids, dy)
+    if ids.ndim < 2:
+        ids, dy = ids[None], dy[None]
+    for t in range(len(ids) - 1, -1, -1):
+        rows, where = np.unique(ids[t], return_inverse=True)
+        block = np.zeros((len(rows), table.shape[1]), dtype=dy.dtype)
+        np.add.at(block, where.reshape(-1), dy[t].reshape(-1, table.shape[1]))
+        g[rows] += block
     return g, None
 
 
@@ -267,28 +384,168 @@ def _concat_grad(dy, y, *parts):
 
 
 def _xent(node, logits, targets):
-    _check_shapes(logits.ndim == 2 and targets.ndim == 1
-                  and logits.shape[0] == targets.shape[0], node, logits, targets)
-    _check_ids(targets, logits.shape[1], node, "target id")
+    _check_shapes(logits.ndim >= 2 and logits.shape[:-1] == targets.shape, node, logits, targets)
+    _check_ids(targets, logits.shape[-1], node, "target id")
+    logits = logits.reshape(-1, logits.shape[-1])
     m = logits.max(axis=1, keepdims=True)
     z = np.exp(logits - m).sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
-    return lse - logits[np.arange(logits.shape[0]), targets]
+    return (lse - logits[np.arange(logits.shape[0]), targets.reshape(-1)]).reshape(targets.shape)
 
 
 def _xent_grad(dy, y, logits, targets):
-    g = _softmax(logits)
-    g[np.arange(g.shape[0]), targets] -= 1.0
-    return g * dy[:, None], None
+    g = _softmax(logits.reshape(-1, logits.shape[-1]))
+    g[np.arange(g.shape[0]), targets.reshape(-1)] -= 1.0
+    return (g * dy.reshape(-1, 1)).reshape(logits.shape), None
+
+
+def _inverse_count(mask, dtype):
+    return np.asarray(1.0 / mask.sum(dtype=np.float64), dtype=dtype)
+
+
+def _masked_mean(node, x, mask):
+    _check_shapes(x.ndim == 2 and x.shape == mask.shape, node, x, mask)
+    # one masked sum per step, the steps added in order (Python's sum)
+    return np.asarray(sum((x * mask).sum(axis=1)) * _inverse_count(mask, x.dtype))
+
+
+def _masked_mean_grad(dy, y, x, mask):
+    return mask * (dy * _inverse_count(mask, x.dtype)), None
+
+
+def _recurrent_params(node, x, h0, p):
+    """The per-gate parameters stacked: (W, U, b) of shapes (G, in, H),
+    (G, H, H) and (G, H), after checking every operand's shape."""
+    hidden = h0.shape[-1]
+    shapes = [(x.shape[-1], hidden), (hidden, hidden), (hidden,)] * (len(p) // 3)
+    _check_shapes(x.ndim == 3 and h0.shape == (x.shape[1], hidden)
+                  and [w.shape for w in p] == shapes, node, x, h0, *p)
+    return np.stack(p[0::3]), np.stack(p[1::3]), np.stack(p[2::3])
+
+
+def _check_step(node, t, *values):
+    if not all(map(_finite, values)):
+        raise _nonfinite(node, step=t)
+
+
+def _carried(carry, terms, t):
+    """A recurrent output's adjoint at step t: the carry from step t+1 (or a
+    seed) first, then each consumer's term, as a step-by-step graph adds them."""
+    for term in terms:
+        carry = term[t] if carry is None else carry + term[t]
+    return carry
+
+
+def _lstm(node, x, h0, c0, *p):
+    W, U, b = _recurrent_params(node, x, h0, p)
+    _check_shapes(c0.shape == h0.shape, node, h0, c0)
+    xw = _rows(x, W)  # every step's input products, (4, T, B, H)
+    seq = np.empty((7, *xw.shape[1:]), dtype=xw.dtype)
+    b = b[:, None]
+    h, c = h0, c0
+    for t in range(len(x)):
+        pre = xw[:, t] + _rows(h, U)
+        pre += b
+        ifo = _sigmoid(pre[:3])
+        seq[2:5, t] = ifo
+        c_hat = np.tanh(pre[3], out=seq[5, t])
+        c = np.multiply(ifo[1], c, out=seq[1, t])
+        c += ifo[0] * c_hat
+        _check_step(node, t, pre, c)
+        h = np.multiply(ifo[2], np.tanh(c, out=seq[6, t]), out=seq[0, t])
+    return seq
+
+
+def _lstm_grad(dy, seq, x, h0, c0, *p):
+    W, U = np.stack(p[0::3]), np.stack(p[1::3])
+    steps = len(x)
+    h_prev = np.concatenate([h0[None], seq[0, :-1]])
+    c_prev = np.concatenate([c0[None], seq[1, :-1]])
+    terms_h, terms_c = dy.get(0, []), dy.get(1, [])
+    grad = np.empty((4, *seq.shape[1:]), dtype=seq.dtype)  # pre-activation adjoints
+    UT = U.transpose(0, 2, 1)
+    dh = dc = None
+    for t in range(steps - 1, -1, -1):
+        dh = _carried(dh, terms_h, t)
+        i, f, o, c_hat, tanh_c = seq[2:, t]
+        d_tanh = (dh * o) * (1.0 - tanh_c * tanh_c)
+        dc = _carried(dc, terms_c, t)
+        dc = d_tanh if dc is None else dc + d_tanh
+        d_ifo = np.stack([dc * c_hat, dc * c_prev[t], dh * tanh_c])
+        grad[3, t] = (dc * i) * (1.0 - c_hat * c_hat)
+        grad[:3, t] = (d_ifo * seq[2:5, t]) * (1.0 - seq[2:5, t])
+        dc = dc * f
+        hu = np.matmul(grad[:, t], UT)
+        dh = ((hu[3] + hu[2]) + hu[1]) + hu[0]
+    dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
+    dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
+    dU = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:, t]), steps)
+    db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
+    # x's adjoint as one term per gate, c first: the reverse of gate order
+    return ([dx[3], dx[2], dx[1], dx[0]], dh, dc,
+            *(g[k] for k in range(4) for g in (dW, dU, db)))
+
+
+def _gru(node, x, h0, *p):
+    W, U, b = _recurrent_params(node, x, h0, p)
+    xw = _rows(x, W)  # every step's input products, (3, T, B, H)
+    seq = np.empty((5, *xw.shape[1:]), dtype=xw.dtype)
+    h = h0
+    for t in range(len(x)):
+        pre = xw[:2, t] + _rows(h, U[:2])
+        pre += b[:2, None]
+        zr = _sigmoid(pre)
+        seq[1:3, t] = zr
+        rh = np.multiply(zr[1], h, out=seq[4, t])
+        pre_h = xw[2, t] + _rows(rh, U[2])
+        pre_h += b[2]
+        _check_step(node, t, pre, pre_h)
+        h_hat = np.tanh(pre_h, out=seq[3, t])
+        h_new = np.multiply(1.0 - zr[0], h, out=seq[0, t])
+        h_new += zr[0] * h_hat
+        h = h_new
+    return seq
+
+
+def _gru_grad(dy, seq, x, h0, *p):
+    W, U = np.stack(p[0::3]), np.stack(p[1::3])
+    steps = len(x)
+    h_prev = np.concatenate([h0[None], seq[0, :-1]])
+    terms_h = dy.get(0, [])
+    grad = np.empty((3, *seq.shape[1:]), dtype=seq.dtype)  # pre-activation adjoints
+    UT = U.transpose(0, 2, 1)
+    dh = None
+    for t in range(steps - 1, -1, -1):
+        dh = _carried(dh, terms_h, t)
+        z, r, h_hat = seq[1:4, t]
+        hp = h_prev[t]
+        grad[2, t] = (dh * z) * (1.0 - h_hat * h_hat)
+        d_rh = grad[2, t] @ UT[2]
+        d_zr = np.stack([dh * h_hat - dh * hp, d_rh * hp])
+        grad[:2, t] = (d_zr * seq[1:3, t]) * (1.0 - seq[1:3, t])
+        hu = np.matmul(grad[:2, t], UT[:2])
+        dh = ((dh * (1.0 - z) + d_rh * r) + hu[1]) + hu[0]
+    dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
+    dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
+    dU = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:2, t]), steps)
+    dU_h = _sum_steps(lambda t: seq[4, t].T @ grad[2, t], steps)
+    db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
+    dU = (dU[0], dU[1], dU_h)
+    # x's adjoint as one term per gate, h first: the reverse of gate order
+    return ([dx[2], dx[1], dx[0]], dh,
+            *(g[k] for k in range(3) for g in (dW, dU, db)))
 
 
 # op -> (forward(node, *inputs) -> value, backward(dy, value, *inputs) ->
-# one gradient per input, None where the input is integer ids or targets)
+# one gradient per input, None where the input is integer ids, targets or a
+# mask, a list of terms where a fused op stands for several consumers).  An
+# lstm/gru backward receives dy as {part: [adjoint terms]}, which the
+# engine collects from the item nodes that pick the parts.
 _OPS = {
-    "matmul": (_matmul, lambda dy, y, a, b: (dy @ b.T, a.T @ dy)),
+    "matmul": (_matmul, lambda dy, y, a, b: (dy @ b.T, _over_steps(lambda a, d: a.T @ d, a, dy))),
     "add": (_elementwise(np.add), lambda dy, y, a, b: (dy, dy)),
     "mul": (_elementwise(np.multiply), lambda dy, y, a, b: (dy * b, dy * a)),
-    "add_bias": (_add_bias, lambda dy, y, x, b: (dy, dy.sum(axis=0))),
+    "add_bias": (_add_bias, lambda dy, y, x, b: (dy, _over_steps(lambda d: d.sum(axis=0), dy))),
     "sigmoid": (lambda node, x: _sigmoid(x), lambda dy, y, x: (dy * y * (1.0 - y),)),
     "tanh": (lambda node, x: np.tanh(x), lambda dy, y, x: (dy * (1.0 - y * y),)),
     "one_minus": (lambda node, x: 1.0 - x, lambda dy, y, x: (-dy,)),
@@ -299,7 +556,15 @@ _OPS = {
     "xent": (_xent, _xent_grad),
     "sum": (lambda node, x: np.asarray(x.sum()),
             lambda dy, y, x: (np.full(x.shape, dy, dtype=x.dtype),)),
+    "masked_mean": (_masked_mean, _masked_mean_grad),
+    "lstm": (_lstm, _lstm_grad),
+    "gru": (_gru, _gru_grad),
+    "item": (lambda node, x: x[node.arg], None),  # backward() routes its adjoint
 }
+
+# ops whose values are not checked after the op: recurrent ops check each
+# step themselves, to name it, and an item is a part of a checked value
+_SELF_CHECKED = frozenset({"lstm", "gru", "item"})
 
 
 def forward_eval(graph, bindings, params):
@@ -309,7 +574,7 @@ def forward_eval(graph, bindings, params):
     parameter leaf; a missing one is a :class:`GraphError` naming it.
     Raises :class:`ShapeError` naming the offending node on incompatible
     operands and :class:`NonFiniteError` naming the first node that computes
-    a non-finite value.
+    a non-finite value and the first time step at which it does.
     """
     ws = Workspace(graph)
     vals = ws.values
@@ -325,21 +590,17 @@ def forward_eval(graph, bindings, params):
             v = np.asarray(params[node.name])
         else:
             v = _OPS[op][0](node, *[vals[i.idx] for i in node.inputs])
-            # a finite sum means finite elements; a sum that overflows from
-            # finite elements is rechecked element by element
-            if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-                raise NonFiniteError(f"node {node.name!r} ({op}) produced a non-finite value")
+            if op not in _SELF_CHECKED and not _finite(v):
+                raise _nonfinite(node, v)
         vals[node.idx] = v
     return ws
 
 
-def backward(graph, ws, seeds=None, grads=None, wrt=()):
-    """Reverse-mode gradients; returns ``(grads, adjoints)``.
+def backward(graph, ws, seeds=None):
+    """Reverse-mode gradients: ``{parameter name: gradient}``.
 
     Adjoints start from `seeds` ({output name: adjoint}; default: one on the
-    scalar output ``"loss"``).  Parameter gradients are added into `grads`
-    (default: zeros per parameter); `adjoints` maps each input named in
-    `wrt` that a seed reaches to its adjoint.
+    scalar output ``"loss"``); bound inputs (ids, targets, masks) take none.
     """
     vals = ws.values
     if ws.graph is not graph or any(v is None for v in vals):
@@ -351,32 +612,41 @@ def backward(graph, ws, seeds=None, grads=None, wrt=()):
         if loss.size != 1:
             raise GraphError("loss output is not scalar")
         seeds = {"loss": np.ones_like(loss)}
+    # an item node's adjoint is the list of its terms, passed on unsummed
     adj = [None] * len(graph.nodes)
     for name, value in seeds.items():
-        adj[graph.outputs[name].idx] = np.array(value)
-    if grads is None:
-        # sorted order keeps downstream float accumulation (e.g. the global
-        # clip norm) independent of hash randomization across processes
-        grads = {name: np.zeros_like(vals[graph._param_nodes[name].idx])
-                 for name in graph.parameters}
+        node = graph.outputs[name]
+        adj[node.idx] = [np.array(value)] if node.op == "item" else np.array(value)
+    # sorted order keeps downstream float accumulation (e.g. the global clip
+    # norm) independent of hash randomization across processes
+    grads = {name: np.zeros_like(vals[graph._param_nodes[name].idx])
+             for name in graph.parameters}
 
     for node in reversed(graph.nodes):
         dy = adj[node.idx]
         if dy is None or node.op in ("input", "param"):
             continue
         ins = node.inputs
+        if node.op == "item":
+            parts = adj[ins[0].idx] = adj[ins[0].idx] or {}
+            parts[node.arg] = dy
+            continue
         for inp, g in zip(ins, _OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins])):
-            # bound inputs (ids, targets, masks) take none unless asked for
-            if g is None or (inp.op == "input" and inp.name not in wrt):
+            if g is None or inp.op == "input":
+                continue
+            terms = g if isinstance(g, list) else [g]
+            if inp.op == "item":
+                adj[inp.idx] = (adj[inp.idx] or []) + terms
                 continue
             if inp.op == "param":
-                grads[inp.name] += g
-                continue
-            if adj[inp.idx] is None:
-                adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=g.dtype)
-            adj[inp.idx] += g
-    return grads, {n.name: adj[n.idx] for n in graph.nodes
-                   if n.op == "input" and adj[n.idx] is not None}
+                target = grads[inp.name]
+            else:
+                if adj[inp.idx] is None:
+                    adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=terms[0].dtype)
+                target = adj[inp.idx]
+            for term in terms:
+                target += term
+    return grads
 
 
 def finite_difference_check(loss, value, analytic, step):

@@ -1,10 +1,13 @@
 """Graph builders for the supported layer kinds.
 
-Each function appends the forward computation of one layer step to a
-:class:`~classlm.graph.Graph` and returns the output node(s).  Parameters
-are passed as a mapping from short parameter names (``W_i``, ``b_f``, ...)
-to parameter nodes created by the caller, so the same builders serve both
-step graphs of a network: training and evaluation.
+Each function appends the forward computation of one layer to a
+:class:`~classlm.graph.Graph` and returns the output node(s).  Node values
+are time-major, ``(T, B, width)``: a feed-forward layer computes every
+position at once, and a recurrent layer is one ``lstm`` or ``gru`` node
+that runs the time loop.  Parameters are passed as a mapping from short
+parameter names (``W_i``, ``b_f``, ...) to parameter nodes created by the
+caller, so the same functions serve both graphs of a network: training
+and evaluation.
 """
 
 from __future__ import annotations
@@ -21,11 +24,6 @@ def affine(g, x, w, b):
     return g.add_bias(g.matmul(x, w), b)
 
 
-def gated_affine(g, x, h, w, u, b):
-    """x W + h U + b, the pre-activation shared by every recurrent gate."""
-    return g.add_bias(g.add(g.matmul(x, w), g.matmul(h, u)), b)
-
-
 def projection_forward(g, ids_nodes, embedding_nodes):
     """Gather one embedding row per id, one table per input stream.
 
@@ -36,35 +34,19 @@ def projection_forward(g, ids_nodes, embedding_nodes):
     return g.concat(parts)
 
 
-def lstm_step(g, x, h_prev, c_prev, p):
-    """One LSTM update; returns the new (h, c) nodes.
+def lstm_forward(g, x, h0, c0, p, name=None):
+    """The LSTM over every step of x; returns the hidden and cell sequences.
 
-    i  = sigmoid(x W_i + h U_i + b_i)        input gate
-    f  = sigmoid(x W_f + h U_f + b_f)        forget gate
-    o  = sigmoid(x W_o + h U_o + b_o)        output gate
-    c' = f*c + i*tanh(x W_c + h U_c + b_c)
-    h' = o*tanh(c')
+    One ``lstm`` node runs the time loop (see :meth:`Graph.lstm`); the state
+    after the last step is the last element of each sequence.
     """
-    i = g.sigmoid(gated_affine(g, x, h_prev, p["W_i"], p["U_i"], p["b_i"]))
-    f = g.sigmoid(gated_affine(g, x, h_prev, p["W_f"], p["U_f"], p["b_f"]))
-    o = g.sigmoid(gated_affine(g, x, h_prev, p["W_o"], p["U_o"], p["b_o"]))
-    c_hat = g.tanh(gated_affine(g, x, h_prev, p["W_c"], p["U_c"], p["b_c"]))
-    c_new = g.add(g.mul(f, c_prev), g.mul(i, c_hat))
-    h_new = g.mul(o, g.tanh(c_new))
-    return h_new, c_new
+    seq = g.lstm(x, h0, c0, [p[n] for n in LSTM_PARAMS], name)
+    return g.item(seq, 0), g.item(seq, 1)
 
 
-def gru_step(g, x, h_prev, p):
-    """One GRU update; returns the new h node (no cell state).
-
-    z  = sigmoid(x W_z + h U_z + b_z)        update gate
-    r  = sigmoid(x W_r + h U_r + b_r)        reset gate
-    h' = (1-z)*h + z*tanh(x W_h + (r*h) U_h + b_h)
-    """
-    z = g.sigmoid(gated_affine(g, x, h_prev, p["W_z"], p["U_z"], p["b_z"]))
-    r = g.sigmoid(gated_affine(g, x, h_prev, p["W_r"], p["U_r"], p["b_r"]))
-    h_hat = g.tanh(gated_affine(g, x, g.mul(r, h_prev), p["W_h"], p["U_h"], p["b_h"]))
-    return g.add(g.mul(g.one_minus(z), h_prev), g.mul(z, h_hat))
+def gru_forward(g, x, h0, p, name=None):
+    """The GRU over every step of x; returns the hidden sequence."""
+    return g.item(g.gru(x, h0, [p[n] for n in GRU_PARAMS], name), 0)
 
 
 def tanh_forward(g, x, p):

@@ -131,6 +131,33 @@ def save_model(path, network, training=None):
         raise
 
 
+def _check_blocks(path, index, expected, itemsize, payload_len):
+    """Every parameter's shape and byte length as the architecture implies,
+    its block inside the payload and apart from every other block."""
+    for i, entry in enumerate(index):
+        name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+        shape = tuple(entry["shape"])
+        if shape != expected[name]:
+            raise ModelFormatError(
+                f"{path}: parameter {name!r} has shape {shape}, architecture"
+                f" implies {expected[name]}"
+            )
+        field = f"model header field 'parameters[{i}].offset'"
+        if offset < 0:
+            raise ModelFormatError(f"{path}: {field} of parameter {name!r} is negative ({offset})")
+        if nbytes != int(np.prod(shape)) * itemsize or offset + nbytes > payload_len:
+            raise ModelFormatError(
+                f"{path}: payload truncated; parameter {name!r} incomplete ({field} {offset}"
+                f" and nbytes {nbytes} against {payload_len} payload bytes)")
+    end, last = 0, None
+    for i, entry in sorted(enumerate(index), key=lambda pair: pair[1]["offset"]):
+        if entry["offset"] < end:
+            raise ModelFormatError(
+                f"{path}: model header field 'parameters[{i}].offset' of parameter"
+                f" {entry['name']!r} overlaps the bytes of parameter {last!r}")
+        end, last = entry["offset"] + entry["nbytes"], entry["name"]
+
+
 def load_model(path):
     """Read a model file; returns ``(network, training_metadata)``.
 
@@ -138,7 +165,9 @@ def load_model(path):
     missing or mistyped field or a vocabulary table whose length differs
     from the vocabulary, an architecture that does not parse or validate
     (naming its first violation), truncated payloads (naming the first
-    incomplete parameter) and parameters holding NaN or infinity.
+    incomplete parameter), parameter blocks at a negative offset or
+    overlapping another (naming the offset field and the parameter) and
+    parameters holding NaN or infinity.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -206,21 +235,13 @@ def load_model(path):
     payload_start = header_end + ((-header_end) % _ALIGN)
     payload = memoryview(raw)[payload_start:]
     dtype = _payload_dtype(precision)
+    _check_blocks(path, index, expected, dtype.itemsize, len(payload))
     params = {}
     for entry in index:
         name = entry["name"]
-        shape = tuple(entry["shape"])
-        if shape != expected[name]:
-            raise ModelFormatError(
-                f"{path}: parameter {name!r} has shape {shape}, architecture"
-                f" implies {expected[name]}"
-            )
-        end = entry["offset"] + entry["nbytes"]
-        if entry["nbytes"] != int(np.prod(shape)) * dtype.itemsize or end > len(payload):
-            raise ModelFormatError(f"{path}: payload truncated; parameter {name!r} incomplete")
-        flat = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)),
+        flat = np.frombuffer(payload, dtype=dtype, count=entry["nbytes"] // dtype.itemsize,
                              offset=entry["offset"])
-        value = flat.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+        value = flat.reshape(expected[name]).astype(dtype.newbyteorder("="), copy=True)
         # a finite sum means finite elements; a sum that overflows from
         # finite elements is rechecked element by element
         with np.errstate(over="ignore"):

@@ -2,11 +2,14 @@
 
 A :class:`Network` owns the parameter store for one validated architecture
 description plus the vocabulary and class map it predicts over.  One
-method makes its two graphs, each once, as one time step with the
-recurrent state in and out through ``state/...`` bindings: the evaluation
-step graph (no dropout) outputs the class distribution for scoring and
-sampling; the training step graph binds dropout masks, targets and a
-position mask, and outputs the step's masked cross-entropy sum as "loss".
+method makes its two graphs, each once, over a time-major block of
+positions: ids ``(T, B)`` in, the recurrent state before the first position
+in through ``state/...`` bindings, and the state sequences out.  The
+evaluation graph (no dropout) outputs the class distribution of every
+position; :meth:`Network.step` runs it at T = 1 for scoring and sampling.
+The training graph binds dropout masks, targets and a position mask, all
+``(T, B, ...)``, and outputs the mean masked cross-entropy as "loss", so
+one evaluation and one backward pass cover a whole training batch.
 
 The softmax layer always has one output unit per word class; with an
 identity class map this degenerates to a full-vocabulary softmax.
@@ -148,8 +151,9 @@ class Network:
     def _param_nodes(self, g, layer_name, pnames):
         return {p: g.parameter(f"{layer_name}/{p}") for p in pnames}
 
-    def _build_position(self, g, state_in, train_mode):
-        """Append one time step of the network; returns (logits, state_out)."""
+    def _build(self, g, train_mode):
+        """Append the network over every position of the bound ids; returns
+        (logits, state sequences)."""
         acts = {}
         state_out = {}
         logits = None
@@ -167,15 +171,14 @@ class Network:
             x = g.concat([acts[src] for src in spec.inputs])
             if spec.kind == "lstm":
                 p = self._param_nodes(g, name, layers.LSTM_PARAMS)
-                h, c = layers.lstm_step(g, x, state_in[f"h/{name}"], state_in[f"c/{name}"], p)
-                acts[name] = h
-                state_out[f"h/{name}"] = h
+                h, c = layers.lstm_forward(g, x, g.input(f"state/h/{name}"),
+                                           g.input(f"state/c/{name}"), p, name)
+                acts[name] = state_out[f"h/{name}"] = h
                 state_out[f"c/{name}"] = c
             elif spec.kind == "gru":
                 p = self._param_nodes(g, name, layers.GRU_PARAMS)
-                h = layers.gru_step(g, x, state_in[f"h/{name}"], p)
-                acts[name] = h
-                state_out[f"h/{name}"] = h
+                h = layers.gru_forward(g, x, g.input(f"state/h/{name}"), p, name)
+                acts[name] = state_out[f"h/{name}"] = h
             elif spec.kind == "tanh":
                 acts[name] = layers.tanh_forward(g, x, self._param_nodes(g, name, layers.TANH_PARAMS))
             elif spec.kind == "dropout":
@@ -193,14 +196,13 @@ class Network:
         return logits, state_out
 
     def _graph(self, train_mode):
-        """The step graph of one mode, built on first use."""
+        """The graph of one mode, built on first use."""
         if train_mode not in self._graphs:
             g = Graph()
-            state_in = {key: g.input(f"state/{key}") for key in self.initial_state(1)}
-            logits, state_out = self._build_position(g, state_in, train_mode)
+            logits, state_out = self._build(g, train_mode)
             if train_mode:
                 ce = g.cross_entropy(logits, g.input("target"))
-                g.mark_output(g.sum(g.mul(ce, g.input("mask"))), "loss")
+                g.mark_output(g.masked_mean(ce, g.input("mask")), "loss")
             else:
                 g.mark_output(g.softmax(logits), "class_probs")
             for key, node in state_out.items():
@@ -209,22 +211,22 @@ class Network:
         return self._graphs[train_mode]
 
     def step_graph(self):
-        """Evaluation-mode step: state in, class distribution and next state out."""
+        """Evaluation mode: state in, class distributions and state sequences out."""
         return self._graph(train_mode=False)
 
     def training_graph(self):
-        """Train-mode step: dropout masks bound, masked cross-entropy sum as loss."""
+        """Train mode: dropout masks bound, mean masked cross-entropy as loss."""
         return self._graph(train_mode=True)
 
     # -- evaluation -------------------------------------------------------------
 
     def step(self, state, word_ids):
         """Advance one position; returns (class probabilities, new state)."""
-        bindings = self.token_bindings(np.asarray(word_ids, dtype=np.int64))
+        bindings = self.token_bindings(np.asarray(word_ids, dtype=np.int64)[None])
         for key, value in state.items():
             bindings[f"state/{key}"] = value
         outputs = forward_eval(self.step_graph(), bindings, self.params).outputs
-        return outputs["class_probs"], {key: outputs[f"state/{key}"] for key in state}
+        return outputs["class_probs"][0], {key: outputs[f"state/{key}"][-1] for key in state}
 
     def copy_params(self):
         return {name: value.copy() for name, value in self.params.items()}

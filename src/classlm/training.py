@@ -2,12 +2,14 @@
 
 Sentences are framed, cut into segments of at most `max_sequence_length`
 positions, bucketed by length and padded within each batch; the loss is the
-mean class cross-entropy over real (unpadded) positions, backpropagated
-through time over the network's one training step graph.  At regular
-intervals the development perplexity is measured with the same scorer the
-``score`` command uses.  The parameters achieving the lowest development
-perplexity are checkpointed and restored at the end, so the returned model
-is always the best one seen, not the last iterate.
+mean class cross-entropy over real (unpadded) positions.  A batch is bound
+time-major, and one evaluation of the network's training graph and one
+backward pass, through time inside the recurrent ops, give its loss and
+gradients.  At regular intervals the development perplexity is measured
+with the same scorer the ``score`` command uses.  The parameters achieving
+the lowest development perplexity are checkpointed and restored at the
+end, so the returned model is always the best one seen, not the last
+iterate.
 
 When a validation fails to improve on the best perplexity by at least
 `min_improvement` (relative), the failure counter grows and, for sgd/nag
@@ -104,46 +106,41 @@ def _make_batches(segments, batch_size, rng):
     return [batches[i] for i in batch_order]
 
 
+def _batch_bindings(network, inputs, targets, mask, rng):
+    """Time-major bindings of one batch: ids, targets and mask as (T, B),
+    one dropout mask per layer as (T, B, width), the zero start state."""
+    batch, length = inputs.shape
+    dtype = network.dtype
+    bindings = network.token_bindings(np.ascontiguousarray(inputs.T))
+    bindings["target"] = network.classes.class_of[np.ascontiguousarray(targets.T)]
+    bindings["mask"] = np.ascontiguousarray(mask.T, dtype=dtype)
+    dropout = [s for s in network.desc.layers if s.kind == "dropout" and s.dropout_rate > 0.0]
+    # drawn step by step, layer by layer within a step
+    masks = [[layers.dropout_mask(rng, (batch, network.widths[s.name]), s.dropout_rate, dtype)
+              for s in dropout] for _ in range(length)]
+    for k, spec in enumerate(dropout):
+        bindings[f"dropmask/{spec.name}"] = np.stack([step[k] for step in masks])
+    for key, value in network.initial_state(batch).items():
+        bindings[f"state/{key}"] = value
+    return bindings
+
+
 def batch_loss(network, inputs, targets, mask, rng, params=None):
-    """(Mean class cross-entropy, workspace of each step) of one batch under
-    `params` (default: the network's): one training step per position."""
+    """(Mean class cross-entropy, workspace) of one batch under `params`
+    (default: the network's): one evaluation of the training graph over
+    every position of the batch."""
     graph = network.training_graph()
-    params = network.params if params is None else params
-    batch, dtype = len(inputs), network.dtype
-    state = {f"state/{key}": value for key, value in network.initial_state(batch).items()}
-    workspaces = []
-    for t in range(inputs.shape[1]):
-        bindings = network.token_bindings(inputs[:, t])
-        bindings["target"] = network.classes.class_of[targets[:, t]]
-        bindings["mask"] = mask[:, t].astype(dtype)
-        for spec in network.desc.layers:
-            if spec.kind == "dropout" and spec.dropout_rate > 0.0:
-                bindings[f"dropmask/{spec.name}"] = layers.dropout_mask(
-                    rng, (batch, network.widths[spec.name]), spec.dropout_rate, dtype)
-        try:
-            ws = forward_eval(graph, {**bindings, **state}, params)
-        except NonFiniteError as err:
-            raise NonFiniteError(f"time step {t}: {err}") from None
-        state = {name: ws.value(graph.outputs[name]) for name in state}
-        workspaces.append(ws)
-    inv_count = np.asarray(1.0 / mask.sum(), dtype=dtype)
-    # per-step losses are >= 0, so sum() adds them exactly as a chain of adds would
-    return float(sum(ws.value(graph.outputs["loss"]) for ws in workspaces) * inv_count), workspaces
+    ws = forward_eval(graph, _batch_bindings(network, inputs, targets, mask, rng),
+                      network.params if params is None else params)
+    return float(ws.value(graph.outputs["loss"])), ws
 
 
 def batch_gradients(network, inputs, targets, mask, rng, params=None):
-    """(Mean class cross-entropy, gradients) of one batch: backward over the
-    steps of :func:`batch_loss` from the last, seeding each step's loss with
-    1 / (unmasked positions) and its state outputs with the state-input
-    adjoints of the step after it."""
-    loss, workspaces = batch_loss(network, inputs, targets, mask, rng, params)
-    graph = workspaces[0].graph
-    state = [name for name in graph.outputs if name.startswith("state/")]
-    inv_count = np.asarray(1.0 / mask.sum(), dtype=network.dtype)
-    grads, carry = None, {}
-    for ws in reversed(workspaces):
-        grads, carry = backward(graph, ws, {"loss": inv_count, **carry}, grads, state)
-    return loss, grads
+    """(Mean class cross-entropy, gradients) of one batch: one backward pass
+    over the workspace of :func:`batch_loss`, through time inside the
+    recurrent ops."""
+    loss, ws = batch_loss(network, inputs, targets, mask, rng, params)
+    return loss, backward(ws.graph, ws)
 
 
 def train(network, train_sentences, dev_sentences, config):

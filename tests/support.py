@@ -67,7 +67,7 @@ def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6), precisio
 def graph_fd_error(graph, bindings, params, name, step):
     """finite_difference_check of parameter `name` of a graph with a scalar
     "loss" output, the other parameters held at `params`."""
-    analytic = cl.backward(graph, cl.forward_eval(graph, bindings, params))[0][name]
+    analytic = cl.backward(graph, cl.forward_eval(graph, bindings, params))[name]
     return cl.finite_difference_check(
         lambda value: float(
             cl.forward_eval(graph, bindings, {**params, name: value}).outputs["loss"]),

@@ -64,14 +64,15 @@ def _recurrent_trial(rng, kind):
         shape = (n_in, n) if name.startswith("W") else (n, n) if name.startswith("U") else (n,)
         params[name] = rng.normal(size=shape) * 0.7
     p = {name: g.parameter(name) for name in names}
+    # one time step of two rows
     if kind == "lstm":
-        h, c = layers.lstm_step(g, g.input("x"), g.input("h0"), g.input("c0"), p)
+        h, c = layers.lstm_forward(g, g.input("x"), g.input("h0"), g.input("c0"), p)
         out = g.add(h, c)
-        bindings = {"x": rng.normal(size=(2, n_in)), "h0": rng.normal(size=(2, n)),
+        bindings = {"x": rng.normal(size=(1, 2, n_in)), "h0": rng.normal(size=(2, n)),
                     "c0": rng.normal(size=(2, n))}
     else:
-        out = layers.gru_step(g, g.input("x"), g.input("h0"), p)
-        bindings = {"x": rng.normal(size=(2, n_in)), "h0": rng.normal(size=(2, n))}
+        out = layers.gru_forward(g, g.input("x"), g.input("h0"), p)
+        bindings = {"x": rng.normal(size=(1, 2, n_in)), "h0": rng.normal(size=(2, n))}
     g.mark_output(g.sum(g.mul(out, out)), "loss")
     _check_all_params(g, bindings, params)
 

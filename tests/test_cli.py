@@ -382,6 +382,22 @@ def test_malformed_model_header_is_a_one_line_error(tmp_path, rng, caplog):
     assert "'parameters[1].offset'" in message
 
 
+@pytest.mark.parametrize("offset, problem", [(8, "overlaps the bytes of parameter"),
+                                             (-8, "is negative")])
+def test_overlapping_or_negative_parameter_offset_is_a_one_line_error(tmp_path, rng, caplog,
+                                                                      offset, problem):
+    # an offset of 8 reads the second parameter from inside the first one's bytes
+    model = tmp_path / "model.clm"
+    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
+    cl.save_model(model, net)
+    support.rewrite_header(model, lambda h: h["parameters"][1].update(offset=offset))
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("w1 w2\n")
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert "'parameters[1].offset'" in message and problem in message
+    assert repr(list(net.params)[1]) in message
+
+
 @pytest.mark.parametrize("old, new, expected", [
     ("input=proj", "input=nope", "line 3: layer 'rec' references undeclared name 'nope'"),
     ("name=ff input=rec", "name=ff input=class_input",

@@ -15,6 +15,7 @@ from classlm.graph import (
     finite_difference_check,
     forward_eval,
 )
+from classlm.layers import GRU_PARAMS, LSTM_PARAMS
 
 import support
 
@@ -102,7 +103,7 @@ def test_square_loss_gradient():
     x = g.parameter("x")
     g.mark_output(g.sum(g.mul(x, x)), "loss")
     ws = forward_eval(g, {}, {"x": np.array([[3.0]])})
-    grads, _ = backward(g, ws)
+    grads = backward(g, ws)
     np.testing.assert_allclose(grads["x"], [[6.0]], rtol=1e-15)
 
 
@@ -113,7 +114,7 @@ def test_cross_entropy_gradient_vanishes_at_onehot():
     logits = g.parameter("logits")
     g.mark_output(g.sum(g.cross_entropy(logits, g.input("t"))), "loss")
     ws = forward_eval(g, {"t": np.array([0])}, {"logits": np.array([[1000.0, 0.0, 0.0]])})
-    grads, _ = backward(g, ws)
+    grads = backward(g, ws)
     np.testing.assert_array_equal(grads["logits"], np.zeros((1, 3)))
 
 
@@ -165,10 +166,10 @@ def test_one_step_lstm_fd(rng):
     x = g.input("x")
     h0 = g.input("h0")
     c0 = g.input("c0")
-    h, c = layers.lstm_step(g, x, h0, c0, p)
+    h, c = layers.lstm_forward(g, x, h0, c0, p)
     g.mark_output(g.sum(g.add(h, c)), "loss")
     bindings = {
-        "x": rng.normal(size=(2, n_in)),
+        "x": rng.normal(size=(1, 2, n_in)),
         "h0": rng.normal(size=(2, n)),
         "c0": rng.normal(size=(2, n)),
     }
@@ -226,31 +227,84 @@ def _random_graph(rng):
     return g, bindings, params
 
 
+def _random_recurrent_graph(rng):
+    """A randomized time-major graph around one lstm or gru node whose
+    input, hidden sequence and (lstm) cell sequence each have two consumers,
+    with its bindings and parameter values."""
+    g = Graph()
+    params = {}
+
+    def parameter(name, value):
+        params[name] = value
+        return g.parameter(name)
+
+    steps = int(rng.integers(1, 4))
+    batch = int(rng.choice([1, 2, 3, ROW_BLOCK]))
+    n1 = int(rng.integers(2, 4))
+    n2 = int(rng.integers(2, 4))
+    rows = int(rng.integers(3, 6))
+    kind = "lstm" if rng.random() < 0.5 else "gru"
+
+    xs = g.gather_rows(parameter("table", rng.normal(size=(rows, n1))), g.input("ids"))
+    rec = [parameter(name, rng.normal(size={"W": (n1, n2), "U": (n2, n2)}.get(name[0], (n2,)))
+                     * 0.7) for name in (LSTM_PARAMS if kind == "lstm" else GRU_PARAMS)]
+    node = (g.lstm(xs, g.input("h0"), g.input("c0"), rec) if kind == "lstm"
+            else g.gru(xs, g.input("h0"), rec))
+    hs = g.item(node, 0)
+    logits = g.add_bias(g.matmul(hs, parameter("w", rng.normal(size=(n2, 3)))),
+                        parameter("b", rng.normal(size=3)))
+    loss = g.masked_mean(g.cross_entropy(logits, g.input("targets")), g.input("mask"))
+    loss = g.add(loss, g.sum(g.mul(g.concat([hs, g.tanh(xs)]), g.input("mix"))))
+    if kind == "lstm":
+        loss = g.add(loss, g.sum(g.mul(g.item(node, 1), g.input("c_mix"))))
+    g.mark_output(loss, "loss")
+
+    mask = (rng.random(size=(steps, batch)) < 0.7).astype(float)
+    mask[0, 0] = 1.0
+    bindings = {
+        "ids": rng.integers(0, rows, size=(steps, batch)),
+        "h0": rng.normal(size=(batch, n2)),
+        "c0": rng.normal(size=(batch, n2)),
+        "targets": rng.integers(0, 3, size=(steps, batch)),
+        "mask": mask,
+        "mix": rng.normal(size=(steps, batch, n1 + n2)),
+        "c_mix": rng.normal(size=(steps, batch, n2)),
+    }
+    return g, bindings, params
+
+
+# (make graph, seed, count) of the randomized graphs
+RANDOM_GRAPHS = ((_random_graph, 7, 100), (_random_recurrent_graph, 8, 40))
+
+
 def test_random_graphs_match_finite_differences():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        g, bindings, params = _random_graph(rng)
-        assert g.parameters == sorted(params)
-        for name in g.parameters:
-            assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
+    for build, seed, count in RANDOM_GRAPHS:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            g, bindings, params = build(rng)
+            assert g.parameters == sorted(params)
+            for name in g.parameters:
+                assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
 def test_random_graphs_use_every_op():
     # every op of the table gets the finite-difference coverage above
-    rng = np.random.default_rng(7)
     used = set()
-    for _ in range(100):
-        g, _, _ = _random_graph(rng)
-        used.update(node.op for node in g.nodes)
+    for build, seed, count in RANDOM_GRAPHS:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            g, _, _ = build(rng)
+            used.update(node.op for node in g.nodes)
     assert set(_OPS) <= used
 
 
 def test_forward_is_pure(rng):
-    g, bindings, params = _random_graph(np.random.default_rng(3))
-    ws1 = forward_eval(g, bindings, params)
-    ws2 = forward_eval(g, bindings, params)
-    for a, b in zip(ws1.values, ws2.values):
-        np.testing.assert_array_equal(a, b)
+    for build, _, _ in RANDOM_GRAPHS:
+        g, bindings, params = build(np.random.default_rng(3))
+        ws1 = forward_eval(g, bindings, params)
+        ws2 = forward_eval(g, bindings, params)
+        for a, b in zip(ws1.values, ws2.values):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_softmax_rows_sum_to_one():
@@ -269,8 +323,8 @@ def test_unreachable_parameter_gets_zero_gradient():
     used = g.parameter("used")
     g.parameter("unused")
     g.mark_output(g.sum(g.mul(used, used)), "loss")
-    grads, _ = backward(g, forward_eval(g, {}, {"used": np.array([[2.0]]),
-                                                "unused": np.ones((3, 2))}))
+    grads = backward(g, forward_eval(g, {}, {"used": np.array([[2.0]]),
+                                             "unused": np.ones((3, 2))}))
     assert grads["unused"].shape == (3, 2)
     np.testing.assert_array_equal(grads["unused"], np.zeros((3, 2)))
     assert np.any(grads["used"] != 0)
@@ -345,7 +399,7 @@ def test_backward_without_seeds_needs_an_output_named_loss():
     ws = forward_eval(g, {"x": np.ones(2)}, {"w": np.ones(2)})
     with pytest.raises(GraphError, match="no loss output"):
         backward(g, ws)
-    np.testing.assert_array_equal(backward(g, ws, {"total": 1.0})[0]["w"], np.ones(2))
+    np.testing.assert_array_equal(backward(g, ws, {"total": 1.0})["w"], np.ones(2))
 
 
 def test_backward_needs_this_graphs_forward_values():
@@ -355,11 +409,8 @@ def test_backward_needs_this_graphs_forward_values():
     other.mark_output(other.tanh(other.input("x")), "y")
     for ws in (Workspace(g), forward_eval(other, {"x": np.zeros(2)}, {})):
         with pytest.raises(GraphError, match="forward values missing"):
-            backward(g, ws, {"y": np.ones(2)}, wrt=("x",))
-    grads, adjoints = backward(g, forward_eval(g, {"x": np.zeros(2)}, {}), {"y": np.ones(2)},
-                               wrt=("x",))
-    assert grads == {}
-    np.testing.assert_array_equal(adjoints["x"], np.ones(2))
+            backward(g, ws, {"y": np.ones(2)})
+    assert backward(g, forward_eval(g, {"x": np.zeros(2)}, {}), {"y": np.ones(2)}) == {}
 
 
 def test_loss_must_be_scalar():
@@ -375,6 +426,29 @@ def test_gather_rejects_out_of_range_ids():
     g.gather_rows(g.parameter("t"), g.input("ids"), name="lookup")
     with pytest.raises(GraphError, match="out of range"):
         forward_eval(g, {"ids": np.array([3])}, {"t": np.ones((3, 2))})
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gather_gradient_equals_the_table_sized_form_bitwise(dtype):
+    # rows are added per step into a block of the touched rows only; the
+    # old form added each step into a zero table the size of the embedding
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(50, 7)).astype(dtype)
+    g = Graph()
+    g.mark_output(g.gather_rows(g.parameter("t"), g.input("ids")), "y")
+    for shape in ((9, 13), (13,)):
+        ids = rng.integers(0, 6, size=shape)  # six rows: every step repeats ids
+        dy = rng.normal(size=(*shape, 7)).astype(dtype)
+        grads = backward(g, forward_eval(g, {"ids": ids}, {"t": table}), {"y": dy})
+        steps, dys = (ids, dy) if ids.ndim == 2 else (ids[None], dy[None])
+        expected = np.zeros_like(table)
+        for t in range(len(steps) - 1, -1, -1):
+            step = np.zeros_like(table)
+            np.add.at(step, steps[t], dys[t])
+            expected += step
+        assert grads["t"].dtype == dtype
+        assert np.array_equal(grads["t"], expected)
+        assert not expected[6:].any()
 
 
 def test_parameter_override_at_eval_time():

@@ -14,7 +14,7 @@ def _lstm_graph():
     g = Graph()
     p = {name: g.parameter(name) for name in layers.LSTM_PARAMS}
     x, h0, c0 = g.input("x"), g.input("h0"), g.input("c0")
-    h, c = layers.lstm_step(g, x, h0, c0, p)
+    h, c = layers.lstm_forward(g, x, h0, c0, p)
     g.mark_output(h, "h")
     g.mark_output(c, "c")
     return g
@@ -61,11 +61,11 @@ def test_projection_rejects_out_of_range_id():
 def test_lstm_zero_weights_zero_state_gives_zero_output(rng):
     ws = forward_eval(
         _lstm_graph(),
-        {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4)), "c0": np.zeros((2, 4))},
+        {"x": rng.normal(size=(1, 2, 3)), "h0": np.zeros((2, 4)), "c0": np.zeros((2, 4))},
         _lstm_weights(3, 4),
     )
-    np.testing.assert_array_equal(ws.outputs["c"], np.zeros((2, 4)))
-    np.testing.assert_array_equal(ws.outputs["h"], np.zeros((2, 4)))
+    np.testing.assert_array_equal(ws.outputs["c"], np.zeros((1, 2, 4)))
+    np.testing.assert_array_equal(ws.outputs["h"], np.zeros((1, 2, 4)))
 
 
 def test_lstm_saturated_gates_carry_cell_state_unchanged(rng):
@@ -76,8 +76,8 @@ def test_lstm_saturated_gates_carry_cell_state_unchanged(rng):
     w["b_i"] = np.full(4, -40.0)
     c_prev = rng.normal(size=(2, 4))
     ws = forward_eval(_lstm_graph(),
-                      {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4)), "c0": c_prev}, w)
-    np.testing.assert_allclose(ws.outputs["c"], c_prev, rtol=0, atol=1e-12)
+                      {"x": rng.normal(size=(1, 2, 3)), "h0": np.zeros((2, 4)), "c0": c_prev}, w)
+    np.testing.assert_allclose(ws.outputs["c"][0], c_prev, rtol=0, atol=1e-12)
 
 
 def test_lstm_three_step_chain_matches_finite_differences(rng):
@@ -85,17 +85,10 @@ def test_lstm_three_step_chain_matches_finite_differences(rng):
     g = Graph()
     params = _lstm_weights(n_in, n, rng, 0.6)
     p = {name: g.parameter(name) for name in params}
-    h = g.input("h0")
-    c = g.input("c0")
-    total = None
-    for t in range(3):
-        h, c = layers.lstm_step(g, g.input(f"x{t}"), h, c, p)
-        term = g.sum(g.mul(h, h))
-        total = term if total is None else g.add(total, term)
-    g.mark_output(total, "loss")
-    bindings = {"h0": np.zeros((2, n)), "c0": np.zeros((2, n))}
-    for t in range(3):
-        bindings[f"x{t}"] = rng.normal(size=(2, n_in))
+    h, _ = layers.lstm_forward(g, g.input("x"), g.input("h0"), g.input("c0"), p)
+    g.mark_output(g.sum(g.mul(h, h)), "loss")
+    bindings = {"h0": np.zeros((2, n)), "c0": np.zeros((2, n)),
+                "x": rng.normal(size=(3, 2, n_in))}
     for name in layers.LSTM_PARAMS:
         assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
@@ -103,8 +96,7 @@ def test_lstm_three_step_chain_matches_finite_differences(rng):
 def _gru_graph():
     g = Graph()
     p = {name: g.parameter(name) for name in layers.GRU_PARAMS}
-    h = layers.gru_step(g, g.input("x"), g.input("h0"), p)
-    g.mark_output(h, "h")
+    g.mark_output(layers.gru_forward(g, g.input("x"), g.input("h0"), p), "h")
     return g
 
 
@@ -120,14 +112,14 @@ def test_gru_zero_update_gate_preserves_state(rng):
     w = _gru_weights(3, 4)
     w["b_z"] = np.full(4, -40.0)  # z ~ 0 -> h' = h
     h_prev = rng.normal(size=(2, 4))
-    ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(2, 3)), "h0": h_prev}, w)
-    np.testing.assert_allclose(ws.outputs["h"], h_prev, rtol=0, atol=1e-12)
+    ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(1, 2, 3)), "h0": h_prev}, w)
+    np.testing.assert_allclose(ws.outputs["h"][0], h_prev, rtol=0, atol=1e-12)
 
 
 def test_gru_zero_weights_zero_state_gives_zero(rng):
-    ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(2, 3)), "h0": np.zeros((2, 4))},
+    ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(1, 2, 3)), "h0": np.zeros((2, 4))},
                       _gru_weights(3, 4))
-    np.testing.assert_array_equal(ws.outputs["h"], np.zeros((2, 4)))
+    np.testing.assert_array_equal(ws.outputs["h"], np.zeros((1, 2, 4)))
 
 
 def test_gru_three_step_chain_matches_finite_differences(rng):
@@ -135,18 +127,36 @@ def test_gru_three_step_chain_matches_finite_differences(rng):
     g = Graph()
     params = _gru_weights(n_in, n, rng, 0.6)
     p = {name: g.parameter(name) for name in params}
-    h = g.input("h0")
-    total = None
-    for t in range(3):
-        h = layers.gru_step(g, g.input(f"x{t}"), h, p)
-        term = g.sum(g.mul(h, h))
-        total = term if total is None else g.add(total, term)
-    g.mark_output(total, "loss")
-    bindings = {"h0": np.zeros((2, n))}
-    for t in range(3):
-        bindings[f"x{t}"] = rng.normal(size=(2, n_in))
+    h = layers.gru_forward(g, g.input("x"), g.input("h0"), p)
+    g.mark_output(g.sum(g.mul(h, h)), "loss")
+    bindings = {"h0": np.zeros((2, n)), "x": rng.normal(size=(3, 2, n_in))}
     for name in layers.GRU_PARAMS:
         assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_nonfinite_inside_a_recurrent_layer_names_its_time_step_and_layer(kind):
+    g = Graph()
+    names = layers.LSTM_PARAMS if kind == "lstm" else layers.GRU_PARAMS
+    p = {name: g.parameter(name) for name in names}
+    if kind == "lstm":
+        layers.lstm_forward(g, g.input("x"), g.input("h0"), g.input("c0"), p, name="rec")
+        weights = _lstm_weights(3, 4, np.random.default_rng(0), 0.5)
+    else:
+        layers.gru_forward(g, g.input("x"), g.input("h0"), p, name="rec")
+        weights = _gru_weights(3, 4, np.random.default_rng(0), 0.5)
+    x = np.zeros((5, 2, 3))
+    x[3, 1, 0] = np.nan
+    bindings = {"x": x, "h0": np.zeros((2, 4)), "c0": np.zeros((2, 4))}
+    with pytest.raises(cl.NonFiniteError,
+                       match=rf"^time step 3: node 'rec' \({kind}\) produced a non-finite value$"):
+        forward_eval(g, bindings, weights)
+    # a non-finite start state (the cell state of an lstm) fails at the first step
+    state = "c0" if kind == "lstm" else "h0"
+    bindings.update({"x": np.zeros((5, 2, 3)), state: np.full((2, 4), np.inf)})
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(cl.NonFiniteError, match=rf"^time step 0: node 'rec' \({kind}\)"):
+        forward_eval(g, bindings, weights)
 
 
 def test_tanh_layer_basics_and_gradient(rng):

@@ -182,9 +182,115 @@ def test_divergence_names_batch_and_time_step(caplog):
 # -- backpropagation through time against the unrolled reference -------------
 #
 # The trainer once built one graph per segment length, every position
-# unrolled with its own input names, and differentiated it in one backward
-# pass.  That trainer is kept here as the reference: the step-graph trainer
-# must give the same loss and the same gradients bit for bit.
+# unrolled with its own input names, each LSTM or GRU step a subgraph of
+# matmul, add, sigmoid, tanh and mul nodes, and differentiated it in one
+# backward pass.  That trainer and its step functions are kept here as the
+# reference: the time-major trainer must give the same loss and the same
+# gradients bit for bit, and a network step the same bits as the old
+# one-position evaluation graph.
+
+
+def _gated_affine(g, x, h, w, u, b):
+    return g.add_bias(g.add(g.matmul(x, w), g.matmul(h, u)), b)
+
+
+def _lstm_step(g, x, h_prev, c_prev, p):
+    i = g.sigmoid(_gated_affine(g, x, h_prev, p["W_i"], p["U_i"], p["b_i"]))
+    f = g.sigmoid(_gated_affine(g, x, h_prev, p["W_f"], p["U_f"], p["b_f"]))
+    o = g.sigmoid(_gated_affine(g, x, h_prev, p["W_o"], p["U_o"], p["b_o"]))
+    c_hat = g.tanh(_gated_affine(g, x, h_prev, p["W_c"], p["U_c"], p["b_c"]))
+    c_new = g.add(g.mul(f, c_prev), g.mul(i, c_hat))
+    h_new = g.mul(o, g.tanh(c_new))
+    return h_new, c_new
+
+
+def _gru_step(g, x, h_prev, p):
+    z = g.sigmoid(_gated_affine(g, x, h_prev, p["W_z"], p["U_z"], p["b_z"]))
+    r = g.sigmoid(_gated_affine(g, x, h_prev, p["W_r"], p["U_r"], p["b_r"]))
+    h_hat = g.tanh(_gated_affine(g, x, g.mul(r, h_prev), p["W_h"], p["U_h"], p["b_h"]))
+    return g.add(g.mul(g.one_minus(z), h_prev), g.mul(z, h_hat))
+
+
+def _build_position(net, g, state_in, train_mode):
+    """One time step of `net` with node-level recurrent steps; returns
+    (logits, state_out)."""
+    acts, state_out, logits = {}, {}, None
+    for spec in net.desc.layers:
+        name = spec.name
+        if spec.kind in ("class_input", "word_input"):
+            acts[name] = g.input(f"tokens/{name}")
+            continue
+        if spec.kind == "projection":
+            acts[name] = g.concat([g.gather_rows(g.parameter(f"{name}/E_{src}"), acts[src])
+                                   for src in spec.inputs])
+            continue
+        x = g.concat([acts[src] for src in spec.inputs])
+        names = {"lstm": cl.layers.LSTM_PARAMS, "gru": cl.layers.GRU_PARAMS,
+                 "dropout": ()}.get(spec.kind, ("W", "b"))
+        p = {pname: g.parameter(f"{name}/{pname}") for pname in names}
+        if spec.kind == "lstm":
+            h, c = _lstm_step(g, x, state_in[f"h/{name}"], state_in[f"c/{name}"], p)
+            acts[name] = state_out[f"h/{name}"] = h
+            state_out[f"c/{name}"] = c
+        elif spec.kind == "gru":
+            acts[name] = state_out[f"h/{name}"] = _gru_step(g, x, state_in[f"h/{name}"], p)
+        elif spec.kind == "tanh":
+            acts[name] = g.tanh(g.add_bias(g.matmul(x, p["W"]), p["b"]))
+        elif spec.kind == "dropout":
+            if train_mode and spec.dropout_rate > 0.0:
+                acts[name] = g.mul(x, g.input(f"dropmask/{name}"))
+            else:
+                acts[name] = x
+        elif spec.kind == "softmax":
+            out = g.add_bias(g.matmul(x, p["W"]), p["b"])
+            if name == net.desc.output_layer.name:
+                logits = out
+            else:
+                acts[name] = g.softmax(out)
+    return logits, state_out
+
+
+def _reference_step_graph(net):
+    """The one-position evaluation graph of the step-by-step reference."""
+    g = Graph()
+    state = {key: g.input(f"state/{key}") for key in net.initial_state(1)}
+    logits, state_out = _build_position(net, g, state, train_mode=False)
+    g.mark_output(g.softmax(logits), "class_probs")
+    for key, node in state_out.items():
+        g.mark_output(node, f"state/{key}")
+    return g
+
+
+def assert_steps_match_reference(net, inputs):
+    """`net.step` over the columns of `inputs` gives the reference's bits."""
+    graph = _reference_step_graph(net)
+    state = net.initial_state(len(inputs))
+    for t in range(inputs.shape[1]):
+        probs, new_state = net.step(state, inputs[:, t])
+        bindings = {f"state/{key}": value for key, value in state.items()}
+        bindings.update(net.token_bindings(inputs[:, t]))
+        expected = forward_eval(graph, bindings, net.params).outputs
+        assert probs.dtype == expected["class_probs"].dtype == net.dtype
+        assert np.array_equal(probs, expected["class_probs"])
+        for key, value in new_state.items():
+            assert value.dtype == net.dtype and np.array_equal(value, expected[f"state/{key}"]), key
+        state = new_state
+
+
+def assert_gradients_match_reference(net, inputs, targets, mask, seed):
+    """`batch_gradients` gives the unrolled reference's loss and gradients
+    bit for bit, dropout masks drawn from the same stream."""
+    graph = _unrolled_graph(net, inputs.shape[1])
+    ws = forward_eval(graph, _unrolled_bindings(net, inputs, targets, mask,
+                                                np.random.default_rng(seed)), net.params)
+    ref_grads = _unrolled_backward(graph, ws)
+
+    loss, grads = batch_gradients(net, inputs, targets, mask, np.random.default_rng(seed))
+    assert loss == float(ws.outputs["loss"])
+    assert list(grads) == list(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].dtype == ref.dtype == net.dtype, name
+        assert np.array_equal(grads[name], ref), name
 
 
 class _SuffixedGraph(Graph):
@@ -202,7 +308,7 @@ def _unrolled_graph(net, length):
     total = None
     for t in range(length):
         g.suffix = f"/{t}"
-        logits, state = net._build_position(g, state, train_mode=True)
+        logits, state = _build_position(net, g, state, train_mode=True)
         ce = g.cross_entropy(logits, g.input("target"))
         term = g.sum(g.mul(ce, g.input("mask")))
         total = term if total is None else g.add(total, term)
@@ -291,18 +397,20 @@ def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length):
     net = cl.instantiate_network(cl.parse_description(arch), vocab, classes, seed=5,
                                  precision=precision)
     inputs, targets, mask = _ragged_batch(rng, net, length)
+    assert_gradients_match_reference(net, inputs, targets, mask, 9)
 
-    graph = _unrolled_graph(net, length)
-    ws = forward_eval(graph, _unrolled_bindings(net, inputs, targets, mask,
-                                                np.random.default_rng(9)), net.params)
-    ref_grads = _unrolled_backward(graph, ws)
 
-    loss, grads = batch_gradients(net, inputs, targets, mask, np.random.default_rng(9))
-    assert loss == float(ws.outputs["loss"])
-    assert list(grads) == list(ref_grads)
-    for name, ref in ref_grads.items():
-        assert grads[name].dtype == ref.dtype == net.dtype, name
-        assert np.array_equal(grads[name], ref), name
+@pytest.mark.parametrize("arch, precision", list(itertools.product(
+    ("lstm_dropout", "gru_tanh"), ("double", "single"))))
+def test_network_step_matches_the_one_position_reference_bitwise(arch, precision):
+    arch = {"lstm_dropout": LSTM_DROPOUT_ARCH, "gru_tanh": GRU_TANH_ARCH}[arch]
+    rng = np.random.default_rng(4)
+    vocab = cl.Vocabulary([f"w{i}" for i in range(9)], {f"w{i}": 1 for i in range(9)})
+    net = cl.instantiate_network(cl.parse_description(arch), vocab,
+                                 cl.initialize_classes(vocab, 4, seed=3), seed=5,
+                                 precision=precision)
+    for rows in (1, 5, 8, 16):
+        assert_steps_match_reference(net, rng.integers(0, len(vocab), size=(rows, 4)))
 
 
 def test_batches_of_any_length_share_one_training_graph():
@@ -319,5 +427,6 @@ def test_batches_of_any_length_share_one_training_graph():
     state = cl.train(net, corpus, corpus[:3], _config(batch_size=3, max_epochs=1))
     assert state.batches == 7
     assert len(graphs) == 7 and all(g is graphs[0] for g in graphs)
-    # one position of the network plus the loss: no node per time step
-    assert len(graphs[0].nodes) == len(net.step_graph().nodes) + 4
+    # the network once plus the loss, no node per time step: target and mask
+    # inputs, cross-entropy and masked mean in place of the class softmax
+    assert len(graphs[0].nodes) == len(net.step_graph().nodes) + 3

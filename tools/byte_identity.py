@@ -4,9 +4,10 @@ Usage: python tools/byte_identity.py OUT_DIR
 
 The run writes a seeded Markov corpus (seed 11), induces word classes,
 trains an LSTM with dropout and a GRU+tanh over word and class inputs in
-double and single precision with the default optimizer, and the LSTM in
-both precisions with each optimizer under a clip norm that some batches
-exceed.  It then scores with and without ``--unk-penalty 0``, rescores
+double and single precision with the default optimizer, each of the two
+also at a batch size of 13 (no multiple of the 8-row matmul block), and
+the LSTM in both precisions with each optimizer under a clip norm that some
+batches exceed.  It then scores with and without ``--unk-penalty 0``, rescores
 n-best lists with fixed weights and with ``--tune --refs``, and samples from
 each of the four architecture models.  It prints one ``sha256  file`` line
 per output file, paths relative to OUT_DIR, in a fixed order.
@@ -122,10 +123,10 @@ def produce(out):
          p("classes.tsv")])
     outputs.append("classes.tsv")
 
-    def train(model, arch, precision, *options):
+    def train(model, arch, precision, *options, batch_size=16):
         run(["train", "--train", p("train.txt"), "--dev", p("dev.txt"), "--arch",
              p(f"{arch}.arch"), "--classes", p("classes.tsv"), "--precision", precision,
-             "--batch-size", "16", "--max-seq-length", "10", "--max-epochs", "2",
+             "--batch-size", str(batch_size), "--max-seq-length", "10", "--max-epochs", "2",
              "--seed", "5", *options, "--output-model", p(model)])
         outputs.append(model)
 
@@ -134,6 +135,8 @@ def produce(out):
         for precision in ("double", "single"):
             models.append(f"{arch}-{precision}.clm")
             train(models[-1], arch, precision)
+        # a batch size that is no multiple of the 8-row block: one plain gemm per step
+        train(f"{arch}-double-batch13.clm", arch, "double", batch_size=13)
     # a clip norm that some batches exceed, so that clipped steps are compared too
     for optimizer in ALGORITHMS:
         for precision in ("double", "single"):
