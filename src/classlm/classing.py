@@ -79,10 +79,13 @@ class ClassMap:
             if sizes[c] == 0:
                 raise ValueError(f"class {c} has no members")
             raise ValueError(f"memberships of class {c} sum to {float(totals[c])!r}, not 1")
-        by_class = np.argsort(self.class_of, kind="stable").tolist()
+        self._by_class = np.argsort(self.class_of, kind="stable")
+        self._sizes = sizes
+        by_class = self._by_class.tolist()
         ends = np.cumsum(sizes).tolist()
         self.members = [by_class[i - n:i] for i, n in zip(ends, sizes.tolist())]
         self._log_membership = None
+        self._member_tables = None
 
     def __len__(self):
         return self.class_of.size
@@ -95,6 +98,21 @@ class ClassMap:
             np.log(m, out=out, where=m > 0)
             self._log_membership = out
         return self._log_membership
+
+    @property
+    def member_tables(self):
+        """``(words, starts, sizes, cumulative)``: the word ids in class
+        order, the index of each class's first word in them and the class's
+        size, and at each index the running sum of memberships within its
+        class (one ``np.cumsum`` per class)."""
+        if self._member_tables is None:
+            sizes = self._sizes
+            starts = np.cumsum(sizes) - sizes
+            m = self.membership[self._by_class]
+            cumulative = np.concatenate([np.cumsum(m[a:a + n])
+                                         for a, n in zip(starts.tolist(), sizes.tolist())])
+            self._member_tables = self._by_class, starts, sizes, cumulative
+        return self._member_tables
 
     @classmethod
     def from_counts(cls, class_of, counts, num_classes=None):

@@ -170,18 +170,35 @@ def load_model(path):
     parameters holding NaN or infinity.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        header, payload_start = _read_header(path, f, size)
+        desc, vocab, classes, expected = _check_header(path, header)
+        params = _read_params(path, f, header, expected, payload_start, size)
+    network = Network(desc, vocab, classes, params, header["precision"])
+    return network, header.get("training")
+
+
+def _read_header(path, f, size):
+    """The decoded JSON header and the file offset of the payload; the
+    header length is checked against the file size before it is read."""
+    prefix = f.read(len(MAGIC) + 8)
+    if len(prefix) < len(MAGIC) + 8 or prefix[: len(MAGIC)] != MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    header_end = len(MAGIC) + 8 + header_len
-    if header_end > len(raw):
+    (header_len,) = struct.unpack_from("<Q", prefix, len(MAGIC))
+    header_end = len(prefix) + header_len
+    raw = f.read(header_len) if header_end <= size else b""  # nothing past the end
+    if len(raw) != header_len:
         raise ModelFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[len(MAGIC) + 8 : header_end].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ModelFormatError(f"{path}: unreadable header: {err}")
+    return header, header_end + ((-header_end) % _ALIGN)
 
+
+def _check_header(path, header):
+    """The architecture, vocabulary, classes and expected parameter shapes
+    of a header whose every field is present, typed and consistent."""
     if not isinstance(header, dict):
         raise ModelFormatError(f"{path}: model header is not a JSON object")
     version = header.get("format_version")
@@ -231,17 +248,23 @@ def load_model(path):
             f"{path}: parameter index does not match the architecture"
             f" (expected {list(expected)}, found {listed})"
         )
+    return desc, vocab, classes, expected
 
-    payload_start = header_end + ((-header_end) % _ALIGN)
-    payload = memoryview(raw)[payload_start:]
-    dtype = _payload_dtype(precision)
-    _check_blocks(path, index, expected, dtype.itemsize, len(payload))
+
+def _read_params(path, f, header, expected, payload_start, size):
+    """Each parameter read from its block straight into its own array."""
+    index = header["parameters"]
+    dtype = _payload_dtype(header["precision"])
+    _check_blocks(path, index, expected, dtype.itemsize, max(0, size - payload_start))
     params = {}
     for entry in index:
         name = entry["name"]
-        flat = np.frombuffer(payload, dtype=dtype, count=entry["nbytes"] // dtype.itemsize,
-                             offset=entry["offset"])
-        value = flat.reshape(expected[name]).astype(dtype.newbyteorder("="), copy=True)
+        value = np.empty(expected[name], dtype=dtype)
+        f.seek(payload_start + entry["offset"])
+        if f.readinto(memoryview(value).cast("B")) != entry["nbytes"]:
+            raise ModelFormatError(f"{path}: payload truncated; parameter {name!r} incomplete")
+        if not dtype.isnative:
+            value = value.astype(dtype.newbyteorder("="))
         # a finite sum means finite elements; a sum that overflows from
         # finite elements is rechecked element by element
         with np.errstate(over="ignore"):
@@ -249,6 +272,4 @@ def load_model(path):
         if not finite and not np.isfinite(value).all():
             raise ModelFormatError(f"{path}: parameter {name!r} has non-finite values")
         params[name] = value
-
-    network = Network(desc, vocab, classes, params, precision)
-    return network, header.get("training")
+    return params

@@ -23,23 +23,19 @@ class Vocabulary:
     """Bidirectional word/id map with per-word corpus counts."""
 
     def __init__(self, words, counts=None):
-        self.words = list(RESERVED)
-        seen = set(self.words)
-        for w in words:
-            if w in seen:
-                if w in RESERVED:
-                    continue
-                raise ValueError(f"duplicate word {w!r}")
-            self.words.append(w)
-            seen.add(w)
-        self.ids = {w: i for i, w in enumerate(self.words)}
-        self.counts = [0] * len(self.words)
-        if counts:
-            for w, c in counts.items():
-                if c < 0:
-                    raise ValueError(f"negative count for {w!r}")
-                if w in self.ids:
-                    self.counts[self.ids[w]] = c
+        self.words = [*RESERVED, *[w for w in words if w not in RESERVED]]
+        self.ids = dict(zip(self.words, range(len(self.words))))
+        if len(self.ids) != len(self.words):
+            seen = set()
+            for w in self.words:
+                if w in seen:
+                    raise ValueError(f"duplicate word {w!r}")
+                seen.add(w)
+        counts = counts or {}
+        if min(counts.values(), default=0) < 0:
+            w = next(w for w, c in counts.items() if c < 0)
+            raise ValueError(f"negative count for {w!r}")
+        self.counts = [counts.get(w, 0) for w in self.words]
 
     def __len__(self):
         return len(self.words)
@@ -68,10 +64,9 @@ class Vocabulary:
 
     def frame(self, tokens):
         """Token ids for ``<s> tokens </s>`` with unknown-word fallback."""
-        ids = [self.ids[SENTENCE_START]]
-        ids.extend(self.id_of(t) for t in tokens)
-        ids.append(self.ids[SENTENCE_END])
-        return ids
+        ids = self.ids
+        unk = ids[UNKNOWN]
+        return [ids[SENTENCE_START], *[ids.get(t, unk) for t in tokens], ids[SENTENCE_END]]
 
 
 def build_vocabulary(sentences, max_size=None):

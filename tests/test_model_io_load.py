@@ -1,0 +1,63 @@
+"""Loading reads the header, then each parameter block once: memory and the
+header-length and short-read errors."""
+
+import os
+import struct
+import tracemalloc
+import types
+
+import numpy as np
+import pytest
+
+import classlm as cl
+import classlm.model_io
+from classlm.model_io import MAGIC, ModelFormatError
+
+import support
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    net = support.random_class_network(np.random.default_rng(2), 200, 20, sizes=(300, 300, 300))
+    path = tmp_path_factory.mktemp("model") / "model.clm"
+    cl.save_model(path, net)
+    return path, net
+
+
+def test_load_holds_about_one_copy_of_the_parameters(saved_model):
+    path, net = saved_model
+    payload = sum(value.nbytes for value in net.params.values())
+    (header_len,) = struct.unpack_from("<Q", path.read_bytes(), len(MAGIC))
+    assert payload > 4e6
+    cl.load_model(path)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        loaded, _ = cl.load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * payload + 32 * header_len
+    for name, value in net.params.items():
+        assert loaded.params[name].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("huge", [True, False], ids=["2**63", "one-byte-past-the-end"])
+def test_header_length_beyond_the_file_is_a_format_error(tmp_path, saved_model, huge):
+    body = saved_model[0].read_bytes()[len(MAGIC) + 8:]
+    path = tmp_path / "model.clm"
+    path.write_bytes(MAGIC + struct.pack("<Q", 2**63 if huge else len(body) + 1) + body)
+    with pytest.raises(ModelFormatError, match="truncated header") as err:
+        cl.load_model(path)
+    assert "\n" not in str(err.value)
+
+
+def test_short_read_names_the_parameter(tmp_path, saved_model, monkeypatch):
+    # a file that shrinks after its size was taken: the read comes up short
+    path = tmp_path / "model.clm"
+    path.write_bytes(saved_model[0].read_bytes()[:-16])
+    grown = types.SimpleNamespace(st_size=os.path.getsize(path) + 16)
+    monkeypatch.setattr(classlm.model_io, "os", types.SimpleNamespace(fstat=lambda fd: grown))
+    last = list(saved_model[1].params)[-1]
+    with pytest.raises(ModelFormatError,
+                       match=f"payload truncated; parameter '{last}' incomplete"):
+        cl.load_model(path)

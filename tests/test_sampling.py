@@ -5,13 +5,59 @@ import pytest
 
 import classlm as cl
 from classlm.graph import ROW_BLOCK
+from classlm.sampling import _pick_classes, _pick_members
+from classlm.scoring import step_rows
 
 import support
+
+
+class FixedDraw:
+    """A stand-in generator whose ``random()`` returns one given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 def _draw(rng, cumulative):
     r = rng.random() * cumulative[-1]
     return min(int(np.searchsorted(cumulative, r, side="right")), len(cumulative) - 1)
+
+
+def sample_per_row(net, seed, max_tokens, count):
+    """Reference sampler: all sentences step together, and each row draws its
+    class, then its word when the class has several members, by one
+    ``rng.random()`` call and one ``searchsorted`` at a time."""
+    classes, vocab = net.classes, net.vocab
+    member_ids = [np.asarray(ms, dtype=np.int64) for ms in classes.members]
+    member_cum = [np.cumsum(classes.membership[ids]) for ids in member_ids]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+    sentences = [[] for _ in range(count)]
+    live = list(range(count))
+    rows = np.zeros(count, dtype=np.int64)
+    words = np.full(count, vocab.start_id, dtype=np.int64)
+    state = net.initial_state(1)
+    for _ in range(max_tokens):
+        if not live:
+            break
+        probs, state = step_rows(net, state, rows, words)
+        cumulative = np.cumsum(probs, axis=1)
+        kept, drawn = [], []
+        for row, i in enumerate(live):
+            c = _draw(rngs[i], cumulative[row])
+            members = member_ids[c]
+            word = int(members[0] if members.size == 1
+                       else members[_draw(rngs[i], member_cum[c])])
+            if word != vocab.end_id:
+                sentences[i].append(vocab.word_of(word))
+                kept.append(row)
+                drawn.append(word)
+        live = [live[row] for row in kept]
+        rows = np.asarray(kept, dtype=np.int64)
+        words = np.asarray(drawn, dtype=np.int64)
+    return sentences
 
 
 def sample_one_at_a_time(net, seed, max_tokens, count):
@@ -124,3 +170,43 @@ def test_steps_are_padded_and_capped_without_changing_the_text(rng, monkeypatch)
     monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", ROW_BLOCK)
     assert cl.sample_text(net, seed=4, max_tokens=10, count=20) == whole
     assert set(rows) == {ROW_BLOCK} and len(rows) > 10
+
+
+def test_r_at_the_row_total_picks_the_last_class_or_member():
+    # u = 1 makes r the row total; the last class and the last member have
+    # probability 0, so searchsorted passes every entry and the cap picks the last
+    cumulative = np.array([[0.25, 0.5, 1.0, 1.0], [0.0, 0.0, 0.0, 3.0]])
+    assert _pick_classes(cumulative, np.ones(2)).tolist() == [3, 3]
+    assert [_draw(FixedDraw(1.0), row) for row in cumulative] == [3, 3]
+    class_of = np.array([0, 1, 2, 3, 3, 3, 4, 4])
+    membership = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.0, 1.0, 0.0])
+    classes = cl.ClassMap(class_of, membership, 5)
+    assert _pick_members(classes, np.array([3, 4, 3]), np.ones(3)).tolist() == [5, 7, 5]
+    assert _pick_members(classes, np.array([3, 4]), np.array([0.5, 0.0])).tolist() == [4, 6]
+
+
+def test_member_blocks_are_split_without_changing_the_picks(monkeypatch):
+    rng = np.random.default_rng(9)
+    class_of = rng.integers(0, 6, size=200)
+    class_of[:6] = np.arange(6)
+    classes = cl.ClassMap.from_counts(class_of, rng.integers(0, 5, size=200))
+    c, u = rng.integers(0, 6, size=300), rng.random(300)
+    whole = _pick_members(classes, c, u)
+    monkeypatch.setattr(cl.sampling, "PICK_BLOCK_ELEMENTS", 1)
+    assert _pick_members(classes, c, u).tolist() == whole.tolist()
+    for word, ci, ui in zip(whole.tolist(), c.tolist(), u.tolist()):
+        members = classes.members[ci]
+        assert word == members[_draw(FixedDraw(ui), np.cumsum(classes.membership[members]))]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_class_picks_equal_scalar_draws_at_the_boundaries(dtype):
+    rng = np.random.default_rng(6)
+    cumulative = np.cumsum(rng.random((200, 5)).astype(dtype), axis=1)
+    u = rng.random(200)
+    # uniforms just below an entry over the total: a float32 product
+    # rounds them onto the entry, a float64 product stays below it
+    total = cumulative[:100, -1].astype(np.float64)
+    u[:100] = np.nextafter(cumulative[:100, 2] / total, 0.0)
+    expected = [_draw(FixedDraw(ui), row) for ui, row in zip(u.tolist(), cumulative)]
+    assert _pick_classes(cumulative, u).tolist() == expected

@@ -1,0 +1,101 @@
+"""The Vocabulary constructor and framing against a plain per-word reference."""
+
+import numpy as np
+import pytest
+
+import classlm as cl
+from classlm.vocabulary import RESERVED, SENTENCE_END, SENTENCE_START, UNKNOWN
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+class ReferenceVocabulary:
+    """The constructor as a loop over every word, and framing by one
+    ``id_of`` call per token."""
+
+    def __init__(self, words, counts=None):
+        self.words = list(RESERVED)
+        seen = set(self.words)
+        for w in words:
+            if w in seen:
+                if w in RESERVED:
+                    continue
+                raise ValueError(f"duplicate word {w!r}")
+            self.words.append(w)
+            seen.add(w)
+        self.ids = {w: i for i, w in enumerate(self.words)}
+        self.counts = [0] * len(self.words)
+        if counts:
+            for w, c in counts.items():
+                if c < 0:
+                    raise ValueError(f"negative count for {w!r}")
+                if w in self.ids:
+                    self.counts[self.ids[w]] = c
+
+    def id_of(self, word):
+        return self.ids.get(word, self.ids[UNKNOWN])
+
+    def frame(self, tokens):
+        ids = [self.ids[SENTENCE_START]]
+        ids.extend(self.id_of(t) for t in tokens)
+        ids.append(self.ids[SENTENCE_END])
+        return ids
+
+
+def _outcome(cls, words, counts):
+    try:
+        vocab = cls(words, counts)
+    except ValueError as err:
+        return ("error", str(err))
+    return vocab.words, vocab.ids, vocab.counts
+
+
+def test_duplicate_word_is_named():
+    with pytest.raises(ValueError, match="duplicate word 'b'"):
+        cl.Vocabulary(["a", "b", "c", "b", "a"])
+
+
+def test_reserved_tokens_in_words_are_skipped():
+    vocab = cl.Vocabulary(["a", UNKNOWN, "b", SENTENCE_START, SENTENCE_END, UNKNOWN])
+    assert vocab.words == [*RESERVED, "a", "b"]
+    assert vocab.ids == {w: i for i, w in enumerate(vocab.words)}
+
+
+@pytest.mark.parametrize("word", ["a", "outside"])
+def test_negative_count_raises_also_outside_the_vocabulary(word):
+    with pytest.raises(ValueError, match=f"negative count for '{word}'"):
+        cl.Vocabulary(["a", "b"], {"b": 2, word: -1})
+
+
+def test_counts_of_unknown_words_are_ignored():
+    vocab = cl.Vocabulary(["a", "b"], {"b": 2, "zzz": 7, SENTENCE_END: 5})
+    assert vocab.counts == [0, 5, 0, 0, 2]
+
+
+def test_no_counts_gives_zeros():
+    assert cl.Vocabulary(["a", "b"]).counts == [0] * 5
+    assert cl.Vocabulary(["a", "b"], {}).counts == [0] * 5
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", *RESERVED])
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(words=st.lists(_WORDS, max_size=12),
+                  counts=st.none() | st.dictionaries(_WORDS | st.just("outside"),
+                                                     st.integers(-1, 9), max_size=9))
+def test_constructor_equals_reference(words, counts):
+    assert _outcome(cl.Vocabulary, words, counts) == _outcome(ReferenceVocabulary, words,
+                                                              counts)
+
+
+def test_frame_equals_per_token_lookup():
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(20)]
+    vocab = cl.Vocabulary(words)
+    reference = ReferenceVocabulary(words)
+    pool = [*words, *RESERVED, "oov", "OOV", ""]
+    for _ in range(200):
+        tokens = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 15)))]
+        assert vocab.frame(tokens) == reference.frame(tokens)

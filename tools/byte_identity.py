@@ -9,7 +9,8 @@ also at a batch size of 13 (no multiple of the 8-row matmul block), and
 the LSTM in both precisions with each optimizer under a clip norm that some
 batches exceed.  It then scores with and without ``--unk-penalty 0``, rescores
 n-best lists with fixed weights and with ``--tune --refs``, and samples from
-each of the four architecture models.  It prints one ``sha256  file`` line
+each of the four architecture models twice: 15 sentences of at most 20
+tokens, and 37 of at most 70.  It prints one ``sha256  file`` line
 per output file, paths relative to OUT_DIR, in a fixed order.
 
 Two checkouts that compute the same bits print the same lines, so a change
@@ -155,9 +156,12 @@ def produce(out):
             run(["rescore", *m, "--nbest", p("nbest.txt"), *extra, "--output",
                  p(f"{stem}.{name}")])
             outputs.append(f"{stem}.{name}")
-        run(["sample", *m, "--count", "15", "--max-tokens", "20", "--seed", "3"],
-            stdout_path=p(f"{stem}.sample"))
-        outputs.append(f"{stem}.sample")
+        # 37 sentences: no multiple of the 8-row block; 70 tokens: more
+        # uniforms than one block of a sentence's stream holds
+        for name, count, max_tokens, seed in (("sample", 15, 20, 3), ("sample-long", 37, 70, 5)):
+            run(["sample", *m, "--count", str(count), "--max-tokens", str(max_tokens), "--seed",
+                 str(seed)], stdout_path=p(f"{stem}.{name}"))
+            outputs.append(f"{stem}.{name}")
     return outputs
 
 
