@@ -34,7 +34,7 @@ from .rescoring import (
     rescore_nbest,
 )
 from .sampling import sample_text
-from .scoring import perplexity, score_sentences
+from .scoring import perplexity, score_sentences, threads_used
 from .training import TrainingConfig, train
 from .vocabulary import build_vocabulary, read_corpus
 
@@ -141,8 +141,8 @@ def cmd_score(args):
     finally:
         if out is not sys.stdout:
             out.close()
-    log.info("scored %d sentences, %d tokens, perplexity %.6f", len(sentences),
-             sum(r.counted for r in results), ppl)
+    log.info("scored %d sentences, %d tokens, perplexity %.6f; threads: %d",
+             len(sentences), sum(r.counted for r in results), ppl, threads_used())
     return 0
 
 
@@ -186,7 +186,7 @@ def cmd_rescore(args):
     finally:
         if out is not sys.stdout:
             out.close()
-    log.info("rescored %d utterances", len(by_utterance))
+    log.info("rescored %d utterances; threads: %d", len(by_utterance), threads_used())
     return 0
 
 

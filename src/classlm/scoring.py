@@ -14,6 +14,9 @@ the history still advances through them.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,18 @@ UNK_POLICIES = ("include", "exclude")
 # inputs and, since rows are computed in independent blocks, changes no
 # result.
 MAX_STEP_ROWS = 128 * ROW_BLOCK
+
+# Rows per part of a step split across threads, at least, so a step splits
+# from 128 rows on.  Two parts against one step, at the sizes of the
+# `rescore` and of the `train` benchmark model, on a 2-core host with one
+# BLAS thread (medians of 30 and of 80 steps): 0.63-0.90x the speed at 64
+# rows, 0.85-1.04x at 96, 1.08-1.28x at 128, 1.07-1.51x at 256 and
+# 1.60-1.95x at 1,024.
+PART_ROWS = 64
+
+_pool = None  # worker threads for the parts after the first, made on first use
+_pool_lock = threading.Lock()
+_most_threads = 1  # read by threads_used()
 
 
 @dataclass
@@ -50,6 +65,47 @@ def _check_policy(unk_policy):
         raise ValueError(f"unk_policy must be one of {UNK_POLICIES}, got {unk_policy!r}")
 
 
+def cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def threads_used():
+    """The most threads one :func:`step_rows` step has run on in this process."""
+    return _most_threads
+
+
+def _step(network, state, rows, word_ids):
+    return network.step({key: value[rows] for key, value in state.items()}, word_ids)
+
+
+def _step_parts(network, state, rows, word_ids, cpus):
+    """One step over `rows` (a multiple of ``ROW_BLOCK``), cut into up to
+    `cpus` parts of at least ``PART_ROWS`` rows on block boundaries; part 0
+    runs on this thread.  Returns each part's ``(probs, state)`` in row order."""
+    blocks = len(rows) // ROW_BLOCK
+    parts = max(1, min(cpus, len(rows) // PART_ROWS))
+    if parts == 1:
+        return [_step(network, state, rows, word_ids)]
+    global _pool, _most_threads
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="classlm-step")
+        _most_threads = max(_most_threads, parts)
+    network.step_graph()  # built here, so two threads never race to build it
+    bounds = [ROW_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
+    futures = [_pool.submit(_step, network, state, rows[lo:hi], word_ids[lo:hi])
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = _step(network, state, rows[:bounds[1]], word_ids[:bounds[1]])
+    finally:
+        wait(futures)  # no part outlives the call, failed or not
+    return [first] + [future.result() for future in futures]
+
+
 def step_rows(network, state, rows, word_ids):
     """One network step from each state row in `rows` on the matching word id.
 
@@ -58,14 +114,21 @@ def step_rows(network, state, rows, word_ids):
     the last one and run at most ``MAX_STEP_ROWS`` per step, so every matmul
     runs in fixed row blocks and a row's results are bitwise the same
     whatever other rows it runs with; the padding rows are dropped.
+
+    A step of at least two parts of ``PART_ROWS`` rows runs as contiguous
+    parts on block boundaries, one per CPU of the process's affinity mask
+    at most: the first on the calling thread, the others on worker threads.
+    Row blocks make the parts' results the bits of one serial step.  A part
+    that raises does so here, after every other part has ended.
     """
     n = len(rows)
     pad = -n % ROW_BLOCK
     rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
     word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
-    steps = [network.step({key: value[rows[lo:lo + MAX_STEP_ROWS]]
-                           for key, value in state.items()}, word_ids[lo:lo + MAX_STEP_ROWS])
-             for lo in range(0, len(rows), MAX_STEP_ROWS)]
+    cpus = cpu_count()
+    steps = [step for lo in range(0, len(rows), MAX_STEP_ROWS)
+             for step in _step_parts(network, state, rows[lo:lo + MAX_STEP_ROWS],
+                                     word_ids[lo:lo + MAX_STEP_ROWS], cpus)]
     probs = np.concatenate([p for p, _ in steps])[:n]
     return probs, {key: np.concatenate([s[key] for _, s in steps])[:n] for key in state}
 
@@ -76,11 +139,11 @@ def score_sentences(network, sentences, unk_policy="include"):
     The batch is walked as one prefix trie, level by level: level t holds
     the distinct prefixes ``<s> w1 ... wt`` of the sentences that still
     predict a token there, and one network step (more above
-    ``MAX_STEP_ROWS`` rows) advances all of them from their parents'
-    states.  A prefix shared by many sentences runs once, and sentences of
-    every length step together.  Levels run through :func:`step_rows`, so a
-    sentence's scores are bitwise the same whatever it is batched with,
-    alone included.
+    ``MAX_STEP_ROWS`` rows, in parts on threads from ``2 * PART_ROWS``)
+    advances all of them from their parents' states.  A prefix shared by
+    many sentences runs once, and sentences of every length step together.
+    Levels run through :func:`step_rows`, so a sentence's scores are
+    bitwise the same whatever it is batched with, alone included.
     """
     _check_policy(unk_policy)
     framed = []

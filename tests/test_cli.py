@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour on temporary files."""
 
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -434,6 +435,51 @@ def test_nonfinite_model_and_nbest_scores_are_one_line_errors(tmp_path, rng, cap
     nbest.write_text("u1 -1 -3 w1 w2\nu1 nan -3 w1 w3\n")
     message = _one_line_error(caplog, ["rescore", "--model", str(good), "--nbest", str(nbest)])
     assert "nbest.txt: line 2" in message
+
+
+def test_error_in_a_worker_part_is_a_one_line_error(tmp_path, rng, caplog, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
+    model = tmp_path / "model.clm"
+    cl.save_model(model, net)
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("".join(f"w{i} w{j}\n" for i in range(6) for j in range(6)))
+    caller = threading.get_ident()
+    step = cl.Network.step
+
+    def failing_in_workers(self, state, word_ids):
+        if threading.get_ident() != caller:
+            raise cl.NonFiniteError("time step 0: node 'rec' (lstm) produced a non-finite value")
+        return step(self, state, word_ids)
+
+    # levels of 16 rows and more run in two parts, the second on a worker
+    monkeypatch.setattr(cl.scoring, "PART_ROWS", 8)
+    monkeypatch.setattr(cl.scoring, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cl.Network, "step", failing_in_workers)
+    message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
+    assert message == "time step 0: node 'rec' (lstm) produced a non-finite value"
+
+
+def test_score_and_rescore_name_the_threads_of_their_widest_step(toy_files, tmp_path, caplog,
+                                                                 monkeypatch):
+    model = _train(toy_files)
+    narrow = tmp_path / "narrow"
+    _write_nbest(narrow)
+    # 16 distinct prefixes "<s> a X Y" at level 3: two parts of 8 rows
+    wide = tmp_path / "wide"
+    wide.write_text("".join(f"u1 0.0 -1.0 a {x} {y}\n" for x in "abcd" for y in "abcd"))
+    monkeypatch.setattr(cl.scoring, "PART_ROWS", 8)
+    monkeypatch.setattr(cl.scoring, "cpu_count", lambda: 3)
+    for inputs, threads in ((narrow, 1), (wide, 2)):
+        sentences = tmp_path / "sentences"
+        sentences.write_text("".join(line.split(" ", 3)[3] + "\n"
+                                     for line in inputs.read_text().splitlines()))
+        for argv in (["score", "--model", str(model), "--input", str(sentences)],
+                     ["rescore", "--model", str(model), "--nbest", str(inputs)]):
+            monkeypatch.setattr(cl.scoring, "_most_threads", 1)  # as in a new process
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                assert main(argv) == 0
+            assert caplog.records[-1].getMessage().endswith(f"; threads: {threads}")
 
 
 def test_nonfinite_scale_or_grid_value_is_a_one_line_error(tmp_path, rng, caplog):

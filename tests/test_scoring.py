@@ -1,5 +1,8 @@
 """Sentence scores against enumeration oracles, and perplexity conventions."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -191,5 +194,92 @@ def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch)
     monkeypatch.setattr(net, "step", recording)
     split = cl.score_sentences(net, sentences)
     assert max(rows) == 2 * cl.graph.ROW_BLOCK and len(rows) > 7
+    for a, b in zip(whole, split):
+        assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+
+
+def _split_steps(monkeypatch, cpus, part_rows=cl.graph.ROW_BLOCK):
+    """Split every step of two blocks or more into up to `cpus` parts."""
+    monkeypatch.setattr(cl.scoring, "PART_ROWS", part_rows)
+    monkeypatch.setattr(cl.scoring, "cpu_count", lambda: cpus)
+
+
+def test_every_split_of_a_step_gives_the_bits_of_one_part(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
+             for key, value in net.initial_state(1).items()}
+    # rows 1-8 run whole and 9-16 in two parts; 3 and 4 parts do not divide most sizes
+    for n in range(1, 73):
+        rows, ids = rng.integers(0, 40, n), rng.integers(0, len(net.vocab), n)
+        bits = set()
+        for cpus in (1, 3, 4):
+            _split_steps(monkeypatch, cpus)
+            probs, new = cl.scoring.step_rows(net, state, rows, ids)
+            bits.add((probs.tobytes(), *(new[key].tobytes() for key in sorted(new))))
+        assert len(bits) == 1, n
+
+
+@pytest.mark.parametrize("error", [cl.NonFiniteError, cl.ShapeError, cl.GraphError])
+@pytest.mark.parametrize("failing", ["calling thread", "worker"])
+def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeypatch, error,
+                                                                    failing):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    running, ended = [0], [0]
+    step = cl.Network.step
+
+    def failing_step(self, state, word_ids):
+        with lock:
+            running[0] += 1
+        try:
+            if (threading.get_ident() == caller) == (failing == "calling thread"):
+                raise error("time step 0: node 'x' (add) produced a non-finite value")
+            time.sleep(0.05)  # a part still running when the failing one raises
+            return step(self, state, word_ids)
+        finally:
+            with lock:
+                running[0] -= 1
+                ended[0] += 1
+
+    _split_steps(monkeypatch, cpus=3, part_rows=64)
+    monkeypatch.setattr(cl.Network, "step", failing_step)
+    with pytest.raises(error) as raised:
+        cl.scoring.step_rows(net, net.initial_state(1), np.zeros(200, dtype=np.int64),
+                             rng.integers(0, len(net.vocab), 200))
+    assert type(raised.value) is error
+    assert str(raised.value) == "time step 0: node 'x' (add) produced a non-finite value"
+    assert running[0] == 0 and ended[0] == 3
+
+
+def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words[3:]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
+                 for _ in range(150)]
+    whole = cl.score_sentences(net, sentences)
+    lock = threading.Lock()
+    in_flight, most, sizes = [0], [0], []
+    step = cl.Network.step
+
+    def recording(self, state, word_ids):
+        with lock:
+            in_flight[0] += len(word_ids)
+            most[0] = max(most[0], in_flight[0])
+            sizes.append(len(word_ids))
+        try:
+            time.sleep(0.005)  # parts of one chunk overlap
+            return step(self, state, word_ids)
+        finally:
+            with lock:
+                in_flight[0] -= len(word_ids)
+
+    max_rows = 6 * cl.graph.ROW_BLOCK
+    monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", max_rows)
+    _split_steps(monkeypatch, cpus=4)
+    monkeypatch.setattr(cl.Network, "step", recording)
+    split = cl.score_sentences(net, sentences)
+    assert max_rows // 4 < most[0] <= max_rows
+    assert all(n % cl.graph.ROW_BLOCK == 0 for n in sizes) and min(sizes) < max_rows // 2
     for a, b in zip(whole, split):
         assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)

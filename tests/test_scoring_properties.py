@@ -1,4 +1,5 @@
-"""Property test: any batch scores bitwise like one-at-a-time scoring."""
+"""Property tests: any batch scores bitwise like one-at-a-time scoring, and
+steps split into parts on threads give the bits of unsplit steps."""
 
 import numpy as np
 import pytest
@@ -52,3 +53,25 @@ def test_any_batch_scores_bitwise_like_one_at_a_time(property_network, unk_polic
     batched = cl.score_sentences(net, batch, unk_policy)
     for sent, res in zip(batch, batched):
         assert _bits(res) == _bits(cl.score_sentence(net, sent, unk_policy))
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(count=st.integers(1, 300), longest=st.integers(1, 12),
+                  seed=st.integers(0, 2**32 - 1), max_tokens=st.integers(0, 12))
+def test_steps_in_parts_give_the_bits_of_one_part(property_network, count, longest, seed,
+                                                  max_tokens):
+    net = property_network
+    rng = np.random.default_rng(seed)
+    words = net.vocab.words[3:] + ["OOV_a"]
+    # every level from one row up: the widest ones hold up to 300, the
+    # narrow ones sit just below and at two parts of 8 rows
+    batch = [[words[i] for i in rng.integers(0, len(words), rng.integers(1, longest + 1))]
+             for _ in range(count)]
+    runs = []
+    for cpus in (1, 3):  # 3 parts divide few row counts
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cl.scoring, "PART_ROWS", cl.graph.ROW_BLOCK)
+            patch.setattr(cl.scoring, "cpu_count", lambda: cpus)
+            runs.append(([_bits(r) for r in cl.score_sentences(net, batch)],
+                         cl.sample_text(net, seed, max_tokens, count)))
+    assert runs[0] == runs[1]

@@ -8,9 +8,11 @@ double and single precision with the default optimizer, each of the two
 also at a batch size of 13 (no multiple of the 8-row matmul block), and
 the LSTM in both precisions with each optimizer under a clip norm that some
 batches exceed.  It then scores with and without ``--unk-penalty 0``, rescores
-n-best lists with fixed weights and with ``--tune --refs``, and samples from
-each of the four architecture models twice: 15 sentences of at most 20
-tokens, and 37 of at most 70.  It prints one ``sha256  file`` line
+n-best lists with fixed weights and with ``--tune --refs``, scores 200
+sentences whose widest prefix-trie levels hold 128 rows or more (steps that
+run in parts on several threads where the process may use several CPUs),
+and samples from each of the four architecture models twice: 15 sentences
+of at most 20 tokens, and 37 of at most 70.  It prints one ``sha256  file`` line
 per output file, paths relative to OUT_DIR, in a fixed order.
 
 Two checkouts that compute the same bits print the same lines, so a change
@@ -92,7 +94,10 @@ def write_inputs(rng, out):
                 hyp[i] = words[int(rng.integers(len(words)))]
             ac, bo = -rng.gamma(20.0, 2.0), -rng.gamma(10.0, 2.0)
             nbest.append(f"u{u} {ac!r} {bo!r} {' '.join(hyp)}")
-    files = {"train.txt": train, "dev.txt": dev, "test.txt": test}
+    # drawn last, so the inputs above do not depend on it; levels 3 to 6 of
+    # its prefix trie hold 128 rows or more, which score in parts on threads
+    wide = markov_sentences(rng, words, 200)
+    files = {"train.txt": train, "dev.txt": dev, "test.txt": test, "wide.txt": wide}
     for name, sentences in files.items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as f:
             f.writelines(" ".join(s) + "\n" for s in sentences)
@@ -147,9 +152,10 @@ def produce(out):
     for model in models:
         stem = model[: -len(".clm")]
         m = ["--model", p(model)]
-        for name, extra in (("score", []), ("score-unk0", ["--unk-penalty", "0"])):
-            run(["score", *m, "--input", p("test.txt"), *extra, "--output",
-                 p(f"{stem}.{name}")])
+        for name, extra in (("score", []), ("score-unk0", ["--unk-penalty", "0"]),
+                            ("score-wide", [])):
+            text = "wide.txt" if name == "score-wide" else "test.txt"
+            run(["score", *m, "--input", p(text), *extra, "--output", p(f"{stem}.{name}")])
             outputs.append(f"{stem}.{name}")
         for name, extra in (("rescore", ["--lambda", "0.4", "--s-nn", "1.5"]),
                             ("rescore-tuned", ["--tune", "--refs", p("refs.txt")])):
