@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .vocabulary import RESERVED, Vocabulary, build_vocabulary
+from .vocabulary import RESERVED, Vocabulary, build_vocabulary, text_lines
 
 __all__ = [
     "BigramStats",
@@ -169,10 +169,11 @@ class BigramStats:
 
     Holds word unigram counts, per-word successor/predecessor lists in CSR
     form (self loops apart) and the class-level unigram/bigram count tables
-    for the current partition, the bigram table also transposed so that a
-    block of its columns is a contiguous row gather.  Class counts are
-    updated incrementally as words move.  All counts are integers, so
-    x ln x is a lookup into `xlogx`, the table of n ln n for n = 0..N.
+    for the current partition.  The bigram table and its transpose are the
+    two halves of one array, so that the rows of one and the columns of the
+    other come out of one row gather.  Class counts are updated
+    incrementally as words move.  All counts are integers, so x ln x is a
+    lookup into `xlogx`, the table of n ln n for n = 0..N.
     """
 
     def __init__(self, stream, classmap, movable_classes=None):
@@ -209,14 +210,20 @@ class BigramStats:
         classes = self.class_of[stream]
         self.class_counts = np.bincount(classes, minlength=k)
         cells, cell_counts = np.unique(classes * k + np.roll(classes, -1), return_counts=True)
-        self.class_bigrams = np.zeros((k, k), dtype=np.int32)
+        # rows 0..k-1 hold the table, rows k..2k-1 its transpose
+        self._tables = np.empty((2 * k, k), dtype=np.int32)
+        self.class_bigrams = self._tables[:k]
+        self.class_bigrams_t = self._tables[k:]
+        self.class_bigrams.fill(0)
         self.class_bigrams.flat[cells] = cell_counts
-        self.class_bigrams_t = np.ascontiguousarray(self.class_bigrams.T)
+        self.class_bigrams_t[:] = self.class_bigrams.T
+        self._diag = np.diagonal(self.class_bigrams)
         if movable_classes is None:
             movable_classes = np.arange(k)
         self.movable_classes = np.asarray(movable_classes, dtype=np.int64)
-        self._movable_mask = np.zeros(k, dtype=bool)
-        self._movable_mask[self.movable_classes] = True
+        self._fixed = np.ones(k, dtype=bool)
+        self._fixed[self.movable_classes] = False
+        self._visit = None, None
 
     def check_consistency(self):
         """Verify the class bigram marginals against the unigram counts and
@@ -228,100 +235,140 @@ class BigramStats:
             raise ValueError("class bigram tables do not match each other or the class counts")
 
     def _transition_mass(self, w):
-        """Per-class successor/predecessor masses of `w`, minus self loops."""
+        """Per-class successor/predecessor masses of `w`, minus self loops,
+        the classes where each is nonzero, and the self-loop count.
+
+        Kept for the `apply_move` that follows `move_deltas(w)`: they depend
+        only on the classes of the neighbours of `w`, so only the move of
+        another word, which asks for its own, can change them.
+        """
+        if self._visit[0] == w:
+            return self._visit[1]
         k = self.num_classes
         lo, hi = self.succ_ptr[w], self.succ_ptr[w + 1]
         s = np.bincount(self.class_of[self.succ_ids[lo:hi]],
-                        weights=self.succ_counts[lo:hi], minlength=k)
+                        weights=self.succ_counts[lo:hi], minlength=k).astype(np.int64)
         lo, hi = self.pred_ptr[w], self.pred_ptr[w + 1]
         p = np.bincount(self.class_of[self.pred_ids[lo:hi]],
-                        weights=self.pred_counts[lo:hi], minlength=k)
-        return s.astype(np.int64), p.astype(np.int64), int(self.self_loops[w])
+                        weights=self.pred_counts[lo:hi], minlength=k).astype(np.int64)
+        masses = s, p, (s != 0).nonzero()[0], (p != 0).nonzero()[0], int(self.self_loops[w])
+        self._visit = w, masses
+        return masses
 
     def move_deltas(self, w):
         """Objective change for moving `w` into every class (its own = -inf).
 
-        Evaluated from the count tables alone, in O(classes x distinct
-        neighbour classes of `w`) table lookups; no recount of the corpus.
+        Evaluated from the count tables alone: a few class-length vectors
+        and one table row per neighbour class of `w`, with x ln x looked up
+        only at the nonzero cells of those rows.
         """
         f = self.xlogx
         a = int(self.class_of[w])
         k = self.num_classes
-        s, p, self_count = self._transition_mass(w)
+        s, p, ds, dp, self_count = self._transition_mass(w)
         nw = int(self.word_counts[w])
         bg = self.class_bigrams
         row_a = bg[a, :]
         col_a = self.class_bigrams_t[a, :]
-        f_row_a = f[row_a]
-        f_col_a = f[col_a]
+        if s[a]:
+            ds = ds[ds != a]
+        if p[a]:
+            dp = dp[dp != a]
+        s_d, p_d = s[ds], p[dp]
+        diag = self._diag
+        diag_s, diag_p = diag[ds], diag[dp]
 
         # Removing w's transitions from class a's row/column, for cells d
-        # outside {a, b}; the b cell is excluded per candidate below.
-        rem_s = f[row_a - s] - f_row_a
-        rem_p = f[col_a - p] - f_col_a
-        rem_s[a] = 0.0
-        rem_p[a] = 0.0
+        # outside {a, b}; the b cell is excluded per candidate below.  Only
+        # cells with transition mass change: elsewhere the term is
+        # f[n] - f[n] = 0.
+        rem_s = np.zeros(k)
+        n = row_a[ds]
+        rem_s[ds] = f[n - s_d] - f[n]
+        rem_p = np.zeros(k)
+        n = col_a[dp]
+        rem_p[dp] = f[n - p_d] - f[n]
         rem_total = rem_s.sum() + rem_p.sum()
 
         # Adding w's transitions to candidate b's row/column, cells d with
-        # transition mass, d outside {a, b}.  Summing a C-ordered |d| x K
-        # block over axis 0 adds the d terms of each candidate one after
-        # another; class files depend on that order, because another one
-        # rounds differently and can change which move wins a near tie.
-        # Blocks are widened to int64, by which numpy gathers about three
-        # times faster than by int32.
-        ins_s = np.zeros(k)
-        ds = np.nonzero(s)[0]
-        ds = ds[ds != a]
-        if ds.size:
-            block = self.class_bigrams_t[ds, :].astype(np.int64)
-            ins_s = (f[block + s[ds][:, None]] - f[block]).sum(axis=0)
-            ins_s[ds] -= (f[bg[ds, ds] + s[ds]] - f[bg[ds, ds]])
-        ins_p = np.zeros(k)
-        dp = np.nonzero(p)[0]
-        dp = dp[dp != a]
-        if dp.size:
-            block = bg[dp, :].astype(np.int64)
-            ins_p = (f[block + p[dp][:, None]] - f[block]).sum(axis=0)
-            ins_p[dp] -= (f[bg[dp, dp] + p[dp]] - f[bg[dp, dp]])
+        # transition mass, d outside {a, b}: row d of the transposed table
+        # is column d of the table, so both blocks come from one row gather.
+        # A term is f[n + m] - f[n], which at an empty cell is f[m] - 0.0 =
+        # f[m]; each row starts out as f[m], and x ln x is looked up only at
+        # the nonzero cells (a few percent when classes are many).  Summing
+        # a C-ordered |d| x K block over axis 0 adds the d terms of each
+        # candidate one after another; class files depend on that order,
+        # because another one rounds differently and can change which move
+        # wins a near tie.
+        block = self._tables[np.concatenate((ds + k, dp))]
+        mass = np.concatenate((s_d, p_d))
+        terms = np.empty(block.shape)
+        terms[:] = f[mass][:, None]
+        cells = (block != 0).ravel().nonzero()[0]
+        n = block.ravel()[cells].astype(np.int64)  # numpy looks up by int64 faster
+        looked_up = f[n + mass[cells // k]]
+        looked_up -= f[n]
+        terms.ravel()[cells] = looked_up
+        ins_s = terms[:ds.size].sum(axis=0)
+        ins_s[ds] -= (f[diag_s + s_d] - f[diag_s])
+        ins_p = terms[ds.size:].sum(axis=0)
+        ins_p[dp] -= (f[diag_p + p_d] - f[diag_p])
 
         # The four cells coupling a and b change by fixed combinations of
         # the masses; handled exactly here, excluded from the bulk terms.
-        # At b = a the bb and unigram counts below are not counts of any
-        # partition (they may exceed N); that entry is -inf in the end, so
-        # it is looked up at 0.
-        diag = np.diagonal(bg)
+        # Outside the neighbour classes each is f[n] - f[n] = 0, unless a
+        # mass at a or the self loop shifts every cell; with p[a] = 0 the
+        # ab term is the removal term rem_s, with s[a] = 0 the ba term is
+        # rem_p.  The entry at b = a is -inf in the end, so it is left out
+        # (there the counts below are not counts of any partition and may
+        # exceed N).
         corner_aa = f[bg[a, a] - s[a] - p[a] - self_count] - f[bg[a, a]]
-        bb = diag + s + p + self_count
-        bb[a] = 0
-        corner_bb = f[bb] - f[diag]
-        corner_ab = f[row_a - s + p[a]] - f_row_a
-        corner_ba = f[col_a + s[a] - p] - f_col_a
+        if self_count:
+            bb = diag + s + p + self_count
+            bb[a] = 0
+            corner_bb = f[bb] - f[diag]
+        else:
+            corner_bb = np.zeros(k)
+            corner_bb[ds] = f[diag_s + s_d + p[ds]] - f[diag_s]
+            corner_bb[dp] = f[diag_p + s[dp] + p_d] - f[diag_p]
+        corner_ab = f[row_a - s + p[a]] - f[row_a] if p[a] else rem_s
+        corner_ba = f[col_a + s[a] - p] - f[col_a] if s[a] else rem_p
 
-        pair_delta = (
-            rem_total - rem_s - rem_p + ins_s + ins_p
-            + corner_aa + corner_bb + corner_ab + corner_ba
-        )
+        # added from the left, in the order that every class file depends on
+        pair_delta = rem_total - rem_s
+        pair_delta -= rem_p
+        pair_delta += ins_s
+        pair_delta += ins_p
+        pair_delta += corner_aa
+        pair_delta += corner_bb
+        pair_delta += corner_ab
+        pair_delta += corner_ba
         cc = self.class_counts
         grown = cc + nw
         grown[a] = 0
         uni_delta = -2.0 * (f[cc[a] - nw] - f[cc[a]] + f[grown] - f[cc])
         deltas = pair_delta + uni_delta
         deltas[a] = -np.inf
-        deltas[~self._movable_mask] = -np.inf
+        deltas[self._fixed] = -np.inf
         return deltas
 
     def apply_move(self, w, b):
-        """Move `w` to class `b`, updating all class tables incrementally."""
+        """Move `w` to class `b`, updating all class tables incrementally.
+
+        Rows and columns a and b change only at the neighbour classes of `w`
+        (and at the self loop's cells).
+        """
         a = int(self.class_of[w])
         if a == b:
             return
-        s, p, self_count = self._transition_mass(w)
-        for bg, row_mass, col_mass in ((self.class_bigrams, s, p), (self.class_bigrams_t, p, s)):
-            bg[a, :] -= row_mass
-            bg[:, a] -= col_mass
-            bg[b, :] += row_mass
-            bg[:, b] += col_mass
+        s, p, ds, dp, self_count = self._transition_mass(w)
+        s_d, p_d = s[ds], p[dp]
+        for bg, cols, col_mass, rows, row_mass in (
+                (self.class_bigrams, ds, s_d, dp, p_d), (self.class_bigrams_t, dp, p_d, ds, s_d)):
+            bg[a, cols] -= col_mass
+            bg[rows, a] -= row_mass
+            bg[b, cols] += col_mass
+            bg[rows, b] += row_mass
             bg[a, a] -= self_count
             bg[b, b] += self_count
         nw = self.word_counts[w]
@@ -416,27 +463,26 @@ def load_class_file(path):
     assignments = []
     probs = []
     seen = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected word<TAB>class<TAB>prob")
-            word, raw_class, raw_prob = parts
-            if word in seen:
-                raise ValueError(f"{path}: line {line_no}: duplicate word {word!r}")
-            try:
-                class_id = int(raw_class)
-                prob = float(raw_prob)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad class id or probability")
-            if class_id < 0 or not 0.0 <= prob <= 1.0 + 1e-9:
-                raise ValueError(f"{path}: line {line_no}: class id or probability out of range")
-            seen[word] = line_no
-            words.append(word)
-            assignments.append(class_id)
-            probs.append(prob)
+    for line_no, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {line_no}: expected word<TAB>class<TAB>prob")
+        word, raw_class, raw_prob = parts
+        if word in seen:
+            raise ValueError(f"{path}: line {line_no}: duplicate word {word!r}")
+        try:
+            class_id = int(raw_class)
+            prob = float(raw_prob)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: bad class id or probability")
+        if class_id < 0 or not 0.0 <= prob <= 1.0 + 1e-9:
+            raise ValueError(f"{path}: line {line_no}: class id or probability out of range")
+        seen[word] = line_no
+        words.append(word)
+        assignments.append(class_id)
+        probs.append(prob)
     if not words:
         raise ValueError(f"{path}: no class entries")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .architecture import DescriptionError, parse_description, validate_description
@@ -36,7 +37,7 @@ from .rescoring import (
 from .sampling import sample_text
 from .scoring import perplexity, score_sentences, threads_used
 from .training import TrainingConfig, train
-from .vocabulary import build_vocabulary, read_corpus
+from .vocabulary import build_vocabulary, read_corpus, text_lines
 
 log = logging.getLogger("classlm")
 
@@ -52,12 +53,32 @@ def _unk_policy(unk_penalty):
     )
 
 
+def _check_output(path):
+    """Refuse an output path that names a directory or lies in one that does
+    not exist, before any input is read or any work is done; no path means
+    standard output."""
+    directory = os.path.dirname(path or "") or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"{path}: directory {directory} does not exist")
+    if path and os.path.isdir(path):
+        raise ValueError(f"{path}: is a directory")
+
+
+def _read_sentences(path):
+    """The sentences of a corpus file; a file without any is an error."""
+    sentences = list(read_corpus(path))
+    if not sentences:
+        raise ValueError(f"{path}: empty corpus")
+    return sentences
+
+
 def _open_output(path):
     return open(path, "w", encoding="utf-8") if path else sys.stdout
 
 
 def cmd_classes(args):
-    sentences = list(read_corpus(args.corpus))
+    _check_output(args.output)
+    sentences = _read_sentences(args.corpus)
     vocab, classmap, trace = run_exchange(
         sentences,
         args.num_classes,
@@ -74,8 +95,8 @@ def cmd_classes(args):
 
 
 def cmd_train(args):
-    with open(args.arch, encoding="utf-8") as f:
-        desc_text = f.read()
+    _check_output(args.output_model)
+    desc_text = "".join(text_lines(args.arch))
     try:
         desc = parse_description(desc_text)
     except DescriptionError as err:
@@ -87,8 +108,8 @@ def cmd_train(args):
             log.error("%s: %s", args.arch, v)
         return 1
 
-    train_sentences = list(read_corpus(args.train))
-    dev_sentences = list(read_corpus(args.dev))
+    train_sentences = _read_sentences(args.train)
+    dev_sentences = _read_sentences(args.dev)
     if args.classes:
         vocab, classmap = load_class_file(args.classes)
     else:
@@ -126,11 +147,10 @@ def cmd_train(args):
 
 
 def cmd_score(args):
+    _check_output(args.output)
     network, _ = load_model(args.model)
     policy = _unk_policy(args.unk_penalty)
-    sentences = list(read_corpus(args.input))
-    if not sentences:
-        raise ValueError(f"{args.input}: no sentences to score")
+    sentences = _read_sentences(args.input)
     results = score_sentences(network, sentences, policy)
     ppl = perplexity(results)
     out = _open_output(args.output)
@@ -157,6 +177,7 @@ def _parse_grid(text, flag):
 
 
 def cmd_rescore(args):
+    _check_output(args.output)
     network, _ = load_model(args.model)
     policy = _unk_policy(args.unk_penalty)
     by_utterance = read_nbest_file(args.nbest)

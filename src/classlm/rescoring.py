@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import score_sentences
+from .vocabulary import text_lines
 
 __all__ = [
     "InterpolationParams",
@@ -79,24 +80,23 @@ def read_nbest_file(path):
     original line order is kept (it defines the first-pass ranking).
     """
     by_utterance = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 4:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 'utt_id acoustic backoff words...'"
-                )
-            try:
-                acoustic = float(parts[1])
-                backoff = float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: scores are not numbers")
-            if not (math.isfinite(acoustic) and math.isfinite(backoff)):
-                raise ValueError(f"{path}: line {line_no}: scores must be finite")
-            hyp = NBestHypothesis(parts[0], acoustic, backoff, tuple(parts[3:]))
-            by_utterance.setdefault(parts[0], []).append(hyp)
+    for line_no, line in enumerate(text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 4:
+            raise ValueError(
+                f"{path}: line {line_no}: expected 'utt_id acoustic backoff words...'"
+            )
+        try:
+            acoustic = float(parts[1])
+            backoff = float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: scores are not numbers")
+        if not (math.isfinite(acoustic) and math.isfinite(backoff)):
+            raise ValueError(f"{path}: line {line_no}: scores must be finite")
+        hyp = NBestHypothesis(parts[0], acoustic, backoff, tuple(parts[3:]))
+        by_utterance.setdefault(parts[0], []).append(hyp)
     if not by_utterance:
         raise ValueError(f"{path}: no hypotheses")
     return by_utterance
@@ -105,16 +105,15 @@ def read_nbest_file(path):
 def read_reference_file(path):
     """Parse ``utt_id w1 ... wN`` reference transcripts."""
     refs = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}: line {line_no}: expected 'utt_id words...'")
-            if parts[0] in refs:
-                raise ValueError(f"{path}: line {line_no}: duplicate utterance {parts[0]!r}")
-            refs[parts[0]] = tuple(parts[1:])
+    for line_no, line in enumerate(text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ValueError(f"{path}: line {line_no}: expected 'utt_id words...'")
+        if parts[0] in refs:
+            raise ValueError(f"{path}: line {line_no}: duplicate utterance {parts[0]!r}")
+        refs[parts[0]] = tuple(parts[1:])
     if not refs:
         raise ValueError(f"{path}: no references")
     return refs

@@ -91,10 +91,31 @@ def build_vocabulary(sentences, max_size=None):
     return Vocabulary(ranked, counts)
 
 
+def text_lines(path):
+    """Yield the lines of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise ValueError naming the file and the first
+    line that holds them.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from f
+            return
+        except UnicodeDecodeError:
+            pass
+    # no newline byte occurs inside a UTF-8 sequence, so some line fails alone
+    with open(path, "rb") as f:
+        for line_no, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: line {line_no}: invalid UTF-8") from None
+    raise ValueError(f"{path}: invalid UTF-8")
+
+
 def read_corpus(path):
     """Yield token lists from a one-sentence-per-line UTF-8 file."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            tokens = line.split()
-            if tokens:
-                yield tokens
+    for line in text_lines(path):
+        tokens = line.split()
+        if tokens:
+            yield tokens

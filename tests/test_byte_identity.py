@@ -1,8 +1,15 @@
-"""The seeded end-to-end run of tools/byte_identity.py is deterministic."""
+"""The seeded end-to-end run of tools/byte_identity.py is deterministic and
+covers a sparse class bigram table."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import classlm as cl
+from classlm.classing import BigramStats
+from classlm.vocabulary import RESERVED, read_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 
@@ -28,3 +35,18 @@ def test_two_runs_print_the_same_digests(tmp_path):
         assert all((out / name).is_file() for out in outs)
     suffixes = {name.rsplit(".", 1)[-1] for name in names}
     assert {"clm", "score", "score-unk0", "rescore", "rescore-tuned", "sample"} <= suffixes
+    assert {"classes.tsv", "classes-sparse.tsv"} <= set(names)
+    # the first class table is nearly full, the second mostly empty
+    assert _class_table_fill(outs[0], "train.txt", "classes.tsv") > 0.9
+    assert _class_table_fill(outs[0], "sparse.txt", "classes-sparse.tsv") < 0.1
+
+
+def _class_table_fill(out, corpus, class_file):
+    """Share of nonzero cells in the class bigram table of a class run,
+    over the classes of corpus words (reserved tokens never occur)."""
+    vocab, classmap = cl.load_class_file(out / class_file)
+    sentences = list(read_corpus(out / corpus))
+    stream = [vocab.ids[w] for sentence in sentences for w in sentence]
+    k = classmap.num_classes - len(RESERVED)
+    table = BigramStats(stream, classmap).class_bigrams[:k, :k]
+    return np.count_nonzero(table) / table.size

@@ -292,7 +292,10 @@ def test_accepted_moves_match_recomputation(rng):
 
 def _assert_deltas_match_reference(words, num_classes, seed, movable_all=False, passes=3):
     """Run exchange passes on `BigramStats` and the dict reference side by
-    side; every delta vector must be bitwise equal, move after move."""
+    side; every delta vector must be bitwise equal, move after move.
+
+    Returns a Counter of the visits and, per visit, whether the word has a
+    successor and a predecessor in its own class and a self loop."""
     vocab = cl.build_vocabulary([words])
     cm = cl.initialize_classes(vocab, num_classes, scheme="random", seed=seed)
     stream = np.array([vocab.id_of(t) for t in words])
@@ -301,14 +304,17 @@ def _assert_deltas_match_reference(words, num_classes, seed, movable_all=False, 
     ref = DictBigramStats(stream, cm.class_of, cm.num_classes, movable)
     assert class_bigram_loglik(stats) == pytest.approx(
         brute_force_loglik(stream, cm.class_of, stats.word_counts), abs=1e-8)
-    visits = 0
+    seen = Counter()
     for _ in range(passes):
         for w in np.argsort(-stats.word_counts, kind="stable"):
             if stats.word_counts[w] == 0 or stats.class_sizes[stats.class_of[w]] <= 1:
                 continue
             deltas = stats.move_deltas(w)
             assert np.array_equal(deltas, ref.move_deltas(w)), f"word {w}"
-            visits += 1
+            a = int(ref.class_of[w])
+            s, p, self_count = ref._transition_mass(w)
+            seen.update(["visits", ("succ in own class", bool(s[a])),
+                         ("pred in own class", bool(p[a])), ("self loop", bool(self_count))])
             b = int(np.argmax(deltas))
             if deltas[b] > 1e-9:
                 stats.apply_move(w, b)
@@ -317,19 +323,32 @@ def _assert_deltas_match_reference(words, num_classes, seed, movable_all=False, 
     stats.check_consistency()
     np.testing.assert_array_equal(stats.class_bigrams, ref.class_bigrams)
     np.testing.assert_array_equal(stats.class_counts, ref.class_counts)
-    return visits
+    return seen
 
 
 def test_move_deltas_equal_dict_reference_bitwise(rng):
-    visits = 0
+    seen = Counter()
     for trial in range(12):
         n_types = int(rng.integers(3, 150))
         length = int(rng.integers(2, 2500))
         words = [f"w{i}" for i in rng.zipf(1.3, size=length) % n_types]
         n_regular = len(set(words))
         k = int(rng.integers(1, min(50, n_regular) + 1))
-        visits += _assert_deltas_match_reference(words, k, seed=trial, movable_all=trial % 3 == 0)
-    assert visits > 1000
+        seen += _assert_deltas_match_reference(words, k, seed=trial, movable_all=trial % 3 == 0)
+    assert seen["visits"] > 1000
+
+    # 250 classes over 6,000 Zipf tokens: as with many classes on a real
+    # corpus, most class bigram cells are empty
+    words = [f"w{i}" for i in rng.zipf(1.2, size=6000) % 900]
+    vocab = cl.build_vocabulary([words])
+    stats = BigramStats([vocab.id_of(t) for t in words], cl.initialize_classes(vocab, 250))
+    assert np.count_nonzero(stats.class_bigrams) < 0.1 * stats.class_bigrams.size
+    sparse = _assert_deltas_match_reference(words, 250, seed=4, passes=1)
+    assert sparse["visits"] > 500
+    # each shortcut for a zero mass at the word's own class or a zero self
+    # loop is taken, and each full computation for a nonzero one
+    for branch in ("succ in own class", "pred in own class", "self loop"):
+        assert sparse[(branch, True)] > 0 and sparse[(branch, False)] > 0, branch
 
 
 def test_move_deltas_equal_dict_reference_on_edge_cases():

@@ -593,3 +593,81 @@ def test_unallocatable_layer_is_a_one_line_error(toy_files, caplog):
         "--arch", str(toy_files["arch"]), "--output-model", str(model)])
     assert "out of memory" in message
     assert not model.exists()
+
+
+def _reader_argv(kind, bad, toy_files, rng):
+    """A command line whose input of the given kind is the file `bad`."""
+    files = {k: str(v) for k, v in toy_files.items()}
+    train = ["train", "--train", files["train"], "--dev", files["dev"], "--max-epochs", "1",
+             "--output-model", str(toy_files["dir"] / "m.clm")]
+    if kind == "corpus":
+        return ["classes", "--corpus", str(bad), "--num-classes", "2",
+                "--output", str(toy_files["dir"] / "c.tsv")]
+    if kind == "class file":
+        return [*train, "--arch", files["arch"], "--classes", str(bad)]
+    if kind == "architecture":
+        return [*train, "--arch", str(bad)]
+    model = toy_files["dir"] / "random.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    nbest = toy_files["dir"] / "nbest.txt"
+    nbest.write_text("u1 -1.0 -2.0 w1 w2\n")
+    if kind == "n-best file":
+        return ["rescore", "--model", str(model), "--nbest", str(bad)]
+    return ["rescore", "--model", str(model), "--nbest", str(nbest), "--tune", "--refs", str(bad)]
+
+
+@pytest.mark.parametrize("kind, good_line", [
+    ("corpus", b"a b c\n"),
+    ("class file", b"a\t0\t1.0\n"),
+    ("architecture", support.SMALL_ARCH.encode().splitlines(keepends=True)[0]),
+    ("n-best file", b"u1 -1.0 -2.0 w1 w2\n"),
+    ("reference file", b"u1 w1 w2\n"),
+])
+def test_invalid_utf8_is_a_one_line_error_naming_file_and_line(toy_files, rng, caplog, kind,
+                                                               good_line):
+    bad = toy_files["dir"] / "bad.txt"
+    bad.write_bytes(good_line + b"caf\xc3\xa9 \xff\n" + good_line)
+    message = _one_line_error(caplog, _reader_argv(kind, bad, toy_files, rng))
+    assert message == f"{bad}: line 2: invalid UTF-8"
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+@pytest.mark.parametrize("role", ["classes", "train", "dev", "score"])
+def test_empty_corpus_is_a_one_line_error_naming_the_file(toy_files, rng, caplog, text, role):
+    empty = toy_files["dir"] / "empty.txt"
+    empty.write_text(text)
+    out = str(toy_files["dir"] / "out")
+    if role == "classes":
+        argv = ["classes", "--corpus", str(empty), "--num-classes", "2", "--output", out]
+    elif role == "score":
+        model = toy_files["dir"] / "random.clm"
+        cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+        argv = ["score", "--model", str(model), "--input", str(empty)]
+    else:
+        corpora = {"train": str(toy_files["train"]), "dev": str(toy_files["dev"]),
+                   role: str(empty)}
+        argv = ["train", "--train", corpora["train"], "--dev", corpora["dev"], "--arch",
+                str(toy_files["arch"]), "--output-model", out]
+    assert _one_line_error(caplog, argv) == f"{empty}: empty corpus"
+
+
+@pytest.mark.parametrize("command", ["classes", "train", "score", "rescore"])
+def test_output_path_that_cannot_be_a_file_fails_before_any_input_is_read(tmp_path, caplog,
+                                                                          command):
+    # every input is missing too: the output is checked first, also when it
+    # names a directory
+    missing = str(tmp_path / "missing.txt")
+    out = tmp_path / "no" / "such" / "out"
+    argv = {
+        "classes": ["classes", "--corpus", missing, "--output", str(out)],
+        "train": ["train", "--train", missing, "--dev", missing, "--arch", missing,
+                  "--output-model", str(out)],
+        "score": ["score", "--model", missing, "--input", missing, "--output", str(out)],
+        "rescore": ["rescore", "--model", missing, "--nbest", missing, "--output", str(out)],
+    }[command]
+    message = _one_line_error(caplog, argv)
+    assert message == f"{out}: directory {out.parent} does not exist"
+    assert not out.parent.exists()
+    out.mkdir(parents=True)
+    message = _one_line_error(caplog, argv)
+    assert message == f"{out}: is a directory"

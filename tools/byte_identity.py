@@ -2,18 +2,21 @@
 
 Usage: python tools/byte_identity.py OUT_DIR
 
-The run writes a seeded Markov corpus (seed 11), induces word classes,
-trains an LSTM with dropout and a GRU+tanh over word and class inputs in
-double and single precision with the default optimizer, each of the two
-also at a batch size of 13 (no multiple of the 8-row matmul block), and
-the LSTM in both precisions with each optimizer under a clip norm that some
-batches exceed.  It then scores with and without ``--unk-penalty 0``, rescores
-n-best lists with fixed weights and with ``--tune --refs``, scores 200
-sentences whose widest prefix-trie levels hold 128 rows or more (steps that
-run in parts on several threads where the process may use several CPUs),
-and samples from each of the four architecture models twice: 15 sentences
-of at most 20 tokens, and 37 of at most 70.  It prints one ``sha256  file`` line
-per output file, paths relative to OUT_DIR, in a fixed order.
+The run writes a seeded Markov corpus (seed 11) and induces 8 word classes
+on it, then 150 classes on a second corpus of 300 word types (a class
+bigram table with under a tenth of its cells filled, as with many classes
+on real text).  It trains an LSTM with dropout and a GRU+tanh over word and
+class inputs in double and single precision with the default optimizer,
+each of the two also at a batch size of 13 (no multiple of the 8-row matmul
+block), and the LSTM in both precisions with each optimizer under a clip
+norm that some batches exceed.  It then scores with and without
+``--unk-penalty 0``, rescores n-best lists with fixed weights and with
+``--tune --refs``, scores 200 sentences whose widest prefix-trie levels
+hold 128 rows or more (steps that run in parts on several threads where
+the process may use several CPUs), and samples from each of the four
+architecture models twice: 15 sentences of at most 20 tokens, and 37 of at
+most 70.  It prints one ``sha256  file`` line per output file, paths
+relative to OUT_DIR, in a fixed order.
 
 Two checkouts that compute the same bits print the same lines, so a change
 that must not alter any output is checked by running this file from both
@@ -94,10 +97,14 @@ def write_inputs(rng, out):
                 hyp[i] = words[int(rng.integers(len(words)))]
             ac, bo = -rng.gamma(20.0, 2.0), -rng.gamma(10.0, 2.0)
             nbest.append(f"u{u} {ac!r} {bo!r} {' '.join(hyp)}")
-    # drawn last, so the inputs above do not depend on it; levels 3 to 6 of
-    # its prefix trie hold 128 rows or more, which score in parts on threads
+    # drawn after the inputs above, so that they do not depend on it; levels
+    # 3 to 6 of its prefix trie hold 128 rows or more, which score in parts
+    # on threads
     wide = markov_sentences(rng, words, 200)
-    files = {"train.txt": train, "dev.txt": dev, "test.txt": test, "wide.txt": wide}
+    # drawn last; 150 classes leave most cells of its class bigram table empty
+    sparse = markov_sentences(rng, [f"v{i:03d}" for i in range(300)], 400)
+    files = {"train.txt": train, "dev.txt": dev, "test.txt": test, "wide.txt": wide,
+             "sparse.txt": sparse}
     for name, sentences in files.items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as f:
             f.writelines(" ".join(s) + "\n" for s in sentences)
@@ -128,6 +135,9 @@ def produce(out):
     run(["classes", "--corpus", p("train.txt"), "--num-classes", "8", "--output",
          p("classes.tsv")])
     outputs.append("classes.tsv")
+    run(["classes", "--corpus", p("sparse.txt"), "--num-classes", "150", "--output",
+         p("classes-sparse.tsv")])
+    outputs.append("classes-sparse.tsv")
 
     def train(model, arch, precision, *options, batch_size=16):
         run(["train", "--train", p("train.txt"), "--dev", p("dev.txt"), "--arch",
