@@ -188,6 +188,7 @@ def validate_description(desc):
     """Return every structural rule violation (empty list means valid).
 
     Checked rules:
+      * no name holds a '/', which joins a layer name to a parameter name;
       * references resolve to earlier declarations (keeps the graph acyclic);
       * word/class inputs feed projection layers and nothing else;
       * projection layers consume only word/class inputs;
@@ -197,6 +198,10 @@ def validate_description(desc):
     violations = []
     declared = set()
     for spec in desc.layers:
+        if "/" in spec.name:
+            what = "input" if spec.kind in INPUT_KINDS else "layer"
+            violations.append(f"line {spec.line_no}: {what} name {spec.name!r} contains '/',"
+                              " which parameter names use after the layer name")
         for src in spec.inputs:
             if src not in declared:
                 violations.append(

@@ -104,8 +104,7 @@ def cmd_train(args):
         return 1
     violations = validate_description(desc)
     if violations:
-        for v in violations:
-            log.error("%s: %s", args.arch, v)
+        log.error("%s: %s", args.arch, "; ".join(violations))
         return 1
 
     train_sentences = _read_sentences(args.train)
@@ -302,6 +301,8 @@ def main(argv=None):
         )
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (DescriptionError, GraphError, ModelFormatError, ValueError, OSError) as err:
         log.error("%s", err)

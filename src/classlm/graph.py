@@ -192,38 +192,38 @@ class Graph:
         """
         return self._append("masked_mean", name, (x, mask))
 
-    def lstm(self, x, h0, c0, params, name=None):
+    def lstm(self, x, h0, c0, W, U, b, name=None):
         """LSTM over the time axis of x (T, B, in) from the state (h0, c0).
 
-        `params` are the 12 parameter nodes ``W_g, U_g, b_g`` of the gates
-        g = i, f, o, c in that order; for each step
+        W (4, in, H), U (4, H, H) and b (4, H) stack the weights of the
+        gates g = i, f, o, c in that order; for each step
 
-            i  = sigmoid(x W_i + h U_i + b_i)        input gate
-            f  = sigmoid(x W_f + h U_f + b_f)        forget gate
-            o  = sigmoid(x W_o + h U_o + b_o)        output gate
-            c' = f*c + i*tanh(x W_c + h U_c + b_c)
+            i  = sigmoid(x W[0] + h U[0] + b[0])        input gate
+            f  = sigmoid(x W[1] + h U[1] + b[1])        forget gate
+            o  = sigmoid(x W[2] + h U[2] + b[2])        output gate
+            c' = f*c + i*tanh(x W[3] + h U[3] + b[3])
             h' = o*tanh(c')
 
-        The value stacks (h, c, i, f, o, tanh(x W_c + h U_c + b_c),
+        The value stacks (h, c, i, f, o, tanh(x W[3] + h U[3] + b[3]),
         tanh(c)) of every step, shape (7, T, B, H); ``item(node, 0)`` is
         the hidden sequence and ``item(node, 1)`` the cell sequence.
         """
-        return self._append("lstm", name, (x, h0, c0, *params))
+        return self._append("lstm", name, (x, h0, c0, W, U, b))
 
-    def gru(self, x, h0, params, name=None):
+    def gru(self, x, h0, W, U, b, name=None):
         """GRU over the time axis of x (T, B, in) from the state h0.
 
-        `params` are the 9 parameter nodes ``W_g, U_g, b_g`` of g = z, r, h;
-        for each step
+        W (3, in, H), U (3, H, H) and b (3, H) stack the weights of the
+        gates g = z, r, h in that order; for each step
 
-            z  = sigmoid(x W_z + h U_z + b_z)        update gate
-            r  = sigmoid(x W_r + h U_r + b_r)        reset gate
-            h' = (1-z)*h + z*tanh(x W_h + (r*h) U_h + b_h)
+            z  = sigmoid(x W[0] + h U[0] + b[0])        update gate
+            r  = sigmoid(x W[1] + h U[1] + b[1])        reset gate
+            h' = (1-z)*h + z*tanh(x W[2] + (r*h) U[2] + b[2])
 
         The value stacks (h, z, r, tanh(...), r*h) of every step, shape
         (5, T, B, H); ``item(node, 0)`` is the hidden sequence.
         """
-        return self._append("gru", name, (x, h0, *params))
+        return self._append("gru", name, (x, h0, W, U, b))
 
     def item(self, x, index, name=None):
         """Part `index` (along the leading axis) of a recurrent op's value."""
@@ -413,14 +413,14 @@ def _masked_mean_grad(dy, y, x, mask):
     return mask * (dy * _inverse_count(mask, x.dtype)), None
 
 
-def _recurrent_params(node, x, h0, p):
-    """The per-gate parameters stacked: (W, U, b) of shapes (G, in, H),
-    (G, H, H) and (G, H), after checking every operand's shape."""
+def _check_recurrent(node, gates, x, h0, W, U, b):
+    """Every operand's shape: x (T, B, in), h0 (B, H) and the stacked
+    weights W (G, in, H), U (G, H, H) and b (G, H) of G gates."""
     hidden = h0.shape[-1]
-    shapes = [(x.shape[-1], hidden), (hidden, hidden), (hidden,)] * (len(p) // 3)
     _check_shapes(x.ndim == 3 and h0.shape == (x.shape[1], hidden)
-                  and [w.shape for w in p] == shapes, node, x, h0, *p)
-    return np.stack(p[0::3]), np.stack(p[1::3]), np.stack(p[2::3])
+                  and W.shape == (gates, x.shape[-1], hidden)
+                  and U.shape == (gates, hidden, hidden) and b.shape == (gates, hidden),
+                  node, x, h0, W, U, b)
 
 
 def _check_step(node, t, *values):
@@ -436,8 +436,8 @@ def _carried(carry, terms, t):
     return carry
 
 
-def _lstm(node, x, h0, c0, *p):
-    W, U, b = _recurrent_params(node, x, h0, p)
+def _lstm(node, x, h0, c0, W, U, b):
+    _check_recurrent(node, 4, x, h0, W, U, b)
     _check_shapes(c0.shape == h0.shape, node, h0, c0)
     xw = _rows(x, W)  # every step's input products, (4, T, B, H)
     seq = np.empty((7, *xw.shape[1:]), dtype=xw.dtype)
@@ -456,8 +456,7 @@ def _lstm(node, x, h0, c0, *p):
     return seq
 
 
-def _lstm_grad(dy, seq, x, h0, c0, *p):
-    W, U = np.stack(p[0::3]), np.stack(p[1::3])
+def _lstm_grad(dy, seq, x, h0, c0, W, U, b):
     steps = len(x)
     h_prev = np.concatenate([h0[None], seq[0, :-1]])
     c_prev = np.concatenate([c0[None], seq[1, :-1]])
@@ -482,12 +481,11 @@ def _lstm_grad(dy, seq, x, h0, c0, *p):
     dU = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:, t]), steps)
     db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
     # x's adjoint as one term per gate, c first: the reverse of gate order
-    return ([dx[3], dx[2], dx[1], dx[0]], dh, dc,
-            *(g[k] for k in range(4) for g in (dW, dU, db)))
+    return [dx[3], dx[2], dx[1], dx[0]], dh, dc, dW, dU, db
 
 
-def _gru(node, x, h0, *p):
-    W, U, b = _recurrent_params(node, x, h0, p)
+def _gru(node, x, h0, W, U, b):
+    _check_recurrent(node, 3, x, h0, W, U, b)
     xw = _rows(x, W)  # every step's input products, (3, T, B, H)
     seq = np.empty((5, *xw.shape[1:]), dtype=xw.dtype)
     h = h0
@@ -507,8 +505,7 @@ def _gru(node, x, h0, *p):
     return seq
 
 
-def _gru_grad(dy, seq, x, h0, *p):
-    W, U = np.stack(p[0::3]), np.stack(p[1::3])
+def _gru_grad(dy, seq, x, h0, W, U, b):
     steps = len(x)
     h_prev = np.concatenate([h0[None], seq[0, :-1]])
     terms_h = dy.get(0, [])
@@ -527,13 +524,12 @@ def _gru_grad(dy, seq, x, h0, *p):
         dh = ((dh * (1.0 - z) + d_rh * r) + hu[1]) + hu[0]
     dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
     dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
-    dU = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:2, t]), steps)
-    dU_h = _sum_steps(lambda t: seq[4, t].T @ grad[2, t], steps)
+    dU = np.empty_like(U, dtype=grad.dtype)
+    dU[:2] = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:2, t]), steps)
+    dU[2] = _sum_steps(lambda t: seq[4, t].T @ grad[2, t], steps)
     db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
-    dU = (dU[0], dU[1], dU_h)
     # x's adjoint as one term per gate, h first: the reverse of gate order
-    return ([dx[2], dx[1], dx[0]], dh,
-            *(g[k] for k in range(3) for g in (dW, dU, db)))
+    return [dx[2], dx[1], dx[0]], dh, dW, dU, db
 
 
 # op -> (forward(node, *inputs) -> value, backward(dy, value, *inputs) ->

@@ -10,10 +10,13 @@ Byte layout:
 
 The header records the format version, the architecture description text,
 the vocabulary and class tables, a parameter index (name, shape, offset,
-byte length) and optional training metadata.  Serialization is canonical,
-so saving, loading and saving again produces a byte-identical file; the
-payload stores parameters bit-exactly, so a reloaded model scores any
-sentence identically to the saved one.
+byte length) and optional training metadata.  The index lists one block per
+gate of an LSTM or GRU parameter (:func:`classlm.network.file_blocks`): a
+save writes each gate's slice of the stacked array, and a load reads each
+block into its slice.
+Serialization is canonical, so saving, loading and saving again produces a
+byte-identical file; the payload stores parameters bit-exactly, so a
+reloaded model scores any sentence identically to the saved one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .architecture import (
     validate_description,
 )
 from .classing import ClassMap
-from .network import Network, parameter_shapes
+from .network import Network, file_blocks, parameter_shapes
 from .vocabulary import RESERVED, Vocabulary
 
 __all__ = ["FORMAT_VERSION", "ModelFormatError", "load_model", "save_model"]
@@ -88,10 +91,11 @@ def save_model(path, network, training=None):
     index = []
     offset = 0
     blocks = []
-    for name, value in network.params.items():
+    for block, name, part in file_blocks(network.desc, network.params):
+        value = network.params[name][part]
         data = np.ascontiguousarray(value, dtype=dtype).tobytes()
         index.append(
-            {"name": name, "shape": list(value.shape), "offset": offset, "nbytes": len(data)}
+            {"name": block, "shape": list(value.shape), "offset": offset, "nbytes": len(data)}
         )
         blocks.append(data)
         offset += len(data)
@@ -132,8 +136,8 @@ def save_model(path, network, training=None):
 
 
 def _check_blocks(path, index, expected, itemsize, payload_len):
-    """Every parameter's shape and byte length as the architecture implies,
-    its block inside the payload and apart from every other block."""
+    """Every block's shape and byte length as the architecture implies, the
+    block inside the payload and apart from every other block."""
     for i, entry in enumerate(index):
         name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
         shape = tuple(entry["shape"])
@@ -172,8 +176,8 @@ def load_model(path):
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header, payload_start = _read_header(path, f, size)
-        desc, vocab, classes, expected = _check_header(path, header)
-        params = _read_params(path, f, header, expected, payload_start, size)
+        desc, vocab, classes, shapes = _check_header(path, header)
+        params = _read_params(path, f, header, desc, shapes, payload_start, size)
     network = Network(desc, vocab, classes, params, header["precision"])
     return network, header.get("training")
 
@@ -240,36 +244,37 @@ def _check_header(path, header):
     if violations:
         raise ModelFormatError(f"{path}: model architecture: {violations[0]}")
 
-    expected = parameter_shapes(desc, vocab, classes)
-    index = header["parameters"]
-    listed = [entry["name"] for entry in index]
-    if listed != list(expected):
+    shapes = parameter_shapes(desc, vocab, classes)
+    expected = [block for block, _, _ in file_blocks(desc, shapes)]
+    listed = [entry["name"] for entry in header["parameters"]]
+    if listed != expected:
         raise ModelFormatError(
             f"{path}: parameter index does not match the architecture"
-            f" (expected {list(expected)}, found {listed})"
+            f" (expected {expected}, found {listed})"
         )
-    return desc, vocab, classes, expected
+    return desc, vocab, classes, shapes
 
 
-def _read_params(path, f, header, expected, payload_start, size):
-    """Each parameter read from its block straight into its own array."""
+def _read_params(path, f, header, desc, shapes, payload_start, size):
+    """Every block read straight into its part of its parameter's array,
+    after the block shapes and offsets are checked."""
     index = header["parameters"]
     dtype = _payload_dtype(header["precision"])
-    _check_blocks(path, index, expected, dtype.itemsize, max(0, size - payload_start))
-    params = {}
-    for entry in index:
-        name = entry["name"]
-        value = np.empty(expected[name], dtype=dtype)
+    blocks = file_blocks(desc, shapes)
+    block_shapes = {block: shapes[name][len(part):] for block, name, part in blocks}
+    _check_blocks(path, index, block_shapes, dtype.itemsize, max(0, size - payload_start))
+    params = {name: np.empty(shape, dtype=dtype) for name, shape in shapes.items()}
+    for entry, (block, name, part) in zip(index, blocks):
+        value = params[name][part]
         f.seek(payload_start + entry["offset"])
         if f.readinto(memoryview(value).cast("B")) != entry["nbytes"]:
-            raise ModelFormatError(f"{path}: payload truncated; parameter {name!r} incomplete")
-        if not dtype.isnative:
-            value = value.astype(dtype.newbyteorder("="))
+            raise ModelFormatError(f"{path}: payload truncated; parameter {block!r} incomplete")
         # a finite sum means finite elements; a sum that overflows from
         # finite elements is rechecked element by element
         with np.errstate(over="ignore"):
             finite = math.isfinite(value.sum())
         if not finite and not np.isfinite(value).all():
-            raise ModelFormatError(f"{path}: parameter {name!r} has non-finite values")
-        params[name] = value
+            raise ModelFormatError(f"{path}: parameter {block!r} has non-finite values")
+    if not dtype.isnative:
+        params = {name: value.astype(dtype.newbyteorder("=")) for name, value in params.items()}
     return params

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import layers
 from .architecture import INPUT_KINDS, RECURRENT_KINDS, validate_description
 from .classing import identity_classmap
 from .graph import Graph, forward_eval
 
-__all__ = ["Network", "instantiate_network", "parameter_shapes"]
+__all__ = ["Network", "file_blocks", "instantiate_network", "parameter_shapes"]
 
 _DTYPES = {"double": np.float64, "single": np.float32}
+_GATES = {"lstm": "ifoc", "gru": "zrh"}  # gate letters in stacking order
 
 
 def _layer_widths(desc, vocab, classes):
@@ -47,7 +47,12 @@ def _layer_widths(desc, vocab, classes):
 
 
 def parameter_shapes(desc, vocab, classes):
-    """Ordered name -> shape map of every parameter the description implies."""
+    """Ordered name -> shape map of every parameter the description implies.
+
+    An LSTM or GRU layer has three parameters, ``W`` (G, in, H), ``U``
+    (G, H, H) and ``b`` (G, H), each stacking its G gates in the order
+    :meth:`Graph.lstm` and :meth:`Graph.gru` read them.
+    """
     widths = _layer_widths(desc, vocab, classes)
     shapes = {}
     for spec in desc.layers:
@@ -55,33 +60,47 @@ def parameter_shapes(desc, vocab, classes):
             for src in spec.inputs:
                 rows = classes.num_classes if desc.by_name[src].kind == "class_input" else len(vocab)
                 shapes[f"{spec.name}/E_{src}"] = (rows, spec.size)
-        elif spec.kind in ("lstm", "gru"):
-            in_width = sum(widths[src] for src in spec.inputs)
-            names = layers.LSTM_PARAMS if spec.kind == "lstm" else layers.GRU_PARAMS
-            for pname in names:
-                if pname.startswith("W"):
-                    shapes[f"{spec.name}/{pname}"] = (in_width, spec.size)
-                elif pname.startswith("U"):
-                    shapes[f"{spec.name}/{pname}"] = (spec.size, spec.size)
-                else:
-                    shapes[f"{spec.name}/{pname}"] = (spec.size,)
-        elif spec.kind == "tanh":
-            in_width = sum(widths[src] for src in spec.inputs)
-            shapes[f"{spec.name}/W"] = (in_width, spec.size)
-            shapes[f"{spec.name}/b"] = (spec.size,)
-        elif spec.kind == "softmax":
-            in_width = sum(widths[src] for src in spec.inputs)
-            shapes[f"{spec.name}/W"] = (in_width, classes.num_classes)
-            shapes[f"{spec.name}/b"] = (classes.num_classes,)
+            continue
+        in_width = sum(widths[src] for src in spec.inputs)
+        if spec.kind in _GATES:
+            gates = len(_GATES[spec.kind])
+            shapes[f"{spec.name}/W"] = (gates, in_width, spec.size)
+            shapes[f"{spec.name}/U"] = (gates, spec.size, spec.size)
+            shapes[f"{spec.name}/b"] = (gates, spec.size)
+        elif spec.kind in ("tanh", "softmax"):
+            shapes[f"{spec.name}/W"] = (in_width, widths[spec.name])
+            shapes[f"{spec.name}/b"] = (widths[spec.name],)
     return shapes
+
+
+def file_blocks(desc, names):
+    """The blocks of a version-1 model file, in file order, as (file name,
+    parameter name, index) triples: ``params[name][index]`` is the block.
+
+    An LSTM or GRU layer is stored one gate after another, ``W_i, U_i, b_i,
+    W_f, ...`` (``W_z, U_z, b_z, W_r, ...``), each gate's block a slice of
+    the stacked parameter; every other parameter is one block.  `names`
+    are the parameter names in :func:`parameter_shapes` order.
+    """
+    blocks = []
+    for name in names:
+        layer, short = name.split("/")
+        gates = _GATES.get(desc.by_name[layer].kind)
+        if gates is None:
+            blocks.append((name, name, ()))
+        elif short == "W":  # the layer's first parameter: all three, gate by gate
+            blocks += [(f"{layer}/{p}_{gate}", f"{layer}/{p}", (k,))
+                       for k, gate in enumerate(gates) for p in "WUb"]
+    return blocks
 
 
 def instantiate_network(desc, vocab, classes=None, seed=0, precision="double"):
     """Allocate and initialize all parameters for a validated description.
 
-    Weights are uniform in +-sqrt(6 / (fan_in + fan_out)); biases start at
-    zero except the LSTM forget-gate bias, which starts at one so early
-    training does not erase the cell state.  Identical seeds give
+    Weights are uniform in +-sqrt(6 / (fan_in + fan_out)), drawn block by
+    block in file order (one block per gate of a recurrent layer); biases
+    start at zero except the LSTM forget-gate bias, which starts at one so
+    early training does not erase the cell state.  Identical seeds give
     bit-identical parameters.
     """
     violations = validate_description(desc)
@@ -93,18 +112,17 @@ def instantiate_network(desc, vocab, classes=None, seed=0, precision="double"):
         classes = identity_classmap(vocab)
     if len(classes) != len(vocab):
         raise ValueError("class map does not cover the vocabulary")
-    dtype = _DTYPES[precision]
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in parameter_shapes(desc, vocab, classes).items():
-        if len(shape) == 1:
-            value = np.zeros(shape, dtype=np.float64)
-            if name.endswith("/b_f"):
-                value += 1.0
-        else:
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            value = rng.uniform(-limit, limit, size=shape)
-        params[name] = value.astype(dtype)
+    shapes = parameter_shapes(desc, vocab, classes)
+    params = {name: np.zeros(shape, _DTYPES[precision]) for name, shape in shapes.items()}
+    for _, name, index in file_blocks(desc, shapes):
+        block = params[name][index]
+        if block.ndim == 2:  # drawn in double precision, then cast
+            limit = np.sqrt(6.0 / (block.shape[0] + block.shape[1]))
+            block[...] = rng.uniform(-limit, limit, size=block.shape)
+    for spec in desc.layers:
+        if spec.kind == "lstm":
+            params[f"{spec.name}/b"][1] = 1.0  # the forget gate
     return Network(desc, vocab, classes, params, precision)
 
 
@@ -148,9 +166,6 @@ class Network:
 
     # -- graph assembly --------------------------------------------------------
 
-    def _param_nodes(self, g, layer_name, pnames):
-        return {p: g.parameter(f"{layer_name}/{p}") for p in pnames}
-
     def _build(self, g, train_mode):
         """Append the network over every position of the bound ids; returns
         (logits, state sequences)."""
@@ -164,31 +179,29 @@ class Network:
                 acts[name] = g.input(f"tokens/{name}")
                 continue
             if spec.kind == "projection":
-                tables = [g.parameter(f"{name}/E_{src}") for src in spec.inputs]
-                ids = [acts[src] for src in spec.inputs]
-                acts[name] = layers.projection_forward(g, ids, tables)
+                # one embedding table per id stream, the rows concatenated
+                acts[name] = g.concat([g.gather_rows(g.parameter(f"{name}/E_{src}"), acts[src])
+                                       for src in spec.inputs])
                 continue
             x = g.concat([acts[src] for src in spec.inputs])
-            if spec.kind == "lstm":
-                p = self._param_nodes(g, name, layers.LSTM_PARAMS)
-                h, c = layers.lstm_forward(g, x, g.input(f"state/h/{name}"),
-                                           g.input(f"state/c/{name}"), p, name)
-                acts[name] = state_out[f"h/{name}"] = h
-                state_out[f"c/{name}"] = c
-            elif spec.kind == "gru":
-                p = self._param_nodes(g, name, layers.GRU_PARAMS)
-                h = layers.gru_forward(g, x, g.input(f"state/h/{name}"), p, name)
-                acts[name] = state_out[f"h/{name}"] = h
-            elif spec.kind == "tanh":
-                acts[name] = layers.tanh_forward(g, x, self._param_nodes(g, name, layers.TANH_PARAMS))
-            elif spec.kind == "dropout":
+            if spec.kind == "dropout":
                 if train_mode and spec.dropout_rate > 0.0:
-                    acts[name] = g.mul(x, g.input(f"dropmask/{name}"))
-                else:
-                    acts[name] = x
+                    x = g.mul(x, g.input(f"dropmask/{name}"))
+                acts[name] = x
+                continue
+            W, b = g.parameter(f"{name}/W"), g.parameter(f"{name}/b")
+            if spec.kind == "lstm":
+                seq = g.lstm(x, g.input(f"state/h/{name}"), g.input(f"state/c/{name}"),
+                             W, g.parameter(f"{name}/U"), b, name)
+                acts[name] = state_out[f"h/{name}"] = g.item(seq, 0)
+                state_out[f"c/{name}"] = g.item(seq, 1)
+            elif spec.kind == "gru":
+                seq = g.gru(x, g.input(f"state/h/{name}"), W, g.parameter(f"{name}/U"), b, name)
+                acts[name] = state_out[f"h/{name}"] = g.item(seq, 0)
+            elif spec.kind == "tanh":
+                acts[name] = g.tanh(g.add_bias(g.matmul(x, W), b))
             elif spec.kind == "softmax":
-                p = self._param_nodes(g, name, layers.SOFTMAX_PARAMS)
-                out = layers.softmax_logits(g, x, p)
+                out = g.add_bias(g.matmul(x, W), b)
                 if name == final:
                     logits = out
                 else:

@@ -121,20 +121,26 @@ class OptimizerConfig:
                              f" got {self.clip_norm}")
 
 
-def clip_gradients(grads, max_norm):
+def clip_gradients(grads, max_norm, blocks=None):
     """Rescale a gradient map so its global L2 norm is at most `max_norm`.
 
     The norm is taken over all gradients concatenated, so clipping preserves
     the update direction; maps already inside the ball are returned
-    unchanged, which also makes clipping idempotent.
+    unchanged, which also makes clipping idempotent.  The squares are
+    summed block by block in sorted block-name order, where `blocks` are
+    (block name, gradient name, index) triples, ``grads[name][index]`` each
+    block (:func:`classlm.network.file_blocks`); by default every gradient
+    is one block of its own name.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
+    if blocks is None:
+        blocks = [(name, name, ()) for name in grads]
     total = 0.0
-    for name in sorted(grads):
-        sq = float(np.sum(np.square(grads[name], dtype=np.float64)))
+    for block, name, index in sorted(blocks):
+        sq = float(np.sum(np.square(grads[name][index], dtype=np.float64)))
         if not np.isfinite(sq):
-            raise NonFiniteError(f"gradient for {name!r} is not finite")
+            raise NonFiniteError(f"gradient for {block!r} is not finite")
         total += sq
     norm = np.sqrt(total)
     if norm <= max_norm:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers
 from .graph import NonFiniteError, backward, forward_eval
+from .network import file_blocks
 from .optimizers import Optimizer, OptimizerConfig, clip_gradients
 from .scoring import corpus_perplexity
 
@@ -106,6 +106,20 @@ def _make_batches(segments, batch_size, rng):
     return [batches[i] for i in batch_order]
 
 
+def dropout_mask(rng, shape, rate, dtype=np.float64):
+    """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
+
+    Scaling at train time keeps evaluation an exact identity, so scoring
+    never needs to know the training dropout rates.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return np.ones(shape, dtype=dtype)
+    keep = rng.random(shape) >= rate
+    return keep.astype(dtype) / (1.0 - rate)
+
+
 def _batch_bindings(network, inputs, targets, mask, rng):
     """Time-major bindings of one batch: ids, targets and mask as (T, B),
     one dropout mask per layer as (T, B, width), the zero start state."""
@@ -116,7 +130,7 @@ def _batch_bindings(network, inputs, targets, mask, rng):
     bindings["mask"] = np.ascontiguousarray(mask.T, dtype=dtype)
     dropout = [s for s in network.desc.layers if s.kind == "dropout" and s.dropout_rate > 0.0]
     # drawn step by step, layer by layer within a step
-    masks = [[layers.dropout_mask(rng, (batch, network.widths[s.name]), s.dropout_rate, dtype)
+    masks = [[dropout_mask(rng, (batch, network.widths[s.name]), s.dropout_rate, dtype)
               for s in dropout] for _ in range(length)]
     for k, spec in enumerate(dropout):
         bindings[f"dropmask/{spec.name}"] = np.stack([step[k] for step in masks])
@@ -162,6 +176,7 @@ def train(network, train_sentences, dev_sentences, config):
     state = TrainingState()
     segments = _segments(network, train_sentences, config.max_sequence_length)
     best = {"params": network.copy_params()}
+    blocks = file_blocks(network.desc, network.params)  # what the clip norm sums
 
     def validate():
         ppl = corpus_perplexity(network, dev_sentences)
@@ -199,7 +214,7 @@ def train(network, train_sentences, dev_sentences, config):
             try:
                 state.train_loss, grads = batch_gradients(network, inputs, targets, mask, rng)
                 if config.optimizer.clip_norm is not None:
-                    grads = clip_gradients(grads, config.optimizer.clip_norm)
+                    grads = clip_gradients(grads, config.optimizer.clip_norm, blocks)
             except NonFiniteError as err:
                 log.error("training diverged at batch %d, %s", state.batches + 1, err)
                 state.diverged = True

@@ -9,6 +9,7 @@ import numpy as np
 
 import classlm as cl
 from classlm.model_io import MAGIC
+from classlm.network import file_blocks
 
 SMALL_ARCH = """\
 input type=class name=class_input
@@ -62,6 +63,23 @@ def random_class_network(rng, vocab_size, num_classes, sizes=(4, 6, 6), precisio
     desc = cl.parse_description(arch)
     return cl.instantiate_network(desc, vocab, classmap, seed=int(rng.integers(1 << 30)),
                                   precision=precision)
+
+
+def file_block_views(network, arrays=None):
+    """{block name: view} of a network's parameters, or of the gradients
+    `arrays`, with one block per gate of an LSTM/GRU parameter (``rec/W_i``,
+    ``rec/U_i``, ...) as a model file stores them."""
+    arrays = network.params if arrays is None else arrays
+    return {block: arrays[name][index] for block, name, index in file_blocks(network.desc, arrays)}
+
+
+def stacked_gate_weights(rng, gates, n_in, n, scale):
+    """Random {"W": (gates, n_in, n), "U": (gates, n, n), "b": (gates, n)} of
+    a recurrent op, drawn gate by gate: W, U and b of the first gate, then
+    of the next."""
+    drawn = [[rng.normal(size=shape) * scale for shape in ((n_in, n), (n, n), (n,))]
+             for _ in range(gates)]
+    return {name: np.stack([gate[k] for gate in drawn]) for k, name in enumerate("WUb")}
 
 
 def graph_fd_error(graph, bindings, params, name, step):

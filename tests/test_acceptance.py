@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm import layers
 from classlm.graph import Graph
 from classlm.rescoring import InterpolationParams
 from classlm.vocabulary import RESERVED
@@ -49,7 +48,7 @@ def _check_all_params(graph, bindings, params):
 def _trial_projection(rng):
     g = Graph()
     params = {"E": rng.normal(size=(int(rng.integers(3, 7)), 3))}
-    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
+    out = g.concat([g.gather_rows(g.parameter("E"), g.input("ids"))])
     g.mark_output(g.sum(g.mul(out, out)), "loss")
     rows = params["E"].shape[0]
     _check_all_params(g, {"ids": rng.integers(0, rows, size=2)}, params)
@@ -58,20 +57,16 @@ def _trial_projection(rng):
 def _recurrent_trial(rng, kind):
     g = Graph()
     n_in, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
-    names = layers.LSTM_PARAMS if kind == "lstm" else layers.GRU_PARAMS
-    params = {}
-    for name in names:
-        shape = (n_in, n) if name.startswith("W") else (n, n) if name.startswith("U") else (n,)
-        params[name] = rng.normal(size=shape) * 0.7
-    p = {name: g.parameter(name) for name in names}
+    params = support.stacked_gate_weights(rng, 4 if kind == "lstm" else 3, n_in, n, 0.7)
+    p = [g.parameter(name) for name in "WUb"]
     # one time step of two rows
     if kind == "lstm":
-        h, c = layers.lstm_forward(g, g.input("x"), g.input("h0"), g.input("c0"), p)
-        out = g.add(h, c)
+        seq = g.lstm(g.input("x"), g.input("h0"), g.input("c0"), *p)
+        out = g.add(g.item(seq, 0), g.item(seq, 1))
         bindings = {"x": rng.normal(size=(1, 2, n_in)), "h0": rng.normal(size=(2, n)),
                     "c0": rng.normal(size=(2, n))}
     else:
-        out = layers.gru_forward(g, g.input("x"), g.input("h0"), p)
+        out = g.item(g.gru(g.input("x"), g.input("h0"), *p), 0)
         bindings = {"x": rng.normal(size=(1, 2, n_in)), "h0": rng.normal(size=(2, n))}
     g.mark_output(g.sum(g.mul(out, out)), "loss")
     _check_all_params(g, bindings, params)
@@ -81,8 +76,8 @@ def _trial_tanh(rng):
     g = Graph()
     n_in, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     params = {"W": rng.normal(size=(n_in, n)) * 0.7, "b": rng.normal(size=n)}
-    p = {"W": g.parameter("W"), "b": g.parameter("b")}
-    g.mark_output(g.sum(layers.tanh_forward(g, g.input("x"), p)), "loss")
+    g.mark_output(g.sum(g.tanh(g.add_bias(g.matmul(g.input("x"), g.parameter("W")),
+                                          g.parameter("b")))), "loss")
     _check_all_params(g, {"x": rng.normal(size=(2, n_in))}, params)
 
 
@@ -101,8 +96,8 @@ def _trial_class_softmax(rng):
     g = Graph()
     n, n_classes = int(rng.integers(2, 5)), int(rng.integers(2, 6))
     params = {"W": rng.normal(size=(n, n_classes)) * 0.7, "b": rng.normal(size=n_classes)}
-    p = {"W": g.parameter("W"), "b": g.parameter("b")}
-    ce = g.cross_entropy(layers.softmax_logits(g, g.input("h"), p), g.input("t"))
+    logits = g.add_bias(g.matmul(g.input("h"), g.parameter("W")), g.parameter("b"))
+    ce = g.cross_entropy(logits, g.input("t"))
     g.mark_output(g.sum(ce), "loss")
     _check_all_params(g, {"h": rng.normal(size=(3, n)),
                           "t": rng.integers(0, n_classes, size=3)}, params)

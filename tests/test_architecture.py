@@ -139,6 +139,18 @@ def test_validation_projection_needs_id_stream_input():
     assert any("is not a word or class input" in v and "line 3" in v for v in violations)
 
 
+def test_validation_rejects_a_slash_in_any_name():
+    desc = cl.parse_description(
+        "input type=class name=c/x\n"
+        "layer type=projection name=p input=c/x size=2\n"
+        "layer type=softmax name=o/W input=p\n"
+    )
+    assert cl.validate_description(desc) == [
+        "line 1: input name 'c/x' contains '/', which parameter names use after the layer name",
+        "line 3: layer name 'o/W' contains '/', which parameter names use after the layer name",
+    ]
+
+
 def test_validation_flags_dangling_layers():
     desc = cl.parse_description(
         "input type=class name=a\n"
@@ -171,7 +183,7 @@ def test_concatenated_inputs_width_is_sum_of_widths():
     vocab = cl.build_vocabulary([["x", "y", "z"]])
     classes = cl.initialize_classes(vocab, 2)
     net = cl.instantiate_network(desc, vocab, classes, seed=0)
-    assert net.params["h/W_i"].shape == (7, 5)
+    assert net.params["h/W"].shape == (4, 7, 5)
     assert net.params["o/W"].shape == (5, classes.num_classes)
 
 
@@ -241,8 +253,10 @@ def test_lstm_forget_gate_bias_initialized_to_one():
     net = cl.instantiate_network(
         cl.parse_description(support.SMALL_ARCH), vocab, cl.initialize_classes(vocab, 1), seed=0
     )
-    np.testing.assert_array_equal(net.params["hidden_layer_1/b_f"], np.ones(16))
-    np.testing.assert_array_equal(net.params["hidden_layer_1/b_i"], np.zeros(16))
+    blocks = support.file_block_views(net)
+    np.testing.assert_array_equal(blocks["hidden_layer_1/b_f"], np.ones(16))
+    for gate in "ioc":
+        np.testing.assert_array_equal(blocks[f"hidden_layer_1/b_{gate}"], np.zeros(16))
 
 
 def test_gru_network_scores_and_has_correct_gradients(rng):
@@ -255,8 +269,8 @@ def test_gru_network_scores_and_has_correct_gradients(rng):
     vocab = cl.build_vocabulary([["x", "y", "z"]])
     classes = cl.initialize_classes(vocab, 2)
     net = cl.instantiate_network(desc, vocab, classes, seed=2)
-    assert net.params["h/W_z"].shape == (3, 4)
-    assert "h/b_z" in net.params
+    assert net.params["h/W"].shape == (3, 3, 4)
+    assert net.params["h/b"].shape == (3, 4)
     assert list(net.initial_state(1)) == ["h/h"]  # no cell state for GRU
 
     res = cl.score_sentence(net, ["x", "z", "y"])

@@ -33,6 +33,15 @@ def brute_force_loglik(stream_ids, class_of, word_counts):
     return total
 
 
+def _add_in_order(rows):
+    """rows[0] + rows[1] + ..., added one after another: the d terms of each
+    class in the order of the d, whatever memory order numpy gives `rows`."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 class DictBigramStats:
     """Reference exchange statistics: per-word successor/predecessor dicts
     and float count tables, x ln x evaluated directly.  `move_deltas` of
@@ -93,14 +102,14 @@ class DictBigramStats:
         ds = ds[ds != a]
         if ds.size:
             block = bg[:, ds]
-            ins_s = (f(block + s[ds]) - f(block)).sum(axis=1)
+            ins_s = _add_in_order((f(block + s[ds]) - f(block)).T)
             ins_s[ds] -= (f(bg[ds, ds] + s[ds]) - f(bg[ds, ds]))
         ins_p = np.zeros(k)
         dp = np.nonzero(p)[0]
         dp = dp[dp != a]
         if dp.size:
             block = bg[dp, :]
-            ins_p = (f(block + p[dp][:, None]) - f(block)).sum(axis=0)
+            ins_p = _add_in_order(f(block + p[dp][:, None]) - f(block))
             ins_p[dp] -= (f(bg[dp, dp] + p[dp]) - f(bg[dp, dp]))
         diag = np.diagonal(bg)
         corner_aa = float(f(bg[a, a] - s[a] - p[a] - self_count) - f(bg[a, a]))

@@ -139,6 +139,44 @@ def test_train_rejects_invalid_architecture(toy_files, caplog):
     assert any("line 3" in rec.message and "softmax" in rec.message for rec in caplog.records)
 
 
+def test_slash_in_a_layer_or_input_name_is_a_one_line_error(toy_files, caplog):
+    # parameter names are <layer>/<name>: here the projection's table of
+    # input 'x/W' and the tanh layer's weights would both be 'a/E_x/W'
+    bad = toy_files["dir"] / "bad.net"
+    bad.write_text(
+        "input type=word name=x/W\n"
+        "layer type=projection name=a input=x/W size=4\n"
+        "layer type=tanh name=a/E_x input=a size=4\n"
+        "layer type=softmax name=o input=a/E_x\n"
+    )
+    model = toy_files["dir"] / "x.clm"
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+        "--arch", str(bad), "--output-model", str(model)])
+    assert "line 1: input name 'x/W' contains '/'" in message
+    assert "line 3: layer name 'a/E_x' contains '/'" in message
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "classes-striped", "classes-random"])
+def test_negative_seed_is_a_one_line_error(toy_files, tmp_path, rng, caplog, command):
+    files = {k: str(v) for k, v in toy_files.items()}
+    if command == "train":
+        argv = ["train", "--train", files["train"], "--dev", files["dev"], "--arch",
+                files["arch"], "--output-model", str(tmp_path / "out.clm"), "--seed", "-1"]
+    elif command == "sample":
+        model = tmp_path / "model.clm"
+        cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+        argv = ["sample", "--model", str(model), "--seed", "-1"]
+    else:
+        argv = ["classes", "--corpus", files["train"], "--num-classes", "2", "--output",
+                str(tmp_path / "classes.tsv"), "--init", command[len("classes-"):],
+                "--seed", "-3"]
+    message = _one_line_error(caplog, argv)
+    assert message == f"--seed must be a non-negative integer, got {argv[-1]}"
+    assert not any(tmp_path.glob("out.clm")) and not (tmp_path / "classes.tsv").exists()
+
+
 def test_score_uniform_model_ppl_is_vocab_size(tmp_path):
     words = [f"w{i}" for i in range(7)]
     vocab = cl.Vocabulary(words, {w: 1 for w in words})
@@ -396,7 +434,7 @@ def test_overlapping_or_negative_parameter_offset_is_a_one_line_error(tmp_path, 
     sentences.write_text("w1 w2\n")
     message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
     assert "'parameters[1].offset'" in message and problem in message
-    assert repr(list(net.params)[1]) in message
+    assert repr(list(support.file_block_views(net))[1]) in message
 
 
 @pytest.mark.parametrize("old, new, expected", [
@@ -406,6 +444,7 @@ def test_overlapping_or_negative_parameter_offset_is_a_one_line_error(tmp_path, 
     ("type=softmax name=out input=ff", "type=tanh name=out input=ff size=3",
      "line 5: final layer 'out' must be a softmax, got tanh"),
     ("type=tanh", "type=sigmoid", "line 4: unknown layer type 'sigmoid'"),
+    ("type=tanh name=ff", "type=tanh name=ff/W", "line 4: layer name 'ff/W' contains '/'"),
 ])
 def test_invalid_architecture_in_a_model_is_a_one_line_error(tmp_path, rng, caplog,
                                                                old, new, expected):
@@ -423,7 +462,7 @@ def test_nonfinite_model_and_nbest_scores_are_one_line_errors(tmp_path, rng, cap
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     good = tmp_path / "good.clm"
     cl.save_model(good, net)
-    net.params["rec/U_f"][1, 2] = np.nan
+    support.file_block_views(net)["rec/U_f"][1, 2] = np.nan
     bad = tmp_path / "bad.clm"
     cl.save_model(bad, net)
     sentences = tmp_path / "in.txt"

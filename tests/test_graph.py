@@ -15,7 +15,6 @@ from classlm.graph import (
     finite_difference_check,
     forward_eval,
 )
-from classlm.layers import GRU_PARAMS, LSTM_PARAMS
 
 import support
 
@@ -149,31 +148,20 @@ def test_fd_check_rejects_zero_step():
 
 
 def test_one_step_lstm_fd(rng):
-    from classlm import layers
-
     g = Graph()
     n_in, n = 3, 4
-    params = {}
-    for name in layers.LSTM_PARAMS:
-        if name.startswith("W"):
-            shape = (n_in, n)
-        elif name.startswith("U"):
-            shape = (n, n)
-        else:
-            shape = (n,)
-        params[name] = rng.normal(size=shape) * 0.5
-    p = {name: g.parameter(name) for name in params}
+    params = support.stacked_gate_weights(rng, 4, n_in, n, 0.5)
     x = g.input("x")
     h0 = g.input("h0")
     c0 = g.input("c0")
-    h, c = layers.lstm_forward(g, x, h0, c0, p)
-    g.mark_output(g.sum(g.add(h, c)), "loss")
+    seq = g.lstm(x, h0, c0, *(g.parameter(name) for name in "WUb"))
+    g.mark_output(g.sum(g.add(g.item(seq, 0), g.item(seq, 1))), "loss")
     bindings = {
         "x": rng.normal(size=(1, 2, n_in)),
         "h0": rng.normal(size=(2, n)),
         "c0": rng.normal(size=(2, n)),
     }
-    for name in layers.LSTM_PARAMS:
+    for name in "WUb":
         assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
@@ -246,10 +234,10 @@ def _random_recurrent_graph(rng):
     kind = "lstm" if rng.random() < 0.5 else "gru"
 
     xs = g.gather_rows(parameter("table", rng.normal(size=(rows, n1))), g.input("ids"))
-    rec = [parameter(name, rng.normal(size={"W": (n1, n2), "U": (n2, n2)}.get(name[0], (n2,)))
-                     * 0.7) for name in (LSTM_PARAMS if kind == "lstm" else GRU_PARAMS)]
-    node = (g.lstm(xs, g.input("h0"), g.input("c0"), rec) if kind == "lstm"
-            else g.gru(xs, g.input("h0"), rec))
+    rec = [parameter(f"{name}_rec", value) for name, value
+           in support.stacked_gate_weights(rng, 4 if kind == "lstm" else 3, n1, n2, 0.7).items()]
+    node = (g.lstm(xs, g.input("h0"), g.input("c0"), *rec) if kind == "lstm"
+            else g.gru(xs, g.input("h0"), *rec))
     hs = g.item(node, 0)
     logits = g.add_bias(g.matmul(hs, parameter("w", rng.normal(size=(n2, 3)))),
                         parameter("b", rng.normal(size=3)))

@@ -4,34 +4,49 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm import layers
 from classlm.graph import Graph, forward_eval
+from classlm.training import dropout_mask
 
 import support
 
 
+def _projection(g):
+    """A projection layer over one id stream: a row of "E" per id."""
+    return g.concat([g.gather_rows(g.parameter("E"), g.input("ids"))])
+
+
+def _recurrent(g, kind, name=None):
+    """One lstm or gru node over inputs x, h0 (and c0) and parameters W, U, b."""
+    params = [g.parameter(pname) for pname in "WUb"]
+    if kind == "lstm":
+        return g.lstm(g.input("x"), g.input("h0"), g.input("c0"), *params, name)
+    return g.gru(g.input("x"), g.input("h0"), *params, name)
+
+
 def _lstm_graph():
     g = Graph()
-    p = {name: g.parameter(name) for name in layers.LSTM_PARAMS}
-    x, h0, c0 = g.input("x"), g.input("h0"), g.input("c0")
-    h, c = layers.lstm_forward(g, x, h0, c0, p)
-    g.mark_output(h, "h")
-    g.mark_output(c, "c")
+    seq = _recurrent(g, "lstm")
+    g.mark_output(g.item(seq, 0), "h")
+    g.mark_output(g.item(seq, 1), "c")
     return g
 
 
+def _recurrent_weights(gates, n_in, n, rng=None, scale=0.0):
+    """W, U and b of `gates` gates: zeros, or random ones with an `rng`."""
+    if rng is None:
+        return {"W": np.zeros((gates, n_in, n)), "U": np.zeros((gates, n, n)),
+                "b": np.zeros((gates, n))}
+    return support.stacked_gate_weights(rng, gates, n_in, n, scale)
+
+
 def _lstm_weights(n_in, n, rng=None, scale=0.0):
-    w = {}
-    for name in layers.LSTM_PARAMS:
-        shape = (n_in, n) if name.startswith("W") else (n, n) if name.startswith("U") else (n,)
-        w[name] = rng.normal(size=shape) * scale if rng is not None else np.zeros(shape)
-    return w
+    return _recurrent_weights(4, n_in, n, rng, scale)
 
 
 def test_projection_gathers_rows():
     g = Graph()
     table = np.arange(6.0).reshape(3, 2)
-    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
+    out = _projection(g)
     g.mark_output(out, "y")
     ws = forward_eval(g, {"ids": np.array([2, 0])}, {"E": table})
     np.testing.assert_array_equal(ws.outputs["y"], table[[2, 0]])
@@ -43,7 +58,7 @@ def test_projection_at_figure_scale():
     g = Graph()
     rng = np.random.default_rng(0)
     table = rng.normal(size=(2000, 500))
-    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
+    out = _projection(g)
     g.mark_output(out, "y")
     ws = forward_eval(g, {"ids": np.array([0, 1999])}, {"E": table})
     assert ws.outputs["y"].shape == (2, 500)
@@ -52,7 +67,7 @@ def test_projection_at_figure_scale():
 
 def test_projection_rejects_out_of_range_id():
     g = Graph()
-    out = layers.projection_forward(g, [g.input("ids")], [g.parameter("E")])
+    out = _projection(g)
     g.mark_output(out, "y")
     with pytest.raises(cl.GraphError, match="out of range"):
         forward_eval(g, {"ids": np.array([5])}, {"E": np.ones((3, 2))})
@@ -72,8 +87,8 @@ def test_lstm_saturated_gates_carry_cell_state_unchanged(rng):
     # forget gate forced to 1 and input gate to 0: the cell state is conveyed
     # across the step unchanged.
     w = _lstm_weights(3, 4)
-    w["b_f"] = np.full(4, 40.0)
-    w["b_i"] = np.full(4, -40.0)
+    w["b"][1] = np.full(4, 40.0)  # forget gate
+    w["b"][0] = np.full(4, -40.0)  # input gate
     c_prev = rng.normal(size=(2, 4))
     ws = forward_eval(_lstm_graph(),
                       {"x": rng.normal(size=(1, 2, 3)), "h0": np.zeros((2, 4)), "c0": c_prev}, w)
@@ -84,33 +99,27 @@ def test_lstm_three_step_chain_matches_finite_differences(rng):
     n_in, n = 3, 4
     g = Graph()
     params = _lstm_weights(n_in, n, rng, 0.6)
-    p = {name: g.parameter(name) for name in params}
-    h, _ = layers.lstm_forward(g, g.input("x"), g.input("h0"), g.input("c0"), p)
+    h = g.item(_recurrent(g, "lstm"), 0)
     g.mark_output(g.sum(g.mul(h, h)), "loss")
     bindings = {"h0": np.zeros((2, n)), "c0": np.zeros((2, n)),
                 "x": rng.normal(size=(3, 2, n_in))}
-    for name in layers.LSTM_PARAMS:
+    for name in "WUb":
         assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
 def _gru_graph():
     g = Graph()
-    p = {name: g.parameter(name) for name in layers.GRU_PARAMS}
-    g.mark_output(layers.gru_forward(g, g.input("x"), g.input("h0"), p), "h")
+    g.mark_output(g.item(_recurrent(g, "gru"), 0), "h")
     return g
 
 
 def _gru_weights(n_in, n, rng=None, scale=0.0):
-    w = {}
-    for name in layers.GRU_PARAMS:
-        shape = (n_in, n) if name.startswith("W") else (n, n) if name.startswith("U") else (n,)
-        w[name] = rng.normal(size=shape) * scale if rng is not None else np.zeros(shape)
-    return w
+    return _recurrent_weights(3, n_in, n, rng, scale)
 
 
 def test_gru_zero_update_gate_preserves_state(rng):
     w = _gru_weights(3, 4)
-    w["b_z"] = np.full(4, -40.0)  # z ~ 0 -> h' = h
+    w["b"][0] = np.full(4, -40.0)  # update gate z ~ 0 -> h' = h
     h_prev = rng.normal(size=(2, 4))
     ws = forward_eval(_gru_graph(), {"x": rng.normal(size=(1, 2, 3)), "h0": h_prev}, w)
     np.testing.assert_allclose(ws.outputs["h"][0], h_prev, rtol=0, atol=1e-12)
@@ -126,24 +135,20 @@ def test_gru_three_step_chain_matches_finite_differences(rng):
     n_in, n = 3, 4
     g = Graph()
     params = _gru_weights(n_in, n, rng, 0.6)
-    p = {name: g.parameter(name) for name in params}
-    h = layers.gru_forward(g, g.input("x"), g.input("h0"), p)
+    h = g.item(_recurrent(g, "gru"), 0)
     g.mark_output(g.sum(g.mul(h, h)), "loss")
     bindings = {"h0": np.zeros((2, n)), "x": rng.normal(size=(3, 2, n_in))}
-    for name in layers.GRU_PARAMS:
+    for name in "WUb":
         assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_nonfinite_inside_a_recurrent_layer_names_its_time_step_and_layer(kind):
     g = Graph()
-    names = layers.LSTM_PARAMS if kind == "lstm" else layers.GRU_PARAMS
-    p = {name: g.parameter(name) for name in names}
+    _recurrent(g, kind, name="rec")
     if kind == "lstm":
-        layers.lstm_forward(g, g.input("x"), g.input("h0"), g.input("c0"), p, name="rec")
         weights = _lstm_weights(3, 4, np.random.default_rng(0), 0.5)
     else:
-        layers.gru_forward(g, g.input("x"), g.input("h0"), p, name="rec")
         weights = _gru_weights(3, 4, np.random.default_rng(0), 0.5)
     x = np.zeros((5, 2, 3))
     x[3, 1, 0] = np.nan
@@ -159,10 +164,14 @@ def test_nonfinite_inside_a_recurrent_layer_names_its_time_step_and_layer(kind):
         forward_eval(g, bindings, weights)
 
 
+def _tanh_layer(g):
+    """y = tanh(x W + b)."""
+    return g.tanh(g.add_bias(g.matmul(g.input("x"), g.parameter("W")), g.parameter("b")))
+
+
 def test_tanh_layer_basics_and_gradient(rng):
     g = Graph()
-    p = {"W": g.parameter("W"), "b": g.parameter("b")}
-    g.mark_output(layers.tanh_forward(g, g.input("x"), p), "y")
+    g.mark_output(_tanh_layer(g), "y")
     ws = forward_eval(g, {"x": rng.normal(size=(2, 3))}, {"W": np.zeros((3, 3)), "b": np.zeros(3)})
     np.testing.assert_array_equal(ws.outputs["y"], np.zeros((2, 3)))
 
@@ -170,30 +179,29 @@ def test_tanh_layer_basics_and_gradient(rng):
     np.testing.assert_array_equal(ws.outputs["y"], np.zeros((2, 3)))
 
     g2 = Graph()
-    p2 = {"W": g2.parameter("W"), "b": g2.parameter("b")}
     params = {"W": rng.normal(size=(3, 4)) * 0.7, "b": rng.normal(size=4)}
-    g2.mark_output(g2.sum(layers.tanh_forward(g2, g2.input("x"), p2)), "loss")
+    g2.mark_output(g2.sum(_tanh_layer(g2)), "loss")
     bindings = {"x": rng.normal(size=(2, 3))}
     assert support.graph_fd_error(g2, bindings, params, "W", 1e-5) < 1e-4
     assert support.graph_fd_error(g2, bindings, params, "b", 1e-5) < 1e-4
 
 
 def test_dropout_mask_rate_zero_is_identity(rng):
-    mask = layers.dropout_mask(rng, (4, 5), 0.0)
+    mask = dropout_mask(rng, (4, 5), 0.0)
     np.testing.assert_array_equal(mask, np.ones((4, 5)))
 
 
 def test_dropout_rate_validation(rng):
     with pytest.raises(ValueError):
-        layers.dropout_mask(rng, (2,), 1.0)
+        dropout_mask(rng, (2,), 1.0)
     with pytest.raises(ValueError):
-        layers.dropout_mask(rng, (2,), -0.1)
+        dropout_mask(rng, (2,), -0.1)
 
 
 def test_dropout_monte_carlo_statistics():
     rng = np.random.default_rng(77)
     n = 1_000_000
-    mask = layers.dropout_mask(rng, (n,), 0.25)
+    mask = dropout_mask(rng, (n,), 0.25)
     zero_fraction = float((mask == 0).mean())
     assert abs(zero_fraction - 0.25) < 0.005
     # inverted scaling keeps the expectation: mean of mask*x / mean of x = mean(mask)
@@ -237,7 +245,7 @@ def test_dropout_train_mode_gradient_with_fixed_mask(rng):
     g.mark_output(g.sum(g.mul(dropped, dropped)), "loss")
     bindings = {
         "x": rng.normal(size=(2, 3)),
-        "mask": layers.dropout_mask(rng, (2, 4), 0.25),
+        "mask": dropout_mask(rng, (2, 4), 0.25),
     }
     assert support.graph_fd_error(g, bindings, params, "W", 1e-5) < 1e-4
 

@@ -138,7 +138,7 @@ def test_nonfinite_class_membership_is_rejected(tmp_path, rng):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_nonfinite_parameter_is_rejected_naming_it(tmp_path, rng, bad):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
-    net.params["rec/U_f"][2, 1] = bad
+    support.file_block_views(net)["rec/U_f"][2, 1] = bad
     path = tmp_path / "model.clm"
     cl.save_model(path, net)
     with pytest.raises(ModelFormatError, match="'rec/U_f' has non-finite values"):

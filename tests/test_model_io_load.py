@@ -61,3 +61,15 @@ def test_short_read_names_the_parameter(tmp_path, saved_model, monkeypatch):
     with pytest.raises(ModelFormatError,
                        match=f"payload truncated; parameter '{last}' incomplete"):
         cl.load_model(path)
+
+
+def test_block_shapes_are_checked_before_any_parameter_is_allocated(tmp_path, saved_model):
+    # an LSTM of 10**15 units: its stacked U alone would hold 4 * 10**30
+    # values, so only a check of the header's blocks can fail cleanly
+    path = tmp_path / "model.clm"
+    path.write_bytes(saved_model[0].read_bytes())
+    support.rewrite_header(path, lambda h: h.update(architecture=h["architecture"].replace(
+        "name=rec input=proj size=300", f"name=rec input=proj size={10**15}")))
+    with pytest.raises(ModelFormatError, match=r"parameter 'rec/W_i' has shape \(300, 300\),"
+                                               rf" architecture implies \(300, {10**15}\)"):
+        cl.load_model(path)

@@ -67,8 +67,9 @@ def test_corrupted_model_loads_its_values_or_is_a_format_error(saved_model, data
         return
     header, payload = _payload(path)
     dtype = np.dtype("<f8")
+    blocks = support.file_block_views(network)
     for entry in header["parameters"]:
         block = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        value = network.params[entry["name"]]
+        value = blocks[entry["name"]]
         assert value.shape == tuple(entry["shape"])
         assert value.astype(dtype).tobytes() == block

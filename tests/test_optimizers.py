@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import classlm as cl
 from classlm.graph import NonFiniteError
+from classlm.network import file_blocks
 from classlm.optimizers import (
     ADAPTIVE_ALGORITHMS,
     ALGORITHMS,
@@ -143,6 +145,62 @@ def test_clipped_single_precision_steps_stay_single(alg, rng):
 def test_clip_rejects_nonfinite_gradients():
     with pytest.raises(NonFiniteError, match="bad"):
         clip_gradients({"bad": np.array([np.nan])}, 1.0)
+
+
+def _per_gate_clip_gradients(grads, max_norm):
+    """The clipping of a map of one gradient per model-file block (one per
+    gate of an LSTM/GRU parameter), squares summed in sorted-name order."""
+    total = 0.0
+    for name in sorted(grads):
+        sq = float(np.sum(np.square(grads[name], dtype=np.float64)))
+        if not np.isfinite(sq):
+            raise NonFiniteError(f"gradient for {name!r} is not finite")
+        total += sq
+    norm = np.sqrt(total)
+    if norm <= max_norm:
+        return grads
+    scale = max_norm / norm
+    return {name: g * g.dtype.type(scale) for name, g in grads.items()}
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_clipped_stacked_gradients_equal_the_per_gate_clip(kind, precision):
+    desc = cl.parse_description(
+        "input type=word name=w\n"
+        "layer type=projection name=p input=w size=5\n"
+        f"layer type={kind} name=r input=p size=7\n"
+        f"layer type={kind} name=s input=r size=6\n"
+        "layer type=softmax name=o input=s\n")
+    words = [f"w{i}" for i in range(20)]
+    net = cl.instantiate_network(desc, cl.Vocabulary(words, {w: 1 for w in words}),
+                                 precision=precision)
+    blocks = file_blocks(net.desc, net.params)
+    rng = np.random.default_rng(17)
+    clipped_some = kept_some = False
+    for trial in range(40):
+        grads = {name: (rng.normal(size=v.shape) * rng.uniform(0.1, 3.0)).astype(net.dtype)
+                 for name, v in net.params.items()}
+        per_gate = {block: grads[name][index].copy() for block, name, index in blocks}
+        norm = np.sqrt(sum(np.sum(np.square(g, dtype=np.float64)) for g in grads.values()))
+        max_norm = norm * rng.uniform(0.5, 1.5)  # half of the maps are clipped
+        clipped = clip_gradients(grads, max_norm, blocks)
+        expected = _per_gate_clip_gradients(per_gate, max_norm)
+        clipped_some |= expected is not per_gate
+        kept_some |= expected is per_gate
+        assert (clipped is grads) == (expected is per_gate)
+        for block, name, index in blocks:
+            assert clipped[name][index].dtype == expected[block].dtype == net.dtype
+            assert np.array_equal(clipped[name][index], expected[block]), (trial, block)
+    assert clipped_some and kept_some
+
+
+def test_nonfinite_stacked_gradient_is_named_by_its_block():
+    grads = {"r/W": np.zeros((3, 2, 2)), "r/b": np.zeros((3, 2))}
+    grads["r/W"][1, 0, 1] = np.inf
+    blocks = [(f"r/{p}_{gate}", f"r/{p}", (k,)) for k, gate in enumerate("zrh") for p in "Wb"]
+    with pytest.raises(NonFiniteError, match=r"^gradient for 'r/W_r' is not finite$"):
+        clip_gradients(grads, 1.0, blocks)
 
 
 def test_config_validation():

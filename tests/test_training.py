@@ -9,7 +9,7 @@ import pytest
 
 import classlm as cl
 from classlm.graph import _OPS, Graph, forward_eval
-from classlm.training import batch_gradients
+from classlm.training import batch_gradients, dropout_mask
 
 import support
 
@@ -187,7 +187,14 @@ def test_divergence_names_batch_and_time_step(caplog):
 # backward pass.  That trainer and its step functions are kept here as the
 # reference: the time-major trainer must give the same loss and the same
 # gradients bit for bit, and a network step the same bits as the old
-# one-position evaluation graph.
+# one-position evaluation graph.  The reference keeps one parameter per gate,
+# bound to the gate's block of the network's stacked W, U and b.
+
+REFERENCE_PARAMS = {
+    "lstm": ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f", "W_o", "U_o", "b_o", "W_c", "U_c", "b_c"),
+    "gru": ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h"),
+    "dropout": (),
+}
 
 
 def _gated_affine(g, x, h, w, u, b):
@@ -225,8 +232,7 @@ def _build_position(net, g, state_in, train_mode):
                                    for src in spec.inputs])
             continue
         x = g.concat([acts[src] for src in spec.inputs])
-        names = {"lstm": cl.layers.LSTM_PARAMS, "gru": cl.layers.GRU_PARAMS,
-                 "dropout": ()}.get(spec.kind, ("W", "b"))
+        names = REFERENCE_PARAMS.get(spec.kind, ("W", "b"))
         p = {pname: g.parameter(f"{name}/{pname}") for pname in names}
         if spec.kind == "lstm":
             h, c = _lstm_step(g, x, state_in[f"h/{name}"], state_in[f"c/{name}"], p)
@@ -269,7 +275,7 @@ def assert_steps_match_reference(net, inputs):
         probs, new_state = net.step(state, inputs[:, t])
         bindings = {f"state/{key}": value for key, value in state.items()}
         bindings.update(net.token_bindings(inputs[:, t]))
-        expected = forward_eval(graph, bindings, net.params).outputs
+        expected = forward_eval(graph, bindings, support.file_block_views(net)).outputs
         assert probs.dtype == expected["class_probs"].dtype == net.dtype
         assert np.array_equal(probs, expected["class_probs"])
         for key, value in new_state.items():
@@ -282,15 +288,18 @@ def assert_gradients_match_reference(net, inputs, targets, mask, seed):
     bit for bit, dropout masks drawn from the same stream."""
     graph = _unrolled_graph(net, inputs.shape[1])
     ws = forward_eval(graph, _unrolled_bindings(net, inputs, targets, mask,
-                                                np.random.default_rng(seed)), net.params)
+                                                np.random.default_rng(seed)),
+                      support.file_block_views(net))
     ref_grads = _unrolled_backward(graph, ws)
 
     loss, grads = batch_gradients(net, inputs, targets, mask, np.random.default_rng(seed))
     assert loss == float(ws.outputs["loss"])
-    assert list(grads) == list(ref_grads)
+    assert list(grads) == sorted(net.params)
+    blocks = support.file_block_views(net, grads)
+    assert sorted(blocks) == list(ref_grads)
     for name, ref in ref_grads.items():
-        assert grads[name].dtype == ref.dtype == net.dtype, name
-        assert np.array_equal(grads[name], ref), name
+        assert blocks[name].dtype == ref.dtype == net.dtype, name
+        assert np.array_equal(blocks[name], ref), name
 
 
 class _SuffixedGraph(Graph):
@@ -327,7 +336,7 @@ def _unrolled_bindings(net, inputs, targets, mask, rng):
         bindings[f"mask/{t}"] = mask[:, t].astype(net.dtype)
         for spec in net.desc.layers:
             if spec.kind == "dropout" and spec.dropout_rate > 0.0:
-                bindings[f"dropmask/{spec.name}/{t}"] = cl.layers.dropout_mask(
+                bindings[f"dropmask/{spec.name}/{t}"] = dropout_mask(
                     rng, (batch, net.widths[spec.name]), spec.dropout_rate, net.dtype)
     bindings["inv_count"] = np.asarray(1.0 / mask.sum(), dtype=net.dtype)
     return bindings
