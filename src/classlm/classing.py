@@ -81,9 +81,6 @@ class ClassMap:
             raise ValueError(f"memberships of class {c} sum to {float(totals[c])!r}, not 1")
         self._by_class = np.argsort(self.class_of, kind="stable")
         self._sizes = sizes
-        by_class = self._by_class.tolist()
-        ends = np.cumsum(sizes).tolist()
-        self.members = [by_class[i - n:i] for i, n in zip(ends, sizes.tolist())]
         self._log_membership = None
         self._member_tables = None
 

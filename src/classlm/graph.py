@@ -101,8 +101,8 @@ class Node:
 class Graph:
     """Computation DAG over dense arrays: nodes and named outputs, no values.
 
-    Input and parameter values are passed to :func:`forward_eval`; the
-    scalar output ``"loss"`` is what :func:`backward` seeds by default.
+    Input and parameter values are passed to :func:`forward_eval`;
+    :func:`backward` differentiates the scalar output ``"loss"``.
     """
 
     def __init__(self):
@@ -592,27 +592,24 @@ def forward_eval(graph, bindings, params):
     return ws
 
 
-def backward(graph, ws, seeds=None):
-    """Reverse-mode gradients: ``{parameter name: gradient}``.
+def backward(graph, ws):
+    """Reverse-mode gradients of the scalar output ``"loss"``:
+    ``{parameter name: gradient}``.
 
-    Adjoints start from `seeds` ({output name: adjoint}; default: one on the
-    scalar output ``"loss"``); bound inputs (ids, targets, masks) take none.
+    The adjoint starts at one on the loss; bound inputs (ids, targets,
+    masks) take none.
     """
     vals = ws.values
     if ws.graph is not graph or any(v is None for v in vals):
         raise GraphError("forward values missing; run forward_eval on this graph first")
-    if seeds is None:
-        if "loss" not in graph.outputs:
-            raise GraphError("no loss output")
-        loss = vals[graph.outputs["loss"].idx]
-        if loss.size != 1:
-            raise GraphError("loss output is not scalar")
-        seeds = {"loss": np.ones_like(loss)}
+    if "loss" not in graph.outputs:
+        raise GraphError("no loss output")
+    loss = vals[graph.outputs["loss"].idx]
+    if loss.size != 1:
+        raise GraphError("loss output is not scalar")
     # an item node's adjoint is the list of its terms, passed on unsummed
     adj = [None] * len(graph.nodes)
-    for name, value in seeds.items():
-        node = graph.outputs[name]
-        adj[node.idx] = [np.array(value)] if node.op == "item" else np.array(value)
+    adj[graph.outputs["loss"].idx] = np.ones_like(loss)
     # sorted order keeps downstream float accumulation (e.g. the global clip
     # norm) independent of hash randomization across processes
     grads = {name: np.zeros_like(vals[graph._param_nodes[name].idx])

@@ -2,16 +2,18 @@
 
 Each hypothesis carries an acoustic log-probability and a back-off language
 model log-probability from the first decoding pass (natural logarithms).
-The network contributes log P_nn, and the combined language model score is
+The network contributes log P_nn, and :func:`lm_score` alone forms the
+combined language model score
 
-    (1 - lambda) * s_bo * log P_bo  +  lambda * s_nn * log P_nn
+    ((1 - lambda) * s_bo) * log P_bo  +  (lambda * s_nn) * log P_nn
 
-The total hypothesis score adds the acoustic term; hypotheses are reranked
-per utterance by total score, descending, with ties keeping the original
-order.  Interpolation weights can be tuned on a reference set by grid
-search over (lambda, s_nn) with s_bo fixed to the back-off model's scale;
-the tuning pass returns the network scores it computed, so reranking with
-the tuned weights scores no hypothesis a second time.
+whose network term is zero wherever lambda * s_nn is, even for log P_nn =
+-inf.  Reranking and grid-search tuning read one padded (utterance,
+hypothesis) table of the scores and rank alike: by acoustic + combined
+score, descending, the first of equal totals in first-pass order first.
+Tuning returns the network scores it computed, so reranking with the tuned
+weights scores no hypothesis again and prints the totals the search
+compared.
 """
 
 from __future__ import annotations
@@ -50,7 +52,17 @@ class InterpolationParams:
             raise ValueError("scale factors must be positive and finite")
 
     def combine(self, log_p_bo, log_p_nn):
-        return (1.0 - self.lam) * self.s_bo * log_p_bo + self.lam * self.s_nn * log_p_nn
+        return lm_score(log_p_bo, log_p_nn, self.lam, self.s_bo, self.s_nn)
+
+
+def lm_score(log_p_bo, log_p_nn, lam, s_bo, s_nn):
+    """The combined score of the module docstring, on the scalars of one
+    :class:`InterpolationParams` or on arrays that broadcast (the grid).
+    Where lam * s_nn is zero, -inf counts as the most negative float, whose
+    term is -0.0 like that of any negative log P_nn, not 0 * -inf = nan."""
+    w_nn = lam * s_nn
+    log_p_nn = np.where(w_nn == 0, np.maximum(log_p_nn, np.finfo(np.float64).min), log_p_nn)
+    return ((1.0 - lam) * s_bo) * log_p_bo + w_nn * log_p_nn
 
 
 @dataclass(frozen=True)
@@ -122,34 +134,27 @@ def read_reference_file(path):
 def score_hypotheses(by_utterance, network, unk_policy="include"):
     """Network log-probability of every hypothesis, computed once.
 
-    Returns a map from utterance id to the list of log P_nn values aligned
-    with that utterance's hypotheses.
-    """
-    order = []
-    texts = []
+    Returns one float array, utterance after utterance, each utterance's
+    hypotheses in list order."""
     for utt, hyps in by_utterance.items():
         if not hyps:
             raise ValueError(f"utterance {utt!r} has an empty hypothesis list")
-        for i, hyp in enumerate(hyps):
-            order.append((utt, i))
-            texts.append(list(hyp.tokens))
-    results = score_sentences(network, texts, unk_policy)
-    scores = {utt: [0.0] * len(hyps) for utt, hyps in by_utterance.items()}
-    for (utt, i), res in zip(order, results):
-        scores[utt][i] = res.total
-    return scores
+    texts = [list(h.tokens) for hyps in by_utterance.values() for h in hyps]
+    return np.array([res.total for res in score_sentences(network, texts, unk_policy)])
 
 
-def _rerank(by_utterance, nn_scores, params):
-    reranked = {}
-    for utt, hyps in by_utterance.items():
-        rows = []
-        for hyp, log_p_nn in zip(hyps, nn_scores[utt]):
-            lm = params.combine(hyp.backoff, log_p_nn)
-            rows.append(RescoredHypothesis(hyp, log_p_nn, lm, hyp.acoustic + lm))
-        # stable sort: ties keep the first-pass order
-        reranked[utt] = sorted(rows, key=lambda r: -r.total)
-    return reranked
+def _score_table(by_utterance, nn_scores):
+    """Acoustic, back-off and network scores as one (3, utterance,
+    hypothesis) array, and the mask of the cells that hold a hypothesis.
+    A padding cell has scores (-inf, 0, 0): it totals -inf at every weight
+    and ranks after its row's hypotheses."""
+    lengths = np.array([len(hyps) for hyps in by_utterance.values()])
+    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    table = np.zeros((3, *real.shape))
+    table[0, ~real] = -np.inf
+    hyps = [h for hs in by_utterance.values() for h in hs]
+    table[:, real] = [[h.acoustic for h in hyps], [h.backoff for h in hyps], nn_scores]
+    return table, real
 
 
 def rescore_nbest(by_utterance, network, params, unk_policy="include", nn_scores=None):
@@ -161,7 +166,15 @@ def rescore_nbest(by_utterance, network, params, unk_policy="include", nn_scores
     """
     if nn_scores is None:
         nn_scores = score_hypotheses(by_utterance, network, unk_policy)
-    return _rerank(by_utterance, nn_scores, params)
+    (acoustic, backoff, nn), _ = _score_table(by_utterance, nn_scores)
+    lm = params.combine(backoff, nn)
+    totals = acoustic + lm
+    # stable: the first of equal totals first, as the grid search's argmax
+    order = np.argsort(-totals, axis=-1, kind="stable").tolist()
+    nn, lm, totals = nn.tolist(), lm.tolist(), totals.tolist()
+    return {utt: [RescoredHypothesis(hyps[i], nn[u][i], lm[u][i], totals[u][i])
+                  for i in order[u][:len(hyps)]]
+            for u, (utt, hyps) in enumerate(by_utterance.items())}
 
 
 def edit_distance(hyp, ref):
@@ -201,14 +214,6 @@ def edit_distances(hyps, refs):
     return row[np.arange(len(row)), ref_len]
 
 
-def _padded(rows, fill):
-    """Rows of unequal length as one array of `fill`'s type, padded with `fill`."""
-    out = np.full((len(rows), max(len(r) for r in rows)), fill)
-    for u, row in enumerate(rows):
-        out[u, :len(row)] = row
-    return out
-
-
 def optimize_interpolation(
     by_utterance, references, network, s_bo, lambda_grid, snn_grid, unk_policy="include"
 ):
@@ -220,9 +225,8 @@ def optimize_interpolation(
     the smaller lambda, then the smaller s_nn.
 
     Every hypothesis is scored once, and all grid points are evaluated at
-    once on (grid point, utterance, hypothesis) arrays whose totals are
-    formed in the operation order of :meth:`InterpolationParams.combine`, so
-    they equal the totals :func:`rescore_nbest` prints.  Returns
+    once on (grid point, utterance, hypothesis) arrays by :func:`lm_score`,
+    so the totals equal those :func:`rescore_nbest` prints.  Returns
     ``(params, errors, nn_scores)``; pass `nn_scores` on to
     :func:`rescore_nbest` to rerank without scoring again.
     """
@@ -238,23 +242,17 @@ def optimize_interpolation(
             InterpolationParams(lam, s_bo, s_nn)  # rejects an invalid grid point
 
     nn_scores = score_hypotheses(by_utterance, network, unk_policy)
-    hyps = list(by_utterance.values())
-    # padding: an acoustic score of -inf never ranks first, and zero
-    # back-off and network scores keep its total -inf at every grid point
-    acoustic = _padded([[h.acoustic for h in hs] for hs in hyps], -np.inf)
-    backoff = _padded([[h.backoff for h in hs] for hs in hyps], 0.0)
-    nn = _padded(list(nn_scores.values()), 0.0)
-    flat = edit_distances([h.tokens for hs in hyps for h in hs],
-                          [references[utt] for utt, hs in by_utterance.items() for _ in hs])
-    ends = np.cumsum([len(hs) for hs in hyps])
-    hyp_errors = _padded(np.split(flat, ends[:-1]), 0)
+    (acoustic, backoff, nn), real = _score_table(by_utterance, nn_scores)
+    hyp_errors = np.zeros(real.shape, dtype=np.int64)
+    hyp_errors[real] = edit_distances(
+        [h.tokens for hs in by_utterance.values() for h in hs],
+        [references[utt] for utt, hs in by_utterance.items() for _ in hs])
 
     lam = np.array(lambda_grid)[:, None, None, None]
     s_nn = np.array(snn_grid)[None, :, None, None]
-    # the operation order of InterpolationParams.combine, so ties break alike
-    totals = acoustic + (((1.0 - lam) * s_bo) * backoff + (lam * s_nn) * nn)
+    totals = acoustic + lm_score(backoff, nn, lam, s_bo, s_nn)
     top = totals.argmax(axis=-1)  # first of equal totals
-    errors = hyp_errors[np.arange(len(hyps)), top].sum(axis=-1)
+    errors = hyp_errors[np.arange(len(real)), top].sum(axis=-1)
     li, si = np.unravel_index(errors.argmin(), errors.shape)  # first of equal counts
     best = InterpolationParams(lambda_grid[li], s_bo, snn_grid[si])
     return best, int(errors[li, si]), nn_scores

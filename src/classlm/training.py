@@ -71,8 +71,11 @@ class TrainingState:
     failures: int = 0
     history: list = field(default_factory=list)  # (batches, dev ppl, lr_scale)
     train_loss: float = float("nan")
-    diverged: bool = False
     stopped_reason: str = ""
+
+    @property
+    def diverged(self):
+        return self.stopped_reason == "diverged"
 
 
 def _segments(network, sentences, max_len):
@@ -161,8 +164,9 @@ def train(network, train_sentences, dev_sentences, config):
     """Train `network` in place; returns the final :class:`TrainingState`.
 
     On return the network parameters are the checkpoint with the lowest
-    development perplexity.  If the loss diverges (non-finite values) the
-    last good checkpoint is restored and ``state.diverged`` is set.
+    development perplexity.  A non-finite loss or development perplexity
+    stops training with ``state.stopped_reason`` (and ``state.diverged``)
+    saying so, and the last good checkpoint restored.
     """
     train_sentences = [list(s) for s in train_sentences]
     dev_sentences = [list(s) for s in dev_sentences]
@@ -182,7 +186,7 @@ def train(network, train_sentences, dev_sentences, config):
         ppl = corpus_perplexity(network, dev_sentences)
         if not np.isfinite(ppl):
             log.error("training diverged: development perplexity is %s", ppl)
-            state.diverged = True
+            state.stopped_reason = "diverged"
             state.history.append((state.batches, ppl, state.lr_scale))
             return True
         previous_best = state.best_perplexity
@@ -217,7 +221,6 @@ def train(network, train_sentences, dev_sentences, config):
                     grads = clip_gradients(grads, config.optimizer.clip_norm, blocks)
             except NonFiniteError as err:
                 log.error("training diverged at batch %d, %s", state.batches + 1, err)
-                state.diverged = True
                 state.stopped_reason = "diverged"
                 stop = True
                 break
@@ -225,15 +228,15 @@ def train(network, train_sentences, dev_sentences, config):
             state.batches += 1
             if state.batches % interval == 0:
                 if validate():
-                    state.stopped_reason = "diverged" if state.diverged else "patience exceeded"
+                    state.stopped_reason = state.stopped_reason or "patience exceeded"
                     stop = True
                     break
         if stop:
             break
         if epoch == config.max_epochs:
-            state.stopped_reason = state.stopped_reason or "max epochs reached"
             if state.batches % interval != 0:
                 validate()
+            state.stopped_reason = state.stopped_reason or "max epochs reached"
 
     network.set_params(best["params"])
     log.info(

@@ -111,6 +111,12 @@ def word_distribution(network, probs_row):
     return probs_row[class_of] * membership
 
 
+def class_members(classmap):
+    """The word ids of each class, in word-id order, from its `member_tables`."""
+    words, starts, sizes, _ = classmap.member_tables
+    return [words[a:a + n].tolist() for a, n in zip(starts.tolist(), sizes.tolist())]
+
+
 def partitions_into_k(items, k):
     """All set partitions of `items` into exactly k non-empty classes."""
     items = list(items)

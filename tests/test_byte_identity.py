@@ -34,7 +34,8 @@ def test_two_runs_print_the_same_digests(tmp_path):
         assert len(line.split("  ", 1)[0]) == 64
         assert all((out / name).is_file() for out in outs)
     suffixes = {name.rsplit(".", 1)[-1] for name in names}
-    assert {"clm", "score", "score-unk0", "rescore", "rescore-tuned", "sample"} <= suffixes
+    assert {"clm", "score", "score-unk0", "rescore", "rescore-lambda0", "rescore-tuned",
+            "sample"} <= suffixes
     assert {"classes.tsv", "classes-sparse.tsv"} <= set(names)
     # the first class table is nearly full, the second mostly empty
     assert _class_table_fill(outs[0], "train.txt", "classes.tsv") > 0.9

@@ -253,7 +253,8 @@ def test_single_class_initialization_and_reserved_singletons():
     assert all(cm.class_of[w] == 0 for w in word_ids)
     reserved_classes = {int(cm.class_of[vocab.ids[t]]) for t in RESERVED}
     assert reserved_classes == {1, 2, 3}
-    assert all(len(cm.members[c]) == 1 for c in reserved_classes)
+    groups = support.class_members(cm)
+    assert all(len(groups[c]) == 1 for c in reserved_classes)
 
 
 def test_initialization_rejects_too_many_classes():
@@ -475,7 +476,7 @@ def test_run_exchange_is_deterministic(rng):
 def test_membership_sums_to_one_per_class(rng):
     words = [f"w{i}" for i in rng.integers(0, 20, size=800)]
     _, cm, _ = cl.run_exchange([words], 5, seed=2)
-    for members in cm.members:
+    for members in support.class_members(cm):
         assert abs(cm.membership[members].sum() - 1.0) < 1e-10
 
 
@@ -529,7 +530,8 @@ def test_class_file_appends_missing_reserved_tokens(tmp_path):
     path = tmp_path / "classes.tsv"
     path.write_text("a\t0\t0.5\nb\t0\t0.5\n")
     vocab, cm = cl.load_class_file(path)
+    groups = support.class_members(cm)
     for tok in RESERVED:
         c = int(cm.class_of[vocab.ids[tok]])
-        assert cm.members[c] == [vocab.ids[tok]]
+        assert groups[c] == [vocab.ids[tok]]
         assert cm.membership[vocab.ids[tok]] == 1.0

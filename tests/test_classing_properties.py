@@ -7,6 +7,7 @@ import classlm as cl
 from classlm.classing import MIN_GAIN, BigramStats
 from classlm.vocabulary import RESERVED
 
+import support
 from test_classing import DictBigramStats, brute_force_loglik
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -32,8 +33,9 @@ def test_exchange_trace_partition_and_objective(case):
     assert all(b >= a for a, b in zip(trace, trace[1:]))
     sizes = np.bincount(cm.class_of, minlength=cm.num_classes)
     assert cm.num_classes == num_classes + len(RESERVED) and (sizes > 0).all()
+    groups = support.class_members(cm)
     for offset, tok in enumerate(RESERVED):
-        assert cm.members[num_classes + offset] == [vocab.ids[tok]]
+        assert groups[num_classes + offset] == [vocab.ids[tok]]
     stream = [vocab.id_of(t) for t in words]
     counts = np.bincount(stream, minlength=len(vocab))
     assert trace[-1] == pytest.approx(brute_force_loglik(stream, cm.class_of, counts), abs=1e-8)

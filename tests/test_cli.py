@@ -2,6 +2,7 @@
 
 import logging
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,61 @@ def test_rescore_tuning_picks_positive_lambda(toy_files, tmp_path, caplog):
     assert lam > 0.0
     tops = [line.split("\t")[2] for line in out.read_text().splitlines()[1:]][::2]
     assert tops == ["a b c d"] * 3
+
+
+def _zero_membership_files(toy_files):
+    """A class file giving "d" a membership of 0.0, so log P_nn(d) = -inf,
+    and a development corpus without "d"."""
+    classes = toy_files["dir"] / "zero.tsv"
+    classes.write_text("a\t0\t1.0\nb\t1\t0.5\nc\t1\t0.5\nd\t1\t0.0\n")
+    dev = toy_files["dir"] / "dev-no-d.txt"
+    dev.write_text("a b c\n" * 10)
+    return classes, dev
+
+
+def test_rescore_with_a_minus_inf_network_score(toy_files, tmp_path, caplog):
+    classes, dev = _zero_membership_files(toy_files)
+    model = _train(toy_files, "zero.clm", extra=["--classes", str(classes), "--dev", str(dev)])
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("u1 -1.0 -9.0 a d c\nu1 -1.0 -1.0 a b c\nu1 -1.0 -0.5 a d d\n")
+    refs = tmp_path / "refs.txt"
+    refs.write_text("u1 a d c\n")
+    out = tmp_path / "out.txt"
+
+    def rescore(*options):
+        caplog.clear()
+        with warnings.catch_warnings(), caplog.at_level(logging.INFO):
+            warnings.simplefilter("error")
+            assert main(["rescore", "--model", str(model), "--nbest", str(nbest), *options,
+                         "--output", str(out)]) == 0
+        return [line.split("\t")[1:] for line in out.read_text().splitlines()[1:]]
+
+    # lambda = 0: acoustic + s_bo * log P_bo, whatever the network says
+    assert rescore("--lambda", "0") == [["-1.5", "a d d"], ["-2.0", "a b c"],
+                                        ["-10.0", "a d c"]]
+    # lambda > 0: -inf ranks last, ties in first-pass order
+    rows = rescore("--lambda", "0.5")
+    assert [text for _, text in rows] == ["a b c", "a d c", "a d d"]
+    assert np.isfinite(float(rows[0][0])) and [total for total, _ in rows[1:]] == ["-inf"] * 2
+    # both grid points give one word error: lambda = 0 picks "a d d", 0.5 picks "a b c"
+    rows = rescore("--tune", "--refs", str(refs), "--grid-lambda", "0,0.5", "--grid-snn", "1")
+    assert any("tuned lambda=0 s_nn=1 (s_bo=1, 1 word errors)" in rec.message
+               for rec in caplog.records)
+    assert [text for _, text in rows] == ["a d d", "a b c", "a d c"]
+
+
+def test_nonfinite_last_validation_is_recorded_as_divergence(toy_files):
+    # the only validation runs at the end of the last epoch, on a corpus
+    # holding a word of membership 0.0, so its perplexity is infinite
+    classes, _ = _zero_membership_files(toy_files)
+    model = toy_files["dir"] / "diverged.clm"
+    rc = main(["train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+               "--arch", str(toy_files["arch"]), "--classes", str(classes),
+               "--max-epochs", "1", "--validation-interval", "1000",
+               "--output-model", str(model)])
+    assert rc == 1
+    _, training = cl.load_model(model)
+    assert training["stopped_reason"] == "diverged"
 
 
 def test_rescore_malformed_nbest_reports_line(toy_files, tmp_path, caplog):

@@ -381,24 +381,25 @@ def test_missing_parameter_value_is_an_error_naming_it():
 
 
 def test_backward_without_seeds_needs_an_output_named_loss():
-    # a scalar output under another name is not seeded
+    # a scalar output under another name is not differentiated
     g = Graph()
     g.mark_output(g.sum(g.mul(g.input("x"), g.parameter("w"))), "total")
     ws = forward_eval(g, {"x": np.ones(2)}, {"w": np.ones(2)})
     with pytest.raises(GraphError, match="no loss output"):
         backward(g, ws)
-    np.testing.assert_array_equal(backward(g, ws, {"total": 1.0})["w"], np.ones(2))
+    g.mark_output(g.outputs["total"], "loss")
+    np.testing.assert_array_equal(backward(g, ws)["w"], np.ones(2))
 
 
 def test_backward_needs_this_graphs_forward_values():
     g = Graph()
-    g.mark_output(g.tanh(g.input("x")), "y")
+    g.mark_output(g.sum(g.tanh(g.input("x"))), "loss")
     other = Graph()
-    other.mark_output(other.tanh(other.input("x")), "y")
+    other.mark_output(other.sum(other.tanh(other.input("x"))), "loss")
     for ws in (Workspace(g), forward_eval(other, {"x": np.zeros(2)}, {})):
         with pytest.raises(GraphError, match="forward values missing"):
-            backward(g, ws, {"y": np.ones(2)})
-    assert backward(g, forward_eval(g, {"x": np.zeros(2)}, {}), {"y": np.ones(2)}) == {}
+            backward(g, ws)
+    assert backward(g, forward_eval(g, {"x": np.zeros(2)}, {})) == {}
 
 
 def test_loss_must_be_scalar():
@@ -422,12 +423,14 @@ def test_gather_gradient_equals_the_table_sized_form_bitwise(dtype):
     # old form added each step into a zero table the size of the embedding
     rng = np.random.default_rng(11)
     table = rng.normal(size=(50, 7)).astype(dtype)
+    # the loss sum(rows * dy) hands the gather the adjoint 1 * dy = dy
     g = Graph()
-    g.mark_output(g.gather_rows(g.parameter("t"), g.input("ids")), "y")
+    g.mark_output(g.sum(g.mul(g.gather_rows(g.parameter("t"), g.input("ids")), g.input("dy"))),
+                  "loss")
     for shape in ((9, 13), (13,)):
         ids = rng.integers(0, 6, size=shape)  # six rows: every step repeats ids
         dy = rng.normal(size=(*shape, 7)).astype(dtype)
-        grads = backward(g, forward_eval(g, {"ids": ids}, {"t": table}), {"y": dy})
+        grads = backward(g, forward_eval(g, {"ids": ids, "dy": dy}, {"t": table}))
         steps, dys = (ids, dy) if ids.ndim == 2 else (ids[None], dy[None])
         expected = np.zeros_like(table)
         for t in range(len(steps) - 1, -1, -1):

@@ -1,5 +1,7 @@
 """Score interpolation, n-best reranking and grid tuning against references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,7 +249,7 @@ def test_vectorised_grid_equals_nested_loop(seed, coarse, monkeypatch):
 
     params, errors, scores = cl.optimize_interpolation(
         by_utterance, references, None, s_bo, lambda_grid, snn_grid)
-    assert scores == nn_scores
+    assert scores.tolist() == [nn for scores in nn_scores.values() for nn in scores]
     assert (params, errors) == _brute_force_tuning(
         by_utterance, references, nn_scores, s_bo, lambda_grid, snn_grid)
 
@@ -283,9 +285,58 @@ def test_rescoring_with_given_scores_runs_no_network(rng):
             "u2": [_hyp("u2", -0.5, -2.0, f"{w[6]} {w[7]}")]}
     refs = {"u1": (w[3],), "u2": (w[6],)}
     params, _, nn_scores = cl.optimize_interpolation(hyps, refs, net, 1.5, [0.0, 0.5], [1.0])
-    assert nn_scores == cl.rescoring.score_hypotheses(hyps, net)
+    assert nn_scores.tolist() == cl.rescoring.score_hypotheses(hyps, net).tolist()
     assert (cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)
             == cl.rescore_nbest(hyps, net, params))
+
+
+def _old_combine(params, log_p_bo, log_p_nn):
+    """The combination as the reranking wrote it on Python floats."""
+    return (1.0 - params.lam) * params.s_bo * log_p_bo + params.lam * params.s_nn * log_p_nn
+
+
+def test_minus_inf_network_score_at_lambda_zero_and_above():
+    hyps = {"u": [_hyp("u", -1.0, -9.0, "a"), _hyp("u", -0.25, -1.5, "b"),
+                  _hyp("u", -1.0, -0.5, "c"), _hyp("u", -3.0, -2.0, "d")],
+            "v": [_hyp("v", -2.0, -1.0, "e")]}
+    nn_scores = [-np.inf, -3.7, -np.inf, -1.3, -np.inf]
+    flat = [h for hs in hyps.values() for h in hs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (InterpolationParams(0.0, 1.7, 0.9), InterpolationParams(0.0)):
+            reranked = cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)
+            for utt, rows in reranked.items():
+                expected = sorted(hyps[utt], key=lambda h: -(h.acoustic + params.s_bo * h.backoff))
+                assert [r.hypothesis for r in rows] == expected
+                assert [r.total for r in rows] == [h.acoustic + params.s_bo * h.backoff
+                                                   for h in expected]
+        params = InterpolationParams(0.4, 1.7, 0.9)
+        rows = cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)["u"]
+    # finite scores keep the bits of the formula; -inf ranks last in first-pass order
+    assert [r.hypothesis.tokens for r in rows] == [("b",), ("d",), ("a",), ("c",)]
+    for r in rows:
+        nn = nn_scores[flat.index(r.hypothesis)]
+        assert r.log_p_nn == nn
+        assert r.total == r.hypothesis.acoustic + _old_combine(params, r.hypothesis.backoff, nn)
+    assert [r.total for r in rows[2:]] == [-np.inf, -np.inf]
+
+
+def test_tuning_with_minus_inf_network_scores(monkeypatch):
+    # u1: the -inf hypothesis is the reference but the back-off ranks it last;
+    # u2: the -inf hypothesis is wrong and ranked last too.  At lambda = 0 the
+    # back-off ranking holds (one error, in u1); at lambda = 0.5 too
+    hyps = {"u1": [_hyp("u1", 0.0, -9.0, "a d c"), _hyp("u1", 0.0, -1.0, "a b c")],
+            "u2": [_hyp("u2", 0.0, -9.0, "x y"), _hyp("u2", 0.0, -1.0, "a b")]}
+    refs = {"u1": ("a", "d", "c"), "u2": ("a", "b")}
+    nn = [-np.inf, -2.0, -np.inf, -1.0]
+    monkeypatch.setattr(cl.rescoring, "score_sentences",
+                        lambda net, texts, policy: [_FixedScore(v) for v in nn])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid, lam in (([0.0], 0.0), ([0.5], 0.5), ([0.0, 0.5], 0.0)):
+            params, errors, scores = cl.optimize_interpolation(hyps, refs, None, 1.0, grid, [1.0])
+            assert (params.lam, errors) == (lam, 1)
+            assert scores.tolist() == nn
 
 
 def test_empty_hypothesis_list_is_rejected(rng):

@@ -31,7 +31,7 @@ def sample_per_row(net, seed, max_tokens, count):
     class, then its word when the class has several members, by one
     ``rng.random()`` call and one ``searchsorted`` at a time."""
     classes, vocab = net.classes, net.vocab
-    member_ids = [np.asarray(ms, dtype=np.int64) for ms in classes.members]
+    member_ids = [np.asarray(ms, dtype=np.int64) for ms in support.class_members(classes)]
     member_cum = [np.cumsum(classes.membership[ids]) for ids in member_ids]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
     sentences = [[] for _ in range(count)]
@@ -64,6 +64,7 @@ def sample_one_at_a_time(net, seed, max_tokens, count):
     """Reference sampler: one sentence after another, each from its own
     stream, every step on ROW_BLOCK copies of the sentence's one row."""
     vocab, classes = net.vocab, net.classes
+    groups = support.class_members(classes)
     sentences = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -71,7 +72,7 @@ def sample_one_at_a_time(net, seed, max_tokens, count):
         word, tokens = vocab.start_id, []
         while len(tokens) < max_tokens:
             probs, state = net.step(state, np.full(ROW_BLOCK, word))
-            members = classes.members[_draw(rng, np.cumsum(probs[0]))]
+            members = groups[_draw(rng, np.cumsum(probs[0]))]
             if len(members) > 1:
                 members = [members[_draw(rng, np.cumsum(classes.membership[members]))]]
             word = members[0]
@@ -194,8 +195,9 @@ def test_member_blocks_are_split_without_changing_the_picks(monkeypatch):
     whole = _pick_members(classes, c, u)
     monkeypatch.setattr(cl.sampling, "PICK_BLOCK_ELEMENTS", 1)
     assert _pick_members(classes, c, u).tolist() == whole.tolist()
+    groups = support.class_members(classes)
     for word, ci, ui in zip(whole.tolist(), c.tolist(), u.tolist()):
-        members = classes.members[ci]
+        members = groups[ci]
         assert word == members[_draw(FixedDraw(ui), np.cumsum(classes.membership[members]))]
 
 

@@ -10,10 +10,10 @@ class inputs in double and single precision with the default optimizer,
 each of the two also at a batch size of 13 (no multiple of the 8-row matmul
 block), and the LSTM in both precisions with each optimizer under a clip
 norm that some batches exceed.  It then scores with and without
-``--unk-penalty 0``, rescores n-best lists with fixed weights and with
-``--tune --refs``, scores 200 sentences whose widest prefix-trie levels
-hold 128 rows or more (steps that run in parts on several threads where
-the process may use several CPUs), and samples from each of the four
+``--unk-penalty 0``, rescores n-best lists with fixed weights, with
+``--lambda 0`` and with ``--tune --refs``, scores 200 sentences whose
+widest prefix-trie levels hold 128 rows or more (steps that run in parts
+on several threads where the process may use several CPUs), and samples from each of the four
 architecture models twice: 15 sentences of at most 20 tokens, and 37 of at
 most 70.  It prints one ``sha256  file`` line per output file, paths
 relative to OUT_DIR, in a fixed order.
@@ -168,6 +168,7 @@ def produce(out):
             run(["score", *m, "--input", p(text), *extra, "--output", p(f"{stem}.{name}")])
             outputs.append(f"{stem}.{name}")
         for name, extra in (("rescore", ["--lambda", "0.4", "--s-nn", "1.5"]),
+                            ("rescore-lambda0", ["--lambda", "0", "--s-bo", "1.5"]),
                             ("rescore-tuned", ["--tune", "--refs", p("refs.txt")])):
             run(["rescore", *m, "--nbest", p("nbest.txt"), *extra, "--output",
                  p(f"{stem}.{name}")])
