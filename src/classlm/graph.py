@@ -35,7 +35,11 @@ how many steps one evaluation covers:
   per step.  A single gemm call may round a row differently depending on
   the row count and the row's position; fixed blocks make each output row a
   function of that row's inputs alone, which is what lets batched scoring
-  and sampling equal one-at-a-time runs bitwise;
+  and sampling equal one-at-a-time runs bitwise.  The same rule lets an
+  evaluation compute a value once per distinct input row and pick its rows
+  afterwards with the same bits: ``take`` picks rows of a value, and the
+  optional ``rows`` operand of ``lstm``/``gru`` runs the input products on
+  the distinct rows only;
 * a parameter's gradient is summed over steps from the last to the first;
 * adjoints are added in reverse node order, one term per consumer: a
   recurrent op returns the adjoint of its input as a list of per-gate terms
@@ -46,6 +50,10 @@ Finiteness is checked on every computed value, not on leaves: a NaN or
 infinity in a bound input or a parameter is reported by the first op that
 reads it, naming the first time step at which that op's value is not
 finite.  Model files are checked for non-finite parameters at load.
+
+The sigmoid is computed without overflow and without a branch per element
+(see ``_sigmoid``): a select on random signs costs a mispredicted branch
+about every other element.
 """
 
 from __future__ import annotations
@@ -192,7 +200,16 @@ class Graph:
         """
         return self._append("masked_mean", name, (x, mask))
 
-    def lstm(self, x, h0, c0, W, U, b, name=None):
+    def take(self, x, rows, name=None):
+        """Rows of x along its row axis (the one after time): ``x[:, rows]``.
+
+        `rows` is a 1-D integer input; an evaluation graph that computes a
+        value once per distinct word hands it to a per-state-row consumer
+        this way.
+        """
+        return self._append("take", name, (x, rows))
+
+    def lstm(self, x, h0, c0, W, U, b, name=None, rows=None):
         """LSTM over the time axis of x (T, B, in) from the state (h0, c0).
 
         W (4, in, H), U (4, H, H) and b (4, H) stack the weights of the
@@ -207,10 +224,14 @@ class Graph:
         The value stacks (h, c, i, f, o, tanh(x W[3] + h U[3] + b[3]),
         tanh(c)) of every step, shape (7, T, B, H); ``item(node, 0)`` is
         the hidden sequence and ``item(node, 1)`` the cell sequence.
-        """
-        return self._append("lstm", name, (x, h0, c0, W, U, b))
 
-    def gru(self, x, h0, W, U, b, name=None):
+        With `rows`, a 1-D integer input of B row ids, x holds distinct
+        rows (T, D, in) and state row j reads x's row ``rows[j]``: the input
+        products x W run on the D rows only.  It has no gradient.
+        """
+        return self._append("lstm", name, (x, h0, c0, W, U, b) + _optional(rows))
+
+    def gru(self, x, h0, W, U, b, name=None, rows=None):
         """GRU over the time axis of x (T, B, in) from the state h0.
 
         W (3, in, H), U (3, H, H) and b (3, H) stack the weights of the
@@ -221,9 +242,10 @@ class Graph:
             h' = (1-z)*h + z*tanh(x W[2] + (r*h) U[2] + b[2])
 
         The value stacks (h, z, r, tanh(...), r*h) of every step, shape
-        (5, T, B, H); ``item(node, 0)`` is the hidden sequence.
+        (5, T, B, H); ``item(node, 0)`` is the hidden sequence.  `rows`
+        is as in :meth:`lstm`.
         """
-        return self._append("gru", name, (x, h0, W, U, b))
+        return self._append("gru", name, (x, h0, W, U, b) + _optional(rows))
 
     def item(self, x, index, name=None):
         """Part `index` (along the leading axis) of a recurrent op's value."""
@@ -242,6 +264,10 @@ class Graph:
         node = Node(len(self.nodes), op, name or f"{op}_{len(self.nodes)}", inputs, arg)
         self.nodes.append(node)
         return node
+
+
+def _optional(node):
+    return () if node is None else (node,)
 
 
 class Workspace:
@@ -290,9 +316,13 @@ def _nonfinite(node, v=None, step=None):
 
 def _sigmoid(x):
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in one
-    # pass: exp never overflows and -|x| == x exactly where x < 0
+    # pass: exp never overflows and -|x| == x exactly where x < 0.  The
+    # numerator is max(e, x >= 0): 1 where x >= 0, since e <= 1 there, and e
+    # elsewhere, since e >= 0; unlike a select on the sign it has no branch
+    # to mispredict
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    d = 1.0 + e
+    return np.divide(np.maximum(e, x >= 0, out=e), d, out=e)
 
 
 def _softmax(x):
@@ -374,6 +404,30 @@ def _gather_grad(dy, y, table, ids):
     return g, None
 
 
+def _check_rows(node, x, rows):
+    """`rows` picks rows of x along its row axis: 1-D integer ids in range."""
+    _check_shapes(x.ndim >= 2 and rows.ndim == 1, node, x, rows)
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise GraphError(f"node {node.name!r} ({node.op}): row ids must be integers")
+    _check_ids(rows, x.shape[1], node, "row id")
+
+
+def _take(node, x, rows):
+    _check_rows(node, x, rows)
+    return x[:, rows]
+
+
+def _take_grad(dy, y, x, rows):
+    dx = np.zeros_like(x, dtype=dy.dtype)
+    np.add.at(dx, (slice(None), rows), dy)
+    return dx, None
+
+
+def _no_rows_gradient():
+    raise GraphError("no gradient through the rows operand of a recurrent op:"
+                     " it serves evaluation graphs only")
+
+
 def _concat(node, *parts):
     _check_shapes(len({x.shape[:-1] for x in parts}) == 1, node, *parts)
     return np.concatenate(parts, axis=-1)
@@ -413,14 +467,23 @@ def _masked_mean_grad(dy, y, x, mask):
     return mask * (dy * _inverse_count(mask, x.dtype)), None
 
 
-def _check_recurrent(node, gates, x, h0, W, U, b):
-    """Every operand's shape: x (T, B, in), h0 (B, H) and the stacked
-    weights W (G, in, H), U (G, H, H) and b (G, H) of G gates."""
+def _input_products(node, gates, x, h0, W, U, b, rows):
+    """Every step's input products x W, (G, T, B, H), after checking every
+    operand's shape: x (T, B, in), h0 (B, H) and the stacked weights
+    W (G, in, H), U (G, H, H) and b (G, H) of G gates.  With `rows` (B,),
+    x is (T, D, in), the products run on its D rows and row j of a step is
+    the product of x's row ``rows[j]``: by the row rule the bits of x[:,
+    rows] W."""
+    if rows is not None:
+        _check_rows(node, x, rows)
     hidden = h0.shape[-1]
-    _check_shapes(x.ndim == 3 and h0.shape == (x.shape[1], hidden)
+    batch = x.shape[1:2] if rows is None else rows.shape
+    _check_shapes(x.ndim == 3 and h0.shape == (*batch, hidden)
                   and W.shape == (gates, x.shape[-1], hidden)
                   and U.shape == (gates, hidden, hidden) and b.shape == (gates, hidden),
                   node, x, h0, W, U, b)
+    xw = _rows(x, W)
+    return xw if rows is None else xw[:, :, rows]
 
 
 def _check_step(node, t, *values):
@@ -436,10 +499,9 @@ def _carried(carry, terms, t):
     return carry
 
 
-def _lstm(node, x, h0, c0, W, U, b):
-    _check_recurrent(node, 4, x, h0, W, U, b)
+def _lstm(node, x, h0, c0, W, U, b, rows=None):
+    xw = _input_products(node, 4, x, h0, W, U, b, rows)
     _check_shapes(c0.shape == h0.shape, node, h0, c0)
-    xw = _rows(x, W)  # every step's input products, (4, T, B, H)
     seq = np.empty((7, *xw.shape[1:]), dtype=xw.dtype)
     b = b[:, None]
     h, c = h0, c0
@@ -456,7 +518,9 @@ def _lstm(node, x, h0, c0, W, U, b):
     return seq
 
 
-def _lstm_grad(dy, seq, x, h0, c0, W, U, b):
+def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
+    if rows is not None:
+        _no_rows_gradient()
     steps = len(x)
     h_prev = np.concatenate([h0[None], seq[0, :-1]])
     c_prev = np.concatenate([c0[None], seq[1, :-1]])
@@ -484,9 +548,8 @@ def _lstm_grad(dy, seq, x, h0, c0, W, U, b):
     return [dx[3], dx[2], dx[1], dx[0]], dh, dc, dW, dU, db
 
 
-def _gru(node, x, h0, W, U, b):
-    _check_recurrent(node, 3, x, h0, W, U, b)
-    xw = _rows(x, W)  # every step's input products, (3, T, B, H)
+def _gru(node, x, h0, W, U, b, rows=None):
+    xw = _input_products(node, 3, x, h0, W, U, b, rows)
     seq = np.empty((5, *xw.shape[1:]), dtype=xw.dtype)
     h = h0
     for t in range(len(x)):
@@ -505,7 +568,9 @@ def _gru(node, x, h0, W, U, b):
     return seq
 
 
-def _gru_grad(dy, seq, x, h0, W, U, b):
+def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
+    if rows is not None:
+        _no_rows_gradient()
     steps = len(x)
     h_prev = np.concatenate([h0[None], seq[0, :-1]])
     terms_h = dy.get(0, [])
@@ -556,11 +621,13 @@ _OPS = {
     "lstm": (_lstm, _lstm_grad),
     "gru": (_gru, _gru_grad),
     "item": (lambda node, x: x[node.arg], None),  # backward() routes its adjoint
+    "take": (_take, _take_grad),
 }
 
 # ops whose values are not checked after the op: recurrent ops check each
-# step themselves, to name it, and an item is a part of a checked value
-_SELF_CHECKED = frozenset({"lstm", "gru", "item"})
+# step themselves, to name it, and an item or a take is a part of a checked
+# value
+_SELF_CHECKED = frozenset({"lstm", "gru", "item", "take"})
 
 
 def forward_eval(graph, bindings, params):

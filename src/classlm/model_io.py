@@ -10,10 +10,11 @@ Byte layout:
 
 The header records the format version, the architecture description text,
 the vocabulary and class tables, a parameter index (name, shape, offset,
-byte length) and optional training metadata.  The index lists one block per
-gate of an LSTM or GRU parameter (:func:`classlm.network.file_blocks`): a
-save writes each gate's slice of the stacked array, and a load reads each
-block into its slice.
+byte length) and optional training metadata.  The header is strict JSON: a
+perplexity that is not finite (a diverged run) is stored as ``null``.  The
+index lists one block per gate of an LSTM or GRU parameter
+(:func:`classlm.network.file_blocks`): a save writes each gate's slice of
+the stacked array, and a load reads each block into its slice.
 Serialization is canonical, so saving, loading and saving again produces a
 byte-identical file; the payload stores parameters bit-exactly, so a
 reloaded model scores any sentence identically to the saved one.
@@ -81,6 +82,35 @@ def _check_schema(path, obj, schema, prefix=""):
             _check_schema(path, value, kind, field + ".")
 
 
+def _strict_json(value):
+    """`value` with every float that is not finite replaced by None."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _is_perplexity(value):
+    """A number, or None for a perplexity that is not finite."""
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
+def _check_training(path, training):
+    """Training metadata, if any: an object whose ``best_dev_perplexity``
+    and ``history`` entries ``[batch, perplexity, lr_scale]``, where given,
+    hold a number or null as the perplexity."""
+    if training is None:
+        return
+    history = training.get("history", []) if isinstance(training, dict) else None
+    if not (isinstance(history, list) and _is_perplexity(training.get("best_dev_perplexity"))
+            and all(isinstance(entry, list) and len(entry) == 3 and _is_perplexity(entry[1])
+                    for entry in history)):
+        raise ModelFormatError(f"{path}: model header field 'training' has the wrong type")
+
+
 def _payload_dtype(precision):
     return np.dtype("<f8") if precision == "double" else np.dtype("<f4")
 
@@ -114,9 +144,10 @@ def save_model(path, network, training=None):
             "membership": [float(p) for p in network.classes.membership],
         },
         "parameters": index,
-        "training": training,
+        "training": _strict_json(training),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False).encode("utf-8")
     prefix = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes
     pad = (-len(prefix)) % _ALIGN
 
@@ -163,11 +194,13 @@ def _check_blocks(path, index, expected, itemsize, payload_len):
 
 
 def load_model(path):
-    """Read a model file; returns ``(network, training_metadata)``.
+    """Read a model file; returns ``(network, training_metadata)``, in which
+    a perplexity that was not finite reads None.
 
     Raises :class:`ModelFormatError` on unknown versions, headers with a
     missing or mistyped field or a vocabulary table whose length differs
-    from the vocabulary, an architecture that does not parse or validate
+    from the vocabulary, training metadata whose perplexities are neither
+    numbers nor null, an architecture that does not parse or validate
     (naming its first violation), truncated payloads (naming the first
     incomplete parameter), parameter blocks at a negative offset or
     overlapping another (naming the offset field and the parameter) and
@@ -214,6 +247,7 @@ def _check_header(path, header):
     _check_schema(path, header, _HEADER_SCHEMA)
     for i, entry in enumerate(header["parameters"]):
         _check_schema(path, entry, _PARAMETER_SCHEMA, f"parameters[{i}].")
+    _check_training(path, header.get("training"))
     precision = header["precision"]
     if precision not in ("double", "single"):
         raise ModelFormatError(f"{path}: unknown precision {precision!r}")

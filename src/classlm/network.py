@@ -7,6 +7,9 @@ positions: ids ``(T, B)`` in, the recurrent state before the first position
 in through ``state/...`` bindings, and the state sequences out.  The
 evaluation graph (no dropout) outputs the class distribution of every
 position; :meth:`Network.step` runs it at T = 1 for scoring and sampling.
+A step computes its word-side layers (projections, and whatever reads only
+word-side layers) once per distinct word id, not once per row; by the row
+rule of :mod:`classlm.graph` every row keeps the bits it would have had.
 The training graph binds dropout masks, targets and a position mask, all
 ``(T, B, ...)``, and outputs the mean masked cross-entropy as "loss", so
 one evaluation and one backward pass cover a whole training batch.
@@ -21,7 +24,7 @@ import numpy as np
 
 from .architecture import INPUT_KINDS, RECURRENT_KINDS, validate_description
 from .classing import identity_classmap
-from .graph import Graph, forward_eval
+from .graph import ROW_BLOCK, Graph, forward_eval
 
 __all__ = ["Network", "file_blocks", "instantiate_network", "parameter_shapes"]
 
@@ -168,45 +171,66 @@ class Network:
 
     def _build(self, g, train_mode):
         """Append the network over every position of the bound ids; returns
-        (logits, state sequences)."""
+        (logits, state sequences).
+
+        In evaluation mode the ids are bound once per distinct word, and the
+        input ``rows`` maps each state row to its word's row.  The word-side
+        layers, those whose inputs are all id streams or word-side, run on
+        the distinct rows; a recurrent layer reads a word-side input through
+        its `rows` operand and any other consumer through a ``take``.
+        """
         acts = {}
         state_out = {}
-        logits = None
         final = self.desc.output_layer.name
+        rows = None if train_mode else g.input("rows")
+        word_side = set()  # names of the layers computed once per distinct word
+        taken = {}
+
+        def per_row(src):  # a layer's value with one row per state row
+            if src not in word_side:
+                return acts[src]
+            if src not in taken:
+                taken[src] = g.take(acts[src], rows)
+            return taken[src]
+
         for spec in self.desc.layers:
             name = spec.name
             if spec.kind in INPUT_KINDS:
                 acts[name] = g.input(f"tokens/{name}")
+                if rows is not None:
+                    word_side.add(name)
                 continue
+            per_word = rows is not None and word_side.issuperset(spec.inputs)
+            if per_word and spec.kind not in RECURRENT_KINDS:
+                word_side.add(name)
             if spec.kind == "projection":
                 # one embedding table per id stream, the rows concatenated
                 acts[name] = g.concat([g.gather_rows(g.parameter(f"{name}/E_{src}"), acts[src])
                                        for src in spec.inputs])
                 continue
-            x = g.concat([acts[src] for src in spec.inputs])
+            x = g.concat([acts[src] if per_word else per_row(src) for src in spec.inputs])
             if spec.kind == "dropout":
                 if train_mode and spec.dropout_rate > 0.0:
                     x = g.mul(x, g.input(f"dropmask/{name}"))
                 acts[name] = x
                 continue
             W, b = g.parameter(f"{name}/W"), g.parameter(f"{name}/b")
+            x_rows = rows if per_word else None
             if spec.kind == "lstm":
                 seq = g.lstm(x, g.input(f"state/h/{name}"), g.input(f"state/c/{name}"),
-                             W, g.parameter(f"{name}/U"), b, name)
+                             W, g.parameter(f"{name}/U"), b, name, x_rows)
                 acts[name] = state_out[f"h/{name}"] = g.item(seq, 0)
                 state_out[f"c/{name}"] = g.item(seq, 1)
             elif spec.kind == "gru":
-                seq = g.gru(x, g.input(f"state/h/{name}"), W, g.parameter(f"{name}/U"), b, name)
+                seq = g.gru(x, g.input(f"state/h/{name}"), W, g.parameter(f"{name}/U"), b,
+                            name, x_rows)
                 acts[name] = state_out[f"h/{name}"] = g.item(seq, 0)
             elif spec.kind == "tanh":
                 acts[name] = g.tanh(g.add_bias(g.matmul(x, W), b))
             elif spec.kind == "softmax":
                 out = g.add_bias(g.matmul(x, W), b)
-                if name == final:
-                    logits = out
-                else:
-                    acts[name] = g.softmax(out)
-        return logits, state_out
+                acts[name] = out if name == final else g.softmax(out)
+        return per_row(final), state_out
 
     def _graph(self, train_mode):
         """The graph of one mode, built on first use."""
@@ -234,8 +258,22 @@ class Network:
     # -- evaluation -------------------------------------------------------------
 
     def step(self, state, word_ids):
-        """Advance one position; returns (class probabilities, new state)."""
-        bindings = self.token_bindings(np.asarray(word_ids, dtype=np.int64)[None])
+        """Advance one position; returns (class probabilities, new state).
+
+        With a multiple of ``ROW_BLOCK`` rows, the ids are bound once per
+        distinct word, padded to a multiple of ``ROW_BLOCK`` by repeating
+        the last, and the word-side layers run on those rows only: by the
+        row rule each row's values are the bits it has among the full rows.
+        Any other row count binds every row's own id.
+        """
+        word_ids = np.asarray(word_ids, dtype=np.int64)
+        if len(word_ids) % ROW_BLOCK == 0:
+            words, rows = np.unique(word_ids, return_inverse=True)
+            words = np.concatenate([words, np.repeat(words[-1:], -len(words) % ROW_BLOCK)])
+        else:
+            words, rows = word_ids, np.arange(len(word_ids))
+        bindings = self.token_bindings(words[None])
+        bindings["rows"] = rows
         for key, value in state.items():
             bindings[f"state/{key}"] = value
         outputs = forward_eval(self.step_graph(), bindings, self.params).outputs

@@ -193,6 +193,35 @@ def markov_corpus(rng, vocab_size=50, n_tokens=20000, preferred=5, min_len=6, ma
     return sentences
 
 
+def matmul_rows(monkeypatch):
+    """A list that gets ``(rows, stacked)`` for every later matmul whose left
+    operand is time-major: its row count, and whether the right operand
+    stacks gates (a recurrent layer's input products)."""
+    calls = []
+    rows = cl.graph._rows
+
+    def spy(a, b):
+        if a.ndim == 3:
+            calls.append((a.shape[1], b.ndim == 3))
+        return rows(a, b)
+
+    monkeypatch.setattr(cl.graph, "_rows", spy)
+    return calls
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_header(path):
+    """A saved model's JSON header, read by a strict JSON reader: the bare
+    tokens NaN, Infinity and -Infinity are errors."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    start = len(MAGIC) + 8
+    return json.loads(blob[start : start + header_len], parse_constant=_not_json)
+
+
 def rewrite_header(path, edit):
     """Apply `edit` to a saved model's JSON header, keeping the payload."""
     blob = path.read_bytes()

@@ -327,8 +327,16 @@ def test_nonfinite_last_validation_is_recorded_as_divergence(toy_files):
                "--max-epochs", "1", "--validation-interval", "1000",
                "--output-model", str(model)])
     assert rc == 1
-    _, training = cl.load_model(model)
+    net, training = cl.load_model(model)
     assert training["stopped_reason"] == "diverged"
+    # the header is strict JSON, the infinite perplexity a null, and it
+    # survives save -> load -> save byte for byte
+    header = support.strict_header(model)["training"]
+    assert header["best_dev_perplexity"] is None and header["history"][-1][1] is None
+    assert header == training
+    resaved = toy_files["dir"] / "resaved.clm"
+    cl.save_model(resaved, net, training)
+    assert resaved.read_bytes() == model.read_bytes()
 
 
 def test_rescore_malformed_nbest_reports_line(toy_files, tmp_path, caplog):

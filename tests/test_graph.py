@@ -57,7 +57,7 @@ def _two_branch_sigmoid(x):
 def test_sigmoid_equals_two_branch_form_bitwise(dtype):
     rng = np.random.default_rng(0)
     draws = [rng.normal(scale=scale, size=200_000) for scale in (0.1, 1.0, 10.0, 30.0, 300.0)]
-    special = [0.0, np.inf, 710.0, 745.0, 1e-300]
+    special = [0.0, np.inf, 710.0, 745.0, 800.0, 1e-300, 5e-324]
     x = np.concatenate(draws + [np.array(special), -np.array(special)]).astype(dtype)
     with np.errstate(over="ignore", under="ignore"):
         expected = _two_branch_sigmoid(x)
@@ -218,7 +218,8 @@ def _random_graph(rng):
 def _random_recurrent_graph(rng):
     """A randomized time-major graph around one lstm or gru node whose
     input, hidden sequence and (lstm) cell sequence each have two consumers,
-    with its bindings and parameter values."""
+    the input's second one through a take that repeats rows, with its
+    bindings and parameter values."""
     g = Graph()
     params = {}
 
@@ -242,7 +243,8 @@ def _random_recurrent_graph(rng):
     logits = g.add_bias(g.matmul(hs, parameter("w", rng.normal(size=(n2, 3)))),
                         parameter("b", rng.normal(size=3)))
     loss = g.masked_mean(g.cross_entropy(logits, g.input("targets")), g.input("mask"))
-    loss = g.add(loss, g.sum(g.mul(g.concat([hs, g.tanh(xs)]), g.input("mix"))))
+    taken = g.tanh(g.take(xs, g.input("rows")))
+    loss = g.add(loss, g.sum(g.mul(g.concat([hs, taken]), g.input("mix"))))
     if kind == "lstm":
         loss = g.add(loss, g.sum(g.mul(g.item(node, 1), g.input("c_mix"))))
     g.mark_output(loss, "loss")
@@ -257,6 +259,7 @@ def _random_recurrent_graph(rng):
         "mask": mask,
         "mix": rng.normal(size=(steps, batch, n1 + n2)),
         "c_mix": rng.normal(size=(steps, batch, n2)),
+        "rows": 2 * np.arange(batch) % batch,  # no draw, so the other draws stay
     }
     return g, bindings, params
 
@@ -389,6 +392,37 @@ def test_backward_without_seeds_needs_an_output_named_loss():
         backward(g, ws)
     g.mark_output(g.outputs["total"], "loss")
     np.testing.assert_array_equal(backward(g, ws)["w"], np.ones(2))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_a_recurrent_rows_operand_equals_a_take_and_has_no_gradient(kind):
+    rng = np.random.default_rng(6)
+    params = support.stacked_gate_weights(rng, 4 if kind == "lstm" else 3, 3, 4, 0.5)
+    bindings = {"x": rng.normal(size=(2, ROW_BLOCK, 3)), "h0": rng.normal(size=(16, 4)),
+                "c0": rng.normal(size=(16, 4)), "rows": rng.integers(0, ROW_BLOCK, 16)}
+
+    def build(operand):
+        g = Graph()
+        x, rows = g.input("x"), g.input("rows")
+        states = [g.input("h0")] + ([g.input("c0")] if kind == "lstm" else [])
+        weights = [g.parameter(name) for name in "WUb"]
+        if operand:
+            seq = getattr(g, kind)(x, *states, *weights, rows=rows)
+        else:
+            seq = getattr(g, kind)(g.take(x, rows), *states, *weights)
+        g.mark_output(g.sum(g.item(seq, 0)), "loss")
+        g.mark_output(g.item(seq, 0), "h")
+        return g
+
+    ws = forward_eval(build(operand=True), bindings, params)
+    taken = forward_eval(build(operand=False), bindings, params)
+    assert ws.outputs["h"].tobytes() == taken.outputs["h"].tobytes()
+    backward(taken.graph, taken)
+    with pytest.raises(GraphError, match="^no gradient through the rows operand of a recurrent"):
+        backward(ws.graph, ws)
+    bindings["rows"] = bindings["rows"].astype(float)
+    with pytest.raises(GraphError, match=rf"^node '{kind}_\d+' \({kind}\): row ids must be"):
+        forward_eval(build(operand=True), bindings, params)
 
 
 def test_backward_needs_this_graphs_forward_values():

@@ -54,6 +54,34 @@ def test_save_load_save_is_byte_identical(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_nonfinite_perplexities_are_strict_json_nulls(tmp_path, rng):
+    net = support.random_class_network(rng, vocab_size=9, num_classes=4)
+    meta = {"best_dev_perplexity": float("inf"),
+            "history": [[4, 7.5, 1.0], [8, float("inf"), 1.0], [12, float("nan"), 0.5]],
+            "stopped_reason": "diverged"}
+    p1, p2 = tmp_path / "m1.clm", tmp_path / "m2.clm"
+    cl.save_model(p1, net, meta)
+    stored = {"best_dev_perplexity": None, "history": [[4, 7.5, 1.0], [8, None, 1.0],
+                                                       [12, None, 0.5]],
+              "stopped_reason": "diverged"}
+    assert support.strict_header(p1)["training"] == stored
+    loaded, training = cl.load_model(p1)
+    assert training == stored
+    cl.save_model(p2, loaded, training)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("training", [
+    [], {"best_dev_perplexity": "3.5"}, {"best_dev_perplexity": True}, {"history": {}},
+    {"history": [[4, 3.5]]}, {"history": [[4, "inf", 1.0]]}])
+def test_mistyped_training_metadata_is_rejected(tmp_path, rng, training):
+    path = tmp_path / "model.clm"
+    cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(path, lambda h: h.__setitem__("training", training))
+    with pytest.raises(ModelFormatError, match="^[^\n]*field 'training' has the wrong type$"):
+        cl.load_model(path)
+
+
 def test_single_precision_round_trip(tmp_path, rng):
     corpus = [["a", "b", "c"]] * 4
     vocab = cl.build_vocabulary(corpus)

@@ -219,6 +219,28 @@ def test_every_split_of_a_step_gives_the_bits_of_one_part(rng, monkeypatch):
         assert len(bits) == 1, n
 
 
+def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
+             for key, value in net.initial_state(1).items()}
+    rows = rng.integers(0, 40, 48)
+    # three parts of 16 rows: 2, 9 and 16 distinct words, padded to 8, 16 and 16
+    ids = np.concatenate([rng.integers(3, 5, 16), rng.permutation(np.arange(3, 12).repeat(2))[:16],
+                          np.arange(2, 18)])
+    assert [len(np.unique(part)) for part in ids.reshape(3, 16)] == [2, 9, 16]
+    calls = support.matmul_rows(monkeypatch)
+    whole = cl.scoring.step_rows(net, state, rows, ids)
+    # the LSTM's input products: the 16 distinct words 2..17 in one step
+    assert [n for n, stacked in calls if stacked] == [16]
+    calls.clear()
+    _split_steps(monkeypatch, cpus=3)
+    split = cl.scoring.step_rows(net, state, rows, ids)
+    assert sorted(n for n, stacked in calls if stacked) == [8, 16, 16]
+    assert whole[0].tobytes() == split[0].tobytes()
+    for key in whole[1]:
+        assert whole[1][key].tobytes() == split[1][key].tobytes()
+
+
 @pytest.mark.parametrize("error", [cl.NonFiniteError, cl.ShapeError, cl.GraphError])
 @pytest.mark.parametrize("failing", ["calling thread", "worker"])
 def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeypatch, error,

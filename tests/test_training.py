@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.graph import _OPS, Graph, forward_eval
+from classlm.graph import _OPS, ROW_BLOCK, Graph, GraphError, forward_eval
 from classlm.training import batch_gradients, dropout_mask
 
 import support
@@ -385,6 +385,35 @@ layer type=softmax name=o input=t
 """
 
 
+# a tanh between the projection and the LSTM, and the projection also read
+# by the softmax: a word-side layer with a consumer on each side
+TANH_LSTM_SKIP_ARCH = """\
+input type=word name=w
+layer type=projection name=p input=w size=5
+layer type=tanh name=t input=p size=4
+layer type=lstm name=h input=t size=6
+layer type=softmax name=o input=h,p
+"""
+
+NO_RECURRENT_ARCH = """\
+input type=class name=c
+layer type=projection name=p input=c size=5
+layer type=dropout name=d input=p dropout_rate=0.25
+layer type=tanh name=t input=d size=4
+layer type=softmax name=o input=t
+"""
+
+STEP_ARCHS = {"lstm_dropout": LSTM_DROPOUT_ARCH, "gru_tanh": GRU_TANH_ARCH,
+              "tanh_lstm_skip": TANH_LSTM_SKIP_ARCH, "no_recurrent": NO_RECURRENT_ARCH}
+
+
+def _step_network(arch, precision="double"):
+    vocab = cl.Vocabulary([f"w{i}" for i in range(9)], {f"w{i}": 1 for i in range(9)})
+    return cl.instantiate_network(cl.parse_description(STEP_ARCHS[arch]), vocab,
+                                  cl.initialize_classes(vocab, 4, seed=3), seed=5,
+                                  precision=precision)
+
+
 def _ragged_batch(rng, net, length, rows=4):
     """Random ids with per-row lengths in 1..length, one row of full length."""
     inputs = rng.integers(0, len(net.vocab), size=(rows, length))
@@ -410,16 +439,44 @@ def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length):
 
 
 @pytest.mark.parametrize("arch, precision", list(itertools.product(
-    ("lstm_dropout", "gru_tanh"), ("double", "single"))))
+    STEP_ARCHS, ("double", "single"))))
 def test_network_step_matches_the_one_position_reference_bitwise(arch, precision):
-    arch = {"lstm_dropout": LSTM_DROPOUT_ARCH, "gru_tanh": GRU_TANH_ARCH}[arch]
     rng = np.random.default_rng(4)
-    vocab = cl.Vocabulary([f"w{i}" for i in range(9)], {f"w{i}": 1 for i in range(9)})
-    net = cl.instantiate_network(cl.parse_description(arch), vocab,
-                                 cl.initialize_classes(vocab, 4, seed=3), seed=5,
-                                 precision=precision)
+    net = _step_network(arch, precision)
     for rows in (1, 5, 8, 16):
-        assert_steps_match_reference(net, rng.integers(0, len(vocab), size=(rows, 4)))
+        assert_steps_match_reference(net, rng.integers(0, len(net.vocab), size=(rows, 4)))
+    # many repeats: a step of a multiple of ROW_BLOCK rows runs its word-side
+    # layers once per distinct word, any other on every row
+    for rows, words in ((8, 1), (13, 2), (24, 3), (40, 5), (64, len(net.vocab))):
+        assert_steps_match_reference(net, rng.integers(0, words, size=(rows, 4)))
+
+
+def test_word_side_products_run_on_the_padded_distinct_words(monkeypatch):
+    net = _step_network("tanh_lstm_skip")
+    calls = support.matmul_rows(monkeypatch)
+    # 16 rows of 5 words, padded to 8; 24 rows of 9 words, padded to 16
+    for ids, distinct in (([5, 3, 5, 5, 3, 7, 3, 5, 4, 4, 4, 4, 5, 3, 3, 6], 8),
+                          (list(range(9)) * 2 + [0] * 6, 16)):
+        calls.clear()
+        net.step(net.initial_state(len(ids)), np.array(ids))
+        # the tanh and the LSTM's x W on the distinct words, the softmax on every row
+        assert calls == [(distinct, False), (distinct, True), (len(ids), False)]
+    calls.clear()
+    net.step(net.initial_state(13), np.zeros(13, dtype=np.int64))  # no multiple of 8
+    assert calls == [(13, False), (13, True), (13, False)]
+
+
+@pytest.mark.parametrize("arch, node", [("tanh_lstm_skip", "'h' (lstm)"),
+                                        ("no_recurrent", r"'take_\d+' (take)")])
+@pytest.mark.parametrize("bad", [ROW_BLOCK, -1])
+def test_a_row_id_out_of_range_is_a_one_line_graph_error(arch, node, bad):
+    net = _step_network(arch)
+    bindings = net.token_bindings(np.arange(ROW_BLOCK)[None])
+    bindings["rows"] = np.array([0] * 15 + [bad])
+    bindings.update({f"state/{key}": value for key, value in net.initial_state(16).items()})
+    node = node.replace("(", r"\(").replace(")", r"\)")
+    with pytest.raises(GraphError, match=f"^node {node}: row id out of range for {ROW_BLOCK}$"):
+        forward_eval(net.step_graph(), bindings, net.params)
 
 
 def test_batches_of_any_length_share_one_training_graph():
@@ -437,5 +494,9 @@ def test_batches_of_any_length_share_one_training_graph():
     assert state.batches == 7
     assert len(graphs) == 7 and all(g is graphs[0] for g in graphs)
     # the network once plus the loss, no node per time step: target and mask
-    # inputs, cross-entropy and masked mean in place of the class softmax
-    assert len(graphs[0].nodes) == len(net.step_graph().nodes) + 3
+    # inputs, cross-entropy and masked mean in place of the class softmax.
+    # The step graph also binds `rows`, which its LSTM reads directly, so
+    # it has no take node
+    step = net.step_graph()
+    assert [n.name for n in step.nodes if n.name == "rows" or n.op == "take"] == ["rows"]
+    assert len(graphs[0].nodes) == len(step.nodes) - 1 + 3

@@ -5,18 +5,22 @@ Usage: python tools/byte_identity.py OUT_DIR
 The run writes a seeded Markov corpus (seed 11) and induces 8 word classes
 on it, then 150 classes on a second corpus of 300 word types (a class
 bigram table with under a tenth of its cells filled, as with many classes
-on real text).  It trains an LSTM with dropout and a GRU+tanh over word and
-class inputs in double and single precision with the default optimizer,
-each of the two also at a batch size of 13 (no multiple of the 8-row matmul
-block), and the LSTM in both precisions with each optimizer under a clip
-norm that some batches exceed.  It then scores with and without
-``--unk-penalty 0``, rescores n-best lists with fixed weights, with
-``--lambda 0`` and with ``--tune --refs``, scores 200 sentences whose
-widest prefix-trie levels hold 128 rows or more (steps that run in parts
-on several threads where the process may use several CPUs), and samples from each of the four
-architecture models twice: 15 sentences of at most 20 tokens, and 37 of at
-most 70.  It prints one ``sha256  file`` line per output file, paths
-relative to OUT_DIR, in a fixed order.
+on real text).  It trains three architectures in double and single
+precision with the default optimizer, each also at a batch size of 13 (no
+multiple of the 8-row matmul block): an LSTM with dropout, a GRU+tanh over
+word and class inputs, and a word projection through a tanh into an LSTM
+whose softmax also reads the projection (so network steps hand a value
+computed once per distinct word both to the LSTM and, through a ``take``,
+to the softmax).  It also trains the first LSTM in both precisions with
+each optimizer under a clip norm that some batches exceed.  It then scores
+with and without ``--unk-penalty 0``, rescores n-best lists with fixed
+weights, with ``--lambda 0`` and with ``--tune --refs``, scores 200
+sentences whose widest prefix-trie levels hold 128 rows or more (steps
+that run in parts on several threads where the process may use several
+CPUs), and samples from each of the six architecture models twice: 15
+sentences of at most 20 tokens, and 37 of at most 70.  It prints one
+``sha256  file`` line per output file, paths relative to OUT_DIR, in a
+fixed order.
 
 Two checkouts that compute the same bits print the same lines, so a change
 that must not alter any output is checked by running this file from both
@@ -61,6 +65,14 @@ ARCHITECTURES = {
         "layer type=gru name=rec input=word_proj,class_proj size=12\n"
         "layer type=tanh name=ff input=rec size=10\n"
         "layer type=softmax name=out input=ff\n"
+    ),
+    # word-side layers before the LSTM, and a projection the softmax also reads
+    "skip": (
+        "input type=word name=word_input\n"
+        "layer type=projection name=proj input=word_input size=8\n"
+        "layer type=tanh name=ff input=proj size=10\n"
+        "layer type=lstm name=rec input=ff size=12\n"
+        "layer type=softmax name=out input=rec,proj\n"
     ),
 }
 
