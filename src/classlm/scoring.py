@@ -14,6 +14,7 @@ the history still advances through them.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -34,14 +35,15 @@ UNK_POLICIES = ("include", "exclude")
 MAX_STEP_ROWS = 128 * ROW_BLOCK
 
 # Rows per part of a step split across threads, at least, so a step splits
-# from 128 rows on.  Two parts against one step, at the sizes of the
-# `rescore` and of the `train` benchmark model, on a 2-core host with one
-# BLAS thread (medians of 30 and of 80 steps): 0.63-0.90x the speed at 64
-# rows, 0.85-1.04x at 96, 1.08-1.28x at 128, 1.07-1.51x at 256 and
-# 1.60-1.95x at 1,024.
-PART_ROWS = 64
+# from 160 rows on.  Two parts on pinned workers against one step on the
+# calling thread, on windows of the benchmark's trie levels at the sizes of
+# the `rescore` and of the `train` benchmark model, on a 2-core host with
+# one BLAS thread (medians of 200 steps, three sessions): 0.97-1.09x the
+# speed at 128 rows, 1.03-1.17x at 144, 1.00-1.20x at 160, 1.10-1.26x at
+# 192 and 1.27-1.34x at 256.
+PART_ROWS = 80
 
-_pool = None  # worker threads for the parts after the first, made on first use
+_pool = None  # worker threads for the parts of split steps, made on first use
 _pool_lock = threading.Lock()
 _most_threads = 1  # read by threads_used()
 
@@ -73,6 +75,28 @@ def cpu_count():
         return os.cpu_count() or 1
 
 
+def _pinned_pool(workers):
+    """A pool of `workers` threads, each pinned when it starts to one CPU of
+    this thread's affinity mask, taking the CPUs in turn, so that the parts
+    of a step run side by side.  A worker whose pin fails, or any worker on
+    a platform without affinity masks, runs unpinned; the calling thread's
+    affinity is never changed."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step")
+    cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
+    lock = threading.Lock()  # workers start concurrently
+
+    def pin():
+        with lock:
+            cpu = next(cpus)
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:  # a pin the system refuses: the worker runs unpinned
+            pass
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step", initializer=pin)
+
+
 def threads_used():
     """The most threads one :func:`step_rows` step has run on in this process."""
     return _most_threads
@@ -84,8 +108,10 @@ def _step(network, state, rows, word_ids):
 
 def _step_parts(network, state, rows, word_ids, cpus):
     """One step over `rows` (a multiple of ``ROW_BLOCK``), cut into up to
-    `cpus` parts of at least ``PART_ROWS`` rows on block boundaries; part 0
-    runs on this thread.  Returns each part's ``(probs, state)`` in row order."""
+    `cpus` parts of at least ``PART_ROWS`` rows on block boundaries.  One
+    part runs on this thread; two or more run on the pinned workers while
+    this thread waits, since this thread may share a CPU with a worker.
+    Returns each part's ``(probs, state)`` in row order."""
     blocks = len(rows) // ROW_BLOCK
     parts = max(1, min(cpus, len(rows) // PART_ROWS))
     if parts == 1:
@@ -93,17 +119,14 @@ def _step_parts(network, state, rows, word_ids, cpus):
     global _pool, _most_threads
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="classlm-step")
+            _pool = _pinned_pool(cpus)
         _most_threads = max(_most_threads, parts)
     network.step_graph()  # built here, so two threads never race to build it
     bounds = [ROW_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
     futures = [_pool.submit(_step, network, state, rows[lo:hi], word_ids[lo:hi])
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        first = _step(network, state, rows[:bounds[1]], word_ids[:bounds[1]])
-    finally:
-        wait(futures)  # no part outlives the call, failed or not
-    return [first] + [future.result() for future in futures]
+               for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)  # no part outlives the call, failed or not
+    return [future.result() for future in futures]
 
 
 def step_rows(network, state, rows, word_ids):
@@ -117,9 +140,9 @@ def step_rows(network, state, rows, word_ids):
 
     A step of at least two parts of ``PART_ROWS`` rows runs as contiguous
     parts on block boundaries, one per CPU of the process's affinity mask
-    at most: the first on the calling thread, the others on worker threads.
-    Row blocks make the parts' results the bits of one serial step.  A part
-    that raises does so here, after every other part has ended.
+    at most, each on a worker thread pinned to its own CPU.  Row blocks make
+    the parts' results the bits of one serial step.  A part that raises
+    does so here, after every other part has ended.
     """
     n = len(rows)
     pad = -n % ROW_BLOCK
@@ -167,16 +190,18 @@ def score_sentences(network, sentences, unk_policy="include"):
 
     class_of = network.classes.class_of
     log_membership = network.classes.log_membership
-    num_words = len(network.vocab)
     logp = np.zeros(targets.shape)
     totals = np.zeros(len(framed))
     node = np.zeros(len(framed), dtype=np.int64)  # each sentence's node at level t
+    parents = 1  # nodes at the level before
     state = network.initial_state(1)
     for t in range(targets.shape[1]):
         active = np.flatnonzero(lengths > t + 1)
-        codes, node[active] = np.unique(node[active] * num_words + ids[active, t],
+        # word-major: the contiguous parts of a split step share one word at most
+        codes, node[active] = np.unique(ids[active, t] * parents + node[active],
                                         return_inverse=True)
-        probs, state = step_rows(network, state, codes // num_words, codes % num_words)
+        probs, state = step_rows(network, state, codes % parents, codes // parents)
+        parents = len(codes)
         level = targets[active, t]
         with np.errstate(divide="ignore"):
             logp[active, t] = np.log(probs[node[active], class_of[level]]) + log_membership[level]

@@ -554,7 +554,7 @@ def test_error_in_a_worker_part_is_a_one_line_error(tmp_path, rng, caplog, monke
             raise cl.NonFiniteError("time step 0: node 'rec' (lstm) produced a non-finite value")
         return step(self, state, word_ids)
 
-    # levels of 16 rows and more run in two parts, the second on a worker
+    # levels of 16 rows and more run in two parts, each on a worker
     monkeypatch.setattr(cl.scoring, "PART_ROWS", 8)
     monkeypatch.setattr(cl.scoring, "cpu_count", lambda: 2)
     monkeypatch.setattr(cl.Network, "step", failing_in_workers)

@@ -1,5 +1,6 @@
 """Sentence scores against enumeration oracles, and perplexity conventions."""
 
+import os
 import threading
 import time
 
@@ -241,21 +242,145 @@ def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch)
         assert whole[1][key].tobytes() == split[1][key].tobytes()
 
 
+def test_parts_of_a_split_level_share_one_word_at_most(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words[3:]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
+                 for _ in range(120)]
+    whole = cl.score_sentences(net, sentences)
+    levels = []  # per level, each part's distinct words
+    step_rows, step = cl.scoring.step_rows, cl.scoring._step
+
+    def recording_level(*args):
+        levels.append([])
+        return step_rows(*args)
+
+    def recording_part(network, state, rows, word_ids):
+        levels[-1].append(set(word_ids.tolist()))
+        return step(network, state, rows, word_ids)
+
+    _split_steps(monkeypatch, cpus=2)
+    monkeypatch.setattr(cl.scoring, "step_rows", recording_level)
+    monkeypatch.setattr(cl.scoring, "_step", recording_part)
+    split = cl.score_sentences(net, sentences)
+    two = [parts for parts in levels if len(parts) == 2]
+    # the widest levels hold every word, in parts of several words each
+    assert len(two) >= 3 and all(len(a) > 1 and len(b) > 1 for a, b in two)
+    assert all(len(a & b) <= 1 for a, b in two)
+    for a, b in zip(whole, split):
+        assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """The next split step makes a new worker pool, shut down after the test."""
+    monkeypatch.setattr(cl.scoring, "_pool", None)
+    yield
+    if cl.scoring._pool is not None:
+        cl.scoring._pool.shutdown()
+
+
+def _worker_affinities(pool, workers):
+    """Each worker's affinity mask, read by one task per worker."""
+    barrier = threading.Barrier(workers)
+
+    def affinity():
+        barrier.wait(timeout=10)  # held until every worker runs one task
+        return os.sched_getaffinity(0)
+
+    return [future.result() for future in [pool.submit(affinity) for _ in range(workers)]]
+
+
+def _split_bits(net, state, rows, ids):
+    probs, new = cl.scoring.step_rows(net, state, rows, ids)
+    return (probs.tobytes(), *(new[key].tobytes() for key in sorted(new)))
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no CPU affinity masks on this platform")
+
+
+@needs_affinity
+def test_workers_pin_to_the_cpus_in_turn_and_the_caller_keeps_its_mask(rng, monkeypatch,
+                                                                       fresh_pool):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
+             for key, value in net.initial_state(1).items()}
+    caller = os.sched_getaffinity(0)
+    mask = sorted(caller)
+    workers = 2 * len(mask) + 1  # more workers than CPUs
+    rows, ids = rng.integers(0, 40, 200), rng.integers(0, len(net.vocab), 200)
+    _split_steps(monkeypatch, cpus=1)
+    whole = _split_bits(net, state, rows, ids)
+    _split_steps(monkeypatch, cpus=workers)
+    assert _split_bits(net, state, rows, ids) == whole
+    seen = _worker_affinities(cl.scoring._pool, workers)
+    assert all(len(cpus) == 1 and cpus <= caller for cpus in seen)
+    assert sorted(cpu for cpus in seen for cpu in cpus) == sorted((mask * workers)[:workers])
+    assert os.sched_getaffinity(0) == caller
+
+
+@needs_affinity
+def test_a_pool_made_on_one_cpu_pins_its_workers_to_that_cpu():
+    first = min(os.sched_getaffinity(0))
+    seen = []
+
+    def on_one_cpu():  # a thread of its own, so that this one keeps its mask
+        os.sched_setaffinity(0, {first})
+        pool = cl.scoring._pinned_pool(3)
+        try:
+            seen.extend(_worker_affinities(pool, 3))
+        finally:
+            pool.shutdown()
+
+    thread = threading.Thread(target=on_one_cpu)
+    thread.start()
+    thread.join()
+    assert seen == [{first}] * 3
+
+
+@needs_affinity
+@pytest.mark.parametrize("failure", ["pin raises", "no affinity masks"])
+def test_a_worker_that_cannot_pin_runs_unpinned_with_the_same_bits(rng, monkeypatch, fresh_pool,
+                                                                  failure):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
+             for key, value in net.initial_state(1).items()}
+    rows, ids = rng.integers(0, 40, 200), rng.integers(0, len(net.vocab), 200)
+    _split_steps(monkeypatch, cpus=1)
+    whole = _split_bits(net, state, rows, ids)
+    caller = os.sched_getaffinity(0)
+
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    _split_steps(monkeypatch, cpus=4)
+    with pytest.MonkeyPatch.context() as platform:
+        if failure == "pin raises":
+            platform.setattr(os, "sched_setaffinity", refuse)
+        else:
+            platform.delattr(os, "sched_setaffinity")
+        assert _split_bits(net, state, rows, ids) == whole
+        # every worker starts while its pin fails
+        assert _worker_affinities(cl.scoring._pool, 4) == [caller] * 4
+
+
 @pytest.mark.parametrize("error", [cl.NonFiniteError, cl.ShapeError, cl.GraphError])
-@pytest.mark.parametrize("failing", ["calling thread", "worker"])
+@pytest.mark.parametrize("failing", ["first part", "worker"])  # "worker": the later parts
 def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeypatch, error,
                                                                     failing):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
-    caller = threading.get_ident()
     lock = threading.Lock()
     running, ended = [0], [0]
     step = cl.Network.step
+    ids = np.full(200, 4)
+    ids[0] = 3  # marks the first part
 
     def failing_step(self, state, word_ids):
         with lock:
             running[0] += 1
         try:
-            if (threading.get_ident() == caller) == (failing == "calling thread"):
+            if (word_ids[0] == 3) == (failing == "first part"):
                 raise error("time step 0: node 'x' (add) produced a non-finite value")
             time.sleep(0.05)  # a part still running when the failing one raises
             return step(self, state, word_ids)
@@ -267,8 +392,7 @@ def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeyp
     _split_steps(monkeypatch, cpus=3, part_rows=64)
     monkeypatch.setattr(cl.Network, "step", failing_step)
     with pytest.raises(error) as raised:
-        cl.scoring.step_rows(net, net.initial_state(1), np.zeros(200, dtype=np.int64),
-                             rng.integers(0, len(net.vocab), 200))
+        cl.scoring.step_rows(net, net.initial_state(1), np.zeros(200, dtype=np.int64), ids)
     assert type(raised.value) is error
     assert str(raised.value) == "time step 0: node 'x' (add) produced a non-finite value"
     assert running[0] == 0 and ended[0] == 3

@@ -14,8 +14,8 @@ computed once per distinct word both to the LSTM and, through a ``take``,
 to the softmax).  It also trains the first LSTM in both precisions with
 each optimizer under a clip norm that some batches exceed.  It then scores
 with and without ``--unk-penalty 0``, rescores n-best lists with fixed
-weights, with ``--lambda 0`` and with ``--tune --refs``, scores 200
-sentences whose widest prefix-trie levels hold 128 rows or more (steps
+weights, with ``--lambda 0`` and with ``--tune --refs``, scores 300
+sentences whose widest prefix-trie levels hold 160 rows or more (steps
 that run in parts on several threads where the process may use several
 CPUs), and samples from each of the six architecture models twice: 15
 sentences of at most 20 tokens, and 37 of at most 70.  It prints one
@@ -109,12 +109,14 @@ def write_inputs(rng, out):
                 hyp[i] = words[int(rng.integers(len(words)))]
             ac, bo = -rng.gamma(20.0, 2.0), -rng.gamma(10.0, 2.0)
             nbest.append(f"u{u} {ac!r} {bo!r} {' '.join(hyp)}")
-    # drawn after the inputs above, so that they do not depend on it; levels
-    # 3 to 6 of its prefix trie hold 128 rows or more, which score in parts
-    # on threads
+    # drawn after the inputs above, so that they do not depend on it
     wide = markov_sentences(rng, words, 200)
-    # drawn last; 150 classes leave most cells of its class bigram table empty
+    # 150 classes leave most cells of its class bigram table empty
     sparse = markov_sentences(rng, [f"v{i:03d}" for i in range(300)], 400)
+    # drawn last, so that no other input depends on it: levels 2 to 7 of the
+    # prefix trie of all 300 wide sentences hold 160 rows or more, which
+    # score in parts on threads
+    wide += markov_sentences(rng, words, 100)
     files = {"train.txt": train, "dev.txt": dev, "test.txt": test, "wide.txt": wide,
              "sparse.txt": sparse}
     for name, sentences in files.items():
