@@ -15,16 +15,20 @@ Every other op is one entry of the table ``_OPS = {op: (forward,
 backward)}``: ``forward(node, *inputs)`` checks shapes and id ranges and
 returns the value, ``backward(dy, value, *inputs)`` returns one gradient per
 input (``None`` for integer ids, targets and masks).  :func:`forward_eval`
-and :func:`backward` are loops over that table.
+and :func:`backward` are loops over that table.  Its 13 ops are those that
+networks build: matmul, mul, add_bias, tanh, softmax, gather, concat, xent,
+masked_mean, lstm, gru, item and take; the tests' step-by-step reference
+adds add, sigmoid, one_minus and sum from ``tests/support.py``.
 
-Values have a leading time axis: a network binds its ids, targets, masks
-and dropout masks as ``(T, B, ...)`` arrays, so one evaluation covers T
-positions of B rows.  Ops without a recurrence compute all T·B rows at
-once; the recurrent ops ``lstm`` and ``gru`` run the time loop inside one
-node, with the input products of every step hoisted out of it, and do
-backpropagation through time in their backward.  An ``lstm``/``gru`` value
-stacks the per-step quantities its backward needs along a leading axis;
-``item`` nodes pick its parts (the hidden sequence, the cell sequence).
+Values are time-major, the one layout: ids, targets and masks are bound as
+(T, B) arrays and dropout masks as (T, B, n), so one evaluation covers T
+positions of B rows; a matmul, add_bias, gather or xent operand without the
+time axis is a :class:`ShapeError`.  Ops without a recurrence compute all
+T·B rows at once; ``lstm`` and ``gru`` run the time loop inside one node,
+with every step's input products hoisted out of it, and backpropagate
+through time in their backward.  Their value stacks the per-step quantities
+the backward needs along a leading axis; ``item`` nodes pick its parts (the
+hidden sequence, the cell sequence).
 
 Each op does, step by step, the arithmetic of a graph that ran one node per
 operation and time step, in that graph's order, so results do not depend on
@@ -51,9 +55,8 @@ infinity in a bound input or a parameter is reported by the first op that
 reads it, naming the first time step at which that op's value is not
 finite.  Model files are checked for non-finite parameters at load.
 
-The sigmoid is computed without overflow and without a branch per element
-(see ``_sigmoid``): a select on random signs costs a mispredicted branch
-about every other element.
+The gates' sigmoid has no overflow and no branch per element (``_sigmoid``):
+a select on random signs mispredicts a branch about every other element.
 """
 
 from __future__ import annotations
@@ -144,32 +147,22 @@ class Graph:
     def matmul(self, a, b, name=None):
         return self._append("matmul", name, (a, b))
 
-    def add(self, a, b, name=None):
-        return self._append("add", name, (a, b))
-
     def mul(self, a, b, name=None):
         return self._append("mul", name, (a, b))
 
     def add_bias(self, x, b, name=None):
-        """Broadcast-add a bias vector over the rows of a matrix."""
+        """Broadcast-add a bias vector over the rows of a (T, B, n) value."""
         return self._append("add_bias", name, (x, b))
-
-    def sigmoid(self, x, name=None):
-        return self._append("sigmoid", name, (x,))
 
     def tanh(self, x, name=None):
         return self._append("tanh", name, (x,))
-
-    def one_minus(self, x, name=None):
-        """Elementwise 1 - x (gate complement)."""
-        return self._append("one_minus", name, (x,))
 
     def softmax(self, x, name=None):
         """Row-wise softmax, stabilised by subtracting the row maximum."""
         return self._append("softmax", name, (x,))
 
     def gather_rows(self, table, ids, name=None):
-        """Select rows of `table` by an integer array of ids (any shape)."""
+        """Select rows of `table` by a (T, B) integer array of ids."""
         return self._append("gather", name, (table, ids))
 
     def concat(self, parts, name=None):
@@ -187,10 +180,6 @@ class Graph:
         probability, so it is safe when the softmax saturates.
         """
         return self._append("xent", name, (logits, targets))
-
-    def sum(self, x, name=None):
-        """Reduce to a scalar."""
-        return self._append("sum", name, (x,))
 
     def masked_mean(self, x, mask, name=None):
         """Scalar mean of a (T, B) array over the positions where `mask` is 1.
@@ -357,33 +346,23 @@ def _sum_steps(fn, steps):
     return total
 
 
-def _over_steps(fn, *arrays):
-    """A parameter gradient from per-step operands: summed over the time
-    axis of 3-D operands by :func:`_sum_steps`, or of one 2-D step."""
-    if arrays[0].ndim < 3:
-        return fn(*arrays)
-    return _sum_steps(lambda t: fn(*(a[t] for a in arrays)), len(arrays[0]))
-
-
 def _matmul(node, a, b):
-    _check_shapes(a.ndim in (2, 3) and b.ndim == 2 and a.shape[-1] == b.shape[0], node, a, b)
+    _check_shapes(a.ndim == 3 and b.ndim == 2 and a.shape[-1] == b.shape[0], node, a, b)
     return _rows(a, b)
 
 
-def _elementwise(fn):
-    def forward(node, a, b):
-        _check_shapes(a.shape == b.shape, node, a, b)
-        return fn(a, b)
-    return forward
+def _mul(node, a, b):
+    _check_shapes(a.shape == b.shape, node, a, b)
+    return a * b
 
 
 def _add_bias(node, x, b):
-    _check_shapes(x.ndim >= 2 and b.ndim == 1 and x.shape[-1] == b.shape[0], node, x, b)
+    _check_shapes(x.ndim == 3 and b.ndim == 1 and x.shape[-1] == b.shape[0], node, x, b)
     return x + b
 
 
 def _gather(node, table, ids):
-    _check_shapes(table.ndim == 2, node, table, ids)
+    _check_shapes(table.ndim == 2 and ids.ndim == 2, node, table, ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise GraphError(f"node {node.name!r} (gather): ids must be integers")
     _check_ids(ids, table.shape[0], node, "row id")
@@ -394,8 +373,6 @@ def _gather_grad(dy, y, table, ids):
     """Step by step from the last, each step's rows added into a block of
     only the rows it touches, then the block into the gradient."""
     g = np.zeros_like(table, dtype=dy.dtype)
-    if ids.ndim < 2:
-        ids, dy = ids[None], dy[None]
     for t in range(len(ids) - 1, -1, -1):
         rows, where = np.unique(ids[t], return_inverse=True)
         block = np.zeros((len(rows), table.shape[1]), dtype=dy.dtype)
@@ -438,7 +415,7 @@ def _concat_grad(dy, y, *parts):
 
 
 def _xent(node, logits, targets):
-    _check_shapes(logits.ndim >= 2 and logits.shape[:-1] == targets.shape, node, logits, targets)
+    _check_shapes(logits.ndim == 3 and logits.shape[:-1] == targets.shape, node, logits, targets)
     _check_ids(targets, logits.shape[-1], node, "target id")
     logits = logits.reshape(-1, logits.shape[-1])
     m = logits.max(axis=1, keepdims=True)
@@ -603,20 +580,17 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
 # lstm/gru backward receives dy as {part: [adjoint terms]}, which the
 # engine collects from the item nodes that pick the parts.
 _OPS = {
-    "matmul": (_matmul, lambda dy, y, a, b: (dy @ b.T, _over_steps(lambda a, d: a.T @ d, a, dy))),
-    "add": (_elementwise(np.add), lambda dy, y, a, b: (dy, dy)),
-    "mul": (_elementwise(np.multiply), lambda dy, y, a, b: (dy * b, dy * a)),
-    "add_bias": (_add_bias, lambda dy, y, x, b: (dy, _over_steps(lambda d: d.sum(axis=0), dy))),
-    "sigmoid": (lambda node, x: _sigmoid(x), lambda dy, y, x: (dy * y * (1.0 - y),)),
+    "matmul": (_matmul, lambda dy, y, a, b: (dy @ b.T,
+                                             _sum_steps(lambda t: a[t].T @ dy[t], len(a)))),
+    "mul": (_mul, lambda dy, y, a, b: (dy * b, dy * a)),
+    "add_bias": (_add_bias,
+                 lambda dy, y, x, b: (dy, _sum_steps(lambda t: dy[t].sum(axis=0), len(dy)))),
     "tanh": (lambda node, x: np.tanh(x), lambda dy, y, x: (dy * (1.0 - y * y),)),
-    "one_minus": (lambda node, x: 1.0 - x, lambda dy, y, x: (-dy,)),
     "softmax": (lambda node, x: _softmax(x),
                 lambda dy, y, x: (y * (dy - (dy * y).sum(axis=-1, keepdims=True)),)),
     "gather": (_gather, _gather_grad),
     "concat": (_concat, _concat_grad),
     "xent": (_xent, _xent_grad),
-    "sum": (lambda node, x: np.asarray(x.sum()),
-            lambda dy, y, x: (np.full(x.shape, dy, dtype=x.dtype),)),
     "masked_mean": (_masked_mean, _masked_mean_grad),
     "lstm": (_lstm, _lstm_grad),
     "gru": (_gru, _gru_grad),

@@ -74,8 +74,8 @@ def _check_schema(path, obj, schema, prefix=""):
             ok = isinstance(value, dict)
         elif isinstance(kind, list):
             ok = isinstance(value, list) and set(map(type, value)) <= set(kind)
-        else:
-            ok = isinstance(value, kind)
+        else:  # exact types: JSON true and false are not ints
+            ok = type(value) is kind
         if not ok:
             raise ModelFormatError(f"{path}: model header field {field!r} has the wrong type")
         if isinstance(kind, dict):

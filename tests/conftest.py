@@ -27,3 +27,10 @@ def toy_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def reference_ops(monkeypatch):
+    """The ops of support.REFERENCE_OPS, which no network builds, in the
+    engine's op table for one test: a support.ReferenceGraph evaluates."""
+    support.register_reference_ops(monkeypatch)

@@ -82,6 +82,52 @@ def stacked_gate_weights(rng, gates, n_in, n, scale):
     return {name: np.stack([gate[k] for gate in drawn]) for k, name in enumerate("WUb")}
 
 
+class ReferenceGraph(cl.Graph):
+    """A graph that can also build the ops of :data:`REFERENCE_OPS`, which
+    no network builds: the gate arithmetic and the scalar sums of the
+    step-by-step reference and of the tests' losses.  Evaluating one needs
+    the ``reference_ops`` fixture, which adds their rules to the engine's
+    op table for one test."""
+
+    def add(self, a, b, name=None):
+        return self._append("add", name, (a, b))
+
+    def sigmoid(self, x, name=None):
+        return self._append("sigmoid", name, (x,))
+
+    def one_minus(self, x, name=None):
+        """Elementwise 1 - x (gate complement)."""
+        return self._append("one_minus", name, (x,))
+
+    def sum(self, x, name=None):
+        """Reduce to a scalar."""
+        return self._append("sum", name, (x,))
+
+
+def _add(node, a, b):
+    cl.graph._check_shapes(a.shape == b.shape, node, a, b)
+    return np.add(a, b)
+
+
+# op -> (forward, backward) of the ReferenceGraph ops, in the form of the
+# engine's op table, with the engine's sigmoid
+REFERENCE_OPS = {
+    "add": (_add, lambda dy, y, a, b: (dy, dy)),
+    "sigmoid": (lambda node, x: cl.graph._sigmoid(x), lambda dy, y, x: (dy * y * (1.0 - y),)),
+    "one_minus": (lambda node, x: 1.0 - x, lambda dy, y, x: (-dy,)),
+    "sum": (lambda node, x: np.asarray(x.sum()),
+            lambda dy, y, x: (np.full(x.shape, dy, dtype=x.dtype),)),
+}
+
+
+def register_reference_ops(monkeypatch):
+    """Add :data:`REFERENCE_OPS` to the engine's op table until `monkeypatch`
+    undoes its changes; neither table may shadow a rule of the other."""
+    assert not set(REFERENCE_OPS) & set(cl.graph._OPS)
+    for op, rule in REFERENCE_OPS.items():
+        monkeypatch.setitem(cl.graph._OPS, op, rule)
+
+
 def graph_fd_error(graph, bindings, params, name, step):
     """finite_difference_check of parameter `name` of a graph with a scalar
     "loss" output, the other parameters held at `params`."""

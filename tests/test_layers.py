@@ -8,6 +8,7 @@ from classlm.graph import Graph, forward_eval
 from classlm.training import dropout_mask
 
 import support
+from support import ReferenceGraph
 
 
 def _projection(g):
@@ -48,10 +49,10 @@ def test_projection_gathers_rows():
     table = np.arange(6.0).reshape(3, 2)
     out = _projection(g)
     g.mark_output(out, "y")
-    ws = forward_eval(g, {"ids": np.array([2, 0])}, {"E": table})
-    np.testing.assert_array_equal(ws.outputs["y"], table[[2, 0]])
-    empty = forward_eval(g, {"ids": np.array([], dtype=np.int64)}, {"E": table})
-    assert empty.outputs["y"].shape == (0, 2)
+    ws = forward_eval(g, {"ids": np.array([[2, 0]])}, {"E": table})
+    np.testing.assert_array_equal(ws.outputs["y"][0], table[[2, 0]])
+    empty = forward_eval(g, {"ids": np.array([[]], dtype=np.int64)}, {"E": table})
+    assert empty.outputs["y"][0].shape == (0, 2)
 
 
 def test_projection_at_figure_scale():
@@ -60,9 +61,9 @@ def test_projection_at_figure_scale():
     table = rng.normal(size=(2000, 500))
     out = _projection(g)
     g.mark_output(out, "y")
-    ws = forward_eval(g, {"ids": np.array([0, 1999])}, {"E": table})
-    assert ws.outputs["y"].shape == (2, 500)
-    np.testing.assert_array_equal(ws.outputs["y"][1], table[1999])
+    ws = forward_eval(g, {"ids": np.array([[0, 1999]])}, {"E": table})
+    assert ws.outputs["y"][0].shape == (2, 500)
+    np.testing.assert_array_equal(ws.outputs["y"][0][1], table[1999])
 
 
 def test_projection_rejects_out_of_range_id():
@@ -70,7 +71,7 @@ def test_projection_rejects_out_of_range_id():
     out = _projection(g)
     g.mark_output(out, "y")
     with pytest.raises(cl.GraphError, match="out of range"):
-        forward_eval(g, {"ids": np.array([5])}, {"E": np.ones((3, 2))})
+        forward_eval(g, {"ids": np.array([[5]])}, {"E": np.ones((3, 2))})
 
 
 def test_lstm_zero_weights_zero_state_gives_zero_output(rng):
@@ -95,9 +96,9 @@ def test_lstm_saturated_gates_carry_cell_state_unchanged(rng):
     np.testing.assert_allclose(ws.outputs["c"][0], c_prev, rtol=0, atol=1e-12)
 
 
-def test_lstm_three_step_chain_matches_finite_differences(rng):
+def test_lstm_three_step_chain_matches_finite_differences(rng, reference_ops):
     n_in, n = 3, 4
-    g = Graph()
+    g = ReferenceGraph()
     params = _lstm_weights(n_in, n, rng, 0.6)
     h = g.item(_recurrent(g, "lstm"), 0)
     g.mark_output(g.sum(g.mul(h, h)), "loss")
@@ -131,9 +132,9 @@ def test_gru_zero_weights_zero_state_gives_zero(rng):
     np.testing.assert_array_equal(ws.outputs["h"], np.zeros((1, 2, 4)))
 
 
-def test_gru_three_step_chain_matches_finite_differences(rng):
+def test_gru_three_step_chain_matches_finite_differences(rng, reference_ops):
     n_in, n = 3, 4
-    g = Graph()
+    g = ReferenceGraph()
     params = _gru_weights(n_in, n, rng, 0.6)
     h = g.item(_recurrent(g, "gru"), 0)
     g.mark_output(g.sum(g.mul(h, h)), "loss")
@@ -169,19 +170,20 @@ def _tanh_layer(g):
     return g.tanh(g.add_bias(g.matmul(g.input("x"), g.parameter("W")), g.parameter("b")))
 
 
-def test_tanh_layer_basics_and_gradient(rng):
+def test_tanh_layer_basics_and_gradient(rng, reference_ops):
     g = Graph()
     g.mark_output(_tanh_layer(g), "y")
-    ws = forward_eval(g, {"x": rng.normal(size=(2, 3))}, {"W": np.zeros((3, 3)), "b": np.zeros(3)})
-    np.testing.assert_array_equal(ws.outputs["y"], np.zeros((2, 3)))
+    ws = forward_eval(g, {"x": rng.normal(size=(2, 3))[None]},
+                      {"W": np.zeros((3, 3)), "b": np.zeros(3)})
+    np.testing.assert_array_equal(ws.outputs["y"][0], np.zeros((2, 3)))
 
-    ws = forward_eval(g, {"x": np.zeros((2, 3))}, {"W": np.eye(3), "b": np.zeros(3)})
-    np.testing.assert_array_equal(ws.outputs["y"], np.zeros((2, 3)))
+    ws = forward_eval(g, {"x": np.zeros((1, 2, 3))}, {"W": np.eye(3), "b": np.zeros(3)})
+    np.testing.assert_array_equal(ws.outputs["y"][0], np.zeros((2, 3)))
 
-    g2 = Graph()
+    g2 = ReferenceGraph()
     params = {"W": rng.normal(size=(3, 4)) * 0.7, "b": rng.normal(size=4)}
     g2.mark_output(g2.sum(_tanh_layer(g2)), "loss")
-    bindings = {"x": rng.normal(size=(2, 3))}
+    bindings = {"x": rng.normal(size=(2, 3))[None]}
     assert support.graph_fd_error(g2, bindings, params, "W", 1e-5) < 1e-4
     assert support.graph_fd_error(g2, bindings, params, "b", 1e-5) < 1e-4
 
@@ -237,15 +239,15 @@ def test_dropout_eval_mode_is_exactly_identity():
     assert sa.total == sb.total and sa.per_token == sb.per_token
 
 
-def test_dropout_train_mode_gradient_with_fixed_mask(rng):
-    g = Graph()
+def test_dropout_train_mode_gradient_with_fixed_mask(rng, reference_ops):
+    g = ReferenceGraph()
     params = {"W": rng.normal(size=(3, 4)) * 0.5}
     x = g.input("x")
     dropped = g.mul(g.matmul(x, g.parameter("W")), g.input("mask"))
     g.mark_output(g.sum(g.mul(dropped, dropped)), "loss")
     bindings = {
-        "x": rng.normal(size=(2, 3)),
-        "mask": dropout_mask(rng, (2, 4), 0.25),
+        "x": rng.normal(size=(2, 3))[None],
+        "mask": dropout_mask(rng, (2, 4), 0.25)[None],
     }
     assert support.graph_fd_error(g, bindings, params, "W", 1e-5) < 1e-4
 

@@ -1,6 +1,7 @@
 """Model-file round trips, canonical bytes, corruption and version gating."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -79,6 +80,20 @@ def test_mistyped_training_metadata_is_rejected(tmp_path, rng, training):
     cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
     support.rewrite_header(path, lambda h: h.__setitem__("training", training))
     with pytest.raises(ModelFormatError, match="^[^\n]*field 'training' has the wrong type$"):
+        cl.load_model(path)
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("format_version", lambda h: h.__setitem__("format_version", True)),
+    ("parameters[0].offset", lambda h: h["parameters"][0].__setitem__("offset", False)),
+], ids=["format_version", "offset"])
+def test_a_json_boolean_in_an_integer_field_is_rejected(tmp_path, rng, field, edit):
+    # JSON true and false decode to Python bools, which are ints to isinstance
+    path = tmp_path / "model.clm"
+    cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(path, edit)
+    with pytest.raises(ModelFormatError,
+                       match=rf"^[^\n]*field '{re.escape(field)}' has the wrong type$"):
         cl.load_model(path)
 
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.graph import _OPS, ROW_BLOCK, Graph, GraphError, forward_eval
+from classlm.graph import _OPS, ROW_BLOCK, GraphError, forward_eval
 from classlm.training import batch_gradients, dropout_mask
 
 import support
+from support import ReferenceGraph
 
 TOY = [["a", "b", "c", "d"]] * 200
 
@@ -188,7 +189,11 @@ def test_divergence_names_batch_and_time_step(caplog):
 # reference: the time-major trainer must give the same loss and the same
 # gradients bit for bit, and a network step the same bits as the old
 # one-position evaluation graph.  The reference keeps one parameter per gate,
-# bound to the gate's block of the network's stacked W, U and b.
+# bound to the gate's block of the network's stacked W, U and b.  It binds
+# each position's values with a leading time axis of 1, the engine's one
+# layout, and builds a support.ReferenceGraph: its add, sigmoid, one_minus
+# and sum nodes, which no network builds, evaluate under the reference_ops
+# fixture, which adds their rules (support.REFERENCE_OPS) to the engine's.
 
 REFERENCE_PARAMS = {
     "lstm": ("W_i", "U_i", "b_i", "W_f", "U_f", "b_f", "W_o", "U_o", "b_o", "W_c", "U_c", "b_c"),
@@ -258,7 +263,7 @@ def _build_position(net, g, state_in, train_mode):
 
 def _reference_step_graph(net):
     """The one-position evaluation graph of the step-by-step reference."""
-    g = Graph()
+    g = ReferenceGraph()
     state = {key: g.input(f"state/{key}") for key in net.initial_state(1)}
     logits, state_out = _build_position(net, g, state, train_mode=False)
     g.mark_output(g.softmax(logits), "class_probs")
@@ -273,9 +278,10 @@ def assert_steps_match_reference(net, inputs):
     state = net.initial_state(len(inputs))
     for t in range(inputs.shape[1]):
         probs, new_state = net.step(state, inputs[:, t])
-        bindings = {f"state/{key}": value for key, value in state.items()}
-        bindings.update(net.token_bindings(inputs[:, t]))
-        expected = forward_eval(graph, bindings, support.file_block_views(net)).outputs
+        bindings = {f"state/{key}": value[None] for key, value in state.items()}
+        bindings.update(net.token_bindings(inputs[None, :, t]))
+        expected = {name: value[0] for name, value in
+                    forward_eval(graph, bindings, support.file_block_views(net)).outputs.items()}
         assert probs.dtype == expected["class_probs"].dtype == net.dtype
         assert np.array_equal(probs, expected["class_probs"])
         for key, value in new_state.items():
@@ -302,7 +308,7 @@ def assert_gradients_match_reference(net, inputs, targets, mask, seed):
         assert np.array_equal(blocks[name], ref), name
 
 
-class _SuffixedGraph(Graph):
+class _SuffixedGraph(ReferenceGraph):
     """A graph whose input names get the suffix of the position being built."""
 
     suffix = ""
@@ -328,16 +334,16 @@ def _unrolled_graph(net, length):
 
 def _unrolled_bindings(net, inputs, targets, mask, rng):
     batch, length = inputs.shape
-    bindings = {f"state0/{key}": value for key, value in net.initial_state(batch).items()}
+    bindings = {f"state0/{key}": value[None] for key, value in net.initial_state(batch).items()}
     for t in range(length):
-        for name, ids in net.token_bindings(inputs[:, t]).items():
+        for name, ids in net.token_bindings(inputs[None, :, t]).items():
             bindings[f"{name}/{t}"] = ids
-        bindings[f"target/{t}"] = net.classes.class_of[targets[:, t]]
-        bindings[f"mask/{t}"] = mask[:, t].astype(net.dtype)
+        bindings[f"target/{t}"] = net.classes.class_of[targets[None, :, t]]
+        bindings[f"mask/{t}"] = mask[None, :, t].astype(net.dtype)
         for spec in net.desc.layers:
             if spec.kind == "dropout" and spec.dropout_rate > 0.0:
                 bindings[f"dropmask/{spec.name}/{t}"] = dropout_mask(
-                    rng, (batch, net.widths[spec.name]), spec.dropout_rate, net.dtype)
+                    rng, (batch, net.widths[spec.name]), spec.dropout_rate, net.dtype)[None]
     bindings["inv_count"] = np.asarray(1.0 / mask.sum(), dtype=net.dtype)
     return bindings
 
@@ -426,7 +432,7 @@ def _ragged_batch(rng, net, length, rows=4):
 
 @pytest.mark.parametrize("arch, precision, length", list(itertools.product(
     ("lstm_dropout", "gru_tanh"), ("double", "single"), (1, 2, 7, 23))))
-def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length):
+def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length, reference_ops):
     arch = {"lstm_dropout": LSTM_DROPOUT_ARCH, "gru_tanh": GRU_TANH_ARCH}[arch]
     rng = np.random.default_rng(length)
     vocab = cl.Vocabulary([f"w{i}" for i in range(9)],
@@ -440,7 +446,8 @@ def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length):
 
 @pytest.mark.parametrize("arch, precision", list(itertools.product(
     STEP_ARCHS, ("double", "single"))))
-def test_network_step_matches_the_one_position_reference_bitwise(arch, precision):
+def test_network_step_matches_the_one_position_reference_bitwise(arch, precision,
+                                                                reference_ops):
     rng = np.random.default_rng(4)
     net = _step_network(arch, precision)
     for rows in (1, 5, 8, 16):
@@ -464,6 +471,16 @@ def test_word_side_products_run_on_the_padded_distinct_words(monkeypatch):
     calls.clear()
     net.step(net.initial_state(13), np.zeros(13, dtype=np.int64))  # no multiple of 8
     assert calls == [(13, False), (13, True), (13, False)]
+
+
+def test_every_engine_op_is_built_by_a_network():
+    # the engine's op table holds the ops that networks build and no other
+    built = set()
+    for arch in STEP_ARCHS:
+        net = _step_network(arch)
+        for g in (net.training_graph(), net.step_graph()):
+            built.update(node.op for node in g.nodes)
+    assert built - {"input", "param"} == set(_OPS)
 
 
 @pytest.mark.parametrize("arch, node", [("tanh_lstm_skip", "'h' (lstm)"),

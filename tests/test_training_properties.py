@@ -7,6 +7,7 @@ import pytest
 
 import classlm as cl
 
+import support
 from test_training import (_ragged_batch, assert_gradients_match_reference,
                            assert_steps_match_reference)
 
@@ -49,5 +50,9 @@ def test_trainer_and_step_match_the_step_by_step_reference_bitwise(arch, precisi
     net = cl.instantiate_network(cl.parse_description(arch), vocab, classes,
                                  seed=int(rng.integers(1 << 30)), precision=precision)
     inputs, targets, mask = _ragged_batch(rng, net, length, rows=batch)
-    assert_gradients_match_reference(net, inputs, targets, mask, seed)
-    assert_steps_match_reference(net, inputs[:, :3])
+    # the reference_ops fixture in the form that hypothesis, which runs many
+    # examples per test call, lets a test use
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        support.register_reference_ops(monkeypatch)
+        assert_gradients_match_reference(net, inputs, targets, mask, seed)
+        assert_steps_match_reference(net, inputs[:, :3])
