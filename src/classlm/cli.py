@@ -21,6 +21,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .architecture import DescriptionError, parse_description, validate_description
 from .classing import identity_classmap, load_class_file, run_exchange, save_class_file
 from .graph import GraphError
@@ -30,12 +32,13 @@ from .optimizers import ALGORITHMS, OptimizerConfig
 from .rescoring import (
     InterpolationParams,
     optimize_interpolation,
+    rank_hypotheses,
     read_nbest_file,
     read_reference_file,
-    rescore_nbest,
+    score_hypotheses,
 )
 from .sampling import sample_text
-from .scoring import perplexity, score_sentences, threads_used
+from .scoring import perplexity, score_arrays, threads_used
 from .training import TrainingConfig, train
 from .vocabulary import build_vocabulary, read_corpus, text_lines
 
@@ -150,18 +153,20 @@ def cmd_score(args):
     network, _ = load_model(args.model)
     policy = _unk_policy(args.unk_penalty)
     sentences = _read_sentences(args.input)
-    results = score_sentences(network, sentences, policy)
-    ppl = perplexity(results)
+    scores = score_arrays(network, sentences, policy)
+    totals, counted = scores.totals.tolist(), scores.counted.tolist()
+    ppl = perplexity(totals, counted)
+    lines = [f"{i}\t{total!r}\t{c}\t{' '.join(tokens)}\n"
+             for i, (tokens, total, c) in enumerate(zip(sentences, totals, counted), start=1)]
     out = _open_output(args.output)
     try:
-        for i, (tokens, res) in enumerate(zip(sentences, results), start=1):
-            out.write(f"{i}\t{res.total!r}\t{res.counted}\t{' '.join(tokens)}\n")
+        out.write("".join(lines))
         out.write(f"ppl\t{ppl!r}\n")
     finally:
         if out is not sys.stdout:
             out.close()
     log.info("scored %d sentences, %d tokens, perplexity %.6f; threads: %d",
-             len(sentences), sum(r.counted for r in results), ppl, threads_used())
+             len(sentences), sum(counted), ppl, threads_used())
     return 0
 
 
@@ -194,15 +199,18 @@ def cmd_rescore(args):
                  params.lam, params.s_nn, params.s_bo, errors)
     else:
         params = InterpolationParams(args.lam, args.s_bo, args.s_nn)
-        nn_scores = None
+        nn_scores = score_hypotheses(by_utterance, network, policy)
 
-    reranked = rescore_nbest(by_utterance, network, params, policy, nn_scores)
+    order, _, _, totals = rank_hypotheses(by_utterance, nn_scores, params)
+    ranked = zip(by_utterance.items(), order.tolist(),
+                 np.take_along_axis(totals, order, axis=-1).tolist())
+    lines = [f"{utt}\t{total!r}\t{' '.join(hyps[i].tokens)}\n"
+             for (utt, hyps), indices, row in ranked
+             for i, total in zip(indices[:len(hyps)], row)]
     out = _open_output(args.output)
     try:
         out.write(f"# lambda={params.lam!r} s_bo={params.s_bo!r} s_nn={params.s_nn!r}\n")
-        for utt in by_utterance:
-            for row in reranked[utt]:
-                out.write(f"{utt}\t{row.total!r}\t{' '.join(row.hypothesis.tokens)}\n")
+        out.write("".join(lines))
     finally:
         if out is not sys.stdout:
             out.close()

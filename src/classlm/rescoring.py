@@ -14,16 +14,24 @@ score, descending, the first of equal totals in first-pass order first.
 Tuning returns the network scores it computed, so reranking with the tuned
 weights scores no hypothesis again and prints the totals the search
 compared.
+
+Everything per hypothesis runs on arrays: the network scores are the
+totals of :func:`~classlm.scoring.score_arrays`, word errors come from one
+integer program over all hypothesis/reference pairs, and
+:func:`rank_hypotheses` returns the ranking as index and score arrays, from
+which the command line writes the reranked file.  :func:`rescore_nbest`
+is the per-hypothesis view of the same ranking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import score_sentences
+from .scoring import score_arrays
 from .vocabulary import text_lines
 
 __all__ = [
@@ -32,6 +40,7 @@ __all__ = [
     "edit_distance",
     "edit_distances",
     "optimize_interpolation",
+    "rank_hypotheses",
     "read_nbest_file",
     "read_reference_file",
     "rescore_nbest",
@@ -139,8 +148,8 @@ def score_hypotheses(by_utterance, network, unk_policy="include"):
     for utt, hyps in by_utterance.items():
         if not hyps:
             raise ValueError(f"utterance {utt!r} has an empty hypothesis list")
-    texts = [list(h.tokens) for hyps in by_utterance.values() for h in hyps]
-    return np.array([res.total for res in score_sentences(network, texts, unk_policy)])
+    texts = [h.tokens for hyps in by_utterance.values() for h in hyps]
+    return score_arrays(network, texts, unk_policy).totals
 
 
 def _score_table(by_utterance, nn_scores):
@@ -157,21 +166,32 @@ def _score_table(by_utterance, nn_scores):
     return table, real
 
 
+def rank_hypotheses(by_utterance, nn_scores, params):
+    """The reranking of every utterance as arrays over the padded
+    (utterance, hypothesis) table.
+
+    Returns ``(order, nn, lm, totals)``: row u of `order` holds utterance
+    u's hypothesis indices best first, its padding cells after them, and
+    the network, combined and total scores are in first-pass order.
+    """
+    (acoustic, backoff, nn), _ = _score_table(by_utterance, nn_scores)
+    lm = params.combine(backoff, nn)
+    totals = acoustic + lm
+    # stable: the first of equal totals first, as the grid search's argmax
+    return np.argsort(-totals, axis=-1, kind="stable"), nn, lm, totals
+
+
 def rescore_nbest(by_utterance, network, params, unk_policy="include", nn_scores=None):
     """Rerank every utterance's hypotheses by acoustic + interpolated LM score.
 
     `nn_scores`, when given, holds log P_nn per hypothesis as returned by
     :func:`score_hypotheses` or :func:`optimize_interpolation`, and the
-    network is not run.
+    network is not run.  Returns one list of :class:`RescoredHypothesis`
+    per utterance, a view of :func:`rank_hypotheses`.
     """
     if nn_scores is None:
         nn_scores = score_hypotheses(by_utterance, network, unk_policy)
-    (acoustic, backoff, nn), _ = _score_table(by_utterance, nn_scores)
-    lm = params.combine(backoff, nn)
-    totals = acoustic + lm
-    # stable: the first of equal totals first, as the grid search's argmax
-    order = np.argsort(-totals, axis=-1, kind="stable").tolist()
-    nn, lm, totals = nn.tolist(), lm.tolist(), totals.tolist()
+    order, nn, lm, totals = (a.tolist() for a in rank_hypotheses(by_utterance, nn_scores, params))
     return {utt: [RescoredHypothesis(hyps[i], nn[u][i], lm[u][i], totals[u][i])
                   for i in order[u][:len(hyps)]]
             for u, (utt, hyps) in enumerate(by_utterance.items())}
@@ -185,33 +205,57 @@ def edit_distance(hyp, ref):
 def edit_distances(hyps, refs):
     """Levenshtein distance of each ``hyps[i]`` to ``refs[i]``, as an int array.
 
-    One dynamic program over all pairs at once: row i of the table holds the
-    distances from the first i words of every hypothesis to each prefix of
-    its (padded) reference, and a hypothesis that has run out keeps its row.
-    Padding sits right of a reference's end, where it cannot reach the
-    distances at or left of the end.
-    """
-    seqs = [*hyps, *refs]
-    words = [w for seq in seqs for w in seq]
-    code = {w: i for i, w in enumerate(dict.fromkeys(words))}
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-    ids = np.full((len(seqs), lengths.max(initial=0)), -1)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = [code[w] for w in words]
-    hyp_ids, ref_ids = ids[:len(hyps)], ids[len(hyps):]
-    hyp_len, ref_len = lengths[:len(hyps)], lengths[len(hyps):]
+    Words are coded as small integers, each distinct reference object once:
+    the reference that every hypothesis of an utterance is paired with is
+    one column of the reference table.  A word that no reference holds
+    matches no reference word, so all such words share one code.
 
-    j = np.arange(ids.shape[1] + 1)
-    row = np.tile(j, (len(hyps), 1))
-    for i in range(hyp_len.max(initial=0)):
+    One dynamic program runs over all pairs at once, on cells of the
+    narrowest integer type that holds them: row i of the table holds the
+    distances from the first i words of every hypothesis to each prefix of
+    its (padded) reference, and a pair's distance is read at the row where
+    its hypothesis ends.  Padding sits right of a reference's end, where it
+    cannot reach the distances at or left of the end.
+    """
+    distinct = {id(ref): ref for ref in refs}  # in order of first occurrence
+    column = dict(zip(distinct, range(len(distinct))))
+    which = np.fromiter(map(column.__getitem__, map(id, refs)), dtype=np.int64, count=len(refs))
+    code = {w: i for i, w in enumerate(dict.fromkeys(
+        w for ref in distinct.values() for w in ref))}
+    other = len(code)  # the code of every other word, and of the padding
+    seqs = [*hyps, *distinct.values()]
+    words = [w for seq in seqs for w in seq]
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    width = int(lengths.max(initial=0))
+    # position-major: one column per sequence
+    ids = np.full((width, len(seqs)), other, dtype=np.min_scalar_type(other))
+    ids.T[np.arange(width) < lengths[:, None]] = np.fromiter(
+        map(code.get, words, itertools.repeat(other, len(words))), dtype=ids.dtype,
+        count=len(words))
+    hyp_ids, ref_ids = ids[:, :len(hyps)], ids[:, len(hyps):][:, which]
+    hyp_len, ref_len = lengths[:len(hyps)], lengths[len(hyps):][which]
+
+    pairs = np.arange(len(hyps))
+    distances = ref_len.copy()  # those of the empty hypotheses
+    # every cell and intermediate is at most 2 * width + 1
+    row = np.repeat(np.arange(width + 1, dtype=np.min_scalar_type(2 * width + 1))[:, None],
+                    len(hyps), axis=1)
+    for i in range(int(hyp_len.max(initial=0))):
         cur = np.empty_like(row)
-        cur[:, 0] = i + 1
+        cur[0] = i + 1
         # from the row above: a deletion (same column) or a substitution or
         # match (one column left)
-        np.minimum(row[:, 1:] + 1, row[:, :-1] + (hyp_ids[:, i:i + 1] != ref_ids), out=cur[:, 1:])
-        # insertions: cur[j] = min over k <= j of cur[k] + (j - k)
-        cur = np.minimum.accumulate(cur - j, axis=1) + j
-        row = np.where((i < hyp_len)[:, None], cur, row)
-    return row[np.arange(len(row)), ref_len]
+        np.minimum(row[1:] + 1, row[:-1] + (hyp_ids[i] != ref_ids), out=cur[1:])
+        # insertions: cur[j] = min over k <= j of cur[k] + (j - k), as a
+        # prefix scan over shifts 1, 2, 4, ...
+        shift = 1
+        while shift <= width:
+            np.minimum(cur[shift:], cur[:-shift] + shift, out=cur[shift:])
+            shift *= 2
+        row = cur
+        done = pairs[hyp_len == i + 1]
+        distances[done] = row[ref_len[done], done]
+    return distances
 
 
 def optimize_interpolation(

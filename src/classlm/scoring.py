@@ -10,6 +10,19 @@ Unknown-word handling follows `unk_policy`: with ``"include"`` the unknown
 token is scored like any word; with ``"exclude"`` positions whose target is
 ``<unk>`` contribute neither to the total nor to the token count, although
 the history still advances through them.
+
+:func:`score_arrays` is the one scoring core.  It frames every sentence in
+one pass over the tokens into a padded (sentence, position) id matrix,
+walks the sentences' prefix trie one network step per level, and returns
+the totals, the counted-token numbers and the per-position
+log-probabilities as arrays (:class:`ScoreArrays`).  Perplexity and every
+caller in the package read those arrays; only :func:`score_sentences`, the
+per-sentence view, builds a `per_token` list for each sentence.
+
+:func:`step_rows` runs each level.  A level that runs as one part returns
+that part's arrays; a level split across steps or threads is written part
+by part, on the thread that ran each part, into arrays allocated once by
+the calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +37,15 @@ import numpy as np
 
 from .graph import ROW_BLOCK
 
-__all__ = ["ScoreResult", "corpus_perplexity", "perplexity", "score_sentence", "score_sentences"]
+__all__ = [
+    "ScoreArrays",
+    "ScoreResult",
+    "corpus_perplexity",
+    "perplexity",
+    "score_arrays",
+    "score_sentence",
+    "score_sentences",
+]
 
 UNK_POLICIES = ("include", "exclude")
 
@@ -106,27 +127,44 @@ def _step(network, state, rows, word_ids):
     return network.step({key: value[rows] for key, value in state.items()}, word_ids)
 
 
-def _step_parts(network, state, rows, word_ids, cpus):
-    """One step over `rows` (a multiple of ``ROW_BLOCK``), cut into up to
-    `cpus` parts of at least ``PART_ROWS`` rows on block boundaries.  One
-    part runs on this thread; two or more run on the pinned workers while
-    this thread waits, since this thread may share a CPU with a worker.
-    Returns each part's ``(probs, state)`` in row order."""
-    blocks = len(rows) // ROW_BLOCK
-    parts = max(1, min(cpus, len(rows) // PART_ROWS))
-    if parts == 1:
-        return [_step(network, state, rows, word_ids)]
+def _step_into(result, lo, network, state, rows, word_ids):
+    """One part of a step, written into rows ``lo ...`` of `result`."""
+    probs, new = _step(network, state, rows, word_ids)
+    hi = lo + len(rows)
+    result[0][lo:hi] = probs
+    for key, value in new.items():
+        result[1][key][lo:hi] = value
+
+
+def _part_bounds(rows, cpus):
+    """Bounds of the parts of a step of `rows` rows (a multiple of
+    ``ROW_BLOCK``): up to `cpus` contiguous parts of at least ``PART_ROWS``
+    rows, on block boundaries."""
+    blocks = rows // ROW_BLOCK
+    parts = max(1, min(cpus, rows // PART_ROWS))
+    return [ROW_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
+
+
+def _step_parts(network, state, rows, word_ids, result, bounds, cpus):
+    """One step over the parts ``rows[bounds[i]:bounds[i + 1]]``, each
+    written into its rows of `result`.  One part runs on this thread; two
+    or more run on the pinned workers while this thread waits, since this
+    thread may share a CPU with a worker."""
+    parts = [(lo, network, state, rows[lo:hi], word_ids[lo:hi])
+             for lo, hi in zip(bounds, bounds[1:])]
+    if len(parts) == 1:
+        _step_into(result, *parts[0])
+        return
     global _pool, _most_threads
     with _pool_lock:
         if _pool is None:
             _pool = _pinned_pool(cpus)
-        _most_threads = max(_most_threads, parts)
+        _most_threads = max(_most_threads, len(parts))
     network.step_graph()  # built here, so two threads never race to build it
-    bounds = [ROW_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
-    futures = [_pool.submit(_step, network, state, rows[lo:hi], word_ids[lo:hi])
-               for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_pool.submit(_step_into, result, *part) for part in parts]
     wait(futures)  # no part outlives the call, failed or not
-    return [future.result() for future in futures]
+    for future in futures:
+        future.result()
 
 
 def step_rows(network, state, rows, word_ids):
@@ -143,21 +181,73 @@ def step_rows(network, state, rows, word_ids):
     at most, each on a worker thread pinned to its own CPU.  Row blocks make
     the parts' results the bits of one serial step.  A part that raises
     does so here, after every other part has ended.
+
+    A level that runs as one part returns views of that part's arrays.  For
+    any other level this thread allocates the result, and every part writes
+    its rows into it on the thread that ran it.
     """
     n = len(rows)
     pad = -n % ROW_BLOCK
     rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
     word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
     cpus = cpu_count()
-    steps = [step for lo in range(0, len(rows), MAX_STEP_ROWS)
-             for step in _step_parts(network, state, rows[lo:lo + MAX_STEP_ROWS],
-                                     word_ids[lo:lo + MAX_STEP_ROWS], cpus)]
-    probs = np.concatenate([p for p, _ in steps])[:n]
-    return probs, {key: np.concatenate([s[key] for _, s in steps])[:n] for key in state}
+    steps = [[lo + b for b in _part_bounds(min(MAX_STEP_ROWS, len(rows) - lo), cpus)]
+             for lo in range(0, len(rows), MAX_STEP_ROWS)]
+    if len(steps) == 1 and len(steps[0]) == 2:
+        probs, new = _step(network, state, rows, word_ids)
+        return probs[:n], {key: value[:n] for key, value in new.items()}
+    # a step's values have the type of its parameters and input state together
+    dtype = np.result_type(network.dtype, *state.values())
+    result = (np.empty((len(rows), network.classes.num_classes), dtype),
+              {key: np.empty((len(rows), *value.shape[1:]), dtype)
+               for key, value in state.items()})
+    for bounds in steps:
+        _step_parts(network, state, rows, word_ids, result, bounds, cpus)
+    return result[0][:n], {key: value[:n] for key, value in result[1].items()}
 
 
-def score_sentences(network, sentences, unk_policy="include"):
-    """Score a batch of token sequences; returns one ScoreResult per sentence.
+@dataclass
+class ScoreArrays:
+    """Scores of N sentences as arrays; row i is sentence i.
+
+    `logp[i, t]` is the log-probability of the token predicted at position
+    t (w1 ... wn </s>), for t < `predicted[i]`; `included[i, t]` marks the
+    positions counted under the unknown-word policy.  `totals[i]` sums
+    sentence i's included positions one at a time in position order, and
+    `counted[i]` is their number.
+    """
+
+    totals: np.ndarray
+    counted: np.ndarray
+    logp: np.ndarray
+    included: np.ndarray
+    predicted: np.ndarray
+
+
+def _frame(vocab, sentences):
+    """Every sentence framed as ``<s> w1 ... wn </s>`` in one padded (N, T)
+    id matrix, one vocabulary lookup per token; returns it with each
+    sentence's word count."""
+    tokens, words = [], []
+    for sentence in sentences:
+        before = len(tokens)
+        tokens.extend(sentence)
+        if len(tokens) == before:
+            raise ValueError("cannot score an empty sentence")
+        words.append(len(tokens) - before)
+    words = np.array(words, dtype=np.int64)
+    ids = np.zeros((len(words), words.max(initial=0) + 2), dtype=np.int64)
+    ids[:, 0] = vocab.start_id
+    columns = np.arange(ids.shape[1])
+    ids[(columns >= 1) & (columns <= words[:, None])] = np.fromiter(
+        map(vocab.ids.get, tokens, itertools.repeat(vocab.unk_id, len(tokens))),
+        dtype=np.int64, count=len(tokens))
+    ids[np.arange(len(words)), words + 1] = vocab.end_id
+    return ids, words
+
+
+def score_arrays(network, sentences, unk_policy="include"):
+    """Score a batch of token sequences as arrays; see :class:`ScoreArrays`.
 
     The batch is walked as one prefix trie, level by level: level t holds
     the distinct prefixes ``<s> w1 ... wt`` of the sentences that still
@@ -169,34 +259,23 @@ def score_sentences(network, sentences, unk_policy="include"):
     bitwise the same whatever it is batched with, alone included.
     """
     _check_policy(unk_policy)
-    framed = []
-    for tokens in sentences:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("cannot score an empty sentence")
-        framed.append(network.vocab.frame(tokens))
-    if not framed:
-        return []
-
-    lengths = np.array([len(f) for f in framed])
-    ids = np.zeros((len(framed), lengths.max()), dtype=np.int64)
-    for row, f in zip(ids, framed):
-        row[:len(f)] = f
+    ids, words = _frame(network.vocab, sentences)
+    predicted = words + 1  # positions, </s> included
     targets = ids[:, 1:]
-    # counted[i, t]: position t of sentence i is predicted and included
-    counted = np.arange(targets.shape[1]) < (lengths - 1)[:, None]
+    # included[i, t]: position t of sentence i is predicted and counted
+    included = np.arange(targets.shape[1]) < predicted[:, None]
     if unk_policy == "exclude":
-        counted &= targets != network.vocab.unk_id
+        included &= targets != network.vocab.unk_id
 
     class_of = network.classes.class_of
     log_membership = network.classes.log_membership
     logp = np.zeros(targets.shape)
-    totals = np.zeros(len(framed))
-    node = np.zeros(len(framed), dtype=np.int64)  # each sentence's node at level t
+    totals = np.zeros(len(ids))
+    node = np.zeros(len(ids), dtype=np.int64)  # each sentence's node at level t
     parents = 1  # nodes at the level before
     state = network.initial_state(1)
-    for t in range(targets.shape[1]):
-        active = np.flatnonzero(lengths > t + 1)
+    for t in range(predicted.max(initial=0)):
+        active = np.flatnonzero(predicted > t)
         # word-major: the contiguous parts of a split step share one word at most
         codes, node[active] = np.unique(ids[active, t] * parents + node[active],
                                         return_inverse=True)
@@ -206,12 +285,22 @@ def score_sentences(network, sentences, unk_policy="include"):
         with np.errstate(divide="ignore"):
             logp[active, t] = np.log(probs[node[active], class_of[level]]) + log_membership[level]
         # one position per level: the running sum one-at-a-time scoring forms
-        np.add(totals, logp[:, t], out=totals, where=counted[:, t])
+        np.add(totals, logp[:, t], out=totals, where=included[:, t])
+    return ScoreArrays(totals, included.sum(axis=1), logp, included, predicted)
 
-    values = logp.astype(object)
-    values[~counted] = None
-    return [ScoreResult(float(total), row[:n - 1].tolist(), int(c))
-            for total, row, n, c in zip(totals, values, lengths, counted.sum(axis=1))]
+
+def score_sentences(network, sentences, unk_policy="include"):
+    """Score a batch of token sequences; returns one ScoreResult per sentence.
+
+    A view of :func:`score_arrays`, and the only place that builds the
+    `per_token` lists.
+    """
+    scores = score_arrays(network, sentences, unk_policy)
+    values = scores.logp.astype(object)
+    values[~scores.included] = None
+    return [ScoreResult(total, row[:n].tolist(), c)
+            for total, row, n, c in zip(scores.totals.tolist(), values,
+                                        scores.predicted.tolist(), scores.counted.tolist())]
 
 
 def score_sentence(network, tokens, unk_policy="include"):
@@ -219,11 +308,17 @@ def score_sentence(network, tokens, unk_policy="include"):
     return score_sentences(network, [tokens], unk_policy)[0]
 
 
-def perplexity(results):
-    """Perplexity of scored sentences: exp of the average negative
-    log-probability per counted token."""
-    total = sum(r.total for r in results)
-    counted = sum(r.counted for r in results)
+def perplexity(totals, counted):
+    """Perplexity of scored sentences from their totals and counted tokens:
+    exp of the average negative log-probability per counted token.
+
+    The totals are summed one at a time in order, so the result does not
+    depend on how the Python version sums floats (``sum`` compensates its
+    rounding from Python 3.12 on)."""
+    total = 0.0
+    for value in totals:
+        total += value
+    counted = int(np.sum(counted))
     if counted == 0:
         raise ValueError("no counted tokens; cannot compute perplexity")
     with np.errstate(over="ignore"):
@@ -236,4 +331,5 @@ def corpus_perplexity(network, sentences, unk_policy="include"):
     Counted tokens include the sentence-end token of every sentence, never
     the start token, and respect `unk_policy`.
     """
-    return perplexity(score_sentences(network, sentences, unk_policy))
+    scores = score_arrays(network, sentences, unk_policy)
+    return perplexity(scores.totals.tolist(), scores.counted)

@@ -435,13 +435,13 @@ def _tune(toy_files, tmp_path, out):
 
 def test_rescore_tune_scores_each_hypothesis_once(toy_files, tmp_path, monkeypatch):
     calls = []
-    score_sentences = cl.rescoring.score_sentences
+    score_arrays = cl.rescoring.score_arrays
 
     def counting(network, sentences, unk_policy="include"):
         calls.append([" ".join(s) for s in sentences])
-        return score_sentences(network, sentences, unk_policy)
+        return score_arrays(network, sentences, unk_policy)
 
-    monkeypatch.setattr(cl.rescoring, "score_sentences", counting)
+    monkeypatch.setattr(cl.rescoring, "score_arrays", counting)
     _tune(toy_files, tmp_path, tmp_path / "tuned.txt")
     hypotheses = [line.split(" ", 3)[3] for line in (tmp_path / "nbest.txt").read_text().splitlines()]
     assert calls == [hypotheses]

@@ -114,6 +114,47 @@ def test_edit_distances_equal_the_loop(rng):
     assert [edit_distance(h, r) for h, r in pairs] == batched.tolist()
 
 
+def _random_words(rng, low, high):
+    return [f"w{i}" for i in rng.integers(0, 4, size=rng.integers(low, high))]
+
+
+def test_edit_distances_with_one_shared_reference_equal_the_loop(rng):
+    # every hypothesis paired with the same reference object, as in tuning
+    for ref in ([], ["a"], _random_words(rng, 1, 12), tuple(_random_words(rng, 5, 20))):
+        hyps = [_random_words(rng, 0, 15) for _ in range(40)] + [[], list(ref)]
+        refs = [ref] * len(hyps)
+        assert edit_distances(hyps, refs).tolist() == [_loop_edit_distance(h, ref) for h in hyps]
+
+
+def test_edit_distances_with_distinct_references_equal_the_loop(rng):
+    # equal references as distinct objects, and distinct ones
+    hyps = [_random_words(rng, 0, 10) for _ in range(60)]
+    refs = [list(h) if i % 3 == 0 else _random_words(rng, 0, 10) for i, h in enumerate(hyps)]
+    refs[1] = list(refs[2])
+    assert edit_distances(hyps, refs).tolist() == [_loop_edit_distance(h, r)
+                                                   for h, r in zip(hyps, refs)]
+
+
+def test_edit_distances_of_empty_hypotheses_are_the_reference_lengths(rng):
+    refs = [_random_words(rng, 0, 30) for _ in range(20)]
+    shared = refs[0]
+    refs += [shared] * 5
+    hyps = [[] for _ in refs]
+    distances = edit_distances(hyps, refs)
+    assert distances.tolist() == [len(r) for r in refs] == [_loop_edit_distance([], r)
+                                                            for r in refs]
+    assert distances.dtype == np.int64
+    assert edit_distances([], []).tolist() == []
+
+
+def test_edit_distances_of_long_sequences_equal_the_loop(rng):
+    # sequences too long for the narrowest integer cells
+    hyps = [_random_words(rng, 100, 200) for _ in range(3)]
+    refs = [_random_words(rng, 0, 250), hyps[1][::-1], []]
+    assert edit_distances(hyps, refs).tolist() == [_loop_edit_distance(h, r)
+                                                   for h, r in zip(hyps, refs)]
+
+
 def test_single_point_grid_is_returned(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     w = net.vocab.words
@@ -195,9 +236,11 @@ def test_tuning_requires_references(rng):
         cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [0.0], [1.0, np.inf])
 
 
-class _FixedScore:
-    def __init__(self, total):
-        self.total = total
+class _FixedScores:
+    """Stands in for the scores of the texts given to `score_arrays`."""
+
+    def __init__(self, totals):
+        self.totals = np.array(totals, dtype=float)
 
 
 def _brute_force_tuning(by_utterance, references, nn_scores, s_bo, lambda_grid, snn_grid):
@@ -241,8 +284,8 @@ def test_vectorised_grid_equals_nested_loop(seed, coarse, monkeypatch):
         references[utt] = tuple(rng.choice(words, size=int(rng.integers(1, 5))))
         nn_scores[utt] = [float(rng.choice(values)) for _ in hyps]
     flat = iter([nn for scores in nn_scores.values() for nn in scores])
-    monkeypatch.setattr(cl.rescoring, "score_sentences",
-                        lambda net, texts, policy: [_FixedScore(next(flat)) for _ in texts])
+    monkeypatch.setattr(cl.rescoring, "score_arrays",
+                        lambda net, texts, policy: _FixedScores([next(flat) for _ in texts]))
     s_bo = float(rng.choice([0.5, 1.0, 3.0]))
     lambda_grid = [0.0, 0.25, 0.5, 0.75, 1.0, 0.5]
     snn_grid = [2.0, 0.5, 1.0, 3.0]
@@ -271,8 +314,8 @@ def test_grid_ties_follow_the_rounding_of_combine(monkeypatch):
         by_utterance[utt] = [_hyp(utt, ac_a, bo_a, "a x"), _hyp(utt, ac_b, bo_b, "a b")]
         nn_scores[utt] = [nn_a, nn_b]
     flat = iter([nn for scores in nn_scores.values() for nn in scores])
-    monkeypatch.setattr(cl.rescoring, "score_sentences",
-                        lambda net, texts, policy: [_FixedScore(next(flat)) for _ in texts])
+    monkeypatch.setattr(cl.rescoring, "score_arrays",
+                        lambda net, texts, policy: _FixedScores([next(flat) for _ in texts]))
     refs = {utt: ("a", "b") for utt in by_utterance}
     _, errors, _ = cl.optimize_interpolation(by_utterance, refs, None, 1.3, [0.3], [0.7])
     assert errors == len(by_utterance)  # every tie goes to the first hypothesis
@@ -329,8 +372,8 @@ def test_tuning_with_minus_inf_network_scores(monkeypatch):
             "u2": [_hyp("u2", 0.0, -9.0, "x y"), _hyp("u2", 0.0, -1.0, "a b")]}
     refs = {"u1": ("a", "d", "c"), "u2": ("a", "b")}
     nn = [-np.inf, -2.0, -np.inf, -1.0]
-    monkeypatch.setattr(cl.rescoring, "score_sentences",
-                        lambda net, texts, policy: [_FixedScore(v) for v in nn])
+    monkeypatch.setattr(cl.rescoring, "score_arrays",
+                        lambda net, texts, policy: _FixedScores(nn))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for grid, lam in (([0.0], 0.0), ([0.5], 0.5), ([0.0, 0.5], 0.0)):

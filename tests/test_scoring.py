@@ -220,6 +220,23 @@ def test_every_split_of_a_step_gives_the_bits_of_one_part(rng, monkeypatch):
         assert len(bits) == 1, n
 
 
+def test_a_split_step_in_single_precision_keeps_the_type_and_bits_of_one_part(
+        rng, monkeypatch):
+    # the parts write into arrays allocated before they run
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5, precision="single")
+    state = {key: rng.uniform(-1, 1, (40, value.shape[1])).astype(np.float32)
+             for key, value in net.initial_state(1).items()}
+    rows, ids = rng.integers(0, 40, 45), rng.integers(0, len(net.vocab), 45)
+    runs = []
+    for cpus in (1, 3):
+        _split_steps(monkeypatch, cpus)
+        probs, new = cl.scoring.step_rows(net, state, rows, ids)
+        runs.append([(a.dtype, a.shape, a.tobytes()) for a in (probs, *new.values())])
+    assert runs[0] == runs[1]
+    assert {dtype for dtype, _, _ in runs[0]} == {np.dtype(np.float32)}
+    assert runs[0][0][1] == (45, net.classes.num_classes)
+
+
 def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
@@ -429,3 +446,72 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
     assert all(n % cl.graph.ROW_BLOCK == 0 for n in sizes) and min(sizes) < max_rows // 2
     for a, b in zip(whole, split):
         assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+
+
+def _zero_membership_network(rng):
+    """A random class model in which one word of a two-word class has
+    membership 0, so that predicting it scores -inf; returns it and the word."""
+    net = support.random_class_network(rng, vocab_size=10, num_classes=3)
+    class_of = net.classes.class_of
+    word = next(w for w in range(3, len(class_of)) if (class_of == class_of[w]).sum() > 1)
+    membership = net.classes.membership.copy()
+    mates = (class_of == class_of[word]) & (np.arange(len(class_of)) != word)
+    membership[mates] += membership[word] / mates.sum()
+    membership[word] = 0.0
+    classes = cl.ClassMap(class_of, membership, net.classes.num_classes)
+    return cl.Network(net.desc, net.vocab, classes, net.params), net.vocab.words[word]
+
+
+@pytest.mark.parametrize("unk_policy", ["include", "exclude"])
+def test_score_arrays_equal_score_sentences_bitwise(rng, unk_policy):
+    net, zero = _zero_membership_network(rng)
+    words = [*net.vocab.words[3:], "OOV", "qq"]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 8))]
+                 for _ in range(30)]
+    sentences += [[zero], [words[0], zero, "OOV"], ["OOV"], ["OOV", "qq", words[1]]]
+    results = cl.score_sentences(net, sentences, unk_policy)
+    assert any(r.total == -np.inf for r in results)
+    # sentences as tuples and as generators, in a generator
+    given = (tuple(s) if i % 2 else (t for t in s) for i, s in enumerate(sentences))
+    scores = cl.scoring.score_arrays(net, given, unk_policy)
+    assert len(scores.totals) == len(sentences)
+    for i, (sentence, res) in enumerate(zip(sentences, results)):
+        n = len(sentence) + 1
+        assert scores.predicted[i] == n
+        assert scores.totals[i].tobytes() == np.float64(res.total).tobytes()
+        assert scores.counted[i] == res.counted
+        assert scores.included[i, :n].tolist() == [v is not None for v in res.per_token]
+        assert not scores.included[i, n:].any()
+        kept = [v for v in res.per_token if v is not None]
+        assert scores.logp[i, :n][scores.included[i, :n]].tobytes() == np.array(kept).tobytes()
+        single = cl.score_sentence(net, sentence, unk_policy)
+        assert np.float64(single.total).tobytes() == np.float64(res.total).tobytes()
+    assert cl.corpus_perplexity(net, sentences, unk_policy) == cl.scoring.perplexity(
+        [r.total for r in results], [r.counted for r in results])
+
+
+def test_empty_sentence_keeps_its_message_wherever_it_stands(rng):
+    net = support.random_class_network(rng, vocab_size=5, num_classes=2)
+    w = net.vocab.words[3]
+    for batch in ([[]], [[w], [], [w]], [[w], (t for t in [])], [[w], ()]):
+        for score in (cl.score_sentences, cl.scoring.score_arrays):
+            with pytest.raises(ValueError) as raised:
+                score(net, batch)
+            assert str(raised.value) == "cannot score an empty sentence"
+
+
+def test_no_sentences_score_as_empty_arrays(rng):
+    net = support.random_class_network(rng, vocab_size=5, num_classes=2)
+    assert cl.score_sentences(net, []) == []
+    scores = cl.scoring.score_arrays(net, iter([]))
+    assert scores.totals.shape == scores.counted.shape == scores.predicted.shape == (0,)
+    with pytest.raises(ValueError, match="no counted tokens"):
+        cl.corpus_perplexity(net, [])
+
+
+def test_perplexity_sums_totals_left_to_right():
+    # left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is 0.0; a
+    # compensated sum (Python's sum() from 3.12 on) gives 1.0
+    assert cl.scoring.perplexity([1e16, 1.0, -1e16], [1, 1, 1]) == 1.0
+    assert cl.scoring.perplexity(np.array([1e16, 1.0, -1e16]), np.array([1, 1, 1])) == 1.0
+    assert cl.scoring.perplexity([-1.5, -2.5], [2, 2]) == np.exp(1.0)

@@ -18,7 +18,8 @@ weights, with ``--lambda 0`` and with ``--tune --refs``, scores 300
 sentences whose widest prefix-trie levels hold 160 rows or more (steps
 that run in parts on several threads where the process may use several
 CPUs), and samples from each of the six architecture models twice: 15
-sentences of at most 20 tokens, and 37 of at most 70.  It prints one
+sentences of at most 20 tokens, and 37 of at most 70.  Last, it tunes
+each of the six models again with ``--unk-penalty 0``.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -193,6 +194,13 @@ def produce(out):
             run(["sample", *m, "--count", str(count), "--max-tokens", str(max_tokens), "--seed",
                  str(seed)], stdout_path=p(f"{stem}.{name}"))
             outputs.append(f"{stem}.{name}")
+    # after every other output, so that adding them changed no line above:
+    # tuning on totals that exclude the unknown words
+    for model in models:
+        stem = model[: -len(".clm")]
+        run(["rescore", "--model", p(model), "--nbest", p("nbest.txt"), "--tune", "--refs",
+             p("refs.txt"), "--unk-penalty", "0", "--output", p(f"{stem}.rescore-tuned-unk0")])
+        outputs.append(f"{stem}.rescore-tuned-unk0")
     return outputs
 
 
