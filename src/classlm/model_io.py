@@ -38,13 +38,14 @@ from .architecture import (
 )
 from .classing import ClassMap
 from .network import Network, file_blocks, parameter_shapes
-from .vocabulary import RESERVED, Vocabulary
+from .vocabulary import Vocabulary
 
 __all__ = ["FORMAT_VERSION", "ModelFormatError", "load_model", "save_model"]
 
 MAGIC = b"CLMF"
 FORMAT_VERSION = 1
 _ALIGN = 16
+_PIECE_BYTES = 1 << 18  # a load reads and checks each block in cache-sized pieces
 
 
 class ModelFormatError(Exception):
@@ -197,9 +198,18 @@ def load_model(path):
     """Read a model file; returns ``(network, training_metadata)``, in which
     a perplexity that was not finite reads None.
 
+    A load decodes the JSON header once and builds the vocabulary straight
+    from its stored tables.  It reads each payload byte once, straight into
+    its slice of the parameter arrays, in pieces of ``_PIECE_BYTES``; each
+    piece is checked for finiteness while it is still in cache.  At its
+    peak it holds about one copy of the parameters, and never a buffer of
+    the whole payload.
+
     Raises :class:`ModelFormatError` on unknown versions, headers with a
     missing or mistyped field or a vocabulary table whose length differs
-    from the vocabulary, training metadata whose perplexities are neither
+    from the vocabulary, a word table that does not start with the
+    reserved tokens, repeats a word (the reserved tokens included) or holds
+    a negative count, training metadata whose perplexities are neither
     numbers nor null, an architecture that does not parse or validate
     (naming its first violation), truncated payloads (naming the first
     incomplete parameter), parameter blocks at a negative offset or
@@ -253,8 +263,6 @@ def _check_header(path, header):
         raise ModelFormatError(f"{path}: unknown precision {precision!r}")
 
     words = header["vocabulary"]["words"]
-    if tuple(words[: len(RESERVED)]) != RESERVED:
-        raise ModelFormatError(f"{path}: vocabulary does not start with the reserved tokens")
     counts = header["vocabulary"]["counts"]
     cls = header["classes"]
     for field, values in (("vocabulary.counts", counts), ("classes.class_of", cls["class_of"]),
@@ -266,7 +274,7 @@ def _check_header(path, header):
         raise ModelFormatError(f"{path}: model header field 'classes.num_classes' is"
                                f" {cls['num_classes']}, more than {len(words)} vocabulary words")
     try:
-        vocab = Vocabulary(words[len(RESERVED):], dict(zip(words, counts)))
+        vocab = Vocabulary.from_table(words, counts)
         classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])
     except ValueError as err:
         raise ModelFormatError(f"{path}: {err}")
@@ -291,24 +299,29 @@ def _check_header(path, header):
 
 def _read_params(path, f, header, desc, shapes, payload_start, size):
     """Every block read straight into its part of its parameter's array,
-    after the block shapes and offsets are checked."""
+    after the block shapes and offsets are checked, one piece of
+    ``_PIECE_BYTES`` at a time; each piece is checked for finiteness right
+    after its read, while it is still in cache."""
     index = header["parameters"]
     dtype = _payload_dtype(header["precision"])
     blocks = file_blocks(desc, shapes)
     block_shapes = {block: shapes[name][len(part):] for block, name, part in blocks}
     _check_blocks(path, index, block_shapes, dtype.itemsize, max(0, size - payload_start))
     params = {name: np.empty(shape, dtype=dtype) for name, shape in shapes.items()}
-    for entry, (block, name, part) in zip(index, blocks):
-        value = params[name][part]
-        f.seek(payload_start + entry["offset"])
-        if f.readinto(memoryview(value).cast("B")) != entry["nbytes"]:
-            raise ModelFormatError(f"{path}: payload truncated; parameter {block!r} incomplete")
-        # a finite sum means finite elements; a sum that overflows from
-        # finite elements is rechecked element by element
-        with np.errstate(over="ignore"):
-            finite = math.isfinite(value.sum())
-        if not finite and not np.isfinite(value).all():
-            raise ModelFormatError(f"{path}: parameter {block!r} has non-finite values")
+    step = _PIECE_BYTES // dtype.itemsize
+    with np.errstate(over="ignore"):
+        for entry, (block, name, part) in zip(index, blocks):
+            value = params[name][part].reshape(-1)  # a view: blocks are contiguous
+            f.seek(payload_start + entry["offset"])
+            for start in range(0, value.size, step):
+                piece = value[start:start + step]
+                if f.readinto(memoryview(piece).cast("B")) != piece.nbytes:
+                    raise ModelFormatError(
+                        f"{path}: payload truncated; parameter {block!r} incomplete")
+                # checked while cached: a finite sum means finite elements, and a
+                # sum that overflows from finite elements is rechecked one by one
+                if not math.isfinite(piece.sum()) and not np.isfinite(piece).all():
+                    raise ModelFormatError(f"{path}: parameter {block!r} has non-finite values")
     if not dtype.isnative:
         params = {name: value.astype(dtype.newbyteorder("=")) for name, value in params.items()}
     return params

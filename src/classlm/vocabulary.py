@@ -23,19 +23,33 @@ class Vocabulary:
     """Bidirectional word/id map with per-word corpus counts."""
 
     def __init__(self, words, counts=None):
-        self.words = [*RESERVED, *[w for w in words if w not in RESERVED]]
-        self.ids = dict(zip(self.words, range(len(self.words))))
-        if len(self.ids) != len(self.words):
+        self._index([*RESERVED, *[w for w in words if w not in RESERVED]])
+        counts = counts or {}
+        _check_counts(counts.keys(), counts.values())
+        self.counts = [counts.get(w, 0) for w in self.words]
+
+    @classmethod
+    def from_table(cls, words, counts):
+        """The vocabulary stored as a table: `words` in id order, starting
+        with the reserved tokens, and the parallel list of their `counts`.
+        A word that occurs twice, the reserved tokens included, is an error."""
+        if tuple(words[: len(RESERVED)]) != RESERVED:
+            raise ValueError("vocabulary does not start with the reserved tokens")
+        vocab = cls.__new__(cls)
+        vocab._index(list(words))
+        _check_counts(words, counts)
+        vocab.counts = list(counts)
+        return vocab
+
+    def _index(self, words):
+        self.words = words
+        self.ids = dict(zip(words, range(len(words))))
+        if len(self.ids) != len(words):
             seen = set()
-            for w in self.words:
+            for w in words:
                 if w in seen:
                     raise ValueError(f"duplicate word {w!r}")
                 seen.add(w)
-        counts = counts or {}
-        if min(counts.values(), default=0) < 0:
-            w = next(w for w, c in counts.items() if c < 0)
-            raise ValueError(f"negative count for {w!r}")
-        self.counts = [counts.get(w, 0) for w in self.words]
 
     def __len__(self):
         return len(self.words)
@@ -67,6 +81,13 @@ class Vocabulary:
         ids = self.ids
         unk = ids[UNKNOWN]
         return [ids[SENTENCE_START], *[ids.get(t, unk) for t in tokens], ids[SENTENCE_END]]
+
+
+def _check_counts(words, counts):
+    """Raise ValueError naming the first word whose count is negative."""
+    if min(counts, default=0) < 0:
+        w = next(w for w, c in zip(words, counts) if c < 0)
+        raise ValueError(f"negative count for {w!r}")
 
 
 def build_vocabulary(sentences, max_size=None):

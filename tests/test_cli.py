@@ -634,6 +634,21 @@ def test_header_table_of_wrong_length_is_a_one_line_error(tmp_path, rng, caplog,
     assert f"{field!r}" in message and "vocabulary words" in message
 
 
+@pytest.mark.parametrize("command", ["score", "rescore", "sample"])
+def test_reserved_token_repeated_in_a_model_is_a_one_line_error(tmp_path, rng, caplog, command):
+    # the table <s> </s> <unk> w0 <unk> w2 ... once loaded with every word
+    # after the repeat reading its neighbour's class and membership
+    model = tmp_path / "model.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(model, lambda h: h["vocabulary"]["words"].__setitem__(4, "<unk>"))
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("u1 -1.0 -2.0 w1 w5\n" if command == "rescore" else "w1 w5\n")
+    argv = {"score": ["--input", str(inputs)], "rescore": ["--nbest", str(inputs)],
+            "sample": []}[command]
+    message = _one_line_error(caplog, [command, "--model", str(model), *argv])
+    assert message.endswith("duplicate word '<unk>'")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--clip-norm", "nan"), ("--clip-norm", "-1"), ("--clip-norm", "inf"),
     ("--learning-rate", "nan"), ("--learning-rate", "inf"),

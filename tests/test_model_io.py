@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.model_io import MAGIC, ModelFormatError
+from classlm.model_io import _PIECE_BYTES, MAGIC, ModelFormatError
 
 import support
+
+
+def _wide_network(rng, precision="double"):
+    """A network whose embedding block 'proj/E_class_input' spans more than
+    one of the pieces that a load reads and checks at a time."""
+    net = support.random_class_network(rng, vocab_size=40, num_classes=40, sizes=(2000, 6, 6),
+                                       precision=precision)
+    assert net.params["proj/E_class_input"].nbytes > _PIECE_BYTES
+    return net
 
 
 def _training_meta():
@@ -86,7 +95,9 @@ def test_mistyped_training_metadata_is_rejected(tmp_path, rng, training):
 @pytest.mark.parametrize("field, edit", [
     ("format_version", lambda h: h.__setitem__("format_version", True)),
     ("parameters[0].offset", lambda h: h["parameters"][0].__setitem__("offset", False)),
-], ids=["format_version", "offset"])
+    ("vocabulary.counts", lambda h: h["vocabulary"]["counts"].__setitem__(4, True)),
+    ("classes.class_of", lambda h: h["classes"]["class_of"].__setitem__(4, False)),
+], ids=["format_version", "offset", "counts", "class_of"])
 def test_a_json_boolean_in_an_integer_field_is_rejected(tmp_path, rng, field, edit):
     # JSON true and false decode to Python bools, which are ints to isinstance
     path = tmp_path / "model.clm"
@@ -94,6 +105,30 @@ def test_a_json_boolean_in_an_integer_field_is_rejected(tmp_path, rng, field, ed
     support.rewrite_header(path, edit)
     with pytest.raises(ModelFormatError,
                        match=rf"^[^\n]*field '{re.escape(field)}' has the wrong type$"):
+        cl.load_model(path)
+
+
+@pytest.mark.parametrize("position, source", [(4, 2), (7, 5), (8, 0)],
+                         ids=["unk-among-words", "regular-word", "start-token-last"])
+def test_a_word_repeated_in_the_header_table_is_rejected(tmp_path, rng, position, source):
+    # a repeated <unk> once loaded with every later word one id off its
+    # class and membership entries
+    path = tmp_path / "model.clm"
+    cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    words = support.strict_header(path)["vocabulary"]["words"]
+    assert len(words) == 9
+    support.rewrite_header(path, lambda h: h["vocabulary"]["words"].__setitem__(
+        position, words[source]))
+    with pytest.raises(ModelFormatError,
+                       match=rf"^[^\n]*: duplicate word {re.escape(repr(words[source]))}$"):
+        cl.load_model(path)
+
+
+def test_a_negative_count_in_the_header_table_is_rejected(tmp_path, rng):
+    path = tmp_path / "model.clm"
+    cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(path, lambda h: h["vocabulary"]["counts"].__setitem__(5, -1))
+    with pytest.raises(ModelFormatError, match=r"^[^\n]*: negative count for 'w2'$"):
         cl.load_model(path)
 
 
@@ -178,24 +213,42 @@ def test_nonfinite_class_membership_is_rejected(tmp_path, rng):
         cl.load_model(path)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_nonfinite_parameter_is_rejected_naming_it(tmp_path, rng, bad):
-    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
-    support.file_block_views(net)["rec/U_f"][2, 1] = bad
+_STEP = _PIECE_BYTES // 8  # doubles per piece
+_EMBEDDING = "proj/E_class_input"
+
+
+@pytest.mark.parametrize("bad, block, position", [
+    *[pytest.param(bad, "rec/U_f", 13, id=str(bad)) for bad in (np.inf, -np.inf, np.nan)],
+    *[pytest.param(bad, _EMBEDDING, position, id=f"{bad}-embedding-{where}")
+      for bad in (np.inf, np.nan)
+      for where, position in (("end-of-a-piece", _STEP - 1), ("start-of-a-piece", _STEP),
+                              ("last", -1))],
+])
+def test_nonfinite_parameter_is_rejected_naming_it(tmp_path, rng, bad, block, position):
+    net = _wide_network(rng)
+    support.file_block_views(net)[block].reshape(-1)[position] = bad
     path = tmp_path / "model.clm"
     cl.save_model(path, net)
-    with pytest.raises(ModelFormatError, match="'rec/U_f' has non-finite values"):
+    with pytest.raises(ModelFormatError, match=f"'{block}' has non-finite values"):
         cl.load_model(path)
 
 
 def test_finite_parameter_whose_sum_overflows_loads(tmp_path, rng):
-    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
-    net.params["out/b"][:2] = 1e308
-    path = tmp_path / "model.clm"
-    cl.save_model(path, net)
-    loaded, _ = cl.load_model(path)
-    for name, value in net.params.items():
-        assert loaded.params[name].tobytes() == value.tobytes()
+    # in every piece of the embedding, and in a one-piece block, two values
+    # whose sum overflows
+    for precision, big in (("double", 1e308), ("single", 3e38)):
+        net = _wide_network(rng, precision)
+        net.params["out/b"][:2] = big
+        embedding = net.params[_EMBEDDING].reshape(-1)
+        step = _PIECE_BYTES // embedding.itemsize
+        assert embedding.size > step
+        for start in range(0, embedding.size, step):
+            embedding[start:start + 2] = big
+        path = tmp_path / f"{precision}.clm"
+        cl.save_model(path, net)
+        loaded, _ = cl.load_model(path)
+        for name, value in net.params.items():
+            assert loaded.params[name].tobytes() == value.tobytes()
 
 
 def test_save_is_atomic_no_temp_left_behind(tmp_path, rng):

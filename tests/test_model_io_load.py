@@ -1,7 +1,6 @@
 """Loading reads the header, then each parameter block once: memory and the
 header-length and short-read errors."""
 
-import os
 import struct
 import tracemalloc
 import types
@@ -52,15 +51,26 @@ def test_header_length_beyond_the_file_is_a_format_error(tmp_path, saved_model, 
 
 
 def test_short_read_names_the_parameter(tmp_path, saved_model, monkeypatch):
-    # a file that shrinks after its size was taken: the read comes up short
-    path = tmp_path / "model.clm"
-    path.write_bytes(saved_model[0].read_bytes()[:-16])
-    grown = types.SimpleNamespace(st_size=os.path.getsize(path) + 16)
-    monkeypatch.setattr(classlm.model_io, "os", types.SimpleNamespace(fstat=lambda fd: grown))
+    # a file that shrinks after its size was taken: the read comes up short,
+    # in the last block or past the first piece of a block of several pieces
+    blob = saved_model[0].read_bytes()
+    big = max(support.strict_header(saved_model[0])["parameters"], key=lambda e: e["nbytes"])
+    assert big["nbytes"] > classlm.model_io._PIECE_BYTES + 8
+    payload_start = len(blob) - sum(value.nbytes for value in saved_model[1].params.values())
+    cut_in_big = payload_start + big["offset"] + classlm.model_io._PIECE_BYTES + 8
     last = list(saved_model[1].params)[-1]
-    with pytest.raises(ModelFormatError,
-                       match=f"payload truncated; parameter '{last}' incomplete"):
-        cl.load_model(path)
+    path = tmp_path / "model.clm"
+    for end, block in ((len(blob) - 16, last), (cut_in_big, big["name"])):
+        path.write_bytes(blob[:end])
+        with pytest.raises(ModelFormatError,
+                           match=f"payload truncated; parameter '{block}' incomplete"):
+            cl.load_model(path)  # the file's own size
+        with monkeypatch.context() as patch:
+            grown = types.SimpleNamespace(st_size=len(blob))
+            patch.setattr(classlm.model_io, "os", types.SimpleNamespace(fstat=lambda fd: grown))
+            with pytest.raises(ModelFormatError,
+                               match=f"payload truncated; parameter '{block}' incomplete$"):
+                cl.load_model(path)
 
 
 def test_block_shapes_are_checked_before_any_parameter_is_allocated(tmp_path, saved_model):

@@ -99,3 +99,36 @@ def test_frame_equals_per_token_lookup():
     for _ in range(200):
         tokens = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 15)))]
         assert vocab.frame(tokens) == reference.frame(tokens)
+
+
+def _table_outcome(words, counts):
+    """A stored table read one entry at a time: the first repeated word,
+    else the first negative count, is the error."""
+    seen = set()
+    for w in words:
+        if w in seen:
+            return ("error", f"duplicate word {w!r}")
+        seen.add(w)
+    for w, c in zip(words, counts):
+        if c < 0:
+            return ("error", f"negative count for {w!r}")
+    return list(words), {w: i for i, w in enumerate(words)}, list(counts)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(rows=st.lists(st.tuples(_WORDS, st.integers(-1, 9)), max_size=10),
+                  reserved_counts=st.lists(st.integers(0, 9), min_size=3, max_size=3))
+def test_from_table_reads_the_stored_table(rows, reserved_counts):
+    words = [*RESERVED, *[w for w, _ in rows]]
+    counts = [*reserved_counts, *[c for _, c in rows]]
+    try:
+        vocab = cl.Vocabulary.from_table(words, counts)
+        outcome = vocab.words, vocab.ids, vocab.counts
+    except ValueError as err:
+        outcome = ("error", str(err))
+    assert outcome == _table_outcome(words, counts)
+
+
+def test_from_table_needs_the_reserved_tokens_first():
+    with pytest.raises(ValueError, match="does not start with the reserved tokens"):
+        cl.Vocabulary.from_table([SENTENCE_START, UNKNOWN, SENTENCE_END, "a"], [0, 0, 0, 1])
