@@ -15,20 +15,23 @@ Every other op is one entry of the table ``_OPS = {op: (forward,
 backward)}``: ``forward(node, *inputs)`` checks shapes and id ranges and
 returns the value, ``backward(dy, value, *inputs)`` returns one gradient per
 input (``None`` for integer ids, targets and masks).  :func:`forward_eval`
-and :func:`backward` are loops over that table.  Its 13 ops are those that
-networks build: matmul, mul, add_bias, tanh, softmax, gather, concat, xent,
+and :func:`backward` are loops over that table.  Its 12 ops are those that
+networks build: matmul, mul, tanh, softmax, gather, concat, xent,
 masked_mean, lstm, gru, item and take; the tests' step-by-step reference
-adds add, sigmoid, one_minus and sum from ``tests/support.py``.
+adds add, add_bias, sigmoid, one_minus and sum from ``tests/support.py``.
+A matmul takes an optional bias vector, added into its product, so a
+layer's affine map is one node.
 
 Values are time-major, the one layout: ids, targets and masks are bound as
 (T, B) arrays and dropout masks as (T, B, n), so one evaluation covers T
-positions of B rows; a matmul, add_bias, gather or xent operand without the
-time axis is a :class:`ShapeError`.  Ops without a recurrence compute all
-T·B rows at once; ``lstm`` and ``gru`` run the time loop inside one node,
-with every step's input products hoisted out of it, and backpropagate
-through time in their backward.  Their value stacks the per-step quantities
-the backward needs along a leading axis; ``item`` nodes pick its parts (the
-hidden sequence, the cell sequence).
+positions of B rows; a matmul, gather or xent operand without the time
+axis, or a matmul bias that is not one vector as wide as the product, is a
+:class:`ShapeError`.  Ops without a recurrence compute all T·B rows at
+once; ``lstm`` and ``gru`` run the time loop inside one node, with every
+step's input products hoisted out of it, and backpropagate through time in
+their backward.  Their value stacks the per-step quantities the backward
+needs along a leading axis; ``item`` nodes pick its parts (the hidden
+sequence, the cell sequence).
 
 Each op does, step by step, the arithmetic of a graph that ran one node per
 operation and time step, in that graph's order, so results do not depend on
@@ -49,6 +52,13 @@ how many steps one evaluation covers:
   recurrent op returns the adjoint of its input as a list of per-gate terms
   and receives the adjoints of its outputs unsummed, so that it adds them
   where a step-by-step graph did.
+
+The softmax, the cross-entropy and the gate activations work in place in
+arrays their op allocated, with the same arithmetic in the same order; this
+takes the values of one evaluation to share one floating type, as a
+network's do.  :func:`backward` drops each node's adjoint once the node has
+passed it on, so a training step holds its forward values and the adjoints
+still to be passed on.
 
 Finiteness is checked on every computed value, not on leaves: a NaN or
 infinity in a bound input or a parameter is reported by the first op that
@@ -144,15 +154,14 @@ class Graph:
 
     # -- operations ----------------------------------------------------------
 
-    def matmul(self, a, b, name=None):
-        return self._append("matmul", name, (a, b))
+    def matmul(self, a, b, bias=None, name=None):
+        """``a @ b`` of a (T, B, k) value and a (k, n) matrix, plus the
+        optional bias vector (n,) broadcast over its rows: a layer's affine
+        map in one node."""
+        return self._append("matmul", name, (a, b) + _optional(bias))
 
     def mul(self, a, b, name=None):
         return self._append("mul", name, (a, b))
-
-    def add_bias(self, x, b, name=None):
-        """Broadcast-add a bias vector over the rows of a (T, B, n) value."""
-        return self._append("add_bias", name, (x, b))
 
     def tanh(self, x, name=None):
         return self._append("tanh", name, (x,))
@@ -303,21 +312,24 @@ def _nonfinite(node, v=None, step=None):
     return NonFiniteError(f"{where}node {node.name!r} ({node.op}) produced a non-finite value")
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in one
     # pass: exp never overflows and -|x| == x exactly where x < 0.  The
     # numerator is max(e, x >= 0): 1 where x >= 0, since e <= 1 there, and e
     # elsewhere, since e >= 0; unlike a select on the sign it has no branch
-    # to mispredict
-    e = np.exp(-np.abs(x))
+    # to mispredict.  `out`, if given, must not overlap x
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
     return np.divide(np.maximum(e, x >= 0, out=e), d, out=e)
 
 
 def _softmax(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _rows(a, b):
@@ -346,19 +358,25 @@ def _sum_steps(fn, steps):
     return total
 
 
-def _matmul(node, a, b):
-    _check_shapes(a.ndim == 3 and b.ndim == 2 and a.shape[-1] == b.shape[0], node, a, b)
-    return _rows(a, b)
+def _matmul(node, a, b, bias=None):
+    _check_shapes(a.ndim == 3 and b.ndim == 2 and a.shape[-1] == b.shape[0]
+                  and (bias is None or bias.shape == b.shape[1:]), node, a, b, *_optional(bias))
+    y = _rows(a, b)
+    if bias is not None:
+        y += bias
+    return y
+
+
+def _matmul_grad(dy, y, a, b, bias=None):
+    grads = dy @ b.T, _sum_steps(lambda t: a[t].T @ dy[t], len(a))
+    if bias is None:
+        return grads
+    return *grads, _sum_steps(lambda t: dy[t].sum(axis=0), len(dy))
 
 
 def _mul(node, a, b):
     _check_shapes(a.shape == b.shape, node, a, b)
     return a * b
-
-
-def _add_bias(node, x, b):
-    _check_shapes(x.ndim == 3 and b.ndim == 1 and x.shape[-1] == b.shape[0], node, x, b)
-    return x + b
 
 
 def _gather(node, table, ids):
@@ -419,7 +437,8 @@ def _xent(node, logits, targets):
     _check_ids(targets, logits.shape[-1], node, "target id")
     logits = logits.reshape(-1, logits.shape[-1])
     m = logits.max(axis=1, keepdims=True)
-    z = np.exp(logits - m).sum(axis=1, keepdims=True)
+    e = logits - m
+    z = np.exp(e, out=e).sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     return (lse - logits[np.arange(logits.shape[0]), targets.reshape(-1)]).reshape(targets.shape)
 
@@ -427,7 +446,8 @@ def _xent(node, logits, targets):
 def _xent_grad(dy, y, logits, targets):
     g = _softmax(logits.reshape(-1, logits.shape[-1]))
     g[np.arange(g.shape[0]), targets.reshape(-1)] -= 1.0
-    return (g * dy.reshape(-1, 1)).reshape(logits.shape), None
+    g *= dy.reshape(-1, 1)
+    return g.reshape(logits.shape), None
 
 
 def _inverse_count(mask, dtype):
@@ -483,24 +503,28 @@ def _lstm(node, x, h0, c0, W, U, b, rows=None):
     b = b[:, None]
     h, c = h0, c0
     for t in range(len(x)):
-        pre = xw[:, t] + _rows(h, U)
+        pre = _rows(h, U)
+        pre += xw[:, t]
         pre += b
-        ifo = _sigmoid(pre[:3])
-        seq[2:5, t] = ifo
+        i, f, o = _sigmoid(pre[:3], out=seq[2:5, t])
         c_hat = np.tanh(pre[3], out=seq[5, t])
-        c = np.multiply(ifo[1], c, out=seq[1, t])
-        c += ifo[0] * c_hat
+        c = np.multiply(f, c, out=seq[1, t])
+        c += np.multiply(i, c_hat, out=seq[6, t])  # scratch until tanh(c) fills it
         _check_step(node, t, pre, c)
-        h = np.multiply(ifo[2], np.tanh(c, out=seq[6, t]), out=seq[0, t])
+        h = np.multiply(o, np.tanh(c, out=seq[6, t]), out=seq[0, t])
     return seq
+
+
+def _previous(seq, first, t):
+    """A recurrent state before step t: `first` (h0 or c0) at t = 0, else
+    step t - 1 of `seq`, that state's sequence in the op's value."""
+    return first if t == 0 else seq[t - 1]
 
 
 def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
     if rows is not None:
         _no_rows_gradient()
     steps = len(x)
-    h_prev = np.concatenate([h0[None], seq[0, :-1]])
-    c_prev = np.concatenate([c0[None], seq[1, :-1]])
     terms_h, terms_c = dy.get(0, []), dy.get(1, [])
     grad = np.empty((4, *seq.shape[1:]), dtype=seq.dtype)  # pre-activation adjoints
     UT = U.transpose(0, 2, 1)
@@ -511,7 +535,7 @@ def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
         d_tanh = (dh * o) * (1.0 - tanh_c * tanh_c)
         dc = _carried(dc, terms_c, t)
         dc = d_tanh if dc is None else dc + d_tanh
-        d_ifo = np.stack([dc * c_hat, dc * c_prev[t], dh * tanh_c])
+        d_ifo = np.stack([dc * c_hat, dc * _previous(seq[1], c0, t), dh * tanh_c])
         grad[3, t] = (dc * i) * (1.0 - c_hat * c_hat)
         grad[:3, t] = (d_ifo * seq[2:5, t]) * (1.0 - seq[2:5, t])
         dc = dc * f
@@ -519,7 +543,7 @@ def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
         dh = ((hu[3] + hu[2]) + hu[1]) + hu[0]
     dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
     dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
-    dU = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:, t]), steps)
+    dU = _sum_steps(lambda t: np.matmul(_previous(seq[0], h0, t).T, grad[:, t]), steps)
     db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
     # x's adjoint as one term per gate, c first: the reverse of gate order
     return [dx[3], dx[2], dx[1], dx[0]], dh, dc, dW, dU, db
@@ -530,17 +554,18 @@ def _gru(node, x, h0, W, U, b, rows=None):
     seq = np.empty((5, *xw.shape[1:]), dtype=xw.dtype)
     h = h0
     for t in range(len(x)):
-        pre = xw[:2, t] + _rows(h, U[:2])
+        pre = _rows(h, U[:2])
+        pre += xw[:2, t]
         pre += b[:2, None]
-        zr = _sigmoid(pre)
-        seq[1:3, t] = zr
-        rh = np.multiply(zr[1], h, out=seq[4, t])
-        pre_h = xw[2, t] + _rows(rh, U[2])
+        z, r = _sigmoid(pre, out=seq[1:3, t])
+        rh = np.multiply(r, h, out=seq[4, t])
+        pre_h = _rows(rh, U[2])
+        pre_h += xw[2, t]
         pre_h += b[2]
         _check_step(node, t, pre, pre_h)
         h_hat = np.tanh(pre_h, out=seq[3, t])
-        h_new = np.multiply(1.0 - zr[0], h, out=seq[0, t])
-        h_new += zr[0] * h_hat
+        h_new = np.multiply(np.subtract(1.0, z, out=pre_h), h, out=seq[0, t])
+        h_new += np.multiply(z, h_hat, out=pre_h)  # pre_h is scratch after the tanh
         h = h_new
     return seq
 
@@ -549,7 +574,6 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
     if rows is not None:
         _no_rows_gradient()
     steps = len(x)
-    h_prev = np.concatenate([h0[None], seq[0, :-1]])
     terms_h = dy.get(0, [])
     grad = np.empty((3, *seq.shape[1:]), dtype=seq.dtype)  # pre-activation adjoints
     UT = U.transpose(0, 2, 1)
@@ -557,7 +581,7 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
     for t in range(steps - 1, -1, -1):
         dh = _carried(dh, terms_h, t)
         z, r, h_hat = seq[1:4, t]
-        hp = h_prev[t]
+        hp = _previous(seq[0], h0, t)
         grad[2, t] = (dh * z) * (1.0 - h_hat * h_hat)
         d_rh = grad[2, t] @ UT[2]
         d_zr = np.stack([dh * h_hat - dh * hp, d_rh * hp])
@@ -567,7 +591,7 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
     dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
     dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
     dU = np.empty_like(U, dtype=grad.dtype)
-    dU[:2] = _sum_steps(lambda t: np.matmul(h_prev[t].T, grad[:2, t]), steps)
+    dU[:2] = _sum_steps(lambda t: np.matmul(_previous(seq[0], h0, t).T, grad[:2, t]), steps)
     dU[2] = _sum_steps(lambda t: seq[4, t].T @ grad[2, t], steps)
     db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
     # x's adjoint as one term per gate, h first: the reverse of gate order
@@ -580,11 +604,8 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
 # lstm/gru backward receives dy as {part: [adjoint terms]}, which the
 # engine collects from the item nodes that pick the parts.
 _OPS = {
-    "matmul": (_matmul, lambda dy, y, a, b: (dy @ b.T,
-                                             _sum_steps(lambda t: a[t].T @ dy[t], len(a)))),
+    "matmul": (_matmul, _matmul_grad),
     "mul": (_mul, lambda dy, y, a, b: (dy * b, dy * a)),
-    "add_bias": (_add_bias,
-                 lambda dy, y, x, b: (dy, _sum_steps(lambda t: dy[t].sum(axis=0), len(dy)))),
     "tanh": (lambda node, x: np.tanh(x), lambda dy, y, x: (dy * (1.0 - y * y),)),
     "softmax": (lambda node, x: _softmax(x),
                 lambda dy, y, x: (y * (dy - (dy * y).sum(axis=-1, keepdims=True)),)),
@@ -657,7 +678,7 @@ def backward(graph, ws):
              for name in graph.parameters}
 
     for node in reversed(graph.nodes):
-        dy = adj[node.idx]
+        dy, adj[node.idx] = adj[node.idx], None  # each adjoint is passed on once
         if dy is None or node.op in ("input", "param"):
             continue
         ins = node.inputs
@@ -665,22 +686,31 @@ def backward(graph, ws):
             parts = adj[ins[0].idx] = adj[ins[0].idx] or {}
             parts[node.arg] = dy
             continue
-        for inp, g in zip(ins, _OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins])):
-            if g is None or inp.op == "input":
-                continue
-            terms = g if isinstance(g, list) else [g]
-            if inp.op == "item":
-                adj[inp.idx] = (adj[inp.idx] or []) + terms
-                continue
-            if inp.op == "param":
-                target = grads[inp.name]
-            else:
-                if adj[inp.idx] is None:
-                    adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=terms[0].dtype)
-                target = adj[inp.idx]
-            for term in terms:
-                target += term
+        _pass_on(_OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins]),
+                 ins, adj, grads, vals)
     return grads
+
+
+def _pass_on(gradients, ins, adj, grads, vals):
+    """Add one op's input gradients to its inputs' adjoints, or to the
+    parameter gradients.  A function of its own so that the gradients are
+    freed when it returns, before the next op's backward allocates."""
+    for inp, g in zip(ins, gradients):
+        if g is None or inp.op == "input":
+            continue
+        terms = g if isinstance(g, list) else [g]
+        if inp.op == "item":
+            adj[inp.idx] = (adj[inp.idx] or []) + terms
+            continue
+        if inp.op == "param":
+            target = grads[inp.name]
+        else:
+            if adj[inp.idx] is None:
+                # the first term too is added onto zeros: 0.0 + -0.0 is +0.0
+                adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=terms[0].dtype)
+            target = adj[inp.idx]
+        for term in terms:
+            target += term
 
 
 def finite_difference_check(loss, value, analytic, step):

@@ -226,9 +226,9 @@ class Network:
                             name, x_rows)
                 acts[name] = state_out[f"h/{name}"] = g.item(seq, 0)
             elif spec.kind == "tanh":
-                acts[name] = g.tanh(g.add_bias(g.matmul(x, W), b))
+                acts[name] = g.tanh(g.matmul(x, W, b))
             elif spec.kind == "softmax":
-                out = g.add_bias(g.matmul(x, W), b)
+                out = g.matmul(x, W, b)
                 acts[name] = out if name == final else g.softmax(out)
         return per_row(final), state_out
 

@@ -7,7 +7,8 @@ after `max_tokens` words.
 
 All sentences advance together: one network step per position runs every
 sentence still live, and a sentence that draws the end token leaves the
-batch.  Sentence i draws from its own random stream, the i-th child of
+batch.  The first step, where every sentence has the start state and the
+start token, runs one row for all of them.  Sentence i draws from its own random stream, the i-th child of
 ``SeedSequence(seed)``, and the steps run through
 :func:`~classlm.scoring.step_rows`, so its text depends only on the seed, i
 and the model: it is the same for every `count` above i.
@@ -97,8 +98,11 @@ def sample_text(network, seed, max_tokens, count=1):
     words, starts, sizes, _ = classes.member_tables
 
     live = np.arange(count)  # the sentence of each state row
-    rows = np.zeros(count, dtype=np.int64)  # state rows that continue a live sentence
-    drawn = np.full(count, vocab.start_id, dtype=np.int64)
+    # every sentence starts from the one zero state row on the start token,
+    # so the first step runs that row once: by the row rule it has the bits
+    # that each sentence's own row would have
+    rows = np.zeros(1, dtype=np.int64)  # state rows that continue a live sentence
+    drawn = np.full(1, vocab.start_id, dtype=np.int64)
     state = network.initial_state(1)
     none = np.zeros(0, dtype=np.int64)
     sentence_ids, word_ids = [none], [none]  # per step, of the words kept
@@ -106,7 +110,12 @@ def sample_text(network, seed, max_tokens, count=1):
         if not live.size:
             break
         probs, state = step_rows(network, state, rows, drawn)
-        c = _pick_classes(np.cumsum(probs, axis=1), uniforms.take(live))
+        cumulative = np.cumsum(probs, axis=1)
+        if len(cumulative) < live.size:  # the first step; the next gather copies its row
+            cumulative = np.broadcast_to(cumulative, (live.size, cumulative.shape[1]))
+            state = {key: np.broadcast_to(value, (live.size, *value.shape[1:]))
+                     for key, value in state.items()}
+        c = _pick_classes(cumulative, uniforms.take(live))
         drawn = words[starts[c]]
         several = np.flatnonzero(sizes[c] > 1)
         if several.size:

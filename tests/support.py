@@ -84,13 +84,18 @@ def stacked_gate_weights(rng, gates, n_in, n, scale):
 
 class ReferenceGraph(cl.Graph):
     """A graph that can also build the ops of :data:`REFERENCE_OPS`, which
-    no network builds: the gate arithmetic and the scalar sums of the
-    step-by-step reference and of the tests' losses.  Evaluating one needs
-    the ``reference_ops`` fixture, which adds their rules to the engine's
-    op table for one test."""
+    no network builds: the gate arithmetic, the separate bias addition and
+    the scalar sums of the step-by-step reference and of the tests' losses.
+    Evaluating one needs the ``reference_ops`` fixture, which adds their
+    rules to the engine's op table for one test."""
 
     def add(self, a, b, name=None):
         return self._append("add", name, (a, b))
+
+    def add_bias(self, x, b, name=None):
+        """Broadcast-add a bias vector over the rows of a (T, B, n) value:
+        ``matmul(x, W, b)`` of the engine as two nodes."""
+        return self._append("add_bias", name, (x, b))
 
     def sigmoid(self, x, name=None):
         return self._append("sigmoid", name, (x,))
@@ -109,10 +114,18 @@ def _add(node, a, b):
     return np.add(a, b)
 
 
+def _add_bias(node, x, b):
+    cl.graph._check_shapes(x.ndim == 3 and b.ndim == 1 and x.shape[-1] == b.shape[0], node, x, b)
+    return x + b
+
+
 # op -> (forward, backward) of the ReferenceGraph ops, in the form of the
 # engine's op table, with the engine's sigmoid
 REFERENCE_OPS = {
     "add": (_add, lambda dy, y, a, b: (dy, dy)),
+    "add_bias": (_add_bias,
+                 lambda dy, y, x, b: (dy, cl.graph._sum_steps(lambda t: dy[t].sum(axis=0),
+                                                              len(dy)))),
     "sigmoid": (lambda node, x: cl.graph._sigmoid(x), lambda dy, y, x: (dy * y * (1.0 - y),)),
     "one_minus": (lambda node, x: 1.0 - x, lambda dy, y, x: (-dy,)),
     "sum": (lambda node, x: np.asarray(x.sum()),

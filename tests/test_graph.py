@@ -97,6 +97,30 @@ def test_matmul_row_bits_independent_of_block_count_and_neighbours(k, n, dtype):
                                           expected.view(f"u{y.itemsize}"))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [2 * ROW_BLOCK, 2 * ROW_BLOCK + 3])
+def test_matmul_bias_equals_add_bias_of_matmul_bitwise(rows, dtype, reference_ops):
+    # the bias operand gives the bits of the two-node form in the value and
+    # in all three gradients, the steps' sums included
+    rng = np.random.default_rng(rows)
+    params = {name: rng.normal(size=shape).astype(dtype)
+              for name, shape in (("x", (3, rows, 5)), ("W", (5, 7)), ("b", (7,)))}
+    dy = rng.normal(size=(3, rows, 7)).astype(dtype)
+    dy[1, :2] = -0.0  # the adjoint adds its first term onto zeros in both forms
+    results = []
+    for fused in (True, False):
+        g = ReferenceGraph()
+        x, w, b = (g.parameter(name) for name in ("x", "W", "b"))
+        y = g.mark_output(g.matmul(x, w, b) if fused else g.add_bias(g.matmul(x, w), b), "y")
+        g.mark_output(g.sum(g.mul(y, g.input("dy"))), "loss")
+        ws = forward_eval(g, {"dy": dy}, params)
+        results.append([ws.outputs["y"], *backward(g, ws).values()])
+    assert len(results[0]) == 4
+    for fused, reference in zip(*results):
+        assert fused.dtype == reference.dtype == dtype
+        assert fused.tobytes() == reference.tobytes()
+
+
 def test_square_loss_gradient(reference_ops):
     # loss = x^2 at x = 3 -> d loss / dx = 6
     g = ReferenceGraph()
@@ -191,13 +215,13 @@ def _random_graph(rng):
     h = g.sigmoid(h) if rng.random() < 0.5 else g.tanh(h)
 
     gate = parameter("gate", rng.normal(size=(n2,)))
-    gate_row = g.sigmoid(g.add_bias(g.matmul(e, parameter("wg", rng.normal(size=(n1, n2)))), gate))
+    gate_row = g.sigmoid(g.matmul(e, parameter("wg", rng.normal(size=(n1, n2))), gate))
     h = g.mul(h, gate_row) if rng.random() < 0.5 else g.mul(g.one_minus(gate_row), h)
     h = g.add(h, gate_row)
 
     both = g.concat([e, h])
     w2 = parameter("w2", rng.normal(size=(n1 + n2, 3)) * 0.7)
-    logits = g.add_bias(g.matmul(both, w2), parameter("b2", np.zeros(3)))
+    logits = g.matmul(both, w2, parameter("b2", np.zeros(3)))
     if rng.random() < 0.5:
         probs = g.softmax(logits)
         loss = g.sum(g.mul(probs, g.input("mix")))
@@ -241,8 +265,8 @@ def _random_recurrent_graph(rng):
     node = (g.lstm(xs, g.input("h0"), g.input("c0"), *rec) if kind == "lstm"
             else g.gru(xs, g.input("h0"), *rec))
     hs = g.item(node, 0)
-    logits = g.add_bias(g.matmul(hs, parameter("w", rng.normal(size=(n2, 3)))),
-                        parameter("b", rng.normal(size=3)))
+    logits = g.matmul(hs, parameter("w", rng.normal(size=(n2, 3))),
+                      parameter("b", rng.normal(size=3)))
     loss = g.masked_mean(g.cross_entropy(logits, g.input("targets")), g.input("mask"))
     taken = g.tanh(g.take(xs, g.input("rows")))
     loss = g.add(loss, g.sum(g.mul(g.concat([hs, taken]), g.input("mix"))))
@@ -336,6 +360,16 @@ def test_nonfinite_reports_first_offending_node():
     g.tanh(y)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="overflow_here"):
         forward_eval(g, {}, {"a": np.full((1, 1, 2), 1e308), "b": np.full((2, 1), 10.0)})
+
+
+def test_a_nonfinite_value_made_by_the_bias_is_reported_at_the_matmul():
+    g = Graph()
+    g.tanh(g.matmul(g.input("x"), g.parameter("w"), g.parameter("b"), name="affine"))
+    params = {"w": np.array([[1.0, 0.5]]), "b": np.array([0.0, 1.5e308])}
+    forward_eval(g, {"x": np.full((1, 1, 1), 1e308)}, {**params, "b": np.zeros(2)})
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError, match=r"^time step 0: node 'affine' \(matmul\)"):
+        forward_eval(g, {"x": np.full((1, 1, 1), 1e308)}, params)
 
 
 def test_finite_values_whose_sum_overflows_pass_the_check():
@@ -486,17 +520,23 @@ def test_parameter_override_at_eval_time(reference_ops):
     assert forward_eval(g, {}, {"w": np.array([[3.0]])}).outputs["loss"] == 9.0
 
 
-@pytest.mark.parametrize("op, x, y", [
-    ("matmul", np.ones((2, 3)), np.ones((3, 4))),
-    ("add_bias", np.ones((2, 3)), np.ones(3)),
-    ("add_bias", np.ones((1, 2, 2, 3)), np.ones(3)),
-    ("gather", np.ones((4, 3)), np.array([0, 2])),
-    ("xent", np.ones((2, 3)), np.array([0, 2])),
-], ids=["matmul-2d", "add_bias-2d", "add_bias-4d", "gather-1d-ids", "xent-2d"])
-def test_an_operand_out_of_the_time_major_layout_is_a_one_line_shape_error(op, x, y):
-    g = Graph()
+@pytest.mark.parametrize("op, x, y, z", [
+    ("matmul", np.ones((2, 3)), np.ones((3, 4)), None),
+    ("matmul", np.ones((1, 2, 3)), np.ones((3, 4)), np.ones(5)),
+    ("matmul", np.ones((1, 2, 3)), np.ones((3, 4)), np.ones((1, 4))),
+    ("add_bias", np.ones((2, 3)), np.ones(3), None),
+    ("add_bias", np.ones((1, 2, 2, 3)), np.ones(3), None),
+    ("gather", np.ones((4, 3)), np.array([0, 2]), None),
+    ("xent", np.ones((2, 3)), np.array([0, 2]), None),
+], ids=["matmul-2d", "matmul-bias-width", "matmul-bias-2d", "add_bias-2d", "add_bias-4d",
+        "gather-1d-ids", "xent-2d"])
+def test_an_operand_out_of_the_time_major_layout_is_a_one_line_shape_error(op, x, y, z,
+                                                                           reference_ops):
+    # z is the optional third operand, a matmul's bias
+    g = ReferenceGraph()
     build = {"matmul": g.matmul, "add_bias": g.add_bias, "gather": g.gather_rows,
              "xent": g.cross_entropy}[op]
-    build(g.input("x"), g.input("y"), name="layout")
+    bindings = {"x": x, "y": y} if z is None else {"x": x, "y": y, "z": z}
+    build(*map(g.input, bindings), name="layout")
     with pytest.raises(ShapeError, match=rf"^node 'layout' \({op}\): [^\n]*$"):
-        forward_eval(g, {"x": x, "y": y}, {})
+        forward_eval(g, bindings, {})

@@ -171,7 +171,7 @@ def _tanh_layer(g):
 
 
 def test_tanh_layer_basics_and_gradient(rng, reference_ops):
-    g = Graph()
+    g = ReferenceGraph()
     g.mark_output(_tanh_layer(g), "y")
     ws = forward_eval(g, {"x": rng.normal(size=(2, 3))[None]},
                       {"W": np.zeros((3, 3)), "b": np.zeros(3)})

@@ -173,6 +173,21 @@ def test_steps_are_padded_and_capped_without_changing_the_text(rng, monkeypatch)
     assert set(rows) == {ROW_BLOCK} and len(rows) > 10
 
 
+def test_the_first_step_runs_one_row_for_every_sentence(rng, monkeypatch):
+    # every sentence starts from the same state row and the start token
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    rows = []
+
+    def spy(network, state, state_rows, word_ids):
+        rows.append(len(state_rows))
+        return step_rows(network, state, state_rows, word_ids)
+
+    monkeypatch.setattr(cl.sampling, "step_rows", spy)
+    sentences = cl.sample_text(net, seed=4, max_tokens=10, count=20)
+    assert rows[0] == 1 and rows[1] > 1
+    assert sentences == sample_per_row(net, 4, 10, 20)
+
+
 def test_r_at_the_row_total_picks_the_last_class_or_member():
     # u = 1 makes r the row total; the last class and the last member have
     # probability 0, so searchsorted passes every entry and the cap picks the last

@@ -3,13 +3,14 @@ backpropagation through time against the unrolled reference."""
 
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import classlm as cl
 from classlm.graph import _OPS, ROW_BLOCK, GraphError, forward_eval
-from classlm.training import batch_gradients, dropout_mask
+from classlm.training import batch_gradients, batch_loss, dropout_mask
 
 import support
 from support import ReferenceGraph
@@ -149,6 +150,32 @@ def test_training_config_validation():
     for value in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError, match="min_improvement"):
             cl.TrainingConfig(min_improvement=value)
+
+
+def test_a_training_step_holds_little_beyond_its_forward_values():
+    # a class-input LSTM batch of the benchmark's size: the backward pass
+    # keeps the forward values it reads, and each adjoint only until it is
+    # passed on; the peak reads about 1.8 times the values held after the
+    # forward pass
+    rng = np.random.default_rng(3)
+    net = support.random_class_network(rng, vocab_size=1000, num_classes=300,
+                                       sizes=(64, 128, 128))
+    inputs = rng.integers(0, len(net.vocab), size=(32, 40))
+    targets = rng.integers(0, len(net.vocab), size=(32, 40))
+    mask = (np.arange(40) < rng.integers(30, 41, size=(32, 1))).astype(np.float64)
+    batch_gradients(net, inputs, targets, mask, None)  # graph built, caches warm
+    tracemalloc.start()
+    try:
+        _, ws = batch_loss(net, inputs, targets, mask, None)
+        forward, _ = tracemalloc.get_traced_memory()
+        del ws
+        tracemalloc.reset_peak()
+        batch_gradients(net, inputs, targets, mask, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward > 10e6
+    assert peak <= 2.0 * forward
 
 
 def test_divergence_names_batch_and_time_step(caplog):
