@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .vocabulary import RESERVED, Vocabulary, build_vocabulary, text_lines
+from .vocabulary import RESERVED, Vocabulary, index_tokens, text_lines
 
 __all__ = [
     "BigramStats",
@@ -141,24 +141,24 @@ def initialize_classes(vocab, num_classes, scheme="striped", seed=0):
     i mod num_classes, which guarantees no regular class is empty; the
     random scheme stripes a seeded shuffle instead.
     """
-    regular = [w for w in range(len(vocab)) if vocab.words[w] not in RESERVED]
-    if not 1 <= num_classes <= len(regular):
+    regular = np.arange(len(RESERVED), len(vocab))  # the reserved tokens are ids 0, 1, 2
+    if not 1 <= num_classes <= regular.size:
         raise ValueError(
-            f"num_classes must be in [1, {len(regular)}] for this vocabulary, got {num_classes}"
+            f"num_classes must be in [1, {regular.size}] for this vocabulary, got {num_classes}"
         )
-    order = sorted(regular, key=lambda w: (-vocab.counts[w], w))
+    counts = np.asarray(vocab.counts, dtype=np.int64)
+    # frequency-descending, ties by word id
+    order = regular[np.argsort(-counts[regular], kind="stable")]
     if scheme == "random":
         rng = np.random.default_rng(seed)
-        order = [order[i] for i in rng.permutation(len(order))]
+        order = order[rng.permutation(order.size)]
     elif scheme != "striped":
         raise ValueError(f"unknown initialization scheme {scheme!r}")
 
     class_of = np.empty(len(vocab), dtype=np.int64)
-    for rank, w in enumerate(order):
-        class_of[w] = rank % num_classes
-    for offset, tok in enumerate(RESERVED):
-        class_of[vocab.ids[tok]] = num_classes + offset
-    return ClassMap.from_counts(class_of, vocab.counts, num_classes + len(RESERVED))
+    class_of[order] = np.arange(order.size) % num_classes
+    class_of[: len(RESERVED)] = num_classes + np.arange(len(RESERVED))
+    return ClassMap.from_counts(class_of, counts, num_classes + len(RESERVED))
 
 
 class BigramStats:
@@ -188,33 +188,39 @@ class BigramStats:
         # Distinct circular pairs (the last token precedes the first),
         # sorted by predecessor then successor.
         nxt = np.roll(stream, -1)
-        pairs, counts = np.unique(stream * n_words + nxt, return_counts=True)
+        pairs, pair_counts = np.unique(stream * n_words + nxt, return_counts=True)
         src, dst = np.divmod(pairs, n_words)
-        loop = src == dst
-        self.self_loops = np.zeros(n_words, dtype=np.int64)
-        self.self_loops[src[loop]] = counts[loop]
-        src, dst, counts = src[~loop], dst[~loop], counts[~loop]
-        rows = np.arange(n_words + 1)
-        self.succ_ptr = np.searchsorted(src, rows)
-        self.succ_ids, self.succ_counts = dst, counts
-        by_dst = np.lexsort((src, dst))
-        self.pred_ptr = np.searchsorted(dst[by_dst], rows)
-        self.pred_ids, self.pred_counts = src[by_dst], counts[by_dst]
 
         self.class_of = classmap.class_of.copy()
         self.num_classes = k = classmap.num_classes
         self.class_sizes = np.bincount(self.class_of, minlength=k)
-        classes = self.class_of[stream]
-        self.class_counts = np.bincount(classes, minlength=k)
-        cells, cell_counts = np.unique(classes * k + np.roll(classes, -1), return_counts=True)
+        self.class_counts = np.bincount(self.class_of, weights=self.word_counts,
+                                        minlength=k).astype(np.int64)
+        # the class cells of the word pairs, self loops included, counted
+        cells, inverse = np.unique(self.class_of[src] * k + self.class_of[dst],
+                                   return_inverse=True)
+        cell_counts = np.bincount(inverse, weights=pair_counts).astype(np.int32)
+        row, col = np.divmod(cells, k)
         # rows 0..k-1 hold the table, rows k..2k-1 its transpose
-        self._tables = np.empty((2 * k, k), dtype=np.int32)
+        self._tables = np.zeros((2 * k, k), dtype=np.int32)
         self.class_bigrams = self._tables[:k]
         self.class_bigrams_t = self._tables[k:]
-        self.class_bigrams.fill(0)
-        self.class_bigrams.flat[cells] = cell_counts
-        self.class_bigrams_t[:] = self.class_bigrams.T
+        self.class_bigrams[row, col] = cell_counts
+        self.class_bigrams_t[col, row] = cell_counts
         self._diag = np.diagonal(self.class_bigrams)
+
+        loop = src == dst
+        self.self_loops = np.zeros(n_words, dtype=np.int64)
+        self.self_loops[src[loop]] = pair_counts[loop]
+        src, dst, pair_counts = src[~loop], dst[~loop], pair_counts[~loop]
+        rows = np.arange(n_words + 1)
+        self.succ_ptr = np.searchsorted(src, rows)
+        self.succ_ids, self.succ_counts = dst, pair_counts
+        # the pairs are distinct, so sorting dst * n_words + src orders them
+        # by successor, then predecessor
+        by_dst = np.argsort(dst * n_words + src)
+        self.pred_ptr = np.searchsorted(dst[by_dst], rows)
+        self.pred_ids, self.pred_counts = src[by_dst], pair_counts[by_dst]
         if movable_classes is None:
             movable_classes = np.arange(k)
         self.movable_classes = np.asarray(movable_classes, dtype=np.int64)
@@ -412,18 +418,20 @@ def exchange_pass(stats, reserved_ids=()):
 def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50):
     """Cluster a corpus into word classes.
 
+    The sentences are one unframed circular token stream: they are joined
+    end to end, with no sentence boundary tokens, and the last token
+    precedes the first, so ``[tokens]`` and the same tokens split into
+    sentences give the same classes.  The vocabulary and the stream of ids
+    come from one `index_tokens` pass, and the statistics from counting the
+    stream's distinct word pairs.
+
     Returns ``(vocab, classmap, trace)`` where `trace` holds the objective
     after initialization and after each pass; it is non-decreasing.
     """
     if max_passes < 0:
         raise ValueError(f"max_passes must be non-negative, got {max_passes}")
-    sentences = [list(s) for s in sentences]
-    vocab = build_vocabulary(sentences)
+    vocab, stream = index_tokens(itertools.chain.from_iterable(sentences))
     init = initialize_classes(vocab, num_classes, scheme=scheme, seed=seed)
-    # the vocabulary holds every token of the sentences it was built from
-    stream = list(map(vocab.ids.__getitem__, itertools.chain.from_iterable(sentences)))
-    if not stream:
-        raise ValueError("empty corpus")
     reserved_ids = [vocab.ids[tok] for tok in RESERVED]
     stats = BigramStats(stream, init, movable_classes=np.arange(num_classes))
     trace = [class_bigram_loglik(stats)]
@@ -491,26 +499,29 @@ def load_class_file(path):
         raise ValueError(f"{path}: line {line_no}: class id {num_classes - 1} is out of"
                          f" range: {len(words)} words leave some of {num_classes} classes"
                          " with no members")
-    order = {w: i for i, w in enumerate(words)}
     vocab = Vocabulary([w for w in words if w not in RESERVED])
+    ids = np.fromiter(map(vocab.ids.__getitem__, words), dtype=np.int64, count=len(words))
     class_of = np.zeros(len(vocab), dtype=np.int64)
     membership = np.zeros(len(vocab))
-    for word, class_id, prob in zip(words, assignments, probs):
-        class_of[vocab.ids[word]] = class_id
-        membership[vocab.ids[word]] = prob
+    class_of[ids] = assignments
+    membership[ids] = probs
     for tok in RESERVED:
-        if tok not in order:
+        if tok not in seen:
             class_of[vocab.ids[tok]] = num_classes
             membership[vocab.ids[tok]] = 1.0
             num_classes += 1
 
+    # one sort lays out each class's members in id order; each sum is the
+    # np.sum of that class's memberships, so it rounds as a sum over them
     present = np.bincount(class_of, minlength=num_classes)
-    for c, n in enumerate(present):
+    starts = (np.cumsum(present) - present).tolist()
+    grouped = membership[np.argsort(class_of, kind="stable")]
+    totals = np.empty(num_classes)
+    for c, (start, n) in enumerate(zip(starts, present.tolist())):
         if n == 0:
             raise ValueError(f"{path}: class {c} has no members")
-        ms = np.nonzero(class_of == c)[0]
-        total = membership[ms].sum()
+        total = grouped[start:start + n].sum()
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"{path}: memberships of class {c} sum to {total}, not 1")
-        membership[ms] /= total
-    return vocab, ClassMap(class_of, membership, num_classes)
+        totals[c] = total
+    return vocab, ClassMap(class_of, membership / totals[class_of], num_classes)

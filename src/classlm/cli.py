@@ -40,7 +40,7 @@ from .rescoring import (
 from .sampling import sample_text
 from .scoring import perplexity, score_arrays, threads_used
 from .training import TrainingConfig, train
-from .vocabulary import build_vocabulary, read_corpus, text_lines
+from .vocabulary import build_vocabulary, read_corpus, read_tokens, text_lines
 
 log = logging.getLogger("classlm")
 
@@ -81,9 +81,12 @@ def _open_output(path):
 
 def cmd_classes(args):
     _check_output(args.output)
-    sentences = _read_sentences(args.corpus)
+    # the exchange sees the corpus as one stream, so it is read as one
+    tokens = read_tokens(args.corpus)
+    if not tokens:
+        raise ValueError(f"{args.corpus}: empty corpus")
     vocab, classmap, trace = run_exchange(
-        sentences,
+        [tokens],
         args.num_classes,
         scheme=args.init,
         seed=args.seed,

@@ -521,30 +521,39 @@ def _previous(seq, first, t):
     return first if t == 0 else seq[t - 1]
 
 
+def _step_added(total, term):
+    """`term` added onto a parameter's running gradient, None before the
+    last step: inside a backward loop, the order of `_sum_steps`."""
+    if total is None:
+        return term
+    total += term
+    return total
+
+
 def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
     if rows is not None:
         _no_rows_gradient()
-    steps = len(x)
     terms_h, terms_c = dy.get(0, []), dy.get(1, [])
-    grad = np.empty((4, *seq.shape[1:]), dtype=seq.dtype)  # pre-activation adjoints
-    UT = U.transpose(0, 2, 1)
-    dh = dc = None
-    for t in range(steps - 1, -1, -1):
+    grad = np.empty((4, *seq.shape[2:]), dtype=seq.dtype)  # one step's pre-activation adjoints
+    dx = np.empty((4, *x.shape), dtype=np.result_type(seq, W))
+    WT, UT = W.transpose(0, 2, 1), U.transpose(0, 2, 1)
+    dh = dc = dW = dU = db = None
+    for t in range(len(x) - 1, -1, -1):
         dh = _carried(dh, terms_h, t)
         i, f, o, c_hat, tanh_c = seq[2:, t]
         d_tanh = (dh * o) * (1.0 - tanh_c * tanh_c)
         dc = _carried(dc, terms_c, t)
         dc = d_tanh if dc is None else dc + d_tanh
         d_ifo = np.stack([dc * c_hat, dc * _previous(seq[1], c0, t), dh * tanh_c])
-        grad[3, t] = (dc * i) * (1.0 - c_hat * c_hat)
-        grad[:3, t] = (d_ifo * seq[2:5, t]) * (1.0 - seq[2:5, t])
+        grad[3] = (dc * i) * (1.0 - c_hat * c_hat)
+        grad[:3] = (d_ifo * seq[2:5, t]) * (1.0 - seq[2:5, t])
         dc = dc * f
-        hu = np.matmul(grad[:, t], UT)
+        np.matmul(grad, WT, out=dx[:, t])
+        dW = _step_added(dW, np.matmul(x[t].T, grad))
+        dU = _step_added(dU, np.matmul(_previous(seq[0], h0, t).T, grad))
+        db = _step_added(db, grad.sum(axis=1))
+        hu = np.matmul(grad, UT)
         dh = ((hu[3] + hu[2]) + hu[1]) + hu[0]
-    dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
-    dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
-    dU = _sum_steps(lambda t: np.matmul(_previous(seq[0], h0, t).T, grad[:, t]), steps)
-    db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
     # x's adjoint as one term per gate, c first: the reverse of gate order
     return [dx[3], dx[2], dx[1], dx[0]], dh, dc, dW, dU, db
 
@@ -573,27 +582,28 @@ def _gru(node, x, h0, W, U, b, rows=None):
 def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
     if rows is not None:
         _no_rows_gradient()
-    steps = len(x)
     terms_h = dy.get(0, [])
-    grad = np.empty((3, *seq.shape[1:]), dtype=seq.dtype)  # pre-activation adjoints
-    UT = U.transpose(0, 2, 1)
-    dh = None
-    for t in range(steps - 1, -1, -1):
+    grad = np.empty((3, *seq.shape[2:]), dtype=seq.dtype)  # one step's pre-activation adjoints
+    dx = np.empty((3, *x.shape), dtype=np.result_type(seq, W))
+    WT, UT = W.transpose(0, 2, 1), U.transpose(0, 2, 1)
+    dh = dW = dU_zr = dU_h = db = None
+    for t in range(len(x) - 1, -1, -1):
         dh = _carried(dh, terms_h, t)
         z, r, h_hat = seq[1:4, t]
         hp = _previous(seq[0], h0, t)
-        grad[2, t] = (dh * z) * (1.0 - h_hat * h_hat)
-        d_rh = grad[2, t] @ UT[2]
+        grad[2] = (dh * z) * (1.0 - h_hat * h_hat)
+        d_rh = grad[2] @ UT[2]
         d_zr = np.stack([dh * h_hat - dh * hp, d_rh * hp])
-        grad[:2, t] = (d_zr * seq[1:3, t]) * (1.0 - seq[1:3, t])
-        hu = np.matmul(grad[:2, t], UT[:2])
+        grad[:2] = (d_zr * seq[1:3, t]) * (1.0 - seq[1:3, t])
+        np.matmul(grad, WT, out=dx[:, t])
+        dW = _step_added(dW, np.matmul(x[t].T, grad))
+        dU_zr = _step_added(dU_zr, np.matmul(hp.T, grad[:2]))
+        dU_h = _step_added(dU_h, seq[4, t].T @ grad[2])
+        db = _step_added(db, grad.sum(axis=1))
+        hu = np.matmul(grad[:2], UT[:2])
         dh = ((dh * (1.0 - z) + d_rh * r) + hu[1]) + hu[0]
-    dx = np.matmul(grad, W.transpose(0, 2, 1)[:, None])
-    dW = _sum_steps(lambda t: np.matmul(x[t].T, grad[:, t]), steps)
     dU = np.empty_like(U, dtype=grad.dtype)
-    dU[:2] = _sum_steps(lambda t: np.matmul(_previous(seq[0], h0, t).T, grad[:2, t]), steps)
-    dU[2] = _sum_steps(lambda t: seq[4, t].T @ grad[2, t], steps)
-    db = _sum_steps(lambda t: grad[:, t].sum(axis=1), steps)
+    dU[:2], dU[2] = dU_zr, dU_h
     # x's adjoint as one term per gate, h first: the reverse of gate order
     return [dx[2], dx[1], dx[0]], dh, dW, dU, db
 

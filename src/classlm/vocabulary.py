@@ -9,9 +9,11 @@ token, and any out-of-vocabulary word maps to ``<unk>``.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
-__all__ = ["RESERVED", "SENTENCE_START", "SENTENCE_END", "UNKNOWN", "Vocabulary", "build_vocabulary"]
+import numpy as np
+
+__all__ = ["RESERVED", "SENTENCE_START", "SENTENCE_END", "UNKNOWN", "Vocabulary", "build_vocabulary",
+           "index_tokens", "read_tokens"]
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -91,25 +93,44 @@ def _check_counts(words, counts):
 
 
 def build_vocabulary(sentences, max_size=None):
-    """Count words over an iterable of token lists and rank by frequency.
+    """Count words over an iterable of token lists and rank by frequency:
+    the vocabulary of `index_tokens` over their tokens."""
+    return index_tokens(itertools.chain.from_iterable(sentences), max_size)[0]
 
-    With `max_size` set, the top ``max_size - 3`` words are kept (three slots
-    go to the reserved tokens) and everything else falls back to ``<unk>``.
-    Ties in frequency break by first occurrence in the corpus.
+
+def index_tokens(tokens, max_size=None):
+    """The vocabulary of a token sequence and the sequence as ids, in one pass.
+
+    Words rank by count, and ties break by first occurrence.  The reserved
+    tokens stay outside the ranking: one that occurs in the text keeps its
+    id and a count of zero.  With `max_size` set, the top ``max_size - 3``
+    words are kept (three slots go to the reserved tokens) and every other
+    token maps to ``<unk>``.  Returns ``(vocab, stream)``, `stream` the
+    int64 array of the tokens' ids.
     """
-    counts = Counter(itertools.chain.from_iterable(sentences))
-    if not counts:
+    tokens = tokens if isinstance(tokens, list) else list(tokens)
+    words = list(dict.fromkeys(tokens))  # first-occurrence order
+    if not words:
         raise ValueError("empty corpus")
-    for tok in RESERVED:
-        counts.pop(tok, None)
+    if max_size is not None and max_size < len(RESERVED) + 1:
+        raise ValueError(f"max_size must be at least {len(RESERVED) + 1}")
+    code_of = dict(zip(words, range(len(words))))
+    codes = np.fromiter(map(code_of.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    counts = np.bincount(codes, minlength=len(words))
 
-    # a Counter keeps first-occurrence order and reverse sorting is stable
-    ranked = sorted(counts, key=counts.__getitem__, reverse=True)
+    # the code of each reserved token in the text -> its id
+    reserved = {code_of[tok]: i for i, tok in enumerate(RESERVED) if tok in code_of}
+    ranked = np.setdiff1d(np.arange(len(words)), list(reserved))
+    # a stable sort keeps first-occurrence order among equal counts
+    ranked = ranked[np.argsort(-counts[ranked], kind="stable")]
     if max_size is not None:
-        if max_size < len(RESERVED) + 1:
-            raise ValueError(f"max_size must be at least {len(RESERVED) + 1}")
         ranked = ranked[: max_size - len(RESERVED)]
-    return Vocabulary(ranked, counts)
+    id_of = np.full(len(words), RESERVED.index(UNKNOWN))
+    id_of[list(reserved)] = list(reserved.values())
+    id_of[ranked] = np.arange(len(RESERVED), len(RESERVED) + ranked.size)
+    vocab = Vocabulary.from_table([*RESERVED, *map(words.__getitem__, ranked.tolist())],
+                                  [0] * len(RESERVED) + counts[ranked].tolist())
+    return vocab, id_of[codes]
 
 
 def text_lines(path):
@@ -124,6 +145,11 @@ def text_lines(path):
             return
         except UnicodeDecodeError:
             pass
+    _raise_invalid_line(path)
+
+
+def _raise_invalid_line(path):
+    """Raise ValueError naming the first line of `path` that is not UTF-8."""
     # no newline byte occurs inside a UTF-8 sequence, so some line fails alone
     with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
@@ -132,6 +158,16 @@ def text_lines(path):
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: line {line_no}: invalid UTF-8") from None
     raise ValueError(f"{path}: invalid UTF-8")
+
+
+def read_tokens(path):
+    """Every token of a UTF-8 text file as one list: line ends separate
+    tokens like any other whitespace, so the text is one unframed stream."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().split()
+    except UnicodeDecodeError:
+        _raise_invalid_line(path)
 
 
 def read_corpus(path):

@@ -36,7 +36,7 @@ def test_two_runs_print_the_same_digests(tmp_path):
     suffixes = {name.rsplit(".", 1)[-1] for name in names}
     assert {"clm", "score", "score-unk0", "rescore", "rescore-lambda0", "rescore-tuned",
             "sample"} <= suffixes
-    assert {"classes.tsv", "classes-sparse.tsv"} <= set(names)
+    assert {"classes.tsv", "classes-sparse.tsv", "classes-messy.tsv"} <= set(names)
     assert {f"{arch}-double.sample" for arch in ("lstm", "gru", "skip")} <= set(names)
     # the first class table is nearly full, the second mostly empty
     assert _class_table_fill(outs[0], "train.txt", "classes.tsv") > 0.9

@@ -535,3 +535,48 @@ def test_class_file_appends_missing_reserved_tokens(tmp_path):
         c = int(cm.class_of[vocab.ids[tok]])
         assert groups[c] == [vocab.ids[tok]]
         assert cm.membership[vocab.ids[tok]] == 1.0
+
+
+def test_class_file_memberships_equal_a_sum_per_class_bitwise(tmp_path, rng):
+    # class sizes on both sides of the 8-element blocks of numpy's pairwise
+    # sum; memberships off 1 by up to 5e-7, so each division changes bits
+    sizes = [1, 7, 8, 9, 200]
+    rows = []
+    for c, n in enumerate(sizes):
+        probs = rng.random(n)
+        probs *= (1.0 + rng.uniform(-5e-7, 5e-7)) / probs.sum()
+        rows += [(c, float(p)) for p in probs]
+    order = rng.permutation(len(rows))  # members of a class far apart in the file
+    lines = [f"w{i}\t{rows[j][0]}\t{rows[j][1]!r}\n" for i, j in enumerate(order)]
+    path = tmp_path / "classes.tsv"
+    path.write_text("".join(lines))
+    vocab, cm = cl.load_class_file(path)
+
+    # the reference: one scan of the class ids per class
+    class_of = np.zeros(len(vocab), dtype=np.int64)
+    membership = np.zeros(len(vocab))
+    for line in lines:
+        word, c, p = line.split("\t")
+        class_of[vocab.ids[word]], membership[vocab.ids[word]] = int(c), float(p)
+    for c in range(len(sizes)):
+        members = np.nonzero(class_of == c)[0]
+        membership[members] /= membership[members].sum()
+    regular = np.arange(len(RESERVED), len(vocab))
+    assert np.array_equal(cm.class_of[regular], class_of[regular])
+    assert cm.membership[regular].tobytes() == membership[regular].tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    # class 0 fails its sum, class 1 has no members: the lower class is named
+    ("a\t0\t0.5\nb\t2\t1.0\nc\t2\t0.0\n", "memberships of class 0 sum to 0.5, not 1"),
+    # class 1 has no members, class 2 fails its sum
+    ("a\t0\t1.0\nb\t2\t0.5\nc\t2\t0.0\n", "class 1 has no members"),
+    # class 1 fails its sum, class 2 too
+    ("a\t0\t1.0\nb\t1\t0.25\nc\t2\t0.5\n", "memberships of class 1 sum to 0.25, not 1"),
+])
+def test_class_file_names_the_lowest_failing_class(tmp_path, text, message):
+    path = tmp_path / "classes.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        cl.load_class_file(path)
+    assert str(err.value) == f"{path}: {message}"

@@ -72,6 +72,24 @@ def test_classes_command_single_class(tmp_path):
     assert len({int(classmap.class_of[w]) for w in regular}) == 1
 
 
+def test_classes_command_reads_the_corpus_as_one_token_stream(tmp_path):
+    # line breaks, blank lines, tabs and runs of spaces only separate tokens
+    rng = np.random.default_rng(5)
+    tokens = [f"w{i}" for i in rng.integers(0, 12, size=300)]
+    pieces = []
+    for i, tok in enumerate(tokens):
+        pieces.append(tok + ("\r\n", "\t", "   ", "\r\n\r\n", " \t \n\n", " ")[i % 6])
+    messy, plain = tmp_path / "messy.txt", tmp_path / "plain.txt"
+    messy.write_bytes(("\n \t\r\n" + "".join(pieces)).encode())
+    plain.write_text("\n".join(tokens) + "\n")
+    outputs = []
+    for corpus in (messy, plain):
+        outputs.append(tmp_path / f"{corpus.stem}.tsv")
+        assert main(["classes", "--corpus", str(corpus), "--num-classes", "4",
+                     "--output", str(outputs[-1]), "--seed", "2"]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 def test_classes_default_is_2000():
     parser = build_parser()
     args = parser.parse_args(["classes", "--corpus", "x", "--output", "y"])

@@ -178,6 +178,31 @@ def test_a_training_step_holds_little_beyond_its_forward_values():
     assert peak <= 2.0 * forward
 
 
+def test_a_recurrent_backward_holds_one_step_of_gate_adjoints():
+    # the batch above: the LSTM backward adds each step's parameter
+    # gradients as it goes and keeps one step's gate adjoints, so the
+    # peak reads about 1.5 times the forward values
+    rng = np.random.default_rng(3)
+    net = support.random_class_network(rng, vocab_size=1000, num_classes=300,
+                                       sizes=(64, 128, 128))
+    inputs = rng.integers(0, len(net.vocab), size=(32, 40))
+    targets = rng.integers(0, len(net.vocab), size=(32, 40))
+    mask = (np.arange(40) < rng.integers(30, 41, size=(32, 1))).astype(np.float64)
+    batch_gradients(net, inputs, targets, mask, None)
+    tracemalloc.start()
+    try:
+        _, ws = batch_loss(net, inputs, targets, mask, None)
+        forward, _ = tracemalloc.get_traced_memory()
+        del ws
+        tracemalloc.reset_peak()
+        batch_gradients(net, inputs, targets, mask, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward > 10e6
+    assert peak <= 1.6 * forward
+
+
 def test_divergence_names_batch_and_time_step(caplog):
     # a word-input network whose embedding row of "w" is NaN: the first
     # batch that feeds "w" fails at the time step where it is first fed

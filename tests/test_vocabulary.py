@@ -132,3 +132,55 @@ def test_from_table_reads_the_stored_table(rows, reserved_counts):
 def test_from_table_needs_the_reserved_tokens_first():
     with pytest.raises(ValueError, match="does not start with the reserved tokens"):
         cl.Vocabulary.from_table([SENTENCE_START, UNKNOWN, SENTENCE_END, "a"], [0, 0, 0, 1])
+
+
+def _reference_index(tokens, max_size):
+    """The vocabulary counted word by word, ranked by a stable sort of the
+    counts, and the tokens looked up one at a time."""
+    counts = {}
+    for t in tokens:
+        if t not in RESERVED:
+            counts[t] = counts.get(t, 0) + 1
+    ranked = sorted(counts, key=lambda w: -counts[w])  # stable: first occurrence first
+    if max_size is not None:
+        ranked = ranked[: max_size - len(RESERVED)]
+    vocab = cl.Vocabulary(ranked, counts)
+    return vocab.words, vocab.counts, [vocab.id_of(t) for t in tokens]
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(sentences=st.lists(st.lists(_WORDS, max_size=8), max_size=5)
+                  .filter(lambda s: any(s)),
+                  max_size=st.none() | st.integers(4, 8))
+def test_index_tokens_equals_a_vocabulary_and_a_lookup_per_token(sentences, max_size):
+    # few word types and short corpora: ties in frequency, reserved tokens
+    # as text and one-token corpora are all common
+    tokens = [t for s in sentences for t in s]
+    vocab, stream = cl.vocabulary.index_tokens(tokens, max_size)
+    assert stream.dtype == np.int64
+    assert (vocab.words, vocab.counts, stream.tolist()) == _reference_index(tokens, max_size)
+    built = cl.build_vocabulary(sentences, max_size)
+    assert (built.words, built.counts) == (vocab.words, vocab.counts)
+
+
+@pytest.mark.parametrize("tokens", [["x"], [UNKNOWN], [SENTENCE_START, "x", SENTENCE_START]])
+def test_index_tokens_of_tiny_corpora(tokens):
+    vocab, stream = cl.vocabulary.index_tokens(tokens)
+    assert stream.tolist() == [vocab.ids[t] for t in tokens]
+    assert vocab.counts[: len(RESERVED)] == [0] * len(RESERVED)
+
+
+def test_index_tokens_rejects_empty_corpora_before_a_bad_max_size():
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        cl.vocabulary.index_tokens([], max_size=2)
+    with pytest.raises(ValueError, match="max_size must be at least 4"):
+        cl.vocabulary.index_tokens(["a"], max_size=3)
+
+
+def test_read_tokens_splits_on_every_whitespace(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"a  b\tc\r\n\r\n d\x0be\n\nf")
+    assert cl.vocabulary.read_tokens(path) == ["a", "b", "c", "d", "e", "f"]
+    path.write_bytes(b"a\nb \xff\n")
+    with pytest.raises(ValueError, match=r"line 2: invalid UTF-8$"):
+        cl.vocabulary.read_tokens(path)

@@ -18,8 +18,10 @@ weights, with ``--lambda 0`` and with ``--tune --refs``, scores 300
 sentences whose widest prefix-trie levels hold 160 rows or more (steps
 that run in parts on several threads where the process may use several
 CPUs), and samples from each of the six architecture models twice: 15
-sentences of at most 20 tokens, and 37 of at most 70.  Last, it tunes
-each of the six models again with ``--unk-penalty 0``.  It prints one
+sentences of at most 20 tokens, and 37 of at most 70.  It tunes each of
+the six models again with ``--unk-penalty 0``.  Last, it induces 6
+classes on a corpus that holds the reserved tokens as words, blank lines,
+CRLF line ends, tabs and words of equal frequency.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -201,7 +203,27 @@ def produce(out):
         run(["rescore", "--model", p(model), "--nbest", p("nbest.txt"), "--tune", "--refs",
              p("refs.txt"), "--unk-penalty", "0", "--output", p(f"{stem}.rescore-tuned-unk0")])
         outputs.append(f"{stem}.rescore-tuned-unk0")
+    # after every other output: a corpus read as one token stream
+    write_messy_corpus(np.random.default_rng(SEED + 1), p("messy.txt"))
+    run(["classes", "--corpus", p("messy.txt"), "--num-classes", "6", "--output",
+         p("classes-messy.tsv")])
+    outputs += ["messy.txt", "classes-messy.tsv"]
     return outputs
+
+
+def write_messy_corpus(rng, path):
+    """Markov sentences over words that include the reserved tokens, and
+    three words of equal frequency, joined by assorted whitespace and line
+    ends."""
+    words = [f"m{i}" for i in range(20)] + ["<s>", "</s>", "<unk>"]
+    sentences = markov_sentences(rng, words, 60)
+    sentences += [["tie1", "tie2", "tie3"], ["tie3", "tie2", "tie1"]]
+    gaps = [" ", "  ", "\t", " \t "]
+    ends = ["\r\n", "\n", "\r\n\r\n", "\n\n \n"]
+    with open(path, "wb") as f:
+        for s in sentences:
+            text = s[0] + "".join(gaps[int(rng.integers(len(gaps)))] + w for w in s[1:])
+            f.write((text + ends[int(rng.integers(len(ends)))]).encode())
 
 
 def digest(path):
