@@ -38,12 +38,10 @@ from .network import Network, instantiate_network
 from .optimizers import Optimizer, OptimizerConfig, clip_gradients
 from .rescoring import (
     InterpolationParams,
-    NBestHypothesis,
-    edit_distance,
+    NBest,
     optimize_interpolation,
     read_nbest_file,
     read_reference_file,
-    rescore_nbest,
 )
 from .sampling import sample_text
 from .scoring import ScoreResult, corpus_perplexity, score_sentence, score_sentences

@@ -228,15 +228,6 @@ class BigramStats:
         self._fixed[self.movable_classes] = False
         self._visit = None, None
 
-    def check_consistency(self):
-        """Verify the class bigram marginals against the unigram counts and
-        the transposed table against the table."""
-        row = self.class_bigrams.sum(axis=1)
-        col = self.class_bigrams.sum(axis=0)
-        if not (np.array_equal(row, self.class_counts) and np.array_equal(col, self.class_counts)
-                and np.array_equal(self.class_bigrams_t, self.class_bigrams.T)):
-            raise ValueError("class bigram tables do not match each other or the class counts")
-
     def _transition_mass(self, w):
         """Per-class successor/predecessor masses of `w`, minus self loops,
         the classes where each is nonzero, and the self-loop count.
@@ -447,14 +438,12 @@ def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50
 def save_class_file(path, vocab, classmap):
     """Write ``word<TAB>class_id<TAB>membership`` sorted by class, then
     descending membership (word id breaks ties)."""
-    rows = sorted(
-        range(len(vocab)),
-        key=lambda w: (int(classmap.class_of[w]), -classmap.membership[w], w),
-    )
+    class_of, membership = classmap.class_of, classmap.membership
+    rows = np.lexsort((np.arange(len(vocab)), -membership, class_of))
     with open(path, "w", encoding="utf-8") as f:
-        for w in rows:
-            prob = float(classmap.membership[w])
-            f.write(f"{vocab.words[w]}\t{int(classmap.class_of[w])}\t{prob!r}\n")
+        for w in rows.tolist():
+            prob = float(membership[w])
+            f.write(f"{vocab.words[w]}\t{int(class_of[w])}\t{prob!r}\n")
 
 
 def load_class_file(path):

@@ -187,7 +187,7 @@ def cmd_rescore(args):
     _check_output(args.output)
     network, _ = load_model(args.model)
     policy = _unk_policy(args.unk_penalty)
-    by_utterance = read_nbest_file(args.nbest)
+    nbest = read_nbest_file(args.nbest)
 
     if args.tune:
         if not args.refs:
@@ -196,20 +196,20 @@ def cmd_rescore(args):
         lambda_grid = _parse_grid(args.grid_lambda, "--grid-lambda")
         snn_grid = _parse_grid(args.grid_snn, "--grid-snn")
         params, errors, nn_scores = optimize_interpolation(
-            by_utterance, references, network, args.s_bo, lambda_grid, snn_grid, policy
+            nbest, references, network, args.s_bo, lambda_grid, snn_grid, policy
         )
         log.info("tuned lambda=%g s_nn=%g (s_bo=%g, %d word errors)",
                  params.lam, params.s_nn, params.s_bo, errors)
     else:
         params = InterpolationParams(args.lam, args.s_bo, args.s_nn)
-        nn_scores = score_hypotheses(by_utterance, network, policy)
+        nn_scores = score_hypotheses(nbest, network, policy)
 
-    order, _, _, totals = rank_hypotheses(by_utterance, nn_scores, params)
-    ranked = zip(by_utterance.items(), order.tolist(),
-                 np.take_along_axis(totals, order, axis=-1).tolist())
-    lines = [f"{utt}\t{total!r}\t{' '.join(hyps[i].tokens)}\n"
-             for (utt, hyps), indices, row in ranked
-             for i, total in zip(indices[:len(hyps)], row)]
+    order, _, _, totals = rank_hypotheses(nbest, nn_scores, params)
+    ranked = zip(nbest.utterances, np.cumsum(nbest.counts).tolist(), nbest.counts.tolist(),
+                 order.tolist(), np.take_along_axis(totals, order, axis=-1).tolist())
+    lines = [f"{utt}\t{total!r}\t{' '.join(nbest.tokens[end - n + i])}\n"
+             for utt, end, n, indices, row in ranked
+             for i, total in zip(indices[:n], row)]
     out = _open_output(args.output)
     try:
         out.write(f"# lambda={params.lam!r} s_bo={params.s_bo!r} s_nn={params.s_nn!r}\n")
@@ -217,7 +217,7 @@ def cmd_rescore(args):
     finally:
         if out is not sys.stdout:
             out.close()
-    log.info("rescored %d utterances; threads: %d", len(by_utterance), threads_used())
+    log.info("rescored %d utterances; threads: %d", len(nbest.utterances), threads_used())
     return 0
 
 

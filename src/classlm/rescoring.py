@@ -1,7 +1,8 @@
 """N-best list rescoring with interpolated language model scores.
 
 Each hypothesis carries an acoustic log-probability and a back-off language
-model log-probability from the first decoding pass (natural logarithms).
+model log-probability from the first decoding pass (natural logarithms);
+an n-best list is one :class:`NBest` of columns, no object per hypothesis.
 The network contributes log P_nn, and :func:`lm_score` alone forms the
 combined language model score
 
@@ -19,8 +20,7 @@ Everything per hypothesis runs on arrays: the network scores are the
 totals of :func:`~classlm.scoring.score_arrays`, word errors come from one
 integer program over all hypothesis/reference pairs, and
 :func:`rank_hypotheses` returns the ranking as index and score arrays, from
-which the command line writes the reranked file.  :func:`rescore_nbest`
-is the per-hypothesis view of the same ranking.
+which the command line writes the reranked file.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ from .vocabulary import text_lines
 
 __all__ = [
     "InterpolationParams",
-    "NBestHypothesis",
-    "edit_distance",
+    "NBest",
     "edit_distances",
     "optimize_interpolation",
     "rank_hypotheses",
     "read_nbest_file",
     "read_reference_file",
-    "rescore_nbest",
     "score_hypotheses",
 ]
 
@@ -74,33 +72,62 @@ def lm_score(log_p_bo, log_p_nn, lam, s_bo, s_nn):
     return ((1.0 - lam) * s_bo) * log_p_bo + w_nn * log_p_nn
 
 
-@dataclass(frozen=True)
-class NBestHypothesis:
-    utterance_id: str
-    acoustic: float  # acoustic log-probability (natural log, possibly scaled)
-    backoff: float   # back-off LM log-probability (natural log)
+@dataclass(frozen=True, eq=False)  # array fields compare elementwise: compare by identity
+class NBest:
+    """An n-best list as columns: the utterance names in order of first
+    appearance, each one's hypothesis count (int64), and per hypothesis its
+    acoustic and back-off scores (float64) and token tuple, utterance after
+    utterance, each utterance's in the order given (its first-pass ranking).
+    """
+
+    utterances: tuple
+    counts: np.ndarray
+    acoustic: np.ndarray
+    backoff: np.ndarray
     tokens: tuple
 
-    def __post_init__(self):
-        if not self.tokens:
+    @classmethod
+    def from_columns(cls, names, acoustic, backoff, tokens):
+        """Group per-hypothesis columns by utterance name; an utterance's
+        entries need not be contiguous.  A hypothesis without tokens is an
+        error."""
+        if not all(tokens):
             raise ValueError("hypothesis has no tokens")
-
-
-@dataclass(frozen=True)
-class RescoredHypothesis:
-    hypothesis: NBestHypothesis
-    log_p_nn: float
-    lm_score: float
-    total: float
+        code = {name: i for i, name in enumerate(dict.fromkeys(names))}
+        utt = np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
+        order = np.argsort(utt, kind="stable")
+        return cls(tuple(code), np.bincount(utt, minlength=len(code)),
+                   np.asarray(acoustic, dtype=np.float64)[order],
+                   np.asarray(backoff, dtype=np.float64)[order],
+                   tuple(map(tokens.__getitem__, order.tolist())))
 
 
 def read_nbest_file(path):
-    """Parse ``utt_id acoustic backoff w1 ... wN`` lines, grouped by utterance.
+    """Parse ``utt_id acoustic backoff w1 ... wN`` lines into an :class:`NBest`.
 
-    Grouping does not require contiguous lines; within an utterance the
-    original line order is kept (it defines the first-pass ranking).
+    The file is split into columns and each score read by ``float``; only
+    when a check fails is it read again line by line, to name the first
+    line that fails one.
     """
-    by_utterance = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            # universal newlines leave "\n" the one line end, as in line iteration
+            rows = [parts for parts in map(str.split, f.read().split("\n")) if parts]
+        valid = bool(rows) and min(map(len, rows)) >= 4
+        if valid:
+            acoustic, backoff = (np.array([float(parts[k]) for parts in rows]) for k in (1, 2))
+            valid = np.isfinite(acoustic).all() and np.isfinite(backoff).all()
+    except ValueError:  # not UTF-8, or a score that float() does not read
+        valid = False
+    if not valid:
+        _raise_nbest_error(path)
+    return NBest.from_columns([parts[0] for parts in rows], acoustic, backoff,
+                              [tuple(parts[3:]) for parts in rows])
+
+
+def _raise_nbest_error(path):
+    """Raise ValueError naming the first line of `path` that is not UTF-8
+    or not a well-formed hypothesis, or saying that it holds none."""
     for line_no, line in enumerate(text_lines(path), start=1):
         parts = line.split()
         if not parts:
@@ -110,17 +137,12 @@ def read_nbest_file(path):
                 f"{path}: line {line_no}: expected 'utt_id acoustic backoff words...'"
             )
         try:
-            acoustic = float(parts[1])
-            backoff = float(parts[2])
+            scores = float(parts[1]), float(parts[2])
         except ValueError:
-            raise ValueError(f"{path}: line {line_no}: scores are not numbers")
-        if not (math.isfinite(acoustic) and math.isfinite(backoff)):
+            raise ValueError(f"{path}: line {line_no}: scores are not numbers") from None
+        if not all(map(math.isfinite, scores)):
             raise ValueError(f"{path}: line {line_no}: scores must be finite")
-        hyp = NBestHypothesis(parts[0], acoustic, backoff, tuple(parts[3:]))
-        by_utterance.setdefault(parts[0], []).append(hyp)
-    if not by_utterance:
-        raise ValueError(f"{path}: no hypotheses")
-    return by_utterance
+    raise ValueError(f"{path}: no hypotheses")
 
 
 def read_reference_file(path):
@@ -140,33 +162,25 @@ def read_reference_file(path):
     return refs
 
 
-def score_hypotheses(by_utterance, network, unk_policy="include"):
-    """Network log-probability of every hypothesis, computed once.
-
-    Returns one float array, utterance after utterance, each utterance's
-    hypotheses in list order."""
-    for utt, hyps in by_utterance.items():
-        if not hyps:
-            raise ValueError(f"utterance {utt!r} has an empty hypothesis list")
-    texts = [h.tokens for hyps in by_utterance.values() for h in hyps]
-    return score_arrays(network, texts, unk_policy).totals
+def score_hypotheses(nbest, network, unk_policy="include"):
+    """Network log-probability of every hypothesis of an :class:`NBest`,
+    computed once, as one float array in its column order."""
+    return score_arrays(network, nbest.tokens, unk_policy).totals
 
 
-def _score_table(by_utterance, nn_scores):
+def _score_table(nbest, nn_scores):
     """Acoustic, back-off and network scores as one (3, utterance,
     hypothesis) array, and the mask of the cells that hold a hypothesis.
     A padding cell has scores (-inf, 0, 0): it totals -inf at every weight
     and ranks after its row's hypotheses."""
-    lengths = np.array([len(hyps) for hyps in by_utterance.values()])
-    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    real = np.arange(nbest.counts.max(initial=0)) < nbest.counts[:, None]
     table = np.zeros((3, *real.shape))
     table[0, ~real] = -np.inf
-    hyps = [h for hs in by_utterance.values() for h in hs]
-    table[:, real] = [[h.acoustic for h in hyps], [h.backoff for h in hyps], nn_scores]
+    table[:, real] = nbest.acoustic, nbest.backoff, nn_scores
     return table, real
 
 
-def rank_hypotheses(by_utterance, nn_scores, params):
+def rank_hypotheses(nbest, nn_scores, params):
     """The reranking of every utterance as arrays over the padded
     (utterance, hypothesis) table.
 
@@ -174,32 +188,11 @@ def rank_hypotheses(by_utterance, nn_scores, params):
     u's hypothesis indices best first, its padding cells after them, and
     the network, combined and total scores are in first-pass order.
     """
-    (acoustic, backoff, nn), _ = _score_table(by_utterance, nn_scores)
+    (acoustic, backoff, nn), _ = _score_table(nbest, nn_scores)
     lm = params.combine(backoff, nn)
     totals = acoustic + lm
     # stable: the first of equal totals first, as the grid search's argmax
     return np.argsort(-totals, axis=-1, kind="stable"), nn, lm, totals
-
-
-def rescore_nbest(by_utterance, network, params, unk_policy="include", nn_scores=None):
-    """Rerank every utterance's hypotheses by acoustic + interpolated LM score.
-
-    `nn_scores`, when given, holds log P_nn per hypothesis as returned by
-    :func:`score_hypotheses` or :func:`optimize_interpolation`, and the
-    network is not run.  Returns one list of :class:`RescoredHypothesis`
-    per utterance, a view of :func:`rank_hypotheses`.
-    """
-    if nn_scores is None:
-        nn_scores = score_hypotheses(by_utterance, network, unk_policy)
-    order, nn, lm, totals = (a.tolist() for a in rank_hypotheses(by_utterance, nn_scores, params))
-    return {utt: [RescoredHypothesis(hyps[i], nn[u][i], lm[u][i], totals[u][i])
-                  for i in order[u][:len(hyps)]]
-            for u, (utt, hyps) in enumerate(by_utterance.items())}
-
-
-def edit_distance(hyp, ref):
-    """Word-level Levenshtein distance (substitutions + insertions + deletions)."""
-    return int(edit_distances([hyp], [ref])[0])
 
 
 def edit_distances(hyps, refs):
@@ -259,38 +252,38 @@ def edit_distances(hyps, refs):
 
 
 def optimize_interpolation(
-    by_utterance, references, network, s_bo, lambda_grid, snn_grid, unk_policy="include"
+    nbest, references, network, s_bo, lambda_grid, snn_grid, unk_policy="include"
 ):
     """Grid-search (lambda, s_nn) minimizing total word errors on references.
 
     The error count is the summed edit distance (computed once per
     hypothesis) between each utterance's top-ranked hypothesis, the first of
-    equal totals as in :func:`rescore_nbest`, and its reference.  Ties prefer
+    equal totals as in :func:`rank_hypotheses`, and its reference.  Ties prefer
     the smaller lambda, then the smaller s_nn.
 
     Every hypothesis is scored once, and all grid points are evaluated at
     once on (grid point, utterance, hypothesis) arrays by :func:`lm_score`,
-    so the totals equal those :func:`rescore_nbest` prints.  Returns
+    so the totals equal those :func:`rank_hypotheses` ranks by.  Returns
     ``(params, errors, nn_scores)``; pass `nn_scores` on to
-    :func:`rescore_nbest` to rerank without scoring again.
+    :func:`rank_hypotheses` to rerank without scoring again.
     """
     lambda_grid = sorted(set(float(x) for x in lambda_grid))
     snn_grid = sorted(set(float(x) for x in snn_grid))
     if not lambda_grid or not snn_grid:
         raise ValueError("empty tuning grid")
-    missing = [utt for utt in by_utterance if utt not in references]
+    missing = [utt for utt in nbest.utterances if utt not in references]
     if missing:
         raise ValueError(f"no reference for utterance(s): {', '.join(sorted(missing))}")
     for lam in lambda_grid:
         for s_nn in snn_grid:
             InterpolationParams(lam, s_bo, s_nn)  # rejects an invalid grid point
 
-    nn_scores = score_hypotheses(by_utterance, network, unk_policy)
-    (acoustic, backoff, nn), real = _score_table(by_utterance, nn_scores)
+    nn_scores = score_hypotheses(nbest, network, unk_policy)
+    (acoustic, backoff, nn), real = _score_table(nbest, nn_scores)
     hyp_errors = np.zeros(real.shape, dtype=np.int64)
-    hyp_errors[real] = edit_distances(
-        [h.tokens for hs in by_utterance.values() for h in hs],
-        [references[utt] for utt, hs in by_utterance.items() for _ in hs])
+    refs = [references[utt] for utt, n in zip(nbest.utterances, nbest.counts.tolist())
+            for _ in range(n)]
+    hyp_errors[real] = edit_distances(nbest.tokens, refs)
 
     lam = np.array(lambda_grid)[:, None, None, None]
     s_nn = np.array(snn_grid)[None, :, None, None]

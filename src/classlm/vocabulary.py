@@ -71,13 +71,6 @@ class Vocabulary:
     def unk_id(self):
         return self.ids[UNKNOWN]
 
-    def id_of(self, word):
-        """Id of `word`, falling back to the unknown token."""
-        return self.ids.get(word, self.ids[UNKNOWN])
-
-    def word_of(self, word_id):
-        return self.words[word_id]
-
     def frame(self, tokens):
         """Token ids for ``<s> tokens </s>`` with unknown-word fallback."""
         ids = self.ids

@@ -1,15 +1,20 @@
-"""Shared helpers for the test suite: tiny architectures, corpus generators
-and independent oracles (set-partition enumeration, brute-force word
-distributions)."""
+"""Shared helpers for the test suite: tiny architectures, corpus generators,
+independent oracles (set-partition enumeration, brute-force word
+distributions, the line-at-a-time n-best reader) and per-item views of the
+library's tables that only tests read."""
 
 import json
+import math
 import struct
+from collections import namedtuple
 
 import numpy as np
 
 import classlm as cl
 from classlm.model_io import MAGIC
 from classlm.network import file_blocks
+from classlm.rescoring import rank_hypotheses, score_hypotheses
+from classlm.vocabulary import UNKNOWN, text_lines
 
 SMALL_ARCH = """\
 input type=class name=class_input
@@ -195,7 +200,7 @@ def partitions_into_k(items, k):
 
 def loglik_of_partition(stream_words, vocab, groups, num_regular):
     """Closed-form objective of an explicit partition (oracle side)."""
-    stream = [vocab.id_of(t) for t in stream_words]
+    stream = [id_of(vocab, t) for t in stream_words]
     class_of = np.zeros(len(vocab), dtype=np.int64)
     for c, members in enumerate(groups):
         for w in members:
@@ -292,3 +297,87 @@ def rewrite_header(path, edit):
     prefix = MAGIC + struct.pack("<Q", len(new_header)) + new_header
     payload_start = start + header_len + ((-(start + header_len)) % 16)
     path.write_bytes(prefix + b"\0" * ((-len(prefix)) % 16) + blob[payload_start:])
+
+
+def id_of(vocab, word):
+    """Id of `word`, falling back to the unknown token."""
+    return vocab.ids.get(word, vocab.ids[UNKNOWN])
+
+
+def word_of(vocab, word_id):
+    return vocab.words[word_id]
+
+
+def check_consistency(stats):
+    """Verify a `BigramStats`' class bigram marginals against its unigram
+    counts and its transposed table against the table."""
+    row = stats.class_bigrams.sum(axis=1)
+    col = stats.class_bigrams.sum(axis=0)
+    if not (np.array_equal(row, stats.class_counts) and np.array_equal(col, stats.class_counts)
+            and np.array_equal(stats.class_bigrams_t, stats.class_bigrams.T)):
+        raise ValueError("class bigram tables do not match each other or the class counts")
+
+
+# one n-best hypothesis, and one row of the per-hypothesis view of a reranking
+Hypothesis = namedtuple("Hypothesis", "utterance_id acoustic backoff tokens")
+Rescored = namedtuple("Rescored", "hypothesis log_p_nn lm_score total")
+
+
+def nbest(by_utterance):
+    """The `NBest` of ``{utterance: [Hypothesis, ...]}``, in that order."""
+    names, acoustic, backoff, tokens = [], [], [], []
+    for utt, hyps in by_utterance.items():
+        for h in hyps:
+            names.append(utt)
+            acoustic.append(h.acoustic)
+            backoff.append(h.backoff)
+            tokens.append(h.tokens)
+    return cl.NBest.from_columns(names, acoustic, backoff, tokens)
+
+
+def by_utterance(nbest):
+    """``{utterance: [Hypothesis, ...]}`` of an `NBest`: the inverse of
+    :func:`nbest`."""
+    names = [utt for utt, n in zip(nbest.utterances, nbest.counts.tolist()) for _ in range(n)]
+    hyps = map(Hypothesis, names, nbest.acoustic.tolist(), nbest.backoff.tolist(), nbest.tokens)
+    return {utt: [next(hyps) for _ in range(n)]
+            for utt, n in zip(nbest.utterances, nbest.counts.tolist())}
+
+
+def rescore_nbest(nbest, network, params, unk_policy="include", nn_scores=None):
+    """The per-hypothesis view of `rank_hypotheses`: ``{utterance:
+    [Rescored, ...]}``, best first.  With `nn_scores` given, the network is
+    not run."""
+    if nn_scores is None:
+        nn_scores = score_hypotheses(nbest, network, unk_policy)
+    order, nn, lm, totals = (a.tolist() for a in rank_hypotheses(nbest, nn_scores, params))
+    return {utt: [Rescored(hyps[i], nn[u][i], lm[u][i], totals[u][i])
+                  for i in order[u][:len(hyps)]]
+            for u, (utt, hyps) in enumerate(by_utterance(nbest).items())}
+
+
+def read_nbest_lines(path):
+    """The line-at-a-time n-best reader: each line's field count, then its
+    two scores by ``float``, then their finiteness, the first failing line
+    named; the hypotheses grouped by utterance in line order."""
+    by_utterance = {}
+    for line_no, line in enumerate(text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 4:
+            raise ValueError(
+                f"{path}: line {line_no}: expected 'utt_id acoustic backoff words...'"
+            )
+        try:
+            acoustic = float(parts[1])
+            backoff = float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: scores are not numbers")
+        if not (math.isfinite(acoustic) and math.isfinite(backoff)):
+            raise ValueError(f"{path}: line {line_no}: scores must be finite")
+        by_utterance.setdefault(parts[0], []).append(
+            Hypothesis(parts[0], acoustic, backoff, tuple(parts[3:])))
+    if not by_utterance:
+        raise ValueError(f"{path}: no hypotheses")
+    return nbest(by_utterance)

@@ -203,7 +203,7 @@ def test_criterion_3_exchange():
         vocab = cl.build_vocabulary([words])
         k = int(min(3, n_types))
         cm = cl.initialize_classes(vocab, k, scheme="random", seed=trial)
-        stream = [vocab.id_of(t) for t in words]
+        stream = [support.id_of(vocab, t) for t in words]
         stats = BigramStats(stream, cm, movable_classes=np.arange(k))
         for w in range(len(vocab)):
             if vocab.words[w] in RESERVED or stats.word_counts[w] == 0:
@@ -298,19 +298,19 @@ def test_criterion_6_interpolation_endpoints(toy_model):
     )
 
     hyps = {
-        "u1": [cl.NBestHypothesis("u1", -1.0, -1.0, ("d", "c", "b", "a")),
-               cl.NBestHypothesis("u1", -2.0, -9.0, ("a", "b", "c", "d"))],
-        "u2": [cl.NBestHypothesis("u2", -0.5, -2.0, ("b", "b", "b", "b")),
-               cl.NBestHypothesis("u2", -1.5, -8.0, ("a", "b", "c", "d"))],
-        "u3": [cl.NBestHypothesis("u3", -0.1, -3.0, ("a", "a", "d", "d")),
-               cl.NBestHypothesis("u3", -0.9, -7.0, ("a", "b", "c", "d"))],
+        "u1": [support.Hypothesis("u1", -1.0, -1.0, ("d", "c", "b", "a")),
+               support.Hypothesis("u1", -2.0, -9.0, ("a", "b", "c", "d"))],
+        "u2": [support.Hypothesis("u2", -0.5, -2.0, ("b", "b", "b", "b")),
+               support.Hypothesis("u2", -1.5, -8.0, ("a", "b", "c", "d"))],
+        "u3": [support.Hypothesis("u3", -0.1, -3.0, ("a", "a", "d", "d")),
+               support.Hypothesis("u3", -0.9, -7.0, ("a", "b", "c", "d"))],
     }
     # lambda = 0: exactly the input (first-pass) ranking
-    reranked = cl.rescore_nbest(hyps, toy_model, InterpolationParams(0.0))
+    reranked = support.rescore_nbest(support.nbest(hyps), toy_model, InterpolationParams(0.0))
     for utt in hyps:
         assert [r.hypothesis for r in reranked[utt]] == hyps[utt]
     # lambda = 1: exactly the network-score ranking
-    reranked = cl.rescore_nbest(hyps, toy_model, InterpolationParams(1.0))
+    reranked = support.rescore_nbest(support.nbest(hyps), toy_model, InterpolationParams(1.0))
     for utt in hyps:
         by_nn = sorted(reranked[utt], key=lambda r: -(r.hypothesis.acoustic + r.log_p_nn))
         assert [r.hypothesis for r in reranked[utt]] == [r.hypothesis for r in by_nn]

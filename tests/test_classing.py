@@ -157,7 +157,7 @@ def test_build_vocabulary_counts_and_reserved():
 def test_build_vocabulary_max_size_keeps_top_words():
     vocab = cl.build_vocabulary([["a", "b", "a"]], max_size=4)
     assert "a" in vocab and "b" not in vocab
-    assert vocab.id_of("b") == vocab.unk_id
+    assert support.id_of(vocab, "b") == vocab.unk_id
     assert len(vocab) == 4
 
 
@@ -183,7 +183,7 @@ def test_frame_adds_boundaries_and_unk():
 
 def _stats_for(stream_words, class_groups, num_regular):
     vocab = cl.build_vocabulary([stream_words])
-    stream = [vocab.id_of(t) for t in stream_words]
+    stream = [support.id_of(vocab, t) for t in stream_words]
     class_of = np.zeros(len(vocab), dtype=np.int64)
     for c, members in enumerate(class_groups):
         for w in members:
@@ -230,8 +230,8 @@ def test_marginal_consistency_invariant():
     words = [f"w{i}" for i in rng.integers(0, 6, size=100)]
     vocab = cl.build_vocabulary([words])
     cm = cl.initialize_classes(vocab, 3)
-    stats = BigramStats([vocab.id_of(t) for t in words], cm)
-    stats.check_consistency()
+    stats = BigramStats([support.id_of(vocab, t) for t in words], cm)
+    support.check_consistency(stats)
 
 
 # -- initialization -----------------------------------------------------------
@@ -283,7 +283,7 @@ def test_accepted_moves_match_recomputation(rng):
         vocab = cl.build_vocabulary([words])
         k = int(min(3, n_types))
         cm = cl.initialize_classes(vocab, k, scheme="random", seed=trial)
-        stream = [vocab.id_of(t) for t in words]
+        stream = [support.id_of(vocab, t) for t in words]
         stats = BigramStats(stream, cm, movable_classes=np.arange(k))
         for w in range(len(vocab)):
             if vocab.words[w] in RESERVED or stats.word_counts[w] == 0:
@@ -308,7 +308,7 @@ def _assert_deltas_match_reference(words, num_classes, seed, movable_all=False, 
     successor and a predecessor in its own class and a self loop."""
     vocab = cl.build_vocabulary([words])
     cm = cl.initialize_classes(vocab, num_classes, scheme="random", seed=seed)
-    stream = np.array([vocab.id_of(t) for t in words])
+    stream = np.array([support.id_of(vocab, t) for t in words])
     movable = np.arange(cm.num_classes if movable_all else num_classes)
     stats = BigramStats(stream, cm, movable_classes=movable)
     ref = DictBigramStats(stream, cm.class_of, cm.num_classes, movable)
@@ -330,7 +330,7 @@ def _assert_deltas_match_reference(words, num_classes, seed, movable_all=False, 
                 stats.apply_move(w, b)
                 ref.apply_move(w, b)
         np.testing.assert_array_equal(stats.class_of, ref.class_of)
-    stats.check_consistency()
+    support.check_consistency(stats)
     np.testing.assert_array_equal(stats.class_bigrams, ref.class_bigrams)
     np.testing.assert_array_equal(stats.class_counts, ref.class_counts)
     return seen
@@ -351,7 +351,8 @@ def test_move_deltas_equal_dict_reference_bitwise(rng):
     # corpus, most class bigram cells are empty
     words = [f"w{i}" for i in rng.zipf(1.2, size=6000) % 900]
     vocab = cl.build_vocabulary([words])
-    stats = BigramStats([vocab.id_of(t) for t in words], cl.initialize_classes(vocab, 250))
+    stats = BigramStats([support.id_of(vocab, t) for t in words],
+                        cl.initialize_classes(vocab, 250))
     assert np.count_nonzero(stats.class_bigrams) < 0.1 * stats.class_bigrams.size
     sparse = _assert_deltas_match_reference(words, 250, seed=4, passes=1)
     assert sparse["visits"] > 500
@@ -378,7 +379,7 @@ def test_csr_neighbours_equal_circular_pair_counts(rng):
     for words in (["x", "y"], ["x", "x"], ["x", "y", "x", "x", "z"],
                   [f"w{i}" for i in rng.integers(0, 30, size=700)]):
         vocab = cl.build_vocabulary([words])
-        stream = [vocab.id_of(t) for t in words]
+        stream = [support.id_of(vocab, t) for t in words]
         stats = BigramStats(stream, cl.initialize_classes(vocab, 1))
         pairs = Counter(zip(stream, stream[1:] + stream[:1]))  # wrap pair last -> first
         for w in range(len(vocab)):
@@ -407,7 +408,7 @@ def test_adversarial_init_reaches_brute_force_optimum_in_three_passes(rng):
     vocab = cl.build_vocabulary([words])
     target = support.brute_force_exchange_optimum(words, vocab, 2)
 
-    stream = [vocab.id_of(t) for t in words]
+    stream = [support.id_of(vocab, t) for t in words]
     class_of = np.zeros(len(vocab), dtype=np.int64)
     class_of[vocab.ids["d0"]] = 0
     class_of[vocab.ids["n0"]] = 0
@@ -431,7 +432,7 @@ def test_identity_class_count_gives_word_bigram_value_and_no_moves():
     vocab = cl.build_vocabulary([words])
     n_regular = len(vocab) - len(RESERVED)
     _, cm, trace = cl.run_exchange([words], n_regular)
-    stream = [vocab.id_of(t) for t in words]
+    stream = [support.id_of(vocab, t) for t in words]
     stats = BigramStats(stream, cm)
     oracle = brute_force_loglik(stream, cm.class_of, stats.word_counts)
     assert trace[0] == pytest.approx(oracle, abs=1e-10)
@@ -505,6 +506,22 @@ def test_class_file_is_sorted_by_class_then_probability(tmp_path, rng):
     rows = [line.split("\t") for line in path.read_text().splitlines()]
     keys = [(int(c), -float(p)) for _, c, p in rows]
     assert keys == sorted(keys)
+
+
+def test_class_file_rows_follow_the_key_sort(tmp_path, rng):
+    # tied and zero memberships (one of them -0.0), words out of class order
+    memberships = [[0.25, 0.25, 0.5, 0.0], [0.5, 0.5], [1.0, 0.0, -0.0],
+                   [0.2] * 5, [1.0]]
+    class_of = np.concatenate([[c] * len(m) for c, m in enumerate(memberships)])
+    membership = np.concatenate(memberships)
+    perm = rng.permutation(class_of.size)
+    cm = ClassMap(class_of[perm], membership[perm])
+    vocab = cl.Vocabulary([f"w{i}" for i in range(class_of.size - len(RESERVED))])
+    path = tmp_path / "classes.tsv"
+    cl.save_class_file(path, vocab, cm)
+    order = sorted(range(len(vocab)), key=lambda w: (int(cm.class_of[w]), -cm.membership[w], w))
+    assert path.read_text() == "".join(
+        f"{vocab.words[w]}\t{int(cm.class_of[w])}\t{float(cm.membership[w])!r}\n" for w in order)
 
 
 def test_class_file_load_errors(tmp_path):

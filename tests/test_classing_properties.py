@@ -36,7 +36,7 @@ def test_exchange_trace_partition_and_objective(case):
     groups = support.class_members(cm)
     for offset, tok in enumerate(RESERVED):
         assert groups[num_classes + offset] == [vocab.ids[tok]]
-    stream = [vocab.id_of(t) for t in words]
+    stream = [support.id_of(vocab, t) for t in words]
     counts = np.bincount(stream, minlength=len(vocab))
     assert trace[-1] == pytest.approx(brute_force_loglik(stream, cm.class_of, counts), abs=1e-8)
 
@@ -56,7 +56,7 @@ def test_tables_equal_dict_reference_after_every_move(case):
     words, num_classes, seed, movable_all = case
     vocab = cl.build_vocabulary([words])
     cm = cl.initialize_classes(vocab, num_classes, scheme="random", seed=seed)
-    stream = np.array([vocab.id_of(t) for t in words])
+    stream = np.array([support.id_of(vocab, t) for t in words])
     movable = np.arange(cm.num_classes if movable_all else num_classes)
     stats = BigramStats(stream, cm, movable_classes=movable)
     ref = DictBigramStats(stream, cm.class_of, cm.num_classes, movable)
@@ -69,7 +69,7 @@ def test_tables_equal_dict_reference_after_every_move(case):
             if deltas[b] > MIN_GAIN:
                 stats.apply_move(w, b)
                 ref.apply_move(w, b)
-                stats.check_consistency()
+                support.check_consistency(stats)
                 np.testing.assert_array_equal(stats.class_bigrams, ref.class_bigrams)
                 np.testing.assert_array_equal(stats.class_bigrams_t, ref.class_bigrams.T)
                 np.testing.assert_array_equal(stats.class_counts, ref.class_counts)

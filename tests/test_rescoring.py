@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.rescoring import InterpolationParams, edit_distance, edit_distances
+from classlm.rescoring import InterpolationParams, edit_distances
 
 import support
+from support import nbest
 
 
 def _hyp(utt, acoustic, backoff, text):
-    return cl.NBestHypothesis(utt, acoustic, backoff, tuple(text.split()))
+    return support.Hypothesis(utt, acoustic, backoff, tuple(text.split()))
+
+
+def edit_distance(hyp, ref):
+    """Word-level Levenshtein distance of one pair, by `edit_distances`."""
+    return int(edit_distances([hyp], [ref])[0])
 
 
 def test_combination_formula_endpoints_and_midpoint():
@@ -29,8 +35,8 @@ def test_lambda_zero_ranking_invariant_to_network(rng):
     params = InterpolationParams(0.0, s_bo=2.0)
     net1 = support.random_class_network(rng, vocab_size=6, num_classes=3)
     net2 = support.random_class_network(rng, vocab_size=6, num_classes=3)
-    order1 = [r.hypothesis.tokens for r in cl.rescore_nbest(hyps, net1, params)["u1"]]
-    order2 = [r.hypothesis.tokens for r in cl.rescore_nbest(hyps, net2, params)["u1"]]
+    order1 = [r.hypothesis.tokens for r in support.rescore_nbest(nbest(hyps), net1, params)["u1"]]
+    order2 = [r.hypothesis.tokens for r in support.rescore_nbest(nbest(hyps), net2, params)["u1"]]
     assert order1 == order2
     # matches ranking by acoustic + s_bo * backoff
     expected = sorted(hyps["u1"], key=lambda h: -(h.acoustic + 2.0 * h.backoff))
@@ -43,7 +49,8 @@ def test_lambda_one_ranks_by_network_score(rng):
     hyps = {"u": [_hyp("u", 0.0, -100.0, f"{w[3]} {w[4]}"),
                   _hyp("u", 0.0, 0.0, f"{w[4]} {w[5]} {w[3]}"),
                   _hyp("u", 0.0, -50.0, f"{w[5]}")]}
-    rows = cl.rescore_nbest(hyps, net, InterpolationParams(1.0, s_bo=9.9, s_nn=1.0))["u"]
+    params = InterpolationParams(1.0, s_bo=9.9, s_nn=1.0)
+    rows = support.rescore_nbest(nbest(hyps), net, params)["u"]
     nn = {r.hypothesis.tokens: r.log_p_nn for r in rows}
     expected = sorted(hyps["u"], key=lambda h: -nn[h.tokens])
     assert [r.hypothesis.tokens for r in rows] == [h.tokens for h in expected]
@@ -54,14 +61,14 @@ def test_total_score_adds_acoustic_term(rng):
     w = net.vocab.words
     hyps = {"u": [_hyp("u", -3.25, -7.0, f"{w[3]}")]}
     params = InterpolationParams(0.4, 1.5, 2.5)
-    row = cl.rescore_nbest(hyps, net, params)["u"][0]
+    row = support.rescore_nbest(nbest(hyps), net, params)["u"][0]
     assert row.total == pytest.approx(-3.25 + params.combine(-7.0, row.log_p_nn), rel=1e-15)
 
 
 def test_ties_keep_first_pass_order(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     hyps = {"u": [_hyp("u", -1.0, -4.0, "x y"), _hyp("u", -1.0, -4.0, "y x")]}
-    rows = cl.rescore_nbest(hyps, net, InterpolationParams(0.0))["u"]
+    rows = support.rescore_nbest(nbest(hyps), net, InterpolationParams(0.0))["u"]
     assert [r.hypothesis.tokens for r in rows] == [("x", "y"), ("y", "x")]
 
 
@@ -160,7 +167,7 @@ def test_single_point_grid_is_returned(rng):
     w = net.vocab.words
     hyps = {"u": [_hyp("u", 0.0, -1.0, f"{w[3]}")]}
     refs = {"u": (w[3],)}
-    params, errors, _ = cl.optimize_interpolation(hyps, refs, net, 1.0, [0.25], [2.0])
+    params, errors, _ = cl.optimize_interpolation(nbest(hyps), refs, net, 1.0, [0.25], [2.0])
     assert params == InterpolationParams(0.25, 1.0, 2.0)
     assert errors == 0
 
@@ -175,7 +182,7 @@ def test_tuning_prefers_smallest_lambda_when_backoff_is_right(rng):
     }
     refs = {"u1": (w[3], w[4]), "u2": (w[6],)}
     params, errors, _ = cl.optimize_interpolation(
-        hyps, refs, net, 1.0, [0.0, 0.5, 1.0], [1.0, 2.0]
+        nbest(hyps), refs, net, 1.0, [0.0, 0.5, 1.0], [1.0, 2.0]
     )
     assert errors == 0
     assert params.lam == 0.0 and params.s_nn == 1.0
@@ -192,12 +199,12 @@ def test_tuning_chooses_positive_lambda_when_network_is_right(toy_model):
     }
     refs = {u: ("a", "b", "c", "d") for u in hyps}
     grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    params, errors, _ = cl.optimize_interpolation(hyps, refs, net, 1.0, grid, [1.0])
+    params, errors, _ = cl.optimize_interpolation(nbest(hyps), refs, net, 1.0, grid, [1.0])
     assert params.lam > 0.0
     assert errors == 0
     # exhaustive check: the reported grid point really is a minimizer
     for lam in grid:
-        _, e, _ = cl.optimize_interpolation(hyps, refs, net, 1.0, [lam], [1.0])
+        _, e, _ = cl.optimize_interpolation(nbest(hyps), refs, net, 1.0, [lam], [1.0])
         assert e >= errors
 
 
@@ -217,7 +224,7 @@ def test_tuning_computes_each_edit_distance_once(rng, monkeypatch):
         return edit_distances(hyp_list, ref_list)
 
     monkeypatch.setattr(cl.rescoring, "edit_distances", counting)
-    cl.optimize_interpolation(hyps, refs, net, 1.0, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
+    cl.optimize_interpolation(nbest(hyps), refs, net, 1.0, [0.0, 0.5, 1.0], [0.5, 1.0, 2.0])
     assert len(calls) == 5
     assert len(set(calls)) == 5
 
@@ -226,14 +233,14 @@ def test_tuning_requires_references(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     hyps = {"u": [_hyp("u", 0.0, -1.0, "a")]}
     with pytest.raises(ValueError, match="no reference"):
-        cl.optimize_interpolation(hyps, {}, net, 1.0, [0.5], [1.0])
+        cl.optimize_interpolation(nbest(hyps), {}, net, 1.0, [0.5], [1.0])
     with pytest.raises(ValueError, match="empty"):
-        cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [], [1.0])
+        cl.optimize_interpolation(nbest(hyps), {"u": ("a",)}, net, 1.0, [], [1.0])
     # every grid point is valid, not only the chosen one
     with pytest.raises(ValueError, match="lambda"):
-        cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [0.0, 1.5], [1.0])
+        cl.optimize_interpolation(nbest(hyps), {"u": ("a",)}, net, 1.0, [0.0, 1.5], [1.0])
     with pytest.raises(ValueError, match="scale"):
-        cl.optimize_interpolation(hyps, {"u": ("a",)}, net, 1.0, [0.0], [1.0, np.inf])
+        cl.optimize_interpolation(nbest(hyps), {"u": ("a",)}, net, 1.0, [0.0], [1.0, np.inf])
 
 
 class _FixedScores:
@@ -291,7 +298,7 @@ def test_vectorised_grid_equals_nested_loop(seed, coarse, monkeypatch):
     snn_grid = [2.0, 0.5, 1.0, 3.0]
 
     params, errors, scores = cl.optimize_interpolation(
-        by_utterance, references, None, s_bo, lambda_grid, snn_grid)
+        nbest(by_utterance), references, None, s_bo, lambda_grid, snn_grid)
     assert scores.tolist() == [nn for scores in nn_scores.values() for nn in scores]
     assert (params, errors) == _brute_force_tuning(
         by_utterance, references, nn_scores, s_bo, lambda_grid, snn_grid)
@@ -317,7 +324,7 @@ def test_grid_ties_follow_the_rounding_of_combine(monkeypatch):
     monkeypatch.setattr(cl.rescoring, "score_arrays",
                         lambda net, texts, policy: _FixedScores([next(flat) for _ in texts]))
     refs = {utt: ("a", "b") for utt in by_utterance}
-    _, errors, _ = cl.optimize_interpolation(by_utterance, refs, None, 1.3, [0.3], [0.7])
+    _, errors, _ = cl.optimize_interpolation(nbest(by_utterance), refs, None, 1.3, [0.3], [0.7])
     assert errors == len(by_utterance)  # every tie goes to the first hypothesis
 
 
@@ -327,10 +334,11 @@ def test_rescoring_with_given_scores_runs_no_network(rng):
     hyps = {"u1": [_hyp("u1", -1.0, -3.0, f"{w[3]} {w[4]}"), _hyp("u1", -2.0, -1.0, f"{w[5]}")],
             "u2": [_hyp("u2", -0.5, -2.0, f"{w[6]} {w[7]}")]}
     refs = {"u1": (w[3],), "u2": (w[6],)}
-    params, _, nn_scores = cl.optimize_interpolation(hyps, refs, net, 1.5, [0.0, 0.5], [1.0])
-    assert nn_scores.tolist() == cl.rescoring.score_hypotheses(hyps, net).tolist()
-    assert (cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)
-            == cl.rescore_nbest(hyps, net, params))
+    params, _, nn_scores = cl.optimize_interpolation(
+        nbest(hyps), refs, net, 1.5, [0.0, 0.5], [1.0])
+    assert nn_scores.tolist() == cl.rescoring.score_hypotheses(nbest(hyps), net).tolist()
+    assert (support.rescore_nbest(nbest(hyps), None, params, nn_scores=nn_scores)
+            == support.rescore_nbest(nbest(hyps), net, params))
 
 
 def _old_combine(params, log_p_bo, log_p_nn):
@@ -347,14 +355,14 @@ def test_minus_inf_network_score_at_lambda_zero_and_above():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for params in (InterpolationParams(0.0, 1.7, 0.9), InterpolationParams(0.0)):
-            reranked = cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)
+            reranked = support.rescore_nbest(nbest(hyps), None, params, nn_scores=nn_scores)
             for utt, rows in reranked.items():
                 expected = sorted(hyps[utt], key=lambda h: -(h.acoustic + params.s_bo * h.backoff))
                 assert [r.hypothesis for r in rows] == expected
                 assert [r.total for r in rows] == [h.acoustic + params.s_bo * h.backoff
                                                    for h in expected]
         params = InterpolationParams(0.4, 1.7, 0.9)
-        rows = cl.rescore_nbest(hyps, None, params, nn_scores=nn_scores)["u"]
+        rows = support.rescore_nbest(nbest(hyps), None, params, nn_scores=nn_scores)["u"]
     # finite scores keep the bits of the formula; -inf ranks last in first-pass order
     assert [r.hypothesis.tokens for r in rows] == [("b",), ("d",), ("a",), ("c",)]
     for r in rows:
@@ -377,15 +385,15 @@ def test_tuning_with_minus_inf_network_scores(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for grid, lam in (([0.0], 0.0), ([0.5], 0.5), ([0.0, 0.5], 0.0)):
-            params, errors, scores = cl.optimize_interpolation(hyps, refs, None, 1.0, grid, [1.0])
+            params, errors, scores = cl.optimize_interpolation(
+                nbest(hyps), refs, None, 1.0, grid, [1.0])
             assert (params.lam, errors) == (lam, 1)
             assert scores.tolist() == nn
 
 
-def test_empty_hypothesis_list_is_rejected(rng):
-    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
-    with pytest.raises(ValueError, match="empty hypothesis list"):
-        cl.rescore_nbest({"u": []}, net, InterpolationParams(0.5))
+def test_hypothesis_without_tokens_is_rejected():
+    with pytest.raises(ValueError, match="hypothesis has no tokens"):
+        cl.NBest.from_columns(["u", "u"], [0.0, 0.0], [0.0, 0.0], [("a",), ()])
 
 
 def test_nbest_file_parsing(tmp_path):
@@ -395,7 +403,7 @@ def test_nbest_file_parsing(tmp_path):
         "u2 -3.0 -2.0 good morning\n"
         "u1 -11.0 -9.0 hello word\n"
     )
-    by_utt = cl.read_nbest_file(path)
+    by_utt = support.by_utterance(cl.read_nbest_file(path))
     assert list(by_utt) == ["u1", "u2"]
     assert len(by_utt["u1"]) == 2
     assert by_utt["u1"][0].acoustic == -12.5

@@ -51,7 +51,7 @@ def sample_per_row(net, seed, max_tokens, count):
             word = int(members[0] if members.size == 1
                        else members[_draw(rngs[i], member_cum[c])])
             if word != vocab.end_id:
-                sentences[i].append(vocab.word_of(word))
+                sentences[i].append(support.word_of(vocab, word))
                 kept.append(row)
                 drawn.append(word)
         live = [live[row] for row in kept]
@@ -78,7 +78,7 @@ def sample_one_at_a_time(net, seed, max_tokens, count):
             word = members[0]
             if word == vocab.end_id:
                 break
-            tokens.append(vocab.word_of(word))
+            tokens.append(support.word_of(vocab, word))
         sentences.append(tokens)
     return sentences
 

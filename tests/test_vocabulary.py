@@ -6,6 +6,8 @@ import pytest
 import classlm as cl
 from classlm.vocabulary import RESERVED, SENTENCE_END, SENTENCE_START, UNKNOWN
 
+import support
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -145,7 +147,7 @@ def _reference_index(tokens, max_size):
     if max_size is not None:
         ranked = ranked[: max_size - len(RESERVED)]
     vocab = cl.Vocabulary(ranked, counts)
-    return vocab.words, vocab.counts, [vocab.id_of(t) for t in tokens]
+    return vocab.words, vocab.counts, [support.id_of(vocab, t) for t in tokens]
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)

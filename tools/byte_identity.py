@@ -19,9 +19,12 @@ sentences whose widest prefix-trie levels hold 160 rows or more (steps
 that run in parts on several threads where the process may use several
 CPUs), and samples from each of the six architecture models twice: 15
 sentences of at most 20 tokens, and 37 of at most 70.  It tunes each of
-the six models again with ``--unk-penalty 0``.  Last, it induces 6
-classes on a corpus that holds the reserved tokens as words, blank lines,
-CRLF line ends, tabs and words of equal frequency.  It prints one
+the six models again with ``--unk-penalty 0``.  It induces 6 classes on a
+corpus that holds the reserved tokens as words, blank lines, CRLF line
+ends, tabs and words of equal frequency.  Last, it rescores the n-best
+lists written out of order (utterances interleaved), with blank lines,
+CRLF line ends, tabs, one hypothesis twice and one score written ``1_0``,
+with fixed weights and with ``--tune --refs``.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -208,6 +211,15 @@ def produce(out):
     run(["classes", "--corpus", p("messy.txt"), "--num-classes", "6", "--output",
          p("classes-messy.tsv")])
     outputs += ["messy.txt", "classes-messy.tsv"]
+    # after every other output: an n-best file with the same hypotheses, and
+    # one more, in a looser layout
+    write_messy_nbest(np.random.default_rng(SEED + 2), p("nbest.txt"), p("nbest-messy.txt"))
+    outputs.append("nbest-messy.txt")
+    m = ["--model", p(models[0]), "--nbest", p("nbest-messy.txt")]
+    for name, extra in (("rescore-messy", ["--lambda", "0.4", "--s-nn", "1.5"]),
+                        ("rescore-messy-tuned", ["--tune", "--refs", p("refs.txt")])):
+        run(["rescore", *m, *extra, "--output", p(f"{models[0][:-len('.clm')]}.{name}")])
+        outputs.append(f"{models[0][:-len('.clm')]}.{name}")
     return outputs
 
 
@@ -224,6 +236,23 @@ def write_messy_corpus(rng, path):
         for s in sentences:
             text = s[0] + "".join(gaps[int(rng.integers(len(gaps)))] + w for w in s[1:])
             f.write((text + ends[int(rng.integers(len(ends)))]).encode())
+
+
+def write_messy_nbest(rng, source, path):
+    """The hypotheses of the n-best file `source` in shuffled order, fields
+    joined by assorted whitespace and line ends, one line written twice and
+    one acoustic score written ``1_0``."""
+    with open(source, encoding="utf-8") as f:
+        rows = [line.split() for line in f]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    rows[0][1] = "1_0"
+    gaps = [" ", "  ", "\t", " \t "]
+    ends = ["\r\n", "\n", "\r\n\r\n", "\n\n \n", "\n\t\n"]
+    lines = [parts[0] + "".join(gaps[int(rng.integers(len(gaps)))] + w for w in parts[1:])
+             + ends[int(rng.integers(len(ends)))] for parts in rows]
+    lines.insert(int(rng.integers(len(lines) + 1)), lines[3])
+    with open(path, "wb") as f:
+        f.write("".join(lines).encode())
 
 
 def digest(path):
