@@ -29,9 +29,14 @@ axis, or a matmul bias that is not one vector as wide as the product, is a
 :class:`ShapeError`.  Ops without a recurrence compute all T·B rows at
 once; ``lstm`` and ``gru`` run the time loop inside one node, with every
 step's input products hoisted out of it, and backpropagate through time in
-their backward.  Their value stacks the per-step quantities the backward
-needs along a leading axis; ``item`` nodes pick its parts (the hidden
-sequence, the cell sequence).
+their backward.  Their value stacks sequences along a leading axis, and
+``item`` nodes pick its parts: part 0 is the hidden sequence and, for an
+LSTM, part 1 the cell sequence.  In training the value stacks every
+per-step quantity the backward needs after them.  An evaluation, a
+recurrent op given the ``rows`` operand (which has no gradient), keeps
+those state sequences only: each step writes its gates into arrays that
+die with the step, its input products once added and its pre-activations,
+so an evaluation holds about what it returns.
 
 Each op does, step by step, the arithmetic of a graph that ran one node per
 operation and time step, in that graph's order, so results do not depend on
@@ -225,7 +230,8 @@ class Graph:
 
         With `rows`, a 1-D integer input of B row ids, x holds distinct
         rows (T, D, in) and state row j reads x's row ``rows[j]``: the input
-        products x W run on the D rows only.  It has no gradient.
+        products x W run on the D rows only.  It has no gradient, and the
+        value stacks (h, c) only, shape (2, T, B, H), with the same bits.
         """
         return self._append("lstm", name, (x, h0, c0, W, U, b) + _optional(rows))
 
@@ -241,7 +247,8 @@ class Graph:
 
         The value stacks (h, z, r, tanh(...), r*h) of every step, shape
         (5, T, B, H); ``item(node, 0)`` is the hidden sequence.  `rows`
-        is as in :meth:`lstm`.
+        is as in :meth:`lstm`; with it the value is (h,), shape
+        (1, T, B, H).
         """
         return self._append("gru", name, (x, h0, W, U, b) + _optional(rows))
 
@@ -312,17 +319,19 @@ def _nonfinite(node, v=None, step=None):
     return NonFiniteError(f"{where}node {node.name!r} ({node.op}) produced a non-finite value")
 
 
-def _sigmoid(x, out=None):
+def _sigmoid(x, out=None, scratch=None):
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in one
     # pass: exp never overflows and -|x| == x exactly where x < 0.  The
     # numerator is max(e, x >= 0): 1 where x >= 0, since e <= 1 there, and e
     # elsewhere, since e >= 0; unlike a select on the sign it has no branch
-    # to mispredict.  `out`, if given, must not overlap x
+    # to mispredict.  `out`, if given, must not overlap x; `scratch`, if
+    # given, takes the denominator and may be x itself
     e = np.abs(x, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    d = 1.0 + e
-    return np.divide(np.maximum(e, x >= 0, out=e), d, out=e)
+    positive = x >= 0
+    d = np.add(1.0, e, out=scratch)
+    return np.divide(np.maximum(e, positive, out=e), d, out=e)
 
 
 def _softmax(x):
@@ -480,7 +489,8 @@ def _input_products(node, gates, x, h0, W, U, b, rows):
                   and U.shape == (gates, hidden, hidden) and b.shape == (gates, hidden),
                   node, x, h0, W, U, b)
     xw = _rows(x, W)
-    return xw if rows is None else xw[:, :, rows]
+    # a gather along an inner axis by indexing is not C-contiguous; take is
+    return xw if rows is None else np.take(xw, rows, axis=2)
 
 
 def _check_step(node, t, *values):
@@ -499,19 +509,26 @@ def _carried(carry, terms, t):
 def _lstm(node, x, h0, c0, W, U, b, rows=None):
     xw = _input_products(node, 4, x, h0, W, U, b, rows)
     _check_shapes(c0.shape == h0.shape, node, h0, c0)
-    seq = np.empty((7, *xw.shape[1:]), dtype=xw.dtype)
+    # an evaluation (`rows`, which has no gradient) keeps (h, c) only and
+    # writes a step's gates into its input products; `pre` is scratch once
+    # the gates are formed
+    evaluation = rows is not None
+    seq = np.empty((2 if evaluation else 7, *xw.shape[1:]), dtype=xw.dtype)
     b = b[:, None]
     h, c = h0, c0
     for t in range(len(x)):
         pre = _rows(h, U)
         pre += xw[:, t]
         pre += b
-        i, f, o = _sigmoid(pre[:3], out=seq[2:5, t])
-        c_hat = np.tanh(pre[3], out=seq[5, t])
+        _check_step(node, t, pre)
+        gates = xw[:, t] if evaluation else seq[2:6, t]
+        i, f, o = _sigmoid(pre[:3], out=gates[:3], scratch=pre[:3])
+        c_hat = np.tanh(pre[3], out=gates[3])
         c = np.multiply(f, c, out=seq[1, t])
-        c += np.multiply(i, c_hat, out=seq[6, t])  # scratch until tanh(c) fills it
-        _check_step(node, t, pre, c)
-        h = np.multiply(o, np.tanh(c, out=seq[6, t]), out=seq[0, t])
+        c += np.multiply(i, c_hat, out=pre[0])
+        _check_step(node, t, c)
+        tanh_c = np.tanh(c, out=pre[0] if evaluation else seq[6, t])
+        h = np.multiply(o, tanh_c, out=seq[0, t])
     return seq
 
 
@@ -560,19 +577,23 @@ def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
 
 def _gru(node, x, h0, W, U, b, rows=None):
     xw = _input_products(node, 3, x, h0, W, U, b, rows)
-    seq = np.empty((5, *xw.shape[1:]), dtype=xw.dtype)
+    # an evaluation keeps h only, as in _lstm
+    evaluation = rows is not None
+    seq = np.empty((1 if evaluation else 5, *xw.shape[1:]), dtype=xw.dtype)
     h = h0
     for t in range(len(x)):
         pre = _rows(h, U[:2])
         pre += xw[:2, t]
         pre += b[:2, None]
-        z, r = _sigmoid(pre, out=seq[1:3, t])
-        rh = np.multiply(r, h, out=seq[4, t])
+        _check_step(node, t, pre)
+        gates = xw[:, t] if evaluation else seq[1:4, t]
+        z, r = _sigmoid(pre, out=gates[:2], scratch=pre)
+        rh = np.multiply(r, h, out=pre[0] if evaluation else seq[4, t])
         pre_h = _rows(rh, U[2])
         pre_h += xw[2, t]
         pre_h += b[2]
-        _check_step(node, t, pre, pre_h)
-        h_hat = np.tanh(pre_h, out=seq[3, t])
+        _check_step(node, t, pre_h)
+        h_hat = np.tanh(pre_h, out=gates[2])
         h_new = np.multiply(np.subtract(1.0, z, out=pre_h), h, out=seq[0, t])
         h_new += np.multiply(z, h_hat, out=pre_h)  # pre_h is scratch after the tanh
         h = h_new

@@ -284,6 +284,7 @@ def score_arrays(network, sentences, unk_policy="include"):
         level = targets[active, t]
         with np.errstate(divide="ignore"):
             logp[active, t] = np.log(probs[node[active], class_of[level]]) + log_membership[level]
+        del probs  # not held while the next level steps
         # one position per level: the running sum one-at-a-time scoring forms
         np.add(totals, logp[:, t], out=totals, where=included[:, t])
     return ScoreArrays(totals, included.sum(axis=1), logp, included, predicted)

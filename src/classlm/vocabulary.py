@@ -130,26 +130,37 @@ def text_lines(path):
     """Yield the lines of a UTF-8 text file.
 
     Bytes that are not UTF-8 raise ValueError naming the file and the first
-    line that holds them.
+    line that holds them, once every line before it has been yielded, so a
+    reader that checks each line names the first failing line of either
+    kind, wherever the decoder's read-ahead blocks end.
     """
+    yielded = 0
     with open(path, encoding="utf-8") as f:
         try:
-            yield from f
+            for line in f:
+                yield line
+                yielded += 1
             return
         except UnicodeDecodeError:
             pass
-    _raise_invalid_line(path)
+    yield from itertools.islice(_decoded_lines(path), yielded, None)
 
 
-def _raise_invalid_line(path):
-    """Raise ValueError naming the first line of `path` that is not UTF-8."""
-    # no newline byte occurs inside a UTF-8 sequence, so some line fails alone
+def _decoded_lines(path):
+    """Yield the lines of `path` as text mode reads them, each decoded on
+    its own, up to the first that is not UTF-8, which raises ValueError
+    naming it."""
     with open(path, "rb") as f:
-        for line_no, line in enumerate(f, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: line {line_no}: invalid UTF-8") from None
+        data = f.read()
+    # bytes split at "\n", "\r\n" and "\r" only, the universal newlines of
+    # text mode; no line end byte occurs inside a UTF-8 sequence
+    for line_no, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {line_no}: invalid UTF-8") from None
+        body = text.rstrip("\r\n")
+        yield body + "\n" if len(body) < len(text) else text
     raise ValueError(f"{path}: invalid UTF-8")
 
 
@@ -160,7 +171,8 @@ def read_tokens(path):
         with open(path, encoding="utf-8") as f:
             return f.read().split()
     except UnicodeDecodeError:
-        _raise_invalid_line(path)
+        for _ in _decoded_lines(path):  # raises at the first line that is not UTF-8
+            pass
 
 
 def read_corpus(path):

@@ -9,6 +9,7 @@ import numpy as np
 
 import classlm as cl
 from classlm.classing import BigramStats
+from classlm.scoring import MAX_STEP_ROWS
 from classlm.vocabulary import RESERVED, read_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
@@ -41,6 +42,22 @@ def test_two_runs_print_the_same_digests(tmp_path):
     # the first class table is nearly full, the second mostly empty
     assert _class_table_fill(outs[0], "train.txt", "classes.tsv") > 0.9
     assert _class_table_fill(outs[0], "sparse.txt", "classes-sparse.tsv") < 0.1
+    # the last outputs score a trie level wider than one step
+    chunked = {f"{arch}-{precision}.score-chunked" for arch in ("lstm", "gru")
+               for precision in ("double", "single")}
+    assert names[-len(chunked) - 1:] == ["chunked.txt", *sorted(chunked, key=names.index)]
+    assert chunked <= set(names)
+    assert _widest_level(outs[0], "chunked.txt", "lstm-double.clm") > MAX_STEP_ROWS
+
+
+def _widest_level(out, corpus, model):
+    """Rows of the widest level of the prefix trie the model scores the
+    corpus sentences on: its most distinct id prefixes of one length."""
+    vocab = cl.load_model(out / model)[0].vocab
+    ids = [[vocab.ids.get(w, vocab.unk_id) for w in sentence]
+           for sentence in read_corpus(out / corpus)]
+    return max(len({tuple(s[:t]) for s in ids if len(s) >= t})
+               for t in range(1, max(map(len, ids)) + 1))
 
 
 def _class_table_fill(out, corpus, class_file):

@@ -165,6 +165,68 @@ def test_nonfinite_inside_a_recurrent_layer_names_its_time_step_and_layer(kind):
         forward_eval(g, bindings, weights)
 
 
+def _evaluation(kind, rows):
+    """An lstm or gru node "rec" whose output "value" is its whole value;
+    with `rows`, an evaluation op over the distinct rows x, otherwise the
+    training op over ``take(x, rows)``."""
+    g = Graph()
+    x, states = g.input("x"), [g.input("h0")] + ([g.input("c0")] if kind == "lstm" else [])
+    weights = [g.parameter(name) for name in "WUb"]
+    if rows:
+        node = getattr(g, kind)(x, *states, *weights, "rec", g.input("rows"))
+    else:
+        node = getattr(g, kind)(g.take(x, g.input("rows")), *states, *weights, "rec")
+    g.mark_output(node, "value")
+    return g
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_an_evaluation_recurrent_op_keeps_the_training_states_bitwise(kind, steps):
+    # the rows operand runs the input products on distinct rows, which
+    # keeps a row's bits when both row counts are multiples of ROW_BLOCK
+    # or when each row is its own
+    rng = np.random.default_rng(steps)
+    weights = _recurrent_weights(4 if kind == "lstm" else 3, 5, 6, rng, 0.5)
+    parts = 2 if kind == "lstm" else 1  # (h, c) or (h,)
+    for batch in range(1, 41):
+        if batch % cl.graph.ROW_BLOCK:
+            distinct, rows = batch, np.arange(batch)
+        else:
+            distinct = cl.graph.ROW_BLOCK * (batch // 16 + 1)
+            rows = rng.integers(0, distinct, batch)
+        bindings = {"x": rng.normal(size=(steps, distinct, 5)), "rows": rows,
+                    "h0": rng.normal(size=(batch, 6)), "c0": rng.normal(size=(batch, 6))}
+        value = forward_eval(_evaluation(kind, rows=True), bindings, weights).outputs["value"]
+        full = forward_eval(_evaluation(kind, rows=False), bindings, weights).outputs["value"]
+        assert value.shape == (parts, steps, batch, 6), batch
+        assert value.tobytes() == full[:parts].tobytes(), batch
+
+
+@pytest.mark.parametrize("kind, planted, step", [
+    ("lstm", "W", 0), ("lstm", "U", 0), ("lstm", "x", 2), ("lstm", "c0", 0),
+    ("gru", "W", 0), ("gru", "U", 0), ("gru", "x", 2), ("gru", "h0", 0),
+])
+def test_an_evaluation_recurrent_op_names_the_first_nonfinite_step(kind, planted, step):
+    # a NaN in a weight or the input reaches a pre-activation; one in the
+    # start cell reaches the cell but no lstm pre-activation, and one in
+    # the last gru gate's U reaches that gate's pre-activation only
+    rng = np.random.default_rng(4)
+    weights = _recurrent_weights(4 if kind == "lstm" else 3, 5, 6, rng, 0.5)
+    bindings = {"x": rng.normal(size=(3, 8, 5)), "rows": rng.permutation(16) % 8,
+                "h0": rng.normal(size=(16, 6)), "c0": rng.normal(size=(16, 6))}
+    if planted in weights:
+        weights[planted][-1, 2, 3] = np.nan
+    elif planted == "x":
+        bindings["x"][2, bindings["rows"][5], 1] = np.nan
+    else:
+        bindings[planted][5, 1] = np.nan
+    for rows in (True, False):
+        with pytest.raises(cl.NonFiniteError,
+                           match=rf"^time step {step}: node 'rec' \({kind}\) produced a non-finite"):
+            forward_eval(_evaluation(kind, rows), bindings, weights)
+
+
 def _tanh_layer(g):
     """y = tanh(x W + b)."""
     return g.tanh(g.add_bias(g.matmul(g.input("x"), g.parameter("W")), g.parameter("b")))

@@ -1,5 +1,6 @@
 """Score interpolation, n-best reranking and grid tuning against references."""
 
+import re
 import warnings
 
 import numpy as np
@@ -426,6 +427,29 @@ def test_nbest_file_rejects_nonfinite_scores(tmp_path, scores):
     path.write_text(f"u1 -1.0 -2.0 a b\nu1 {scores} a b\n")
     with pytest.raises(ValueError, match=r"nbest\.txt: line 2: scores must be finite"):
         cl.read_nbest_file(path)
+
+
+# the text decoder reads ahead in blocks of 8 KB: a bad byte within the
+# first block fails to decode before line 1 is read, one past it after
+@pytest.mark.parametrize("gap", [0, 10_000], ids=["short", "long"])
+@pytest.mark.parametrize("reader, first, message", [
+    (cl.read_nbest_file, b"u0 x y a\n", "scores are not numbers"),
+    (cl.read_reference_file, b"u0\n", "expected 'utt_id words...'"),
+], ids=["nbest", "references"])
+def test_the_first_failing_line_is_named_wherever_the_bad_byte_lies(tmp_path, gap, reader,
+                                                                   first, message):
+    path = tmp_path / "in.txt"
+    bad = b"u1 -1 -2 " + b"w " * gap + b"\xff\n"
+    path.write_bytes(first + bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 1: {message}')}$"):
+        reader(path)
+    # line ends of every kind count as text mode counts them
+    path.write_bytes(b"u2 -1 -2 a\r\n\ru3 -1 -2 a\r" + first + bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 4: {message}')}$"):
+        reader(path)
+    path.write_bytes(b"u2 -1 -2 a\r" + bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 2: invalid UTF-8')}$"):
+        reader(path)
 
 
 def test_reference_file_parsing_and_errors(tmp_path):

@@ -3,6 +3,8 @@
 import os
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -446,6 +448,50 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
     assert all(n % cl.graph.ROW_BLOCK == 0 for n in sizes) and min(sizes) < max_rows // 2
     for a, b in zip(whole, split):
         assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+
+
+def test_an_evaluation_step_holds_about_what_it_returns():
+    # a class-input LSTM network of the `rescore` benchmark's widths, one
+    # step of a wide trie level: the LSTM keeps its states only and writes
+    # its gates into arrays that die with the step, so the peak reads about
+    # 2.3 times the bytes the step returns (3.5 times when it kept every
+    # gate) and nothing but those bytes is held after the step
+    rng = np.random.default_rng(3)
+    net = support.random_class_network(rng, vocab_size=2000, num_classes=400,
+                                       sizes=(300, 96, 48))
+    words = rng.integers(0, len(net.vocab), 496)
+    state = {key: rng.normal(size=value.shape) * 0.1
+             for key, value in net.initial_state(len(words)).items()}
+    net.step(state, words)  # graph built, caches warm
+    tracemalloc.start()
+    try:
+        probs, new = net.step(state, words)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = probs.nbytes + sum(value.nbytes for value in new.values())
+    assert returned > 2e6
+    assert peak <= 2.6 * returned
+    assert held <= 1.05 * returned
+
+
+def test_score_arrays_drops_a_levels_probabilities_before_the_next_step(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words[3:]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
+                 for _ in range(40)]
+    step_rows = cl.scoring.step_rows
+    last = []
+
+    def recording(*args):
+        assert not last or last[-1]() is None  # the level before's probabilities are gone
+        probs, state = step_rows(*args)
+        last.append(weakref.ref(probs))
+        return probs, state
+
+    monkeypatch.setattr(cl.scoring, "step_rows", recording)
+    cl.scoring.score_arrays(net, sentences)
+    assert len(last) > 2
 
 
 def _zero_membership_network(rng):

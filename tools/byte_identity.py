@@ -24,7 +24,10 @@ corpus that holds the reserved tokens as words, blank lines, CRLF line
 ends, tabs and words of equal frequency.  Last, it rescores the n-best
 lists written out of order (utterances interleaved), with blank lines,
 CRLF line ends, tabs, one hypothesis twice and one score written ``1_0``,
-with fixed weights and with ``--tune --refs``.  It prints one
+with fixed weights and with ``--tune --refs``.  Last of all, it scores
+1,200 sentences whose first three words differ on the LSTM and GRU models,
+so that a trie level of more than ``MAX_STEP_ROWS`` rows runs in chunks.
+It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -220,7 +223,31 @@ def produce(out):
                         ("rescore-messy-tuned", ["--tune", "--refs", p("refs.txt")])):
         run(["rescore", *m, *extra, "--output", p(f"{models[0][:-len('.clm')]}.{name}")])
         outputs.append(f"{models[0][:-len('.clm')]}.{name}")
+    # after every other output: a trie level wider than one step, which
+    # scores in chunks of MAX_STEP_ROWS rows
+    write_chunked_input(np.random.default_rng(SEED + 3), p("chunked.txt"))
+    outputs.append("chunked.txt")
+    for model in models:
+        stem = model[: -len(".clm")]
+        if stem.split("-")[0] not in ("lstm", "gru"):
+            continue
+        run(["score", "--model", p(model), "--input", p("chunked.txt"), "--output",
+             p(f"{stem}.score-chunked")])
+        outputs.append(f"{stem}.score-chunked")
     return outputs
+
+
+def write_chunked_input(rng, path, sentences=1200):
+    """`sentences` sentences over the corpus words whose first three words
+    differ, so that level 3 of their prefix trie holds one row each."""
+    words = [f"w{i:02d}" for i in range(30)]
+    starts = rng.choice(len(words) ** 3, size=sentences, replace=False)
+    with open(path, "w", encoding="utf-8") as f:
+        for start in starts.tolist():
+            head = [start // len(words) ** 2, start // len(words) % len(words),
+                    start % len(words)]
+            tail = rng.integers(len(words), size=int(rng.integers(0, 5))).tolist()
+            f.write(" ".join(words[w] for w in head + tail) + "\n")
 
 
 def write_messy_corpus(rng, path):
