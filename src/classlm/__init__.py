@@ -30,7 +30,6 @@ from .graph import (
     NonFiniteError,
     ShapeError,
     backward,
-    finite_difference_check,
     forward_eval,
 )
 from .model_io import ModelFormatError, load_model, save_model
@@ -44,7 +43,7 @@ from .rescoring import (
     read_reference_file,
 )
 from .sampling import sample_text
-from .scoring import ScoreResult, corpus_perplexity, score_sentence, score_sentences
+from .scoring import ScoreArrays, corpus_perplexity, score_arrays
 from .training import TrainingConfig, TrainingState, train
 from .vocabulary import Vocabulary, build_vocabulary, read_corpus
 

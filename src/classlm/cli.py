@@ -17,6 +17,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -75,8 +76,10 @@ def _read_sentences(path):
     return sentences
 
 
-def _open_output(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _write_output(path, text):
+    """Write `text` to the file at `path`, or to standard output without one."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
+        out.write(text)
 
 
 def cmd_classes(args):
@@ -161,13 +164,8 @@ def cmd_score(args):
     ppl = perplexity(totals, counted)
     lines = [f"{i}\t{total!r}\t{c}\t{' '.join(tokens)}\n"
              for i, (tokens, total, c) in enumerate(zip(sentences, totals, counted), start=1)]
-    out = _open_output(args.output)
-    try:
-        out.write("".join(lines))
-        out.write(f"ppl\t{ppl!r}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines.append(f"ppl\t{ppl!r}\n")
+    _write_output(args.output, "".join(lines))
     log.info("scored %d sentences, %d tokens, perplexity %.6f; threads: %d",
              len(sentences), sum(counted), ppl, threads_used())
     return 0
@@ -210,13 +208,8 @@ def cmd_rescore(args):
     lines = [f"{utt}\t{total!r}\t{' '.join(nbest.tokens[end - n + i])}\n"
              for utt, end, n, indices, row in ranked
              for i, total in zip(indices[:n], row)]
-    out = _open_output(args.output)
-    try:
-        out.write(f"# lambda={params.lam!r} s_bo={params.s_bo!r} s_nn={params.s_nn!r}\n")
-        out.write("".join(lines))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    header = f"# lambda={params.lam!r} s_bo={params.s_bo!r} s_nn={params.s_nn!r}\n"
+    _write_output(args.output, "".join([header, *lines]))
     log.info("rescored %d utterances; threads: %d", len(nbest.utterances), threads_used())
     return 0
 

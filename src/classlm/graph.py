@@ -18,9 +18,10 @@ input (``None`` for integer ids, targets and masks).  :func:`forward_eval`
 and :func:`backward` are loops over that table.  Its 12 ops are those that
 networks build: matmul, mul, tanh, softmax, gather, concat, xent,
 masked_mean, lstm, gru, item and take; the tests' step-by-step reference
-adds add, add_bias, sigmoid, one_minus and sum from ``tests/support.py``.
-A matmul takes an optional bias vector, added into its product, so a
-layer's affine map is one node.
+adds add, add_bias, sigmoid, one_minus and sum from ``tests/support.py``,
+which also holds the central finite differences that every backward is
+tested against.  A matmul takes an optional bias vector, added into its
+product, so a layer's affine map is one node.
 
 Values are time-major, the one layout: ids, targets and masks are bound as
 (T, B) arrays and dropout masks as (T, B, n), so one evaluation covers T
@@ -88,7 +89,6 @@ __all__ = [
     "ShapeError",
     "Workspace",
     "backward",
-    "finite_difference_check",
     "forward_eval",
 ]
 
@@ -358,12 +358,13 @@ def _rows(a, b):
     return np.matmul(a, b).reshape(*gates, *lead, rows, b.shape[-1])
 
 
-def _sum_steps(fn, steps):
-    """fn(t) summed from the last step to the first, the order in which a
-    step-by-step backward adds a parameter's gradient."""
-    total = fn(steps - 1)
-    for t in range(steps - 2, -1, -1):
-        total += fn(t)
+def _step_added(total, term):
+    """`term` added onto a parameter's running gradient, None before the
+    last step: in a loop from the last step to the first, the order in
+    which a step-by-step backward adds a parameter's gradient."""
+    if total is None:
+        return term
+    total += term
     return total
 
 
@@ -377,10 +378,11 @@ def _matmul(node, a, b, bias=None):
 
 
 def _matmul_grad(dy, y, a, b, bias=None):
-    grads = dy @ b.T, _sum_steps(lambda t: a[t].T @ dy[t], len(a))
-    if bias is None:
-        return grads
-    return *grads, _sum_steps(lambda t: dy[t].sum(axis=0), len(dy))
+    db = dbias = None
+    for t in range(len(a) - 1, -1, -1):
+        db = _step_added(db, a[t].T @ dy[t])
+        dbias = None if bias is None else _step_added(dbias, dy[t].sum(axis=0))
+    return (dy @ b.T, db) if bias is None else (dy @ b.T, db, dbias)
 
 
 def _mul(node, a, b):
@@ -536,15 +538,6 @@ def _previous(seq, first, t):
     """A recurrent state before step t: `first` (h0 or c0) at t = 0, else
     step t - 1 of `seq`, that state's sequence in the op's value."""
     return first if t == 0 else seq[t - 1]
-
-
-def _step_added(total, term):
-    """`term` added onto a parameter's running gradient, None before the
-    last step: inside a backward loop, the order of `_sum_steps`."""
-    if total is None:
-        return term
-    total += term
-    return total
 
 
 def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
@@ -742,32 +735,3 @@ def _pass_on(gradients, ins, adj, grads, vals):
             target = adj[inp.idx]
         for term in terms:
             target += term
-
-
-def finite_difference_check(loss, value, analytic, step):
-    """Max relative error between an analytic gradient and central differences.
-
-    `loss` maps a value of one parameter to a scalar loss; `analytic` is its
-    gradient at `value`.  Perturbs each element of `value` by ±step and
-    compares the loss slope to `analytic`.  The relative error uses
-    |analytic - fd| / max(|analytic|, |fd|, 1e-8).
-    """
-    if not np.isfinite(step) or step <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {step}")
-    worst = 0.0
-    perturbed = np.array(value, dtype=np.float64)
-    flat = perturbed.reshape(-1)
-    aflat = np.asarray(analytic).reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = loss(perturbed)
-        flat[i] = orig - step
-        lo = loss(perturbed)
-        flat[i] = orig
-        fd = (hi - lo) / (2.0 * step)
-        if not np.isfinite(fd):
-            raise NonFiniteError(f"non-finite perturbation result at element {i}")
-        err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-8)
-        worst = max(worst, err)
-    return worst

@@ -273,9 +273,16 @@ def _check_header(path, header):
     if cls["num_classes"] > len(words):  # classes are non-empty
         raise ModelFormatError(f"{path}: model header field 'classes.num_classes' is"
                                f" {cls['num_classes']}, more than {len(words)} vocabulary words")
+    arrays = {}
+    for key, dtype in (("class_of", np.int64), ("membership", np.float64)):
+        try:
+            arrays[key] = np.array(cls[key], dtype=dtype)
+        except OverflowError:
+            raise ModelFormatError(f"{path}: model header field 'classes.{key}' holds a number"
+                                   f" outside {np.dtype(dtype).name}") from None
     try:
         vocab = Vocabulary.from_table(words, counts)
-        classes = ClassMap(cls["class_of"], cls["membership"], cls["num_classes"])
+        classes = ClassMap(arrays["class_of"], arrays["membership"], cls["num_classes"])
     except ValueError as err:
         raise ModelFormatError(f"{path}: {err}")
     try:

@@ -11,13 +11,12 @@ token is scored like any word; with ``"exclude"`` positions whose target is
 ``<unk>`` contribute neither to the total nor to the token count, although
 the history still advances through them.
 
-:func:`score_arrays` is the one scoring core.  It frames every sentence in
-one pass over the tokens into a padded (sentence, position) id matrix,
-walks the sentences' prefix trie one network step per level, and returns
+:func:`score_arrays` is the scoring core.  It frames every sentence in
+one pass over the tokens (:func:`~classlm.vocabulary.frame_sentences`)
+into a padded (sentence, position) id matrix, walks the sentences' prefix trie one network step per level, and returns
 the totals, the counted-token numbers and the per-position
-log-probabilities as arrays (:class:`ScoreArrays`).  Perplexity and every
-caller in the package read those arrays; only :func:`score_sentences`, the
-per-sentence view, builds a `per_token` list for each sentence.
+log-probabilities as arrays (:class:`ScoreArrays`), which perplexity and
+every caller in the package read.
 
 :func:`step_rows` runs each level.  A level that runs as one part returns
 that part's arrays; a level split across steps or threads is written part
@@ -31,21 +30,14 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import ROW_BLOCK
+from .vocabulary import frame_sentences
 
-__all__ = [
-    "ScoreArrays",
-    "ScoreResult",
-    "corpus_perplexity",
-    "perplexity",
-    "score_arrays",
-    "score_sentence",
-    "score_sentences",
-]
+__all__ = ["ScoreArrays", "corpus_perplexity", "perplexity", "score_arrays"]
 
 UNK_POLICIES = ("include", "exclude")
 
@@ -67,20 +59,6 @@ PART_ROWS = 80
 _pool = None  # worker threads for the parts of split steps, made on first use
 _pool_lock = threading.Lock()
 _most_threads = 1  # read by threads_used()
-
-
-@dataclass
-class ScoreResult:
-    """Log-probability of one sentence under the model.
-
-    `per_token` has one entry per predicted position (w1 ... wn </s>);
-    excluded positions hold None.  `total` is the sum of the included
-    entries and `counted` their number.
-    """
-
-    total: float = 0.0
-    per_token: list = field(default_factory=list)
-    counted: int = 0
 
 
 def _check_policy(unk_policy):
@@ -224,28 +202,6 @@ class ScoreArrays:
     predicted: np.ndarray
 
 
-def _frame(vocab, sentences):
-    """Every sentence framed as ``<s> w1 ... wn </s>`` in one padded (N, T)
-    id matrix, one vocabulary lookup per token; returns it with each
-    sentence's word count."""
-    tokens, words = [], []
-    for sentence in sentences:
-        before = len(tokens)
-        tokens.extend(sentence)
-        if len(tokens) == before:
-            raise ValueError("cannot score an empty sentence")
-        words.append(len(tokens) - before)
-    words = np.array(words, dtype=np.int64)
-    ids = np.zeros((len(words), words.max(initial=0) + 2), dtype=np.int64)
-    ids[:, 0] = vocab.start_id
-    columns = np.arange(ids.shape[1])
-    ids[(columns >= 1) & (columns <= words[:, None])] = np.fromiter(
-        map(vocab.ids.get, tokens, itertools.repeat(vocab.unk_id, len(tokens))),
-        dtype=np.int64, count=len(tokens))
-    ids[np.arange(len(words)), words + 1] = vocab.end_id
-    return ids, words
-
-
 def score_arrays(network, sentences, unk_policy="include"):
     """Score a batch of token sequences as arrays; see :class:`ScoreArrays`.
 
@@ -259,7 +215,11 @@ def score_arrays(network, sentences, unk_policy="include"):
     bitwise the same whatever it is batched with, alone included.
     """
     _check_policy(unk_policy)
-    ids, words = _frame(network.vocab, sentences)
+    stream, words = frame_sentences(network.vocab, sentences)
+    if not words.all():
+        raise ValueError("cannot score an empty sentence")
+    ids = np.zeros((len(words), words.max(initial=0) + 2), dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < words[:, None] + 2] = stream
     predicted = words + 1  # positions, </s> included
     targets = ids[:, 1:]
     # included[i, t]: position t of sentence i is predicted and counted
@@ -288,25 +248,6 @@ def score_arrays(network, sentences, unk_policy="include"):
         # one position per level: the running sum one-at-a-time scoring forms
         np.add(totals, logp[:, t], out=totals, where=included[:, t])
     return ScoreArrays(totals, included.sum(axis=1), logp, included, predicted)
-
-
-def score_sentences(network, sentences, unk_policy="include"):
-    """Score a batch of token sequences; returns one ScoreResult per sentence.
-
-    A view of :func:`score_arrays`, and the only place that builds the
-    `per_token` lists.
-    """
-    scores = score_arrays(network, sentences, unk_policy)
-    values = scores.logp.astype(object)
-    values[~scores.included] = None
-    return [ScoreResult(total, row[:n].tolist(), c)
-            for total, row, n, c in zip(scores.totals.tolist(), values,
-                                        scores.predicted.tolist(), scores.counted.tolist())]
-
-
-def score_sentence(network, tokens, unk_policy="include"):
-    """Score one sentence; see :func:`score_sentences`."""
-    return score_sentences(network, [tokens], unk_policy)[0]
 
 
 def perplexity(totals, counted):

@@ -1,15 +1,16 @@
 """Training loop: mini-batches over sentences, validation-driven stopping.
 
-Sentences are framed, cut into segments of at most `max_sequence_length`
-positions, bucketed by length and padded within each batch; the loss is the
-mean class cross-entropy over real (unpadded) positions.  A batch is bound
-time-major, and one evaluation of the network's training graph and one
-backward pass, through time inside the recurrent ops, give its loss and
-gradients.  At regular intervals the development perplexity is measured
-with the same scorer the ``score`` command uses.  The parameters achieving
-the lowest development perplexity are checkpointed and restored at the
-end, so the returned model is always the best one seen, not the last
-iterate.
+Sentences are framed into one id stream, as scoring frames them, and cut
+into segments of at most `max_sequence_length` positions, held as arrays
+of stream starts and lengths; segments are bucketed by length and padded
+within each batch.  The loss is the mean class cross-entropy over real
+(unpadded) positions.  A batch is bound time-major, and one evaluation of
+the network's training graph and one backward pass, through time inside
+the recurrent ops, give its loss and gradients.  At regular intervals the
+development perplexity is measured with the same scorer the ``score``
+command uses.  The parameters achieving the lowest development perplexity
+are checkpointed and restored at the end, so the returned model is always
+the best one seen, not the last iterate.
 
 When a validation fails to improve on the best perplexity by at least
 `min_improvement` (relative), the failure counter grows and, for sgd/nag
@@ -30,6 +31,7 @@ from .graph import NonFiniteError, backward, forward_eval
 from .network import file_blocks
 from .optimizers import Optimizer, OptimizerConfig, clip_gradients
 from .scoring import corpus_perplexity
+from .vocabulary import frame_sentences
 
 __all__ = ["TrainingConfig", "TrainingState", "batch_gradients", "batch_loss", "train"]
 
@@ -79,32 +81,34 @@ class TrainingState:
 
 
 def _segments(network, sentences, max_len):
-    """(input ids, target ids) pairs, each at most max_len positions."""
-    out = []
-    for tokens in sentences:
-        ids = np.asarray(network.vocab.frame(tokens), dtype=np.int64)
-        inputs, targets = ids[:-1], ids[1:]
-        for start in range(0, len(inputs), max_len):
-            out.append((inputs[start:start + max_len], targets[start:start + max_len]))
-    return out
+    """The sentences framed as one id stream, and their segments of at most
+    `max_len` positions as arrays of each one's first input in the stream
+    and its length, in sentence order and from each sentence's start."""
+    stream, words = frame_sentences(network.vocab, sentences)
+    positions = words + 1  # inputs <s> w1 ... wn, targets w1 ... wn </s>
+    pieces = -(-positions // max_len)
+    sentence = np.repeat(np.arange(len(words)), pieces)
+    earlier = np.repeat(np.cumsum(pieces) - pieces, pieces)  # segments of earlier sentences
+    start = (np.arange(len(sentence)) - earlier) * max_len  # within the sentence
+    offset = np.cumsum(words + 2) - (words + 2)  # each sentence's <s> in the stream
+    return stream, offset[sentence] + start, np.minimum(positions[sentence] - start, max_len)
 
 
 def _make_batches(segments, batch_size, rng):
     """Shuffle, bucket by length, pad, and shuffle the batch order."""
-    order = rng.permutation(len(segments))
-    ordered = sorted(order.tolist(), key=lambda i: len(segments[i][0]))
+    stream, first, length = segments
+    order = rng.permutation(len(first))
+    order = order[np.argsort(length[order], kind="stable")]
     batches = []
-    for start in range(0, len(ordered), batch_size):
-        chunk = [segments[i] for i in ordered[start:start + batch_size]]
-        length = max(len(inp) for inp, _ in chunk)
-        inputs = np.zeros((len(chunk), length), dtype=np.int64)
-        targets = np.zeros((len(chunk), length), dtype=np.int64)
-        mask = np.zeros((len(chunk), length))
-        for row, (inp, tgt) in enumerate(chunk):
-            inputs[row, : len(inp)] = inp
-            targets[row, : len(tgt)] = tgt
-            mask[row, : len(inp)] = 1.0
-        batches.append((inputs, targets, mask))
+    for lo in range(0, len(order), batch_size):
+        chunk = order[lo:lo + batch_size]
+        steps = np.arange(length[chunk].max())
+        mask = steps < length[chunk, None]
+        at = (first[chunk, None] + steps)[mask]
+        inputs = np.zeros(mask.shape, dtype=np.int64)
+        targets = np.zeros(mask.shape, dtype=np.int64)
+        inputs[mask], targets[mask] = stream[at], stream[at + 1]
+        batches.append((inputs, targets, mask.astype(np.float64)))
     batch_order = rng.permutation(len(batches))
     return [batches[i] for i in batch_order]
 

@@ -1,9 +1,10 @@
 """Word/id bookkeeping with reserved boundary tokens.
 
 Every vocabulary contains the reserved tokens ``<s>``, ``</s>`` and
-``<unk>`` at ids 0, 1 and 2.  Sentences are framed internally as
-``<s> w1 ... wn </s>``; ``<s>`` is input-only while ``</s>`` is a predicted
-token, and any out-of-vocabulary word maps to ``<unk>``.
+``<unk>`` at ids 0, 1 and 2.  :func:`frame_sentences`, which scoring and
+training both use, frames sentences as ``<s> w1 ... wn </s>``; ``<s>`` is
+input-only while ``</s>`` is a predicted token, and any out-of-vocabulary
+word maps to ``<unk>``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import numpy as np
 
 __all__ = ["RESERVED", "SENTENCE_START", "SENTENCE_END", "UNKNOWN", "Vocabulary", "build_vocabulary",
-           "index_tokens", "read_tokens"]
+           "frame_sentences", "index_tokens", "read_tokens"]
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -71,18 +72,33 @@ class Vocabulary:
     def unk_id(self):
         return self.ids[UNKNOWN]
 
-    def frame(self, tokens):
-        """Token ids for ``<s> tokens </s>`` with unknown-word fallback."""
-        ids = self.ids
-        unk = ids[UNKNOWN]
-        return [ids[SENTENCE_START], *[ids.get(t, unk) for t in tokens], ids[SENTENCE_END]]
-
 
 def _check_counts(words, counts):
     """Raise ValueError naming the first word whose count is negative."""
     if min(counts, default=0) < 0:
         w = next(w for w, c in zip(words, counts) if c < 0)
         raise ValueError(f"negative count for {w!r}")
+
+
+def frame_sentences(vocab, sentences):
+    """Every sentence framed as ``<s> w1 ... wn </s>``, one after another in
+    one unpadded int64 id stream with one vocabulary lookup per token, and
+    each sentence's word count; an empty sentence frames as ``<s> </s>``."""
+    tokens, words = [], []
+    for sentence in sentences:
+        before = len(tokens)
+        tokens.extend(sentence)
+        words.append(len(tokens) - before)
+    words = np.array(words, dtype=np.int64)
+    ends = np.cumsum(words + 2)  # one past each sentence's </s>
+    stream = np.full(len(tokens) + 2 * len(words), vocab.start_id, dtype=np.int64)
+    stream[ends - 1] = vocab.end_id
+    is_word = np.ones(len(stream), dtype=bool)
+    is_word[ends - 1] = is_word[ends - words - 2] = False
+    stream[is_word] = np.fromiter(
+        map(vocab.ids.get, tokens, itertools.repeat(vocab.unk_id, len(tokens))),
+        dtype=np.int64, count=len(tokens))
+    return stream, words
 
 
 def build_vocabulary(sentences, max_size=None):

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: tiny architectures, corpus generators,
-independent oracles (set-partition enumeration, brute-force word
-distributions, the line-at-a-time n-best reader) and per-item views of the
-library's tables that only tests read."""
+independent oracles (central finite differences, set-partition
+enumeration, brute-force word distributions, the line-at-a-time n-best
+reader) and per-item views of the library's tables that only tests
+read."""
 
 import json
 import math
@@ -124,13 +125,20 @@ def _add_bias(node, x, b):
     return x + b
 
 
+def _summed_from_the_last_step(dy):
+    """A bias's adjoint: each step's rows summed, the steps added from the
+    last to the first, as a step-by-step backward adds them."""
+    total = dy[-1].sum(axis=0)
+    for t in range(len(dy) - 2, -1, -1):
+        total += dy[t].sum(axis=0)
+    return total
+
+
 # op -> (forward, backward) of the ReferenceGraph ops, in the form of the
 # engine's op table, with the engine's sigmoid
 REFERENCE_OPS = {
     "add": (_add, lambda dy, y, a, b: (dy, dy)),
-    "add_bias": (_add_bias,
-                 lambda dy, y, x, b: (dy, cl.graph._sum_steps(lambda t: dy[t].sum(axis=0),
-                                                              len(dy)))),
+    "add_bias": (_add_bias, lambda dy, y, x, b: (dy, _summed_from_the_last_step(dy))),
     "sigmoid": (lambda node, x: cl.graph._sigmoid(x), lambda dy, y, x: (dy * y * (1.0 - y),)),
     "one_minus": (lambda node, x: 1.0 - x, lambda dy, y, x: (-dy,)),
     "sum": (lambda node, x: np.asarray(x.sum()),
@@ -146,11 +154,40 @@ def register_reference_ops(monkeypatch):
         monkeypatch.setitem(cl.graph._OPS, op, rule)
 
 
+def finite_difference_check(loss, value, analytic, step):
+    """Max relative error between an analytic gradient and central differences.
+
+    `loss` maps a value of one parameter to a scalar loss; `analytic` is its
+    gradient at `value`.  Perturbs each element of `value` by ±step and
+    compares the loss slope to `analytic`.  The relative error uses
+    |analytic - fd| / max(|analytic|, |fd|, 1e-8).
+    """
+    if not np.isfinite(step) or step <= 0:
+        raise ValueError(f"finite-difference step must be positive, got {step}")
+    worst = 0.0
+    perturbed = np.array(value, dtype=np.float64)
+    flat = perturbed.reshape(-1)
+    aflat = np.asarray(analytic).reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = loss(perturbed)
+        flat[i] = orig - step
+        lo = loss(perturbed)
+        flat[i] = orig
+        fd = (hi - lo) / (2.0 * step)
+        if not np.isfinite(fd):
+            raise cl.NonFiniteError(f"non-finite perturbation result at element {i}")
+        err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-8)
+        worst = max(worst, err)
+    return worst
+
+
 def graph_fd_error(graph, bindings, params, name, step):
     """finite_difference_check of parameter `name` of a graph with a scalar
     "loss" output, the other parameters held at `params`."""
     analytic = cl.backward(graph, cl.forward_eval(graph, bindings, params))[name]
-    return cl.finite_difference_check(
+    return finite_difference_check(
         lambda value: float(
             cl.forward_eval(graph, bindings, {**params, name: value}).outputs["loss"]),
         params[name], analytic, step)
@@ -162,7 +199,7 @@ def batch_fd_errors(network, inputs, targets, mask, step):
     from classlm.training import batch_gradients, batch_loss
 
     _, grads = batch_gradients(network, inputs, targets, mask, None)
-    return {name: cl.finite_difference_check(
+    return {name: finite_difference_check(
         lambda value: batch_loss(network, inputs, targets, mask, None,
                                  {**network.params, name: value})[0],
         network.params[name], grads[name], step) for name in network.params}

@@ -12,7 +12,7 @@ import pytest
 
 import classlm as cl
 from classlm.rescoring import InterpolationParams
-from classlm.vocabulary import RESERVED
+from classlm.vocabulary import RESERVED, frame_sentences
 
 import support
 from support import ReferenceGraph
@@ -142,10 +142,9 @@ def test_criterion_1_gradient_correctness(reference_ops):
     # (~eps*|loss|/step) well below the tolerance
     corpus = [["a", "b", "c", "d"]] * 4
     net = support.small_network(corpus, num_classes=4, seed=1)
-    inputs = np.array([net.vocab.frame(["a", "b", "c", "d"])[:-1],
-                       net.vocab.frame(["d", "a", "b", "c"])[:-1]])
-    targets = np.array([net.vocab.frame(["a", "b", "c", "d"])[1:],
-                        net.vocab.frame(["d", "a", "b", "c"])[1:]])
+    stream, _ = frame_sentences(net.vocab, [["a", "b", "c", "d"], ["d", "a", "b", "c"]])
+    ids = stream.reshape(2, -1)  # two framed sentences of equal length
+    inputs, targets = ids[:, :-1], ids[:, 1:]
     _check_all_batch_params(net, inputs, targets, 1e-4)
 
     elapsed = time.monotonic() - start
@@ -382,7 +381,8 @@ def test_criterion_8_persistence(tmp_path):
     for name in net.params:
         np.testing.assert_array_equal(loaded.params[name], net.params[name])
     sentence = [net.vocab.words[5], net.vocab.words[9], net.vocab.words[4]]
-    assert cl.score_sentence(net, sentence).total == cl.score_sentence(loaded, sentence).total
+    totals = [cl.score_arrays(model, [sentence]).totals[0] for model in (net, loaded)]
+    assert totals[0] == totals[1]
     cl.save_model(p2, loaded, training)
     assert p1.read_bytes() == p2.read_bytes()
 

@@ -273,8 +273,8 @@ def test_gru_network_scores_and_has_correct_gradients(rng):
     assert net.params["h/b"].shape == (3, 4)
     assert list(net.initial_state(1)) == ["h/h"]  # no cell state for GRU
 
-    res = cl.score_sentence(net, ["x", "z", "y"])
-    assert np.isfinite(res.total) and res.counted == 4
+    scores = cl.score_arrays(net, [["x", "z", "y"]])
+    assert np.isfinite(scores.totals[0]) and scores.counted[0] == 4
 
     # the gradient of a 3-step batch, through time over the step graph
     errors = support.batch_fd_errors(net, np.array([[0, 3, 4]]), np.array([[3, 4, 1]]),

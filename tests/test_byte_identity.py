@@ -1,11 +1,23 @@
-"""The seeded end-to-end run of tools/byte_identity.py is deterministic and
-covers a sparse class bigram table."""
+"""The seeded end-to-end run of tools/byte_identity.py is deterministic,
+covers a sparse class bigram table, and prints the digests pinned in
+tests/data/byte_identity.txt.
 
+The pinned file holds the tool's lines under the build that printed them:
+the numpy and Python versions, the BLAS that numpy was built with, and the
+core OpenBLAS chose at run time, whose kernels decide the bits.  On another
+build the pinned comparison is skipped, naming the build it found.  A new
+output of the tool appends its line to the file; an existing line changes
+only with a change to what the program is meant to output.
+"""
+
+import ctypes
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import classlm as cl
 from classlm.classing import BigramStats
@@ -13,10 +25,38 @@ from classlm.scoring import MAX_STEP_ROWS
 from classlm.vocabulary import RESERVED, read_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
+PINNED = Path(__file__).resolve().parent / "data" / "byte_identity.txt"
+BUILD = "# build: "  # the prefix of a fingerprint line in the pinned file
 
 
-def test_two_runs_print_the_same_digests(tmp_path):
-    # the digests depend on the numpy/BLAS build, so they are compared, not pinned
+def _openblas_core():
+    """The core whose kernels OpenBLAS runs, as the library names it; the
+    configuration string numpy reports names the core of the machine that
+    built it."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unreported"
+
+
+def build_fingerprint():
+    """The lines naming the numpy, Python and BLAS build of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"numpy {np.__version__}", f"python {platform.python_version()}",
+            f"blas {blas.get('name')} {blas.get('version')}",
+            f"openblas configuration {blas.get('openblas configuration')}",
+            f"openblas core {_openblas_core()}"]
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """The output directories and results of two concurrent runs of the tool."""
+    tmp_path = tmp_path_factory.mktemp("byte_identity")
     outs = [tmp_path / "a", tmp_path / "b"]
     runs = [subprocess.Popen([sys.executable, str(TOOL), str(out)], stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True) for out in outs]
@@ -25,6 +65,11 @@ def test_two_runs_print_the_same_digests(tmp_path):
     finally:
         for run in runs:
             run.kill()
+    return outs, results
+
+
+def test_two_runs_print_the_same_digests(two_runs):
+    outs, results = two_runs
     for stdout, stderr, rc in results:
         assert rc == 0, stderr
     assert results[0][0] == results[1][0]
@@ -48,6 +93,18 @@ def test_two_runs_print_the_same_digests(tmp_path):
     assert names[-len(chunked) - 1:] == ["chunked.txt", *sorted(chunked, key=names.index)]
     assert chunked <= set(names)
     assert _widest_level(outs[0], "chunked.txt", "lstm-double.clm") > MAX_STEP_ROWS
+
+
+def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):
+    lines = PINNED.read_text(encoding="utf-8").splitlines()
+    pinned_build = [line[len(BUILD):] for line in lines if line.startswith(BUILD)]
+    found = build_fingerprint()
+    if found != pinned_build:
+        pytest.skip(f"digests pinned on {'; '.join(pinned_build)}; this build is"
+                    f" {'; '.join(found)}")
+    stdout, stderr, rc = two_runs[1][0]
+    assert rc == 0, stderr
+    assert stdout.splitlines() == [line for line in lines if not line.startswith("#")]
 
 
 def _widest_level(out, corpus, model):

@@ -8,7 +8,7 @@ import pytest
 
 import classlm as cl
 from classlm.classing import BigramStats, ClassMap, class_bigram_loglik, exchange_pass
-from classlm.vocabulary import RESERVED
+from classlm.vocabulary import RESERVED, frame_sentences
 
 import support
 
@@ -173,9 +173,10 @@ def test_build_vocabulary_rejects_empty_corpus():
 
 def test_frame_adds_boundaries_and_unk():
     vocab = cl.build_vocabulary([["a"]])
-    ids = vocab.frame(["a", "zzz"])
-    assert ids[0] == vocab.start_id and ids[-1] == vocab.end_id
-    assert ids[2] == vocab.unk_id
+    stream, words = frame_sentences(vocab, [["a", "zzz"], []])
+    assert stream.tolist() == [vocab.start_id, vocab.ids["a"], vocab.unk_id, vocab.end_id,
+                               vocab.start_id, vocab.end_id]
+    assert words.tolist() == [2, 0]
 
 
 # -- objective closed form ---------------------------------------------------

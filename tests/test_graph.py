@@ -12,7 +12,6 @@ from classlm.graph import (
     ShapeError,
     Workspace,
     backward,
-    finite_difference_check,
     forward_eval,
 )
 
@@ -168,8 +167,8 @@ def test_linear_graph_fd_error_tiny(reference_ops):
 
 def test_fd_check_rejects_zero_step():
     with pytest.raises(ValueError):
-        finite_difference_check(lambda value: float(value.sum()), np.ones((1, 1)),
-                                np.ones((1, 1)), 0.0)
+        support.finite_difference_check(lambda value: float(value.sum()), np.ones((1, 1)),
+                                        np.ones((1, 1)), 0.0)
 
 
 def test_one_step_lstm_fd(rng, reference_ops):

@@ -296,9 +296,9 @@ def test_dropout_eval_mode_is_exactly_identity():
     net_b = cl.instantiate_network(cl.parse_description(without), vocab, classes, seed=5)
     for name in net_b.params:
         net_b.params[name] = net_a.params[name].copy()
-    sa = cl.score_sentence(net_a, ["a", "c", "b"])
-    sb = cl.score_sentence(net_b, ["a", "c", "b"])
-    assert sa.total == sb.total and sa.per_token == sb.per_token
+    sa = cl.score_arrays(net_a, [["a", "c", "b"]])
+    sb = cl.score_arrays(net_b, [["a", "c", "b"]])
+    assert sa.totals[0] == sb.totals[0] and (sa.logp == sb.logp).all()
 
 
 def test_dropout_train_mode_gradient_with_fixed_mask(rng, reference_ops):
@@ -321,9 +321,9 @@ def test_single_class_model_scores_membership_only():
     membership = np.array([0.125, 0.25, 0.125, 0.5])  # <s>, </s>, <unk>, a
     classes = cl.ClassMap(np.zeros(4, dtype=np.int64), membership, 1)
     net = support_single_class_net(vocab, classes)
-    res = cl.score_sentence(net, ["a"])
-    assert res.total == np.log(0.5) + np.log(0.25)
-    assert res.per_token == [np.log(0.5), np.log(0.25)]
+    scores = cl.score_arrays(net, [["a"]])
+    assert scores.totals[0] == np.log(0.5) + np.log(0.25)
+    assert scores.logp[0].tolist() == [np.log(0.5), np.log(0.25)]
 
 
 def support_single_class_net(vocab, classes):

@@ -48,10 +48,10 @@ def test_scores_identical_after_round_trip(tmp_path, rng):
     cl.save_model(path, net)
     loaded, _ = cl.load_model(path)
     sent = [net.vocab.words[4], net.vocab.words[7], net.vocab.words[5]]
-    before = cl.score_sentence(net, sent)
-    after = cl.score_sentence(loaded, sent)
-    assert before.total == after.total
-    assert before.per_token == after.per_token
+    before = cl.score_arrays(net, [sent])
+    after = cl.score_arrays(loaded, [sent])
+    assert before.totals[0] == after.totals[0]
+    assert (before.logp == after.logp).all()
 
 
 def test_save_load_save_is_byte_identical(tmp_path, rng):
@@ -132,6 +132,23 @@ def test_a_negative_count_in_the_header_table_is_rejected(tmp_path, rng):
         cl.load_model(path)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("class_of", 2**63, "int64"),
+    ("class_of", -2**63 - 1, "int64"),
+    ("membership", 10**400, "float64"),
+], ids=["class_of-above", "class_of-below", "membership"])
+def test_a_class_entry_outside_its_array_type_is_rejected(tmp_path, rng, field, value, kind):
+    # JSON integers have no bound, and the class table loads as int64 ids
+    # and float64 memberships
+    path = tmp_path / "model.clm"
+    cl.save_model(path, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    support.rewrite_header(path, lambda h: h["classes"][field].__setitem__(4, value))
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: model header field"
+                                               rf" 'classes.{field}' holds a number outside"
+                                               rf" {kind}$"):
+        cl.load_model(path)
+
+
 def test_single_precision_round_trip(tmp_path, rng):
     corpus = [["a", "b", "c"]] * 4
     vocab = cl.build_vocabulary(corpus)
@@ -145,9 +162,9 @@ def test_single_precision_round_trip(tmp_path, rng):
     assert loaded.params["output_layer/W"].dtype == np.float32
     for name in net.params:
         np.testing.assert_array_equal(loaded.params[name], net.params[name])
-    s1 = cl.score_sentence(net, ["a", "c"])
-    s2 = cl.score_sentence(loaded, ["a", "c"])
-    assert s1.total == s2.total
+    s1 = cl.score_arrays(net, [["a", "c"]])
+    s2 = cl.score_arrays(loaded, [["a", "c"]])
+    assert s1.totals[0] == s2.totals[0]
 
 
 def test_truncated_payload_names_first_missing_parameter(tmp_path, rng):

@@ -10,8 +10,23 @@ import numpy as np
 import pytest
 
 import classlm as cl
+from classlm.vocabulary import frame_sentences
 
 import support
+
+
+def _sentence_bits(scores, i):
+    """Sentence i's total, counted tokens, and its predicted positions'
+    log-probabilities and inclusion, as exact bytes."""
+    n = scores.predicted[i]
+    return (scores.totals[i].tobytes(), int(scores.counted[i]), scores.logp[i, :n].tobytes(),
+            scores.included[i, :n].tobytes())
+
+
+def _bits(scores):
+    """Every array of a batch's scores as exact bytes."""
+    return tuple(array.tobytes() for array in (scores.totals, scores.counted, scores.logp,
+                                               scores.included, scores.predicted))
 
 
 def _uniform_ten_word_network():
@@ -33,19 +48,18 @@ def test_single_class_score_is_membership_product():
     classes = cl.ClassMap(np.zeros(4, dtype=np.int64), membership, 1)
     desc = cl.parse_description(support.SMALL_ARCH)
     net = cl.instantiate_network(desc, vocab, classes, seed=2)
-    res = cl.score_sentence(net, ["a"])
-    assert res.total == np.log(0.5) + np.log(0.25)
-    assert res.counted == 2
+    scores = cl.score_arrays(net, [["a"]])
+    assert scores.totals[0] == np.log(0.5) + np.log(0.25)
+    assert scores.counted[0] == 2
 
 
 def test_all_unknown_sentence_counts_only_the_end_token(rng):
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
-    res = cl.score_sentence(net, ["qq", "zz", "xx"], unk_policy="exclude")
-    assert res.counted == 1
-    assert res.per_token[:3] == [None, None, None]
-    assert res.per_token[3] is not None
-    included = cl.score_sentence(net, ["qq", "zz", "xx"], unk_policy="include")
-    assert included.counted == 4
+    excluded = cl.score_arrays(net, [["qq", "zz", "xx"]], unk_policy="exclude")
+    assert excluded.counted[0] == 1
+    assert excluded.included[0].tolist() == [False, False, False, True]
+    included = cl.score_arrays(net, [["qq", "zz", "xx"]], unk_policy="include")
+    assert included.counted[0] == 4
 
 
 def test_history_advances_through_excluded_unknowns(rng):
@@ -53,10 +67,10 @@ def test_history_advances_through_excluded_unknowns(rng):
     # but the unknown token still conditions later predictions
     net = support.random_class_network(rng, vocab_size=6, num_classes=3)
     known = [net.vocab.words[4], net.vocab.words[5]]
-    with_unk = cl.score_sentence(net, [known[0], "OOV", known[1]], unk_policy="exclude")
-    without = cl.score_sentence(net, [known[0], known[1]], unk_policy="exclude")
-    assert with_unk.per_token[0] == without.per_token[0]
-    assert with_unk.per_token[2] != without.per_token[1]
+    with_unk = cl.score_arrays(net, [[known[0], "OOV", known[1]]], unk_policy="exclude").logp[0]
+    without = cl.score_arrays(net, [[known[0], known[1]]], unk_policy="exclude").logp[0]
+    assert with_unk[0] == without[0]
+    assert with_unk[2] != without[1]
 
 
 def test_scores_match_enumeration_oracle(rng):
@@ -65,9 +79,9 @@ def test_scores_match_enumeration_oracle(rng):
     net = support.random_class_network(rng, vocab_size=40, num_classes=7)
     vocab = net.vocab
     sentence = [vocab.words[int(rng.integers(3, len(vocab)))] for _ in range(6)]
-    res = cl.score_sentence(net, sentence)
+    total = cl.score_arrays(net, [sentence]).totals[0]
 
-    ids = vocab.frame(sentence)
+    ids = frame_sentences(vocab, [sentence])[0]
     state = net.initial_state(1)
     product = 1.0
     for t in range(len(ids) - 1):
@@ -75,7 +89,7 @@ def test_scores_match_enumeration_oracle(rng):
         dist = support.word_distribution(net, probs[0])
         assert abs(dist.sum() - 1.0) < 1e-10
         product *= dist[ids[t + 1]]
-    assert np.exp(res.total) == pytest.approx(product, rel=1e-9)
+    assert np.exp(total) == pytest.approx(product, rel=1e-9)
 
 
 def test_policies_agree_on_unknown_free_corpus(rng):
@@ -85,9 +99,9 @@ def test_policies_agree_on_unknown_free_corpus(rng):
         for _ in range(4)
     ]
     for sent in sentences:
-        inc = cl.score_sentence(net, sent, "include")
-        exc = cl.score_sentence(net, sent, "exclude")
-        assert inc.total == exc.total and inc.counted == exc.counted
+        inc = cl.score_arrays(net, [sent], "include")
+        exc = cl.score_arrays(net, [sent], "exclude")
+        assert inc.totals[0] == exc.totals[0] and inc.counted[0] == exc.counted[0]
     assert cl.corpus_perplexity(net, sentences, "include") == cl.corpus_perplexity(
         net, sentences, "exclude"
     )
@@ -102,9 +116,9 @@ def test_uniform_model_perplexity_equals_vocabulary_size():
 def test_single_sentence_perplexity_matches_definition(rng):
     net = support.random_class_network(rng, vocab_size=8, num_classes=3)
     sent = [net.vocab.words[4], net.vocab.words[5]]
-    res = cl.score_sentence(net, sent)
+    scores = cl.score_arrays(net, [sent])
     ppl = cl.corpus_perplexity(net, [sent])
-    assert ppl == pytest.approx(np.exp(-res.total / res.counted), rel=1e-12)
+    assert ppl == pytest.approx(np.exp(-scores.totals[0] / scores.counted[0]), rel=1e-12)
 
 
 def test_perplexity_invariant_under_corpus_duplication(rng):
@@ -121,13 +135,13 @@ def test_perplexity_invariant_under_corpus_duplication(rng):
 def test_empty_sentence_rejected(rng):
     net = support.random_class_network(rng, vocab_size=5, num_classes=2)
     with pytest.raises(ValueError, match="empty"):
-        cl.score_sentence(net, [])
+        cl.score_arrays(net, [[]])
 
 
 def test_invalid_policy_rejected(rng):
     net = support.random_class_network(rng, vocab_size=5, num_classes=2)
     with pytest.raises(ValueError, match="unk_policy"):
-        cl.score_sentence(net, ["a"], unk_policy="penalize")
+        cl.score_arrays(net, [["a"]], unk_policy="penalize")
 
 
 def test_batched_scoring_equals_one_at_a_time(rng):
@@ -136,11 +150,9 @@ def test_batched_scoring_equals_one_at_a_time(rng):
         [net.vocab.words[int(rng.integers(3, len(net.vocab)))] for _ in range(int(rng.integers(1, 7)))]
         for _ in range(9)
     ]
-    batched = cl.score_sentences(net, sentences)
-    for sent, res in zip(sentences, batched):
-        single = cl.score_sentence(net, sent)
-        assert single.total == res.total
-        assert single.per_token == res.per_token
+    batched = cl.score_arrays(net, sentences)
+    for i, sent in enumerate(sentences):
+        assert _sentence_bits(cl.score_arrays(net, [sent]), 0) == _sentence_bits(batched, i)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -150,8 +162,9 @@ def test_batched_scoring_equals_one_at_a_time_any_seed(seed):
 
 
 def _framed_prefixes(net, sentences):
-    return {tuple(ids[:t]) for s in sentences
-            for ids in [net.vocab.frame(s)] for t in range(1, len(ids))}
+    stream, words = frame_sentences(net.vocab, sentences)
+    return {tuple(ids[:t].tolist()) for ids in np.split(stream, np.cumsum(words + 2)[:-1])
+            for t in range(1, len(ids))}
 
 
 def test_each_prefix_runs_once(rng, monkeypatch):
@@ -170,14 +183,14 @@ def test_each_prefix_runs_once(rng, monkeypatch):
         return step(state, word_ids)
 
     monkeypatch.setattr(net, "step", recording)
-    results = cl.score_sentences(net, sentences)
+    scores = cl.score_arrays(net, sentences)
     assert len(calls) == max(len(s) for s in sentences) + 1
     assert all(rows % cl.graph.ROW_BLOCK == 0 and rows - real < cl.graph.ROW_BLOCK
                for rows, real in calls)
     assert sum(real for _, real in calls) == len(_framed_prefixes(net, sentences))
     # a sentence that is a prefix of another shares its scores up to its end
-    assert results[1].per_token[:4] == results[0].per_token[:4]
-    assert results[4].per_token == results[0].per_token
+    assert scores.logp[1, :4].tobytes() == scores.logp[0, :4].tobytes()
+    assert _sentence_bits(scores, 4) == _sentence_bits(scores, 0)
 
 
 def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch):
@@ -185,7 +198,7 @@ def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch)
     words = net.vocab.words[3:]
     sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
                  for _ in range(60)]
-    whole = cl.score_sentences(net, sentences)
+    whole = cl.score_arrays(net, sentences)
     rows = []
     step = net.step
 
@@ -195,10 +208,9 @@ def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch)
 
     monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", 2 * cl.graph.ROW_BLOCK)
     monkeypatch.setattr(net, "step", recording)
-    split = cl.score_sentences(net, sentences)
+    split = cl.score_arrays(net, sentences)
     assert max(rows) == 2 * cl.graph.ROW_BLOCK and len(rows) > 7
-    for a, b in zip(whole, split):
-        assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+    assert _bits(split) == _bits(whole)
 
 
 def _split_steps(monkeypatch, cpus, part_rows=cl.graph.ROW_BLOCK):
@@ -266,7 +278,7 @@ def test_parts_of_a_split_level_share_one_word_at_most(rng, monkeypatch):
     words = net.vocab.words[3:]
     sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
                  for _ in range(120)]
-    whole = cl.score_sentences(net, sentences)
+    whole = cl.score_arrays(net, sentences)
     levels = []  # per level, each part's distinct words
     step_rows, step = cl.scoring.step_rows, cl.scoring._step
 
@@ -281,13 +293,12 @@ def test_parts_of_a_split_level_share_one_word_at_most(rng, monkeypatch):
     _split_steps(monkeypatch, cpus=2)
     monkeypatch.setattr(cl.scoring, "step_rows", recording_level)
     monkeypatch.setattr(cl.scoring, "_step", recording_part)
-    split = cl.score_sentences(net, sentences)
+    split = cl.score_arrays(net, sentences)
     two = [parts for parts in levels if len(parts) == 2]
     # the widest levels hold every word, in parts of several words each
     assert len(two) >= 3 and all(len(a) > 1 and len(b) > 1 for a, b in two)
     assert all(len(a & b) <= 1 for a, b in two)
-    for a, b in zip(whole, split):
-        assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+    assert _bits(split) == _bits(whole)
 
 
 @pytest.fixture
@@ -422,7 +433,7 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
     words = net.vocab.words[3:]
     sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
                  for _ in range(150)]
-    whole = cl.score_sentences(net, sentences)
+    whole = cl.score_arrays(net, sentences)
     lock = threading.Lock()
     in_flight, most, sizes = [0], [0], []
     step = cl.Network.step
@@ -443,11 +454,10 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
     monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", max_rows)
     _split_steps(monkeypatch, cpus=4)
     monkeypatch.setattr(cl.Network, "step", recording)
-    split = cl.score_sentences(net, sentences)
+    split = cl.score_arrays(net, sentences)
     assert max_rows // 4 < most[0] <= max_rows
     assert all(n % cl.graph.ROW_BLOCK == 0 for n in sizes) and min(sizes) < max_rows // 2
-    for a, b in zip(whole, split):
-        assert (a.total, a.per_token, a.counted) == (b.total, b.per_token, b.counted)
+    assert _bits(split) == _bits(whole)
 
 
 def test_an_evaluation_step_holds_about_what_it_returns():
@@ -490,7 +500,7 @@ def test_score_arrays_drops_a_levels_probabilities_before_the_next_step(rng, mon
         return probs, state
 
     monkeypatch.setattr(cl.scoring, "step_rows", recording)
-    cl.scoring.score_arrays(net, sentences)
+    cl.score_arrays(net, sentences)
     assert len(last) > 2
 
 
@@ -509,47 +519,45 @@ def _zero_membership_network(rng):
 
 
 @pytest.mark.parametrize("unk_policy", ["include", "exclude"])
-def test_score_arrays_equal_score_sentences_bitwise(rng, unk_policy):
+def test_score_arrays_of_any_batch_equal_one_at_a_time_bitwise(rng, unk_policy):
     net, zero = _zero_membership_network(rng)
     words = [*net.vocab.words[3:], "OOV", "qq"]
     sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 8))]
                  for _ in range(30)]
     sentences += [[zero], [words[0], zero, "OOV"], ["OOV"], ["OOV", "qq", words[1]]]
-    results = cl.score_sentences(net, sentences, unk_policy)
-    assert any(r.total == -np.inf for r in results)
+    scores = cl.score_arrays(net, sentences, unk_policy)
+    assert (scores.totals == -np.inf).any()
     # sentences as tuples and as generators, in a generator
     given = (tuple(s) if i % 2 else (t for t in s) for i, s in enumerate(sentences))
-    scores = cl.scoring.score_arrays(net, given, unk_policy)
-    assert len(scores.totals) == len(sentences)
-    for i, (sentence, res) in enumerate(zip(sentences, results)):
+    assert _bits(cl.score_arrays(net, given, unk_policy)) == _bits(scores)
+    unknown = net.vocab.unk_id
+    for i, sentence in enumerate(sentences):
         n = len(sentence) + 1
         assert scores.predicted[i] == n
-        assert scores.totals[i].tobytes() == np.float64(res.total).tobytes()
-        assert scores.counted[i] == res.counted
-        assert scores.included[i, :n].tolist() == [v is not None for v in res.per_token]
+        targets = [net.vocab.ids.get(w, unknown) for w in sentence]
+        assert scores.included[i, :n].tolist() == [
+            unk_policy == "include" or t != unknown for t in targets] + [True]
         assert not scores.included[i, n:].any()
-        kept = [v for v in res.per_token if v is not None]
-        assert scores.logp[i, :n][scores.included[i, :n]].tobytes() == np.array(kept).tobytes()
-        single = cl.score_sentence(net, sentence, unk_policy)
-        assert np.float64(single.total).tobytes() == np.float64(res.total).tobytes()
+        assert scores.counted[i] == scores.included[i].sum()
+        assert (scores.logp[i, n:] == 0.0).all()
+        assert _sentence_bits(cl.score_arrays(net, [sentence], unk_policy), 0) == _sentence_bits(
+            scores, i)
     assert cl.corpus_perplexity(net, sentences, unk_policy) == cl.scoring.perplexity(
-        [r.total for r in results], [r.counted for r in results])
+        scores.totals.tolist(), scores.counted)
 
 
 def test_empty_sentence_keeps_its_message_wherever_it_stands(rng):
     net = support.random_class_network(rng, vocab_size=5, num_classes=2)
     w = net.vocab.words[3]
     for batch in ([[]], [[w], [], [w]], [[w], (t for t in [])], [[w], ()]):
-        for score in (cl.score_sentences, cl.scoring.score_arrays):
-            with pytest.raises(ValueError) as raised:
-                score(net, batch)
-            assert str(raised.value) == "cannot score an empty sentence"
+        with pytest.raises(ValueError) as raised:
+            cl.score_arrays(net, batch)
+        assert str(raised.value) == "cannot score an empty sentence"
 
 
 def test_no_sentences_score_as_empty_arrays(rng):
     net = support.random_class_network(rng, vocab_size=5, num_classes=2)
-    assert cl.score_sentences(net, []) == []
-    scores = cl.scoring.score_arrays(net, iter([]))
+    scores = cl.score_arrays(net, iter([]))
     assert scores.totals.shape == scores.counted.shape == scores.predicted.shape == (0,)
     with pytest.raises(ValueError, match="no counted tokens"):
         cl.corpus_perplexity(net, [])

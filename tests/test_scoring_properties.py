@@ -7,15 +7,10 @@ import pytest
 import classlm as cl
 
 import support
+from test_scoring import _sentence_bits
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-
-def _bits(result):
-    """A ScoreResult with every float as its exact hex form."""
-    return (result.total.hex(), result.counted,
-            [None if v is None else v.hex() for v in result.per_token])
 
 
 @pytest.fixture(scope="module", params=[(4, 6, 6), (300, 96, 48)], ids=["small", "bench"])
@@ -50,9 +45,10 @@ def _sentence_batches(draw, words):
 def test_any_batch_scores_bitwise_like_one_at_a_time(property_network, unk_policy, data):
     net = property_network
     batch = data.draw(_sentence_batches(net.vocab.words[3:]))
-    batched = cl.score_sentences(net, batch, unk_policy)
-    for sent, res in zip(batch, batched):
-        assert _bits(res) == _bits(cl.score_sentence(net, sent, unk_policy))
+    batched = cl.score_arrays(net, batch, unk_policy)
+    for i, sent in enumerate(batch):
+        single = cl.score_arrays(net, [sent], unk_policy)
+        assert _sentence_bits(batched, i) == _sentence_bits(single, 0)
 
 
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -72,6 +68,7 @@ def test_steps_in_parts_give_the_bits_of_one_part(property_network, count, longe
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cl.scoring, "PART_ROWS", cl.graph.ROW_BLOCK)
             patch.setattr(cl.scoring, "cpu_count", lambda: cpus)
-            runs.append(([_bits(r) for r in cl.score_sentences(net, batch)],
+            scores = cl.score_arrays(net, batch)
+            runs.append(([_sentence_bits(scores, i) for i in range(count)],
                          cl.sample_text(net, seed, max_tokens, count)))
     assert runs[0] == runs[1]

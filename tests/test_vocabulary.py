@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.vocabulary import RESERVED, SENTENCE_END, SENTENCE_START, UNKNOWN
+from classlm.vocabulary import RESERVED, SENTENCE_END, SENTENCE_START, UNKNOWN, frame_sentences
 
 import support
 
@@ -98,9 +98,12 @@ def test_frame_equals_per_token_lookup():
     vocab = cl.Vocabulary(words)
     reference = ReferenceVocabulary(words)
     pool = [*words, *RESERVED, "oov", "OOV", ""]
-    for _ in range(200):
-        tokens = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 15)))]
-        assert vocab.frame(tokens) == reference.frame(tokens)
+    batch = [[pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 15)))]
+             for _ in range(200)]
+    stream, lengths = frame_sentences(vocab, iter(batch))
+    assert stream.dtype == lengths.dtype == np.int64
+    assert lengths.tolist() == [len(tokens) for tokens in batch]
+    assert stream.tolist() == [i for tokens in batch for i in reference.frame(tokens)]
 
 
 def _table_outcome(words, counts):

@@ -34,7 +34,9 @@ fixed order.
 Two checkouts that compute the same bits print the same lines, so a change
 that must not alter any output is checked by running this file from both
 checkouts on one machine and comparing the printed lines.  The digests
-depend on the numpy and BLAS build, so they are not meant to be pinned.
+depend on the numpy and BLAS build and on the core OpenBLAS runs on.
+``tests/data/byte_identity.txt`` pins them for one build, which it names,
+and ``tests/test_byte_identity.py`` compares a run with it on that build.
 The package is imported from the ``src`` directory next to this file, and
 BLAS runs on one thread unless the environment says otherwise.
 """
