@@ -101,13 +101,19 @@ class ClassMap:
         """``(words, starts, sizes, cumulative)``: the word ids in class
         order, the index of each class's first word in them and the class's
         size, and at each index the running sum of memberships within its
-        class (one ``np.cumsum`` per class)."""
+        class.  The classes of one size are summed as the rows of one
+        block, each row in order from its class's first word, which gives
+        the bits of one ``np.cumsum`` per class."""
         if self._member_tables is None:
             sizes = self._sizes
             starts = np.cumsum(sizes) - sizes
             m = self.membership[self._by_class]
-            cumulative = np.concatenate([np.cumsum(m[a:a + n])
-                                         for a, n in zip(starts.tolist(), sizes.tolist())])
+            cumulative = np.empty_like(m)
+            # not np.unique, whose first call imports numpy.ma (1.7 MB)
+            for n in np.flatnonzero(np.bincount(sizes)).tolist():
+                at = starts[sizes == n][:, None] + np.arange(n)
+                block = m[at]
+                cumulative[at] = np.cumsum(block, axis=1, out=block)
             self._member_tables = self._by_class, starts, sizes, cumulative
         return self._member_tables
 

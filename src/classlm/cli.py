@@ -105,6 +105,23 @@ def cmd_classes(args):
 
 def cmd_train(args):
     _check_output(args.output_model)
+    # the options are checked before any input is read
+    opt_config = OptimizerConfig(
+        algorithm=args.optimizer,
+        learning_rate=args.learning_rate,
+        clip_norm=None if args.clip_norm == 0 else args.clip_norm,
+    )
+    config = TrainingConfig(
+        optimizer=opt_config,
+        batch_size=args.batch_size,
+        max_sequence_length=args.max_seq_length,
+        validation_interval=args.validation_interval or None,
+        patience=args.patience,
+        annealing_factor=args.annealing_factor,
+        min_improvement=args.min_improvement,
+        max_epochs=args.max_epochs,
+        seed=args.seed,
+    )
     desc_text = "".join(text_lines(args.arch))
     try:
         desc = parse_description(desc_text)
@@ -126,22 +143,6 @@ def cmd_train(args):
         log.info("no class file given; using one class per word (%d classes)", len(vocab))
 
     network = instantiate_network(desc, vocab, classmap, seed=args.seed, precision=args.precision)
-    opt_config = OptimizerConfig(
-        algorithm=args.optimizer,
-        learning_rate=args.learning_rate,
-        clip_norm=None if args.clip_norm == 0 else args.clip_norm,
-    )
-    config = TrainingConfig(
-        optimizer=opt_config,
-        batch_size=args.batch_size,
-        max_sequence_length=args.max_seq_length,
-        validation_interval=args.validation_interval or None,
-        patience=args.patience,
-        annealing_factor=args.annealing_factor,
-        min_improvement=args.min_improvement,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
-    )
     state = train(network, train_sentences, dev_sentences, config)
     training_meta = {
         "best_dev_perplexity": state.best_perplexity,
@@ -149,8 +150,9 @@ def cmd_train(args):
         "stopped_reason": state.stopped_reason,
     }
     save_model(args.output_model, network, training_meta)
-    log.info("wrote model to %s (best dev perplexity %.6f)", args.output_model,
-             state.best_perplexity)
+    log.info("wrote model to %s (best dev perplexity %.6f); validations beside a batch:"
+             " %d of %d", args.output_model, state.best_perplexity, state.validations_beside,
+             len(state.history))
     return 1 if state.diverged else 0
 
 

@@ -17,12 +17,24 @@ When a validation fails to improve on the best perplexity by at least
 only, the learning rate is multiplied by `annealing_factor`; the adaptive
 algorithms tune their own rates and are never annealed.  Training stops
 once the counter exceeds `patience` or `max_epochs` is reached.
+
+A validation that a batch follows runs on a worker thread while the
+calling thread computes and clips that batch's gradients, which do not
+depend on its outcome; the batch's step waits for it, since the learning
+rate and the decision to stop do.  No parameter is written while the two
+run.  The validation's bookkeeping then runs on the calling thread, as
+it would have without the overlap, and when it stops training the
+batch's gradients are dropped; a non-finite value in the batch counts only
+after the validation, so patience still stops training first.  With one
+CPU every validation runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +42,7 @@ import numpy as np
 from .graph import NonFiniteError, backward, forward_eval
 from .network import file_blocks
 from .optimizers import Optimizer, OptimizerConfig, clip_gradients
-from .scoring import corpus_perplexity
+from .scoring import corpus_perplexity, cpu_count
 from .vocabulary import frame_sentences
 
 __all__ = ["TrainingConfig", "TrainingState", "batch_gradients", "batch_loss", "train"]
@@ -74,6 +86,9 @@ class TrainingState:
     history: list = field(default_factory=list)  # (batches, dev ppl, lr_scale)
     train_loss: float = float("nan")
     stopped_reason: str = ""
+    # how the run was scheduled, not what it computed: the validations that
+    # ran on a worker thread beside a batch's gradients
+    validations_beside: int = field(default=0, compare=False)
 
     @property
     def diverged(self):
@@ -164,13 +179,23 @@ def batch_gradients(network, inputs, targets, mask, rng, params=None):
     return loss, backward(ws.graph, ws)
 
 
+def _epoch_batches(segments, config, rng):
+    """``(epoch, batch)`` of every training batch in order; an epoch's
+    batches are made when its first one is wanted."""
+    for epoch in range(1, config.max_epochs + 1):
+        for batch in _make_batches(segments, config.batch_size, rng):
+            yield epoch, batch
+
+
 def train(network, train_sentences, dev_sentences, config):
     """Train `network` in place; returns the final :class:`TrainingState`.
 
     On return the network parameters are the checkpoint with the lowest
     development perplexity.  A non-finite loss or development perplexity
     stops training with ``state.stopped_reason`` (and ``state.diverged``)
-    saying so, and the last good checkpoint restored.
+    saying so, and the last good checkpoint restored.  A validation that a
+    batch follows runs beside that batch's gradients where the process may
+    use two CPUs or more; no thread outlives the call.
     """
     train_sentences = [list(s) for s in train_sentences]
     dev_sentences = [list(s) for s in dev_sentences]
@@ -185,9 +210,25 @@ def train(network, train_sentences, dev_sentences, config):
     segments = _segments(network, train_sentences, config.max_sequence_length)
     best = {"params": network.copy_params()}
     blocks = file_blocks(network.desc, network.params)  # what the clip norm sums
+    per_epoch = -(-len(segments[1]) // config.batch_size)
+    interval = config.validation_interval or per_epoch
+    last_batch = per_epoch * config.max_epochs
+    beside = cpu_count() > 1
 
-    def validate():
-        ppl = corpus_perplexity(network, dev_sentences)
+    def gradients(inputs, targets, mask):
+        """(loss, clipped gradients, None) of one batch; on a non-finite
+        value (the loss if it was computed, None, the error)."""
+        loss = None
+        try:
+            loss, grads = batch_gradients(network, inputs, targets, mask, rng)
+            if config.optimizer.clip_norm is not None:
+                grads = clip_gradients(grads, config.optimizer.clip_norm, blocks)
+            return loss, grads, None
+        except NonFiniteError as err:
+            return loss, None, err
+
+    def validated(ppl):
+        """The bookkeeping of one validation; True when it stops training."""
         if not np.isfinite(ppl):
             log.error("training diverged: development perplexity is %s", ppl)
             state.stopped_reason = "diverged"
@@ -213,33 +254,38 @@ def train(network, train_sentences, dev_sentences, config):
         )
         return state.failures > config.patience
 
-    stop = False
-    for epoch in range(1, config.max_epochs + 1):
-        state.epoch = epoch
-        batches = _make_batches(segments, config.batch_size, rng)
-        interval = config.validation_interval or len(batches)
-        for inputs, targets, mask in batches:
-            try:
-                state.train_loss, grads = batch_gradients(network, inputs, targets, mask, rng)
-                if config.optimizer.clip_norm is not None:
-                    grads = clip_gradients(grads, config.optimizer.clip_norm, blocks)
-            except NonFiniteError as err:
-                log.error("training diverged at batch %d, %s", state.batches + 1, err)
+    validation = None  # the dev perplexity computing beside this batch
+    # a thread starts at the first submit only, and the block's end joins it
+    with ThreadPoolExecutor(1, thread_name_prefix="classlm-validation") as pool:
+        for epoch, (inputs, targets, mask) in _epoch_batches(segments, config, rng):
+            loss, grads, error = gradients(inputs, targets, mask)
+            if validation is not None:
+                stop = validated(validation.result())
+                validation = None
+                if stop:
+                    state.stopped_reason = state.stopped_reason or "patience exceeded"
+                    break
+            state.epoch = epoch
+            if loss is not None:
+                state.train_loss = loss
+            if error is not None:
+                log.error("training diverged at batch %d, %s", state.batches + 1, error)
                 state.stopped_reason = "diverged"
-                stop = True
                 break
             optimizer.step(network.params, grads)
             state.batches += 1
             if state.batches % interval == 0:
-                if validate():
+                if beside and state.batches < last_batch:
+                    # the caller's context, its numpy error state with it
+                    validation = pool.submit(contextvars.copy_context().run,
+                                             corpus_perplexity, network, dev_sentences)
+                    state.validations_beside += 1
+                elif validated(corpus_perplexity(network, dev_sentences)):
                     state.stopped_reason = state.stopped_reason or "patience exceeded"
-                    stop = True
                     break
-        if stop:
-            break
-        if epoch == config.max_epochs:
+        else:
             if state.batches % interval != 0:
-                validate()
+                validated(corpus_perplexity(network, dev_sentences))
             state.stopped_reason = state.stopped_reason or "max epochs reached"
 
     network.set_params(best["params"])

@@ -87,12 +87,17 @@ def test_two_runs_print_the_same_digests(two_runs):
     # the first class table is nearly full, the second mostly empty
     assert _class_table_fill(outs[0], "train.txt", "classes.tsv") > 0.9
     assert _class_table_fill(outs[0], "sparse.txt", "classes-sparse.tsv") < 0.1
-    # the last outputs score a trie level wider than one step
+    # the outputs before the last two score a trie level wider than one step
     chunked = {f"{arch}-{precision}.score-chunked" for arch in ("lstm", "gru")
                for precision in ("double", "single")}
-    assert names[-len(chunked) - 1:] == ["chunked.txt", *sorted(chunked, key=names.index)]
+    assert names[-len(chunked) - 3:-2] == ["chunked.txt", *sorted(chunked, key=names.index)]
     assert chunked <= set(names)
     assert _widest_level(outs[0], "chunked.txt", "lstm-double.clm") > MAX_STEP_ROWS
+    # the last two: a model whose validations anneal and stop training mid-epoch
+    assert names[-2:] == ["lstm-double-sgd-stop.clm", "lstm-double-sgd-stop.score"]
+    training = cl.load_model(outs[0] / names[-2])[1]
+    assert [scale for _, _, scale in training["history"]] == [1.0, 0.5, 0.25]
+    assert training["stopped_reason"] == "patience exceeded"
 
 
 def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):

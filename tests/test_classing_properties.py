@@ -73,3 +73,28 @@ def test_tables_equal_dict_reference_after_every_move(case):
                 np.testing.assert_array_equal(stats.class_bigrams, ref.class_bigrams)
                 np.testing.assert_array_equal(stats.class_bigrams_t, ref.class_bigrams.T)
                 np.testing.assert_array_equal(stats.class_counts, ref.class_counts)
+
+
+@st.composite
+def class_maps(draw):
+    """A class map of up to 60 words whose classes have many distinct sizes,
+    singletons among them, with random count-based memberships."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    class_of = np.repeat(np.arange(len(sizes)), sizes)
+    class_of = class_of[np.random.default_rng(draw(st.integers(0, 2**32))).permutation(
+        len(class_of))]
+    counts = draw(st.lists(st.integers(0, 1000), min_size=len(class_of),
+                           max_size=len(class_of)))
+    return cl.ClassMap.from_counts(class_of, counts, len(sizes))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(class_maps())
+def test_member_tables_sum_each_class_as_one_cumsum_would(cm):
+    words, starts, sizes, cumulative = cm.member_tables
+    np.testing.assert_array_equal(words, np.argsort(cm.class_of, kind="stable"))
+    np.testing.assert_array_equal(sizes, np.bincount(cm.class_of, minlength=cm.num_classes))
+    m = cm.membership[words]
+    expected = np.concatenate([np.cumsum(m[a:a + n])
+                               for a, n in zip(starts.tolist(), sizes.tolist())])
+    assert cumulative.tobytes() == expected.tobytes()

@@ -144,6 +144,17 @@ def test_train_sgd_anneals_adagrad_does_not(toy_files):
     assert all(s == 1.0 for _, _, s in tr["history"])
 
 
+@pytest.mark.parametrize("cpus, beside", [(2, 2), (1, 0)])
+def test_train_names_the_validations_run_beside_a_batch(toy_files, caplog, monkeypatch, cpus,
+                                                        beside):
+    # 4 batches an epoch: validations after batches 3 and 6, which a batch
+    # follows, and after the last batch, 8
+    monkeypatch.setattr(cl.training, "cpu_count", lambda: cpus)
+    with caplog.at_level(logging.INFO):
+        _train(toy_files, extra=["--validation-interval", "3"])
+    assert caplog.messages[-1].endswith(f"; validations beside a batch: {beside} of 3")
+
+
 def test_train_rejects_invalid_architecture(toy_files, caplog):
     bad = toy_files["dir"] / "bad.net"
     bad.write_text(
@@ -670,15 +681,20 @@ def test_reserved_token_repeated_in_a_model_is_a_one_line_error(tmp_path, rng, c
 @pytest.mark.parametrize("flag, value", [
     ("--clip-norm", "nan"), ("--clip-norm", "-1"), ("--clip-norm", "inf"),
     ("--learning-rate", "nan"), ("--learning-rate", "inf"),
-    ("--min-improvement", "nan"), ("--min-improvement", "inf"),
+    ("--min-improvement", "nan"), ("--min-improvement", "inf"), ("--patience", "-1"),
 ])
 def test_non_finite_or_negative_hyperparameter_is_a_one_line_error(toy_files, caplog,
                                                                     flag, value):
     model = toy_files["dir"] / "model.clm"
-    message = _one_line_error(caplog, [
-        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
-        "--arch", str(toy_files["arch"]), "--output-model", str(model), flag, value])
-    assert flag[2:].replace("-", "_") in message
+    with caplog.at_level(logging.INFO):
+        rc = main(["train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+                   "--arch", str(toy_files["arch"]), "--output-model", str(model), flag, value])
+    assert rc == 1
+    # refused before any input is read: the error is the only line logged
+    [record] = caplog.records
+    assert record.levelno == logging.ERROR and record.exc_info is None
+    assert "\n" not in record.getMessage()
+    assert flag[2:].replace("-", "_") in record.getMessage()
     assert not model.exists()
 
 

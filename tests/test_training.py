@@ -1,8 +1,12 @@
 """Training-loop policies: checkpointing, annealing, stopping, determinism;
+validations beside the next batch against one-CPU training;
 backpropagation through time against the unrolled reference."""
 
+import dataclasses
 import itertools
 import logging
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -230,6 +234,184 @@ def test_divergence_names_batch_and_time_step(caplog):
     assert state.diverged and state.batches == batch - 1
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR][0].startswith(
         f"training diverged at batch {batch}, time step 4: node 'gather_")
+
+
+# -- validations beside the next batch ---------------------------------------
+#
+# With two CPUs or more, a validation that a batch follows runs on a worker
+# thread beside that batch's gradients.  Every run below is compared with
+# the same run on one CPU, where each validation runs on the calling thread
+# as soon as it is due.
+
+MARKOV = support.markov_corpus(np.random.default_rng(4), vocab_size=30, n_tokens=3000)
+MARKOV_DEV = MARKOV[:40]
+VALIDATION_THREAD = "classlm-validation"
+
+SCHEDULES = {
+    "an interval inside an epoch": dict(validation_interval=3, max_epochs=2),
+    "once per epoch": dict(max_epochs=3),
+    "sgd annealing": dict(validation_interval=2, min_improvement=0.05, max_epochs=2),
+    "a patience stop mid-epoch": dict(validation_interval=3, min_improvement=0.05, patience=1,
+                                      max_epochs=5),
+    "a patience stop at an epoch's end": dict(min_improvement=0.5, patience=0, max_epochs=5),
+    "adam": dict(optimizer=cl.OptimizerConfig("adam"), validation_interval=2, max_epochs=2),
+}
+
+
+def _markov_config(**kw):
+    kw.setdefault("optimizer", cl.OptimizerConfig("sgd", learning_rate=1.0))
+    return _config(seed=2, **kw)
+
+
+def _validation_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(VALIDATION_THREAD)]
+
+
+def _trained(monkeypatch, caplog, cpus, cfg, patch):
+    """(state, parameter bytes, log lines) of a run on `cpus` CPUs, after
+    `patch()`."""
+    monkeypatch.setattr(cl.training, "cpu_count", lambda: cpus)
+    patch()
+    net = support.small_network(MARKOV, num_classes=6)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="classlm.training"):
+        state = cl.train(net, MARKOV, MARKOV_DEV, cfg)
+    assert not _validation_threads()
+    return state, {k: v.tobytes() for k, v in net.params.items()}, caplog.messages
+
+
+def _last_batch(cfg):
+    segments = cl.training._segments(support.small_network(MARKOV, num_classes=6), MARKOV,
+                                     cfg.max_sequence_length)
+    return -(-len(segments[1]) // cfg.batch_size) * cfg.max_epochs
+
+
+def _replaced_at(call, function, replacement):
+    """`function`, except that its `call`-th call (from 1) runs `replacement`."""
+    calls = itertools.count(1)
+    return lambda *args: (replacement if next(calls) == call else function)(*args)
+
+
+def _raising(error):
+    def raise_(*args):
+        raise error
+    return raise_
+
+
+def assert_same_training(monkeypatch, caplog, cfg, patch=lambda: None):
+    """Train on two CPUs and on one, each after `patch()`; every outcome is
+    the same.  Returns the two runs' states."""
+    beside, params, lines = _trained(monkeypatch, caplog, 2, cfg, patch)
+    alone, alone_params, alone_lines = _trained(monkeypatch, caplog, 1, cfg, patch)
+    for f in dataclasses.fields(cl.TrainingState):
+        if f.compare:  # repr: a nan equals itself
+            assert repr(getattr(beside, f.name)) == repr(getattr(alone, f.name)), f.name
+    assert params == alone_params
+    assert lines == alone_lines
+    assert alone.validations_beside == 0
+    return beside, alone
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_validations_beside_a_batch_train_as_on_one_cpu(monkeypatch, caplog, schedule):
+    cfg = _markov_config(**SCHEDULES[schedule])
+    state, _ = assert_same_training(monkeypatch, caplog, cfg)
+    # every validation that a batch follows ran beside it
+    assert state.validations_beside == sum(b < _last_batch(cfg) for b, _, _ in state.history) > 0
+    per_epoch = _last_batch(cfg) // cfg.max_epochs
+    if schedule.startswith("a patience stop"):
+        assert state.stopped_reason == "patience exceeded"
+        assert state.validations_beside == len(state.history)
+    if schedule == "a patience stop mid-epoch":
+        assert state.batches % per_epoch != 0
+    if schedule == "a patience stop at an epoch's end":
+        # the validation ran beside the next epoch's first batch, and names its own epoch
+        assert state.batches % per_epoch == 0 and state.epoch < cfg.max_epochs
+        assert caplog.messages[-2].startswith(f"validation: epoch={state.epoch}"
+                                              f" batch={state.batches} ")
+    if schedule == "sgd annealing":
+        assert state.lr_scale < 1.0 and state.stopped_reason == "max epochs reached"
+
+
+def test_threads_switching_at_every_chance_train_as_on_one_cpu(monkeypatch, caplog):
+    # a validation after every batch, and the interpreter switching threads
+    # as often as it can: shared state written without a guard would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        state, _ = assert_same_training(monkeypatch, caplog,
+                                        _markov_config(validation_interval=1, max_epochs=1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert state.validations_beside == state.batches - 1
+
+
+@pytest.mark.parametrize("patience", [1000, 0])
+def test_divergence_in_the_batch_after_a_validation(monkeypatch, caplog, patience):
+    # batch 7 diverges; a stop at the validation after batch 6 comes first
+    def patch():
+        monkeypatch.setattr(cl.training, "batch_gradients", _replaced_at(
+            7, batch_gradients, _raising(cl.NonFiniteError("injected"))))
+
+    cfg = _markov_config(validation_interval=3, min_improvement=1.0, patience=patience,
+                         max_epochs=2)
+    state, _ = assert_same_training(monkeypatch, caplog, cfg, patch)
+    if patience:
+        assert state.diverged and state.batches == 6
+        assert caplog.messages[-2] == "training diverged at batch 7, injected"
+    else:
+        assert state.stopped_reason == "patience exceeded" and state.batches == 6
+        assert not any("diverged" in line for line in caplog.messages)
+
+
+def test_a_nonfinite_dev_perplexity_beside_a_batch(monkeypatch, caplog):
+    def patch():
+        monkeypatch.setattr(cl.training, "corpus_perplexity", _replaced_at(
+            3, cl.corpus_perplexity, lambda *args: float("nan")))
+
+    state, _ = assert_same_training(monkeypatch, caplog,
+                                    _markov_config(validation_interval=3, max_epochs=2), patch)
+    assert state.diverged and state.batches == 9 and len(state.history) == 3
+
+
+def test_validations_run_on_one_worker_in_the_callers_context(monkeypatch):
+    seen = []
+
+    def recording(network, sentences):
+        seen.append((threading.current_thread().name, np.geterr()["over"],
+                     len(_validation_threads())))
+        return cl.corpus_perplexity(network, sentences)
+
+    monkeypatch.setattr(cl.training, "corpus_perplexity", recording)
+    for cpus in (2, 1):
+        monkeypatch.setattr(cl.training, "cpu_count", lambda: cpus)
+        seen.clear()
+        net = support.small_network(MARKOV, num_classes=6)
+        with np.errstate(over="ignore"):
+            state = cl.train(net, MARKOV, MARKOV_DEV, _markov_config(validation_interval=5))
+        assert not _validation_threads()
+        assert len(seen) == len(state.history) and {over for _, over, _ in seen} == {"ignore"}
+        names = [name for name, _, _ in seen]
+        if cpus == 1:  # no thread is started
+            assert names == [threading.current_thread().name] * len(seen)
+            assert {alive for _, _, alive in seen} == {0}
+        else:  # all but the last, which no batch follows
+            assert all(name.startswith(VALIDATION_THREAD) for name in names[:-1])
+            assert names[-1] == threading.current_thread().name
+            assert state.validations_beside == len(seen) - 1
+
+
+@pytest.mark.parametrize("target, call", [("corpus_perplexity", 2), ("batch_gradients", 4)])
+def test_no_validation_thread_outlives_a_failed_train(monkeypatch, target, call):
+    # a failure on either thread while a validation runs beside batch 4
+    # reaches the caller, after the worker has ended
+    monkeypatch.setattr(cl.training, target, _replaced_at(
+        call, getattr(cl.training, target), _raising(RuntimeError("injected"))))
+    monkeypatch.setattr(cl.training, "cpu_count", lambda: 2)
+    net = support.small_network(MARKOV, num_classes=6)
+    with pytest.raises(RuntimeError, match="injected"):
+        cl.train(net, MARKOV, MARKOV_DEV, _markov_config(validation_interval=3))
+    assert not _validation_threads()
 
 
 # -- backpropagation through time against the unrolled reference -------------

@@ -27,7 +27,9 @@ CRLF line ends, tabs, one hypothesis twice and one score written ``1_0``,
 with fixed weights and with ``--tune --refs``.  Last of all, it scores
 1,200 sentences whose first three words differ on the LSTM and GRU models,
 so that a trie level of more than ``MAX_STEP_ROWS`` rows runs in chunks.
-It prints one
+After that it trains the LSTM with sgd, validating every 3 batches, until
+validations that improve by less than 5% anneal the learning rate and stop
+training mid-epoch, and scores with that model.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -236,6 +238,13 @@ def produce(out):
         run(["score", "--model", p(model), "--input", p("chunked.txt"), "--output",
              p(f"{stem}.score-chunked")])
         outputs.append(f"{stem}.score-chunked")
+    # after every other output: validations that anneal and stop training
+    # mid-epoch, where each one a batch follows runs beside that batch
+    train("lstm-double-sgd-stop.clm", "lstm", "double", "--optimizer", "sgd",
+          "--validation-interval", "3", "--min-improvement", "0.05", "--patience", "1")
+    run(["score", "--model", p("lstm-double-sgd-stop.clm"), "--input", p("test.txt"),
+         "--output", p("lstm-double-sgd-stop.score")])
+    outputs.append("lstm-double-sgd-stop.score")
     return outputs
 
 
