@@ -28,7 +28,7 @@ from .architecture import DescriptionError, parse_description, validate_descript
 from .classing import identity_classmap, load_class_file, run_exchange, save_class_file
 from .graph import GraphError
 from .model_io import ModelFormatError, load_model, save_model
-from .network import instantiate_network
+from .network import instantiate_network, threads_used
 from .optimizers import ALGORITHMS, OptimizerConfig
 from .rescoring import (
     InterpolationParams,
@@ -39,7 +39,7 @@ from .rescoring import (
     score_hypotheses,
 )
 from .sampling import sample_text
-from .scoring import perplexity, score_arrays, threads_used
+from .scoring import perplexity, score_arrays
 from .training import TrainingConfig, train
 from .vocabulary import build_vocabulary, read_corpus, read_tokens, text_lines
 

@@ -48,7 +48,8 @@ how many steps one evaluation covers:
   per step.  A single gemm call may round a row differently depending on
   the row count and the row's position; fixed blocks make each output row a
   function of that row's inputs alone, which is what lets batched scoring
-  and sampling equal one-at-a-time runs bitwise.  The same rule lets an
+  and sampling equal one-at-a-time runs bitwise (``Network.step`` pads
+  every step to whole blocks).  The same rule lets an
   evaluation compute a value once per distinct input row and pick its rows
   afterwards with the same bits: ``take`` picks rows of a value, and the
   optional ``rows`` operand of ``lstm``/``gru`` runs the input products on

@@ -6,11 +6,13 @@ method makes its two graphs, each once, over a time-major block of
 positions: ids ``(T, B)`` in, the recurrent state before the first position
 in through ``state/...`` bindings, and the state sequences out.  The
 evaluation graph (no dropout) outputs the class distribution of every
-position; :meth:`Network.step` runs it at T = 1 for scoring and sampling.
-A step computes its word-side layers (projections, and whatever reads only
-word-side layers) once per distinct word id, not once per row; by the row
-rule of :mod:`classlm.graph` every row keeps the bits it would have had.
-The training graph binds dropout masks, targets and a position mask, all
+position.  :meth:`Network.step` runs it at T = 1, and it is the one step of
+scoring and sampling: it pads a step's rows to whole row blocks, splits
+them into chunks and into parts on pinned worker threads, and computes each
+part's word-side layers (projections, and whatever reads only word-side
+layers) once per distinct word id, not once per row; by the row rule of
+:mod:`classlm.graph` every row keeps the bits it would have had.  The
+training graph binds dropout masks, targets and a position mask, all
 ``(T, B, ...)``, and outputs the mean masked cross-entropy as "loss", so
 one evaluation and one backward pass cover a whole training batch.
 
@@ -19,6 +21,11 @@ identity class map this degenerates to a full-vocabulary softmax.
 """
 
 from __future__ import annotations
+
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -30,6 +37,60 @@ __all__ = ["Network", "file_blocks", "instantiate_network", "parameter_shapes"]
 
 _DTYPES = {"double": np.float64, "single": np.float32}
 _GATES = {"lstm": "ifoc", "gru": "zrh"}  # gate letters in stacking order
+
+# Rows per network step, a multiple of ROW_BLOCK: a trie level or a sampling
+# position wider than this is split, which bounds a step's memory on large
+# inputs and, since rows are computed in independent blocks, changes no
+# result.
+MAX_STEP_ROWS = 128 * ROW_BLOCK
+
+# Rows per part of a step split across threads, at least, so a step splits
+# from 160 rows on.  Two parts on pinned workers against one step on the
+# calling thread, on windows of the benchmark's trie levels at the sizes of
+# the `rescore` and of the `train` benchmark model, on a 2-core host with
+# one BLAS thread (medians of 200 steps, three sessions): 0.97-1.09x the
+# speed at 128 rows, 1.03-1.17x at 144, 1.00-1.20x at 160, 1.10-1.26x at
+# 192 and 1.27-1.34x at 256.
+PART_ROWS = 80
+
+_pool = None  # worker threads for the parts of split steps, made on first use
+_pool_lock = threading.Lock()
+_most_threads = 1  # read by threads_used()
+
+
+def cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def threads_used():
+    """The most threads one :meth:`Network.step` has run on in this process."""
+    return _most_threads
+
+
+def _pinned_pool(workers):
+    """A pool of `workers` threads, each pinned when it starts to one CPU of
+    this thread's affinity mask, taking the CPUs in turn, so that the parts
+    of a step run side by side.  A worker whose pin fails, or any worker on
+    a platform without affinity masks, runs unpinned; the calling thread's
+    affinity is never changed."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step")
+    cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
+    lock = threading.Lock()  # workers start concurrently
+
+    def pin():
+        with lock:
+            cpu = next(cpus)
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:  # a pin the system refuses: the worker runs unpinned
+            pass
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step", initializer=pin)
 
 
 def _layer_widths(desc, vocab, classes):
@@ -257,27 +318,93 @@ class Network:
 
     # -- evaluation -------------------------------------------------------------
 
-    def step(self, state, word_ids):
-        """Advance one position; returns (class probabilities, new state).
+    def step(self, state, rows, word_ids):
+        """One step from each state row in `rows` on the matching word id.
 
-        With a multiple of ``ROW_BLOCK`` rows, the ids are bound once per
-        distinct word, padded to a multiple of ``ROW_BLOCK`` by repeating
-        the last, and the word-side layers run on those rows only: by the
-        row rule each row's values are the bits it has among the full rows.
-        Any other row count binds every row's own id.
+        Returns ``(class probabilities, new state)`` with one row per entry
+        of `rows`.  The rows are padded to a multiple of ``ROW_BLOCK`` by
+        repeating the last one and run at most ``MAX_STEP_ROWS`` per step.
+        Each part of a step binds its ids once per distinct word, padded to
+        a multiple of ``ROW_BLOCK`` by repeating the last, and runs the
+        word-side layers on those rows only.  By the row rule of
+        :mod:`classlm.graph` a row's results are bitwise the same whatever
+        other rows it runs with; the padding rows are dropped.
+
+        A step of at least two parts of ``PART_ROWS`` rows runs as contiguous
+        parts on block boundaries, one per CPU of the process's affinity mask
+        at most, each on a worker thread pinned to its own CPU.  Row blocks
+        make the parts' results the bits of one serial step.  A part that
+        raises does so here, after every other part has ended.
+
+        A step that runs as one part returns views of that part's arrays.
+        For any other step this thread allocates the result, and every part
+        writes its rows into it on the thread that ran it.
         """
-        word_ids = np.asarray(word_ids, dtype=np.int64)
-        if len(word_ids) % ROW_BLOCK == 0:
-            words, rows = np.unique(word_ids, return_inverse=True)
-            words = np.concatenate([words, np.repeat(words[-1:], -len(words) % ROW_BLOCK)])
-        else:
-            words, rows = word_ids, np.arange(len(word_ids))
+        n = len(rows)
+        pad = -n % ROW_BLOCK
+        rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
+        word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
+        cpus = cpu_count()
+        steps = []
+        for lo in range(0, len(rows), MAX_STEP_ROWS):
+            size = min(MAX_STEP_ROWS, len(rows) - lo)
+            parts = max(1, min(cpus, size // PART_ROWS))
+            # contiguous parts of at least PART_ROWS rows, on block boundaries
+            steps.append([lo + ROW_BLOCK * (size // ROW_BLOCK * i // parts)
+                          for i in range(parts + 1)])
+        if len(steps) == 1 and len(steps[0]) == 2:
+            probs, new = self._step_part({key: value[rows] for key, value in state.items()},
+                                         word_ids)
+            return probs[:n], {key: value[:n] for key, value in new.items()}
+        # a step's values have the type of its parameters and input state together
+        dtype = np.result_type(self.dtype, *state.values())
+        result = (np.empty((len(rows), self.classes.num_classes), dtype),
+                  {key: np.empty((len(rows), *value.shape[1:]), dtype)
+                   for key, value in state.items()})
+        for bounds in steps:
+            self._step_parts(state, rows, word_ids, result, bounds, cpus)
+        return result[0][:n], {key: value[:n] for key, value in result[1].items()}
+
+    def _step_part(self, state, word_ids):
+        """One part of a step: `state` has one row per word id, a multiple
+        of ``ROW_BLOCK`` of them, and the ids are bound once per distinct
+        word.  Returns (class probabilities, new state)."""
+        words, word_rows = np.unique(word_ids, return_inverse=True)
+        words = np.concatenate([words, np.repeat(words[-1:], -len(words) % ROW_BLOCK)])
         bindings = self.token_bindings(words[None])
-        bindings["rows"] = rows
+        bindings["rows"] = word_rows
         for key, value in state.items():
             bindings[f"state/{key}"] = value
         outputs = forward_eval(self.step_graph(), bindings, self.params).outputs
         return outputs["class_probs"][0], {key: outputs[f"state/{key}"][-1] for key in state}
+
+    def _step_parts(self, state, rows, word_ids, result, bounds, cpus):
+        """One step over the parts ``rows[bounds[i]:bounds[i + 1]]``, each
+        written into its rows of `result`.  One part runs on this thread; two
+        or more run on the pinned workers while this thread waits, since this
+        thread may share a CPU with a worker."""
+
+        def run(lo, hi):
+            probs, new = self._step_part({key: value[rows[lo:hi]] for key, value in state.items()},
+                                         word_ids[lo:hi])
+            result[0][lo:hi] = probs
+            for key, value in new.items():
+                result[1][key][lo:hi] = value
+
+        parts = list(zip(bounds, bounds[1:]))
+        if len(parts) == 1:
+            run(*parts[0])
+            return
+        global _pool, _most_threads
+        with _pool_lock:
+            if _pool is None:
+                _pool = _pinned_pool(cpus)
+            _most_threads = max(_most_threads, len(parts))
+        self.step_graph()  # built here, so two threads never race to build it
+        futures = [_pool.submit(run, lo, hi) for lo, hi in parts]
+        wait(futures)  # no part outlives the call, failed or not
+        for future in futures:
+            future.result()
 
     def copy_params(self):
         return {name: value.copy() for name, value in self.params.items()}

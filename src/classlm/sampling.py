@@ -8,10 +8,11 @@ after `max_tokens` words.
 All sentences advance together: one network step per position runs every
 sentence still live, and a sentence that draws the end token leaves the
 batch.  The first step, where every sentence has the start state and the
-start token, runs one row for all of them.  Sentence i draws from its own random stream, the i-th child of
-``SeedSequence(seed)``, and the steps run through
-:func:`~classlm.scoring.step_rows`, so its text depends only on the seed, i
-and the model: it is the same for every `count` above i.
+start token, runs one row for all of them.  Sentence i draws from its own
+random stream, the i-th child of ``SeedSequence(seed)``, and a row of
+:meth:`~classlm.network.Network.step` keeps its bits whatever other rows
+it runs with, so its text depends only on the seed, i and the model: it is
+the same for every `count` above i.
 
 Draw order: at each position a sentence takes the next uniform u of its
 stream for the class, the first class whose running probability sum exceeds
@@ -24,8 +25,6 @@ several at a time, which gives the same numbers as one draw after another.
 from __future__ import annotations
 
 import numpy as np
-
-from .scoring import step_rows
 
 __all__ = ["sample_text"]
 
@@ -109,7 +108,7 @@ def sample_text(network, seed, max_tokens, count=1):
     for _ in range(max_tokens):
         if not live.size:
             break
-        probs, state = step_rows(network, state, rows, drawn)
+        probs, state = network.step(state, rows, drawn)
         cumulative = np.cumsum(probs, axis=1)
         if len(cumulative) < live.size:  # the first step; the next gather copies its row
             cumulative = np.broadcast_to(cumulative, (live.size, cumulative.shape[1]))

@@ -13,175 +13,29 @@ the history still advances through them.
 
 :func:`score_arrays` is the scoring core.  It frames every sentence in
 one pass over the tokens (:func:`~classlm.vocabulary.frame_sentences`)
-into a padded (sentence, position) id matrix, walks the sentences' prefix trie one network step per level, and returns
-the totals, the counted-token numbers and the per-position
-log-probabilities as arrays (:class:`ScoreArrays`), which perplexity and
-every caller in the package read.
-
-:func:`step_rows` runs each level.  A level that runs as one part returns
-that part's arrays; a level split across steps or threads is written part
-by part, on the thread that ran each part, into arrays allocated once by
-the calling thread.
+into a padded (sentence, position) id matrix, walks the sentences' prefix
+trie one :meth:`~classlm.network.Network.step` per level, and returns the
+totals, the counted-token numbers and the per-position log-probabilities
+as arrays (:class:`ScoreArrays`), which perplexity and every caller in the
+package read.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ROW_BLOCK
 from .vocabulary import frame_sentences
 
 __all__ = ["ScoreArrays", "corpus_perplexity", "perplexity", "score_arrays"]
 
 UNK_POLICIES = ("include", "exclude")
 
-# Rows per network step, a multiple of ROW_BLOCK: a trie level or a sampling
-# position wider than this is split, which bounds a step's memory on large
-# inputs and, since rows are computed in independent blocks, changes no
-# result.
-MAX_STEP_ROWS = 128 * ROW_BLOCK
-
-# Rows per part of a step split across threads, at least, so a step splits
-# from 160 rows on.  Two parts on pinned workers against one step on the
-# calling thread, on windows of the benchmark's trie levels at the sizes of
-# the `rescore` and of the `train` benchmark model, on a 2-core host with
-# one BLAS thread (medians of 200 steps, three sessions): 0.97-1.09x the
-# speed at 128 rows, 1.03-1.17x at 144, 1.00-1.20x at 160, 1.10-1.26x at
-# 192 and 1.27-1.34x at 256.
-PART_ROWS = 80
-
-_pool = None  # worker threads for the parts of split steps, made on first use
-_pool_lock = threading.Lock()
-_most_threads = 1  # read by threads_used()
-
 
 def _check_policy(unk_policy):
     if unk_policy not in UNK_POLICIES:
         raise ValueError(f"unk_policy must be one of {UNK_POLICIES}, got {unk_policy!r}")
-
-
-def cpu_count():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
-
-
-def _pinned_pool(workers):
-    """A pool of `workers` threads, each pinned when it starts to one CPU of
-    this thread's affinity mask, taking the CPUs in turn, so that the parts
-    of a step run side by side.  A worker whose pin fails, or any worker on
-    a platform without affinity masks, runs unpinned; the calling thread's
-    affinity is never changed."""
-    if not hasattr(os, "sched_setaffinity"):
-        return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step")
-    cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
-    lock = threading.Lock()  # workers start concurrently
-
-    def pin():
-        with lock:
-            cpu = next(cpus)
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:  # a pin the system refuses: the worker runs unpinned
-            pass
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step", initializer=pin)
-
-
-def threads_used():
-    """The most threads one :func:`step_rows` step has run on in this process."""
-    return _most_threads
-
-
-def _step(network, state, rows, word_ids):
-    return network.step({key: value[rows] for key, value in state.items()}, word_ids)
-
-
-def _step_into(result, lo, network, state, rows, word_ids):
-    """One part of a step, written into rows ``lo ...`` of `result`."""
-    probs, new = _step(network, state, rows, word_ids)
-    hi = lo + len(rows)
-    result[0][lo:hi] = probs
-    for key, value in new.items():
-        result[1][key][lo:hi] = value
-
-
-def _part_bounds(rows, cpus):
-    """Bounds of the parts of a step of `rows` rows (a multiple of
-    ``ROW_BLOCK``): up to `cpus` contiguous parts of at least ``PART_ROWS``
-    rows, on block boundaries."""
-    blocks = rows // ROW_BLOCK
-    parts = max(1, min(cpus, rows // PART_ROWS))
-    return [ROW_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
-
-
-def _step_parts(network, state, rows, word_ids, result, bounds, cpus):
-    """One step over the parts ``rows[bounds[i]:bounds[i + 1]]``, each
-    written into its rows of `result`.  One part runs on this thread; two
-    or more run on the pinned workers while this thread waits, since this
-    thread may share a CPU with a worker."""
-    parts = [(lo, network, state, rows[lo:hi], word_ids[lo:hi])
-             for lo, hi in zip(bounds, bounds[1:])]
-    if len(parts) == 1:
-        _step_into(result, *parts[0])
-        return
-    global _pool, _most_threads
-    with _pool_lock:
-        if _pool is None:
-            _pool = _pinned_pool(cpus)
-        _most_threads = max(_most_threads, len(parts))
-    network.step_graph()  # built here, so two threads never race to build it
-    futures = [_pool.submit(_step_into, result, *part) for part in parts]
-    wait(futures)  # no part outlives the call, failed or not
-    for future in futures:
-        future.result()
-
-
-def step_rows(network, state, rows, word_ids):
-    """One network step from each state row in `rows` on the matching word id.
-
-    Returns ``(class probabilities, new state)`` with one row per entry of
-    `rows`.  The rows are padded to a multiple of ``ROW_BLOCK`` by repeating
-    the last one and run at most ``MAX_STEP_ROWS`` per step, so every matmul
-    runs in fixed row blocks and a row's results are bitwise the same
-    whatever other rows it runs with; the padding rows are dropped.
-
-    A step of at least two parts of ``PART_ROWS`` rows runs as contiguous
-    parts on block boundaries, one per CPU of the process's affinity mask
-    at most, each on a worker thread pinned to its own CPU.  Row blocks make
-    the parts' results the bits of one serial step.  A part that raises
-    does so here, after every other part has ended.
-
-    A level that runs as one part returns views of that part's arrays.  For
-    any other level this thread allocates the result, and every part writes
-    its rows into it on the thread that ran it.
-    """
-    n = len(rows)
-    pad = -n % ROW_BLOCK
-    rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
-    word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
-    cpus = cpu_count()
-    steps = [[lo + b for b in _part_bounds(min(MAX_STEP_ROWS, len(rows) - lo), cpus)]
-             for lo in range(0, len(rows), MAX_STEP_ROWS)]
-    if len(steps) == 1 and len(steps[0]) == 2:
-        probs, new = _step(network, state, rows, word_ids)
-        return probs[:n], {key: value[:n] for key, value in new.items()}
-    # a step's values have the type of its parameters and input state together
-    dtype = np.result_type(network.dtype, *state.values())
-    result = (np.empty((len(rows), network.classes.num_classes), dtype),
-              {key: np.empty((len(rows), *value.shape[1:]), dtype)
-               for key, value in state.items()})
-    for bounds in steps:
-        _step_parts(network, state, rows, word_ids, result, bounds, cpus)
-    return result[0][:n], {key: value[:n] for key, value in result[1].items()}
 
 
 @dataclass
@@ -207,11 +61,11 @@ def score_arrays(network, sentences, unk_policy="include"):
 
     The batch is walked as one prefix trie, level by level: level t holds
     the distinct prefixes ``<s> w1 ... wt`` of the sentences that still
-    predict a token there, and one network step (more above
-    ``MAX_STEP_ROWS`` rows, in parts on threads from ``2 * PART_ROWS``)
-    advances all of them from their parents' states.  A prefix shared by
-    many sentences runs once, and sentences of every length step together.
-    Levels run through :func:`step_rows`, so a sentence's scores are
+    predict a token there, and one call of
+    :meth:`~classlm.network.Network.step` advances all of them from their
+    parents' states.  A prefix shared by many sentences runs once, and
+    sentences of every length step together.  A step's rows keep their
+    bits whatever other rows they run with, so a sentence's scores are
     bitwise the same whatever it is batched with, alone included.
     """
     _check_policy(unk_policy)
@@ -239,7 +93,7 @@ def score_arrays(network, sentences, unk_policy="include"):
         # word-major: the contiguous parts of a split step share one word at most
         codes, node[active] = np.unique(ids[active, t] * parents + node[active],
                                         return_inverse=True)
-        probs, state = step_rows(network, state, codes % parents, codes // parents)
+        probs, state = network.step(state, codes % parents, codes // parents)
         parents = len(codes)
         level = targets[active, t]
         with np.errstate(divide="ignore"):

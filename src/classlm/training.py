@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import NonFiniteError, backward, forward_eval
-from .network import file_blocks
+from .network import cpu_count, file_blocks
 from .optimizers import Optimizer, OptimizerConfig, clip_gradients
-from .scoring import corpus_perplexity, cpu_count
+from .scoring import corpus_perplexity
 from .vocabulary import frame_sentences
 
 __all__ = ["TrainingConfig", "TrainingState", "batch_gradients", "batch_loss", "train"]

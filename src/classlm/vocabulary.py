@@ -129,7 +129,9 @@ def index_tokens(tokens, max_size=None):
 
     # the code of each reserved token in the text -> its id
     reserved = {code_of[tok]: i for i, tok in enumerate(RESERVED) if tok in code_of}
-    ranked = np.setdiff1d(np.arange(len(words)), list(reserved))
+    unreserved = np.ones(len(words), dtype=bool)
+    unreserved[list(reserved)] = False
+    ranked = np.flatnonzero(unreserved)
     # a stable sort keeps first-occurrence order among equal counts
     ranked = ranked[np.argsort(-counts[ranked], kind="stable")]
     if max_size is not None:

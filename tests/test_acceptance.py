@@ -164,7 +164,7 @@ def test_criterion_2_normalization():
         probs = None
         for _ in range(int(rng.integers(1, 6))):
             word = np.array([int(rng.integers(0, len(net.vocab)))])
-            probs, state = net.step(state, word)
+            probs, state = net.step(state, np.array([0]), word)
         dist = support.word_distribution(net, probs[0])
         assert abs(dist.sum() - 1.0) < 1e-10
         checked += 1

@@ -243,7 +243,7 @@ def test_single_class_network_always_outputs_probability_one():
         "layer type=softmax name=o input=p\n"
     )
     net = cl.instantiate_network(desc, vocab, classes, seed=0)
-    probs, _ = net.step(net.initial_state(1), np.array([vocab.ids["only"]]))
+    probs, _ = net.step(net.initial_state(1), np.array([0]), np.array([vocab.ids["only"]]))
     assert probs.shape == (1, 1)
     assert probs[0, 0] == 1.0
 
@@ -295,7 +295,7 @@ def test_hybrid_word_input_with_class_output(rng):
     net = cl.instantiate_network(desc, vocab, classes, seed=1)
     assert net.params["p/E_w"].shape == (len(vocab), 3)
     assert net.params["o/W"].shape == (3, classes.num_classes)
-    probs, _ = net.step(net.initial_state(1), np.array([vocab.ids["x"]]))
+    probs, _ = net.step(net.initial_state(1), np.array([0]), np.array([vocab.ids["x"]]))
     dist = probs[0][classes.class_of] * classes.membership
     assert abs(dist.sum() - 1.0) < 1e-10
 
@@ -314,7 +314,7 @@ def test_multi_stream_projection_concatenates_embeddings():
     assert net.params["p/E_w"].shape == (len(vocab), 3)
     # concatenated width 6 feeds the output layer
     assert net.params["o/W"].shape == (6, classes.num_classes)
-    probs, _ = net.step(net.initial_state(1), np.array([vocab.ids["x"]]))
+    probs, _ = net.step(net.initial_state(1), np.array([0]), np.array([vocab.ids["x"]]))
     assert probs.shape == (1, classes.num_classes)
 
 
@@ -328,5 +328,5 @@ def test_word_input_network_without_classmap_uses_identity_classes():
     net = cl.instantiate_network(desc, vocab, seed=1)
     assert net.classes.num_classes == len(vocab)
     assert net.params["p/E_w"].shape == (len(vocab), 3)
-    probs, _ = net.step(net.initial_state(1), np.array([vocab.ids["x"]]))
+    probs, _ = net.step(net.initial_state(1), np.array([0]), np.array([vocab.ids["x"]]))
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)

@@ -21,7 +21,7 @@ import pytest
 
 import classlm as cl
 from classlm.classing import BigramStats
-from classlm.scoring import MAX_STEP_ROWS
+from classlm.network import MAX_STEP_ROWS
 from classlm.vocabulary import RESERVED, read_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"

@@ -1,8 +1,11 @@
 """End-to-end command-line behaviour on temporary files."""
 
 import logging
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +91,19 @@ def test_classes_command_reads_the_corpus_as_one_token_stream(tmp_path):
         assert main(["classes", "--corpus", str(corpus), "--num-classes", "4",
                      "--output", str(outputs[-1]), "--seed", "2"]) == 0
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_a_classes_run_does_not_import_numpy_ma(tmp_path):
+    # importing numpy.ma takes about 10 ms, and classing needs none of it
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b a c <unk> b\n" * 20)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from classlm.cli import main; "
+            "argv = ['classes', '--corpus', sys.argv[2], '--num-classes', '2', '--output', "
+            "sys.argv[3]]; assert main(argv) == 0; print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(Path(cl.__file__).parents[1]),
+                          str(corpus), str(tmp_path / "classes.tsv")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_classes_default_is_2000():
@@ -576,17 +592,17 @@ def test_error_in_a_worker_part_is_a_one_line_error(tmp_path, rng, caplog, monke
     sentences = tmp_path / "in.txt"
     sentences.write_text("".join(f"w{i} w{j}\n" for i in range(6) for j in range(6)))
     caller = threading.get_ident()
-    step = cl.Network.step
+    step_part = cl.Network._step_part
 
     def failing_in_workers(self, state, word_ids):
         if threading.get_ident() != caller:
             raise cl.NonFiniteError("time step 0: node 'rec' (lstm) produced a non-finite value")
-        return step(self, state, word_ids)
+        return step_part(self, state, word_ids)
 
     # levels of 16 rows and more run in two parts, each on a worker
-    monkeypatch.setattr(cl.scoring, "PART_ROWS", 8)
-    monkeypatch.setattr(cl.scoring, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cl.Network, "step", failing_in_workers)
+    monkeypatch.setattr(cl.network, "PART_ROWS", 8)
+    monkeypatch.setattr(cl.network, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cl.Network, "_step_part", failing_in_workers)
     message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
     assert message == "time step 0: node 'rec' (lstm) produced a non-finite value"
 
@@ -599,15 +615,15 @@ def test_score_and_rescore_name_the_threads_of_their_widest_step(toy_files, tmp_
     # 16 distinct prefixes "<s> a X Y" at level 3: two parts of 8 rows
     wide = tmp_path / "wide"
     wide.write_text("".join(f"u1 0.0 -1.0 a {x} {y}\n" for x in "abcd" for y in "abcd"))
-    monkeypatch.setattr(cl.scoring, "PART_ROWS", 8)
-    monkeypatch.setattr(cl.scoring, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cl.network, "PART_ROWS", 8)
+    monkeypatch.setattr(cl.network, "cpu_count", lambda: 3)
     for inputs, threads in ((narrow, 1), (wide, 2)):
         sentences = tmp_path / "sentences"
         sentences.write_text("".join(line.split(" ", 3)[3] + "\n"
                                      for line in inputs.read_text().splitlines()))
         for argv in (["score", "--model", str(model), "--input", str(sentences)],
                      ["rescore", "--model", str(model), "--nbest", str(inputs)]):
-            monkeypatch.setattr(cl.scoring, "_most_threads", 1)  # as in a new process
+            monkeypatch.setattr(cl.network, "_most_threads", 1)  # as in a new process
             caplog.clear()
             with caplog.at_level(logging.INFO):
                 assert main(argv) == 0

@@ -340,7 +340,7 @@ def test_identity_classes_reduce_to_full_softmax(rng):
     net = support.random_class_network(rng, vocab_size=12, num_classes=9)
     identity_net = cl.instantiate_network(net.desc, net.vocab, cl.identity_classmap(net.vocab),
                                           seed=4)
-    probs, _ = identity_net.step(identity_net.initial_state(1), np.array([0]))
+    probs, _ = identity_net.step(identity_net.initial_state(1), np.array([0]), np.array([0]))
     dist = support.word_distribution(identity_net, probs[0])
     np.testing.assert_allclose(dist, probs[0], rtol=0, atol=0)
     np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
@@ -351,9 +351,9 @@ def test_step_graph_reads_the_networks_current_params(rng):
     # so a replaced parameter dict is what the next step computes with
     net = support.random_class_network(rng, vocab_size=10, num_classes=5)
     state, word = net.initial_state(1), np.array([net.vocab.start_id])
-    before, _ = net.step(state, word)
+    before, _ = net.step(state, np.array([0]), word)
     net.params = {name: np.zeros_like(value) for name, value in net.params.items()}
-    probs, _ = net.step(state, word)
+    probs, _ = net.step(state, np.array([0]), word)
     assert np.any(before != probs)
     np.testing.assert_array_equal(probs, np.full((1, net.classes.num_classes),
                                                  1.0 / net.classes.num_classes))
@@ -364,7 +364,7 @@ def test_class_word_distribution_sums_to_one(rng):
     state = net.initial_state(1)
     word = np.array([net.vocab.start_id])
     for _ in range(4):
-        probs, state = net.step(state, word)
+        probs, state = net.step(state, np.array([0]), word)
         dist = support.word_distribution(net, probs[0])
         assert abs(dist.sum() - 1.0) < 1e-10
         word = np.array([int(rng.integers(0, len(net.vocab)))])

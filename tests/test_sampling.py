@@ -6,7 +6,6 @@ import pytest
 import classlm as cl
 from classlm.graph import ROW_BLOCK
 from classlm.sampling import _pick_classes, _pick_members
-from classlm.scoring import step_rows
 
 import support
 
@@ -42,7 +41,7 @@ def sample_per_row(net, seed, max_tokens, count):
     for _ in range(max_tokens):
         if not live:
             break
-        probs, state = step_rows(net, state, rows, words)
+        probs, state = net.step(state, rows, words)
         cumulative = np.cumsum(probs, axis=1)
         kept, drawn = [], []
         for row, i in enumerate(live):
@@ -71,7 +70,7 @@ def sample_one_at_a_time(net, seed, max_tokens, count):
         state = net.initial_state(ROW_BLOCK)
         word, tokens = vocab.start_id, []
         while len(tokens) < max_tokens:
-            probs, state = net.step(state, np.full(ROW_BLOCK, word))
+            probs, state = net.step(state, np.arange(ROW_BLOCK), np.full(ROW_BLOCK, word))
             members = groups[_draw(rng, np.cumsum(probs[0]))]
             if len(members) > 1:
                 members = [members[_draw(rng, np.cumsum(classes.membership[members]))]]
@@ -158,17 +157,17 @@ def test_steps_are_padded_and_capped_without_changing_the_text(rng, monkeypatch)
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     whole = cl.sample_text(net, seed=4, max_tokens=10, count=20)
     rows = []
-    step = net.step
+    step_part = net._step_part
 
     def recording(state, word_ids):
         rows.append(len(word_ids))
-        return step(state, word_ids)
+        return step_part(state, word_ids)
 
-    monkeypatch.setattr(net, "step", recording)
+    monkeypatch.setattr(net, "_step_part", recording)
     assert cl.sample_text(net, seed=4, max_tokens=10, count=1) == whole[:1]
     assert set(rows) == {ROW_BLOCK}
     rows.clear()
-    monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", ROW_BLOCK)
+    monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", ROW_BLOCK)
     assert cl.sample_text(net, seed=4, max_tokens=10, count=20) == whole
     assert set(rows) == {ROW_BLOCK} and len(rows) > 10
 
@@ -177,12 +176,13 @@ def test_the_first_step_runs_one_row_for_every_sentence(rng, monkeypatch):
     # every sentence starts from the same state row and the start token
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     rows = []
+    step = net.step
 
-    def spy(network, state, state_rows, word_ids):
+    def spy(state, state_rows, word_ids):
         rows.append(len(state_rows))
-        return step_rows(network, state, state_rows, word_ids)
+        return step(state, state_rows, word_ids)
 
-    monkeypatch.setattr(cl.sampling, "step_rows", spy)
+    monkeypatch.setattr(net, "step", spy)
     sentences = cl.sample_text(net, seed=4, max_tokens=10, count=20)
     assert rows[0] == 1 and rows[1] > 1
     assert sentences == sample_per_row(net, 4, 10, 20)

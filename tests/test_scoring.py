@@ -85,7 +85,7 @@ def test_scores_match_enumeration_oracle(rng):
     state = net.initial_state(1)
     product = 1.0
     for t in range(len(ids) - 1):
-        probs, state = net.step(state, np.array([ids[t]]))
+        probs, state = net.step(state, np.array([0]), np.array([ids[t]]))
         dist = support.word_distribution(net, probs[0])
         assert abs(dist.sum() - 1.0) < 1e-10
         product *= dist[ids[t + 1]]
@@ -175,14 +175,14 @@ def test_each_prefix_runs_once(rng, monkeypatch):
     sentences = [base, base[:4], base[:6] + [w[3]], base[:6] + [w[4], w[5]], base,
                  base[:8] + [w[6]] + base[8:], [w[7]] + base[1:]]
     calls = []
-    step = net.step
+    step_part = net._step_part
 
     def recording(state, word_ids):
         rows = np.column_stack([*state.values(), word_ids])
         calls.append((len(word_ids), len(np.unique(rows, axis=0))))
-        return step(state, word_ids)
+        return step_part(state, word_ids)
 
-    monkeypatch.setattr(net, "step", recording)
+    monkeypatch.setattr(net, "_step_part", recording)
     scores = cl.score_arrays(net, sentences)
     assert len(calls) == max(len(s) for s in sentences) + 1
     assert all(rows % cl.graph.ROW_BLOCK == 0 and rows - real < cl.graph.ROW_BLOCK
@@ -200,14 +200,14 @@ def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch)
                  for _ in range(60)]
     whole = cl.score_arrays(net, sentences)
     rows = []
-    step = net.step
+    step_part = net._step_part
 
     def recording(state, word_ids):
         rows.append(len(word_ids))
-        return step(state, word_ids)
+        return step_part(state, word_ids)
 
-    monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", 2 * cl.graph.ROW_BLOCK)
-    monkeypatch.setattr(net, "step", recording)
+    monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", 2 * cl.graph.ROW_BLOCK)
+    monkeypatch.setattr(net, "_step_part", recording)
     split = cl.score_arrays(net, sentences)
     assert max(rows) == 2 * cl.graph.ROW_BLOCK and len(rows) > 7
     assert _bits(split) == _bits(whole)
@@ -215,8 +215,8 @@ def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch)
 
 def _split_steps(monkeypatch, cpus, part_rows=cl.graph.ROW_BLOCK):
     """Split every step of two blocks or more into up to `cpus` parts."""
-    monkeypatch.setattr(cl.scoring, "PART_ROWS", part_rows)
-    monkeypatch.setattr(cl.scoring, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cl.network, "PART_ROWS", part_rows)
+    monkeypatch.setattr(cl.network, "cpu_count", lambda: cpus)
 
 
 def test_every_split_of_a_step_gives_the_bits_of_one_part(rng, monkeypatch):
@@ -229,7 +229,7 @@ def test_every_split_of_a_step_gives_the_bits_of_one_part(rng, monkeypatch):
         bits = set()
         for cpus in (1, 3, 4):
             _split_steps(monkeypatch, cpus)
-            probs, new = cl.scoring.step_rows(net, state, rows, ids)
+            probs, new = net.step(state, rows, ids)
             bits.add((probs.tobytes(), *(new[key].tobytes() for key in sorted(new))))
         assert len(bits) == 1, n
 
@@ -244,7 +244,7 @@ def test_a_split_step_in_single_precision_keeps_the_type_and_bits_of_one_part(
     runs = []
     for cpus in (1, 3):
         _split_steps(monkeypatch, cpus)
-        probs, new = cl.scoring.step_rows(net, state, rows, ids)
+        probs, new = net.step(state, rows, ids)
         runs.append([(a.dtype, a.shape, a.tobytes()) for a in (probs, *new.values())])
     assert runs[0] == runs[1]
     assert {dtype for dtype, _, _ in runs[0]} == {np.dtype(np.float32)}
@@ -261,12 +261,12 @@ def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch)
                           np.arange(2, 18)])
     assert [len(np.unique(part)) for part in ids.reshape(3, 16)] == [2, 9, 16]
     calls = support.matmul_rows(monkeypatch)
-    whole = cl.scoring.step_rows(net, state, rows, ids)
+    whole = net.step(state, rows, ids)
     # the LSTM's input products: the 16 distinct words 2..17 in one step
     assert [n for n, stacked in calls if stacked] == [16]
     calls.clear()
     _split_steps(monkeypatch, cpus=3)
-    split = cl.scoring.step_rows(net, state, rows, ids)
+    split = net.step(state, rows, ids)
     assert sorted(n for n, stacked in calls if stacked) == [8, 16, 16]
     assert whole[0].tobytes() == split[0].tobytes()
     for key in whole[1]:
@@ -280,19 +280,19 @@ def test_parts_of_a_split_level_share_one_word_at_most(rng, monkeypatch):
                  for _ in range(120)]
     whole = cl.score_arrays(net, sentences)
     levels = []  # per level, each part's distinct words
-    step_rows, step = cl.scoring.step_rows, cl.scoring._step
+    step, step_part = cl.Network.step, cl.Network._step_part
 
-    def recording_level(*args):
+    def recording_level(self, *args):
         levels.append([])
-        return step_rows(*args)
+        return step(self, *args)
 
-    def recording_part(network, state, rows, word_ids):
+    def recording_part(self, state, word_ids):
         levels[-1].append(set(word_ids.tolist()))
-        return step(network, state, rows, word_ids)
+        return step_part(self, state, word_ids)
 
     _split_steps(monkeypatch, cpus=2)
-    monkeypatch.setattr(cl.scoring, "step_rows", recording_level)
-    monkeypatch.setattr(cl.scoring, "_step", recording_part)
+    monkeypatch.setattr(cl.Network, "step", recording_level)
+    monkeypatch.setattr(cl.Network, "_step_part", recording_part)
     split = cl.score_arrays(net, sentences)
     two = [parts for parts in levels if len(parts) == 2]
     # the widest levels hold every word, in parts of several words each
@@ -301,13 +301,48 @@ def test_parts_of_a_split_level_share_one_word_at_most(rng, monkeypatch):
     assert _bits(split) == _bits(whole)
 
 
+def test_a_level_split_across_threads_is_one_network_step_on_the_calling_thread(rng,
+                                                                               monkeypatch):
+    # what perfbench's `network.Network.step` probe reads: one call per trie
+    # level, made on the calling thread, whose third positional argument
+    # (after the network and the state) has one entry per row of the level
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words[3:]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=3)]
+                 for _ in range(400)]
+    prefixes = _framed_prefixes(net, sentences)
+    widths = [sum(len(prefix) == t for prefix in prefixes) for t in range(1, 5)]
+    assert max(widths) > 2 * cl.network.PART_ROWS
+    steps, parts = [], []
+    step, step_part = cl.Network.step, cl.Network._step_part
+
+    def recording_step(*args):
+        steps.append((threading.get_ident(), len(args[2])))
+        return step(*args)
+
+    def recording_part(*args):
+        parts.append(threading.get_ident())
+        return step_part(*args)
+
+    monkeypatch.setattr(cl.network, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cl.Network, "step", recording_step)
+    monkeypatch.setattr(cl.Network, "_step_part", recording_part)
+    cl.score_arrays(net, sentences)
+    caller = threading.get_ident()
+    assert steps == [(caller, width) for width in widths]
+    # a level of 2 * PART_ROWS rows or more runs in two parts on the workers
+    split = sum(width >= 2 * cl.network.PART_ROWS for width in widths)
+    assert sorted(ident == caller for ident in parts) == [False] * 2 * split + [True] * (
+        len(widths) - split)
+
+
 @pytest.fixture
 def fresh_pool(monkeypatch):
     """The next split step makes a new worker pool, shut down after the test."""
-    monkeypatch.setattr(cl.scoring, "_pool", None)
+    monkeypatch.setattr(cl.network, "_pool", None)
     yield
-    if cl.scoring._pool is not None:
-        cl.scoring._pool.shutdown()
+    if cl.network._pool is not None:
+        cl.network._pool.shutdown()
 
 
 def _worker_affinities(pool, workers):
@@ -322,7 +357,7 @@ def _worker_affinities(pool, workers):
 
 
 def _split_bits(net, state, rows, ids):
-    probs, new = cl.scoring.step_rows(net, state, rows, ids)
+    probs, new = net.step(state, rows, ids)
     return (probs.tobytes(), *(new[key].tobytes() for key in sorted(new)))
 
 
@@ -344,7 +379,7 @@ def test_workers_pin_to_the_cpus_in_turn_and_the_caller_keeps_its_mask(rng, monk
     whole = _split_bits(net, state, rows, ids)
     _split_steps(monkeypatch, cpus=workers)
     assert _split_bits(net, state, rows, ids) == whole
-    seen = _worker_affinities(cl.scoring._pool, workers)
+    seen = _worker_affinities(cl.network._pool, workers)
     assert all(len(cpus) == 1 and cpus <= caller for cpus in seen)
     assert sorted(cpu for cpus in seen for cpu in cpus) == sorted((mask * workers)[:workers])
     assert os.sched_getaffinity(0) == caller
@@ -357,7 +392,7 @@ def test_a_pool_made_on_one_cpu_pins_its_workers_to_that_cpu():
 
     def on_one_cpu():  # a thread of its own, so that this one keeps its mask
         os.sched_setaffinity(0, {first})
-        pool = cl.scoring._pinned_pool(3)
+        pool = cl.network._pinned_pool(3)
         try:
             seen.extend(_worker_affinities(pool, 3))
         finally:
@@ -392,7 +427,7 @@ def test_a_worker_that_cannot_pin_runs_unpinned_with_the_same_bits(rng, monkeypa
             platform.delattr(os, "sched_setaffinity")
         assert _split_bits(net, state, rows, ids) == whole
         # every worker starts while its pin fails
-        assert _worker_affinities(cl.scoring._pool, 4) == [caller] * 4
+        assert _worker_affinities(cl.network._pool, 4) == [caller] * 4
 
 
 @pytest.mark.parametrize("error", [cl.NonFiniteError, cl.ShapeError, cl.GraphError])
@@ -402,7 +437,7 @@ def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeyp
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     lock = threading.Lock()
     running, ended = [0], [0]
-    step = cl.Network.step
+    step_part = cl.Network._step_part
     ids = np.full(200, 4)
     ids[0] = 3  # marks the first part
 
@@ -413,16 +448,16 @@ def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeyp
             if (word_ids[0] == 3) == (failing == "first part"):
                 raise error("time step 0: node 'x' (add) produced a non-finite value")
             time.sleep(0.05)  # a part still running when the failing one raises
-            return step(self, state, word_ids)
+            return step_part(self, state, word_ids)
         finally:
             with lock:
                 running[0] -= 1
                 ended[0] += 1
 
     _split_steps(monkeypatch, cpus=3, part_rows=64)
-    monkeypatch.setattr(cl.Network, "step", failing_step)
+    monkeypatch.setattr(cl.Network, "_step_part", failing_step)
     with pytest.raises(error) as raised:
-        cl.scoring.step_rows(net, net.initial_state(1), np.zeros(200, dtype=np.int64), ids)
+        net.step(net.initial_state(1), np.zeros(200, dtype=np.int64), ids)
     assert type(raised.value) is error
     assert str(raised.value) == "time step 0: node 'x' (add) produced a non-finite value"
     assert running[0] == 0 and ended[0] == 3
@@ -436,7 +471,7 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
     whole = cl.score_arrays(net, sentences)
     lock = threading.Lock()
     in_flight, most, sizes = [0], [0], []
-    step = cl.Network.step
+    step_part = cl.Network._step_part
 
     def recording(self, state, word_ids):
         with lock:
@@ -445,15 +480,15 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
             sizes.append(len(word_ids))
         try:
             time.sleep(0.005)  # parts of one chunk overlap
-            return step(self, state, word_ids)
+            return step_part(self, state, word_ids)
         finally:
             with lock:
                 in_flight[0] -= len(word_ids)
 
     max_rows = 6 * cl.graph.ROW_BLOCK
-    monkeypatch.setattr(cl.scoring, "MAX_STEP_ROWS", max_rows)
+    monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", max_rows)
     _split_steps(monkeypatch, cpus=4)
-    monkeypatch.setattr(cl.Network, "step", recording)
+    monkeypatch.setattr(cl.Network, "_step_part", recording)
     split = cl.score_arrays(net, sentences)
     assert max_rows // 4 < most[0] <= max_rows
     assert all(n % cl.graph.ROW_BLOCK == 0 for n in sizes) and min(sizes) < max_rows // 2
@@ -472,10 +507,10 @@ def test_an_evaluation_step_holds_about_what_it_returns():
     words = rng.integers(0, len(net.vocab), 496)
     state = {key: rng.normal(size=value.shape) * 0.1
              for key, value in net.initial_state(len(words)).items()}
-    net.step(state, words)  # graph built, caches warm
+    net._step_part(state, words)  # graph built, caches warm
     tracemalloc.start()
     try:
-        probs, new = net.step(state, words)
+        probs, new = net._step_part(state, words)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -490,16 +525,16 @@ def test_score_arrays_drops_a_levels_probabilities_before_the_next_step(rng, mon
     words = net.vocab.words[3:]
     sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
                  for _ in range(40)]
-    step_rows = cl.scoring.step_rows
+    step = net.step
     last = []
 
     def recording(*args):
         assert not last or last[-1]() is None  # the level before's probabilities are gone
-        probs, state = step_rows(*args)
+        probs, state = step(*args)
         last.append(weakref.ref(probs))
         return probs, state
 
-    monkeypatch.setattr(cl.scoring, "step_rows", recording)
+    monkeypatch.setattr(net, "step", recording)
     cl.score_arrays(net, sentences)
     assert len(last) > 2
 

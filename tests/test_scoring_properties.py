@@ -66,8 +66,8 @@ def test_steps_in_parts_give_the_bits_of_one_part(property_network, count, longe
     runs = []
     for cpus in (1, 3):  # 3 parts divide few row counts
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cl.scoring, "PART_ROWS", cl.graph.ROW_BLOCK)
-            patch.setattr(cl.scoring, "cpu_count", lambda: cpus)
+            patch.setattr(cl.network, "PART_ROWS", cl.graph.ROW_BLOCK)
+            patch.setattr(cl.network, "cpu_count", lambda: cpus)
             scores = cl.score_arrays(net, batch)
             runs.append(([_sentence_bits(scores, i) for i in range(count)],
                          cl.sample_text(net, seed, max_tokens, count)))

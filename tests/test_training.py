@@ -507,20 +507,26 @@ def _reference_step_graph(net):
 
 
 def assert_steps_match_reference(net, inputs):
-    """`net.step` over the columns of `inputs` gives the reference's bits."""
+    """`net.step` over the columns of `inputs` gives the bits of the
+    reference's first rows, run on `inputs` padded to whole ``ROW_BLOCK``s
+    by repeating the last row, as the step pads its rows."""
     graph = _reference_step_graph(net)
-    state = net.initial_state(len(inputs))
+    rows = len(inputs)
+    padded = np.concatenate([inputs, np.repeat(inputs[-1:], -rows % ROW_BLOCK, axis=0)])
+    state = net.initial_state(rows)
+    reference = net.initial_state(len(padded))
     for t in range(inputs.shape[1]):
-        probs, new_state = net.step(state, inputs[:, t])
-        bindings = {f"state/{key}": value[None] for key, value in state.items()}
-        bindings.update(net.token_bindings(inputs[None, :, t]))
+        probs, state = net.step(state, np.arange(rows), inputs[:, t])
+        bindings = {f"state/{key}": value[None] for key, value in reference.items()}
+        bindings.update(net.token_bindings(padded[None, :, t]))
         expected = {name: value[0] for name, value in
                     forward_eval(graph, bindings, support.file_block_views(net)).outputs.items()}
         assert probs.dtype == expected["class_probs"].dtype == net.dtype
-        assert np.array_equal(probs, expected["class_probs"])
-        for key, value in new_state.items():
-            assert value.dtype == net.dtype and np.array_equal(value, expected[f"state/{key}"]), key
-        state = new_state
+        assert np.array_equal(probs, expected["class_probs"][:rows])
+        for key, value in state.items():
+            assert value.dtype == net.dtype and np.array_equal(
+                value, expected[f"state/{key}"][:rows]), key
+        reference = {key: expected[f"state/{key}"] for key in reference}
 
 
 def assert_gradients_match_reference(net, inputs, targets, mask, seed):
@@ -686,8 +692,7 @@ def test_network_step_matches_the_one_position_reference_bitwise(arch, precision
     net = _step_network(arch, precision)
     for rows in (1, 5, 8, 16):
         assert_steps_match_reference(net, rng.integers(0, len(net.vocab), size=(rows, 4)))
-    # many repeats: a step of a multiple of ROW_BLOCK rows runs its word-side
-    # layers once per distinct word, any other on every row
+    # many repeats: a step runs its word-side layers once per distinct word
     for rows, words in ((8, 1), (13, 2), (24, 3), (40, 5), (64, len(net.vocab))):
         assert_steps_match_reference(net, rng.integers(0, words, size=(rows, 4)))
 
@@ -699,12 +704,13 @@ def test_word_side_products_run_on_the_padded_distinct_words(monkeypatch):
     for ids, distinct in (([5, 3, 5, 5, 3, 7, 3, 5, 4, 4, 4, 4, 5, 3, 3, 6], 8),
                           (list(range(9)) * 2 + [0] * 6, 16)):
         calls.clear()
-        net.step(net.initial_state(len(ids)), np.array(ids))
+        net.step(net.initial_state(len(ids)), np.arange(len(ids)), np.array(ids))
         # the tanh and the LSTM's x W on the distinct words, the softmax on every row
         assert calls == [(distinct, False), (distinct, True), (len(ids), False)]
     calls.clear()
-    net.step(net.initial_state(13), np.zeros(13, dtype=np.int64))  # no multiple of 8
-    assert calls == [(13, False), (13, True), (13, False)]
+    # 13 rows of one word, padded to 16 rows and to 8 distinct words
+    net.step(net.initial_state(13), np.arange(13), np.zeros(13, dtype=np.int64))
+    assert calls == [(8, False), (8, True), (16, False)]
 
 
 def test_every_engine_op_is_built_by_a_network():
