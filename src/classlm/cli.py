@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import logging
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .rescoring import (
     score_hypotheses,
 )
 from .sampling import sample_text
-from .scoring import perplexity, score_arrays
+from .scoring import add_in_order, perplexity, score_groups
 from .training import TrainingConfig, train
 from .vocabulary import build_vocabulary, read_corpus, read_tokens, text_lines
 
@@ -76,10 +79,9 @@ def _read_sentences(path):
     return sentences
 
 
-def _write_output(path, text):
-    """Write `text` to the file at `path`, or to standard output without one."""
-    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
-        out.write(text)
+def _output(path):
+    """The file at `path` opened for writing, or standard output without one."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_classes(args):
@@ -156,20 +158,51 @@ def cmd_train(args):
     return 1 if state.diverged else 0
 
 
+def _keep_freed_memory():
+    """Fix glibc's malloc thresholds at the top of the range its own
+    heuristic moves them in: a block under 32 MB comes from the heap, and
+    a heap keeps up to 64 MB free.  glibc starts at 128 kB and raises the
+    thresholds only when a larger mapped block is freed.  A grouped score
+    frees none that large, so each step on a worker thread gave its freed
+    memory back and faulted it in again (README, "3. Score").  A group
+    holds a bounded amount, so the heaps stay small.  Does nothing
+    without glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_trim_threshold, 64 << 20)
+    mallopt(m_mmap_threshold, 32 << 20)
+
+
 def cmd_score(args):
     _check_output(args.output)
+    _keep_freed_memory()
     network, _ = load_model(args.model)
     policy = _unk_policy(args.unk_penalty)
-    sentences = _read_sentences(args.input)
-    scores = score_arrays(network, sentences, policy)
-    totals, counted = scores.totals.tolist(), scores.counted.tolist()
-    ppl = perplexity(totals, counted)
-    lines = [f"{i}\t{total!r}\t{c}\t{' '.join(tokens)}\n"
-             for i, (tokens, total, c) in enumerate(zip(sentences, totals, counted), start=1)]
-    lines.append(f"ppl\t{ppl!r}\n")
-    _write_output(args.output, "".join(lines))
+    sentences, total, counted = 0, 0.0, 0
+    # the lines wait in a temporary file until the whole input has scored,
+    # so an input error leaves no output
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        for group, totals, group_counted in score_groups(network, read_corpus(args.input), policy):
+            totals = totals.tolist()
+            spool.writelines(f"{i}\t{t!r}\t{c}\t{' '.join(tokens)}\n" for i, (tokens, t, c)
+                             in enumerate(zip(group, totals, group_counted.tolist()),
+                                          start=sentences + 1))
+            sentences += len(group)
+            total = add_in_order(total, totals)
+            counted += int(group_counted.sum())
+        if not sentences:
+            raise ValueError(f"{args.input}: empty corpus")
+        ppl = perplexity([total], counted)  # 0.0 + total is total
+        spool.write(f"ppl\t{ppl!r}\n")
+        spool.seek(0)
+        with _output(args.output) as out:
+            shutil.copyfileobj(spool, out)
     log.info("scored %d sentences, %d tokens, perplexity %.6f; threads: %d",
-             len(sentences), sum(counted), ppl, threads_used())
+             sentences, counted, ppl, threads_used())
     return 0
 
 
@@ -211,7 +244,8 @@ def cmd_rescore(args):
              for utt, end, n, indices, row in ranked
              for i, total in zip(indices[:n], row)]
     header = f"# lambda={params.lam!r} s_bo={params.s_bo!r} s_nn={params.s_nn!r}\n"
-    _write_output(args.output, "".join([header, *lines]))
+    with _output(args.output) as out:
+        out.write("".join([header, *lines]))
     log.info("rescored %d utterances; threads: %d", len(nbest.utterances), threads_used())
     return 0
 

@@ -11,7 +11,9 @@ scoring and sampling: it pads a step's rows to whole row blocks, splits
 them into chunks and into parts on pinned worker threads, and computes each
 part's word-side layers (projections, and whatever reads only word-side
 layers) once per distinct word id, not once per row; by the row rule of
-:mod:`classlm.graph` every row keeps the bits it would have had.  The
+:mod:`classlm.graph` every row keeps the bits it would have had.  Sampling
+takes every row's class distribution; scoring passes the (row, class)
+pairs it reads, and each part returns only those entries.  The
 training graph binds dropout masks, targets and a position mask, all
 ``(T, B, ...)``, and outputs the mean masked cross-entropy as "loss", so
 one evaluation and one backward pass cover a whole training batch.
@@ -318,11 +320,19 @@ class Network:
 
     # -- evaluation -------------------------------------------------------------
 
-    def step(self, state, rows, word_ids):
+    def step(self, state, rows, word_ids, picks=None):
         """One step from each state row in `rows` on the matching word id.
 
         Returns ``(class probabilities, new state)`` with one row per entry
-        of `rows`.  The rows are padded to a multiple of ``ROW_BLOCK`` by
+        of `rows`.  With `picks`, a pair ``(pick_rows, pick_classes)`` of
+        equal-length integer arrays, the first item is instead the vector
+        ``probs[pick_rows, pick_classes]``, one probability per pick, each
+        the same float as in the full array; a pick row lies in
+        ``range(len(rows))``.  Each part of the step then gathers its own
+        picks before it returns, so no (rows x classes) array outlives a
+        part and none as wide as the step is allocated.
+
+        The rows are padded to a multiple of ``ROW_BLOCK`` by
         repeating the last one and run at most ``MAX_STEP_ROWS`` per step.
         Each part of a step binds its ids once per distinct word, padded to
         a multiple of ``ROW_BLOCK`` by repeating the last, and runs the
@@ -336,11 +346,16 @@ class Network:
         make the parts' results the bits of one serial step.  A part that
         raises does so here, after every other part has ended.
 
-        A step that runs as one part returns views of that part's arrays.
-        For any other step this thread allocates the result, and every part
-        writes its rows into it on the thread that ran it.
+        A step that runs as one part returns views of that part's arrays,
+        or its gathered picks and views of its states.  For any other step
+        this thread allocates the result, and every part writes its rows
+        (or its picks) into it on the thread that ran it.
         """
         n = len(rows)
+        if picks is not None:
+            picks = tuple(np.asarray(p, dtype=np.intp) for p in picks)
+            if picks[0].size and not 0 <= picks[0].min() <= picks[0].max() < n:
+                raise IndexError(f"pick rows must lie in range({n})")
         pad = -n % ROW_BLOCK
         rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
         word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
@@ -355,15 +370,21 @@ class Network:
         if len(steps) == 1 and len(steps[0]) == 2:
             probs, new = self._step_part({key: value[rows] for key, value in state.items()},
                                          word_ids)
-            return probs[:n], {key: value[:n] for key, value in new.items()}
+            probs = probs[:n] if picks is None else probs[picks]
+            return probs, {key: value[:n] for key, value in new.items()}
         # a step's values have the type of its parameters and input state together
         dtype = np.result_type(self.dtype, *state.values())
-        result = (np.empty((len(rows), self.classes.num_classes), dtype),
-                  {key: np.empty((len(rows), *value.shape[1:]), dtype)
-                   for key, value in state.items()})
+        if picks is None:
+            probs = np.empty((len(rows), self.classes.num_classes), dtype)
+        else:
+            probs = np.empty(len(picks[0]), dtype)
+            # sorted by row, so that each part's picks are one contiguous run
+            order = np.argsort(picks[0], kind="stable")
+            picks = order, picks[0][order], picks[1][order]
+        new = {key: np.empty((len(rows), *value.shape[1:]), dtype) for key, value in state.items()}
         for bounds in steps:
-            self._step_parts(state, rows, word_ids, result, bounds, cpus)
-        return result[0][:n], {key: value[:n] for key, value in result[1].items()}
+            self._step_parts(state, rows, word_ids, (probs, new), bounds, cpus, picks)
+        return probs[:n] if picks is None else probs, {key: value[:n] for key, value in new.items()}
 
     def _step_part(self, state, word_ids):
         """One part of a step: `state` has one row per word id, a multiple
@@ -378,16 +399,22 @@ class Network:
         outputs = forward_eval(self.step_graph(), bindings, self.params).outputs
         return outputs["class_probs"][0], {key: outputs[f"state/{key}"][-1] for key in state}
 
-    def _step_parts(self, state, rows, word_ids, result, bounds, cpus):
+    def _step_parts(self, state, rows, word_ids, result, bounds, cpus, picks):
         """One step over the parts ``rows[bounds[i]:bounds[i + 1]]``, each
-        written into its rows of `result`.  One part runs on this thread; two
-        or more run on the pinned workers while this thread waits, since this
-        thread may share a CPU with a worker."""
+        written into its rows of `result`, or with `picks` (the pick order
+        and the picks sorted by row) into its picks' entries.  One part runs
+        on this thread; two or more run on the pinned workers while this
+        thread waits, since this thread may share a CPU with a worker."""
 
         def run(lo, hi):
             probs, new = self._step_part({key: value[rows[lo:hi]] for key, value in state.items()},
                                          word_ids[lo:hi])
-            result[0][lo:hi] = probs
+            if picks is None:
+                result[0][lo:hi] = probs
+            else:
+                order, pick_rows, pick_classes = picks
+                a, b = np.searchsorted(pick_rows, (lo, hi))
+                result[0][order[a:b]] = probs[pick_rows[a:b] - lo, pick_classes[a:b]]
             for key, value in new.items():
                 result[1][key][lo:hi] = value
 

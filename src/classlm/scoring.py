@@ -17,7 +17,14 @@ into a padded (sentence, position) id matrix, walks the sentences' prefix
 trie one :meth:`~classlm.network.Network.step` per level, and returns the
 totals, the counted-token numbers and the per-position log-probabilities
 as arrays (:class:`ScoreArrays`), which perplexity and every caller in the
-package read.
+package read.  Each step returns only the class probability that each
+sentence reads, never a level's (rows x classes) array.
+
+:func:`score_groups` scores an input of any size in consecutive groups of
+at most ``GROUP_ELEMENTS`` (sentence, position) cells, so that its memory
+does not grow with the input; ``classlm score`` and
+:func:`corpus_perplexity` read their sentences through it, and the
+perplexity adds the totals left to right across groups.
 """
 
 from __future__ import annotations
@@ -28,9 +35,15 @@ import numpy as np
 
 from .vocabulary import frame_sentences
 
-__all__ = ["ScoreArrays", "corpus_perplexity", "perplexity", "score_arrays"]
+__all__ = ["GROUP_ELEMENTS", "ScoreArrays", "add_in_order", "corpus_perplexity", "perplexity",
+           "score_arrays", "score_groups"]
 
 UNK_POLICIES = ("include", "exclude")
+
+# (sentence, position) cells of one group of :func:`score_groups`, at most:
+# a group's id, log-probability and inclusion matrices take about 17 bytes
+# a cell, and it steps at most GROUP_ELEMENTS / 3 sentences at once.
+GROUP_ELEMENTS = 1 << 16
 
 
 def _check_policy(unk_policy):
@@ -63,10 +76,12 @@ def score_arrays(network, sentences, unk_policy="include"):
     the distinct prefixes ``<s> w1 ... wt`` of the sentences that still
     predict a token there, and one call of
     :meth:`~classlm.network.Network.step` advances all of them from their
-    parents' states.  A prefix shared by many sentences runs once, and
-    sentences of every length step together.  A step's rows keep their
-    bits whatever other rows they run with, so a sentence's scores are
-    bitwise the same whatever it is batched with, alone included.
+    parents' states and returns the probability of each sentence's target
+    class, read from its own prefix's row.  A prefix shared by many
+    sentences runs once, and sentences of every length step together.  A
+    step's rows keep their bits whatever other rows they run with, so a
+    sentence's scores are bitwise the same whatever it is batched with,
+    alone included.
     """
     _check_policy(unk_policy)
     stream, words = frame_sentences(network.vocab, sentences)
@@ -93,15 +108,26 @@ def score_arrays(network, sentences, unk_policy="include"):
         # word-major: the contiguous parts of a split step share one word at most
         codes, node[active] = np.unique(ids[active, t] * parents + node[active],
                                         return_inverse=True)
-        probs, state = network.step(state, codes % parents, codes // parents)
-        parents = len(codes)
         level = targets[active, t]
+        # each sentence's class probability, read from its own node's row
+        probs, state = network.step(state, codes % parents, codes // parents,
+                                    (node[active], class_of[level]))
+        parents = len(codes)
         with np.errstate(divide="ignore"):
-            logp[active, t] = np.log(probs[node[active], class_of[level]]) + log_membership[level]
+            logp[active, t] = np.log(probs) + log_membership[level]
         del probs  # not held while the next level steps
         # one position per level: the running sum one-at-a-time scoring forms
         np.add(totals, logp[:, t], out=totals, where=included[:, t])
     return ScoreArrays(totals, included.sum(axis=1), logp, included, predicted)
+
+
+def add_in_order(total, values):
+    """`total` plus `values` added one at a time in order, as
+    :func:`perplexity` sums totals; a running sum kept this way over
+    consecutive runs of totals is the sum of all of them."""
+    for value in values:
+        total += value
+    return total
 
 
 def perplexity(totals, counted):
@@ -111,9 +137,7 @@ def perplexity(totals, counted):
     The totals are summed one at a time in order, so the result does not
     depend on how the Python version sums floats (``sum`` compensates its
     rounding from Python 3.12 on)."""
-    total = 0.0
-    for value in totals:
-        total += value
+    total = add_in_order(0.0, totals)
     counted = int(np.sum(counted))
     if counted == 0:
         raise ValueError("no counted tokens; cannot compute perplexity")
@@ -121,11 +145,45 @@ def perplexity(totals, counted):
         return float(np.exp(-total / counted))
 
 
+def score_groups(network, sentences, unk_policy="include"):
+    """Score an iterable of sentences in consecutive groups, in input order.
+
+    Yields ``(group, totals, counted)`` per group: the group's sentences
+    and their :class:`ScoreArrays` totals and counted-token numbers.  A
+    group closes before the sentence that would take its sentences times
+    (longest + 2) past ``GROUP_ELEMENTS``, so what one group holds is
+    bounded whatever the input size; a sentence longer than that forms a
+    group of its own.  The sentences are read one at a time, and a group's
+    are dropped once it is scored and the caller moves on.  A sentence's
+    scores do not depend on its batch, so the groups give the bits of one
+    call of :func:`score_arrays` on every sentence.
+    """
+    _check_policy(unk_policy)
+
+    def scored(group):  # drops the group's (sentence, position) arrays on return
+        scores = score_arrays(network, group, unk_policy)
+        return group, scores.totals, scores.counted
+
+    group, longest = [], 0
+    for sentence in sentences:
+        sentence = sentence if isinstance(sentence, (list, tuple)) else list(sentence)
+        if group and (len(group) + 1) * (max(longest, len(sentence)) + 2) > GROUP_ELEMENTS:
+            yield scored(group)
+            group, longest = [], 0
+        group.append(sentence)
+        longest = max(longest, len(sentence))
+    if group:
+        yield scored(group)
+
+
 def corpus_perplexity(network, sentences, unk_policy="include"):
-    """Perplexity of a corpus; see :func:`perplexity`.
+    """Perplexity of a corpus, scored in groups; see :func:`perplexity`.
 
     Counted tokens include the sentence-end token of every sentence, never
     the start token, and respect `unk_policy`.
     """
-    scores = score_arrays(network, sentences, unk_policy)
-    return perplexity(scores.totals.tolist(), scores.counted)
+    total, counted = 0.0, 0
+    for _, totals, group_counted in score_groups(network, sentences, unk_policy):
+        total = add_in_order(total, totals.tolist())
+        counted += int(group_counted.sum())
+    return perplexity([total], counted)  # 0.0 + total is total

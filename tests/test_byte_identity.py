@@ -87,17 +87,24 @@ def test_two_runs_print_the_same_digests(two_runs):
     # the first class table is nearly full, the second mostly empty
     assert _class_table_fill(outs[0], "train.txt", "classes.tsv") > 0.9
     assert _class_table_fill(outs[0], "sparse.txt", "classes-sparse.tsv") < 0.1
-    # the outputs before the last two score a trie level wider than one step
-    chunked = {f"{arch}-{precision}.score-chunked" for arch in ("lstm", "gru")
-               for precision in ("double", "single")}
-    assert names[-len(chunked) - 3:-2] == ["chunked.txt", *sorted(chunked, key=names.index)]
+    # the outputs before the stopping model score a trie level wider than one step
+    chunked, grouped = ({f"{arch}-{precision}.score-{kind}" for arch in ("lstm", "gru")
+                         for precision in ("double", "single")} for kind in ("chunked", "grouped"))
+    stop = names.index("lstm-double-sgd-stop.clm")
+    assert names[stop - len(chunked) - 1:stop] == ["chunked.txt",
+                                                   *sorted(chunked, key=names.index)]
     assert chunked <= set(names)
     assert _widest_level(outs[0], "chunked.txt", "lstm-double.clm") > MAX_STEP_ROWS
-    # the last two: a model whose validations anneal and stop training mid-epoch
-    assert names[-2:] == ["lstm-double-sgd-stop.clm", "lstm-double-sgd-stop.score"]
-    training = cl.load_model(outs[0] / names[-2])[1]
+    # then a model whose validations anneal and stop training mid-epoch
+    assert names[stop:stop + 2] == ["lstm-double-sgd-stop.clm", "lstm-double-sgd-stop.score"]
+    training = cl.load_model(outs[0] / names[stop])[1]
     assert [scale for _, _, scale in training["history"]] == [1.0, 0.5, 0.25]
     assert training["stopped_reason"] == "patience exceeded"
+    # last, an input scored in three groups or more, one around a long sentence
+    assert names[stop + 2:] == ["grouped.txt", *sorted(grouped, key=names.index)]
+    assert grouped <= set(names)
+    sizes = _group_sizes(outs[0] / "grouped.txt")
+    assert len(sizes) >= 3 and 1 < min(sizes) < 100
 
 
 def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):
@@ -110,6 +117,14 @@ def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):
     stdout, stderr, rc = two_runs[1][0]
     assert rc == 0, stderr
     assert stdout.splitlines() == [line for line in lines if not line.startswith("#")]
+
+
+def _group_sizes(corpus):
+    """The sentences of each group that ``score`` reads the corpus in."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cl.scoring, "score_arrays", lambda network, group, policy: cl.ScoreArrays(
+            *[np.zeros(len(group))] * 5))
+        return [len(group) for group, _, _ in cl.scoring.score_groups(None, read_corpus(corpus))]
 
 
 def _widest_level(out, corpus, model):

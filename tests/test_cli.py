@@ -799,6 +799,57 @@ def test_invalid_utf8_is_a_one_line_error_naming_file_and_line(toy_files, rng, c
     assert message == f"{bad}: line 2: invalid UTF-8"
 
 
+def _small_groups(monkeypatch):
+    """Score in groups of a few short sentences; returns the group sizes scored."""
+    sizes = []
+    score_arrays = cl.scoring.score_arrays
+
+    def recording(network, sentences, unk_policy):
+        sizes.append(len(sentences))
+        return score_arrays(network, sentences, unk_policy)
+
+    monkeypatch.setattr(cl.scoring, "GROUP_ELEMENTS", 40)
+    monkeypatch.setattr(cl.scoring, "score_arrays", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_late_invalid_line_of_a_scored_input_leaves_no_output(tmp_path, rng, caplog, capsys,
+                                                                monkeypatch, to_file):
+    model = tmp_path / "random.clm"
+    cl.save_model(model, support.random_class_network(rng, vocab_size=6, num_classes=3))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"w1 w2 w3\n" * 200 + b"w1 \xff\n" + b"w2\n")
+    out = tmp_path / "out.txt"
+    sizes = _small_groups(monkeypatch)
+    argv = ["score", "--model", str(model), "--input", str(bad)]
+    message = _one_line_error(caplog, argv + ["--output", str(out)] * to_file)
+    assert message == f"{bad}: line 201: invalid UTF-8"
+    assert len(sizes) > 2  # groups scored before the line is read
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_score_output_does_not_depend_on_the_groups(tmp_path, rng, monkeypatch, capsys):
+    net = support.random_class_network(rng, vocab_size=12, num_classes=4)
+    model = tmp_path / "random.clm"
+    cl.save_model(model, net)
+    words = [*net.vocab.words[3:], "OOV"]
+    corpus = tmp_path / "in.txt"
+    corpus.write_text("".join(" ".join(words[int(i)] for i in rng.integers(0, len(words), n))
+                              + "\n" * (1 + (n == 3)) for n in rng.integers(1, 12, 80).tolist()))
+    argv = ["score", "--model", str(model), "--input", str(corpus), "--unk-penalty", "0"]
+    assert main(argv + ["--output", str(tmp_path / "whole.txt")]) == 0
+    sizes = _small_groups(monkeypatch)
+    assert main(argv + ["--output", str(tmp_path / "groups.txt")]) == 0
+    assert len(sizes) > 5 and sum(sizes) == 80
+    whole = (tmp_path / "whole.txt").read_bytes()
+    assert (tmp_path / "groups.txt").read_bytes() == whole
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == whole
+    assert whole.decode().splitlines()[-2].startswith("80\t")
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n"])
 @pytest.mark.parametrize("role", ["classes", "train", "dev", "score"])
 def test_empty_corpus_is_a_one_line_error_naming_the_file(toy_files, rng, caplog, text, role):

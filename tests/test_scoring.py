@@ -251,6 +251,37 @@ def test_a_split_step_in_single_precision_keeps_the_type_and_bits_of_one_part(
     assert runs[0][0][1] == (45, net.classes.num_classes)
 
 
+def test_picks_are_the_entries_of_a_full_step_bitwise(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    k = net.classes.num_classes
+    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
+             for key, value in net.initial_state(1).items()}
+    for n in range(1, 73):
+        rows, ids = rng.integers(0, 40, n), rng.integers(0, len(net.vocab), n)
+        monkeypatch.undo()
+        probs, new = net.step(state, rows, ids)  # the full step, on this thread
+        m = int(rng.integers(1, 3 * n + 1))
+        cases = [  # unsorted, rows and classes repeated; every entry; none
+            (rng.integers(0, n, m), rng.integers(0, k, m)),
+            (np.arange(n).repeat(k)[::-1], np.tile(np.arange(k), n)),
+            (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+        ]
+        # 1, 2 and 4 parts from two blocks on; a cap of two blocks splits
+        # the step into chunks from 17 rows on
+        for cpus, max_rows in ((1, None), (2, None), (4, None), (2, 2 * cl.graph.ROW_BLOCK)):
+            _split_steps(monkeypatch, cpus)
+            if max_rows:
+                monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", max_rows)
+            for picks in cases:
+                picked, picked_new = net.step(state, rows, ids, picks)
+                assert picked.dtype == probs.dtype and picked.shape == picks[0].shape
+                assert picked.tobytes() == probs[picks].tobytes(), (n, cpus, max_rows)
+                for key in new:
+                    assert picked_new[key].tobytes() == new[key].tobytes()
+    with pytest.raises(IndexError, match=r"range\(3\)"):
+        net.step(state, rows[:3], ids[:3], (np.array([0, 3]), np.array([0, 0])))
+
+
 def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
@@ -604,3 +635,67 @@ def test_perplexity_sums_totals_left_to_right():
     assert cl.scoring.perplexity([1e16, 1.0, -1e16], [1, 1, 1]) == 1.0
     assert cl.scoring.perplexity(np.array([1e16, 1.0, -1e16]), np.array([1, 1, 1])) == 1.0
     assert cl.scoring.perplexity([-1.5, -2.5], [2, 2]) == np.exp(1.0)
+
+
+def test_groups_close_before_the_sentence_that_would_pass_the_budget(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words[3:]
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 9))]
+                 for _ in range(200)]
+    sentences.insert(120, [words[0]] * 40)  # longer than one group allows
+    whole = cl.score_arrays(net, sentences)
+    monkeypatch.setattr(cl.scoring, "GROUP_ELEMENTS", 30)
+    groups = list(cl.scoring.score_groups(net, iter(sentences)))
+    # in input order, each group as large as the budget allows
+    assert [s for group, _, _ in groups for s in group] == sentences
+    for (group, _, _), (after, _, _) in zip(groups, groups[1:]):
+        assert len(group) * (max(map(len, group)) + 2) <= 30 or len(group) == 1
+        assert (len(group) + 1) * (max(map(len, group + after[:1])) + 2) > 30
+    assert [len(group) for group, _, _ in groups if len(group[0]) == 40] == [1]
+    assert np.concatenate([totals for _, totals, _ in groups]).tobytes() == whole.totals.tobytes()
+    assert np.concatenate([counted for _, _, counted in groups]).tolist() == whole.counted.tolist()
+    assert cl.corpus_perplexity(net, sentences) == cl.scoring.perplexity(whole.totals,
+                                                                       whole.counted)
+
+
+def _scoring_peak(net, sentences):
+    """The tracemalloc peak of the perplexity of `sentences`, in bytes."""
+    tracemalloc.start()
+    try:
+        cl.corpus_perplexity(net, sentences)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _random_sentences(rng, words, count, shortest, longest):
+    return [[words[int(i)] for i in rng.integers(0, len(words), rng.integers(shortest, longest + 1))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("shortest, longest", [(3, 20), (1, 1)])
+def test_grouped_scoring_peaks_about_as_high_for_four_times_the_sentences(rng, shortest,
+                                                                         longest):
+    # N sentences fill one group; 4N are scored in four groups one after
+    # another, and only a running total is kept across groups (scored as
+    # one matrix, 4N sentences peaked at 3.3 and 4.0 times N)
+    net = support.random_class_network(rng, vocab_size=50, num_classes=8)
+    words = net.vocab.words[3:]
+    n = cl.scoring.GROUP_ELEMENTS // (longest + 2)
+    sentences = _random_sentences(rng, words, 4 * n, shortest, longest)
+    cl.corpus_perplexity(net, sentences[:10])  # graph built, caches warm
+    one = _scoring_peak(net, sentences[:n])
+    assert _scoring_peak(net, sentences) <= 1.25 * one
+
+
+def test_one_long_sentence_does_not_pad_the_others(rng):
+    # 5,000 twelve-word sentences and one of 2,000 words: scored as one
+    # (sentence, position) matrix, the long one made every row 2,002 wide
+    # (173 MB against 4.2 MB); its group holds only a few sentences
+    net = support.random_class_network(rng, vocab_size=50, num_classes=8)
+    words = net.vocab.words[3:]
+    sentences = _random_sentences(rng, words, 5000, 12, 12)
+    cl.corpus_perplexity(net, sentences[:10])  # graph built, caches warm
+    without = _scoring_peak(net, sentences)
+    outlier = _random_sentences(rng, words, 1, 2000, 2000)
+    assert _scoring_peak(net, sentences[:2500] + outlier + sentences[2500:]) <= 2 * without

@@ -29,7 +29,9 @@ with fixed weights and with ``--tune --refs``.  Last of all, it scores
 so that a trie level of more than ``MAX_STEP_ROWS`` rows runs in chunks.
 After that it trains the LSTM with sgd, validating every 3 batches, until
 validations that improve by less than 5% anneal the learning rate and stop
-training mid-epoch, and scores with that model.  It prints one
+training mid-epoch, and scores with that model.  Then it scores 12,001
+sentences, one of them 1,000 words long, on the LSTM and GRU models, so
+that ``score`` reads its input in several groups.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -245,7 +247,31 @@ def produce(out):
     run(["score", "--model", p("lstm-double-sgd-stop.clm"), "--input", p("test.txt"),
          "--output", p("lstm-double-sgd-stop.score")])
     outputs.append("lstm-double-sgd-stop.score")
+    # after every other output: an input that scores in several groups, one
+    # of them around a long sentence
+    write_grouped_input(np.random.default_rng(SEED + 4), p("grouped.txt"))
+    outputs.append("grouped.txt")
+    for model in models:
+        stem = model[: -len(".clm")]
+        if stem.split("-")[0] not in ("lstm", "gru"):
+            continue
+        run(["score", "--model", p(model), "--input", p("grouped.txt"), "--output",
+             p(f"{stem}.score-grouped")])
+        outputs.append(f"{stem}.score-grouped")
     return outputs
+
+
+def write_grouped_input(rng, path, sentences=12000, outlier=1000):
+    """`sentences` sentences of 3 to 12 corpus words, and in the middle one
+    of `outlier` words, so that scoring takes at least three groups of
+    ``scoring.GROUP_ELEMENTS`` cells and the long sentence shares its group
+    with a few sentences only."""
+    words = [f"w{i:02d}" for i in range(30)]
+    lengths = rng.integers(3, 13, sentences).tolist()
+    lengths.insert(sentences // 2, outlier)
+    with open(path, "w", encoding="utf-8") as f:
+        for n in lengths:
+            f.write(" ".join(words[w] for w in rng.integers(len(words), size=n).tolist()) + "\n")
 
 
 def write_chunked_input(rng, path, sentences=1200):
