@@ -15,6 +15,11 @@ bigram table, which makes the closed-form objective below exact:
 
 Only the first two terms depend on the partition, but the word term is kept
 so F is the actual corpus log-likelihood, comparable across class counts.
+
+What a pass allocates besides the count tables is bounded by `BLOCK_CELLS`
+cells, whatever the class count and the corpus: a visit takes its block of
+class-bigram counts in column tiles, and the log-likelihood sums its table
+in pieces, each with the bits of the whole.
 """
 
 from __future__ import annotations
@@ -40,6 +45,14 @@ __all__ = [
 # Smallest objective gain worth a move; guards against float noise in
 # deltas that are exactly zero in infinite precision.
 MIN_GAIN = 1e-9
+
+# Cells of class-bigram counts that one array pass takes at most: a column
+# tile of a visit's block (about 16 bytes a cell, the terms and the count
+# lookups together) and a piece of the log-likelihood's table sum.
+BLOCK_CELLS = 1 << 16
+
+# numpy sums at most this many values of a contiguous run without halving it
+_PAIRWISE_LEAF = 128
 
 
 def _xlogx(x):
@@ -296,22 +309,29 @@ class BigramStats:
         # A term is f[n + m] - f[n], which at an empty cell is f[m] - 0.0 =
         # f[m]; each row starts out as f[m], and x ln x is looked up only at
         # the nonzero cells (a few percent when classes are many).  Summing
-        # a C-ordered |d| x K block over axis 0 adds the d terms of each
+        # a C-ordered |d| x width tile over axis 0 adds the d terms of each
         # candidate one after another; class files depend on that order,
         # because another one rounds differently and can change which move
-        # wins a near tie.
-        block = self._tables[np.concatenate((ds + k, dp))]
+        # wins a near tie.  The block is taken in column tiles of at most
+        # BLOCK_CELLS cells, each at least two columns wide: numpy sums a
+        # lone column pairwise, not row by row.
+        rows = np.concatenate((ds + k, dp))
         mass = np.concatenate((s_d, p_d))
-        terms = np.empty(block.shape)
-        terms[:] = f[mass][:, None]
-        cells = (block != 0).ravel().nonzero()[0]
-        n = block.ravel()[cells].astype(np.int64)  # numpy looks up by int64 faster
-        looked_up = f[n + mass[cells // k]]
-        looked_up -= f[n]
-        terms.ravel()[cells] = looked_up
-        ins_s = terms[:ds.size].sum(axis=0)
+        f_mass = f[mass][:, None]
+        ins_s, ins_p = np.empty(k), np.empty(k)
+        bounds = _column_tiles(rows.size, k)
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = self._tables[rows, lo:hi]
+            terms = np.empty(block.shape)
+            terms[:] = f_mass
+            cells = (block != 0).ravel().nonzero()[0]
+            n = block.ravel()[cells].astype(np.int64)  # numpy looks up by int64 faster
+            looked_up = f[n + mass[cells // (hi - lo)]]
+            looked_up -= f[n]
+            terms.ravel()[cells] = looked_up
+            terms[:ds.size].sum(axis=0, out=ins_s[lo:hi])
+            terms[ds.size:].sum(axis=0, out=ins_p[lo:hi])
         ins_s[ds] -= (f[diag_s + s_d] - f[diag_s])
-        ins_p = terms[ds.size:].sum(axis=0)
         ins_p[dp] -= (f[diag_p + p_d] - f[diag_p])
 
         # The four cells coupling a and b change by fixed combinations of
@@ -379,11 +399,40 @@ class BigramStats:
         self.class_of[w] = b
 
 
+def _column_tiles(rows, k):
+    """Bounds of the column tiles of a `rows` x `k` block: as few evenly
+    spaced tiles as keep each within BLOCK_CELLS cells, none narrower than
+    two columns (at that floor, an odd `k` leaves one of three)."""
+    width = max(2, BLOCK_CELLS // max(rows, 1))
+    tiles = max(1, min(-(-k // width), k // 2))
+    return [k * i // tiles for i in range(tiles + 1)]
+
+
+def _table_sum(f, table):
+    """``f[table].sum()`` bitwise, in pieces of at most BLOCK_CELLS cells.
+
+    numpy sums a contiguous array pairwise: a run of more than
+    `_PAIRWISE_LEAF` values is summed as its first half, rounded down to a
+    multiple of 8, plus the rest.  Splitting the same way down to pieces
+    that fit the budget, and summing each piece with numpy, adds every
+    value in numpy's order."""
+    cells = table.reshape(-1)
+
+    def pairwise(lo, hi):
+        if hi - lo <= max(BLOCK_CELLS, _PAIRWISE_LEAF):
+            return f[cells[lo:hi]].sum()
+        half = (hi - lo) // 2
+        half -= half % 8
+        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+
+    return pairwise(0, cells.size)
+
+
 def class_bigram_loglik(stats):
     """Closed-form training log-likelihood of the class bigram model."""
     f = stats.xlogx
     return float(
-        f[stats.class_bigrams].sum()
+        _table_sum(f, stats.class_bigrams)
         - 2.0 * f[stats.class_counts].sum()
         + f[stats.word_counts].sum()
     )
@@ -418,9 +467,10 @@ def run_exchange(sentences, num_classes, scheme="striped", seed=0, max_passes=50
     The sentences are one unframed circular token stream: they are joined
     end to end, with no sentence boundary tokens, and the last token
     precedes the first, so ``[tokens]`` and the same tokens split into
-    sentences give the same classes.  The vocabulary and the stream of ids
-    come from one `index_tokens` pass, and the statistics from counting the
-    stream's distinct word pairs.
+    sentences, or into the pieces of `read_token_pieces`, give the same
+    classes.  The vocabulary and the stream of ids come from one
+    `index_tokens` pass, which reads `sentences` once, a piece at a time,
+    and the statistics from counting the stream's distinct word pairs.
 
     Returns ``(vocab, classmap, trace)`` where `trace` holds the objective
     after initialization and after each pass; it is non-decreasing.

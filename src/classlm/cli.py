@@ -44,7 +44,7 @@ from .rescoring import (
 from .sampling import sample_text
 from .scoring import add_in_order, perplexity, score_groups
 from .training import TrainingConfig, train
-from .vocabulary import build_vocabulary, read_corpus, read_tokens, text_lines
+from .vocabulary import build_vocabulary, read_corpus, read_token_pieces, text_lines
 
 log = logging.getLogger("classlm")
 
@@ -86,12 +86,10 @@ def _output(path):
 
 def cmd_classes(args):
     _check_output(args.output)
-    # the exchange sees the corpus as one stream, so it is read as one
-    tokens = read_tokens(args.corpus)
-    if not tokens:
-        raise ValueError(f"{args.corpus}: empty corpus")
+    # the exchange sees the corpus as one stream, so it is read in pieces
+    # of text, not in lines
     vocab, classmap, trace = run_exchange(
-        [tokens],
+        read_token_pieces(args.corpus),
         args.num_classes,
         scheme=args.init,
         seed=args.seed,

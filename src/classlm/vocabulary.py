@@ -5,6 +5,11 @@ Every vocabulary contains the reserved tokens ``<s>``, ``</s>`` and
 training both use, frames sentences as ``<s> w1 ... wn </s>``; ``<s>`` is
 input-only while ``</s>`` is a predicted token, and any out-of-vocabulary
 word maps to ``<unk>``.
+
+A corpus for the exchange algorithm is streamed: :func:`read_token_pieces`
+reads a file in pieces of text, and :func:`index_tokens` codes any
+iterable of tokens a piece at a time, so neither holds the corpus as text
+or as a list of strings.
 """
 
 from __future__ import annotations
@@ -14,12 +19,18 @@ import itertools
 import numpy as np
 
 __all__ = ["RESERVED", "SENTENCE_START", "SENTENCE_END", "UNKNOWN", "Vocabulary", "build_vocabulary",
-           "frame_sentences", "index_tokens", "read_tokens"]
+           "frame_sentences", "index_tokens", "read_token_pieces"]
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
 UNKNOWN = "<unk>"
 RESERVED = (SENTENCE_START, SENTENCE_END, UNKNOWN)
+
+# Tokens that `index_tokens` codes at once, and characters of text that
+# `read_token_pieces` splits at once; a token is a Python string of about
+# 60 bytes while it is held.
+PIECE_TOKENS = 1 << 13
+PIECE_CHARS = 1 << 16
 
 
 class Vocabulary:
@@ -116,15 +127,32 @@ def index_tokens(tokens, max_size=None):
     words are kept (three slots go to the reserved tokens) and every other
     token maps to ``<unk>``.  Returns ``(vocab, stream)``, `stream` the
     int64 array of the tokens' ids.
+
+    `tokens` may be any iterable; it is coded `PIECE_TOKENS` tokens at a
+    time into 4-byte codes numbered in order of first occurrence, so an
+    iterator's tokens are never all held: memory is a piece of tokens, the
+    words and 12 bytes a token (the codes and the ids).
     """
-    tokens = tokens if isinstance(tokens, list) else list(tokens)
-    words = list(dict.fromkeys(tokens))  # first-occurrence order
+    tokens = iter(tokens)
+    code_of = {}
+    pieces = []
+    while piece := list(itertools.islice(tokens, PIECE_TOKENS)):
+        codes = np.fromiter(map(code_of.get, piece, itertools.repeat(-1, len(piece))),
+                            dtype=np.int32, count=len(piece))
+        # the tokens of words first seen in this piece, in order
+        missing = codes < 0
+        unseen = list(map(piece.__getitem__, np.flatnonzero(missing).tolist()))
+        code_of.update(zip(dict.fromkeys(unseen), itertools.count(len(code_of))))
+        codes[missing] = np.fromiter(map(code_of.__getitem__, unseen), dtype=np.int32,
+                                       count=len(unseen))
+        pieces.append(codes)
+    words = list(code_of)  # first-occurrence order
     if not words:
         raise ValueError("empty corpus")
     if max_size is not None and max_size < len(RESERVED) + 1:
         raise ValueError(f"max_size must be at least {len(RESERVED) + 1}")
-    code_of = dict(zip(words, range(len(words))))
-    codes = np.fromiter(map(code_of.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    codes = np.concatenate(pieces)
+    del pieces  # before the ids are made: 12 bytes a token at most
     counts = np.bincount(codes, minlength=len(words))
 
     # the code of each reserved token in the text -> its id
@@ -182,15 +210,36 @@ def _decoded_lines(path):
     raise ValueError(f"{path}: invalid UTF-8")
 
 
-def read_tokens(path):
-    """Every token of a UTF-8 text file as one list: line ends separate
-    tokens like any other whitespace, so the text is one unframed stream."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().split()
-    except UnicodeDecodeError:
-        for _ in _decoded_lines(path):  # raises at the first line that is not UTF-8
-            pass
+def read_token_pieces(path):
+    """Yield the tokens of a UTF-8 text file in lists, one for each piece of
+    `PIECE_CHARS` characters, so the text is never held whole.
+
+    Line ends separate tokens like any other whitespace, so the text is one
+    unframed stream; a token that a piece's end cuts goes with the next
+    piece.  A file without a token raises ValueError ``PATH: empty
+    corpus``, and bytes that are not UTF-8 raise ValueError naming the first
+    line that holds them.
+    """
+    found = False
+    with open(path, encoding="utf-8") as f:
+        cut = ""
+        while True:
+            try:
+                text = f.read(PIECE_CHARS)
+            except UnicodeDecodeError:
+                for _ in _decoded_lines(path):  # raises at the first line that is not UTF-8
+                    pass
+            if not text:
+                break
+            tokens = (cut + text).split()
+            cut = tokens.pop() if tokens and not text[-1].isspace() else ""
+            if tokens:
+                found = True
+                yield tokens
+    if cut:
+        yield [cut]
+    elif not found:
+        raise ValueError(f"{path}: empty corpus")
 
 
 def read_corpus(path):

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.classing import BigramStats
+from classlm.classing import BLOCK_CELLS, BigramStats
 from classlm.network import MAX_STEP_ROWS
-from classlm.vocabulary import RESERVED, read_corpus
+from classlm.vocabulary import PIECE_CHARS, PIECE_TOKENS, RESERVED, read_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 PINNED = Path(__file__).resolve().parent / "data" / "byte_identity.txt"
@@ -100,11 +100,18 @@ def test_two_runs_print_the_same_digests(two_runs):
     training = cl.load_model(outs[0] / names[stop])[1]
     assert [scale for _, _, scale in training["history"]] == [1.0, 0.5, 0.25]
     assert training["stopped_reason"] == "patience exceeded"
-    # last, an input scored in three groups or more, one around a long sentence
-    assert names[stop + 2:] == ["grouped.txt", *sorted(grouped, key=names.index)]
+    # then an input scored in three groups or more, one around a long sentence
+    assert names[stop + 2:stop + 3 + len(grouped)] == ["grouped.txt",
+                                                       *sorted(grouped, key=names.index)]
     assert grouped <= set(names)
     sizes = _group_sizes(outs[0] / "grouped.txt")
     assert len(sizes) >= 3 and 1 < min(sizes) < 100
+    # last, classes of a corpus read in several pieces, with blocks summed in tiles
+    assert names[stop + 3 + len(grouped):] == ["zipf.txt", "classes-zipf.tsv"]
+    corpus = outs[0] / "zipf.txt"
+    assert corpus.stat().st_size > PIECE_CHARS
+    assert len(corpus.read_text(encoding="utf-8").split()) > PIECE_TOKENS
+    assert _largest_block(outs[0], "zipf.txt", "classes-zipf.tsv") > BLOCK_CELLS
 
 
 def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):
@@ -137,12 +144,31 @@ def _widest_level(out, corpus, model):
                for t in range(1, max(map(len, ids)) + 1))
 
 
+def _largest_block(out, corpus, class_file):
+    """Cells of the widest block a visit gathers under the final classes of
+    a class run: the most neighbour classes of one word (its own apart)
+    times the class count."""
+    stats = _final_stats(out, corpus, class_file)
+    widest = 0
+    for w in np.flatnonzero(stats.word_counts).tolist():
+        s, p, _, _, _ = stats._transition_mass(w)
+        own = stats.class_of[w]
+        widest = max(widest, np.count_nonzero(s) - bool(s[own]) + np.count_nonzero(p)
+                     - bool(p[own]))
+    return widest * stats.num_classes
+
+
+def _final_stats(out, corpus, class_file):
+    """The exchange statistics of the corpus under the classes of a class run."""
+    vocab, classmap = cl.load_class_file(out / class_file)
+    sentences = list(read_corpus(out / corpus))
+    return BigramStats([vocab.ids[w] for sentence in sentences for w in sentence], classmap)
+
+
 def _class_table_fill(out, corpus, class_file):
     """Share of nonzero cells in the class bigram table of a class run,
     over the classes of corpus words (reserved tokens never occur)."""
-    vocab, classmap = cl.load_class_file(out / class_file)
-    sentences = list(read_corpus(out / corpus))
-    stream = [vocab.ids[w] for sentence in sentences for w in sentence]
-    k = classmap.num_classes - len(RESERVED)
-    table = BigramStats(stream, classmap).class_bigrams[:k, :k]
+    stats = _final_stats(out, corpus, class_file)
+    k = stats.num_classes - len(RESERVED)
+    table = stats.class_bigrams[:k, :k]
     return np.count_nonzero(table) / table.size

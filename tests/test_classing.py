@@ -1,6 +1,7 @@
 """Vocabulary construction, the class-bigram objective and the exchange
 algorithm, each checked against independent brute-force oracles."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -374,6 +375,96 @@ def test_move_deltas_equal_dict_reference_on_edge_cases():
     _assert_deltas_match_reference(["a", "b"], 1, seed=0, movable_all=True)
     _assert_deltas_match_reference(["a", "b"], 2, seed=0, movable_all=True)
     _assert_deltas_match_reference(["a", "a"], 1, seed=0, movable_all=True)
+
+
+@pytest.mark.parametrize("budget", [3, 40, 300, 2000])
+def test_move_deltas_in_column_tiles_equal_dict_reference_bitwise(rng, monkeypatch, budget):
+    # at these budgets most visits sum their block in several column tiles;
+    # at 2,000 a range(0, K, width) split leaves some visit of 8 rows or
+    # more a one-column last tile, which numpy would sum pairwise
+    monkeypatch.setattr(cl.classing, "BLOCK_CELLS", budget)
+    column_tiles = cl.classing._column_tiles
+    tiled = []
+
+    def recording(rows, k):
+        bounds = column_tiles(rows, k)
+        tiled.append((rows, k, bounds))
+        return bounds
+
+    monkeypatch.setattr(cl.classing, "_column_tiles", recording)
+    words = [f"w{i}" for i in rng.zipf(1.2, size=6000) % 900]
+    _assert_deltas_match_reference(words, 250, seed=4, passes=1)
+    for trial in range(6):
+        n_types = int(rng.integers(3, 150))
+        words = [f"w{i}" for i in rng.zipf(1.3, size=int(rng.integers(2, 2500))) % n_types]
+        k = int(rng.integers(1, min(50, len(set(words))) + 1))
+        _assert_deltas_match_reference(words, k, seed=trial, movable_all=trial % 3 == 0)
+    for rows, k, bounds in tiled:
+        widths = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == k and (widths >= 2).all()
+        assert widths.max() * rows <= budget or widths.max() <= 3
+    assert sum(len(bounds) > 2 for _, _, bounds in tiled) > 100
+    assert any(rows >= 8 and k % max(2, budget // rows) == 1 and len(bounds) > 2
+               for rows, k, bounds in tiled)
+
+
+@pytest.fixture(scope="module")
+def thousand_classes():
+    """Exchange statistics of 1,000 classes on 30,000 Zipf tokens, and the
+    most frequent word, whose block of neighbour classes is 26 times
+    `BLOCK_CELLS`."""
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in (rng.zipf(1.2, size=30000) % 3000).tolist()]
+    vocab, stream = cl.vocabulary.index_tokens(words)
+    stats = BigramStats(stream, cl.initialize_classes(vocab, 1000))
+    widest = int(np.argmax(stats.word_counts))
+    return stats, widest
+
+
+def _traced_peak(call):
+    """Bytes that `call()` allocates at its peak beyond what it starts with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_wide_visit_takes_its_block_in_tiles(thousand_classes):
+    # the block taken whole peaks at 22.8 MB on this visit, its |d| x K
+    # cells at about 13 bytes each; in tiles the visit reads 1.6 times
+    # BLOCK_CELLS x 16 bytes
+    stats, w = thousand_classes
+    s, p, ds, dp, _ = stats._transition_mass(w)
+    a = stats.class_of[w]
+    block_cells = (ds.size - bool(s[a]) + dp.size - bool(p[a])) * stats.num_classes
+    assert block_cells >= 4 * cl.classing.BLOCK_CELLS
+    stats._visit = None, None
+    assert _traced_peak(lambda: stats.move_deltas(w)) < 2 * cl.classing.BLOCK_CELLS * 16
+
+
+def test_the_log_likelihood_sums_the_table_in_pieces(thousand_classes):
+    # K^2 = 1,006,009 cells, 8 MB as doubles all at once; in pieces the sum
+    # reads 1.1 times BLOCK_CELLS x 8 bytes
+    stats, _ = thousand_classes
+    assert stats.class_bigrams.size >= 15 * cl.classing.BLOCK_CELLS
+    assert _traced_peak(lambda: class_bigram_loglik(stats)) < 2 * cl.classing.BLOCK_CELLS * 8
+
+
+def test_indexing_holds_a_piece_of_tokens_and_12_bytes_a_token(rng, monkeypatch):
+    # each token a new string, as a reader makes them, and pieces small
+    # beside the ids: 4N tokens peak at most 3N x 12 bytes above N tokens
+    # (a 4-byte code and an 8-byte id a token), where holding every token
+    # would add some 60 bytes a token more
+    monkeypatch.setattr(cl.vocabulary, "PIECE_TOKENS", 512)
+    n = 25_000
+    peaks = []
+    for size in (n, 4 * n):
+        ids = (rng.zipf(1.3, size=size) % 500).tolist()
+        peaks.append(_traced_peak(lambda: cl.vocabulary.index_tokens(map("w{}".format, ids))))
+    assert peaks[1] - peaks[0] <= 3 * n * 12 + 64 * 1024
 
 
 def test_csr_neighbours_equal_circular_pair_counts(rng):

@@ -1,5 +1,7 @@
 """Property tests of the exchange algorithm on random small corpora."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,41 @@ def test_member_tables_sum_each_class_as_one_cumsum_would(cm):
     expected = np.concatenate([np.cumsum(m[a:a + n])
                                for a, n in zip(starts.tolist(), sizes.tolist())])
     assert cumulative.tobytes() == expected.tobytes()
+
+
+def _one_sum_loglik(stats):
+    """The log-likelihood with the count table looked up and summed whole."""
+    f = stats.xlogx
+    return float(f[stats.class_bigrams].sum() - 2.0 * f[stats.class_counts].sum()
+                 + f[stats.word_counts].sum())
+
+
+def _random_stats(seed, shape):
+    """Counts of the given table shape over an x ln x table of random
+    doubles whose magnitudes span 16 decades, so that another order of
+    additions rounds differently."""
+    rng = np.random.default_rng(seed)
+    f = rng.random(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
+    return types.SimpleNamespace(xlogx=f, class_bigrams=rng.integers(0, f.size, shape),
+                                 class_counts=rng.integers(0, f.size, shape[-1]),
+                                 word_counts=rng.integers(0, f.size, 40))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(budget=st.integers(1, 300), pieces=st.integers(0, 12),
+                  offset=st.integers(-9, 9), cols=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_the_log_likelihood_in_pieces_equals_one_table_sum_bitwise(budget, pieces, offset, cols,
+                                                                   seed):
+    # tables of a few pieces of a small budget, around their ends and
+    # around numpy's leaves of 128 values
+    cells = max(1, pieces * max(budget, 128) + offset)
+    stats = _random_stats(seed, (-(-cells // cols), cols))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cl.classing, "BLOCK_CELLS", budget)
+        assert cl.class_bigram_loglik(stats) == _one_sum_loglik(stats)
+
+
+def test_the_log_likelihood_of_a_thousand_classes_equals_one_table_sum_bitwise():
+    for seed in range(3):
+        stats = _random_stats(seed, (1003, 1003))
+        assert cl.class_bigram_loglik(stats) == _one_sum_loglik(stats)

@@ -799,6 +799,29 @@ def test_invalid_utf8_is_a_one_line_error_naming_file_and_line(toy_files, rng, c
     assert message == f"{bad}: line 2: invalid UTF-8"
 
 
+def test_a_late_invalid_line_of_a_class_corpus_leaves_no_class_file(tmp_path, caplog,
+                                                                    monkeypatch):
+    # 90 kB of text before the bad line: pieces are read and coded before
+    # it fails
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"w1 w2 w3\n" * 10_000 + b"w1 \xff\n" + b"w2\n")
+    out = tmp_path / "classes.tsv"
+    pieces = []
+    read_token_pieces = cl.cli.read_token_pieces
+
+    def recording(path):
+        for piece in read_token_pieces(path):
+            pieces.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(cl.cli, "read_token_pieces", recording)
+    message = _one_line_error(caplog, ["classes", "--corpus", str(bad), "--num-classes", "2",
+                                       "--output", str(out)])
+    assert message == f"{bad}: line 10001: invalid UTF-8"
+    assert pieces and sum(pieces) < 30_000
+    assert not out.exists()
+
+
 def _small_groups(monkeypatch):
     """Score in groups of a few short sentences; returns the group sizes scored."""
     sizes = []
@@ -850,7 +873,8 @@ def test_score_output_does_not_depend_on_the_groups(tmp_path, rng, monkeypatch, 
     assert whole.decode().splitlines()[-2].startswith("80\t")
 
 
-@pytest.mark.parametrize("text", ["", "\n  \n"])
+@pytest.mark.parametrize("text", ["", "\n  \n",
+                                  pytest.param(" \t\r\n" * 50_000, id="several pieces")])
 @pytest.mark.parametrize("role", ["classes", "train", "dev", "score"])
 def test_empty_corpus_is_a_one_line_error_naming_the_file(toy_files, rng, caplog, text, role):
     empty = toy_files["dir"] / "empty.txt"

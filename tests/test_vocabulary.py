@@ -156,15 +156,19 @@ def _reference_index(tokens, max_size):
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @hypothesis.given(sentences=st.lists(st.lists(_WORDS, max_size=8), max_size=5)
                   .filter(lambda s: any(s)),
-                  max_size=st.none() | st.integers(4, 8))
-def test_index_tokens_equals_a_vocabulary_and_a_lookup_per_token(sentences, max_size):
+                  max_size=st.none() | st.integers(4, 8),
+                  piece=st.integers(1, 5) | st.just(cl.vocabulary.PIECE_TOKENS))
+def test_index_tokens_equals_a_vocabulary_and_a_lookup_per_token(sentences, max_size, piece):
     # few word types and short corpora: ties in frequency, reserved tokens
-    # as text and one-token corpora are all common
+    # as text and one-token corpora are all common; small pieces put a
+    # word's first occurrence and its later ones in different pieces
     tokens = [t for s in sentences for t in s]
-    vocab, stream = cl.vocabulary.index_tokens(tokens, max_size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cl.vocabulary, "PIECE_TOKENS", piece)
+        vocab, stream = cl.vocabulary.index_tokens(iter(tokens), max_size)
+        built = cl.build_vocabulary(sentences, max_size)
     assert stream.dtype == np.int64
     assert (vocab.words, vocab.counts, stream.tolist()) == _reference_index(tokens, max_size)
-    built = cl.build_vocabulary(sentences, max_size)
     assert (built.words, built.counts) == (vocab.words, vocab.counts)
 
 
@@ -182,10 +186,34 @@ def test_index_tokens_rejects_empty_corpora_before_a_bad_max_size():
         cl.vocabulary.index_tokens(["a"], max_size=3)
 
 
-def test_read_tokens_splits_on_every_whitespace(tmp_path):
+def _read_tokens(path):
+    return [t for piece in cl.vocabulary.read_token_pieces(path) for t in piece]
+
+
+def test_read_token_pieces_splits_on_every_whitespace(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"a  b\tc\r\n\r\n d\x0be\n\nf")
-    assert cl.vocabulary.read_tokens(path) == ["a", "b", "c", "d", "e", "f"]
+    assert _read_tokens(path) == ["a", "b", "c", "d", "e", "f"]
     path.write_bytes(b"a\nb \xff\n")
     with pytest.raises(ValueError, match=r"line 2: invalid UTF-8$"):
-        cl.vocabulary.read_tokens(path)
+        _read_tokens(path)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(text=st.lists(st.sampled_from(["a", "bc", "\u00e9", " ", "  ", "\t", "\n", "\r",
+                                                 "\r\n", "\x0b", "\u2028"]), max_size=40)
+                  .map("".join),
+                  piece=st.integers(1, 9))
+def test_token_pieces_are_the_tokens_of_one_split(tmp_path_factory, text, piece):
+    # every piece size cuts tokens, whitespace runs and CRLF line ends
+    path = tmp_path_factory.mktemp("pieces") / "corpus.txt"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cl.vocabulary, "PIECE_CHARS", piece)
+        if not text.split():
+            with pytest.raises(ValueError, match=f"^{path}: empty corpus$"):
+                _read_tokens(path)
+            return
+        pieces = list(cl.vocabulary.read_token_pieces(path))
+    assert [t for p in pieces for t in p] == path.read_text(encoding="utf-8").split()
+    assert all(pieces)

@@ -31,7 +31,10 @@ After that it trains the LSTM with sgd, validating every 3 batches, until
 validations that improve by less than 5% anneal the learning rate and stop
 training mid-epoch, and scores with that model.  Then it scores 12,001
 sentences, one of them 1,000 words long, on the LSTM and GRU models, so
-that ``score`` reads its input in several groups.  It prints one
+that ``score`` reads its input in several groups.  Last, it induces 400
+classes in one pass on 20,000 Zipf-distributed tokens, a corpus read in
+several pieces whose most frequent words take blocks of class-bigram
+counts larger than ``classing.BLOCK_CELLS``.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -258,7 +261,25 @@ def produce(out):
         run(["score", "--model", p(model), "--input", p("grouped.txt"), "--output",
              p(f"{stem}.score-grouped")])
         outputs.append(f"{stem}.score-grouped")
+    # after every other output: a corpus of several text and token pieces
+    # whose widest visits sum their blocks in column tiles
+    write_zipf_corpus(np.random.default_rng(SEED + 5), p("zipf.txt"))
+    run(["classes", "--corpus", p("zipf.txt"), "--num-classes", "400", "--max-passes", "1",
+         "--output", p("classes-zipf.tsv")])
+    outputs += ["zipf.txt", "classes-zipf.tsv"]
     return outputs
+
+
+def write_zipf_corpus(rng, path, tokens=20000):
+    """`tokens` Zipf-distributed tokens over about 2,500 word types, in
+    lines of 5 to 29 tokens."""
+    words = [f"z{i}" for i in (rng.zipf(1.2, size=tokens) % 3000).tolist()]
+    with open(path, "w", encoding="utf-8") as f:
+        start = 0
+        while start < tokens:
+            end = start + int(rng.integers(5, 30))
+            f.write(" ".join(words[start:end]) + "\n")
+            start = end
 
 
 def write_grouped_input(rng, path, sentences=12000, outlier=1000):
