@@ -111,7 +111,10 @@ def parse_description(text):
     """
     specs = []
     names = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n", "\r\n" and "\r" only, as in text mode; splitlines()
+    # would also split at form feeds, U+2028 and other characters
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -44,7 +44,7 @@ from .rescoring import (
 from .sampling import sample_text
 from .scoring import add_in_order, perplexity, score_groups
 from .training import TrainingConfig, train
-from .vocabulary import build_vocabulary, read_corpus, read_token_pieces, text_lines
+from .vocabulary import RESERVED, build_vocabulary, read_corpus, read_token_pieces, text_lines
 
 log = logging.getLogger("classlm")
 
@@ -122,6 +122,8 @@ def cmd_train(args):
         max_epochs=args.max_epochs,
         seed=args.seed,
     )
+    if args.max_vocab is not None and args.max_vocab < len(RESERVED) + 1:
+        raise ValueError(f"--max-vocab must be at least {len(RESERVED) + 1}, got {args.max_vocab}")
     desc_text = "".join(text_lines(args.arch))
     try:
         desc = parse_description(desc_text)

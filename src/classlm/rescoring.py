@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import score_arrays
-from .vocabulary import text_lines
+from .vocabulary import invalid_utf8, text_lines
 
 __all__ = [
     "InterpolationParams",
@@ -105,30 +105,34 @@ class NBest:
 def read_nbest_file(path):
     """Parse ``utt_id acoustic backoff w1 ... wN`` lines into an :class:`NBest`.
 
-    The file is split into columns and each score read by ``float``; only
-    when a check fails is it read again line by line, to name the first
-    line that fails one.
+    The file is read once, split into columns and each score read by
+    ``float``; only when a check fails are the lines it holds walked again,
+    to name the first line that fails one.
     """
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        lines = f.readlines()
+    rows = ([] if any(map(invalid_utf8, lines))  # no columns from a file that is not UTF-8
+            else [parts for parts in map(str.split, lines) if parts])
     try:
-        with open(path, encoding="utf-8") as f:
-            # universal newlines leave "\n" the one line end, as in line iteration
-            rows = [parts for parts in map(str.split, f.read().split("\n")) if parts]
         valid = bool(rows) and min(map(len, rows)) >= 4
         if valid:
             acoustic, backoff = (np.array([float(parts[k]) for parts in rows]) for k in (1, 2))
             valid = np.isfinite(acoustic).all() and np.isfinite(backoff).all()
-    except ValueError:  # not UTF-8, or a score that float() does not read
+    except ValueError:  # a score that float() does not read
         valid = False
     if not valid:
-        _raise_nbest_error(path)
+        _raise_nbest_error(path, lines)
+    del lines  # held to name a failing line only
     return NBest.from_columns([parts[0] for parts in rows], acoustic, backoff,
                               [tuple(parts[3:]) for parts in rows])
 
 
-def _raise_nbest_error(path):
-    """Raise ValueError naming the first line of `path` that is not UTF-8
-    or not a well-formed hypothesis, or saying that it holds none."""
-    for line_no, line in enumerate(text_lines(path), start=1):
+def _raise_nbest_error(path, lines):
+    """Raise ValueError naming the first of the `lines` of `path` that is
+    not UTF-8 or not a well-formed hypothesis, or saying that it holds none."""
+    for line_no, line in enumerate(lines, start=1):
+        if invalid_utf8(line):
+            raise ValueError(f"{path}: line {line_no}: invalid UTF-8")
         parts = line.split()
         if not parts:
             continue

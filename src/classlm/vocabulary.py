@@ -10,6 +10,10 @@ A corpus for the exchange algorithm is streamed: :func:`read_token_pieces`
 reads a file in pieces of text, and :func:`index_tokens` codes any
 iterable of tokens a piece at a time, so neither holds the corpus as text
 or as a list of strings.
+
+Every text input is read once with ``errors="surrogateescape"``, so
+decoding never stops; :func:`invalid_utf8` finds the bytes that are not
+UTF-8 in what was read, and a reader names the first line that holds any.
 """
 
 from __future__ import annotations
@@ -172,42 +176,33 @@ def index_tokens(tokens, max_size=None):
     return vocab, id_of[codes]
 
 
+def invalid_utf8(text):
+    """Whether `text`, read with ``errors="surrogateescape"``, holds bytes
+    that are not UTF-8.  Each such byte reads as a lone surrogate, U+DC80
+    to U+DCFF, which valid UTF-8 never decodes to; only text that is not
+    ASCII, an O(1) test, is encoded to look for one."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return True
+    return False
+
+
 def text_lines(path):
     """Yield the lines of a UTF-8 text file.
 
-    Bytes that are not UTF-8 raise ValueError naming the file and the first
-    line that holds them, once every line before it has been yielded, so a
+    The file is read once, its line ends translated as text mode does.  A
+    line that holds bytes that are not UTF-8 raises ValueError naming the
+    file and the line, once every line before it has been yielded, so a
     reader that checks each line names the first failing line of either
-    kind, wherever the decoder's read-ahead blocks end.
+    kind.
     """
-    yielded = 0
-    with open(path, encoding="utf-8") as f:
-        try:
-            for line in f:
-                yield line
-                yielded += 1
-            return
-        except UnicodeDecodeError:
-            pass
-    yield from itertools.islice(_decoded_lines(path), yielded, None)
-
-
-def _decoded_lines(path):
-    """Yield the lines of `path` as text mode reads them, each decoded on
-    its own, up to the first that is not UTF-8, which raises ValueError
-    naming it."""
-    with open(path, "rb") as f:
-        data = f.read()
-    # bytes split at "\n", "\r\n" and "\r" only, the universal newlines of
-    # text mode; no line end byte occurs inside a UTF-8 sequence
-    for line_no, line in enumerate(data.splitlines(keepends=True), start=1):
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {line_no}: invalid UTF-8") from None
-        body = text.rstrip("\r\n")
-        yield body + "\n" if len(body) < len(text) else text
-    raise ValueError(f"{path}: invalid UTF-8")
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isascii() and invalid_utf8(line):  # no call for an ASCII line
+                raise ValueError(f"{path}: line {line_no}: invalid UTF-8")
+            yield line
 
 
 def read_token_pieces(path):
@@ -218,19 +213,17 @@ def read_token_pieces(path):
     unframed stream; a token that a piece's end cuts goes with the next
     piece.  A file without a token raises ValueError ``PATH: empty
     corpus``, and bytes that are not UTF-8 raise ValueError naming the first
-    line that holds them.
+    line that holds them, found by reading the file again through
+    `text_lines`, line by line.
     """
     found = False
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         cut = ""
-        while True:
-            try:
-                text = f.read(PIECE_CHARS)
-            except UnicodeDecodeError:
-                for _ in _decoded_lines(path):  # raises at the first line that is not UTF-8
+        while text := f.read(PIECE_CHARS):
+            if invalid_utf8(text):
+                for _ in text_lines(path):  # raises at the first line that is not UTF-8
                     pass
-            if not text:
-                break
+                raise ValueError(f"{path}: invalid UTF-8")  # the file changed while read
             tokens = (cut + text).split()
             cut = tokens.pop() if tokens and not text[-1].isspace() else ""
             if tokens:

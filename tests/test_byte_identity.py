@@ -12,6 +12,7 @@ only with a change to what the program is meant to output.
 
 import ctypes
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,12 +107,19 @@ def test_two_runs_print_the_same_digests(two_runs):
     assert grouped <= set(names)
     sizes = _group_sizes(outs[0] / "grouped.txt")
     assert len(sizes) >= 3 and 1 < min(sizes) < 100
-    # last, classes of a corpus read in several pieces, with blocks summed in tiles
-    assert names[stop + 3 + len(grouped):] == ["zipf.txt", "classes-zipf.tsv"]
+    # then classes of a corpus read in several pieces, with blocks summed in tiles
+    zipf = stop + 3 + len(grouped)
+    assert names[zipf:zipf + 2] == ["zipf.txt", "classes-zipf.tsv"]
     corpus = outs[0] / "zipf.txt"
     assert corpus.stat().st_size > PIECE_CHARS
     assert len(corpus.read_text(encoding="utf-8").split()) > PIECE_TOKENS
     assert _largest_block(outs[0], "zipf.txt", "classes-zipf.tsv") > BLOCK_CELLS
+    # last, a corpus that is not ASCII, with every kind of line end, classed and scored
+    assert names[zipf + 2:] == ["non-ascii.txt", "classes-non-ascii.tsv",
+                                "lstm-double.score-non-ascii", "gru-double.score-non-ascii"]
+    text = (outs[0] / "non-ascii.txt").read_bytes()
+    assert not text.isascii() and "\u2028".encode() in text
+    assert b"\r\n" in text and re.search(rb"\r[^\n]", text) and re.search(rb"[^\r]\n", text)
 
 
 def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):

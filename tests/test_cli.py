@@ -714,6 +714,38 @@ def test_non_finite_or_negative_hyperparameter_is_a_one_line_error(toy_files, ca
     assert not model.exists()
 
 
+@pytest.mark.parametrize("value", ["3", "0", "-1"])
+def test_a_max_vocab_below_four_is_refused_before_any_input_is_read(toy_files, caplog, value):
+    # the training corpus does not exist: reading it would be the error
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["dir"] / "missing.txt"), "--dev", str(toy_files["dev"]),
+        "--arch", str(toy_files["arch"]), "--output-model", str(toy_files["dir"] / "m.clm"),
+        "--max-vocab", value])
+    assert message == f"--max-vocab must be at least 4, got {value}"
+
+
+def test_architecture_lines_end_where_text_mode_ends_them(toy_files, caplog):
+    # form feeds, U+2028 and the other line breaks of str.splitlines() stay
+    # inside a comment; "\n", "\r\n" and a lone "\r" end a line
+    lines = support.SMALL_ARCH.splitlines()
+    lines[1:1] = ["# projection\u2028of words", "# one\x0ctwo\x1cthree\x1dfour\x1efive\x85six"]
+
+    def write(lines):
+        ends = ["\r\n", "\r", "\n"] * len(lines)
+        toy_files["arch"].write_text("".join(map("".join, zip(lines, ends))), newline="")
+
+    write(lines)
+    assert _train(toy_files, extra=["--max-epochs", "1"]).exists()
+    # a bad declaration after such comments is named by its line in the file
+    lines[4] = lines[4].replace("size=16", "size=-4")
+    write(lines)
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dev"]),
+        "--arch", str(toy_files["arch"]), "--output-model", str(toy_files["dir"] / "bad.clm")])
+    assert message.startswith(f"{toy_files['arch']}: line 5: ")
+    assert "size" in message
+
+
 def test_dropout_rate_survives_save_and_load(toy_files):
     # 0.9999999 printed with %g reads 1, which the parser rejects
     arch = support.SMALL_ARCH.replace(

@@ -34,7 +34,10 @@ sentences, one of them 1,000 words long, on the LSTM and GRU models, so
 that ``score`` reads its input in several groups.  Last, it induces 400
 classes in one pass on 20,000 Zipf-distributed tokens, a corpus read in
 several pieces whose most frequent words take blocks of class-bigram
-counts larger than ``classing.BLOCK_CELLS``.  It prints one
+counts larger than ``classing.BLOCK_CELLS``.  After that it induces 6
+classes on a corpus of Finnish and ASCII words with CRLF, lone CR and LF
+line ends, and scores it on the double-precision LSTM and GRU models.  It
+prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -267,7 +270,32 @@ def produce(out):
     run(["classes", "--corpus", p("zipf.txt"), "--num-classes", "400", "--max-passes", "1",
          "--output", p("classes-zipf.tsv")])
     outputs += ["zipf.txt", "classes-zipf.tsv"]
+    # after every other output: a corpus that is not ASCII, with every kind
+    # of line end, through the class and score readers
+    write_non_ascii_corpus(np.random.default_rng(SEED + 6), p("non-ascii.txt"))
+    run(["classes", "--corpus", p("non-ascii.txt"), "--num-classes", "6", "--output",
+         p("classes-non-ascii.tsv")])
+    outputs += ["non-ascii.txt", "classes-non-ascii.tsv"]
+    for model in ("lstm-double.clm", "gru-double.clm"):
+        stem = model[: -len(".clm")]
+        run(["score", "--model", p(model), "--input", p("non-ascii.txt"), "--output",
+             p(f"{stem}.score-non-ascii")])
+        outputs.append(f"{stem}.score-non-ascii")
     return outputs
+
+
+def write_non_ascii_corpus(rng, path):
+    """Markov sentences over corpus words and Finnish words, joined by
+    spaces, no-break spaces and U+2028 (whitespace to ``str.split``, no line
+    end to text mode), each ended by a CRLF, a lone CR or an LF."""
+    words = [f"w{i:02d}" for i in range(10)] + [
+        "päivää", "kiitos", "hyvää", "yö", "öljyä", "tämä", "äänestää", "Åland", "€"]
+    gaps = [" ", " ", "\u00a0", "\u2028"]
+    ends = ["\r\n", "\r", "\n"]
+    with open(path, "wb") as f:
+        for s in markov_sentences(rng, words, 80):
+            text = s[0] + "".join(gaps[int(rng.integers(len(gaps)))] + w for w in s[1:])
+            f.write((text + ends[int(rng.integers(len(ends)))]).encode())
 
 
 def write_zipf_corpus(rng, path, tokens=20000):
