@@ -135,11 +135,12 @@ def cmd_train(args):
         log.error("%s: %s", args.arch, "; ".join(violations))
         return 1
 
-    train_sentences = _read_sentences(args.train)
-    dev_sentences = _read_sentences(args.dev)
+    # the class file is checked before either corpus is read or held
     if args.classes:
         vocab, classmap = load_class_file(args.classes)
-    else:
+    train_sentences = _read_sentences(args.train)
+    dev_sentences = _read_sentences(args.dev)
+    if not args.classes:
         vocab = build_vocabulary(train_sentences, max_size=args.max_vocab)
         classmap = identity_classmap(vocab)
         log.info("no class file given; using one class per word (%d classes)", len(vocab))

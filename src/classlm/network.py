@@ -8,15 +8,16 @@ in through ``state/...`` bindings, and the state sequences out.  The
 evaluation graph (no dropout) outputs the class distribution of every
 position.  :meth:`Network.step` runs it at T = 1, and it is the one step of
 scoring and sampling: it pads a step's rows to whole row blocks, splits
-them into chunks and into parts on pinned worker threads, and computes each
-part's word-side layers (projections, and whatever reads only word-side
-layers) once per distinct word id, not once per row; by the row rule of
-:mod:`classlm.graph` every row keeps the bits it would have had.  Sampling
-takes every row's class distribution; scoring passes the (row, class)
-pairs it reads, and each part returns only those entries.  The
-training graph binds dropout masks, targets and a position mask, all
-``(T, B, ...)``, and outputs the mean masked cross-entropy as "loss", so
-one evaluation and one backward pass cover a whole training batch.
+them into chunks, and computes each chunk's word-side layers (projections,
+and whatever reads only word-side layers) once per distinct word id, not
+once per row; by the row rule of :mod:`classlm.graph` every row keeps the
+bits it would have had.  Sampling takes every row's class distribution;
+scoring passes the (row, class) pairs it reads.  Threads split calls,
+not steps: :func:`in_runs` cuts a call's sentences into runs, each stepped
+on a thread of its own.  The training graph binds dropout masks, targets
+and a position mask, all ``(T, B, ...)``, and outputs the mean masked
+cross-entropy as "loss", so one evaluation and one backward pass cover a
+whole training batch.
 
 The softmax layer always has one output unit per word class; with an
 identity class map this degenerates to a full-vocabulary softmax.
@@ -24,6 +25,7 @@ identity class map this degenerates to a full-vocabulary softmax.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
 import threading
@@ -35,7 +37,7 @@ from .architecture import INPUT_KINDS, RECURRENT_KINDS, validate_description
 from .classing import identity_classmap
 from .graph import ROW_BLOCK, Graph, forward_eval
 
-__all__ = ["Network", "file_blocks", "instantiate_network", "parameter_shapes"]
+__all__ = ["Network", "file_blocks", "in_runs", "instantiate_network", "parameter_shapes"]
 
 _DTYPES = {"double": np.float64, "single": np.float32}
 _GATES = {"lstm": "ifoc", "gru": "zrh"}  # gate letters in stacking order
@@ -43,19 +45,17 @@ _GATES = {"lstm": "ifoc", "gru": "zrh"}  # gate letters in stacking order
 # Rows per network step, a multiple of ROW_BLOCK: a trie level or a sampling
 # position wider than this is split, which bounds a step's memory on large
 # inputs and, since rows are computed in independent blocks, changes no
-# result.
+# result.  The runs of a call share it (see in_runs).
 MAX_STEP_ROWS = 128 * ROW_BLOCK
 
-# Rows per part of a step split across threads, at least, so a step splits
-# from 160 rows on.  Two parts on pinned workers against one step on the
-# calling thread, on windows of the benchmark's trie levels at the sizes of
-# the `rescore` and of the `train` benchmark model, on a 2-core host with
-# one BLAS thread (medians of 200 steps, three sessions): 0.97-1.09x the
-# speed at 128 rows, 1.03-1.17x at 144, 1.00-1.20x at 160, 1.10-1.26x at
-# 192 and 1.27-1.34x at 256.
-PART_ROWS = 80
+# Sentences per run of a call split across threads, at least, so a call
+# splits from 160 sentences on: a run steps no more rows than its sentences,
+# and steps split across threads paid from 160 rows on (2-core host, one
+# BLAS thread, medians of 200 steps: 1.00-1.20x at 160 rows, 0.97-1.09x at
+# 128).  The benchmark `sample` (120) and `train` dev set (64) stay whole.
+RUN_SENTENCES = 80
 
-_pool = None  # worker threads for the parts of split steps, made on first use
+_pool = None  # worker threads for the runs of split calls, made on first use
 _pool_lock = threading.Lock()
 _most_threads = 1  # read by threads_used()
 
@@ -69,18 +69,17 @@ def cpu_count():
 
 
 def threads_used():
-    """The most threads one :meth:`Network.step` has run on in this process."""
+    """The most threads one call of :func:`in_runs` has run on in this process."""
     return _most_threads
 
 
 def _pinned_pool(workers):
     """A pool of `workers` threads, each pinned when it starts to one CPU of
-    this thread's affinity mask, taking the CPUs in turn, so that the parts
-    of a step run side by side.  A worker whose pin fails, or any worker on
-    a platform without affinity masks, runs unpinned; the calling thread's
-    affinity is never changed."""
+    this thread's affinity mask, taking the CPUs in turn.  A worker whose
+    pin fails, or any worker on a platform without affinity masks, runs
+    unpinned; the calling thread's affinity is never changed."""
     if not hasattr(os, "sched_setaffinity"):
-        return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step")
+        return ThreadPoolExecutor(workers, thread_name_prefix="classlm-run")
     cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
     lock = threading.Lock()  # workers start concurrently
 
@@ -92,7 +91,42 @@ def _pinned_pool(workers):
         except OSError:  # a pin the system refuses: the worker runs unpinned
             pass
 
-    return ThreadPoolExecutor(workers, thread_name_prefix="classlm-step", initializer=pin)
+    return ThreadPoolExecutor(workers, thread_name_prefix="classlm-run", initializer=pin)
+
+
+def in_runs(network, weights, run):
+    """``run(lo, hi, max_rows)`` on contiguous runs ``[lo, hi)`` of the
+    items whose `weights` are given; returns the results in run order.
+
+    From two runs of ``RUN_SENTENCES`` items on, the items are cut where
+    the running weight crosses an equal share, one run per CPU at most:
+    run 0 on this thread, the others on the pinned workers.  Each run
+    steps `max_rows` rows at most, its share of ``MAX_STEP_ROWS`` in row
+    blocks.  A run that raises does so here once every run has ended; of
+    several, the first in run order.
+    """
+    n = len(weights)
+    runs = max(1, min(cpu_count(), n // RUN_SENTENCES, MAX_STEP_ROWS // ROW_BLOCK))
+    if runs == 1:
+        return [run(0, n, MAX_STEP_ROWS)]
+    cumulative = np.cumsum(weights)
+    cuts = np.searchsorted(cumulative, cumulative[-1] * np.arange(1, runs) / runs) + 1
+    bounds = sorted({0, n, *cuts.tolist()})  # a heavy item may swallow a share
+    runs = len(bounds) - 1
+    max_rows = MAX_STEP_ROWS // runs // ROW_BLOCK * ROW_BLOCK
+    global _pool, _most_threads
+    with _pool_lock:
+        if _pool is None:
+            _pool = _pinned_pool(cpu_count() - 1)
+        _most_threads = max(_most_threads, runs)
+    network.step_graph()  # built here, so two threads never race to build it
+    futures = [_pool.submit(contextvars.copy_context().run, run, lo, hi, max_rows)
+               for lo, hi in zip(bounds[1:], bounds[2:])]
+    try:
+        first = run(bounds[0], bounds[1], max_rows)
+    finally:
+        wait(futures)  # no run outlives the call, failed or not
+    return [first, *(future.result() for future in futures)]
 
 
 def _layer_widths(desc, vocab, classes):
@@ -320,36 +354,22 @@ class Network:
 
     # -- evaluation -------------------------------------------------------------
 
-    def step(self, state, rows, word_ids, picks=None):
-        """One step from each state row in `rows` on the matching word id.
+    def step(self, state, rows, word_ids, picks=None, max_rows=None):
+        """One step, on this thread, from each state row in `rows` on the
+        matching word id; returns ``(class probabilities, new state)`` with
+        one row per entry of `rows`.  With `picks`, a pair ``(pick_rows,
+        pick_classes)`` of equal-length integer arrays, the first item is
+        instead the vector ``probs[pick_rows, pick_classes]``, each the same
+        float as in the full array; a pick row lies in ``range(len(rows))``.
 
-        Returns ``(class probabilities, new state)`` with one row per entry
-        of `rows`.  With `picks`, a pair ``(pick_rows, pick_classes)`` of
-        equal-length integer arrays, the first item is instead the vector
-        ``probs[pick_rows, pick_classes]``, one probability per pick, each
-        the same float as in the full array; a pick row lies in
-        ``range(len(rows))``.  Each part of the step then gathers its own
-        picks before it returns, so no (rows x classes) array outlives a
-        part and none as wide as the step is allocated.
-
-        The rows are padded to a multiple of ``ROW_BLOCK`` by
-        repeating the last one and run at most ``MAX_STEP_ROWS`` per step.
-        Each part of a step binds its ids once per distinct word, padded to
-        a multiple of ``ROW_BLOCK`` by repeating the last, and runs the
-        word-side layers on those rows only.  By the row rule of
+        The rows are padded to a multiple of ``ROW_BLOCK`` by repeating the
+        last one and run in chunks of at most `max_rows` (by default
+        ``MAX_STEP_ROWS``) rows.  Each chunk binds its ids once per distinct
+        word, padded likewise, runs the word-side layers on those rows
+        only, and gathers its picks before the next chunk runs, so no
+        (rows x classes) array outlives a chunk.  By the row rule of
         :mod:`classlm.graph` a row's results are bitwise the same whatever
         other rows it runs with; the padding rows are dropped.
-
-        A step of at least two parts of ``PART_ROWS`` rows runs as contiguous
-        parts on block boundaries, one per CPU of the process's affinity mask
-        at most, each on a worker thread pinned to its own CPU.  Row blocks
-        make the parts' results the bits of one serial step.  A part that
-        raises does so here, after every other part has ended.
-
-        A step that runs as one part returns views of that part's arrays,
-        or its gathered picks and views of its states.  For any other step
-        this thread allocates the result, and every part writes its rows
-        (or its picks) into it on the thread that ran it.
         """
         n = len(rows)
         if picks is not None:
@@ -359,35 +379,32 @@ class Network:
         pad = -n % ROW_BLOCK
         rows = np.concatenate([rows, np.repeat(rows[-1:], pad)])
         word_ids = np.concatenate([word_ids, np.repeat(word_ids[-1:], pad)])
-        cpus = cpu_count()
-        steps = []
-        for lo in range(0, len(rows), MAX_STEP_ROWS):
-            size = min(MAX_STEP_ROWS, len(rows) - lo)
-            parts = max(1, min(cpus, size // PART_ROWS))
-            # contiguous parts of at least PART_ROWS rows, on block boundaries
-            steps.append([lo + ROW_BLOCK * (size // ROW_BLOCK * i // parts)
-                          for i in range(parts + 1)])
-        if len(steps) == 1 and len(steps[0]) == 2:
-            probs, new = self._step_part({key: value[rows] for key, value in state.items()},
-                                         word_ids)
+        max_rows = max_rows or MAX_STEP_ROWS
+        if len(rows) <= max_rows:  # one chunk: views of its own arrays, or its picks
+            probs, new = self._step_chunk({key: value[rows] for key, value in state.items()},
+                                          word_ids)
             probs = probs[:n] if picks is None else probs[picks]
             return probs, {key: value[:n] for key, value in new.items()}
         # a step's values have the type of its parameters and input state together
         dtype = np.result_type(self.dtype, *state.values())
-        if picks is None:
-            probs = np.empty((len(rows), self.classes.num_classes), dtype)
-        else:
-            probs = np.empty(len(picks[0]), dtype)
-            # sorted by row, so that each part's picks are one contiguous run
-            order = np.argsort(picks[0], kind="stable")
-            picks = order, picks[0][order], picks[1][order]
+        shape = (len(rows), self.classes.num_classes) if picks is None else len(picks[0])
+        probs = np.empty(shape, dtype)
         new = {key: np.empty((len(rows), *value.shape[1:]), dtype) for key, value in state.items()}
-        for bounds in steps:
-            self._step_parts(state, rows, word_ids, (probs, new), bounds, cpus, picks)
+        for lo in range(0, len(rows), max_rows):
+            hi = lo + max_rows
+            chunk_probs, chunk_new = self._step_chunk(
+                {key: value[rows[lo:hi]] for key, value in state.items()}, word_ids[lo:hi])
+            if picks is None:
+                probs[lo:hi] = chunk_probs
+            else:
+                mine = (lo <= picks[0]) & (picks[0] < hi)
+                probs[mine] = chunk_probs[picks[0][mine] - lo, picks[1][mine]]
+            for key, value in chunk_new.items():
+                new[key][lo:hi] = value
         return probs[:n] if picks is None else probs, {key: value[:n] for key, value in new.items()}
 
-    def _step_part(self, state, word_ids):
-        """One part of a step: `state` has one row per word id, a multiple
+    def _step_chunk(self, state, word_ids):
+        """One chunk of a step: `state` has one row per word id, a multiple
         of ``ROW_BLOCK`` of them, and the ids are bound once per distinct
         word.  Returns (class probabilities, new state)."""
         words, word_rows = np.unique(word_ids, return_inverse=True)
@@ -398,40 +415,6 @@ class Network:
             bindings[f"state/{key}"] = value
         outputs = forward_eval(self.step_graph(), bindings, self.params).outputs
         return outputs["class_probs"][0], {key: outputs[f"state/{key}"][-1] for key in state}
-
-    def _step_parts(self, state, rows, word_ids, result, bounds, cpus, picks):
-        """One step over the parts ``rows[bounds[i]:bounds[i + 1]]``, each
-        written into its rows of `result`, or with `picks` (the pick order
-        and the picks sorted by row) into its picks' entries.  One part runs
-        on this thread; two or more run on the pinned workers while this
-        thread waits, since this thread may share a CPU with a worker."""
-
-        def run(lo, hi):
-            probs, new = self._step_part({key: value[rows[lo:hi]] for key, value in state.items()},
-                                         word_ids[lo:hi])
-            if picks is None:
-                result[0][lo:hi] = probs
-            else:
-                order, pick_rows, pick_classes = picks
-                a, b = np.searchsorted(pick_rows, (lo, hi))
-                result[0][order[a:b]] = probs[pick_rows[a:b] - lo, pick_classes[a:b]]
-            for key, value in new.items():
-                result[1][key][lo:hi] = value
-
-        parts = list(zip(bounds, bounds[1:]))
-        if len(parts) == 1:
-            run(*parts[0])
-            return
-        global _pool, _most_threads
-        with _pool_lock:
-            if _pool is None:
-                _pool = _pinned_pool(cpus)
-            _most_threads = max(_most_threads, len(parts))
-        self.step_graph()  # built here, so two threads never race to build it
-        futures = [_pool.submit(run, lo, hi) for lo, hi in parts]
-        wait(futures)  # no part outlives the call, failed or not
-        for future in futures:
-            future.result()
 
     def copy_params(self):
         return {name: value.copy() for name, value in self.params.items()}

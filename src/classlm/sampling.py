@@ -5,14 +5,15 @@ word from the fixed membership distribution of that class.  Generation
 starts from the sentence-start token and stops at the sentence-end token or
 after `max_tokens` words.
 
-All sentences advance together: one network step per position runs every
+Each run of sentences (:func:`~classlm.network.in_runs`, on a thread of
+its own) advances together: one network step per position runs every
 sentence still live, and a sentence that draws the end token leaves the
 batch.  The first step, where every sentence has the start state and the
 start token, runs one row for all of them.  Sentence i draws from its own
 random stream, the i-th child of ``SeedSequence(seed)``, and a row of
 :meth:`~classlm.network.Network.step` keeps its bits whatever other rows
 it runs with, so its text depends only on the seed, i and the model: it is
-the same for every `count` above i.
+the same for every `count` above i, whatever run it lands in.
 
 Draw order: at each position a sentence takes the next uniform u of its
 stream for the class, the first class whose running probability sum exceeds
@@ -25,6 +26,8 @@ several at a time, which gives the same numbers as one draw after another.
 from __future__ import annotations
 
 import numpy as np
+
+from .network import in_runs
 
 __all__ = ["sample_text"]
 
@@ -41,13 +44,13 @@ def _pick(cumulative, r, last):
 
 
 class _Uniforms:
-    """Each sentence's uniforms from its own stream, drawn `block` at a time
-    and handed out in order, one per sentence per :meth:`take`."""
+    """Each sentence's uniforms from its own seed sequence, drawn `block` at
+    a time and handed out in order, one per sentence per :meth:`take`."""
 
-    def __init__(self, seed, count, block):
-        self.rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-        self.values = np.empty((count, block))
-        self.used = np.full(count, block)
+    def __init__(self, streams, block):
+        self.rngs = [np.random.default_rng(s) for s in streams]
+        self.values = np.empty((len(streams), block))
+        self.used = np.full(len(streams), block)
 
     def take(self, sentences):
         """The next uniform of each of `sentences` (distinct ids)."""
@@ -91,9 +94,16 @@ def sample_text(network, seed, max_tokens, count=1):
     """Generate `count` sentences; returns lists of tokens without framing."""
     if max_tokens < 0 or count < 0:
         raise ValueError("max_tokens and count must be non-negative")
-    classes = network.classes
-    vocab = network.vocab
-    uniforms = _Uniforms(seed, count, min(2 * max_tokens, UNIFORM_BLOCK))
+    streams = np.random.SeedSequence(seed).spawn(count)
+    runs = in_runs(network, np.ones(count), lambda lo, hi, max_rows: _sample(
+        network, streams[lo:hi], max_tokens, max_rows))
+    return [tokens for run in runs for tokens in run]
+
+
+def _sample(network, streams, max_tokens, max_rows):
+    """One sentence per seed sequence of `streams`, in steps of `max_rows` rows at most."""
+    classes, vocab, count = network.classes, network.vocab, len(streams)
+    uniforms = _Uniforms(streams, min(2 * max_tokens, UNIFORM_BLOCK))
     words, starts, sizes, _ = classes.member_tables
 
     live = np.arange(count)  # the sentence of each state row
@@ -108,7 +118,7 @@ def sample_text(network, seed, max_tokens, count=1):
     for _ in range(max_tokens):
         if not live.size:
             break
-        probs, state = network.step(state, rows, drawn)
+        probs, state = network.step(state, rows, drawn, max_rows=max_rows)
         cumulative = np.cumsum(probs, axis=1)
         if len(cumulative) < live.size:  # the first step; the next gather copies its row
             cumulative = np.broadcast_to(cumulative, (live.size, cumulative.shape[1]))

@@ -13,10 +13,11 @@ the history still advances through them.
 
 :func:`score_arrays` is the scoring core.  It frames every sentence in
 one pass over the tokens (:func:`~classlm.vocabulary.frame_sentences`)
-into a padded (sentence, position) id matrix, walks the sentences' prefix
-trie one :meth:`~classlm.network.Network.step` per level, and returns the
-totals, the counted-token numbers and the per-position log-probabilities
-as arrays (:class:`ScoreArrays`), which perplexity and every caller in the
+into a padded (sentence, position) id matrix, walks the prefix trie of
+each run of sentences (:func:`~classlm.network.in_runs`) one
+:meth:`~classlm.network.Network.step` per level, and returns the totals,
+the counted-token numbers and the per-position log-probabilities as
+arrays (:class:`ScoreArrays`), which perplexity and every caller in the
 package read.  Each step returns only the class probability that each
 sentence reads, never a level's (rows x classes) array.
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import in_runs
 from .vocabulary import frame_sentences
 
 __all__ = ["GROUP_ELEMENTS", "ScoreArrays", "add_in_order", "corpus_perplexity", "perplexity",
@@ -72,16 +74,16 @@ class ScoreArrays:
 def score_arrays(network, sentences, unk_policy="include"):
     """Score a batch of token sequences as arrays; see :class:`ScoreArrays`.
 
-    The batch is walked as one prefix trie, level by level: level t holds
-    the distinct prefixes ``<s> w1 ... wt`` of the sentences that still
-    predict a token there, and one call of
-    :meth:`~classlm.network.Network.step` advances all of them from their
-    parents' states and returns the probability of each sentence's target
-    class, read from its own prefix's row.  A prefix shared by many
-    sentences runs once, and sentences of every length step together.  A
-    step's rows keep their bits whatever other rows they run with, so a
-    sentence's scores are bitwise the same whatever it is batched with,
-    alone included.
+    The batch is cut into runs balanced by token count, each on a thread
+    of its own (:func:`~classlm.network.in_runs`), and each run is walked
+    as one prefix trie, level by level: level t holds the distinct
+    prefixes ``<s> w1 ... wt`` of its sentences that still predict a token
+    there, and one call of :meth:`~classlm.network.Network.step` advances
+    all of them from their parents' states and returns the probability of
+    each sentence's target class, read from its own prefix's row.  A
+    prefix shared by many sentences of a run runs once.  A step's rows
+    keep their bits whatever other rows they run with, so a sentence's
+    scores are bitwise the same whatever batch or run it is in.
     """
     _check_policy(unk_policy)
     stream, words = frame_sentences(network.vocab, sentences)
@@ -96,29 +98,35 @@ def score_arrays(network, sentences, unk_policy="include"):
     if unk_policy == "exclude":
         included &= targets != network.vocab.unk_id
 
-    class_of = network.classes.class_of
-    log_membership = network.classes.log_membership
-    logp = np.zeros(targets.shape)
-    totals = np.zeros(len(ids))
+    logp, totals = np.zeros(targets.shape), np.zeros(len(ids))
+    in_runs(network, predicted, lambda lo, hi, max_rows: _walk(
+        network, ids[lo:hi], predicted[lo:hi], included[lo:hi], logp[lo:hi], totals[lo:hi],
+        max_rows))
+    return ScoreArrays(totals, included.sum(axis=1), logp, included, predicted)
+
+
+def _walk(network, ids, predicted, included, logp, totals, max_rows):
+    """Walk the prefix trie of the framed sentences `ids` into their rows of
+    `logp` and `totals`, stepping at most `max_rows` rows at a time."""
+    targets, classes = ids[:, 1:], network.classes
     node = np.zeros(len(ids), dtype=np.int64)  # each sentence's node at level t
     parents = 1  # nodes at the level before
     state = network.initial_state(1)
     for t in range(predicted.max(initial=0)):
         active = np.flatnonzero(predicted > t)
-        # word-major: the contiguous parts of a split step share one word at most
+        # a node's code is its word and its parent: nodes in word-major order
         codes, node[active] = np.unique(ids[active, t] * parents + node[active],
                                         return_inverse=True)
         level = targets[active, t]
         # each sentence's class probability, read from its own node's row
         probs, state = network.step(state, codes % parents, codes // parents,
-                                    (node[active], class_of[level]))
+                                    (node[active], classes.class_of[level]), max_rows=max_rows)
         parents = len(codes)
         with np.errstate(divide="ignore"):
-            logp[active, t] = np.log(probs) + log_membership[level]
+            logp[active, t] = np.log(probs) + classes.log_membership[level]
         del probs  # not held while the next level steps
         # one position per level: the running sum one-at-a-time scoring forms
         np.add(totals, logp[:, t], out=totals, where=included[:, t])
-    return ScoreArrays(totals, included.sum(axis=1), logp, included, predicted)
 
 
 def add_in_order(total, values):

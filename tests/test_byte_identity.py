@@ -22,7 +22,7 @@ import pytest
 
 import classlm as cl
 from classlm.classing import BLOCK_CELLS, BigramStats
-from classlm.network import MAX_STEP_ROWS
+from classlm.network import MAX_STEP_ROWS, RUN_SENTENCES
 from classlm.vocabulary import PIECE_CHARS, PIECE_TOKENS, RESERVED, read_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
@@ -114,12 +114,20 @@ def test_two_runs_print_the_same_digests(two_runs):
     assert corpus.stat().st_size > PIECE_CHARS
     assert len(corpus.read_text(encoding="utf-8").split()) > PIECE_TOKENS
     assert _largest_block(outs[0], "zipf.txt", "classes-zipf.tsv") > BLOCK_CELLS
-    # last, a corpus that is not ASCII, with every kind of line end, classed and scored
-    assert names[zipf + 2:] == ["non-ascii.txt", "classes-non-ascii.tsv",
-                                "lstm-double.score-non-ascii", "gru-double.score-non-ascii"]
+    # then a corpus that is not ASCII, with every kind of line end, classed and scored
+    assert names[zipf + 2:zipf + 6] == ["non-ascii.txt", "classes-non-ascii.tsv",
+                                        "lstm-double.score-non-ascii",
+                                        "gru-double.score-non-ascii"]
     text = (outs[0] / "non-ascii.txt").read_bytes()
     assert not text.isascii() and "\u2028".encode() in text
     assert b"\r\n" in text and re.search(rb"\r[^\n]", text) and re.search(rb"[^\r]\n", text)
+    # last, samples of enough sentences to split into runs
+    assert names[zipf + 6:] == [f"{arch}-{precision}.sample-split"
+                                for arch in ("lstm", "gru", "skip")
+                                for precision in ("double", "single")]
+    assert 200 >= 2 * RUN_SENTENCES
+    assert all(len((outs[0] / name).read_text(encoding="utf-8").splitlines()) == 200
+               for name in names[zipf + 6:])
 
 
 def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):

@@ -592,17 +592,17 @@ def test_error_in_a_worker_part_is_a_one_line_error(tmp_path, rng, caplog, monke
     sentences = tmp_path / "in.txt"
     sentences.write_text("".join(f"w{i} w{j}\n" for i in range(6) for j in range(6)))
     caller = threading.get_ident()
-    step_part = cl.Network._step_part
+    step_chunk = cl.Network._step_chunk
 
     def failing_in_workers(self, state, word_ids):
         if threading.get_ident() != caller:
             raise cl.NonFiniteError("time step 0: node 'rec' (lstm) produced a non-finite value")
-        return step_part(self, state, word_ids)
+        return step_chunk(self, state, word_ids)
 
-    # levels of 16 rows and more run in two parts, each on a worker
-    monkeypatch.setattr(cl.network, "PART_ROWS", 8)
+    # 36 sentences in two runs, the second on a worker
+    monkeypatch.setattr(cl.network, "RUN_SENTENCES", 8)
     monkeypatch.setattr(cl.network, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cl.Network, "_step_part", failing_in_workers)
+    monkeypatch.setattr(cl.Network, "_step_chunk", failing_in_workers)
     message = _one_line_error(caplog, ["score", "--model", str(model), "--input", str(sentences)])
     assert message == "time step 0: node 'rec' (lstm) produced a non-finite value"
 
@@ -612,10 +612,10 @@ def test_score_and_rescore_name_the_threads_of_their_widest_step(toy_files, tmp_
     model = _train(toy_files)
     narrow = tmp_path / "narrow"
     _write_nbest(narrow)
-    # 16 distinct prefixes "<s> a X Y" at level 3: two parts of 8 rows
+    # 16 hypotheses: two runs of 8, where the 6 of `narrow` run as one
     wide = tmp_path / "wide"
     wide.write_text("".join(f"u1 0.0 -1.0 a {x} {y}\n" for x in "abcd" for y in "abcd"))
-    monkeypatch.setattr(cl.network, "PART_ROWS", 8)
+    monkeypatch.setattr(cl.network, "RUN_SENTENCES", 8)
     monkeypatch.setattr(cl.network, "cpu_count", lambda: 3)
     for inputs, threads in ((narrow, 1), (wide, 2)):
         sentences = tmp_path / "sentences"
@@ -628,6 +628,56 @@ def test_score_and_rescore_name_the_threads_of_their_widest_step(toy_files, tmp_
             with caplog.at_level(logging.INFO):
                 assert main(argv) == 0
             assert caplog.records[-1].getMessage().endswith(f"; threads: {threads}")
+
+
+def test_a_nonfinite_row_read_by_the_second_run_only_is_a_one_line_error(tmp_path, rng,
+                                                                         caplog, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=6, num_classes=3)
+    model = tmp_path / "model.clm"
+    cl.save_model(model, net)
+    class_of = net.classes.class_of
+    bad = class_of[net.vocab.ids["w0"]]
+    good = [w for w in net.vocab.words[3:] if class_of[net.vocab.ids[w]] != bad]
+    # 20 sentences in two runs of 10; only the second run's read class `bad`
+    lines = [f"{good[i % len(good)]} {good[0]}" for i in range(10)] + ["w0 w0"] * 10
+    sentences = tmp_path / "in.txt"
+    sentences.write_text("".join(line + "\n" for line in lines))
+    nbest = tmp_path / "nbest.txt"
+    nbest.write_text("".join(f"u{i // 4} 0.0 -1.0 {line}\n" for i, line in enumerate(lines)))
+    load_model = cl.cli.load_model
+
+    def loading_a_nonfinite_row(path):  # past the load's own check
+        network, meta = load_model(path)
+        network.params["proj/E_class_input"][bad, 0] = np.nan
+        return network, meta
+
+    lock = threading.Lock()
+    running, failed = [0], []
+    step_chunk = cl.Network._step_chunk
+
+    def counting(self, state, word_ids):
+        with lock:
+            running[0] += 1
+        try:
+            return step_chunk(self, state, word_ids)
+        except cl.NonFiniteError:
+            failed.append(threading.get_ident())
+            raise
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(cl.cli, "load_model", loading_a_nonfinite_row)
+    monkeypatch.setattr(cl.Network, "_step_chunk", counting)
+    monkeypatch.setattr(cl.network, "RUN_SENTENCES", 10)
+    monkeypatch.setattr(cl.network, "cpu_count", lambda: 2)
+    for argv in (["score", "--model", str(model), "--input", str(sentences)],
+                 ["rescore", "--model", str(model), "--nbest", str(nbest)]):
+        failed.clear()
+        message = _one_line_error(caplog, argv)
+        assert "non-finite" in message
+        assert running[0] == 0  # no run outlives the call
+        assert len(failed) == 1 and failed[0] != threading.get_ident()
 
 
 def test_nonfinite_scale_or_grid_value_is_a_one_line_error(tmp_path, rng, caplog):
@@ -769,6 +819,18 @@ def test_class_id_beyond_the_word_count_is_a_one_line_error(toy_files, caplog, c
         "--arch", str(toy_files["arch"]), "--output-model", str(model),
         "--classes", str(classes)])
     assert "classes.tsv: line 4" in message and str(class_id) in message
+    assert not model.exists()
+
+
+def test_a_bad_class_file_is_named_before_either_corpus_is_read(toy_files, caplog):
+    classes = toy_files["dir"] / "classes.tsv"
+    classes.write_text("a\tzero\t1.0\nb\t1\t1.0\n")
+    model = toy_files["dir"] / "model.clm"
+    message = _one_line_error(caplog, [
+        "train", "--train", str(toy_files["train"]), "--dev", str(toy_files["dir"] / "missing"),
+        "--arch", str(toy_files["arch"]), "--output-model", str(model),
+        "--classes", str(classes)])
+    assert "classes.tsv: line 1" in message
     assert not model.exists()
 
 

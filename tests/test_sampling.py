@@ -1,5 +1,7 @@
 """Determinism and distribution of sampled text."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -157,13 +159,13 @@ def test_steps_are_padded_and_capped_without_changing_the_text(rng, monkeypatch)
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     whole = cl.sample_text(net, seed=4, max_tokens=10, count=20)
     rows = []
-    step_part = net._step_part
+    step_chunk = net._step_chunk
 
     def recording(state, word_ids):
         rows.append(len(word_ids))
-        return step_part(state, word_ids)
+        return step_chunk(state, word_ids)
 
-    monkeypatch.setattr(net, "_step_part", recording)
+    monkeypatch.setattr(net, "_step_chunk", recording)
     assert cl.sample_text(net, seed=4, max_tokens=10, count=1) == whole[:1]
     assert set(rows) == {ROW_BLOCK}
     rows.clear()
@@ -172,15 +174,41 @@ def test_steps_are_padded_and_capped_without_changing_the_text(rng, monkeypatch)
     assert set(rows) == {ROW_BLOCK} and len(rows) > 10
 
 
+def test_the_text_is_the_same_for_any_cpu_count_at_a_count_that_splits(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    runs, texts = [], []
+    step = cl.Network.step
+
+    def recording(self, state, rows, word_ids, max_rows=None):
+        runs[-1].add((threading.get_ident(), max_rows))
+        return step(self, state, rows, word_ids, max_rows=max_rows)
+
+    monkeypatch.setattr(cl.Network, "step", recording)
+    for count in (200, 250):  # 2 and 3 runs of RUN_SENTENCES or more at 3 CPUs
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cl.network, "cpu_count", lambda: cpus)
+            runs.append(set())
+            texts.append(cl.sample_text(net, seed=4, max_tokens=12, count=count))
+            split = min(cpus, count // cl.network.RUN_SENTENCES)
+            threads = {thread for thread, _ in runs[-1]}
+            assert (len(threads) > 1) == (split > 1) and len(threads) <= split
+            # each run steps its share of MAX_STEP_ROWS at most
+            assert {max_rows for _, max_rows in runs[-1]} == {
+                cl.network.MAX_STEP_ROWS // split // ROW_BLOCK * ROW_BLOCK}
+        assert texts[-3] == texts[-2] == texts[-1]
+        assert len({len(tokens) for tokens in texts[-1]}) > 3
+    assert texts[0] == texts[-1][:200]
+
+
 def test_the_first_step_runs_one_row_for_every_sentence(rng, monkeypatch):
     # every sentence starts from the same state row and the start token
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     rows = []
     step = net.step
 
-    def spy(state, state_rows, word_ids):
+    def spy(state, state_rows, word_ids, **kwargs):
         rows.append(len(state_rows))
-        return step(state, state_rows, word_ids)
+        return step(state, state_rows, word_ids, **kwargs)
 
     monkeypatch.setattr(net, "step", spy)
     sentences = cl.sample_text(net, seed=4, max_tokens=10, count=20)

@@ -1,6 +1,7 @@
 """Sentence scores against enumeration oracles, and perplexity conventions."""
 
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -175,14 +176,14 @@ def test_each_prefix_runs_once(rng, monkeypatch):
     sentences = [base, base[:4], base[:6] + [w[3]], base[:6] + [w[4], w[5]], base,
                  base[:8] + [w[6]] + base[8:], [w[7]] + base[1:]]
     calls = []
-    step_part = net._step_part
+    step_chunk = net._step_chunk
 
     def recording(state, word_ids):
         rows = np.column_stack([*state.values(), word_ids])
         calls.append((len(word_ids), len(np.unique(rows, axis=0))))
-        return step_part(state, word_ids)
+        return step_chunk(state, word_ids)
 
-    monkeypatch.setattr(net, "_step_part", recording)
+    monkeypatch.setattr(net, "_step_chunk", recording)
     scores = cl.score_arrays(net, sentences)
     assert len(calls) == max(len(s) for s in sentences) + 1
     assert all(rows % cl.graph.ROW_BLOCK == 0 and rows - real < cl.graph.ROW_BLOCK
@@ -200,51 +201,62 @@ def test_wide_levels_split_into_capped_steps_with_equal_scores(rng, monkeypatch)
                  for _ in range(60)]
     whole = cl.score_arrays(net, sentences)
     rows = []
-    step_part = net._step_part
+    step_chunk = net._step_chunk
 
     def recording(state, word_ids):
         rows.append(len(word_ids))
-        return step_part(state, word_ids)
+        return step_chunk(state, word_ids)
 
     monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", 2 * cl.graph.ROW_BLOCK)
-    monkeypatch.setattr(net, "_step_part", recording)
+    monkeypatch.setattr(net, "_step_chunk", recording)
     split = cl.score_arrays(net, sentences)
     assert max(rows) == 2 * cl.graph.ROW_BLOCK and len(rows) > 7
     assert _bits(split) == _bits(whole)
 
 
-def _split_steps(monkeypatch, cpus, part_rows=cl.graph.ROW_BLOCK):
-    """Split every step of two blocks or more into up to `cpus` parts."""
-    monkeypatch.setattr(cl.network, "PART_ROWS", part_rows)
+def _split_runs(monkeypatch, cpus, run_sentences=1):
+    """Split every call of at least two runs of `run_sentences` sentences
+    into up to `cpus` runs."""
+    monkeypatch.setattr(cl.network, "RUN_SENTENCES", run_sentences)
     monkeypatch.setattr(cl.network, "cpu_count", lambda: cpus)
 
 
-def test_every_split_of_a_step_gives_the_bits_of_one_part(rng, monkeypatch):
+def _run_sizes(monkeypatch):
+    """The sentences of each run of the next score_arrays calls, in run order."""
+    sizes = []
+    walk = cl.scoring._walk
+
+    def recording(network, ids, *args):
+        sizes.append(len(ids))
+        return walk(network, ids, *args)
+
+    monkeypatch.setattr(cl.scoring, "_walk", recording)
+    return sizes
+
+
+def test_every_split_of_a_step_gives_the_bits_of_one_part(rng):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
              for key, value in net.initial_state(1).items()}
-    # rows 1-8 run whole and 9-16 in two parts; 3 and 4 parts do not divide most sizes
+    # chunks of one, two and three blocks; 3 blocks divide few row counts
     for n in range(1, 73):
         rows, ids = rng.integers(0, 40, n), rng.integers(0, len(net.vocab), n)
         bits = set()
-        for cpus in (1, 3, 4):
-            _split_steps(monkeypatch, cpus)
-            probs, new = net.step(state, rows, ids)
+        for max_rows in (None, cl.graph.ROW_BLOCK, 2 * cl.graph.ROW_BLOCK, 3 * cl.graph.ROW_BLOCK):
+            probs, new = net.step(state, rows, ids, max_rows=max_rows)
             bits.add((probs.tobytes(), *(new[key].tobytes() for key in sorted(new))))
         assert len(bits) == 1, n
 
 
-def test_a_split_step_in_single_precision_keeps_the_type_and_bits_of_one_part(
-        rng, monkeypatch):
-    # the parts write into arrays allocated before they run
+def test_a_split_step_in_single_precision_keeps_the_type_and_bits_of_one_part(rng):
+    # the chunks write into arrays allocated before they run
     net = support.random_class_network(rng, vocab_size=15, num_classes=5, precision="single")
     state = {key: rng.uniform(-1, 1, (40, value.shape[1])).astype(np.float32)
              for key, value in net.initial_state(1).items()}
     rows, ids = rng.integers(0, 40, 45), rng.integers(0, len(net.vocab), 45)
     runs = []
-    for cpus in (1, 3):
-        _split_steps(monkeypatch, cpus)
-        probs, new = net.step(state, rows, ids)
+    for max_rows in (None, 2 * cl.graph.ROW_BLOCK):
+        probs, new = net.step(state, rows, ids, max_rows=max_rows)
         runs.append([(a.dtype, a.shape, a.tobytes()) for a in (probs, *new.values())])
     assert runs[0] == runs[1]
     assert {dtype for dtype, _, _ in runs[0]} == {np.dtype(np.float32)}
@@ -254,28 +266,27 @@ def test_a_split_step_in_single_precision_keeps_the_type_and_bits_of_one_part(
 def test_picks_are_the_entries_of_a_full_step_bitwise(rng, monkeypatch):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     k = net.classes.num_classes
+    block = cl.graph.ROW_BLOCK
     state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
              for key, value in net.initial_state(1).items()}
     for n in range(1, 73):
         rows, ids = rng.integers(0, 40, n), rng.integers(0, len(net.vocab), n)
         monkeypatch.undo()
-        probs, new = net.step(state, rows, ids)  # the full step, on this thread
+        probs, new = net.step(state, rows, ids)  # the full step, one chunk
         m = int(rng.integers(1, 3 * n + 1))
         cases = [  # unsorted, rows and classes repeated; every entry; none
             (rng.integers(0, n, m), rng.integers(0, k, m)),
             (np.arange(n).repeat(k)[::-1], np.tile(np.arange(k), n)),
             (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
         ]
-        # 1, 2 and 4 parts from two blocks on; a cap of two blocks splits
-        # the step into chunks from 17 rows on
-        for cpus, max_rows in ((1, None), (2, None), (4, None), (2, 2 * cl.graph.ROW_BLOCK)):
-            _split_steps(monkeypatch, cpus)
-            if max_rows:
-                monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", max_rows)
+        # chunks of one, two and four blocks, the last as the default cap
+        for max_rows, cap in ((block, None), (2 * block, None), (None, 4 * block)):
+            if cap:
+                monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", cap)
             for picks in cases:
-                picked, picked_new = net.step(state, rows, ids, picks)
+                picked, picked_new = net.step(state, rows, ids, picks, max_rows=max_rows)
                 assert picked.dtype == probs.dtype and picked.shape == picks[0].shape
-                assert picked.tobytes() == probs[picks].tobytes(), (n, cpus, max_rows)
+                assert picked.tobytes() == probs[picks].tobytes(), (n, max_rows, cap)
                 for key in new:
                     assert picked_new[key].tobytes() == new[key].tobytes()
     with pytest.raises(IndexError, match=r"range\(3\)"):
@@ -287,7 +298,7 @@ def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch)
     state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
              for key, value in net.initial_state(1).items()}
     rows = rng.integers(0, 40, 48)
-    # three parts of 16 rows: 2, 9 and 16 distinct words, padded to 8, 16 and 16
+    # three chunks of 16 rows: 2, 9 and 16 distinct words, padded to 8, 16 and 16
     ids = np.concatenate([rng.integers(3, 5, 16), rng.permutation(np.arange(3, 12).repeat(2))[:16],
                           np.arange(2, 18)])
     assert [len(np.unique(part)) for part in ids.reshape(3, 16)] == [2, 9, 16]
@@ -296,80 +307,107 @@ def test_each_part_of_a_split_step_runs_its_own_distinct_words(rng, monkeypatch)
     # the LSTM's input products: the 16 distinct words 2..17 in one step
     assert [n for n, stacked in calls if stacked] == [16]
     calls.clear()
-    _split_steps(monkeypatch, cpus=3)
-    split = net.step(state, rows, ids)
-    assert sorted(n for n, stacked in calls if stacked) == [8, 16, 16]
+    split = net.step(state, rows, ids, max_rows=16)
+    assert [n for n, stacked in calls if stacked] == [8, 16, 16]
     assert whole[0].tobytes() == split[0].tobytes()
     for key in whole[1]:
         assert whole[1][key].tobytes() == split[1][key].tobytes()
 
 
 def test_parts_of_a_split_level_share_one_word_at_most(rng, monkeypatch):
+    # a level's rows in word-major order: its chunks repeat no word's products
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     words = net.vocab.words[3:]
     sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
                  for _ in range(120)]
     whole = cl.score_arrays(net, sentences)
-    levels = []  # per level, each part's distinct words
-    step, step_part = cl.Network.step, cl.Network._step_part
+    levels = []  # per level, each chunk's distinct words
+    step, step_chunk = cl.Network.step, cl.Network._step_chunk
 
-    def recording_level(self, *args):
+    def recording_level(self, *args, **kwargs):
         levels.append([])
-        return step(self, *args)
+        return step(self, *args, **kwargs)
 
-    def recording_part(self, state, word_ids):
+    def recording_chunk(self, state, word_ids):
         levels[-1].append(set(word_ids.tolist()))
-        return step_part(self, state, word_ids)
+        return step_chunk(self, state, word_ids)
 
-    _split_steps(monkeypatch, cpus=2)
+    monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", 32)
     monkeypatch.setattr(cl.Network, "step", recording_level)
-    monkeypatch.setattr(cl.Network, "_step_part", recording_part)
+    monkeypatch.setattr(cl.Network, "_step_chunk", recording_chunk)
     split = cl.score_arrays(net, sentences)
-    two = [parts for parts in levels if len(parts) == 2]
-    # the widest levels hold every word, in parts of several words each
-    assert len(two) >= 3 and all(len(a) > 1 and len(b) > 1 for a, b in two)
-    assert all(len(a & b) <= 1 for a, b in two)
+    split_levels = [chunks for chunks in levels if len(chunks) > 1]
+    pairs = [(a, b) for chunks in split_levels for a, b in zip(chunks, chunks[1:])]
+    # the widest levels hold every word, in chunks of several words each
+    assert len(split_levels) >= 3 and sum(len(a) > 1 and len(b) > 1 for a, b in pairs) >= 3
+    assert all(len(a & b) <= 1 for a, b in pairs)
     assert _bits(split) == _bits(whole)
 
 
-def test_a_level_split_across_threads_is_one_network_step_on_the_calling_thread(rng,
+def _nbest_like(rng, net, utterances=30, hypotheses=10):
+    """Sentences in utterances of `hypotheses` variants of one sentence,
+    which share prefixes of several lengths, as the hypotheses of an n-best
+    list do; returns the sentences and the utterance of each."""
+    words = net.vocab.words[3:]
+    sentences, utterance = [], []
+    for u in range(utterances):
+        base = [words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(3, 9))]
+        for _ in range(hypotheses):
+            hyp = list(base)
+            hyp[int(rng.integers(1, len(hyp)))] = words[int(rng.integers(len(words)))]
+            sentences.append(hyp + ["OOV"] * int(rng.integers(0, 2)))
+            utterance.append(u)
+    return sentences, utterance
+
+
+def test_scores_perplexities_and_rankings_are_the_bits_of_one_cpu(rng, monkeypatch):
+    net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    sentences, utterance = _nbest_like(rng, net)
+    nbest = cl.NBest.from_columns([f"u{u}" for u in utterance],
+                                  rng.normal(-30, 5, len(sentences)),
+                                  rng.normal(-20, 5, len(sentences)), sentences)
+    params = cl.InterpolationParams(lam=0.5, s_bo=1.0, s_nn=1.5)
+    runs = []
+    for cpus in (1, 2, 3):  # 300 sentences: 1, 2 and 3 runs at the real threshold
+        monkeypatch.undo()
+        _split_runs(monkeypatch, cpus, run_sentences=80)
+        sizes = _run_sizes(monkeypatch)
+        outputs = []
+        for policy in cl.scoring.UNK_POLICIES:
+            scores = cl.score_arrays(net, sentences, policy)
+            order, nn, lm, totals = cl.rescoring.rank_hypotheses(nbest, scores.totals, params)
+            outputs += [_bits(scores), cl.corpus_perplexity(net, sentences, policy),
+                        *(a.tobytes() for a in (order, nn, lm, totals))]
+        runs.append(outputs)
+        # two calls per policy, each in `cpus` runs
+        assert len(sizes) == 4 * cpus and sum(sizes) == 4 * len(sentences)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_run_boundary_may_fall_inside_an_utterance_and_inside_a_shared_prefix(rng,
                                                                                monkeypatch):
-    # what perfbench's `network.Network.step` probe reads: one call per trie
-    # level, made on the calling thread, whose third positional argument
-    # (after the network and the state) has one entry per row of the level
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     words = net.vocab.words[3:]
-    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=3)]
-                 for _ in range(400)]
-    prefixes = _framed_prefixes(net, sentences)
-    widths = [sum(len(prefix) == t for prefix in prefixes) for t in range(1, 5)]
-    assert max(widths) > 2 * cl.network.PART_ROWS
-    steps, parts = [], []
-    step, step_part = cl.Network.step, cl.Network._step_part
-
-    def recording_step(*args):
-        steps.append((threading.get_ident(), len(args[2])))
-        return step(*args)
-
-    def recording_part(*args):
-        parts.append(threading.get_ident())
-        return step_part(*args)
-
-    monkeypatch.setattr(cl.network, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cl.Network, "step", recording_step)
-    monkeypatch.setattr(cl.Network, "_step_part", recording_part)
-    cl.score_arrays(net, sentences)
-    caller = threading.get_ident()
-    assert steps == [(caller, width) for width in widths]
-    # a level of 2 * PART_ROWS rows or more runs in two parts on the workers
-    split = sum(width >= 2 * cl.network.PART_ROWS for width in widths)
-    assert sorted(ident == caller for ident in parts) == [False] * 2 * split + [True] * (
-        len(widths) - split)
+    prefix = [words[0], words[1], words[2]]
+    # 160 sentences of equal length: two runs of 80, cut inside the
+    # utterance of sentences 76-83, which all share `prefix`
+    sentences = [[words[int(i)] for i in rng.integers(0, len(words), size=5)]
+                 for _ in range(160)]
+    for i in range(76, 84):
+        sentences[i][:3] = prefix
+    whole = cl.score_arrays(net, sentences)
+    _split_runs(monkeypatch, cpus=2, run_sentences=80)
+    sizes = _run_sizes(monkeypatch)
+    split = cl.score_arrays(net, sentences)
+    assert sizes == [80, 80]
+    assert _bits(split) == _bits(whole)
+    # a prefix shared across the cut runs once in each run, with the same bits
+    assert len({split.logp[i, :3].tobytes() for i in range(76, 84)}) == 1
 
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """The next split step makes a new worker pool, shut down after the test."""
+    """The next split call makes a new worker pool, shut down after the test."""
     monkeypatch.setattr(cl.network, "_pool", None)
     yield
     if cl.network._pool is not None:
@@ -387,29 +425,38 @@ def _worker_affinities(pool, workers):
     return [future.result() for future in [pool.submit(affinity) for _ in range(workers)]]
 
 
-def _split_bits(net, state, rows, ids):
-    probs, new = net.step(state, rows, ids)
-    return (probs.tobytes(), *(new[key].tobytes() for key in sorted(new)))
+def _split_bits(net, sentences):
+    return _bits(cl.score_arrays(net, sentences))
 
 
 needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                                     reason="no CPU affinity masks on this platform")
 
 
+def _short_sentences(rng, net, count=40):
+    words = net.vocab.words[3:]
+    return [[words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(1, 6))]
+            for _ in range(count)]
+
+
 @needs_affinity
 def test_workers_pin_to_the_cpus_in_turn_and_the_caller_keeps_its_mask(rng, monkeypatch,
                                                                        fresh_pool):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
-    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
-             for key, value in net.initial_state(1).items()}
+    sentences = _short_sentences(rng, net)
     caller = os.sched_getaffinity(0)
     mask = sorted(caller)
-    workers = 2 * len(mask) + 1  # more workers than CPUs
-    rows, ids = rng.integers(0, 40, 200), rng.integers(0, len(net.vocab), 200)
-    _split_steps(monkeypatch, cpus=1)
-    whole = _split_bits(net, state, rows, ids)
-    _split_steps(monkeypatch, cpus=workers)
-    assert _split_bits(net, state, rows, ids) == whole
+    workers = 2 * len(mask) + 1  # more workers than CPUs; run 0 runs on this thread
+    _split_runs(monkeypatch, cpus=1)
+    whole = _split_bits(net, sentences)
+    _split_runs(monkeypatch, cpus=workers + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the runs' threads switch at every chance
+    try:
+        assert _split_bits(net, sentences) == whole
+    finally:
+        sys.setswitchinterval(interval)
+    assert cl.network.threads_used() >= workers + 1
     seen = _worker_affinities(cl.network._pool, workers)
     assert all(len(cpus) == 1 and cpus <= caller for cpus in seen)
     assert sorted(cpu for cpus in seen for cpu in cpus) == sorted((mask * workers)[:workers])
@@ -440,58 +487,63 @@ def test_a_pool_made_on_one_cpu_pins_its_workers_to_that_cpu():
 def test_a_worker_that_cannot_pin_runs_unpinned_with_the_same_bits(rng, monkeypatch, fresh_pool,
                                                                   failure):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
-    state = {key: rng.uniform(-1, 1, (40, value.shape[1]))
-             for key, value in net.initial_state(1).items()}
-    rows, ids = rng.integers(0, 40, 200), rng.integers(0, len(net.vocab), 200)
-    _split_steps(monkeypatch, cpus=1)
-    whole = _split_bits(net, state, rows, ids)
+    sentences = _short_sentences(rng, net)
+    _split_runs(monkeypatch, cpus=1)
+    whole = _split_bits(net, sentences)
     caller = os.sched_getaffinity(0)
 
     def refuse(pid, mask):
         raise OSError(22, "Invalid argument")
 
-    _split_steps(monkeypatch, cpus=4)
+    _split_runs(monkeypatch, cpus=5)  # four workers
     with pytest.MonkeyPatch.context() as platform:
         if failure == "pin raises":
             platform.setattr(os, "sched_setaffinity", refuse)
         else:
             platform.delattr(os, "sched_setaffinity")
-        assert _split_bits(net, state, rows, ids) == whole
+        assert _split_bits(net, sentences) == whole
         # every worker starts while its pin fails
         assert _worker_affinities(cl.network._pool, 4) == [caller] * 4
 
 
 @pytest.mark.parametrize("error", [cl.NonFiniteError, cl.ShapeError, cl.GraphError])
-@pytest.mark.parametrize("failing", ["first part", "worker"])  # "worker": the later parts
+@pytest.mark.parametrize("failing", ["first part", "worker"])  # run 0, or runs 1 and 2
 def test_a_failing_part_raises_its_error_after_every_part_has_ended(rng, monkeypatch, error,
                                                                     failing):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
+    words = net.vocab.words
+    # three runs of 80 sentences; run k's sentences start with word id 3 + k
+    sentences = [[words[3 + i // 80], words[6]] for i in range(240)]
     lock = threading.Lock()
     running, ended = [0], [0]
-    step_part = cl.Network._step_part
-    ids = np.full(200, 4)
-    ids[0] = 3  # marks the first part
+    step_chunk = cl.Network._step_chunk
 
     def failing_step(self, state, word_ids):
         with lock:
             running[0] += 1
         try:
-            if (word_ids[0] == 3) == (failing == "first part"):
-                raise error("time step 0: node 'x' (add) produced a non-finite value")
-            time.sleep(0.05)  # a part still running when the failing one raises
-            return step_part(self, state, word_ids)
+            run = next((k for k in range(3) if 3 + k in word_ids), None)
+            if run is not None and (run == 0) == (failing == "first part"):
+                if run == 1:
+                    time.sleep(0.05)  # fails after run 2, and its error is raised
+                raise error(f"time step 0: node 'x' (add) produced a non-finite value in run {run}")
+            time.sleep(0.05)  # a run still running when a failing one raises
+            return step_chunk(self, state, word_ids)
         finally:
             with lock:
                 running[0] -= 1
                 ended[0] += 1
 
-    _split_steps(monkeypatch, cpus=3, part_rows=64)
-    monkeypatch.setattr(cl.Network, "_step_part", failing_step)
+    _split_runs(monkeypatch, cpus=3, run_sentences=80)
+    monkeypatch.setattr(cl.Network, "_step_chunk", failing_step)
     with pytest.raises(error) as raised:
-        net.step(net.initial_state(1), np.zeros(200, dtype=np.int64), ids)
+        cl.score_arrays(net, sentences)
     assert type(raised.value) is error
-    assert str(raised.value) == "time step 0: node 'x' (add) produced a non-finite value"
-    assert running[0] == 0 and ended[0] == 3
+    first = 0 if failing == "first part" else 1
+    assert str(raised.value) == (
+        f"time step 0: node 'x' (add) produced a non-finite value in run {first}")
+    # three levels per run; a failing run ends at its second
+    assert running[0] == 0 and ended[0] == (8 if failing == "first part" else 7)
 
 
 def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
@@ -502,7 +554,7 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
     whole = cl.score_arrays(net, sentences)
     lock = threading.Lock()
     in_flight, most, sizes = [0], [0], []
-    step_part = cl.Network._step_part
+    step_chunk = cl.Network._step_chunk
 
     def recording(self, state, word_ids):
         with lock:
@@ -510,19 +562,21 @@ def test_rows_in_flight_never_exceed_max_step_rows(rng, monkeypatch):
             most[0] = max(most[0], in_flight[0])
             sizes.append(len(word_ids))
         try:
-            time.sleep(0.005)  # parts of one chunk overlap
-            return step_part(self, state, word_ids)
+            time.sleep(0.005)  # the runs' steps overlap
+            return step_chunk(self, state, word_ids)
         finally:
             with lock:
                 in_flight[0] -= len(word_ids)
 
     max_rows = 6 * cl.graph.ROW_BLOCK
     monkeypatch.setattr(cl.network, "MAX_STEP_ROWS", max_rows)
-    _split_steps(monkeypatch, cpus=4)
-    monkeypatch.setattr(cl.Network, "_step_part", recording)
+    _split_runs(monkeypatch, cpus=4, run_sentences=8)
+    monkeypatch.setattr(cl.Network, "_step_chunk", recording)
     split = cl.score_arrays(net, sentences)
-    assert max_rows // 4 < most[0] <= max_rows
-    assert all(n % cl.graph.ROW_BLOCK == 0 for n in sizes) and min(sizes) < max_rows // 2
+    # four runs, each at most one block of the six at a time
+    share = max_rows // 4 // cl.graph.ROW_BLOCK * cl.graph.ROW_BLOCK
+    assert share < most[0] <= max_rows
+    assert all(n % cl.graph.ROW_BLOCK == 0 and n <= share for n in sizes)
     assert _bits(split) == _bits(whole)
 
 
@@ -538,10 +592,10 @@ def test_an_evaluation_step_holds_about_what_it_returns():
     words = rng.integers(0, len(net.vocab), 496)
     state = {key: rng.normal(size=value.shape) * 0.1
              for key, value in net.initial_state(len(words)).items()}
-    net._step_part(state, words)  # graph built, caches warm
+    net._step_chunk(state, words)  # graph built, caches warm
     tracemalloc.start()
     try:
-        probs, new = net._step_part(state, words)
+        probs, new = net._step_chunk(state, words)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -559,9 +613,9 @@ def test_score_arrays_drops_a_levels_probabilities_before_the_next_step(rng, mon
     step = net.step
     last = []
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         assert not last or last[-1]() is None  # the level before's probabilities are gone
-        probs, state = step(*args)
+        probs, state = step(*args, **kwargs)
         last.append(weakref.ref(probs))
         return probs, state
 

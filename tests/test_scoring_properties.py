@@ -1,5 +1,5 @@
 """Property tests: any batch scores bitwise like one-at-a-time scoring, and
-steps split into parts on threads give the bits of unsplit steps."""
+calls split into runs on threads give the bits of unsplit calls."""
 
 import numpy as np
 import pytest
@@ -59,16 +59,15 @@ def test_steps_in_parts_give_the_bits_of_one_part(property_network, count, longe
     net = property_network
     rng = np.random.default_rng(seed)
     words = net.vocab.words[3:] + ["OOV_a"]
-    # every level from one row up: the widest ones hold up to 300, the
-    # narrow ones sit just below and at two parts of 8 rows
+    # runs of one sentence up to 150, whose levels span one row to many blocks
     batch = [[words[i] for i in rng.integers(0, len(words), rng.integers(1, longest + 1))]
              for _ in range(count)]
     runs = []
-    for cpus in (1, 3):  # 3 parts divide few row counts
+    for cpus in (1, 2, 3):  # 3 runs divide few sentence counts
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cl.network, "PART_ROWS", cl.graph.ROW_BLOCK)
+            patch.setattr(cl.network, "RUN_SENTENCES", 1)
             patch.setattr(cl.network, "cpu_count", lambda: cpus)
             scores = cl.score_arrays(net, batch)
             runs.append(([_sentence_bits(scores, i) for i in range(count)],
                          cl.sample_text(net, seed, max_tokens, count)))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]

@@ -15,9 +15,8 @@ to the softmax).  It also trains the first LSTM in both precisions with
 each optimizer under a clip norm that some batches exceed.  It then scores
 with and without ``--unk-penalty 0``, rescores n-best lists with fixed
 weights, with ``--lambda 0`` and with ``--tune --refs``, scores 300
-sentences whose widest prefix-trie levels hold 160 rows or more (steps
-that run in parts on several threads where the process may use several
-CPUs), and samples from each of the six architecture models twice: 15
+sentences (enough to run in several runs on threads where the process
+may use several CPUs), and samples from each of the six architecture models twice: 15
 sentences of at most 20 tokens, and 37 of at most 70.  It tunes each of
 the six models again with ``--unk-penalty 0``.  It induces 6 classes on a
 corpus that holds the reserved tokens as words, blank lines, CRLF line
@@ -36,8 +35,10 @@ classes in one pass on 20,000 Zipf-distributed tokens, a corpus read in
 several pieces whose most frequent words take blocks of class-bigram
 counts larger than ``classing.BLOCK_CELLS``.  After that it induces 6
 classes on a corpus of Finnish and ASCII words with CRLF, lone CR and LF
-line ends, and scores it on the double-precision LSTM and GRU models.  It
-prints one
+line ends, and scores it on the double-precision LSTM and GRU models.
+Last, it samples 200 sentences of at most 20 tokens from each of the six
+architecture models, enough for sampling to run in several runs on threads
+where the process may use several CPUs.  It prints one
 ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
@@ -134,9 +135,8 @@ def write_inputs(rng, out):
     wide = markov_sentences(rng, words, 200)
     # 150 classes leave most cells of its class bigram table empty
     sparse = markov_sentences(rng, [f"v{i:03d}" for i in range(300)], 400)
-    # drawn last, so that no other input depends on it: levels 2 to 7 of the
-    # prefix trie of all 300 wide sentences hold 160 rows or more, which
-    # score in parts on threads
+    # drawn last, so that no other input depends on it: 300 wide sentences
+    # score in runs on threads
     wide += markov_sentences(rng, words, 100)
     files = {"train.txt": train, "dev.txt": dev, "test.txt": test, "wide.txt": wide,
              "sparse.txt": sparse}
@@ -281,6 +281,13 @@ def produce(out):
         run(["score", "--model", p(model), "--input", p("non-ascii.txt"), "--output",
              p(f"{stem}.score-non-ascii")])
         outputs.append(f"{stem}.score-non-ascii")
+    # after every other output: samples of enough sentences to run in
+    # several runs where the process may use several CPUs
+    for model in models:
+        stem = model[: -len(".clm")]
+        run(["sample", "--model", p(model), "--count", "200", "--max-tokens", "20", "--seed",
+             "7"], stdout_path=p(f"{stem}.sample-split"))
+        outputs.append(f"{stem}.sample-split")
     return outputs
 
 
