@@ -163,11 +163,10 @@ def _keep_freed_memory():
     """Fix glibc's malloc thresholds at the top of the range its own
     heuristic moves them in: a block under 32 MB comes from the heap, and
     a heap keeps up to 64 MB free.  glibc starts at 128 kB and raises the
-    thresholds only when a larger mapped block is freed.  A grouped score
-    frees none that large, so each step on a worker thread gave its freed
-    memory back and faulted it in again (README, "3. Score").  A group
-    holds a bounded amount, so the heaps stay small.  Does nothing
-    without glibc."""
+    thresholds only when a larger mapped block is freed.  Steps and
+    training ops free none that large, so each one gave its freed memory
+    back and faulted it in again (README, "3. Score").  Set once for every
+    subcommand, by :func:`main`.  Does nothing without glibc."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
@@ -180,7 +179,6 @@ def _keep_freed_memory():
 
 def cmd_score(args):
     _check_output(args.output)
-    _keep_freed_memory()
     network, _ = load_model(args.model)
     policy = _unk_policy(args.unk_penalty)
     sentences, total, counted = 0, 0.0, 0
@@ -341,6 +339,7 @@ def main(argv=None):
             level=logging.INFO, format="%(asctime)s\t%(message)s", stream=sys.stderr
         )
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")

@@ -14,10 +14,11 @@ once per row; by the row rule of :mod:`classlm.graph` every row keeps the
 bits it would have had.  Sampling takes every row's class distribution;
 scoring passes the (row, class) pairs it reads.  Threads split calls,
 not steps: :func:`in_runs` cuts a call's sentences into runs, each stepped
-on a thread of its own.  The training graph binds dropout masks, targets
-and a position mask, all ``(T, B, ...)``, and outputs the mean masked
-cross-entropy as "loss", so one evaluation and one backward pass cover a
-whole training batch.
+on a thread of its own, which the call starts and joins; no thread is
+pinned to a CPU or outlives the call.  The training graph binds dropout
+masks, targets and a position mask, all ``(T, B, ...)``, and outputs the
+mean masked cross-entropy as "loss", so one evaluation and one backward
+pass cover a whole training batch.
 
 The softmax layer always has one output unit per word class; with an
 identity class map this degenerates to a full-vocabulary softmax.
@@ -26,10 +27,9 @@ identity class map this degenerates to a full-vocabulary softmax.
 from __future__ import annotations
 
 import contextvars
-import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,15 +49,16 @@ _GATES = {"lstm": "ifoc", "gru": "zrh"}  # gate letters in stacking order
 MAX_STEP_ROWS = 128 * ROW_BLOCK
 
 # Sentences per run of a call split across threads, at least, so a call
-# splits from 160 sentences on: a run steps no more rows than its sentences,
-# and steps split across threads paid from 160 rows on (2-core host, one
-# BLAS thread, medians of 200 steps: 1.00-1.20x at 160 rows, 0.97-1.09x at
-# 128).  The benchmark `sample` (120) and `train` dev set (64) stay whole.
+# splits from 160 sentences on.  Smaller runs did not pay (2-core host, one
+# BLAS thread, in-process): the benchmark `sample` (120 sentences) took
+# 44.4-47.6 ms as one run against 46.5-48.2 and 45.9-47.3 ms as two runs
+# at 60 and 40 here (medians of 40 alternating calls, two rounds), and
+# benchmark `train`, whose 64-sentence dev set splits at 32, took 670-956
+# against 843-1139 ms a round (6 alternating rounds).
 RUN_SENTENCES = 80
 
-_pool = None  # worker threads for the runs of split calls, made on first use
-_pool_lock = threading.Lock()
 _most_threads = 1  # read by threads_used()
+_most_threads_lock = threading.Lock()
 
 
 def cpu_count():
@@ -73,37 +74,17 @@ def threads_used():
     return _most_threads
 
 
-def _pinned_pool(workers):
-    """A pool of `workers` threads, each pinned when it starts to one CPU of
-    this thread's affinity mask, taking the CPUs in turn.  A worker whose
-    pin fails, or any worker on a platform without affinity masks, runs
-    unpinned; the calling thread's affinity is never changed."""
-    if not hasattr(os, "sched_setaffinity"):
-        return ThreadPoolExecutor(workers, thread_name_prefix="classlm-run")
-    cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
-    lock = threading.Lock()  # workers start concurrently
-
-    def pin():
-        with lock:
-            cpu = next(cpus)
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:  # a pin the system refuses: the worker runs unpinned
-            pass
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="classlm-run", initializer=pin)
-
-
 def in_runs(network, weights, run):
     """``run(lo, hi, max_rows)`` on contiguous runs ``[lo, hi)`` of the
     items whose `weights` are given; returns the results in run order.
 
     From two runs of ``RUN_SENTENCES`` items on, the items are cut where
     the running weight crosses an equal share, one run per CPU at most:
-    run 0 on this thread, the others on the pinned workers.  Each run
-    steps `max_rows` rows at most, its share of ``MAX_STEP_ROWS`` in row
-    blocks.  A run that raises does so here once every run has ended; of
-    several, the first in run order.
+    run 0 on this thread, the others on worker threads that this call
+    starts and joins, so no thread outlives it and a forked child splits
+    calls as its parent does.  Each run steps `max_rows` rows at most, its
+    share of ``MAX_STEP_ROWS`` in row blocks.  A run that raises does so
+    here once every run has ended; of several, the first in run order.
     """
     n = len(weights)
     runs = max(1, min(cpu_count(), n // RUN_SENTENCES, MAX_STEP_ROWS // ROW_BLOCK))
@@ -114,18 +95,15 @@ def in_runs(network, weights, run):
     bounds = sorted({0, n, *cuts.tolist()})  # a heavy item may swallow a share
     runs = len(bounds) - 1
     max_rows = MAX_STEP_ROWS // runs // ROW_BLOCK * ROW_BLOCK
-    global _pool, _most_threads
-    with _pool_lock:
-        if _pool is None:
-            _pool = _pinned_pool(cpu_count() - 1)
+    global _most_threads
+    with _most_threads_lock:
         _most_threads = max(_most_threads, runs)
     network.step_graph()  # built here, so two threads never race to build it
-    futures = [_pool.submit(contextvars.copy_context().run, run, lo, hi, max_rows)
-               for lo, hi in zip(bounds[1:], bounds[2:])]
-    try:
+    with ThreadPoolExecutor(runs - 1, thread_name_prefix="classlm-run") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, lo, hi, max_rows)
+                   for lo, hi in zip(bounds[1:], bounds[2:])]
         first = run(bounds[0], bounds[1], max_rows)
-    finally:
-        wait(futures)  # no run outlives the call, failed or not
+    # the end of the with block waited for every run, failed or not
     return [first, *(future.result() for future in futures)]
 
 

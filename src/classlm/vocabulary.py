@@ -192,17 +192,22 @@ def invalid_utf8(text):
 def text_lines(path):
     """Yield the lines of a UTF-8 text file.
 
-    The file is read once, its line ends translated as text mode does.  A
-    line that holds bytes that are not UTF-8 raises ValueError naming the
-    file and the line, once every line before it has been yielded, so a
-    reader that checks each line names the first failing line of either
-    kind.
+    The file is read once, its line ends translated as text mode does, in
+    batches of about `PIECE_CHARS` characters, each checked with one
+    :func:`invalid_utf8` call.  A line that holds bytes that are not UTF-8
+    raises ValueError naming the file and the line, once every line before
+    it has been yielded, so a reader that checks each line names the first
+    failing line of either kind.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.isascii() and invalid_utf8(line):  # no call for an ASCII line
-                raise ValueError(f"{path}: line {line_no}: invalid UTF-8")
-            yield line
+        first = 1  # the number of a batch's first line
+        while lines := f.readlines(PIECE_CHARS):
+            if invalid_utf8("".join(lines)):  # only a failing batch is walked line by line
+                bad = next(i for i, line in enumerate(lines) if invalid_utf8(line))
+                yield from lines[:bad]
+                raise ValueError(f"{path}: line {first + bad}: invalid UTF-8")
+            yield from lines
+            first += len(lines)
 
 
 def read_token_pieces(path):

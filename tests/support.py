@@ -5,6 +5,7 @@ reader) and per-item views of the library's tables that only tests
 read."""
 
 import json
+import logging
 import math
 import struct
 from collections import namedtuple
@@ -12,6 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 import classlm as cl
+from classlm.cli import main
 from classlm.model_io import MAGIC
 from classlm.network import file_blocks
 from classlm.rescoring import rank_hypotheses, score_hypotheses
@@ -418,3 +420,24 @@ def read_nbest_lines(path):
     if not by_utterance:
         raise ValueError(f"{path}: no hypotheses")
     return nbest(by_utterance)
+
+
+class _ErrorRecords(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def run_cli(argv):
+    """Run ``classlm.cli.main`` on `argv`; returns its exit status and the
+    records of the errors it logged."""
+    errors = _ErrorRecords()
+    logger = logging.getLogger("classlm")
+    logger.addHandler(errors)
+    try:
+        return main(argv), errors.records
+    finally:
+        logger.removeHandler(errors)

@@ -121,13 +121,22 @@ def test_two_runs_print_the_same_digests(two_runs):
     text = (outs[0] / "non-ascii.txt").read_bytes()
     assert not text.isascii() and "\u2028".encode() in text
     assert b"\r\n" in text and re.search(rb"\r[^\n]", text) and re.search(rb"[^\r]\n", text)
-    # last, samples of enough sentences to split into runs
-    assert names[zipf + 6:] == [f"{arch}-{precision}.sample-split"
-                                for arch in ("lstm", "gru", "skip")
-                                for precision in ("double", "single")]
+    # then samples of enough sentences to split into runs
+    models = [f"{arch}-{precision}" for arch in ("lstm", "gru", "skip")
+              for precision in ("double", "single")]
+    assert names[zipf + 6:zipf + 12] == [f"{model}.sample-split" for model in models]
     assert 200 >= 2 * RUN_SENTENCES
     assert all(len((outs[0] / name).read_text(encoding="utf-8").splitlines()) == 200
-               for name in names[zipf + 6:])
+               for name in names[zipf + 6:zipf + 12])
+    # last, the class probabilities of every sample run, which differ
+    # between the precisions even where the sampled text does not
+    runs = [f"{model}.{kind}" for kind in ("sample", "sample-long", "sample-split")
+            for model in models]
+    assert names[zipf + 12:] == [f"{name}.probs" for name in sorted(runs, key=names.index)]
+    digests = {name: line.split("  ", 1)[0] for name, line in zip(names, lines)}
+    for arch in ("lstm", "gru", "skip"):
+        for kind in ("sample", "sample-long", "sample-split"):
+            assert digests[f"{arch}-double.{kind}.probs"] != digests[f"{arch}-single.{kind}.probs"]
 
 
 def test_the_digests_equal_the_pinned_ones_on_the_pinned_build(two_runs):

@@ -112,6 +112,27 @@ def test_classes_default_is_2000():
     assert args.num_classes == 2000
 
 
+SUBCOMMAND_ARGS = {
+    "classes": ["--corpus", "c", "--output", "o"],
+    "train": ["--train", "t", "--dev", "d", "--arch", "a", "--output-model", "m"],
+    "score": ["--model", "m", "--input", "i"],
+    "rescore": ["--model", "m", "--nbest", "n"],
+    "sample": ["--model", "m"],
+}
+
+
+def test_every_subcommand_fixes_the_malloc_thresholds_before_it_runs(monkeypatch):
+    subparsers = build_parser()._subparsers._group_actions[0]
+    assert set(subparsers.choices) == set(SUBCOMMAND_ARGS)
+    events = []
+    monkeypatch.setattr(cl.cli, "_keep_freed_memory", lambda: events.append("thresholds"))
+    for command, args in SUBCOMMAND_ARGS.items():
+        monkeypatch.setattr(cl.cli, f"cmd_{command}", lambda args: events.append(args.command))
+        events.clear()
+        main([command, *args])
+        assert events == ["thresholds", command]
+
+
 def test_train_score_round_trip_perplexities_match(toy_files):
     model = _train(toy_files)
     _, training = cl.load_model(model)

@@ -1,6 +1,7 @@
 """Sentence scores against enumeration oracles, and perplexity conventions."""
 
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -405,32 +406,8 @@ def test_a_run_boundary_may_fall_inside_an_utterance_and_inside_a_shared_prefix(
     assert len({split.logp[i, :3].tobytes() for i in range(76, 84)}) == 1
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """The next split call makes a new worker pool, shut down after the test."""
-    monkeypatch.setattr(cl.network, "_pool", None)
-    yield
-    if cl.network._pool is not None:
-        cl.network._pool.shutdown()
-
-
-def _worker_affinities(pool, workers):
-    """Each worker's affinity mask, read by one task per worker."""
-    barrier = threading.Barrier(workers)
-
-    def affinity():
-        barrier.wait(timeout=10)  # held until every worker runs one task
-        return os.sched_getaffinity(0)
-
-    return [future.result() for future in [pool.submit(affinity) for _ in range(workers)]]
-
-
 def _split_bits(net, sentences):
     return _bits(cl.score_arrays(net, sentences))
-
-
-needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                                    reason="no CPU affinity masks on this platform")
 
 
 def _short_sentences(rng, net, count=40):
@@ -439,71 +416,85 @@ def _short_sentences(rng, net, count=40):
             for _ in range(count)]
 
 
-@needs_affinity
-def test_workers_pin_to_the_cpus_in_turn_and_the_caller_keeps_its_mask(rng, monkeypatch,
-                                                                       fresh_pool):
+def test_more_runs_than_cpus_give_the_bits_of_one_and_the_caller_keeps_its_mask(rng,
+                                                                                 monkeypatch):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     sentences = _short_sentences(rng, net)
-    caller = os.sched_getaffinity(0)
-    mask = sorted(caller)
-    workers = 2 * len(mask) + 1  # more workers than CPUs; run 0 runs on this thread
+    mask = getattr(os, "sched_getaffinity", lambda pid: None)
+    caller = mask(0)
+    runs = 2 * cl.network.cpu_count() + 2  # more runs than CPUs; run 0 runs on this thread
     _split_runs(monkeypatch, cpus=1)
     whole = _split_bits(net, sentences)
-    _split_runs(monkeypatch, cpus=workers + 1)
+    _split_runs(monkeypatch, cpus=runs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the runs' threads switch at every chance
     try:
         assert _split_bits(net, sentences) == whole
     finally:
         sys.setswitchinterval(interval)
-    assert cl.network.threads_used() >= workers + 1
-    seen = _worker_affinities(cl.network._pool, workers)
-    assert all(len(cpus) == 1 and cpus <= caller for cpus in seen)
-    assert sorted(cpu for cpus in seen for cpu in cpus) == sorted((mask * workers)[:workers])
-    assert os.sched_getaffinity(0) == caller
+    assert cl.network.threads_used() >= runs
+    assert mask(0) == caller
 
 
-@needs_affinity
-def test_a_pool_made_on_one_cpu_pins_its_workers_to_that_cpu():
-    first = min(os.sched_getaffinity(0))
-    seen = []
-
-    def on_one_cpu():  # a thread of its own, so that this one keeps its mask
-        os.sched_setaffinity(0, {first})
-        pool = cl.network._pinned_pool(3)
-        try:
-            seen.extend(_worker_affinities(pool, 3))
-        finally:
-            pool.shutdown()
-
-    thread = threading.Thread(target=on_one_cpu)
-    thread.start()
-    thread.join()
-    assert seen == [{first}] * 3
-
-
-@needs_affinity
-@pytest.mark.parametrize("failure", ["pin raises", "no affinity masks"])
-def test_a_worker_that_cannot_pin_runs_unpinned_with_the_same_bits(rng, monkeypatch, fresh_pool,
-                                                                  failure):
+def test_no_thread_a_split_call_starts_outlives_it(rng, monkeypatch):
     net = support.random_class_network(rng, vocab_size=15, num_classes=5)
     sentences = _short_sentences(rng, net)
-    _split_runs(monkeypatch, cpus=1)
-    whole = _split_bits(net, sentences)
-    caller = os.sched_getaffinity(0)
+    walkers = []
+    walk = cl.scoring._walk
 
-    def refuse(pid, mask):
-        raise OSError(22, "Invalid argument")
+    def recording(*args):
+        walkers.append(threading.current_thread())
+        return walk(*args)
 
-    _split_runs(monkeypatch, cpus=5)  # four workers
-    with pytest.MonkeyPatch.context() as platform:
-        if failure == "pin raises":
-            platform.setattr(os, "sched_setaffinity", refuse)
-        else:
-            platform.delattr(os, "sched_setaffinity")
-        assert _split_bits(net, sentences) == whole
-        # every worker starts while its pin fails
-        assert _worker_affinities(cl.network._pool, 4) == [caller] * 4
+    _split_runs(monkeypatch, cpus=3)
+    monkeypatch.setattr(cl.scoring, "_walk", recording)
+    before = set(threading.enumerate())
+    cl.score_arrays(net, sentences)
+    started = set(walkers) - {threading.current_thread()}
+    # run 0 ran on this thread; a worker that ends its run early may take the next
+    assert len(walkers) == 3 and 1 <= len(started) <= 2
+    assert not any(thread.is_alive() for thread in started)
+    assert set(threading.enumerate()) == before
+
+
+# Run in a fresh interpreter: make a split call, fork, and repeat the call in
+# the child, which must end within 30 s with the parent's totals.
+_FORK_SCRIPT = """
+import os, signal, sys, time
+import numpy as np
+import classlm as cl
+import support
+
+net = support.random_class_network(np.random.default_rng(5), vocab_size=15, num_classes=5)
+words = net.vocab.words[3:]
+sentences = [[words[i % len(words)], words[(3 * i) % len(words)]] for i in range(60)]
+cl.network.RUN_SENTENCES = 1
+cl.network.cpu_count = lambda: 3
+totals = cl.score_arrays(net, sentences).totals.tobytes()
+assert cl.network.threads_used() == 3
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if cl.score_arrays(net, sentences).totals.tobytes() == totals else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the forked child was still in its split call after 30 s")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_splits_a_call_as_its_parent_did():
+    here = os.path.dirname(__file__)
+    src = os.path.join(os.path.dirname(here), "src")
+    path = os.pathsep.join(p for p in (src, here, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _FORK_SCRIPT], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("error", [cl.NonFiniteError, cl.ShapeError, cl.GraphError])

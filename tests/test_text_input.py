@@ -3,7 +3,6 @@ with one error naming the first line that a strict per-line decode rejects,
 and finding that line holds no more of the file than the read does."""
 
 import collections
-import logging
 import re
 import tracemalloc
 
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.cli import main
 from classlm.vocabulary import read_token_pieces, text_lines
 
 import support
@@ -160,6 +158,12 @@ def test_every_reader_names_the_first_line_a_strict_decode_rejects(tmp_path_fact
             assert named and int(named.group(1)) < bad, (name, message)
         if name in ("text_lines", "read_token_pieces") and bad is None:
             assert name == "read_token_pieces" and message == f"{path}: empty corpus"
+    if bad is not None:  # text_lines yields every line before the first bad one
+        yielded = []
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(cl.vocabulary, "PIECE_CHARS", piece)
+            yielded.extend(text_lines(path))
+        assert yielded == _lines(b"".join(data.splitlines(keepends=True)[:bad - 1]))
 
 
 @pytest.fixture(scope="module")
@@ -168,15 +172,6 @@ def model(tmp_path_factory):
     cl.save_model(path, support.random_class_network(np.random.default_rng(0),
                                                      vocab_size=6, num_classes=3))
     return path
-
-
-class _Errors(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.ERROR)
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
 
 
 @hypothesis.settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -193,13 +188,8 @@ def test_the_command_line_reports_invalid_utf8_in_one_line(tmp_path_factory, mod
                       "--output", str(work / "scores.txt")],
             "rescore": ["rescore", "--model", str(model), "--nbest", str(path),
                         "--output", str(work / "ranked.txt")]}[command]
-    errors = _Errors()
-    logger = logging.getLogger("classlm")
-    logger.addHandler(errors)
-    try:
-        assert main(argv) == 1
-    finally:
-        logger.removeHandler(errors)
-    [record] = errors.records
+    rc, errors = support.run_cli(argv)
+    assert rc == 1
+    [record] = errors
     assert record.exc_info is None and "\n" not in record.getMessage()
     assert record.getMessage().startswith(f"{path}: line ")

@@ -38,8 +38,13 @@ classes on a corpus of Finnish and ASCII words with CRLF, lone CR and LF
 line ends, and scores it on the double-precision LSTM and GRU models.
 Last, it samples 200 sentences of at most 20 tokens from each of the six
 architecture models, enough for sampling to run in several runs on threads
-where the process may use several CPUs.  It prints one
-``sha256  file`` line per output file, paths relative to OUT_DIR, in a
+where the process may use several CPUs.  After that, for each sample run
+above, it writes the class-probability rows that ``Network.step`` returned
+during the run to a ``.probs`` file: each distinct row's bytes once, in
+sorted order, so the file does not depend on how the run was split across
+threads, and a double-precision model's file differs from its
+single-precision twin's where their sampled text is the same.  It prints
+one ``sha256  file`` line per output file, paths relative to OUT_DIR, in a
 fixed order.
 
 Two checkouts that compute the same bits print the same lines, so a change
@@ -57,6 +62,7 @@ import hashlib
 import logging
 import os
 import sys
+import threading
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -66,6 +72,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import numpy as np  # noqa: E402
 
 from classlm.cli import main  # noqa: E402
+from classlm.network import Network  # noqa: E402
 from classlm.optimizers import ALGORITHMS  # noqa: E402
 
 SEED = 11
@@ -163,6 +170,26 @@ def run(argv, stdout_path=None):
         sys.exit(f"byte_identity: exit status {rc} from classlm {' '.join(argv)}")
 
 
+@contextlib.contextmanager
+def step_probabilities(rows):
+    """Add to the set `rows` the bytes of each row of every class-probability
+    array that ``Network.step`` returns, on any thread, inside the block."""
+    step = Network.step
+    lock = threading.Lock()
+
+    def recording(self, *args, **kwargs):
+        probs, state = step(self, *args, **kwargs)
+        with lock:
+            rows.update(row.tobytes() for row in probs)
+        return probs, state
+
+    Network.step = recording
+    try:
+        yield
+    finally:
+        Network.step = step
+
+
 def produce(out):
     """Write every output into `out`; returns their names in a fixed order."""
     p = lambda name: os.path.join(out, name)  # noqa: E731
@@ -182,6 +209,7 @@ def produce(out):
         outputs.append(model)
 
     models = []
+    probs = {}  # the class-probability rows of each sample run, by its output
     for arch in ARCHITECTURES:
         for precision in ("double", "single"):
             models.append(f"{arch}-{precision}.clm")
@@ -211,8 +239,9 @@ def produce(out):
         # 37 sentences: no multiple of the 8-row block; 70 tokens: more
         # uniforms than one block of a sentence's stream holds
         for name, count, max_tokens, seed in (("sample", 15, 20, 3), ("sample-long", 37, 70, 5)):
-            run(["sample", *m, "--count", str(count), "--max-tokens", str(max_tokens), "--seed",
-                 str(seed)], stdout_path=p(f"{stem}.{name}"))
+            with step_probabilities(probs.setdefault(f"{stem}.{name}", set())):
+                run(["sample", *m, "--count", str(count), "--max-tokens", str(max_tokens),
+                     "--seed", str(seed)], stdout_path=p(f"{stem}.{name}"))
             outputs.append(f"{stem}.{name}")
     # after every other output, so that adding them changed no line above:
     # tuning on totals that exclude the unknown words
@@ -285,9 +314,16 @@ def produce(out):
     # several runs where the process may use several CPUs
     for model in models:
         stem = model[: -len(".clm")]
-        run(["sample", "--model", p(model), "--count", "200", "--max-tokens", "20", "--seed",
-             "7"], stdout_path=p(f"{stem}.sample-split"))
+        with step_probabilities(probs.setdefault(f"{stem}.sample-split", set())):
+            run(["sample", "--model", p(model), "--count", "200", "--max-tokens", "20",
+                 "--seed", "7"], stdout_path=p(f"{stem}.sample-split"))
         outputs.append(f"{stem}.sample-split")
+    # after every other output: the float path of each sample run above,
+    # which a double model's text may share with its single twin's
+    for name, rows in probs.items():
+        with open(p(f"{name}.probs"), "wb") as f:
+            f.write(b"".join(sorted(rows)))
+        outputs.append(f"{name}.probs")
     return outputs
 
 
