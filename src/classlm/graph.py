@@ -11,10 +11,11 @@ evaluation, so evaluation is a pure function of (graph, bindings, params).
 Stochastic behaviour such as dropout enters only through bound mask inputs.
 Every parameter takes a gradient; the loss is the output named ``"loss"``.
 
-Every other op is one entry of the table ``_OPS = {op: (forward,
-backward)}``: ``forward(node, *inputs)`` checks shapes and id ranges and
-returns the value, ``backward(dy, value, *inputs)`` returns one gradient per
-input (``None`` for integer ids, targets and masks).  :func:`forward_eval`
+Every other op is one entry of the table ``_OPS = {op: _Op(forward,
+backward, ...)}``: ``forward(node, *inputs)`` checks shapes and id ranges
+and returns the value, ``backward(dy, value, *inputs)`` returns one gradient
+per input (``None`` for integer ids, targets and masks), and the rest
+declares what the backward reads and what each may write over.  :func:`forward_eval`
 and :func:`backward` are loops over that table.  Its 12 ops are those that
 networks build: matmul, mul, tanh, softmax, gather, concat, xent,
 masked_mean, lstm, gru, item and take; the tests' step-by-step reference
@@ -33,11 +34,13 @@ step's input products hoisted out of it, and backpropagate through time in
 their backward.  Their value stacks sequences along a leading axis, and
 ``item`` nodes pick its parts: part 0 is the hidden sequence and, for an
 LSTM, part 1 the cell sequence.  In training the value stacks every
-per-step quantity the backward needs after them.  An evaluation, a
-recurrent op given the ``rows`` operand (which has no gradient), keeps
-those state sequences only: each step writes its gates into arrays that
-die with the step, its input products once added and its pre-activations,
-so an evaluation holds about what it returns.
+step's gates after them, formed over that step's input products, which
+are made in their place; the backward forms ``tanh(c)`` and ``r*h`` again
+from the stored states, with the same bits.  An evaluation, a recurrent
+op given the ``rows`` operand (which has no gradient), keeps those state
+sequences only: each step writes its gates into arrays that die with the
+step, its input products once added and its pre-activations, so an
+evaluation holds about what it returns.
 
 Each op does, step by step, the arithmetic of a graph that ran one node per
 operation and time step, in that graph's order, so results do not depend on
@@ -64,8 +67,24 @@ The softmax, the cross-entropy and the gate activations work in place in
 arrays their op allocated, with the same arithmetic in the same order; this
 takes the values of one evaluation to share one floating type, as a
 network's do.  :func:`backward` drops each node's adjoint once the node has
-passed it on, so a training step holds its forward values and the adjoints
-still to be passed on.
+passed it on.
+
+A graph with a loss has one lifetime plan (``_Lifetimes``), made once from
+what each op declares its backward reads: its own value, and which of its
+inputs (a ``mul`` reads each operand only for the other's gradient, so
+the value a dropout mask multiplies is not read).  Under it
+:func:`forward_eval` drops a value after its last forward reader when no
+backward reads it, and :func:`backward` drops each value after its last
+backward reader; a dropped value leaves a stand-in of its shape and type
+that holds one element, and the graph's outputs and parameters are never
+dropped.  An op writes over an input that nothing reads after it, when
+that input is an array of the workspace's own that no ``item`` views:
+``tanh`` over its matmul's output, the cross-entropy's gradient over the
+logits.  The ``tanh`` and ``mul`` backwards write over dy, and a sum of
+adjoint terms adopts its first term when an op returned it (``term +=
+0.0`` has the bits of ``0.0 + term``).  So a training step holds the
+forward values its backward reads and the adjoints still to be passed on.
+A graph without a loss keeps every value.
 
 Finiteness is checked on every computed value, not on leaves: a NaN or
 infinity in a bound input or a parameter is reported by the first op that
@@ -79,6 +98,7 @@ a select on random signs mispredicts a branch about every other element.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +157,7 @@ class Graph:
         self.outputs = {}
         self._param_nodes = {}
         self._input_names = set()
+        self._lifetimes = None  # made by _lifetimes(), dropped on any change
 
     # -- leaves ------------------------------------------------------------
 
@@ -225,9 +246,9 @@ class Graph:
             c' = f*c + i*tanh(x W[3] + h U[3] + b[3])
             h' = o*tanh(c')
 
-        The value stacks (h, c, i, f, o, tanh(x W[3] + h U[3] + b[3]),
-        tanh(c)) of every step, shape (7, T, B, H); ``item(node, 0)`` is
-        the hidden sequence and ``item(node, 1)`` the cell sequence.
+        The value stacks (h, c, i, f, o, tanh(x W[3] + h U[3] + b[3])) of
+        every step, shape (6, T, B, H); ``item(node, 0)`` is the hidden
+        sequence and ``item(node, 1)`` the cell sequence.
 
         With `rows`, a 1-D integer input of B row ids, x holds distinct
         rows (T, D, in) and state row j reads x's row ``rows[j]``: the input
@@ -246,8 +267,8 @@ class Graph:
             r  = sigmoid(x W[1] + h U[1] + b[1])        reset gate
             h' = (1-z)*h + z*tanh(x W[2] + (r*h) U[2] + b[2])
 
-        The value stacks (h, z, r, tanh(...), r*h) of every step, shape
-        (5, T, B, H); ``item(node, 0)`` is the hidden sequence.  `rows`
+        The value stacks (h, z, r, tanh(...)) of every step, shape
+        (4, T, B, H); ``item(node, 0)`` is the hidden sequence.  `rows`
         is as in :meth:`lstm`; with it the value is (h,), shape
         (1, T, B, H).
         """
@@ -261,12 +282,14 @@ class Graph:
 
     def mark_output(self, node, name):
         self.outputs[name] = node
+        self._lifetimes = None
         return node
 
     def _append(self, op, name, inputs, arg=None):
         for inp in inputs:
             if not isinstance(inp, Node) or self.nodes[inp.idx] is not inp:
                 raise GraphError(f"input to {op!r} is not a node of this graph")
+        self._lifetimes = None
         node = Node(len(self.nodes), op, name or f"{op}_{len(self.nodes)}", inputs, arg)
         self.nodes.append(node)
         return node
@@ -277,11 +300,18 @@ def _optional(node):
 
 
 class Workspace:
-    """Per-evaluation value storage for one graph."""
+    """Per-evaluation value storage for one graph.
+
+    `lifetimes` is the plan the values were evaluated under (None if every
+    value was kept); `spent` is set once a backward pass has begun to drop
+    and write over them.
+    """
 
     def __init__(self, graph):
         self.graph = graph
         self.values = [None] * len(graph.nodes)
+        self.lifetimes = None
+        self.spent = False
 
     def value(self, node):
         return self.values[node.idx]
@@ -335,20 +365,21 @@ def _sigmoid(x, out=None, scratch=None):
     return np.divide(np.maximum(e, positive, out=e), d, out=e)
 
 
-def _softmax(x):
-    e = x - x.max(axis=-1, keepdims=True)
+def _softmax(x, out=None):
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _rows(a, b):
+def _rows(a, b, out=None):
     """``a @ b`` under the row rule, for `a` of shape (..., rows, k).
 
     With a multiple of ``ROW_BLOCK`` rows every block of ``ROW_BLOCK`` rows
     is one gemm; otherwise each (rows, k) matrix, one per time step, is one.
     `b` is (k, n) or a stack (G, k, n) of one matrix per gate, in which case
-    the result is (G, ..., rows, n).
+    the result is (G, ..., rows, n); `out`, if given, is a C-contiguous
+    array of that shape, which takes the result.
     """
     *lead, rows, k = a.shape
     gates = b.shape[:-2]
@@ -356,7 +387,9 @@ def _rows(a, b):
         a = a.reshape(-1, ROW_BLOCK, k)
     if gates:
         b = b.reshape(*gates, *(1,) * (a.ndim - 2), *b.shape[-2:])
-    return np.matmul(a, b).reshape(*gates, *lead, rows, b.shape[-1])
+    if out is not None:
+        out = out.reshape(*gates, *a.shape[:-1], b.shape[-1])
+    return np.matmul(a, b, out=out).reshape(*gates, *lead, rows, b.shape[-1])
 
 
 def _step_added(total, term):
@@ -386,9 +419,28 @@ def _matmul_grad(dy, y, a, b, bias=None):
     return (dy @ b.T, db) if bias is None else (dy @ b.T, db, dbias)
 
 
+def _over(out, *operands):
+    """`out` where the result of `operands` has its type, else None: a dead
+    array that a result is written over must not round it."""
+    return out if out is not None and out.dtype == np.result_type(*operands) else None
+
+
 def _mul(node, a, b):
     _check_shapes(a.shape == b.shape, node, a, b)
     return a * b
+
+
+def _mul_grad(dy, y, a, b, out=None):
+    """None for the gradient of an operand whose partner is passed as None
+    (the engine does so where the operand takes no gradient); `out`, if
+    given, is dy, written over last."""
+    db = None if a is None else dy * a
+    return (None if b is None else np.multiply(dy, b, out=_over(out, dy, b))), db
+
+
+def _tanh_grad(dy, y, x, out=None):
+    """`out`, if given, is dy, written over."""
+    return (np.multiply(dy, 1.0 - y * y, out=_over(out, dy, y)),)
 
 
 def _gather(node, table, ids):
@@ -447,16 +499,19 @@ def _concat_grad(dy, y, *parts):
 def _xent(node, logits, targets):
     _check_shapes(logits.ndim == 3 and logits.shape[:-1] == targets.shape, node, logits, targets)
     _check_ids(targets, logits.shape[-1], node, "target id")
-    logits = logits.reshape(-1, logits.shape[-1])
-    m = logits.max(axis=1, keepdims=True)
-    e = logits - m
-    z = np.exp(e, out=e).sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(z[:, 0])
-    return (lse - logits[np.arange(logits.shape[0]), targets.reshape(-1)]).reshape(targets.shape)
+    loss = np.empty(targets.shape, logits.dtype)
+    for t, step in enumerate(logits):  # a step at a time: no logits-sized scratch
+        m = step.max(axis=1, keepdims=True)
+        e = step - m
+        z = np.exp(e, out=e).sum(axis=1, keepdims=True)
+        loss[t] = (m[:, 0] + np.log(z[:, 0])) - step[np.arange(len(step)), targets[t]]
+    return loss
 
 
-def _xent_grad(dy, y, logits, targets):
-    g = _softmax(logits.reshape(-1, logits.shape[-1]))
+def _xent_grad(dy, y, logits, targets, out=None):
+    """`out`, if given, is `logits`, written over."""
+    flat = logits.reshape(-1, logits.shape[-1])
+    g = _softmax(flat, out=None if out is None else out.reshape(flat.shape))
     g[np.arange(g.shape[0]), targets.reshape(-1)] -= 1.0
     g *= dy.reshape(-1, 1)
     return g.reshape(logits.shape), None
@@ -476,13 +531,16 @@ def _masked_mean_grad(dy, y, x, mask):
     return mask * (dy * _inverse_count(mask, x.dtype)), None
 
 
-def _input_products(node, gates, x, h0, W, U, b, rows):
-    """Every step's input products x W, (G, T, B, H), after checking every
-    operand's shape: x (T, B, in), h0 (B, H) and the stacked weights
-    W (G, in, H), U (G, H, H) and b (G, H) of G gates.  With `rows` (B,),
-    x is (T, D, in), the products run on its D rows and row j of a step is
-    the product of x's row ``rows[j]``: by the row rule the bits of x[:,
-    rows] W."""
+def _input_products(node, gates, x, h0, W, U, b, rows, states):
+    """A recurrent op's value, uninitialised, and every step's input
+    products x W, (G, T, B, H), after checking every operand's shape: x
+    (T, B, in), h0 (B, H) and the stacked weights W (G, in, H), U (G, H, H)
+    and b (G, H) of G gates.  The value stacks `states` state sequences
+    and, in training, G more, which the products take: each step writes
+    its gates over its own products.  With `rows` (B,), an evaluation, x is
+    (T, D, in), the products run on its D rows and row j of a step is the
+    product of x's row ``rows[j]``: by the row rule the bits of x[:, rows]
+    W; the value holds the state sequences only."""
     if rows is not None:
         _check_rows(node, x, rows)
     hidden = h0.shape[-1]
@@ -491,9 +549,12 @@ def _input_products(node, gates, x, h0, W, U, b, rows):
                   and W.shape == (gates, x.shape[-1], hidden)
                   and U.shape == (gates, hidden, hidden) and b.shape == (gates, hidden),
                   node, x, h0, W, U, b)
-    xw = _rows(x, W)
+    if rows is None:
+        seq = np.empty((states + gates, len(x), *batch, hidden), np.result_type(x, W))
+        return seq, _rows(x, W, out=seq[states:])
     # a gather along an inner axis by indexing is not C-contiguous; take is
-    return xw if rows is None else np.take(xw, rows, axis=2)
+    xw = np.take(_rows(x, W), rows, axis=2)
+    return np.empty((states, *xw.shape[1:]), xw.dtype), xw
 
 
 def _check_step(node, t, *values):
@@ -510,13 +571,10 @@ def _carried(carry, terms, t):
 
 
 def _lstm(node, x, h0, c0, W, U, b, rows=None):
-    xw = _input_products(node, 4, x, h0, W, U, b, rows)
+    # a step writes its gates over its input products, which training keeps
+    # in its value; `pre` is scratch once the gates are formed
+    seq, xw = _input_products(node, 4, x, h0, W, U, b, rows, 2)
     _check_shapes(c0.shape == h0.shape, node, h0, c0)
-    # an evaluation (`rows`, which has no gradient) keeps (h, c) only and
-    # writes a step's gates into its input products; `pre` is scratch once
-    # the gates are formed
-    evaluation = rows is not None
-    seq = np.empty((2 if evaluation else 7, *xw.shape[1:]), dtype=xw.dtype)
     b = b[:, None]
     h, c = h0, c0
     for t in range(len(x)):
@@ -524,13 +582,13 @@ def _lstm(node, x, h0, c0, W, U, b, rows=None):
         pre += xw[:, t]
         pre += b
         _check_step(node, t, pre)
-        gates = xw[:, t] if evaluation else seq[2:6, t]
+        gates = xw[:, t]
         i, f, o = _sigmoid(pre[:3], out=gates[:3], scratch=pre[:3])
         c_hat = np.tanh(pre[3], out=gates[3])
         c = np.multiply(f, c, out=seq[1, t])
         c += np.multiply(i, c_hat, out=pre[0])
         _check_step(node, t, c)
-        tanh_c = np.tanh(c, out=pre[0] if evaluation else seq[6, t])
+        tanh_c = np.tanh(c, out=pre[0])  # the backward forms it again from c
         h = np.multiply(o, tanh_c, out=seq[0, t])
     return seq
 
@@ -551,7 +609,8 @@ def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
     dh = dc = dW = dU = db = None
     for t in range(len(x) - 1, -1, -1):
         dh = _carried(dh, terms_h, t)
-        i, f, o, c_hat, tanh_c = seq[2:, t]
+        i, f, o, c_hat = seq[2:, t]
+        tanh_c = np.tanh(seq[1, t])  # the forward's tanh(c), bit for bit
         d_tanh = (dh * o) * (1.0 - tanh_c * tanh_c)
         dc = _carried(dc, terms_c, t)
         dc = d_tanh if dc is None else dc + d_tanh
@@ -570,19 +629,16 @@ def _lstm_grad(dy, seq, x, h0, c0, W, U, b, rows=None):
 
 
 def _gru(node, x, h0, W, U, b, rows=None):
-    xw = _input_products(node, 3, x, h0, W, U, b, rows)
-    # an evaluation keeps h only, as in _lstm
-    evaluation = rows is not None
-    seq = np.empty((1 if evaluation else 5, *xw.shape[1:]), dtype=xw.dtype)
+    seq, xw = _input_products(node, 3, x, h0, W, U, b, rows, 1)  # as in _lstm
     h = h0
     for t in range(len(x)):
         pre = _rows(h, U[:2])
         pre += xw[:2, t]
         pre += b[:2, None]
         _check_step(node, t, pre)
-        gates = xw[:, t] if evaluation else seq[1:4, t]
+        gates = xw[:, t]
         z, r = _sigmoid(pre, out=gates[:2], scratch=pre)
-        rh = np.multiply(r, h, out=pre[0] if evaluation else seq[4, t])
+        rh = np.multiply(r, h, out=pre[0])  # the backward forms it again
         pre_h = _rows(rh, U[2])
         pre_h += xw[2, t]
         pre_h += b[2]
@@ -613,7 +669,7 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
         np.matmul(grad, WT, out=dx[:, t])
         dW = _step_added(dW, np.matmul(x[t].T, grad))
         dU_zr = _step_added(dU_zr, np.matmul(hp.T, grad[:2]))
-        dU_h = _step_added(dU_h, seq[4, t].T @ grad[2])
+        dU_h = _step_added(dU_h, (r * hp).T @ grad[2])  # the forward's r*h
         db = _step_added(db, grad.sum(axis=1))
         hu = np.matmul(grad[:2], UT[:2])
         dh = ((dh * (1.0 - z) + d_rh * r) + hu[1]) + hu[0]
@@ -623,31 +679,142 @@ def _gru_grad(dy, seq, x, h0, W, U, b, rows=None):
     return [dx[2], dx[1], dx[0]], dh, dW, dU, db
 
 
-# op -> (forward(node, *inputs) -> value, backward(dy, value, *inputs) ->
+class _Op(NamedTuple):
+    """One op's rules, and what the lifetime plan of a graph with a loss
+    reads of them (module docstring).  A bare (forward, backward) pair
+    declares nothing: its backward reads its own value and every input, and
+    it writes over nothing."""
+
+    forward: object
+    backward: object
+    value: bool = False  # whether the backward reads the op's own value
+    # per input, whether the backward reads it: True, False (at most its
+    # shape and type; so for inputs past the tuple), or (k,) where only the
+    # gradient of input k reads it; it is then passed as None where input k
+    # takes no gradient
+    reads: tuple = ()
+    over: int | None = None  # an input the forward may write its value over
+    grad_over: int | str | None = None  # "dy", or an input the backward may write over
+
+
+# op -> _Op(forward(node, *inputs) -> value, backward(dy, value, *inputs) ->
 # one gradient per input, None where the input is integer ids, targets or a
 # mask, a list of terms where a fused op stands for several consumers).  An
 # lstm/gru backward receives dy as {part: [adjoint terms]}, which the
-# engine collects from the item nodes that pick the parts.
+# engine collects from the item nodes that pick the parts.  A rule that may
+# write over a dead array takes it as `out`, which only the engine passes.
 _OPS = {
-    "matmul": (_matmul, _matmul_grad),
-    "mul": (_mul, lambda dy, y, a, b: (dy * b, dy * a)),
-    "tanh": (lambda node, x: np.tanh(x), lambda dy, y, x: (dy * (1.0 - y * y),)),
-    "softmax": (lambda node, x: _softmax(x),
-                lambda dy, y, x: (y * (dy - (dy * y).sum(axis=-1, keepdims=True)),)),
-    "gather": (_gather, _gather_grad),
-    "concat": (_concat, _concat_grad),
-    "xent": (_xent, _xent_grad),
-    "masked_mean": (_masked_mean, _masked_mean_grad),
-    "lstm": (_lstm, _lstm_grad),
-    "gru": (_gru, _gru_grad),
-    "item": (lambda node, x: x[node.arg], None),  # backward() routes its adjoint
-    "take": (_take, _take_grad),
+    "matmul": _Op(_matmul, _matmul_grad, reads=(True, True)),
+    "mul": _Op(_mul, _mul_grad, reads=((1,), (0,)), grad_over="dy"),
+    "tanh": _Op(lambda node, x, out=None: np.tanh(x, out=out), _tanh_grad, value=True,
+                over=0, grad_over="dy"),
+    "softmax": _Op(lambda node, x: _softmax(x),
+                   lambda dy, y, x: (y * (dy - (dy * y).sum(axis=-1, keepdims=True)),),
+                   value=True),
+    "gather": _Op(_gather, _gather_grad, reads=(False, True)),
+    "concat": _Op(_concat, _concat_grad),
+    "xent": _Op(_xent, _xent_grad, reads=(True, True), grad_over=0),
+    "masked_mean": _Op(_masked_mean, _masked_mean_grad, reads=(False, True)),
+    "lstm": _Op(_lstm, _lstm_grad, value=True, reads=(True,) * 5),
+    "gru": _Op(_gru, _gru_grad, value=True, reads=(True,) * 4),
+    "item": _Op(lambda node, x: x[node.arg], None),  # backward() routes its adjoint
+    "take": _Op(_take, _take_grad, reads=(False, True)),
 }
 
 # ops whose values are not checked after the op: recurrent ops check each
 # step themselves, to name it, and an item or a take is a part of a checked
 # value
 _SELF_CHECKED = frozenset({"lstm", "gru", "item", "take"})
+
+
+class _Lifetimes:
+    """The lifetime plan of a graph with a loss (module docstring), one
+    entry per node in graph order.  ``forward[i]`` is (the input node i's
+    forward writes over or None, the values dropped after it);
+    ``backward[i]`` is (the inputs its backward is passed as None, "dy" or
+    the input it writes over or None, whether it owns the gradients it
+    returns, the values dropped after it)."""
+
+    def __init__(self, graph):
+        nodes = graph.nodes
+        # outputs stay readable, and the parameters are the caller's
+        kept = {node.idx for node in graph.outputs.values()}
+        kept.update(node.idx for node in nodes if node.op == "param")
+        takes = []  # whether a node takes a gradient: a parameter or what reads one
+        last_forward = [None] * len(nodes)  # the last node to read each value
+        viewed = set()  # values that item nodes are views of
+        for node in nodes:
+            takes.append(node.op == "param" or any(takes[i.idx] for i in node.inputs))
+            for inp in node.inputs:
+                last_forward[inp.idx] = node.idx
+            if node.op == "item":
+                viewed.add(node.inputs[0].idx)
+        runs = {graph.outputs["loss"].idx}  # the nodes whose backward may run
+        last_backward = [None] * len(nodes)  # the last backward to read each value
+        passed_none = [()] * len(nodes)
+        for node in reversed(nodes):
+            if node.idx not in runs or node.op in ("input", "param"):
+                continue
+            runs.update(i.idx for i in node.inputs)
+            rule = _OPS[node.op]
+            if node.op == "item":
+                continue
+            reads = rule.reads if isinstance(rule, _Op) else (True,) * len(node.inputs)
+            if not isinstance(rule, _Op) or rule.value:
+                last_backward[node.idx] = node.idx
+            for k, inp in enumerate(node.inputs):
+                read = reads[k] if k < len(reads) else False
+                if isinstance(read, tuple):
+                    read = takes[node.inputs[read[0]].idx]
+                    passed_none[node.idx] += () if read else (k,)
+                if read:
+                    last_backward[inp.idx] = node.idx
+
+        # the node after whose forward, or backward, each value is dropped
+        dies = ([f if b is None else None for f, b in zip(last_forward, last_backward)],
+                last_backward)
+
+        def over(node, k, phase):
+            """k if `node` may write over its input k in this phase: it reads
+            that input once and last, an array of the workspace's own that
+            nothing views; else None.  "dy" is always the node's own."""
+            if not isinstance(k, int):
+                return k
+            inp = node.inputs[k]
+            own = inp.op != "item" and isinstance(_OPS.get(inp.op), _Op)
+            return k if (own and inp.idx not in kept and inp.idx not in viewed
+                         and dies[phase][inp.idx] == node.idx
+                         and node.inputs.count(inp) == 1) else None
+
+        dropped = [[] for _ in nodes], [[] for _ in nodes]
+        for phase in (0, 1):
+            for i, at in enumerate(dies[phase]):
+                if at is not None and i not in kept:
+                    dropped[phase][at].append(i)
+        self.forward, self.backward = [], []
+        for node in nodes:
+            rule = _OPS.get(node.op)
+            declared = isinstance(rule, _Op)
+            self.forward.append((over(node, rule.over if declared else None, 0),
+                                 tuple(dropped[0][node.idx])))
+            self.backward.append((passed_none[node.idx],
+                                  over(node, rule.grad_over if declared else None, 1),
+                                  declared, tuple(dropped[1][node.idx])))
+
+
+def _lifetimes(graph):
+    """The lifetime plan of `graph`, made once; None for a graph without a loss."""
+    if "loss" not in graph.outputs:
+        return None
+    if graph._lifetimes is None:
+        graph._lifetimes = _Lifetimes(graph)
+    return graph._lifetimes
+
+
+def _husk(v):
+    """What a dropped value leaves: a read-only stand-in of its shape and
+    type that holds one element."""
+    return np.broadcast_to(np.zeros((), v.dtype), v.shape)
 
 
 def forward_eval(graph, bindings, params):
@@ -657,10 +824,13 @@ def forward_eval(graph, bindings, params):
     parameter leaf; a missing one is a :class:`GraphError` naming it.
     Raises :class:`ShapeError` naming the offending node on incompatible
     operands and :class:`NonFiniteError` naming the first node that computes
-    a non-finite value and the first time step at which it does.
+    a non-finite value and the first time step at which it does.  A graph
+    with a loss is evaluated under its lifetime plan: the values that its
+    backward pass does not read are dropped once the forward has read them.
     """
     ws = Workspace(graph)
     vals = ws.values
+    plan = ws.lifetimes = _lifetimes(graph)
     for node in graph.nodes:
         op = node.op
         if op == "input":
@@ -671,12 +841,27 @@ def forward_eval(graph, bindings, params):
             if node.name not in params:
                 raise GraphError(f"no value for parameter {node.name!r}")
             v = np.asarray(params[node.name])
-        else:
+        elif plan is None:
             v = _OPS[op][0](node, *[vals[i.idx] for i in node.inputs])
             if op not in _SELF_CHECKED and not _finite(v):
                 raise _nonfinite(node, v)
+        else:
+            v = _planned_forward(node, vals, *plan.forward[node.idx])
         vals[node.idx] = v
     return ws
+
+
+def _planned_forward(node, vals, over, dropped):
+    """One node's value under a lifetime plan: written over its input
+    `over`, if given, and the `dropped` values dropped after."""
+    args = [vals[i.idx] for i in node.inputs]
+    forward = _OPS[node.op][0]
+    v = forward(node, *args) if over is None else forward(node, *args, out=args[over])
+    if node.op not in _SELF_CHECKED and not _finite(v):
+        raise _nonfinite(node, v)
+    for i in dropped:
+        vals[i] = _husk(vals[i])
+    return v
 
 
 def backward(graph, ws):
@@ -684,23 +869,31 @@ def backward(graph, ws):
     ``{parameter name: gradient}``.
 
     The adjoint starts at one on the loss; bound inputs (ids, targets,
-    masks) take none.
+    masks) take none.  The pass drops each forward value after its last
+    reader and writes over dead ones, so it consumes the workspace: a
+    second pass over it is a :class:`GraphError`.  The graph's outputs
+    stay readable.
     """
     vals = ws.values
     if ws.graph is not graph or any(v is None for v in vals):
         raise GraphError("forward values missing; run forward_eval on this graph first")
+    if ws.spent:
+        raise GraphError("workspace already consumed by a backward pass;"
+                         " run forward_eval again")
     if "loss" not in graph.outputs:
         raise GraphError("no loss output")
     loss = vals[graph.outputs["loss"].idx]
     if loss.size != 1:
         raise GraphError("loss output is not scalar")
+    # a forward without a loss kept every value, so the graph's plan holds
+    plan = ws.lifetimes or _lifetimes(graph)
+    ws.spent = True
     # an item node's adjoint is the list of its terms, passed on unsummed
     adj = [None] * len(graph.nodes)
     adj[graph.outputs["loss"].idx] = np.ones_like(loss)
     # sorted order keeps downstream float accumulation (e.g. the global clip
     # norm) independent of hash randomization across processes
-    grads = {name: np.zeros_like(vals[graph._param_nodes[name].idx])
-             for name in graph.parameters}
+    grads = dict.fromkeys(graph.parameters)
 
     for node in reversed(graph.nodes):
         dy, adj[node.idx] = adj[node.idx], None  # each adjoint is passed on once
@@ -711,15 +904,29 @@ def backward(graph, ws):
             parts = adj[ins[0].idx] = adj[ins[0].idx] or {}
             parts[node.arg] = dy
             continue
-        _pass_on(_OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins]),
-                 ins, adj, grads, vals)
+        passed_none, over, owned, dropped = plan.backward[node.idx]
+        args = [vals[i.idx] for i in ins]
+        for k in passed_none:
+            args[k] = None
+        rule = _OPS[node.op][1]
+        gradients = (rule(dy, vals[node.idx], *args) if over is None else
+                     rule(dy, vals[node.idx], *args, out=dy if over == "dy" else args[over]))
+        _pass_on(gradients, ins, adj, grads, vals, owned)
+        for i in dropped:
+            vals[i] = _husk(vals[i])
+    for name, g in grads.items():
+        if g is None:  # a parameter the loss does not read
+            grads[name] = np.zeros_like(vals[graph._param_nodes[name].idx])
     return grads
 
 
-def _pass_on(gradients, ins, adj, grads, vals):
+def _pass_on(gradients, ins, adj, grads, vals, owned):
     """Add one op's input gradients to its inputs' adjoints, or to the
-    parameter gradients.  A function of its own so that the gradients are
-    freed when it returns, before the next op's backward allocates."""
+    parameter gradients.  A sum's first term is adopted where the op `owned`
+    it and it has the sum's shape (and, for a parameter, its type); any
+    other first term is added onto zeros.  A function of its own so that the
+    gradients are freed when it returns, before the next op's backward
+    allocates."""
     for inp, g in zip(ins, gradients):
         if g is None or inp.op == "input":
             continue
@@ -727,12 +934,18 @@ def _pass_on(gradients, ins, adj, grads, vals):
         if inp.op == "item":
             adj[inp.idx] = (adj[inp.idx] or []) + terms
             continue
-        if inp.op == "param":
-            target = grads[inp.name]
-        else:
-            if adj[inp.idx] is None:
-                # the first term too is added onto zeros: 0.0 + -0.0 is +0.0
-                adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=terms[0].dtype)
-            target = adj[inp.idx]
+        param = inp.op == "param"
+        total, like = grads[inp.name] if param else adj[inp.idx], vals[inp.idx]
         for term in terms:
-            target += term
+            if total is not None:
+                total += term
+            elif owned and term.shape == like.shape and (not param or term.dtype == like.dtype):
+                term += 0.0  # the bits of 0.0 + term: -0.0 becomes +0.0
+                total = term
+            else:
+                total = np.zeros_like(like, dtype=None if param else term.dtype)
+                total += term
+        if param:
+            grads[inp.name] = total
+        else:
+            adj[inp.idx] = total

@@ -81,6 +81,12 @@ def file_block_views(network, arrays=None):
     return {block: arrays[name][index] for block, name, index in file_blocks(network.desc, arrays)}
 
 
+def dropped(value):
+    """Whether `value` is what the graph engine leaves of a dropped value: a
+    read-only stand-in of its shape that holds one element."""
+    return value.size > 1 and not any(value.strides)
+
+
 def stacked_gate_weights(rng, gates, n_in, n, scale):
     """Random {"W": (gates, n_in, n), "U": (gates, n, n), "b": (gates, n)} of
     a recurrent op, drawn gate by gate: W, U and b of the first gate, then

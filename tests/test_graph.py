@@ -302,6 +302,57 @@ def test_random_graphs_match_finite_differences(reference_ops):
                 assert support.graph_fd_error(g, bindings, params, name, 1e-5) < 1e-4
 
 
+def test_random_graphs_give_the_bits_of_a_pass_that_keeps_every_value(reference_ops):
+    # the lifetime plan drops values, writes over dead ones and adopts first
+    # terms without changing a bit of the loss or the gradients
+    dropping = 0
+    for build, seed, count in RANDOM_GRAPHS:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            g, bindings, params = build(rng)
+            ws = forward_eval(g, bindings, params)
+            dropping += any(support.dropped(value) for value in ws.values)
+            grads = backward(g, ws)
+            loss = g.outputs.pop("loss")
+            kept = forward_eval(g, bindings, params)  # without a loss: every value kept
+            g.mark_output(loss, "loss")
+            assert not any(support.dropped(value) for value in kept.values)
+            assert ws.outputs["loss"].tobytes() == kept.outputs["loss"].tobytes()
+            expected = _backward_keeping_every_value(g, kept)
+            assert all(grads[name].tobytes() == expected[name].tobytes() for name in params)
+    assert dropping
+
+
+def _backward_keeping_every_value(graph, ws):
+    """The reverse pass with no lifetime plan: every op's backward passed
+    every value, and each sum of terms formed on zeros."""
+    vals = ws.values
+    adj = [None] * len(graph.nodes)
+    adj[graph.outputs["loss"].idx] = np.ones_like(vals[graph.outputs["loss"].idx])
+    grads = {name: np.zeros_like(vals[graph.parameter(name).idx]) for name in graph.parameters}
+    for node in reversed(graph.nodes):
+        dy, ins = adj[node.idx], node.inputs
+        if dy is None or node.op in ("input", "param"):
+            continue
+        if node.op == "item":
+            parts = adj[ins[0].idx] = adj[ins[0].idx] or {}
+            parts[node.arg] = dy
+            continue
+        for inp, g in zip(ins, _OPS[node.op][1](dy, vals[node.idx], *[vals[i.idx] for i in ins])):
+            terms = g if isinstance(g, list) else [g]
+            if g is None or inp.op == "input":
+                continue
+            if inp.op == "item":
+                adj[inp.idx] = (adj[inp.idx] or []) + terms
+                continue
+            if inp.op != "param" and adj[inp.idx] is None:
+                adj[inp.idx] = np.zeros_like(vals[inp.idx], dtype=terms[0].dtype)
+            total = grads[inp.name] if inp.op == "param" else adj[inp.idx]
+            for term in terms:
+                total += term
+    return grads
+
+
 def test_random_graphs_use_every_op():
     # every op of the table and of the reference gets the finite-difference
     # coverage above
@@ -469,6 +520,53 @@ def test_backward_needs_this_graphs_forward_values(reference_ops):
         with pytest.raises(GraphError, match="forward values missing"):
             backward(g, ws)
     assert backward(g, forward_eval(g, {"x": np.zeros(2)}, {})) == {}
+
+
+def _cross_entropy_graph(dropout):
+    """gather -> [mul by a bound mask] -> matmul -> cross-entropy -> masked mean."""
+    g = Graph()
+    x = g.gather_rows(g.parameter("E"), g.input("ids"))
+    if dropout:
+        x = g.mul(x, g.input("dropmask"))
+    ce = g.cross_entropy(g.matmul(x, g.parameter("W")), g.input("targets"))
+    g.mark_output(g.masked_mean(ce, g.input("mask")), "loss")
+    rng = np.random.default_rng(2)
+    bindings = {"ids": rng.integers(0, 5, size=(3, 8)), "targets": rng.integers(0, 4, size=(3, 8)),
+                "mask": np.ones((3, 8)), "dropmask": rng.integers(0, 2, size=(3, 8, 6)) * 2.0}
+    return g, bindings, {"E": rng.normal(size=(5, 6)), "W": rng.normal(size=(6, 4))}
+
+
+def test_a_second_backward_over_one_workspace_is_an_error():
+    # the first pass drops and writes over the values it has read; the
+    # outputs stay readable
+    g, bindings, params = _cross_entropy_graph(dropout=False)
+    ws = forward_eval(g, bindings, params)
+    loss = ws.outputs["loss"].copy()
+    backward(g, ws)
+    with pytest.raises(GraphError, match="^workspace already consumed by a backward pass"):
+        backward(g, ws)
+    assert ws.outputs["loss"] == loss
+
+
+def test_mul_forms_no_gradient_for_a_bound_input(monkeypatch):
+    # the dropout mask takes no gradient, so the masked value is not read:
+    # mul's backward is passed None for it and the forward drops it
+    g, bindings, params = _cross_entropy_graph(dropout=True)
+    expected = backward(g, forward_eval(g, bindings, params))
+    passed, mul_grad = [], _OPS["mul"].backward
+
+    def recording(dy, y, a, b, **out):
+        passed.append((a, b))
+        return mul_grad(dy, y, a, b, **out)
+
+    monkeypatch.setitem(_OPS, "mul", _OPS["mul"]._replace(backward=recording))
+    g, bindings, params = _cross_entropy_graph(dropout=True)
+    ws = forward_eval(g, bindings, params)
+    assert support.dropped(ws.values[g.nodes[2].idx])  # the gather's value
+    grads = backward(g, ws)
+    [(a, b)] = passed
+    assert a is None and b.shape == (3, 8, 6)
+    assert all(np.array_equal(grads[name], expected[name]) for name in "EW")
 
 
 def test_loss_must_be_scalar():

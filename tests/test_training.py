@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import classlm as cl
-from classlm.graph import _OPS, ROW_BLOCK, GraphError, forward_eval
-from classlm.training import batch_gradients, batch_loss, dropout_mask
+from classlm.graph import _OPS, ROW_BLOCK, GraphError, _lifetimes, backward, forward_eval
+from classlm.training import _batch_bindings, batch_gradients, batch_loss, dropout_mask
 
 import support
 from support import ReferenceGraph
@@ -157,10 +157,12 @@ def test_training_config_validation():
 
 
 def test_a_training_step_holds_little_beyond_its_forward_values():
-    # a class-input LSTM batch of the benchmark's size: the backward pass
-    # keeps the forward values it reads, and each adjoint only until it is
-    # passed on; the peak reads about 1.8 times the values held after the
-    # forward pass
+    # a class-input LSTM batch of the benchmark's size.  The forward keeps
+    # the values the backward reads: the LSTM's value (six sequences), its
+    # input, the tanh layer's output and the logits.  The backward holds
+    # those, the parameters' gradients and one more hidden-sized array at
+    # a time: it writes the cross-entropy's gradient over the logits and
+    # drops each value after its last reader
     rng = np.random.default_rng(3)
     net = support.random_class_network(rng, vocab_size=1000, num_classes=300,
                                        sizes=(64, 128, 128))
@@ -178,14 +180,17 @@ def test_a_training_step_holds_little_beyond_its_forward_values():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert forward > 10e6
-    assert peak <= 2.0 * forward
+    positions = 40 * 32 * 8  # bytes of one double per position
+    read = positions * (6 * 128 + 64 + 128 + 300)
+    gradients = sum(value.nbytes for value in net.params.values())
+    assert read < forward <= read + gradients
+    assert peak <= read + positions * 128 + gradients
 
 
 def test_a_recurrent_backward_holds_one_step_of_gate_adjoints():
     # the batch above: the LSTM backward adds each step's parameter
     # gradients as it goes and keeps one step's gate adjoints, so the
-    # peak reads about 1.5 times the forward values
+    # peak reads about 1.15 times the forward values
     rng = np.random.default_rng(3)
     net = support.random_class_network(rng, vocab_size=1000, num_classes=300,
                                        sizes=(64, 128, 128))
@@ -682,6 +687,75 @@ def test_bptt_matches_unrolled_reference_bitwise(arch, precision, length, refere
                                  precision=precision)
     inputs, targets, mask = _ragged_batch(rng, net, length)
     assert_gradients_match_reference(net, inputs, targets, mask, 9)
+
+
+GRU_DROPOUT_ARCH = """\
+input type=word name=w
+layer type=projection name=p input=w size=5
+layer type=dropout name=d1 input=p dropout_rate=0.25
+layer type=gru name=g input=d1 size=6
+layer type=dropout name=d2 input=g dropout_rate=0.5
+layer type=softmax name=o input=d2
+"""
+
+
+@pytest.mark.parametrize("arch, precision", list(itertools.product(
+    (LSTM_DROPOUT_ARCH, GRU_DROPOUT_ARCH), ("double", "single"))))
+def test_a_training_step_writes_over_no_parameter_or_bound_input(arch, precision,
+                                                                 reference_ops):
+    # the pass writes over dead arrays of its own only: the parameters and
+    # the bound inputs (zero start state, dropout masks) keep their bits,
+    # and a second step on the batch gives the same loss and gradients
+    rng = np.random.default_rng(8)
+    vocab = cl.Vocabulary([f"w{i}" for i in range(9)], {f"w{i}": 1 + i for i in range(9)})
+    net = cl.instantiate_network(cl.parse_description(arch), vocab,
+                                 cl.initialize_classes(vocab, 4, seed=3), seed=5,
+                                 precision=precision)
+    inputs, targets, mask = _ragged_batch(rng, net, 7)
+    graph = net.training_graph()
+    plan = _lifetimes(graph)
+    written = [node.inputs[over] for node, (over, _) in zip(graph.nodes, plan.forward)
+               if over is not None]
+    written += [node.inputs[over] for node, (_, over, _, _) in zip(graph.nodes, plan.backward)
+                if isinstance(over, int)]
+    assert written and all(node.op not in ("input", "param", "item") for node in written)
+    params = net.copy_params()
+    bindings = _batch_bindings(net, inputs, targets, mask, np.random.default_rng(9))
+    bound = {key: value.copy() for key, value in bindings.items()}
+    first = backward(graph, forward_eval(graph, bindings, net.params))
+    loss, grads = batch_gradients(net, inputs, targets, mask, np.random.default_rng(9))
+    again = batch_gradients(net, inputs, targets, mask, np.random.default_rng(9))
+    assert again[0] == loss
+    for name, value in params.items():
+        assert net.params[name].tobytes() == value.tobytes(), name
+        assert first[name].tobytes() == grads[name].tobytes() == again[1][name].tobytes(), name
+    for key, value in bound.items():
+        assert bindings[key].tobytes() == value.tobytes(), key
+    assert_gradients_match_reference(net, inputs, targets, mask, 9)
+
+
+def test_a_training_forward_keeps_what_its_backward_reads():
+    # the projection's output (the dropout mask takes no gradient), the tanh
+    # layer's pre-activation (the tanh is written over it) and the
+    # cross-entropy (the masked mean reads its type only) are dropped; after
+    # the backward only the outputs and the parameters are left
+    net = support.small_network(TOY, num_classes=4, arch=(
+        "input type=class name=c\n"
+        "layer type=projection name=p input=c size=5\n"
+        "layer type=dropout name=d input=p dropout_rate=0.5\n"
+        "layer type=lstm name=h input=d size=6\n"
+        "layer type=tanh name=t input=h size=4\n"
+        "layer type=softmax name=o input=t\n"))
+    graph = net.training_graph()
+    rng = np.random.default_rng(1)
+    ids = rng.integers(0, len(net.vocab), size=(8, 5))
+    ws = forward_eval(graph, _batch_bindings(net, ids, ids, np.ones((8, 5)), rng), net.params)
+    dropped = [node.op for node in graph.nodes if support.dropped(ws.values[node.idx])]
+    assert dropped == ["gather", "matmul", "xent"]
+    backward(graph, ws)
+    left = {node.idx for node in graph.nodes if not support.dropped(ws.values[node.idx])}
+    assert left == ({node.idx for node in graph.outputs.values()}
+                    | {node.idx for node in graph.nodes if node.op == "param"})
 
 
 @pytest.mark.parametrize("arch, precision", list(itertools.product(
